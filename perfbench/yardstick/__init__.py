@@ -1,0 +1,76 @@
+"""Physics-informed remaining-useful-life prognosis.
+
+Three small networks trained jointly on run-to-failure logs: a latent
+health indicator, a RUL regressor, and a rate-law network tied together
+by a squared-residual penalty on the predicted RUL's time derivative.
+"""
+
+from .data import (
+    AugmentedSample,
+    AugmentedSamples,
+    EngineTrajectory,
+    NormStats,
+    SynthSpec,
+    augment,
+    augmented_count,
+    apply_norm,
+    fit_norm,
+    parse_cmapss,
+    parse_rul_truth,
+    select_features,
+    synth_generate,
+    truncate_for_eval,
+)
+from .graph import EvaluationError, Graph, GraphError, NumericError
+from .model import (
+    CostBreakdown,
+    LatentMapPoint,
+    PinnConfig,
+    PinnModel,
+    ResidualInputs,
+    init_model,
+)
+from .modelfile import load_model, save_model
+from .net import GraphMlp, MlpParams, MlpSpec, init_params
+from .optim import NadamConfig, NadamState, TrainingReport, nadam_step, split_indices, train
+
+__version__ = "0.1.0"
+
+__all__ = [
+    "AugmentedSample",
+    "AugmentedSamples",
+    "CostBreakdown",
+    "EngineTrajectory",
+    "EvaluationError",
+    "Graph",
+    "GraphError",
+    "GraphMlp",
+    "LatentMapPoint",
+    "MlpParams",
+    "MlpSpec",
+    "NadamConfig",
+    "NadamState",
+    "NormStats",
+    "NumericError",
+    "PinnConfig",
+    "PinnModel",
+    "ResidualInputs",
+    "SynthSpec",
+    "TrainingReport",
+    "apply_norm",
+    "augment",
+    "augmented_count",
+    "fit_norm",
+    "init_model",
+    "init_params",
+    "load_model",
+    "nadam_step",
+    "parse_cmapss",
+    "parse_rul_truth",
+    "save_model",
+    "select_features",
+    "split_indices",
+    "synth_generate",
+    "train",
+    "truncate_for_eval",
+]

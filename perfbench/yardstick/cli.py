@@ -1,0 +1,411 @@
+"""Command-line pipeline: check-data, train, eval, map, predict.
+
+Runs are driven by a JSON config file; a few flags (seeds, epochs, batch
+size, paths) override the file so experiments stay versionable. Exit
+codes are a stable contract: 0 success, 1 count/assertion failure,
+2 usage/config/data error, 3 numeric failure.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import json
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+from . import data as dat
+from .data import ParseError, SynthSpec
+from .graph import NumericError
+from .model import PinnConfig, PinnModel, init_model
+from .modelfile import ModelFileError, load_model, save_model
+from .optim import NadamConfig, train
+
+FD001_FILES = {"train": "train_FD001.txt", "test": "test_FD001.txt", "rul": "RUL_FD001.txt"}
+FD001_RAW_ROWS = 20631
+FD001_AUGMENTED = 593061
+FD001_ENGINES = 100
+
+
+class CliError(Exception):
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
+@dataclasses.dataclass
+class RunConfig:
+    data_dir: str = "."
+    dataset: str = "fd001"
+    synth: SynthSpec = dataclasses.field(default_factory=SynthSpec)
+    pde_weight: float = 1.0
+    t_scale: float = 30.0
+    optimizer: NadamConfig = dataclasses.field(default_factory=NadamConfig)
+    epochs: int = 30
+    batch_size: int = 512
+    split_seed: int = 0
+    init_seed: int = 0
+    init_scheme: str = "standard-normal"
+    horizon: int = 30
+    output_dir: str = "out"
+
+    def to_dict(self) -> dict:
+        return {
+            "data_dir": self.data_dir,
+            "dataset": self.dataset,
+            "synth": dataclasses.asdict(self.synth),
+            "model": {"lambda": self.pde_weight, "t_scale": self.t_scale},
+            "optimizer": dataclasses.asdict(self.optimizer),
+            "epochs": self.epochs,
+            "batch_size": self.batch_size,
+            "split_seed": self.split_seed,
+            "init_seed": self.init_seed,
+            "init_scheme": self.init_scheme,
+            "horizon": self.horizon,
+            "output_dir": self.output_dir,
+        }
+
+
+def _take(section: dict, allowed: dict, where: str) -> dict:
+    unknown = set(section) - set(allowed)
+    if unknown:
+        raise CliError(2, f"config: unknown key(s) {sorted(unknown)} in {where}")
+    return {allowed[k]: v for k, v in section.items()}
+
+
+def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
+    """Read the JSON config, apply flag overrides, validate everything."""
+    raw = {}
+    if path is not None:
+        try:
+            raw = json.loads(Path(path).read_text())
+        except FileNotFoundError:
+            raise CliError(2, f"config file not found: {path}") from None
+        except json.JSONDecodeError as exc:
+            raise CliError(2, f"config {path} is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise CliError(2, "config root must be a JSON object")
+
+    top = _take(
+        raw,
+        {
+            "data_dir": "data_dir",
+            "dataset": "dataset",
+            "synth": "synth",
+            "model": "model",
+            "optimizer": "optimizer",
+            "epochs": "epochs",
+            "batch_size": "batch_size",
+            "split_seed": "split_seed",
+            "init_seed": "init_seed",
+            "init_scheme": "init_scheme",
+            "horizon": "horizon",
+            "output_dir": "output_dir",
+        },
+        "top level",
+    )
+    synth_kwargs = _take(
+        top.pop("synth", {}),
+        {k: k for k in ("n_engines", "min_life", "max_life", "n_sensors", "noise_std", "seed")},
+        "synth",
+    )
+    model_kwargs = _take(top.pop("model", {}), {"lambda": "pde_weight", "t_scale": "t_scale"}, "model")
+    optim_kwargs = _take(top.pop("optimizer", {}), {k: k for k in ("lr", "beta1", "beta2", "eps")}, "optimizer")
+
+    merged = {**top, **model_kwargs, **(overrides or {})}
+    try:
+        cfg = RunConfig(
+            synth=SynthSpec(**synth_kwargs),
+            optimizer=NadamConfig(**optim_kwargs),
+            **merged,
+        )
+        if cfg.dataset not in ("fd001", "synthetic"):
+            raise ValueError(f"dataset must be 'fd001' or 'synthetic', got {cfg.dataset!r}")
+        if cfg.epochs < 1 or cfg.batch_size < 1 or cfg.horizon < 0:
+            raise ValueError("epochs and batch_size must be >= 1, horizon >= 0")
+    except (TypeError, ValueError) as exc:
+        raise CliError(2, f"config: {exc}") from None
+    return cfg
+
+
+# -- data plumbing ------------------------------------------------------
+
+
+def _read(path: Path) -> str:
+    if not path.is_file():
+        raise CliError(2, f"missing data file: {path}")
+    return path.read_text()
+
+
+def load_train_trajectories(cfg: RunConfig):
+    if cfg.dataset == "fd001":
+        return dat.parse_cmapss(_read(Path(cfg.data_dir) / FD001_FILES["train"]))
+    trajectories, _ = dat.synth_generate(cfg.synth)
+    return trajectories
+
+
+def load_test_set(cfg: RunConfig):
+    """Test trajectories plus the true RUL at each one's last cycle."""
+    if cfg.dataset == "fd001":
+        trajectories = dat.parse_cmapss(_read(Path(cfg.data_dir) / FD001_FILES["test"]))
+        truth = dat.parse_rul_truth(_read(Path(cfg.data_dir) / FD001_FILES["rul"]))
+        return trajectories, truth
+    # held-out fleet: fresh engines, truncated mid-life like a test set
+    holdout = dataclasses.replace(cfg.synth, seed=cfg.synth.seed + 1)
+    trajectories, _ = dat.synth_generate(holdout)
+    return dat.truncate_for_eval(trajectories, seed=cfg.synth.seed + 2)
+
+
+def build_training_data(cfg: RunConfig):
+    """(samples, norm) for the configured dataset."""
+    trajectories = load_train_trajectories(cfg)
+    columns = dat.select_features(trajectories)
+    samples = dat.augment(trajectories, horizon=cfg.horizon, columns=columns)
+    norm = dat.fit_norm(samples)
+    return samples, norm
+
+
+def _fresh_model(cfg: RunConfig, norm) -> PinnModel:
+    config = PinnConfig.default(len(norm.columns), pde_weight=cfg.pde_weight, t_scale=cfg.t_scale)
+    return init_model(config, norm, cfg.init_seed, cfg.init_scheme)
+
+
+def _load_model(path: str) -> PinnModel:
+    try:
+        return load_model(path)
+    except FileNotFoundError:
+        raise CliError(2, f"model file not found: {path}") from None
+    except ModelFileError as exc:
+        raise CliError(2, str(exc)) from None
+
+
+def _out_dir(cfg: RunConfig) -> Path:
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+# -- commands -----------------------------------------------------------
+
+
+def cmd_check_data(cfg: RunConfig) -> int:
+    trajectories = load_train_trajectories(cfg)
+    raw_rows = sum(t.length for t in trajectories)
+    columns = dat.select_features(trajectories)
+    samples = dat.augment(trajectories, horizon=cfg.horizon, columns=columns)
+    expected = dat.augmented_count(trajectories, horizon=cfg.horizon)
+    print(f"{len(trajectories)} engines, {raw_rows} rows, {len(samples)} augmented")
+    print(f"selected features ({len(columns)}): {','.join(columns)}")
+
+    problems = []
+    if len(samples) != expected:
+        problems.append(f"augmented count {len(samples)} != closed-form {expected}")
+    if cfg.dataset == "fd001" and cfg.horizon == 30:
+        checks = (
+            ("engines", len(trajectories), FD001_ENGINES),
+            ("raw rows", raw_rows, FD001_RAW_ROWS),
+            ("augmented", len(samples), FD001_AUGMENTED),
+        )
+        problems += [f"{name}: got {got}, expected {want}" for name, got, want in checks if got != want]
+    if problems:
+        for p in problems:
+            print(f"MISMATCH: {p}", file=sys.stderr)
+        return 1
+    return 0
+
+
+def cmd_train(cfg: RunConfig) -> int:
+    samples, norm = build_training_data(cfg)
+    model = _fresh_model(cfg, norm)
+    trained, report = train(
+        model,
+        samples,
+        split_seed=cfg.split_seed,
+        init_seed=cfg.init_seed,
+        epochs=cfg.epochs,
+        batch_size=cfg.batch_size,
+        config=cfg.optimizer,
+        scheme=cfg.init_scheme,
+        log=print,
+    )
+    out = _out_dir(cfg)
+    save_model(trained, out / "model.bin")
+    payload = {"config": cfg.to_dict(), **report.to_dict()}
+    (out / "training_report.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    print(f"validation RMSE {report.final_rmse_val:.3f} cycles")
+    print(f"wrote {out / 'model.bin'} and {out / 'training_report.json'}")
+    return 0
+
+
+def cmd_eval(cfg: RunConfig, model_path: str) -> int:
+    model = _load_model(model_path)
+    trajectories, truth = load_test_set(cfg)
+    started = time.perf_counter()
+    try:
+        rmse, pairs = model.rmse_eval(trajectories, truth)
+    except ValueError as exc:
+        raise CliError(2, str(exc)) from None
+
+    out = _out_dir(cfg)
+    with open(out / "pred_vs_true.csv", "w", encoding="ascii") as fh:
+        fh.write("engine,rul_true,rul_pred\n")
+        for unit, true_v, pred_v in pairs:
+            fh.write(f"{unit},{true_v:.9g},{pred_v:.9g}\n")
+
+    report_path = Path(model_path).parent / "training_report.json"
+    training = json.loads(report_path.read_text()) if report_path.is_file() else None
+    metrics = {
+        "rmse_test": rmse,
+        "rmse_val": training["final_rmse_val"] if training else None,
+        "per_epoch": training["per_epoch"] if training else None,
+        "config": cfg.to_dict(),
+        "seeds": {"init": model.init_seed, "split": model.split_seed},
+        "wall_time": time.perf_counter() - started,
+    }
+    (out / "eval.json").write_text(json.dumps(metrics, indent=2, sort_keys=True) + "\n")
+    print(f"test RMSE {rmse:.3f} cycles over {len(pairs)} engines")
+    return 0
+
+
+def _write_latent_csv(points, path) -> None:
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("x,dx_dt,rul_pred,rul_true\n")
+        for p in points:
+            true_field = "" if p.rul_true is None else f"{p.rul_true:.9g}"
+            fh.write(f"{p.x:.9g},{p.dx_dt:.9g},{p.rul_pred:.9g},{true_field}\n")
+
+
+def cmd_map(cfg: RunConfig, model_path: str, which: str) -> int:
+    model = _load_model(model_path)
+    if which == "train":
+        trajectories = load_train_trajectories(cfg)
+        samples = dat.augment(trajectories, horizon=cfg.horizon, columns=model.norm.columns)
+    else:
+        trajectories, truth = load_test_set(cfg)
+        rows = []
+        for traj, true_last in zip(trajectories, truth):
+            feats = dat.feature_matrix(traj, model.norm.columns)
+            for i, c in enumerate(traj.cycles):
+                true_rul = true_last + (traj.length - int(c))
+                rows.append((traj.unit_id, int(c), 0, true_rul, feats[i]))
+        samples = dat.AugmentedSamples.from_rows(rows, model.norm.columns)
+
+    points = model.latent_map(samples)
+    out = _out_dir(cfg)
+    path = out / f"latent_map_{which}.csv"
+    _write_latent_csv(points, path)
+    print(f"wrote {path} ({len(points)} rows)")
+    return 0
+
+
+def _parse_oc(text: str) -> np.ndarray:
+    if text.startswith("@"):
+        path = Path(text[1:])
+        if not path.is_file():
+            raise CliError(2, f"oc file not found: {path}")
+        tokens = path.read_text().split()
+    else:
+        tokens = [tok for tok in text.replace(",", " ").split() if tok]
+    try:
+        return np.asarray([float(tok) for tok in tokens])
+    except ValueError:
+        raise CliError(2, f"oc values must be numeric, got {text!r}") from None
+
+
+def cmd_predict(model_path: str, oc_text: str, t_text: str, as_csv: bool) -> int:
+    model = _load_model(model_path)
+    oc = _parse_oc(oc_text)
+    if oc.shape[0] != model.config.d_oc:
+        raise CliError(2, f"oc has {oc.shape[0]} values, model expects d_oc={model.config.d_oc}")
+    try:
+        t_list = [float(tok) for tok in t_text.replace(",", " ").split()]
+    except ValueError:
+        raise CliError(2, f"t-list must be numeric, got {t_text!r}") from None
+    if not t_list or any(t < 0 for t in t_list):
+        raise CliError(2, "t-list must contain one or more horizons >= 0")
+
+    rows = model.sweep(oc, t_list)
+    if as_csv:
+        print("t,x,dx_dt,rul_pred")
+        for t, x, dx, rul in rows:
+            print(f"{t:.9g},{x:.9g},{dx:.9g},{rul:.9g}")
+    else:
+        print(f"{'t':>8} {'x':>14} {'dx_dt':>14} {'rul_pred':>12}")
+        for t, x, dx, rul in rows:
+            print(f"{t:8.2f} {x:14.6f} {dx:14.6f} {rul:12.3f}")
+    return 0
+
+
+# -- entry point ----------------------------------------------------------
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="pinnrul", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p, model_flag=False):
+        p.add_argument("--config", help="JSON run config")
+        p.add_argument("--out", help="output directory (overrides config)")
+        p.add_argument("--seed-init", type=int, help="weight init seed")
+        p.add_argument("--seed-split", type=int, help="train/validation split seed")
+        p.add_argument("--epochs", type=int)
+        p.add_argument("--batch", type=int)
+        if model_flag:
+            p.add_argument("--model", required=True, help="path to model.bin")
+
+    common(sub.add_parser("check-data", help="parse, augment and verify counts"))
+    common(sub.add_parser("train", help="run the training pipeline"))
+    common(sub.add_parser("eval", help="score the test set"), model_flag=True)
+    p_map = sub.add_parser("map", help="export the latent map CSV")
+    common(p_map, model_flag=True)
+    p_map.add_argument("--which", choices=("train", "test"), default="test")
+    p_pred = sub.add_parser("predict", help="sweep RUL over future horizons")
+    p_pred.add_argument("--model", required=True)
+    p_pred.add_argument("--oc", required=True, help="comma-separated values or @file")
+    p_pred.add_argument("--t-list", default="0", help="comma-separated horizons")
+    p_pred.add_argument("--csv", action="store_true")
+    return parser
+
+
+def _overrides(args) -> dict:
+    pairs = (
+        ("out", "output_dir"),
+        ("seed_init", "init_seed"),
+        ("seed_split", "split_seed"),
+        ("epochs", "epochs"),
+        ("batch", "batch_size"),
+    )
+    return {key: getattr(args, flag) for flag, key in pairs if getattr(args, flag, None) is not None}
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    try:
+        if args.command == "predict":
+            return cmd_predict(args.model, args.oc, args.t_list, args.csv)
+        cfg = load_config(args.config, _overrides(args))
+        if args.command == "check-data":
+            return cmd_check_data(cfg)
+        if args.command == "train":
+            return cmd_train(cfg)
+        if args.command == "eval":
+            return cmd_eval(cfg, args.model)
+        if args.command == "map":
+            return cmd_map(cfg, args.model, args.which)
+        raise CliError(2, f"unknown command {args.command!r}")
+    except CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
+    except (ParseError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except NumericError as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return 3
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,359 @@
+"""Run-to-failure data handling: parsing, time augmentation, normalization.
+
+The augmentation step turns every logged row into a fan of training
+points: from the row at cycle c of an engine that lived L cycles, one
+sample per integer look-ahead t = 0 .. min(horizon, L - c) is emitted
+with label (L - c) - t. Labels run down to 0 at the failure cycle.
+
+A seeded synthetic generator provides a desk-scale stand-in for the real
+turbofan files: linear sensor ramps whose snapshot determines remaining
+life up to the injected noise, so trained-model error has a known floor.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+CMAPSS_SETTINGS = 3
+CMAPSS_SENSORS = 21
+CMAPSS_COLUMNS = 2 + CMAPSS_SETTINGS + CMAPSS_SENSORS
+
+VARIANCE_FLOOR = 1e-12
+
+
+class ParseError(ValueError):
+    """Malformed input text; message carries the offending line number."""
+
+
+@dataclass
+class EngineTrajectory:
+    """One unit's ordered log: cycles 1..L with settings and sensor rows."""
+
+    unit_id: int
+    cycles: np.ndarray
+    settings: np.ndarray
+    sensors: np.ndarray
+
+    def __post_init__(self):
+        self.cycles = np.asarray(self.cycles, dtype=np.int64)
+        self.settings = np.asarray(self.settings, dtype=np.float64)
+        self.sensors = np.asarray(self.sensors, dtype=np.float64)
+        n = self.cycles.shape[0]
+        if n < 2:
+            raise ValueError(f"unit {self.unit_id}: need at least 2 rows, got {n}")
+        if not np.array_equal(self.cycles, np.arange(1, n + 1)):
+            raise ValueError(f"unit {self.unit_id}: cycles must be 1..L consecutive ascending")
+        if self.settings.shape[0] != n or self.sensors.shape[0] != n:
+            raise ValueError(f"unit {self.unit_id}: row count mismatch across fields")
+
+    @property
+    def length(self) -> int:
+        return int(self.cycles.shape[0])
+
+
+def column_ids(trajectory: EngineTrajectory) -> list[str]:
+    ns = trajectory.settings.shape[1]
+    nn = trajectory.sensors.shape[1]
+    return [f"setting{i + 1}" for i in range(ns)] + [f"s{i + 1}" for i in range(nn)]
+
+
+def feature_matrix(trajectory: EngineTrajectory, columns=None) -> np.ndarray:
+    """Rows x selected features; ``columns=None`` keeps everything."""
+    full = np.hstack([trajectory.settings, trajectory.sensors])
+    if columns is None:
+        return full
+    ids = column_ids(trajectory)
+    try:
+        idx = [ids.index(c) for c in columns]
+    except ValueError as exc:
+        raise ValueError(f"unknown column in selection: {exc}") from None
+    return full[:, idx]
+
+
+def parse_cmapss(text: str) -> list[EngineTrajectory]:
+    """Parse a 26-column whitespace-separated C-MAPSS unit log."""
+    per_unit: dict[int, list[list[float]]] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        if len(tokens) != CMAPSS_COLUMNS:
+            raise ParseError(f"line {lineno}: expected {CMAPSS_COLUMNS} columns, got {len(tokens)}")
+        try:
+            row = [float(tok) for tok in tokens]
+        except ValueError:
+            raise ParseError(f"line {lineno}: non-numeric token") from None
+        per_unit.setdefault(int(row[0]), []).append(row)
+
+    trajectories = []
+    for unit in sorted(per_unit):
+        rows = np.asarray(sorted(per_unit[unit], key=lambda r: r[1]))
+        trajectories.append(
+            EngineTrajectory(
+                unit_id=unit,
+                cycles=rows[:, 1].astype(np.int64),
+                settings=rows[:, 2 : 2 + CMAPSS_SETTINGS],
+                sensors=rows[:, 2 + CMAPSS_SETTINGS :],
+            )
+        )
+    return trajectories
+
+
+def parse_rul_truth(text: str) -> list[float]:
+    """Parse the one-value-per-line true-RUL file for a test set."""
+    values = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        if len(tokens) != 1:
+            raise ParseError(f"line {lineno}: expected a single value, got {len(tokens)}")
+        try:
+            values.append(float(tokens[0]))
+        except ValueError:
+            raise ParseError(f"line {lineno}: non-numeric token") from None
+    return values
+
+
+def select_features(trajectories) -> list[str]:
+    """Keep columns whose variance over all rows is at least 1e-12."""
+    if not trajectories:
+        raise ValueError("no trajectories to select features from")
+    ids = column_ids(trajectories[0])
+    stacked = np.vstack([feature_matrix(t) for t in trajectories])
+    variances = stacked.var(axis=0)
+    selected = [c for c, v in zip(ids, variances) if v >= VARIANCE_FLOOR]
+    if not selected:
+        raise ValueError("all columns are constant; nothing to train on")
+    return selected
+
+
+@dataclass
+class AugmentedSample:
+    """One training point: feature snapshot, look-ahead t, RUL label."""
+
+    oc: np.ndarray
+    t: int
+    rul: int
+
+
+@dataclass
+class AugmentedSamples:
+    """Column-oriented collection of augmented samples."""
+
+    unit: np.ndarray
+    cycle: np.ndarray
+    t: np.ndarray
+    rul: np.ndarray
+    oc: np.ndarray
+    columns: list[str] = field(default_factory=list)
+
+    def __len__(self):
+        return int(self.t.shape[0])
+
+    def __getitem__(self, i: int) -> AugmentedSample:
+        return AugmentedSample(oc=self.oc[i], t=int(self.t[i]), rul=int(self.rul[i]))
+
+    def take(self, idx) -> "AugmentedSamples":
+        idx = np.asarray(idx)
+        return AugmentedSamples(
+            unit=self.unit[idx],
+            cycle=self.cycle[idx],
+            t=self.t[idx],
+            rul=self.rul[idx],
+            oc=self.oc[idx],
+            columns=self.columns,
+        )
+
+    @classmethod
+    def from_rows(cls, rows, columns=None) -> "AugmentedSamples":
+        """Build from (unit, cycle, t, rul, oc-vector) tuples."""
+        units, cycles, ts, ruls, ocs = zip(*rows)
+        return cls(
+            unit=np.asarray(units, dtype=np.int64),
+            cycle=np.asarray(cycles, dtype=np.int64),
+            t=np.asarray(ts, dtype=np.int64),
+            rul=np.asarray(ruls, dtype=np.float64),
+            oc=np.asarray(ocs, dtype=np.float64),
+            columns=list(columns or []),
+        )
+
+
+def augment(trajectories, horizon: int = 30, columns=None) -> AugmentedSamples:
+    """Emit (oc at cycle c, t, RUL0 - t) for t = 0 .. min(horizon, RUL0).
+
+    Output order is canonical: unit, then cycle, then t ascending.
+    """
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
+    unit_parts, cycle_parts, t_parts, rul_parts, oc_parts = [], [], [], [], []
+    cols = None
+    for traj in sorted(trajectories, key=lambda tr: tr.unit_id):
+        feats = feature_matrix(traj, columns)
+        if cols is None:
+            cols = list(columns) if columns is not None else column_ids(traj)
+        n = traj.length
+        rul0 = n - traj.cycles  # L - c
+        counts = np.minimum(horizon, rul0) + 1
+        t = np.concatenate([np.arange(k) for k in counts])
+        unit_parts.append(np.full(t.shape[0], traj.unit_id, dtype=np.int64))
+        cycle_parts.append(np.repeat(traj.cycles, counts))
+        t_parts.append(t)
+        rul_parts.append(np.repeat(rul0, counts) - t)
+        oc_parts.append(np.repeat(feats, counts, axis=0))
+    return AugmentedSamples(
+        unit=np.concatenate(unit_parts),
+        cycle=np.concatenate(cycle_parts),
+        t=np.concatenate(t_parts),
+        rul=np.concatenate(rul_parts).astype(np.float64),
+        oc=np.vstack(oc_parts),
+        columns=cols or [],
+    )
+
+
+def augmented_count(trajectories, horizon: int = 30) -> int:
+    """Closed-form sample count: sum over rows of min(horizon, L - c) + 1."""
+    total = 0
+    for traj in trajectories:
+        rul0 = traj.length - traj.cycles
+        total += int((np.minimum(horizon, rul0) + 1).sum())
+    return total
+
+
+@dataclass
+class NormStats:
+    """Training-set feature statistics plus the label scale."""
+
+    means: np.ndarray
+    stds: np.ndarray
+    rul_max: float
+    columns: list[str]
+
+    def __post_init__(self):
+        self.means = np.asarray(self.means, dtype=np.float64)
+        self.stds = np.asarray(self.stds, dtype=np.float64)
+        if (self.stds <= 0).any():
+            raise ValueError("feature stds must be strictly positive")
+        if self.rul_max < 1:
+            raise ValueError(f"rul_max must be >= 1, got {self.rul_max}")
+
+
+def fit_norm(samples: AugmentedSamples) -> NormStats:
+    """Fit z-score statistics and the label scale on training samples."""
+    means = samples.oc.mean(axis=0)
+    stds = samples.oc.std(axis=0)
+    if (stds < 1e-12).any():
+        bad = [c for c, s in zip(samples.columns, stds) if s < 1e-12]
+        raise ValueError(f"zero-variance feature(s) after selection: {bad}")
+    return NormStats(means=means, stds=stds, rul_max=float(samples.rul.max()), columns=list(samples.columns))
+
+
+def apply_norm(stats: NormStats, samples: AugmentedSamples, t_scale: float = 30.0):
+    """Pure transform: z-scored features, scaled time, scaled labels."""
+    oc = (samples.oc - stats.means) / stats.stds
+    t = samples.t.astype(np.float64) / t_scale
+    rul = samples.rul / stats.rul_max
+    return oc, t, rul
+
+
+def write_augmented_csv(samples: AugmentedSamples, path) -> None:
+    """Cache file: header unit,cycle,t,rul,<feature columns...>."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(",".join(["unit", "cycle", "t", "rul"] + list(samples.columns)) + "\n")
+        for i in range(len(samples)):
+            feats = ",".join(repr(float(v)) for v in samples.oc[i])
+            fh.write(f"{samples.unit[i]},{samples.cycle[i]},{samples.t[i]},{samples.rul[i]:g},{feats}\n")
+
+
+@dataclass(frozen=True)
+class SynthSpec:
+    """Parameters of the synthetic linear-degradation generator."""
+
+    n_engines: int = 20
+    min_life: int = 40
+    max_life: int = 80
+    n_sensors: int = 8
+    noise_std: float = 0.01
+    seed: int = 7
+
+    def __post_init__(self):
+        if self.min_life < 35:
+            raise ValueError("min_life must be >= 35 so full augmentation windows exist")
+        if self.max_life < self.min_life:
+            raise ValueError("max_life must be >= min_life")
+        if self.n_engines < 1 or self.n_sensors < 2:
+            raise ValueError("need at least 1 engine and 2 sensors")
+        if self.noise_std < 0:
+            raise ValueError("noise_std must be >= 0")
+
+
+def _synth_coeffs(n_sensors: int):
+    """Fixed per-sensor gain and healthy-baseline offset.
+
+    Deterministic constants, not seed-dependent: every generated fleet
+    shares the same sensor physics, so models trained on one fleet
+    transfer to engines from another seed.
+    """
+    j = np.arange(n_sensors)
+    gains = (1.0 + 0.08 * j) * np.where(j % 2 == 0, 1.0, -1.0)
+    offsets = 0.15 * j - 0.4
+    return gains, offsets
+
+
+def synth_generate(spec: SynthSpec):
+    """Seeded synthetic fleet; returns (trajectories, truth-at-last-cycle).
+
+    Sensor j of an engine with life L reads a_j + b_j * (c / L) + noise,
+    with the per-engine coefficients set by the engine's life draw: even
+    channels are health margins falling linearly to 0 at failure
+    (gain * (L - c) / max_life), odd channels are age ramps
+    (gain * c / max_life). A single snapshot therefore determines the
+    remaining life up to the injected noise. Every engine is logged to
+    failure, hence the truth entries are all 0.
+    """
+    rng = np.random.default_rng(spec.seed)
+    d = spec.n_sensors
+    gains, offsets = _synth_coeffs(d)
+    even = np.arange(d) % 2 == 0
+
+    trajectories = []
+    for unit in range(1, spec.n_engines + 1):
+        life = int(rng.integers(spec.min_life, spec.max_life + 1))
+        rel = life / spec.max_life
+        a = np.where(even, offsets + gains * rel, offsets)
+        b = np.where(even, -gains * rel, gains * rel)
+        frac = np.arange(1, life + 1)[:, None] / life
+        sensors = a[None, :] + b[None, :] * frac + rng.normal(0.0, spec.noise_std, (life, d))
+        trajectories.append(
+            EngineTrajectory(
+                unit_id=unit,
+                cycles=np.arange(1, life + 1),
+                settings=np.zeros((life, 0)),
+                sensors=sensors,
+            )
+        )
+    truth = [0.0] * spec.n_engines
+    return trajectories, truth
+
+
+def truncate_for_eval(trajectories, seed: int):
+    """Cut each trajectory at a seeded-random cycle, like a test fleet.
+
+    Returns (truncated trajectories, true RUL at each new last cycle).
+    """
+    rng = np.random.default_rng(seed)
+    out, truth = [], []
+    for traj in trajectories:
+        last = int(rng.integers(2, traj.length))
+        out.append(
+            EngineTrajectory(
+                unit_id=traj.unit_id,
+                cycles=traj.cycles[:last],
+                settings=traj.settings[:last],
+                sensors=traj.sensors[:last],
+            )
+        )
+        truth.append(float(traj.length - last))
+    return out, truth

@@ -1,0 +1,343 @@
+"""Computation graph with exact reverse-mode gradients.
+
+Nodes are appended in construction order, so index order is already a
+topological order: every node's inputs have smaller indices. The value
+store is populated by ``eval`` and the gradient store by ``grad``, which
+sweeps the nodes in fixed reverse index order so repeated runs are
+bit-identical.
+
+All buffers are 2-D float64 arrays; scalars have shape (1, 1). There is
+no broadcasting: bias-style additions are expressed as ``matmul`` against
+a constant ones row.
+
+A graph instance is single-writer. Distinct instances are independent and
+may be used from different threads.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+__all__ = [
+    "Graph",
+    "GraphError",
+    "EvaluationError",
+    "NumericError",
+    "OP_KINDS",
+]
+
+# arity per op kind; None = variadic (>= 1)
+OP_KINDS = {
+    "constant": 0,
+    "parameter": 0,
+    "input": 0,
+    "matmul": 2,
+    "add": 2,
+    "subtract": 2,
+    "multiply": 2,
+    "scale": 1,
+    "tanh": 1,
+    "relu": 1,
+    "square": 1,
+    "mean": 1,
+    "sum": 1,
+    "concat": None,
+}
+
+_SAME_SHAPE = ("add", "subtract", "multiply")
+_ELEMENTWISE = ("scale", "tanh", "relu", "square")
+
+
+class GraphError(Exception):
+    """Malformed construction: bad shape, unknown op kind, dangling node id."""
+
+
+class EvaluationError(Exception):
+    """Evaluation cannot proceed, e.g. an input node was left unbound."""
+
+
+class NumericError(Exception):
+    """A non-finite value or adjoint appeared; ``node`` is the offending id."""
+
+    def __init__(self, message, node=None):
+        super().__init__(message)
+        self.node = node
+
+
+class _Node:
+    __slots__ = ("kind", "inputs", "shape", "payload")
+
+    def __init__(self, kind, inputs, shape, payload=None):
+        self.kind = kind
+        self.inputs = inputs
+        self.shape = shape
+        self.payload = payload  # constant buffer or scale factor
+
+
+def _as_buffer(value, shape=None):
+    arr = np.asarray(value, dtype=np.float64)
+    if arr.ndim == 0:
+        arr = arr.reshape(1, 1)
+    elif arr.ndim == 1:
+        arr = arr.reshape(-1, 1)
+    if arr.ndim != 2:
+        raise GraphError(f"buffers must be at most 2-D, got ndim={arr.ndim}")
+    if shape is not None and arr.shape != tuple(shape):
+        raise GraphError(f"buffer shape {arr.shape} does not match declared {tuple(shape)}")
+    return arr
+
+
+class Graph:
+    """Append-only computation graph over float64 matrix buffers."""
+
+    def __init__(self):
+        self.nodes: list[_Node] = []
+        self.parameters: set[int] = set()
+        self._param_values: dict[int, np.ndarray] = {}
+        self._values: list[np.ndarray] | None = None
+
+    def __len__(self):
+        return len(self.nodes)
+
+    def shape_of(self, nid: int) -> tuple[int, int]:
+        return self.nodes[nid].shape
+
+    # -- construction -------------------------------------------------
+
+    def build(self, kind: str, inputs=(), payload=None) -> int:
+        """Append a node and return its id.
+
+        ``payload`` is the literal buffer for ``constant``, the shape for
+        ``parameter``/``input``, and the factor for ``scale``.
+        """
+        if kind not in OP_KINDS:
+            raise GraphError(f"unknown op kind {kind!r}")
+        inputs = tuple(int(i) for i in inputs)
+        arity = OP_KINDS[kind]
+        if arity is None:
+            if not inputs:
+                raise GraphError(f"{kind} needs at least one input")
+        elif len(inputs) != arity:
+            raise GraphError(f"{kind} takes {arity} inputs, got {len(inputs)}")
+        for i in inputs:
+            if not 0 <= i < len(self.nodes):
+                raise GraphError(f"dangling node id {i} (graph has {len(self.nodes)} nodes)")
+
+        shapes = [self.nodes[i].shape for i in inputs]
+        if kind == "constant":
+            payload = _as_buffer(payload)
+            shape = payload.shape
+        elif kind in ("parameter", "input"):
+            if payload is None or len(tuple(payload)) != 2:
+                raise GraphError(f"{kind} needs an explicit 2-D shape")
+            shape = (int(payload[0]), int(payload[1]))
+            if shape[0] < 1 or shape[1] < 1:
+                raise GraphError(f"{kind} shape must be positive, got {shape}")
+            payload = None
+        elif kind == "matmul":
+            (m, k1), (k2, n) = shapes
+            if k1 != k2:
+                raise GraphError(f"matmul shapes do not compose: {shapes[0]} x {shapes[1]}")
+            shape = (m, n)
+        elif kind in _SAME_SHAPE:
+            if shapes[0] != shapes[1]:
+                raise GraphError(f"{kind} needs equal shapes, got {shapes[0]} and {shapes[1]}")
+            shape = shapes[0]
+        elif kind in _ELEMENTWISE:
+            shape = shapes[0]
+            if kind == "scale":
+                payload = float(payload)
+        elif kind in ("mean", "sum"):
+            shape = (1, 1)
+        elif kind == "concat":
+            cols = {s[1] for s in shapes}
+            if len(cols) != 1:
+                raise GraphError(f"concat needs equal column counts, got {shapes}")
+            shape = (sum(s[0] for s in shapes), shapes[0][1])
+        else:  # pragma: no cover - kinds are exhaustive
+            raise GraphError(f"unhandled op kind {kind!r}")
+
+        self.nodes.append(_Node(kind, inputs, shape, payload))
+        self._values = None
+        return len(self.nodes) - 1
+
+    def constant(self, value) -> int:
+        return self.build("constant", payload=value)
+
+    def parameter(self, shape) -> int:
+        nid = self.build("parameter", payload=shape)
+        self.parameters.add(nid)
+        return nid
+
+    def input(self, shape) -> int:
+        return self.build("input", payload=shape)
+
+    def matmul(self, a, b) -> int:
+        return self.build("matmul", (a, b))
+
+    def add(self, a, b) -> int:
+        return self.build("add", (a, b))
+
+    def subtract(self, a, b) -> int:
+        return self.build("subtract", (a, b))
+
+    def multiply(self, a, b) -> int:
+        return self.build("multiply", (a, b))
+
+    def scale(self, a, factor) -> int:
+        return self.build("scale", (a,), factor)
+
+    def tanh(self, a) -> int:
+        return self.build("tanh", (a,))
+
+    def relu(self, a) -> int:
+        return self.build("relu", (a,))
+
+    def square(self, a) -> int:
+        return self.build("square", (a,))
+
+    def mean(self, a) -> int:
+        return self.build("mean", (a,))
+
+    def sum(self, a) -> int:
+        return self.build("sum", (a,))
+
+    def concat(self, parts) -> int:
+        return self.build("concat", tuple(parts))
+
+    # -- values -------------------------------------------------------
+
+    def set_param(self, nid: int, value) -> None:
+        node = self.nodes[nid]
+        if node.kind != "parameter":
+            raise GraphError(f"node {nid} is {node.kind}, not a parameter")
+        self._param_values[nid] = _as_buffer(value, node.shape)
+
+    def eval(self, bindings: dict[int, np.ndarray] | None = None) -> list[np.ndarray]:
+        """Compute every node value in index (= topological) order."""
+        bindings = bindings or {}
+        values: list[np.ndarray] = []
+        for nid, node in enumerate(self.nodes):
+            k = node.kind
+            if k == "constant":
+                v = node.payload
+            elif k == "parameter":
+                if nid in bindings:
+                    v = _as_buffer(bindings[nid], node.shape)
+                elif nid in self._param_values:
+                    v = self._param_values[nid]
+                else:
+                    raise EvaluationError(f"parameter node {nid} has no value")
+            elif k == "input":
+                if nid not in bindings:
+                    raise EvaluationError(f"input node {nid} is unbound")
+                v = _as_buffer(bindings[nid], node.shape)
+            else:
+                ins = [values[i] for i in node.inputs]
+                if k == "matmul":
+                    v = ins[0] @ ins[1]
+                elif k == "add":
+                    v = ins[0] + ins[1]
+                elif k == "subtract":
+                    v = ins[0] - ins[1]
+                elif k == "multiply":
+                    v = ins[0] * ins[1]
+                elif k == "scale":
+                    v = node.payload * ins[0]
+                elif k == "tanh":
+                    v = np.tanh(ins[0])
+                elif k == "relu":
+                    v = np.maximum(ins[0], 0.0)
+                elif k == "square":
+                    v = ins[0] * ins[0]
+                elif k == "mean":
+                    v = np.array([[ins[0].mean()]])
+                elif k == "sum":
+                    v = np.array([[ins[0].sum()]])
+                else:  # concat
+                    v = np.concatenate(ins, axis=0)
+            values.append(v)
+        self._values = values
+        return values
+
+    def value(self, nid: int) -> np.ndarray:
+        if self._values is None:
+            raise EvaluationError("graph has not been evaluated")
+        return self._values[nid]
+
+    # -- gradients ----------------------------------------------------
+
+    def grad(self, root: int) -> dict[int, np.ndarray]:
+        """Return d(root)/d(p) for every parameter node p.
+
+        ``root`` must be scalar-shaped and ``eval`` must have run. The
+        returned map has an entry for every parameter, zero-filled when
+        the parameter does not influence the root.
+        """
+        if self._values is None:
+            raise EvaluationError("call eval before grad")
+        if not 0 <= root < len(self.nodes):
+            raise GraphError(f"dangling node id {root}")
+        if self.nodes[root].shape != (1, 1):
+            raise GraphError(f"grad root must be scalar-shaped, got {self.nodes[root].shape}")
+
+        values = self._values
+        adjoint: dict[int, np.ndarray] = {root: np.ones((1, 1))}
+
+        def acc(nid, delta):
+            cur = adjoint.get(nid)
+            if cur is None:
+                adjoint[nid] = np.array(delta, dtype=np.float64)
+            else:
+                cur += delta
+
+        for nid in range(root, -1, -1):
+            a = adjoint.get(nid)
+            if a is None:
+                continue
+            if not np.isfinite(a).all():
+                raise NumericError(f"non-finite adjoint at node {nid}", node=nid)
+            node = self.nodes[nid]
+            k = node.kind
+            if k in ("constant", "parameter", "input"):
+                continue
+            ins = node.inputs
+            if k == "matmul":
+                acc(ins[0], a @ values[ins[1]].T)
+                acc(ins[1], values[ins[0]].T @ a)
+            elif k == "add":
+                acc(ins[0], a)
+                acc(ins[1], a)
+            elif k == "subtract":
+                acc(ins[0], a)
+                acc(ins[1], -a)
+            elif k == "multiply":
+                acc(ins[0], a * values[ins[1]])
+                acc(ins[1], a * values[ins[0]])
+            elif k == "scale":
+                acc(ins[0], node.payload * a)
+            elif k == "tanh":
+                y = values[nid]
+                acc(ins[0], a * (1.0 - y * y))
+            elif k == "relu":
+                # subgradient at exactly 0 is defined as 0
+                acc(ins[0], a * (values[ins[0]] > 0.0))
+            elif k == "square":
+                acc(ins[0], a * (2.0 * values[ins[0]]))
+            elif k == "mean":
+                src = self.nodes[ins[0]].shape
+                acc(ins[0], np.full(src, a[0, 0] / (src[0] * src[1])))
+            elif k == "sum":
+                acc(ins[0], np.full(self.nodes[ins[0]].shape, a[0, 0]))
+            else:  # concat
+                row = 0
+                for i in ins:
+                    h = self.nodes[i].shape[0]
+                    acc(i, a[row : row + h, :])
+                    row += h
+
+        out = {}
+        for p in self.parameters:
+            g = adjoint.get(p)
+            out[p] = np.zeros(self.nodes[p].shape) if g is None else g
+        return out

@@ -1,0 +1,371 @@
+"""Three-stage degradation model with a residual-penalized cost.
+
+The first network maps a feature snapshot plus a scaled look-ahead time
+to a scalar latent health indicator x. The second maps (x, time) to the
+normalized remaining life. The third learns the rate law: it receives
+(dx/dt, dRUL/dx) and its output is pinned to the total time derivative
+of the predicted RUL by a squared-residual penalty, so it trains without
+labels. Both derivatives are forward-tangent nodes in the same graph,
+which makes the penalty differentiable w.r.t. all weights in one reverse
+sweep.
+
+A model is immutable during evaluation; batch graphs are cached per
+batch width and rebound with current parameter values on each call.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .data import AugmentedSamples, NormStats, feature_matrix
+from .graph import Graph, NumericError
+from .net import GraphMlp, MlpParams, MlpSpec, init_params
+
+X_HIDDEN = (3, 3, 3, 3, 3)
+RUL_HIDDEN = (10, 10, 10, 10, 10)
+
+
+@dataclass(frozen=True)
+class PinnConfig:
+    """Architecture and cost settings for the three networks."""
+
+    d_oc: int
+    x_spec: MlpSpec
+    rul_spec: MlpSpec
+    dyn_spec: MlpSpec
+    pde_weight: float = 1.0
+    t_scale: float = 30.0
+
+    def __post_init__(self):
+        if self.d_oc < 1:
+            raise ValueError("d_oc must be >= 1")
+        if self.x_spec.d_in != self.d_oc + 1:
+            raise ValueError(f"x network input must be d_oc + 1 = {self.d_oc + 1}, got {self.x_spec.d_in}")
+        if self.rul_spec.d_in != 2 or self.dyn_spec.d_in != 2:
+            raise ValueError("rul and dynamics networks take exactly 2 inputs")
+        if self.x_spec.d_out != 1 or self.rul_spec.d_out != 1 or self.dyn_spec.d_out != 1:
+            raise ValueError("all three networks have a single output unit")
+        if self.pde_weight < 0:
+            raise ValueError("pde_weight must be >= 0")
+        if self.t_scale <= 0:
+            raise ValueError("t_scale must be positive")
+
+    @classmethod
+    def default(cls, d_oc: int, pde_weight: float = 1.0, t_scale: float = 30.0) -> "PinnConfig":
+        return cls(
+            d_oc=d_oc,
+            x_spec=MlpSpec((d_oc + 1, *X_HIDDEN, 1), hidden="tanh", output="linear"),
+            rul_spec=MlpSpec((2, *RUL_HIDDEN, 1), hidden="tanh", output="linear"),
+            dyn_spec=MlpSpec((2, *RUL_HIDDEN, 1), hidden="relu", output="linear"),
+            pde_weight=pde_weight,
+            t_scale=t_scale,
+        )
+
+
+@dataclass
+class ResidualInputs:
+    """Normalized quantities feeding the rate-law residual at one point."""
+
+    x: float
+    dx_dt: float
+    drul_dx: float
+    drul_dt: float
+
+
+@dataclass
+class CostBreakdown:
+    """Cost terms of one batch plus gradients for every parameter."""
+
+    mse: float
+    pde: float
+    total: float
+    grads: dict[str, np.ndarray]
+
+
+@dataclass
+class LatentMapPoint:
+    x: float
+    dx_dt: float
+    rul_pred: float
+    rul_true: float | None = None
+
+
+class _Wiring:
+    """One batch-width graph: inputs, three bound networks, cost outputs."""
+
+    def __init__(self, config: PinnConfig, x_params, rul_params, dyn_params, n: int, dyn_oracle: bool):
+        g = Graph()
+        self.graph = g
+        self.oc_in = g.input((config.d_oc, n))
+        self.t_in = g.input((1, n))
+        self.y_in = g.input((1, n))
+
+        self.x_mlp = GraphMlp(g, x_params)
+        self.rul_mlp = GraphMlp(g, rul_params)
+        self.dyn_mlp = GraphMlp(g, dyn_params)
+
+        x_input = g.concat([self.oc_in, self.t_in])
+        self.x, (self.dx_dt,) = self.x_mlp.forward_tangents(x_input, [config.d_oc])
+
+        rul_input = g.concat([self.x, self.t_in])
+        self.rul, (self.drul_dx, drul_dt_partial) = self.rul_mlp.forward_tangents(rul_input, [0, 1])
+        # total derivative along t: explicit path plus the path through x
+        self.drul_dt = g.add(g.multiply(self.drul_dx, self.dx_dt), drul_dt_partial)
+
+        if dyn_oracle:
+            dyn_out = self.drul_dt
+        else:
+            dyn_out = self.dyn_mlp.forward(g.concat([self.dx_dt, self.drul_dx]))
+        self.f = g.subtract(self.drul_dt, dyn_out)
+
+        self.mse = g.mean(g.square(g.subtract(self.y_in, self.rul)))
+        self.pde = g.mean(g.square(self.f))
+        self.total = g.add(self.mse, g.scale(self.pde, config.pde_weight))
+
+        self.param_ids = (
+            self.x_mlp.param_nodes() + self.rul_mlp.param_nodes() + self.dyn_mlp.param_nodes()
+        )
+
+    def sync(self, x_params, rul_params, dyn_params):
+        self.x_mlp.set_values(x_params)
+        self.rul_mlp.set_values(rul_params)
+        self.dyn_mlp.set_values(dyn_params)
+
+
+@dataclass
+class PinnModel:
+    """Trained or fresh parameter set plus the normalization contract."""
+
+    config: PinnConfig
+    x_params: MlpParams
+    rul_params: MlpParams
+    dyn_params: MlpParams
+    norm: NormStats
+    init_scheme: str = "standard-normal"
+    init_seed: int = 0
+    split_seed: int | None = None  # set by training, None for a fresh model
+    _wirings: dict = field(default_factory=dict, repr=False, compare=False)
+
+    # -- plumbing -----------------------------------------------------
+
+    def parameter_items(self):
+        """Canonical (name, buffer) order: x, rul, dyn; per layer W then b."""
+        items = []
+        for prefix, params in (("x", self.x_params), ("rul", self.rul_params), ("dyn", self.dyn_params)):
+            for i, (w, b) in enumerate(zip(params.weights, params.biases), start=1):
+                items.append((f"{prefix}.W{i}", w))
+                items.append((f"{prefix}.b{i}", b))
+        return items
+
+    def _wiring(self, n: int, dyn_oracle: bool = False) -> _Wiring:
+        key = (n, dyn_oracle)
+        wiring = self._wirings.get(key)
+        if wiring is None:
+            wiring = _Wiring(self.config, self.x_params, self.rul_params, self.dyn_params, n, dyn_oracle)
+            self._wirings[key] = wiring
+        wiring.sync(self.x_params, self.rul_params, self.dyn_params)
+        return wiring
+
+    def _check_oc(self, oc) -> np.ndarray:
+        oc = np.atleast_2d(np.asarray(oc, dtype=np.float64))
+        if oc.shape[1] != self.config.d_oc:
+            raise ValueError(f"oc has {oc.shape[1]} features, model expects {self.config.d_oc}")
+        return oc
+
+    def _eval_batch(self, oc, t, y=None, dyn_oracle: bool = False) -> _Wiring:
+        """Bind raw inputs (normalizing internally) and evaluate the graph."""
+        oc = self._check_oc(oc)
+        t = np.asarray(t, dtype=np.float64).reshape(-1)
+        if (t < 0).any():
+            raise ValueError("time horizons must be >= 0")
+        n = t.shape[0]
+        if oc.shape[0] != n:
+            raise ValueError(f"{oc.shape[0]} oc rows vs {n} time values")
+        wiring = self._wiring(n, dyn_oracle)
+        oc_n = ((oc - self.norm.means) / self.norm.stds).T
+        t_n = (t / self.config.t_scale).reshape(1, n)
+        y_n = np.zeros((1, n)) if y is None else (np.asarray(y, dtype=np.float64).reshape(1, n) / self.norm.rul_max)
+        wiring.graph.eval({wiring.oc_in: oc_n, wiring.t_in: t_n, wiring.y_in: y_n})
+        return wiring
+
+    # -- point evaluation ----------------------------------------------
+
+    def latent(self, oc, t: float) -> float:
+        """Health indicator at a raw snapshot and look-ahead (cycles)."""
+        w = self._eval_batch(oc, [t])
+        return float(w.graph.value(w.x)[0, 0])
+
+    def predict_rul(self, oc, t: float) -> float:
+        """Remaining life in cycles at look-ahead t from the snapshot."""
+        w = self._eval_batch(oc, [t])
+        return float(w.graph.value(w.rul)[0, 0]) * self.norm.rul_max
+
+    def residual_inputs(self, oc, t: float) -> ResidualInputs:
+        w = self._eval_batch(oc, [t])
+        vals = [
+            float(w.graph.value(nid)[0, 0]) for nid in (w.x, w.dx_dt, w.drul_dx, w.drul_dt)
+        ]
+        if not all(math.isfinite(v) for v in vals):
+            raise NumericError("non-finite residual intermediate")
+        return ResidualInputs(*vals)
+
+    def residual(self, oc, t: float) -> float:
+        """Rate-law residual f at one point, in normalized units."""
+        w = self._eval_batch(oc, [t])
+        f = float(w.graph.value(w.f)[0, 0])
+        if not math.isfinite(f):
+            raise NumericError("non-finite residual")
+        return f
+
+    # -- batch cost ------------------------------------------------------
+
+    def cost(self, batch: AugmentedSamples, dyn_oracle: bool = False) -> CostBreakdown:
+        """Batch cost (label MSE + weighted mean squared residual) and
+        gradients for every parameter of all three networks.
+
+        ``dyn_oracle`` replaces the dynamics network output by the exact
+        time derivative it is meant to learn (a test seam: the residual
+        term is then identically zero).
+        """
+        if len(batch) == 0:
+            raise ValueError("cost needs a nonempty batch")
+        w = self._eval_batch(batch.oc, batch.t, batch.rul, dyn_oracle=dyn_oracle)
+        g = w.graph
+        mse = float(g.value(w.mse)[0, 0])
+        pde = float(g.value(w.pde)[0, 0])
+        total = float(g.value(w.total)[0, 0])
+        if not math.isfinite(total):
+            raise NumericError(f"non-finite total cost (mse={mse}, pde={pde})")
+        node_grads = g.grad(w.total)
+        names = [name for name, _ in self.parameter_items()]
+        grads = {name: node_grads[nid] for name, nid in zip(names, w.param_ids)}
+        return CostBreakdown(mse=mse, pde=pde, total=total, grads=grads)
+
+    def cost_values(self, batch: AugmentedSamples) -> tuple[float, float, float]:
+        """(mse, pde, total) without the gradient sweep."""
+        if len(batch) == 0:
+            raise ValueError("cost needs a nonempty batch")
+        w = self._eval_batch(batch.oc, batch.t, batch.rul)
+        g = w.graph
+        return (
+            float(g.value(w.mse)[0, 0]),
+            float(g.value(w.pde)[0, 0]),
+            float(g.value(w.total)[0, 0]),
+        )
+
+    def mean_cost(self, samples: AugmentedSamples, chunk: int = 4096) -> tuple[float, float, float]:
+        """Exact cost means over a sample set, evaluated in chunks."""
+        n = len(samples)
+        if n == 0:
+            raise ValueError("mean_cost needs samples")
+        mse_sum = pde_sum = 0.0
+        for start in range(0, n, chunk):
+            idx = np.arange(start, min(start + chunk, n))
+            mse, pde, _ = self.cost_values(samples.take(idx))
+            mse_sum += mse * idx.shape[0]
+            pde_sum += pde * idx.shape[0]
+        mse = mse_sum / n
+        pde = pde_sum / n
+        return mse, pde, mse + self.config.pde_weight * pde
+
+    # -- inspection ------------------------------------------------------
+
+    def latent_map(self, samples: AugmentedSamples, chunk: int = 4096) -> list[LatentMapPoint]:
+        """(x, dx/dt, predicted RUL, true RUL) per sample, order preserved."""
+        points: list[LatentMapPoint] = []
+        n = len(samples)
+        for start in range(0, n, chunk):
+            idx = np.arange(start, min(start + chunk, n))
+            part = samples.take(idx)
+            w = self._eval_batch(part.oc, part.t)
+            g = w.graph
+            xs = g.value(w.x)[0]
+            dxs = g.value(w.dx_dt)[0]
+            ruls = g.value(w.rul)[0] * self.norm.rul_max
+            for j in range(idx.shape[0]):
+                points.append(
+                    LatentMapPoint(
+                        x=float(xs[j]),
+                        dx_dt=float(dxs[j]),
+                        rul_pred=float(ruls[j]),
+                        rul_true=float(part.rul[j]),
+                    )
+                )
+        return points
+
+    def sweep(self, oc, t_list) -> list[tuple[float, float, float, float]]:
+        """(t, x, dx/dt, predicted RUL) per horizon from one snapshot."""
+        t_list = list(t_list)
+        if not t_list:
+            raise ValueError("need at least one horizon")
+        oc = self._check_oc(oc)
+        ocs = np.repeat(oc, len(t_list), axis=0)
+        w = self._eval_batch(ocs, t_list)
+        g = w.graph
+        xs = g.value(w.x)[0]
+        dxs = g.value(w.dx_dt)[0]
+        ruls = g.value(w.rul)[0] * self.norm.rul_max
+        return [(float(t), float(xs[j]), float(dxs[j]), float(ruls[j])) for j, t in enumerate(t_list)]
+
+    def horizon_sweep(self, oc, t_list) -> list[tuple[float, float, float]]:
+        """(t, x, predicted RUL) at each future horizon from one snapshot."""
+        return [(t, x, rul) for t, x, _, rul in self.sweep(oc, t_list)]
+
+    def multi_estimate(self, oc_series, t_star: float, horizon: float = 30.0) -> list[float]:
+        """One RUL estimate of the instant ``t_star`` per (t_i, oc_i) snapshot."""
+        if not oc_series:
+            raise ValueError("need at least one snapshot")
+        ts, ocs = [], []
+        prev = None
+        for t_i, oc_i in oc_series:
+            if prev is not None and t_i < prev:
+                raise ValueError("snapshot times must be ascending")
+            prev = t_i
+            if t_i > t_star:
+                raise ValueError(f"snapshot time {t_i} is past the target {t_star}")
+            if t_star - t_i > horizon:
+                raise ValueError(f"horizon {t_star - t_i} exceeds the {horizon}-cycle bound")
+            ts.append(t_star - t_i)
+            ocs.append(np.asarray(oc_i, dtype=np.float64))
+        w = self._eval_batch(np.vstack(ocs), ts)
+        return [float(v) * self.norm.rul_max for v in w.graph.value(w.rul)[0]]
+
+    def rmse_eval(self, trajectories, truth) -> tuple[float, list[tuple[int, float, float]]]:
+        """RMSE in cycles of t=0 predictions at each unit's last cycle.
+
+        Returns (rmse, per-unit (unit, true, predicted) rows).
+        """
+        trajectories = list(trajectories)
+        truth = [float(v) for v in truth]
+        if len(trajectories) != len(truth):
+            raise ValueError(f"{len(trajectories)} trajectories vs {len(truth)} truth values")
+        ocs = np.vstack([feature_matrix(traj, self.norm.columns)[-1] for traj in trajectories])
+        w = self._eval_batch(ocs, np.zeros(len(trajectories)))
+        preds = w.graph.value(w.rul)[0] * self.norm.rul_max
+        pairs = [
+            (traj.unit_id, tv, float(pv)) for traj, tv, pv in zip(trajectories, truth, preds)
+        ]
+        rmse = float(np.sqrt(np.mean((np.asarray(truth) - preds) ** 2)))
+        return rmse, pairs
+
+
+def init_model(
+    config: PinnConfig,
+    norm: NormStats,
+    init_seed: int = 0,
+    scheme: str = "standard-normal",
+) -> PinnModel:
+    """Fresh model; the three networks get independent seeded draws."""
+    seeds = np.random.SeedSequence(init_seed).generate_state(3, dtype=np.uint64)
+    return PinnModel(
+        config=config,
+        x_params=init_params(config.x_spec, scheme, int(seeds[0])),
+        rul_params=init_params(config.rul_spec, scheme, int(seeds[1])),
+        dyn_params=init_params(config.dyn_spec, scheme, int(seeds[2])),
+        norm=norm,
+        init_scheme=scheme,
+        init_seed=int(init_seed),
+    )

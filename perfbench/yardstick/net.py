@@ -1,0 +1,197 @@
+"""Multilayer perceptrons emitted as computation-graph nodes.
+
+``GraphMlp`` binds one set of weights into a graph as trainable parameter
+nodes and can emit, besides the plain layer chain, forward-tangent chains
+for directional input derivatives. The tangent recurrence is built from
+ordinary graph nodes, so reverse-mode ``grad`` through a tangent output
+yields exact mixed second derivatives.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .graph import Graph
+
+HIDDEN_ACTIVATIONS = ("tanh", "relu")
+OUTPUT_ACTIVATIONS = ("linear", "tanh")
+INIT_SCHEMES = ("standard-normal", "xavier")
+
+
+@dataclass(frozen=True)
+class MlpSpec:
+    """Layer widths [d_in, h1, ..., hL, d_out] plus activation choices."""
+
+    widths: tuple[int, ...]
+    hidden: str = "tanh"
+    output: str = "linear"
+
+    def __post_init__(self):
+        object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
+        if len(self.widths) < 3:
+            raise ValueError("an MLP needs at least one hidden layer")
+        if any(w < 1 for w in self.widths):
+            raise ValueError(f"all layer widths must be >= 1, got {self.widths}")
+        if self.hidden not in HIDDEN_ACTIVATIONS:
+            raise ValueError(f"hidden activation must be one of {HIDDEN_ACTIVATIONS}")
+        if self.output not in OUTPUT_ACTIVATIONS:
+            raise ValueError(f"output activation must be one of {OUTPUT_ACTIVATIONS}")
+
+    @property
+    def d_in(self) -> int:
+        return self.widths[0]
+
+    @property
+    def d_out(self) -> int:
+        return self.widths[-1]
+
+    def layer_shapes(self):
+        """Per-layer (W, b) shapes; W is (out x in)."""
+        return [
+            ((self.widths[i + 1], self.widths[i]), (self.widths[i + 1], 1))
+            for i in range(len(self.widths) - 1)
+        ]
+
+
+@dataclass
+class MlpParams:
+    """Weight matrices (out x in) and bias columns for one MlpSpec.
+
+    Immutable by convention once handed to a model; the trainer owns its
+    own copies and mutates those in place.
+    """
+
+    spec: MlpSpec
+    weights: list[np.ndarray] = field(repr=False)
+    biases: list[np.ndarray] = field(repr=False)
+
+    def __post_init__(self):
+        shapes = self.spec.layer_shapes()
+        if len(self.weights) != len(shapes) or len(self.biases) != len(shapes):
+            raise ValueError("layer count does not match spec")
+        for (ws, bs), w, b in zip(shapes, self.weights, self.biases):
+            if w.shape != ws or b.shape != bs:
+                raise ValueError(f"layer buffer shapes {w.shape}/{b.shape} do not match spec {ws}/{bs}")
+            if not (np.isfinite(w).all() and np.isfinite(b).all()):
+                raise ValueError("parameters must be finite")
+
+    def copy(self) -> "MlpParams":
+        return MlpParams(self.spec, [w.copy() for w in self.weights], [b.copy() for b in self.biases])
+
+
+def init_params(spec: MlpSpec, scheme: str = "standard-normal", seed: int = 0) -> MlpParams:
+    """Draw parameters from a seeded generator; same inputs, same bits.
+
+    standard-normal: every weight and bias i.i.d. N(0, 1).
+    xavier: W ~ N(0, 2 / (fan_in + fan_out)), biases zero.
+    """
+    if scheme not in INIT_SCHEMES:
+        raise ValueError(f"unknown init scheme {scheme!r}, expected one of {INIT_SCHEMES}")
+    rng = np.random.default_rng(seed)
+    weights, biases = [], []
+    for (out_w, in_w), _ in spec.layer_shapes():
+        if scheme == "standard-normal":
+            weights.append(rng.standard_normal((out_w, in_w)))
+            biases.append(rng.standard_normal((out_w, 1)))
+        else:
+            std = np.sqrt(2.0 / (in_w + out_w))
+            weights.append(rng.normal(0.0, std, (out_w, in_w)))
+            biases.append(np.zeros((out_w, 1)))
+    return MlpParams(spec, weights, biases)
+
+
+def _tangent_coord(spec: MlpSpec, tangent) -> int:
+    """Accept a coordinate index or a one-hot direction vector."""
+    if isinstance(tangent, (int, np.integer)):
+        coord = int(tangent)
+    else:
+        vec = np.asarray(tangent, dtype=np.float64).reshape(-1)
+        if vec.shape[0] != spec.d_in:
+            raise ValueError(f"tangent length {vec.shape[0]} != input width {spec.d_in}")
+        hot = np.flatnonzero(vec != 0.0)
+        if hot.shape[0] != 1 or vec[hot[0]] != 1.0:
+            raise ValueError("tangent must be a unit coordinate vector")
+        coord = int(hot[0])
+    if not 0 <= coord < spec.d_in:
+        raise ValueError(f"tangent coordinate {coord} out of range for input width {spec.d_in}")
+    return coord
+
+
+class GraphMlp:
+    """One MLP's parameters embedded in a graph as trainable nodes."""
+
+    def __init__(self, graph: Graph, params: MlpParams):
+        self.graph = graph
+        self.spec = params.spec
+        self.layers = []
+        for w, b in zip(params.weights, params.biases):
+            w_id = graph.parameter(w.shape)
+            b_id = graph.parameter(b.shape)
+            graph.set_param(w_id, w)
+            graph.set_param(b_id, b)
+            self.layers.append((w_id, b_id))
+
+    def set_values(self, params: MlpParams) -> None:
+        """Rebind parameter node values (shapes must match the spec)."""
+        for (w_id, b_id), w, b in zip(self.layers, params.weights, params.biases):
+            self.graph.set_param(w_id, w)
+            self.graph.set_param(b_id, b)
+
+    def param_nodes(self):
+        """Flat (W1, b1, W2, b2, ...) node ids in layer order."""
+        return [nid for pair in self.layers for nid in pair]
+
+    def forward(self, input_id: int) -> int:
+        """Emit the layer chain for ``input_id`` of shape (d_in, n)."""
+        out, _ = self._chain(input_id, ())
+        return out
+
+    def forward_tangent(self, input_id: int, tangent) -> tuple[int, int]:
+        """Emit the layer chain plus one directional-derivative chain.
+
+        ``tangent`` is an input coordinate (index or unit vector); the
+        returned pair is (output node, output-tangent node). Requires a
+        smooth hidden activation, so relu hidden layers are rejected.
+        """
+        out, tans = self._chain(input_id, (_tangent_coord(self.spec, tangent),))
+        return out, tans[0]
+
+    def forward_tangents(self, input_id: int, coords) -> tuple[int, list[int]]:
+        """Like forward_tangent but shares one primal chain across coords."""
+        coords = tuple(_tangent_coord(self.spec, c) for c in coords)
+        return self._chain(input_id, coords)
+
+    def _chain(self, input_id, coords):
+        g = self.graph
+        d_in, n = g.shape_of(input_id)
+        if d_in != self.spec.d_in:
+            raise ValueError(f"input has {d_in} rows, spec wants {self.spec.d_in}")
+        if coords and self.spec.hidden != "tanh":
+            raise ValueError("tangent propagation needs a smooth (tanh) hidden activation")
+
+        ones_row = g.constant(np.ones((1, n)))
+        h = input_id
+        tans = []
+        for c in coords:
+            seed = np.zeros((d_in, n))
+            seed[c, :] = 1.0
+            tans.append(g.constant(seed))
+
+        last = len(self.layers) - 1
+        for li, (w_id, b_id) in enumerate(self.layers):
+            z = g.add(g.matmul(w_id, h), g.matmul(b_id, ones_row))
+            act = self.spec.output if li == last else self.spec.hidden
+            if act == "tanh":
+                h = g.tanh(z)
+                if tans:
+                    # sigma'(z) = 1 - tanh(z)^2, shared across tangent chains
+                    sig_prime = g.subtract(g.constant(np.ones(g.shape_of(h))), g.square(h))
+                    tans = [g.multiply(sig_prime, g.matmul(w_id, t)) for t in tans]
+            elif act == "relu":
+                h = g.relu(z)
+            else:  # linear
+                h = z
+                tans = [g.matmul(w_id, t) for t in tans]
+        return h, tans
