@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -69,6 +70,10 @@ class RunConfig:
         }
 
 
+_INT_FIELDS = ("epochs", "batch_size", "split_seed", "init_seed", "horizon")
+_SYNTH_INT_FIELDS = ("n_engines", "min_life", "max_life", "n_sensors", "seed")
+
+
 def _take(section: dict, allowed: dict, where: str) -> dict:
     unknown = set(section) - set(allowed)
     if unknown:
@@ -122,6 +127,11 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
             optimizer=NadamConfig(**optim_kwargs),
             **merged,
         )
+        for prefix, section, names in (("", cfg, _INT_FIELDS), ("synth.", cfg.synth, _SYNTH_INT_FIELDS)):
+            for name in names:
+                value = getattr(section, name)
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise ValueError(f"{prefix}{name} must be an integer, got {value!r}")
         if cfg.dataset not in ("fd001", "synthetic"):
             raise ValueError(f"dataset must be 'fd001' or 'synthetic', got {cfg.dataset!r}")
         if cfg.epochs < 1 or cfg.batch_size < 1 or cfg.horizon < 0:
@@ -310,9 +320,12 @@ def _parse_oc(text: str) -> np.ndarray:
     else:
         tokens = [tok for tok in text.replace(",", " ").split() if tok]
     try:
-        return np.asarray([float(tok) for tok in tokens])
+        oc = np.asarray([float(tok) for tok in tokens])
     except ValueError:
         raise CliError(2, f"oc values must be numeric, got {text!r}") from None
+    if not np.isfinite(oc).all():
+        raise CliError(2, f"oc values must be finite, got {text!r}")
+    return oc
 
 
 def cmd_predict(model_path: str, oc_text: str, t_text: str, as_csv: bool) -> int:
@@ -324,8 +337,8 @@ def cmd_predict(model_path: str, oc_text: str, t_text: str, as_csv: bool) -> int
         t_list = [float(tok) for tok in t_text.replace(",", " ").split()]
     except ValueError:
         raise CliError(2, f"t-list must be numeric, got {t_text!r}") from None
-    if not t_list or any(t < 0 for t in t_list):
-        raise CliError(2, "t-list must contain one or more horizons >= 0")
+    if not t_list or not all(math.isfinite(t) and t >= 0 for t in t_list):
+        raise CliError(2, "t-list must contain one or more finite horizons >= 0")
 
     rows = model.sweep(oc, t_list)
     if as_csv:

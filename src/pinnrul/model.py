@@ -9,8 +9,8 @@ labels. Both derivatives are forward-tangent nodes in the same graph,
 which makes the penalty differentiable w.r.t. all weights in one reverse
 sweep.
 
-A model is immutable during evaluation; batch graphs are cached per
-batch width and rebound with current parameter values on each call.
+A model is immutable during evaluation. Its graph is built once, for
+any batch width, and rebound with current parameter values on each call.
 """
 
 from __future__ import annotations
@@ -94,14 +94,18 @@ class LatentMapPoint:
 
 
 class _Wiring:
-    """One batch-width graph: inputs, three bound networks, cost outputs."""
+    """The model's graph: inputs, three bound networks, cost outputs.
 
-    def __init__(self, config: PinnConfig, x_params, rul_params, dyn_params, n: int, dyn_oracle: bool):
+    Inputs leave their column count open, so one wiring serves every
+    batch width.
+    """
+
+    def __init__(self, config: PinnConfig, x_params, rul_params, dyn_params, dyn_oracle: bool):
         g = Graph()
         self.graph = g
-        self.oc_in = g.input((config.d_oc, n))
-        self.t_in = g.input((1, n))
-        self.y_in = g.input((1, n))
+        self.oc_in = g.input((config.d_oc, None))
+        self.t_in = g.input((1, None))
+        self.y_in = g.input((1, None))
 
         self.x_mlp = GraphMlp(g, x_params)
         self.rul_mlp = GraphMlp(g, rul_params)
@@ -147,7 +151,7 @@ class PinnModel:
     init_scheme: str = "standard-normal"
     init_seed: int = 0
     split_seed: int | None = None  # set by training, None for a fresh model
-    _wirings: dict = field(default_factory=dict, repr=False, compare=False)
+    _wirings: dict = field(default_factory=dict, repr=False, compare=False)  # by dyn_oracle
 
     # -- plumbing -----------------------------------------------------
 
@@ -160,12 +164,11 @@ class PinnModel:
                 items.append((f"{prefix}.b{i}", b))
         return items
 
-    def _wiring(self, n: int, dyn_oracle: bool = False) -> _Wiring:
-        key = (n, dyn_oracle)
-        wiring = self._wirings.get(key)
+    def _wiring(self, dyn_oracle: bool = False) -> _Wiring:
+        wiring = self._wirings.get(dyn_oracle)
         if wiring is None:
-            wiring = _Wiring(self.config, self.x_params, self.rul_params, self.dyn_params, n, dyn_oracle)
-            self._wirings[key] = wiring
+            wiring = _Wiring(self.config, self.x_params, self.rul_params, self.dyn_params, dyn_oracle)
+            self._wirings[dyn_oracle] = wiring
         wiring.sync(self.x_params, self.rul_params, self.dyn_params)
         return wiring
 
@@ -184,7 +187,7 @@ class PinnModel:
         n = t.shape[0]
         if oc.shape[0] != n:
             raise ValueError(f"{oc.shape[0]} oc rows vs {n} time values")
-        wiring = self._wiring(n, dyn_oracle)
+        wiring = self._wiring(dyn_oracle)
         oc_n = ((oc - self.norm.means) / self.norm.stds).T
         t_n = (t / self.config.t_scale).reshape(1, n)
         y_n = np.zeros((1, n)) if y is None else (np.asarray(y, dtype=np.float64).reshape(1, n) / self.norm.rul_max)

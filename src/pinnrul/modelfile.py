@@ -35,8 +35,16 @@ def _spec_to_dict(spec: MlpSpec) -> dict:
     return {"widths": list(spec.widths), "hidden": spec.hidden, "output": spec.output}
 
 
+def _typed(value, *kinds):
+    """``value`` if it is one of ``kinds``; JSON true/false count as none."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise TypeError(f"expected {' or '.join(k.__name__ for k in kinds)}, got {value!r}")
+    return value
+
+
 def _spec_from_dict(d: dict) -> MlpSpec:
-    return MlpSpec(tuple(d["widths"]), hidden=d["hidden"], output=d["output"])
+    widths = tuple(_typed(w, int) for w in d["widths"])
+    return MlpSpec(widths, hidden=_typed(d["hidden"], str), output=_typed(d["output"], str))
 
 
 def _header(model: PinnModel) -> dict:
@@ -86,25 +94,39 @@ def load_model(path) -> PinnModel:
         body = rest[newline + 1 + header_len + 1 :]
     except (ValueError, IndexError) as exc:
         raise ModelFileError(f"{path}: corrupt header ({exc})") from None
+    if not isinstance(header, dict):
+        raise ModelFileError(f"{path}: header is not a JSON object")
     if header.get("format") != FORMAT_VERSION:
         raise ModelFileError(f"{path}: unsupported format {header.get('format')!r}")
 
-    m = header["model"]
-    config = PinnConfig(
-        d_oc=int(m["d_oc"]),
-        x_spec=_spec_from_dict(m["x_spec"]),
-        rul_spec=_spec_from_dict(m["rul_spec"]),
-        dyn_spec=_spec_from_dict(m["dyn_spec"]),
-        pde_weight=float(m["pde_weight"]),
-        t_scale=float(m["t_scale"]),
-    )
-    nd = header["norm"]
-    norm = NormStats(
-        means=np.asarray(nd["means"], dtype=np.float64),
-        stds=np.asarray(nd["stds"], dtype=np.float64),
-        rul_max=float(nd["rul_max"]),
-        columns=list(nd["columns"]),
-    )
+    try:
+        m = header["model"]
+        config = PinnConfig(
+            d_oc=_typed(m["d_oc"], int),
+            x_spec=_spec_from_dict(m["x_spec"]),
+            rul_spec=_spec_from_dict(m["rul_spec"]),
+            dyn_spec=_spec_from_dict(m["dyn_spec"]),
+            pde_weight=float(_typed(m["pde_weight"], int, float)),
+            t_scale=float(_typed(m["t_scale"], int, float)),
+        )
+        nd = header["norm"]
+        norm = NormStats(
+            means=np.asarray([_typed(v, int, float) for v in nd["means"]], dtype=np.float64),
+            stds=np.asarray([_typed(v, int, float) for v in nd["stds"]], dtype=np.float64),
+            rul_max=float(_typed(nd["rul_max"], int, float)),
+            columns=[_typed(c, str) for c in nd["columns"]],
+        )
+        if not len(norm.means) == len(norm.stds) == len(norm.columns) == config.d_oc:
+            raise ValueError(f"norm has {len(norm.columns)} columns, model has d_oc={config.d_oc}")
+        init = header["init"]
+        init_scheme = _typed(init["scheme"], str)
+        init_seed = _typed(init["seed"], int)
+        split_seed = init.get("split_seed")
+        split_seed = None if split_seed is None else _typed(split_seed, int)
+    except KeyError as exc:
+        raise ModelFileError(f"{path}: header lacks key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ModelFileError(f"{path}: bad header ({exc})") from None
 
     offset = 0
 
@@ -127,14 +149,13 @@ def load_model(path) -> PinnModel:
     if offset != len(body):
         raise ModelFileError(f"{path}: {len(body) - offset} trailing bytes")
 
-    split_seed = header["init"].get("split_seed")
     return PinnModel(
         config=config,
         x_params=x_params,
         rul_params=rul_params,
         dyn_params=dyn_params,
         norm=norm,
-        init_scheme=header["init"]["scheme"],
-        init_seed=int(header["init"]["seed"]),
-        split_seed=None if split_seed is None else int(split_seed),
+        init_scheme=init_scheme,
+        init_seed=init_seed,
+        split_seed=split_seed,
     )

@@ -144,7 +144,7 @@ class GraphMlp:
         return [nid for pair in self.layers for nid in pair]
 
     def forward(self, input_id: int) -> int:
-        """Emit the layer chain for ``input_id`` of shape (d_in, n)."""
+        """Emit the layer chain for ``input_id`` of shape (d_in, n); n may be None."""
         out, _ = self._chain(input_id, ())
         return out
 
@@ -165,29 +165,23 @@ class GraphMlp:
 
     def _chain(self, input_id, coords):
         g = self.graph
-        d_in, n = g.shape_of(input_id)
+        d_in = g.shape_of(input_id)[0]
         if d_in != self.spec.d_in:
             raise ValueError(f"input has {d_in} rows, spec wants {self.spec.d_in}")
         if coords and self.spec.hidden != "tanh":
             raise ValueError("tangent propagation needs a smooth (tanh) hidden activation")
 
-        ones_row = g.constant(np.ones((1, n)))
         h = input_id
-        tans = []
-        for c in coords:
-            seed = np.zeros((d_in, n))
-            seed[c, :] = 1.0
-            tans.append(g.constant(seed))
-
+        tans = [g.basis(input_id, c) for c in coords]
         last = len(self.layers) - 1
         for li, (w_id, b_id) in enumerate(self.layers):
-            z = g.add(g.matmul(w_id, h), g.matmul(b_id, ones_row))
+            z = g.affine(w_id, h, b_id)
             act = self.spec.output if li == last else self.spec.hidden
             if act == "tanh":
                 h = g.tanh(z)
                 if tans:
                     # sigma'(z) = 1 - tanh(z)^2, shared across tangent chains
-                    sig_prime = g.subtract(g.constant(np.ones(g.shape_of(h))), g.square(h))
+                    sig_prime = g.dtanh(h)
                     tans = [g.multiply(sig_prime, g.matmul(w_id, t)) for t in tans]
             elif act == "relu":
                 h = g.relu(z)

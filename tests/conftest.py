@@ -29,27 +29,33 @@ def fd_tolerance_ok(analytic, numeric, rel=1e-4, abs_tol=1e-8):
 def random_graph(seed):
     """Small random DAG over the full primitive set with a scalar root.
 
-    Returns (graph, parameter ids, input bindings). relu inputs are kept
-    away from 0 by construction so finite differences stay valid.
+    The input leaves its width open and is bound with two columns.
+    Returns (graph, parameter ids, input bindings, root). relu inputs are
+    kept away from 0 by construction so finite differences stay valid.
     """
     rng = np.random.default_rng(seed)
     g = Graph()
     shapes = [(1, 1), (2, 1), (2, 2), (3, 2)]
     pool = []
     bindings = {}
-    for _ in range(rng.integers(2, 4)):
-        shape = shapes[rng.integers(len(shapes))]
+
+    def new_parameter(shape):
         p = g.parameter(shape)
         g.set_param(p, rng.uniform(0.5, 1.5, shape) * rng.choice([-1.0, 1.0], shape))
-        pool.append(p)
-    inp = g.input((2, 2))
+        return p
+
+    for _ in range(rng.integers(2, 4)):
+        pool.append(new_parameter(shapes[rng.integers(len(shapes))]))
+    inp = g.input((2, None))
     bindings[inp] = rng.uniform(0.5, 1.5, (2, 2))
     pool.append(inp)
 
     for _ in range(rng.integers(4, 9)):
-        op = rng.choice(["tanh", "square", "scale", "add", "multiply", "subtract", "matmul", "concat", "relu"])
+        op = rng.choice(
+            ["tanh", "dtanh", "square", "scale", "add", "multiply", "subtract", "matmul", "affine", "concat", "relu"]
+        )
         a = pool[rng.integers(len(pool))]
-        if op in ("tanh", "square", "relu"):
+        if op in ("tanh", "dtanh", "square", "relu"):
             pool.append(getattr(g, op)(a))
         elif op == "scale":
             pool.append(g.scale(a, float(rng.uniform(0.5, 2.0))))
@@ -59,6 +65,10 @@ def random_graph(seed):
         elif op == "concat":
             mates = [n for n in pool if g.shape_of(n)[1] == g.shape_of(a)[1]]
             pool.append(g.concat([a, mates[rng.integers(len(mates))]]))
+        elif op == "affine":  # a fresh weight and bias act on a
+            rows = int(rng.integers(1, 4))
+            w = new_parameter((rows, g.shape_of(a)[0]))
+            pool.append(g.affine(w, a, new_parameter((rows, 1))))
         else:  # matmul
             mates = [n for n in pool if g.shape_of(n)[0] == g.shape_of(a)[1]]
             if mates:

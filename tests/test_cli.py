@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pinnrul import cli, load_model
+from pinnrul.modelfile import ModelFileError
 from pinnrul.cli import _write_latent_csv
 
 
@@ -70,6 +71,22 @@ class TestConfig:
     def test_batch_size_zero_rejected(self, tmp_path):
         cfg = synth_config(tmp_path, batch_size=0)
         assert run_cli(["train", "--config", cfg]) == 2
+
+    def test_fractional_batch_size_rejected(self, tmp_path, capsys):
+        cfg = synth_config(tmp_path, batch_size=256.5)
+        assert run_cli(["train", "--config", cfg]) == 2
+        assert "batch_size must be an integer" in capsys.readouterr().err
+
+    def test_boolean_epochs_rejected(self, tmp_path, capsys):
+        cfg = synth_config(tmp_path, epochs=True)
+        assert run_cli(["train", "--config", cfg]) == 2
+        assert "epochs must be an integer" in capsys.readouterr().err
+
+    def test_fractional_fleet_size_rejected(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"dataset": "synthetic", "synth": {"n_engines": 2.5}}))
+        assert run_cli(["check-data", "--config", str(path)]) == 2
+        assert "synth.n_engines must be an integer" in capsys.readouterr().err
 
     def test_divergent_training_is_numeric_failure(self, tmp_path, capsys):
         cfg = synth_config(tmp_path, optimizer={"lr": 1e200})
@@ -156,6 +173,28 @@ class TestTrainEvalMapPredict:
         save_model(model, copy_path)
         assert copy_path.read_bytes() == (out / "model.bin").read_bytes()
 
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [("norm", "stds", None, "lacks key 'stds'"), ("model", "d_oc", "6", "expected int, got '6'")],
+    )
+    def test_bad_header_key_is_exit_2(self, trained, tmp_path, capsys, section, key, value, message):
+        _, _, out = trained
+        blob = (out / "model.bin").read_bytes()
+        magic, length, rest = blob.split(b"\n", 2)
+        header = json.loads(rest[: int(length)])
+        if value is None:
+            del header[section][key]
+        else:
+            header[section][key] = value
+        raw = json.dumps(header).encode("ascii")
+        broken = tmp_path / "broken.bin"
+        broken.write_bytes(magic + b"\n" + str(len(raw)).encode() + b"\n" + raw + rest[int(length) :])
+        with pytest.raises(ModelFileError, match=message):
+            load_model(broken)
+        zeros = ",".join("0" for _ in header["norm"]["means"])
+        assert run_cli(["predict", "--model", str(broken), f"--oc={zeros}"]) == 2
+        assert message in capsys.readouterr().err
+
     def test_eval_writes_metrics_and_pairs(self, trained, capsys):
         _, cfg, out = trained
         assert run_cli(["eval", "--config", cfg, "--model", str(out / "model.bin")]) == 0
@@ -211,6 +250,20 @@ class TestTrainEvalMapPredict:
         _, _, out = trained
         assert run_cli(["predict", "--model", str(out / "model.bin"), "--oc", "1,2", "--t-list", "0"]) == 2
         assert "d_oc" in capsys.readouterr().err
+
+    def test_predict_non_finite_oc_rejected(self, trained, capsys):
+        _, _, out = trained
+        model = load_model(out / "model.bin")
+        oc = ",".join(["nan"] + ["0"] * (model.config.d_oc - 1))
+        assert run_cli(["predict", "--model", str(out / "model.bin"), f"--oc={oc}"]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_predict_non_finite_horizon_rejected(self, trained, capsys):
+        _, _, out = trained
+        model = load_model(out / "model.bin")
+        oc = ",".join("0" for _ in range(model.config.d_oc))
+        assert run_cli(["predict", "--model", str(out / "model.bin"), "--oc", oc, "--t-list", "inf"]) == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_predict_oc_from_file(self, trained, tmp_path, capsys):
         _, _, out = trained

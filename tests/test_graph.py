@@ -83,6 +83,17 @@ class TestBuildAndEval:
         assert g.value(cat).shape == (3, 1)
         assert scalar(g, total) == 6.0
 
+    def test_width_free_inputs_share_one_width(self):
+        g = Graph()
+        a = g.input((2, None))
+        b = g.input((1, None))
+        cat = g.concat([a, b])
+        assert g.shape_of(cat) == (3, None)
+        g.eval({a: np.ones((2, 4)), b: np.ones((1, 4))})
+        assert g.value(cat).shape == (3, 4)
+        with pytest.raises(EvaluationError, match=f"node {b}"):
+            g.eval({a: np.ones((2, 4)), b: np.ones((1, 1))})
+
     def test_deterministic_reeval_bit_identical(self):
         g, params, bindings, root = random_graph(7)
         first = [v.copy() for v in g.eval(bindings)]

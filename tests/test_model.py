@@ -224,6 +224,30 @@ class TestCost:
         assert total == pytest.approx(one[2], rel=1e-12)
 
 
+class TestWiring:
+    def test_one_graph_serves_every_batch_width(self, model, monkeypatch):
+        built = []
+        original = Graph.__init__
+
+        def counting_init(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(Graph, "__init__", counting_init)
+        first = random_batch(model, 30, n=7)
+        before = model.cost(first)
+        for n in (1, 7, 512, 4096):
+            batch = random_batch(model, 30 + n, n=n)
+            model.cost(batch)
+            assert len(model.latent_map(batch)) == n
+            assert len(model.sweep(batch.oc[0], batch.t.astype(float))) == n
+        assert len(built) == 1
+        after = model.cost(first)
+        assert after.total == before.total
+        for name in before.grads:
+            assert np.array_equal(after.grads[name], before.grads[name])
+
+
 class TestInspection:
     def test_latent_map_empty(self, model):
         empty = random_batch(model, 1, n=2).take(np.array([], dtype=int))
