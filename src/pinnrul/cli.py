@@ -383,6 +383,21 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse reads a token that starts with "-" and is not a plain number as an
+# option, so "--oc -0.5,1.2" would lose its value; "--oc=-0.5,1.2" keeps it.
+_VALUE_FLAGS = ("--oc", "--t-list")
+
+
+def _glue_values(argv) -> list[str]:
+    """Join each ``--oc``/``--t-list`` flag with the token after it."""
+    out = []
+    tokens = iter(argv)
+    for tok in tokens:
+        value = next(tokens, None) if tok in _VALUE_FLAGS else None
+        out.append(tok if value is None else f"{tok}={value}")
+    return out
+
+
 def _overrides(args) -> dict:
     pairs = (
         ("out", "output_dir"),
@@ -395,7 +410,7 @@ def _overrides(args) -> dict:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(_glue_values(sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "predict":
             return cmd_predict(args.model, args.oc, args.t_list, args.csv)

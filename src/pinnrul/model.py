@@ -132,6 +132,7 @@ class _Wiring:
         self.param_ids = (
             self.x_mlp.param_nodes() + self.rul_mlp.param_nodes() + self.dyn_mlp.param_nodes()
         )
+        self.named_params = None  # (name, node id) pairs, made by the first ``cost`` call
 
     def sync(self, x_params, rul_params, dyn_params):
         self.x_mlp.set_values(x_params)
@@ -243,8 +244,9 @@ class PinnModel:
         if not math.isfinite(total):
             raise NumericError(f"non-finite total cost (mse={mse}, pde={pde})")
         node_grads = g.grad(w.total)
-        names = [name for name, _ in self.parameter_items()]
-        grads = {name: node_grads[nid] for name, nid in zip(names, w.param_ids)}
+        if w.named_params is None:
+            w.named_params = list(zip([name for name, _ in self.parameter_items()], w.param_ids))
+        grads = {name: node_grads[nid] for name, nid in w.named_params}
         return CostBreakdown(mse=mse, pde=pde, total=total, grads=grads)
 
     def cost_values(self, batch: AugmentedSamples) -> tuple[float, float, float]:

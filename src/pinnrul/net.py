@@ -59,8 +59,9 @@ class MlpSpec:
 class MlpParams:
     """Weight matrices (out x in) and bias columns for one MlpSpec.
 
-    Immutable by convention once handed to a model; the trainer owns its
-    own copies and mutates those in place.
+    Immutable by convention once handed to a model; the trainer draws its
+    own, makes each buffer a view of one parameter vector and updates that
+    vector in place.
     """
 
     spec: MlpSpec

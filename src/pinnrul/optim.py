@@ -1,7 +1,7 @@
 """Nesterov-momentum Adam updates and the minibatch training loop.
 
-The update rule, with step counter t starting at 1 and per-buffer moment
-estimates m, v:
+The update rule, with step counter t starting at 1 and moment estimates
+m, v shaped like the parameters they follow:
 
     m <- b1*m + (1-b1)*g          v <- b2*v + (1-b2)*g^2
     mhat = m / (1 - b1^(t+1))     vhat = v / (1 - b2^t)
@@ -14,6 +14,17 @@ grows, step t moves that coordinate by at most
 
 which is 1.4737*lr at t=1 for b1=0.9 and falls toward lr, so travel
 grows at most about lr per step however large the gradient is.
+
+Every operation of the rule is elementwise, so it gives the same bits
+whether it runs per buffer or over one vector holding all of them.
+``train`` uses the vector: it lays the model's weight and bias buffers
+(36 in the default architecture) end to end in
+``PinnModel.parameter_items`` order (network x, rul, dyn; per layer W
+row-major, then b), which is also the order of the ``model.bin`` body,
+and makes each buffer a reshaped view of that vector. Each step copies
+the batch gradients into views of one gradient vector of the same
+layout and makes one ``nadam_step`` call on the pair, with one m and
+one v vector as its state.
 
 Training splits the dataset 75/25 (validation gets ceil(N/4) samples),
 reshuffles the training part with a fixed per-epoch seed, and evaluates
@@ -57,7 +68,11 @@ class NadamConfig:
 
 
 class NadamState:
-    """First/second moment buffers, one pair per parameter buffer."""
+    """First/second moment buffers, one pair per buffer passed to ``nadam_step``.
+
+    ``train`` passes one buffer, the flat parameter vector, so its state
+    is one m and one v vector in that vector's layout.
+    """
 
     def __init__(self, m, v, step: int = 0):
         self.m = m
@@ -131,6 +146,29 @@ class TrainingReport:
         }
 
 
+def _flatten(model: PinnModel):
+    """Move the model's buffers into one vector in ``parameter_items`` order.
+
+    Each buffer of ``model`` is replaced by a reshaped view of the vector,
+    so the graph, ``save_model`` and the caller all see its values.
+    Returns the names, the vector, a gradient vector of the same layout
+    and one view of it per buffer.
+    """
+    items = model.parameter_items()
+    theta = np.concatenate([buf.ravel() for _, buf in items])
+    grad = np.empty_like(theta)
+    grad_views = []
+    start = 0
+    for params in (model.x_params, model.rul_params, model.dyn_params):  # parameter_items order
+        for i in range(len(params.weights)):
+            for bufs in (params.weights, params.biases):
+                shape, stop = bufs[i].shape, start + bufs[i].size
+                bufs[i] = theta[start:stop].reshape(shape)
+                grad_views.append(grad[start:stop].reshape(shape))
+                start = stop
+    return [name for name, _ in items], theta, grad, grad_views
+
+
 def train(
     model: PinnModel,
     dataset: AugmentedSamples,
@@ -165,10 +203,8 @@ def train(
     train_set = dataset.take(train_idx)
     val_set = dataset.take(val_idx)
 
-    names_params = model.parameter_items()
-    names = [name for name, _ in names_params]
-    params = [buf for _, buf in names_params]
-    state = NadamState.for_params(params)
+    names, theta, grad, grad_views = _flatten(model)
+    state = NadamState.for_params([theta])
 
     report = TrainingReport(
         init_seed=int(init_seed),
@@ -182,9 +218,16 @@ def train(
         for batch_no, start in enumerate(range(0, n_train, batch_size)):
             batch = train_set.take(order[start : start + batch_size])
             try:
-                breakdown = model.cost(batch)
-                grads = [breakdown.grads[name] for name in names]
-                nadam_step(state, params, grads, config, names)
+                grads = model.cost(batch).grads
+                for name, view in zip(names, grad_views):
+                    view[...] = grads[name]
+                try:
+                    nadam_step(state, [theta], [grad], config)
+                except NumericError:
+                    first = np.flatnonzero(~np.isfinite(grad))[0]
+                    ends = np.cumsum([view.size for view in grad_views])
+                    name = names[np.searchsorted(ends, first, side="right")]
+                    raise NumericError(f"non-finite gradient for parameter {name}") from None
             except NumericError as exc:
                 raise NumericError(f"epoch {epoch} batch {batch_no}: {exc}") from exc
 

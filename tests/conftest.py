@@ -29,7 +29,8 @@ def fd_tolerance_ok(analytic, numeric, rel=1e-4, abs_tol=1e-8):
 def random_graph(seed):
     """Small random DAG over the full primitive set with a scalar root.
 
-    The input leaves its width open and is bound with two columns.
+    The root squares the newest pool node that reaches a parameter. The
+    input leaves its width open and is bound with two columns.
     Returns (graph, parameter ids, input bindings, root). relu inputs are
     kept away from 0 by construction so finite differences stay valid.
     """
@@ -73,7 +74,9 @@ def random_graph(seed):
             mates = [n for n in pool if g.shape_of(n)[0] == g.shape_of(a)[1]]
             if mates:
                 pool.append(g.matmul(a, mates[rng.integers(len(mates))]))
-    root = g.mean(g.square(pool[-1]))
+    # the newest node whose value depends on a parameter, so the gradient is not all zero
+    live = [n for n in pool if g.nodes[n].reaches]
+    root = g.mean(g.square(live[-1]))
     params = sorted(g.parameters)
     return g, params, bindings, root
 

@@ -265,6 +265,15 @@ class TestTrainEvalMapPredict:
         assert run_cli(["predict", "--model", str(out / "model.bin"), "--oc", oc, "--t-list", "inf"]) == 2
         assert "finite" in capsys.readouterr().err
 
+    def test_predict_negative_values_after_a_space(self, trained, capsys):
+        _, _, out = trained
+        model = load_model(out / "model.bin")
+        oc = ",".join(["-0.5"] + ["0"] * (model.config.d_oc - 1))
+        assert run_cli(["predict", "--model", str(out / "model.bin"), "--oc", oc, "--t-list", "0,1", "--csv"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
+        assert run_cli(["predict", "--model", str(out / "model.bin"), "--oc", oc, "--t-list", "-1,2"]) == 2
+        assert ">= 0" in capsys.readouterr().err
+
     def test_predict_oc_from_file(self, trained, tmp_path, capsys):
         _, _, out = trained
         model = load_model(out / "model.bin")

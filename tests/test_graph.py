@@ -173,6 +173,7 @@ class TestGrad:
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_central_finite_differences(self, seed):
         g, params, bindings, root = random_graph(seed)
+        assert g.nodes[root].reaches
         values = g.eval(bindings)
         if not relu_inputs_safe(g, values):
             pytest.skip("relu pre-activation too close to 0 for finite differences")

@@ -6,6 +6,7 @@ from pinnrul import (
     NadamState,
     NumericError,
     PinnConfig,
+    PinnModel,
     SynthSpec,
     augment,
     fit_norm,
@@ -161,3 +162,47 @@ class TestTrain:
         payload = report.to_dict()
         assert payload["epochs"] == 1
         assert list(payload["per_epoch"][0]) == list(report.EPOCH_FIELDS)
+
+    def test_flat_vector_matches_per_buffer_reference(self, tiny_dataset):
+        samples, norm = tiny_dataset
+        model = init_model(PinnConfig.default(len(norm.columns), pde_weight=0.2), norm, 0)
+        config = NadamConfig(lr=5e-3)
+        split_seed, init_seed, epochs, batch_size = 3, 9, 2, 40
+        trained, _ = train(
+            model, samples, split_seed, init_seed, epochs, batch_size, config=config, scheme="xavier"
+        )
+
+        # reference: one nadam_step over the 36 separate buffers per batch
+        ref = init_model(model.config, norm, init_seed, "xavier")
+        names = [name for name, _ in ref.parameter_items()]
+        params = [buf for _, buf in ref.parameter_items()]
+        state = NadamState.for_params(params)
+        train_idx, _ = split_indices(len(samples), split_seed)
+        train_set = samples.take(train_idx)
+        n_batches = 0
+        for epoch in range(epochs):
+            order = np.random.default_rng([split_seed, 1 + epoch]).permutation(len(train_set))
+            for start in range(0, len(train_set), batch_size):
+                grads = ref.cost(train_set.take(order[start : start + batch_size])).grads
+                nadam_step(state, params, [grads[name] for name in names], config, names)
+                n_batches += 1
+        assert n_batches >= 4
+        assert [name for name, _ in trained.parameter_items()] == names
+        for (name, got), want in zip(trained.parameter_items(), params):
+            assert np.array_equal(got, want), name
+
+    def test_non_finite_gradient_names_epoch_batch_and_parameter(self, tiny_dataset, monkeypatch):
+        samples, norm = tiny_dataset
+        model = init_model(PinnConfig.default(len(norm.columns)), norm, 0)
+        cost = PinnModel.cost
+
+        def poisoned(self, batch, dyn_oracle=False):
+            breakdown = cost(self, batch, dyn_oracle)
+            bad = np.zeros_like(breakdown.grads["rul.b1"])
+            bad[0, 0] = np.nan  # first entry: the offset sits on the rul.W1|rul.b1 boundary
+            breakdown.grads["rul.b1"] = bad
+            return breakdown
+
+        monkeypatch.setattr(PinnModel, "cost", poisoned)
+        with pytest.raises(NumericError, match=r"epoch 0 batch 0: non-finite gradient for parameter rul\.b1$"):
+            train(model, samples, 0, 0, epochs=1, batch_size=64)
