@@ -13,7 +13,6 @@ from .data import (
     SynthSpec,
     augment,
     augmented_count,
-    apply_norm,
     fit_norm,
     parse_cmapss,
     parse_rul_truth,
@@ -27,7 +26,6 @@ from .model import (
     LatentMapPoint,
     PinnConfig,
     PinnModel,
-    ResidualInputs,
     init_model,
 )
 from .modelfile import load_model, save_model
@@ -54,10 +52,8 @@ __all__ = [
     "NumericError",
     "PinnConfig",
     "PinnModel",
-    "ResidualInputs",
     "SynthSpec",
     "TrainingReport",
-    "apply_norm",
     "augment",
     "augmented_count",
     "fit_norm",

@@ -72,9 +72,13 @@ class RunConfig:
 
 _INT_FIELDS = ("epochs", "batch_size", "split_seed", "init_seed", "horizon")
 _SYNTH_INT_FIELDS = ("n_engines", "min_life", "max_life", "n_sensors", "seed")
+_STR_FIELDS = ("data_dir", "dataset", "init_scheme", "output_dir")
+_MODEL_FIELDS = {"lambda": "pde_weight", "t_scale": "t_scale"}
 
 
-def _take(section: dict, allowed: dict, where: str) -> dict:
+def _take(section, allowed: dict, where: str) -> dict:
+    if not isinstance(section, dict):
+        raise CliError(2, f"config: {where} must be a JSON object, got {type(section).__name__}")
     unknown = set(section) - set(allowed)
     if unknown:
         raise CliError(2, f"config: unknown key(s) {sorted(unknown)} in {where}")
@@ -91,8 +95,6 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
             raise CliError(2, f"config file not found: {path}") from None
         except json.JSONDecodeError as exc:
             raise CliError(2, f"config {path} is not valid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise CliError(2, "config root must be a JSON object")
 
     top = _take(
         raw,
@@ -117,7 +119,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
         {k: k for k in ("n_engines", "min_life", "max_life", "n_sensors", "noise_std", "seed")},
         "synth",
     )
-    model_kwargs = _take(top.pop("model", {}), {"lambda": "pde_weight", "t_scale": "t_scale"}, "model")
+    model_kwargs = _take(top.pop("model", {}), _MODEL_FIELDS, "model")
     optim_kwargs = _take(top.pop("optimizer", {}), {k: k for k in ("lr", "beta1", "beta2", "eps")}, "optimizer")
 
     merged = {**top, **model_kwargs, **(overrides or {})}
@@ -127,11 +129,13 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
             optimizer=NadamConfig(**optim_kwargs),
             **merged,
         )
-        for prefix, section, names in (("", cfg, _INT_FIELDS), ("synth.", cfg.synth, _SYNTH_INT_FIELDS)):
-            for name in names:
-                value = getattr(section, name)
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ValueError(f"{prefix}{name} must be an integer, got {value!r}")
+        typed = [(name, getattr(cfg, name), int, "an integer") for name in _INT_FIELDS]
+        typed += [(f"synth.{name}", getattr(cfg.synth, name), int, "an integer") for name in _SYNTH_INT_FIELDS]
+        typed += [(name, getattr(cfg, name), str, "a string") for name in _STR_FIELDS]
+        typed += [(f"model.{key}", getattr(cfg, attr), (int, float), "a number") for key, attr in _MODEL_FIELDS.items()]
+        for name, value, kind, noun in typed:
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{name} must be {noun}, got {value!r}")
         if cfg.dataset not in ("fd001", "synthetic"):
             raise ValueError(f"dataset must be 'fd001' or 'synthetic', got {cfg.dataset!r}")
         if cfg.epochs < 1 or cfg.batch_size < 1 or cfg.horizon < 0:
@@ -385,7 +389,17 @@ def _parser() -> argparse.ArgumentParser:
 
 # argparse reads a token that starts with "-" and is not a plain number as an
 # option, so "--oc -0.5,1.2" would lose its value; "--oc=-0.5,1.2" keeps it.
+# argparse also takes any unambiguous prefix of a long option ("--o", "--t").
+_PREDICT_FLAGS = ("--model", "--oc", "--t-list", "--csv", "--help")
 _VALUE_FLAGS = ("--oc", "--t-list")
+
+
+def _is_value_flag(tok: str) -> bool:
+    """``--oc``/``--t-list`` or a prefix that argparse resolves to one of them."""
+    if not tok.startswith("--") or len(tok) < 3:
+        return False
+    hits = [flag for flag in _PREDICT_FLAGS if flag.startswith(tok)]
+    return len(hits) == 1 and hits[0] in _VALUE_FLAGS
 
 
 def _glue_values(argv) -> list[str]:
@@ -393,7 +407,7 @@ def _glue_values(argv) -> list[str]:
     out = []
     tokens = iter(argv)
     for tok in tokens:
-        value = next(tokens, None) if tok in _VALUE_FLAGS else None
+        value = next(tokens, None) if _is_value_flag(tok) else None
         out.append(tok if value is None else f"{tok}={value}")
     return out
 

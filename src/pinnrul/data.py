@@ -250,23 +250,6 @@ def fit_norm(samples: AugmentedSamples) -> NormStats:
     return NormStats(means=means, stds=stds, rul_max=float(samples.rul.max()), columns=list(samples.columns))
 
 
-def apply_norm(stats: NormStats, samples: AugmentedSamples, t_scale: float = 30.0):
-    """Pure transform: z-scored features, scaled time, scaled labels."""
-    oc = (samples.oc - stats.means) / stats.stds
-    t = samples.t.astype(np.float64) / t_scale
-    rul = samples.rul / stats.rul_max
-    return oc, t, rul
-
-
-def write_augmented_csv(samples: AugmentedSamples, path) -> None:
-    """Cache file: header unit,cycle,t,rul,<feature columns...>."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(",".join(["unit", "cycle", "t", "rul"] + list(samples.columns)) + "\n")
-        for i in range(len(samples)):
-            feats = ",".join(repr(float(v)) for v in samples.oc[i])
-            fh.write(f"{samples.unit[i]},{samples.cycle[i]},{samples.t[i]},{samples.rul[i]:g},{feats}\n")
-
-
 @dataclass(frozen=True)
 class SynthSpec:
     """Parameters of the synthetic linear-degradation generator."""

@@ -8,13 +8,13 @@ bit-identical.
 
 All buffers are 2-D float64 arrays; scalars have shape (1, 1). An input
 may leave its column count open (``None``): the graph is then built once
-for any batch width, every op except ``mean``/``sum`` acts column by
-column, and ``eval`` requires all width-free inputs to be bound with the
-same number of columns. ``affine`` adds its bias column to every column.
+for any batch width, every op except ``mean`` acts column by column,
+and ``eval`` requires all width-free inputs to be bound with the same
+number of columns. ``affine`` adds its bias column to every column.
 
 Each node records at build time whether it reaches a parameter. ``grad``
-propagates adjoints only into such nodes, so constants, inputs and
-``basis`` tangent seeds (and anything computed only from them) get none.
+propagates adjoints only into such nodes, so inputs and ``basis``
+tangent seeds (and anything computed only from them) get none.
 
 A graph instance is single-writer. Distinct instances are independent and
 may be used from different threads.
@@ -34,7 +34,6 @@ __all__ = [
 
 # arity per op kind; None = variadic (>= 1)
 OP_KINDS = {
-    "constant": 0,
     "parameter": 0,
     "input": 0,
     "matmul": 2,
@@ -49,7 +48,6 @@ OP_KINDS = {
     "square": 1,
     "basis": 1,
     "mean": 1,
-    "sum": 1,
     "concat": None,
 }
 
@@ -80,7 +78,7 @@ class _Node:
         self.kind = kind
         self.inputs = inputs
         self.shape = shape  # (rows, cols); cols is None for a width-free node
-        self.payload = payload  # constant buffer, scale factor or basis row
+        self.payload = payload  # scale factor or basis row
         self.reaches = reaches  # its value depends on a parameter
 
 
@@ -106,9 +104,6 @@ class Graph:
         self._param_values: dict[int, np.ndarray] = {}
         self._values: list[np.ndarray] | None = None
 
-    def __len__(self):
-        return len(self.nodes)
-
     def shape_of(self, nid: int) -> tuple[int, int | None]:
         return self.nodes[nid].shape
 
@@ -117,9 +112,9 @@ class Graph:
     def build(self, kind: str, inputs=(), payload=None) -> int:
         """Append a node and return its id.
 
-        ``payload`` is the literal buffer for ``constant``, the shape for
-        ``parameter``/``input`` (an input's column count may be None),
-        the factor for ``scale`` and the row index for ``basis``.
+        ``payload`` is the shape for ``parameter``/``input`` (an input's
+        column count may be None), the factor for ``scale`` and the row
+        index for ``basis``.
         """
         if kind not in OP_KINDS:
             raise GraphError(f"unknown op kind {kind!r}")
@@ -135,10 +130,7 @@ class Graph:
                 raise GraphError(f"dangling node id {i} (graph has {len(self.nodes)} nodes)")
 
         shapes = [self.nodes[i].shape for i in inputs]
-        if kind == "constant":
-            payload = _as_buffer(payload)
-            shape = payload.shape
-        elif kind in ("parameter", "input"):
+        if kind in ("parameter", "input"):
             if payload is None or len(tuple(payload)) != 2:
                 raise GraphError(f"{kind} needs an explicit 2-D shape")
             rows, cols = payload
@@ -165,7 +157,7 @@ class Graph:
                 payload = int(payload)
                 if not 0 <= payload < shape[0]:
                     raise GraphError(f"basis row {payload} out of range for {shape[0]} rows")
-        elif kind in ("mean", "sum"):
+        elif kind == "mean":
             shape = (1, 1)
         elif kind == "concat":
             cols = {s[1] for s in shapes}
@@ -179,9 +171,6 @@ class Graph:
         self.nodes.append(_Node(kind, inputs, shape, payload, reaches))
         self._values = None
         return len(self.nodes) - 1
-
-    def constant(self, value) -> int:
-        return self.build("constant", payload=value)
 
     def parameter(self, shape) -> int:
         nid = self.build("parameter", payload=shape)
@@ -235,9 +224,6 @@ class Graph:
     def mean(self, a) -> int:
         return self.build("mean", (a,))
 
-    def sum(self, a) -> int:
-        return self.build("sum", (a,))
-
     def concat(self, parts) -> int:
         return self.build("concat", tuple(parts))
 
@@ -250,20 +236,19 @@ class Graph:
         self._param_values[nid] = _as_buffer(value, node.shape)
 
     def eval(self, bindings: dict[int, np.ndarray] | None = None) -> list[np.ndarray]:
-        """Compute every node value in index (= topological) order."""
+        """Compute every node value in index (= topological) order.
+
+        ``bindings`` maps each input node to its value; parameters take
+        theirs from ``set_param``.
+        """
         bindings = bindings or {}
         values: list[np.ndarray] = []
         width = None  # shared column count of the width-free inputs
         for nid, node in enumerate(self.nodes):
             k = node.kind
-            if k == "constant":
-                v = node.payload
-            elif k == "parameter":
-                if nid in bindings:
-                    v = _as_buffer(bindings[nid], node.shape)
-                elif nid in self._param_values:
-                    v = self._param_values[nid]
-                else:
+            if k == "parameter":
+                v = self._param_values.get(nid)
+                if v is None:
                     raise EvaluationError(f"parameter node {nid} has no value")
             elif k == "input":
                 if nid not in bindings:
@@ -307,8 +292,6 @@ class Graph:
                     v[node.payload] = 1.0
                 elif k == "mean":
                     v = np.array([[ins[0].mean()]])
-                elif k == "sum":
-                    v = np.array([[ins[0].sum()]])
                 else:  # concat
                     v = np.concatenate(ins, axis=0)
             values.append(v)
@@ -396,8 +379,6 @@ class Graph:
             elif k == "mean":
                 src = values[ins[0]]
                 acc(ins[0], np.full(src.shape, a[0, 0] / src.size))
-            elif k == "sum":
-                acc(ins[0], np.full(values[ins[0]].shape, a[0, 0]))
             else:  # concat
                 row = 0
                 for i, r in zip(ins, reach):

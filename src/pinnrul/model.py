@@ -66,16 +66,6 @@ class PinnConfig:
 
 
 @dataclass
-class ResidualInputs:
-    """Normalized quantities feeding the rate-law residual at one point."""
-
-    x: float
-    dx_dt: float
-    drul_dx: float
-    drul_dt: float
-
-
-@dataclass
 class CostBreakdown:
     """Cost terms of one batch plus gradients for every parameter."""
 
@@ -195,34 +185,40 @@ class PinnModel:
         wiring.graph.eval({wiring.oc_in: oc_n, wiring.t_in: t_n, wiring.y_in: y_n})
         return wiring
 
+    def _outputs(self, oc, t, names) -> list[np.ndarray]:
+        """Evaluate a batch and return the rows of the named wiring outputs.
+
+        ``names`` are among ``x``, ``dx_dt``, ``rul`` and ``f``; the ``rul``
+        row comes scaled to cycles. Raises NumericError if a returned value
+        is non-finite.
+        """
+        w = self._eval_batch(oc, t)
+        rows = []
+        for name in names:
+            row = w.graph.value(getattr(w, name))[0]
+            if name == "rul":
+                row = row * self.norm.rul_max
+            if not np.isfinite(row).all():
+                raise NumericError(f"non-finite {name} output")
+            rows.append(row)
+        return rows
+
     # -- point evaluation ----------------------------------------------
 
     def latent(self, oc, t: float) -> float:
         """Health indicator at a raw snapshot and look-ahead (cycles)."""
-        w = self._eval_batch(oc, [t])
-        return float(w.graph.value(w.x)[0, 0])
+        (x,) = self._outputs(oc, [t], ("x",))
+        return float(x[0])
 
     def predict_rul(self, oc, t: float) -> float:
         """Remaining life in cycles at look-ahead t from the snapshot."""
-        w = self._eval_batch(oc, [t])
-        return float(w.graph.value(w.rul)[0, 0]) * self.norm.rul_max
-
-    def residual_inputs(self, oc, t: float) -> ResidualInputs:
-        w = self._eval_batch(oc, [t])
-        vals = [
-            float(w.graph.value(nid)[0, 0]) for nid in (w.x, w.dx_dt, w.drul_dx, w.drul_dt)
-        ]
-        if not all(math.isfinite(v) for v in vals):
-            raise NumericError("non-finite residual intermediate")
-        return ResidualInputs(*vals)
+        (rul,) = self._outputs(oc, [t], ("rul",))
+        return float(rul[0])
 
     def residual(self, oc, t: float) -> float:
         """Rate-law residual f at one point, in normalized units."""
-        w = self._eval_batch(oc, [t])
-        f = float(w.graph.value(w.f)[0, 0])
-        if not math.isfinite(f):
-            raise NumericError("non-finite residual")
-        return f
+        (f,) = self._outputs(oc, [t], ("f",))
+        return float(f[0])
 
     # -- batch cost ------------------------------------------------------
 
@@ -274,7 +270,10 @@ class PinnModel:
             pde_sum += pde * idx.shape[0]
         mse = mse_sum / n
         pde = pde_sum / n
-        return mse, pde, mse + self.config.pde_weight * pde
+        total = mse + self.config.pde_weight * pde
+        if not math.isfinite(total):
+            raise NumericError(f"non-finite mean cost (mse={mse}, pde={pde})")
+        return mse, pde, total
 
     # -- inspection ------------------------------------------------------
 
@@ -285,11 +284,7 @@ class PinnModel:
         for start in range(0, n, chunk):
             idx = np.arange(start, min(start + chunk, n))
             part = samples.take(idx)
-            w = self._eval_batch(part.oc, part.t)
-            g = w.graph
-            xs = g.value(w.x)[0]
-            dxs = g.value(w.dx_dt)[0]
-            ruls = g.value(w.rul)[0] * self.norm.rul_max
+            xs, dxs, ruls = self._outputs(part.oc, part.t, ("x", "dx_dt", "rul"))
             for j in range(idx.shape[0]):
                 points.append(
                     LatentMapPoint(
@@ -308,35 +303,12 @@ class PinnModel:
             raise ValueError("need at least one horizon")
         oc = self._check_oc(oc)
         ocs = np.repeat(oc, len(t_list), axis=0)
-        w = self._eval_batch(ocs, t_list)
-        g = w.graph
-        xs = g.value(w.x)[0]
-        dxs = g.value(w.dx_dt)[0]
-        ruls = g.value(w.rul)[0] * self.norm.rul_max
+        xs, dxs, ruls = self._outputs(ocs, t_list, ("x", "dx_dt", "rul"))
         return [(float(t), float(xs[j]), float(dxs[j]), float(ruls[j])) for j, t in enumerate(t_list)]
 
     def horizon_sweep(self, oc, t_list) -> list[tuple[float, float, float]]:
         """(t, x, predicted RUL) at each future horizon from one snapshot."""
         return [(t, x, rul) for t, x, _, rul in self.sweep(oc, t_list)]
-
-    def multi_estimate(self, oc_series, t_star: float, horizon: float = 30.0) -> list[float]:
-        """One RUL estimate of the instant ``t_star`` per (t_i, oc_i) snapshot."""
-        if not oc_series:
-            raise ValueError("need at least one snapshot")
-        ts, ocs = [], []
-        prev = None
-        for t_i, oc_i in oc_series:
-            if prev is not None and t_i < prev:
-                raise ValueError("snapshot times must be ascending")
-            prev = t_i
-            if t_i > t_star:
-                raise ValueError(f"snapshot time {t_i} is past the target {t_star}")
-            if t_star - t_i > horizon:
-                raise ValueError(f"horizon {t_star - t_i} exceeds the {horizon}-cycle bound")
-            ts.append(t_star - t_i)
-            ocs.append(np.asarray(oc_i, dtype=np.float64))
-        w = self._eval_batch(np.vstack(ocs), ts)
-        return [float(v) * self.norm.rul_max for v in w.graph.value(w.rul)[0]]
 
     def rmse_eval(self, trajectories, truth) -> tuple[float, list[tuple[int, float, float]]]:
         """RMSE in cycles of t=0 predictions at each unit's last cycle.
@@ -348,8 +320,7 @@ class PinnModel:
         if len(trajectories) != len(truth):
             raise ValueError(f"{len(trajectories)} trajectories vs {len(truth)} truth values")
         ocs = np.vstack([feature_matrix(traj, self.norm.columns)[-1] for traj in trajectories])
-        w = self._eval_batch(ocs, np.zeros(len(trajectories)))
-        preds = w.graph.value(w.rul)[0] * self.norm.rul_max
+        (preds,) = self._outputs(ocs, np.zeros(len(trajectories)), ("rul",))
         pairs = [
             (traj.unit_id, tv, float(pv)) for traj, tv, pv in zip(trajectories, truth, preds)
         ]

@@ -78,9 +78,6 @@ class MlpParams:
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise ValueError("parameters must be finite")
 
-    def copy(self) -> "MlpParams":
-        return MlpParams(self.spec, [w.copy() for w in self.weights], [b.copy() for b in self.biases])
-
 
 def init_params(spec: MlpSpec, scheme: str = "standard-normal", seed: int = 0) -> MlpParams:
     """Draw parameters from a seeded generator; same inputs, same bits.
@@ -103,21 +100,13 @@ def init_params(spec: MlpSpec, scheme: str = "standard-normal", seed: int = 0) -
     return MlpParams(spec, weights, biases)
 
 
-def _tangent_coord(spec: MlpSpec, tangent) -> int:
-    """Accept a coordinate index or a one-hot direction vector."""
-    if isinstance(tangent, (int, np.integer)):
-        coord = int(tangent)
-    else:
-        vec = np.asarray(tangent, dtype=np.float64).reshape(-1)
-        if vec.shape[0] != spec.d_in:
-            raise ValueError(f"tangent length {vec.shape[0]} != input width {spec.d_in}")
-        hot = np.flatnonzero(vec != 0.0)
-        if hot.shape[0] != 1 or vec[hot[0]] != 1.0:
-            raise ValueError("tangent must be a unit coordinate vector")
-        coord = int(hot[0])
+def _tangent_coord(spec: MlpSpec, coord) -> int:
+    """Check that ``coord`` is an input coordinate index."""
+    if not isinstance(coord, (int, np.integer)):
+        raise ValueError(f"tangent coordinate must be an integer index, got {coord!r}")
     if not 0 <= coord < spec.d_in:
         raise ValueError(f"tangent coordinate {coord} out of range for input width {spec.d_in}")
-    return coord
+    return int(coord)
 
 
 class GraphMlp:
@@ -149,18 +138,15 @@ class GraphMlp:
         out, _ = self._chain(input_id, ())
         return out
 
-    def forward_tangent(self, input_id: int, tangent) -> tuple[int, int]:
-        """Emit the layer chain plus one directional-derivative chain.
-
-        ``tangent`` is an input coordinate (index or unit vector); the
-        returned pair is (output node, output-tangent node). Requires a
-        smooth hidden activation, so relu hidden layers are rejected.
-        """
-        out, tans = self._chain(input_id, (_tangent_coord(self.spec, tangent),))
-        return out, tans[0]
-
     def forward_tangents(self, input_id: int, coords) -> tuple[int, list[int]]:
-        """Like forward_tangent but shares one primal chain across coords."""
+        """Emit the layer chain plus one directional-derivative chain per coordinate.
+
+        ``coords`` are input coordinate indices. Returns the output node
+        and, in the order of ``coords``, the node of the output's derivative
+        along each coordinate; all of them share one primal chain.
+        Requires a smooth hidden activation, so relu hidden layers are
+        rejected.
+        """
         coords = tuple(_tangent_coord(self.spec, c) for c in coords)
         return self._chain(input_id, coords)
 

@@ -84,10 +84,11 @@ class NadamState:
         return cls([np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params])
 
 
-def nadam_step(state: NadamState, params, grads, config: NadamConfig, names=None):
+def nadam_step(state: NadamState, params, grads, config: NadamConfig):
     """Apply one update in place; returns (params, state).
 
-    Raises NumericError naming the parameter if a gradient is non-finite.
+    Raises NumericError naming the buffer's list position (``#k``) if its
+    gradient is non-finite.
     """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError("params, grads and state must be parallel lists")
@@ -98,8 +99,7 @@ def nadam_step(state: NadamState, params, grads, config: NadamConfig, names=None
     c_v = 1.0 - b2**t
     for k, (theta, g) in enumerate(zip(params, grads)):
         if not np.isfinite(g).all():
-            label = names[k] if names else f"#{k}"
-            raise NumericError(f"non-finite gradient for parameter {label}")
+            raise NumericError(f"non-finite gradient for parameter #{k}")
         m, v = state.m[k], state.v[k]
         m *= b1
         m += (1.0 - b1) * g

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from pinnrul import cli, load_model
+from pinnrul import cli, load_model, save_model
 from pinnrul.modelfile import ModelFileError
 from pinnrul.cli import _write_latent_csv
 
@@ -273,6 +273,29 @@ class TestTrainEvalMapPredict:
         assert len(capsys.readouterr().out.splitlines()) == 3
         assert run_cli(["predict", "--model", str(out / "model.bin"), "--oc", oc, "--t-list", "-1,2"]) == 2
         assert ">= 0" in capsys.readouterr().err
+        # argparse abbreviations of both flags
+        assert run_cli(["predict", "--model", str(out / "model.bin"), "--o", oc, "--t", "0,1", "--csv"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
+        assert run_cli(["predict", "--model", str(out / "model.bin"), "--oc", oc, "--t", "-1,2"]) == 2
+        assert ">= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["predict", "map", "eval"])
+    def test_non_finite_prediction_is_exit_3(self, trained, tmp_path, capsys, command):
+        # finite weights, so the file loads, whose products overflow to inf
+        _, cfg, out = trained
+        model = load_model(out / "model.bin")
+        model.rul_params.weights[-1][...] = 1e308
+        model.rul_params.biases[-1][...] = 1e308
+        path = str(tmp_path / "overflow.bin")
+        save_model(model, path)
+        argv = {
+            "predict": ["predict", "--model", path, "--oc", ",".join("0" for _ in range(model.config.d_oc)), "--csv"],
+            "map": ["map", "--config", cfg, "--model", path, "--out", str(tmp_path)],
+            "eval": ["eval", "--config", cfg, "--model", path, "--out", str(tmp_path)],
+        }[command]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run_cli(argv) == 3
+        assert "non-finite" in capsys.readouterr().err
 
     def test_predict_oc_from_file(self, trained, tmp_path, capsys):
         _, _, out = trained

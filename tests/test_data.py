@@ -7,7 +7,6 @@ from pinnrul import (
     SynthSpec,
     augment,
     augmented_count,
-    apply_norm,
     fit_norm,
     parse_cmapss,
     parse_rul_truth,
@@ -15,7 +14,7 @@ from pinnrul import (
     synth_generate,
     truncate_for_eval,
 )
-from pinnrul.data import ParseError, column_ids, feature_matrix, write_augmented_csv
+from pinnrul.data import ParseError, column_ids, feature_matrix
 
 
 def cmapss_line(unit, cycle, fill=0.0):
@@ -187,25 +186,17 @@ class TestNorm:
     def test_zscore_definition(self):
         samples = self.fit_set()
         stats = fit_norm(samples)
-        oc, t, rul = apply_norm(stats, samples)
-        assert np.abs(oc.mean(axis=0)).max() < 1e-9
-        assert np.abs(oc.std(axis=0) - 1.0).max() < 1e-9
-        assert t.max() <= 1.0
-        assert rul.max() == 1.0
+        z = (samples.oc - stats.means) / stats.stds
+        assert np.abs(z.mean(axis=0)).max() < 1e-9
+        assert np.abs(z.std(axis=0) - 1.0).max() < 1e-9
+        assert stats.rul_max == samples.rul.max()
+        assert stats.columns == samples.columns
 
     def test_rul_max_is_longest_life_minus_one(self):
         trajs, _ = synth_generate(SynthSpec(n_engines=6, min_life=40, max_life=70, seed=4))
         samples = augment(trajs, horizon=30, columns=select_features(trajs))
         stats = fit_norm(samples)
         assert stats.rul_max == max(t.length for t in trajs) - 1
-
-    def test_apply_is_pure(self):
-        samples = self.fit_set()
-        stats = fit_norm(samples)
-        a = apply_norm(stats, samples)
-        b = apply_norm(stats, samples)
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
 
     def test_zero_std_rejected(self):
         samples = AugmentedSamples(
@@ -266,17 +257,3 @@ class TestSynth:
             assert tv == original.length - shortened.length
             assert list(shortened.cycles) == list(range(1, shortened.length + 1))
 
-
-class TestCsvCache:
-    def test_header_and_rows(self, tmp_path):
-        trajs, _ = synth_generate(SynthSpec(n_engines=2, seed=3))
-        cols = select_features(trajs)
-        samples = augment(trajs, horizon=5, columns=cols)
-        path = tmp_path / "cache.csv"
-        write_augmented_csv(samples, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "unit,cycle,t,rul," + ",".join(cols)
-        assert len(lines) == len(samples) + 1
-        first = lines[1].split(",")
-        assert int(first[0]) == int(samples.unit[0])
-        assert float(first[4]) == samples.oc[0, 0]

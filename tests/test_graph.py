@@ -37,9 +37,9 @@ class TestBuildAndEval:
     def test_mse_at_perfect_fit(self):
         g = Graph()
         x = g.input((3, 1))
-        target = g.constant([[0.3], [-1.2], [4.0]])
+        target = g.input((3, 1))
         loss = g.mean(g.square(g.subtract(x, target)))
-        g.eval({x: [[0.3], [-1.2], [4.0]]})
+        g.eval({x: [[0.3], [-1.2], [4.0]], target: [[0.3], [-1.2], [4.0]]})
         assert scalar(g, loss) == 0.0
 
     def test_matmul_shape(self):
@@ -78,7 +78,7 @@ class TestBuildAndEval:
         a = g.input((2, 1))
         b = g.input((1, 1))
         cat = g.concat([a, b])
-        total = g.sum(cat)
+        total = g.scale(g.mean(cat), 3.0)  # sum of the three entries
         g.eval({a: [[1.0], [2.0]], b: [[3.0]]})
         assert g.value(cat).shape == (3, 1)
         assert scalar(g, total) == 6.0
@@ -203,7 +203,7 @@ class TestGrad:
         p = g.parameter((2, 2))
         g.set_param(p, [[0.3, -1.1], [0.7, 0.2]])
         r1 = g.mean(g.square(p))
-        r2 = g.sum(g.tanh(p))
+        r2 = g.mean(g.tanh(p))
         a, b = 1.7, -0.4
         combined = g.add(g.scale(r1, a), g.scale(r2, b))
         g.eval()

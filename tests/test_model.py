@@ -7,6 +7,7 @@ from pinnrul import (
     MlpParams,
     MlpSpec,
     NormStats,
+    NumericError,
     PinnConfig,
     init_model,
 )
@@ -18,6 +19,12 @@ from conftest import (
     random_batch,
     small_random_model,
 )
+
+
+def residual_inputs(model, oc, t):
+    """(dx/dt, dRUL/dx, dRUL/dt) at one point, read from the model's wiring."""
+    w = model._eval_batch(oc, [t])
+    return [float(w.graph.value(nid)[0, 0]) for nid in (w.dx_dt, w.drul_dx, w.drul_dt)]
 
 
 def zeroed(params):
@@ -105,27 +112,27 @@ class TestResidual:
     def test_zero_rul_net_reduces_to_dynamics_output(self, model):
         model.rul_params = zeroed(model.rul_params)
         oc, t = [0.4, 0.1], 5.0
-        ri = model.residual_inputs(oc, t)
-        assert ri.drul_dt == 0.0 and ri.drul_dx == 0.0
+        dx_dt, drul_dx, drul_dt = residual_inputs(model, oc, t)
+        assert drul_dt == 0.0 and drul_dx == 0.0
 
         g = Graph()
         dyn = GraphMlp(g, model.dyn_params)
         xin = g.input((2, 1))
         out = dyn.forward(xin)
-        g.eval({xin: np.array([[ri.dx_dt], [0.0]])})
+        g.eval({xin: np.array([[dx_dt], [0.0]])})
         assert model.residual(oc, t) == pytest.approx(-float(g.value(out)[0, 0]), abs=1e-12)
 
     def test_finite_difference_reconstruction(self, model):
         oc, t = [0.35, -0.6], 9.0
         h = 1e-4
-        ri = model.residual_inputs(oc, t)
+        dx_dt, drul_dx, drul_dt = residual_inputs(model, oc, t)
         f = model.residual(oc, t)
 
         g = Graph()
         dyn = GraphMlp(g, model.dyn_params)
         xin = g.input((2, 1))
         out = dyn.forward(xin)
-        g.eval({xin: np.array([[ri.dx_dt], [ri.drul_dx]])})
+        g.eval({xin: np.array([[dx_dt], [drul_dx]])})
         dyn_value = float(g.value(out)[0, 0])
 
         fd_drul_dt = (
@@ -134,7 +141,7 @@ class TestResidual:
             * model.config.t_scale
         )
         assert fd_tolerance_ok(f, fd_drul_dt - dyn_value, rel=1e-4, abs_tol=1e-8)
-        assert ri.drul_dt == pytest.approx(fd_drul_dt, rel=1e-4)
+        assert drul_dt == pytest.approx(fd_drul_dt, rel=1e-4)
 
     def test_dyn_oracle_zeroes_residual_term(self, model):
         batch = random_batch(model, 5, n=6)
@@ -223,6 +230,17 @@ class TestCost:
         assert pde == pytest.approx(one[1], rel=1e-12)
         assert total == pytest.approx(one[2], rel=1e-12)
 
+    def test_non_finite_outputs_raise(self, model):
+        # finite weights whose products overflow: no reader may hand back inf
+        model.rul_params.weights[-1][...] = 1e308
+        model.rul_params.biases[-1][...] = 1e308
+        batch = random_batch(model, 23, n=3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError):
+                model.predict_rul(batch.oc[0], 1.0)
+            with pytest.raises(NumericError):
+                model.mean_cost(batch)
+
 
 class TestWiring:
     def test_one_graph_serves_every_batch_width(self, model, monkeypatch):
@@ -278,35 +296,6 @@ class TestInspection:
             model.horizon_sweep([0.0, 0.0], [])
         with pytest.raises(ValueError):
             model.horizon_sweep([0.0, 0.0], [-1.0])
-
-    def test_multi_estimate_single_snapshot(self, model):
-        oc = np.array([0.6, -0.1])
-        assert model.multi_estimate([(4.0, oc)], 4.0) == [model.predict_rul(oc, 0.0)]
-
-    def test_multi_estimate_thirty_snapshots(self, model):
-        rng = np.random.default_rng(0)
-        series = [(float(i), rng.normal(size=2)) for i in range(30)]
-        estimates = model.multi_estimate(series, 30.0)
-        assert len(estimates) == 30
-
-    def test_multi_estimate_time_blind_latent(self, model):
-        # zero the latent net's time column: x ignores t, so the estimates
-        # of one instant differ only through the regression net's t input
-        model.x_params.weights[0][:, -1] = 0.0
-        oc = np.array([0.25, -0.4])
-        assert model.latent(oc, 0.0) == model.latent(oc, 13.0)
-        estimates = model.multi_estimate([(1.0, oc), (5.0, oc), (9.0, oc)], 12.0)
-        expected = [model.predict_rul(oc, 12.0 - t) for t in (1.0, 5.0, 9.0)]
-        assert estimates == pytest.approx(expected, rel=1e-12)
-
-    def test_multi_estimate_validation(self, model):
-        oc = np.zeros(2)
-        with pytest.raises(ValueError):
-            model.multi_estimate([(5.0, oc)], 4.0)
-        with pytest.raises(ValueError):
-            model.multi_estimate([(0.0, oc)], 31.0)
-        with pytest.raises(ValueError):
-            model.multi_estimate([(3.0, oc), (1.0, oc)], 5.0)
 
     def test_rmse_eval_arithmetic(self, model):
         from pinnrul import EngineTrajectory

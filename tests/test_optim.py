@@ -64,8 +64,8 @@ class TestNadamStep:
         params = [np.ones((2, 2)), np.ones((1, 1))]
         grads = [np.ones((2, 2)), np.array([[np.nan]])]
         state = NadamState.for_params(params)
-        with pytest.raises(NumericError, match="rul.b1"):
-            nadam_step(state, params, grads, NadamConfig(), names=["x.W1", "rul.b1"])
+        with pytest.raises(NumericError, match="parameter #1"):
+            nadam_step(state, params, grads, NadamConfig())
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -184,7 +184,7 @@ class TestTrain:
             order = np.random.default_rng([split_seed, 1 + epoch]).permutation(len(train_set))
             for start in range(0, len(train_set), batch_size):
                 grads = ref.cost(train_set.take(order[start : start + batch_size])).grads
-                nadam_step(state, params, [grads[name] for name in names], config, names)
+                nadam_step(state, params, [grads[name] for name in names], config)
                 n_batches += 1
         assert n_batches >= 4
         assert [name for name, _ in trained.parameter_items()] == names
