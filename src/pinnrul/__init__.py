@@ -23,7 +23,6 @@ from .data import (
 from .graph import EvaluationError, Graph, GraphError, NumericError
 from .model import (
     CostBreakdown,
-    LatentMapPoint,
     PinnConfig,
     PinnModel,
     init_model,
@@ -43,7 +42,6 @@ __all__ = [
     "Graph",
     "GraphError",
     "GraphMlp",
-    "LatentMapPoint",
     "MlpParams",
     "MlpSpec",
     "NadamConfig",

@@ -166,6 +166,8 @@ def load_test_set(cfg: RunConfig):
     if cfg.dataset == "fd001":
         trajectories = dat.parse_cmapss(_read(Path(cfg.data_dir) / FD001_FILES["test"]))
         truth = dat.parse_rul_truth(_read(Path(cfg.data_dir) / FD001_FILES["rul"]))
+        if len(truth) != len(trajectories):
+            raise CliError(2, f"{len(truth)} truth values for {len(trajectories)} test engines")
         return trajectories, truth
     # held-out fleet: fresh engines, truncated mid-life like a test set
     holdout = dataclasses.replace(cfg.synth, seed=cfg.synth.seed + 1)
@@ -284,12 +286,10 @@ def cmd_eval(cfg: RunConfig, model_path: str) -> int:
     return 0
 
 
-def _write_latent_csv(points, path) -> None:
+def _write_latent_csv(table, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write("x,dx_dt,rul_pred,rul_true\n")
-        for p in points:
-            true_field = "" if p.rul_true is None else f"{p.rul_true:.9g}"
-            fh.write(f"{p.x:.9g},{p.dx_dt:.9g},{p.rul_pred:.9g},{true_field}\n")
+        fh.write("".join(map("{:.9g},{:.9g},{:.9g},{:.9g}\n".format, *table.T.tolist())))
 
 
 def cmd_map(cfg: RunConfig, model_path: str, which: str) -> int:
@@ -298,20 +298,16 @@ def cmd_map(cfg: RunConfig, model_path: str, which: str) -> int:
         trajectories = load_train_trajectories(cfg)
         samples = dat.augment(trajectories, horizon=cfg.horizon, columns=model.norm.columns)
     else:
+        # one t = 0 row per logged cycle, labelled with the engine's true RUL there
         trajectories, truth = load_test_set(cfg)
-        rows = []
-        for traj, true_last in zip(trajectories, truth):
-            feats = dat.feature_matrix(traj, model.norm.columns)
-            for i, c in enumerate(traj.cycles):
-                true_rul = true_last + (traj.length - int(c))
-                rows.append((traj.unit_id, int(c), 0, true_rul, feats[i]))
-        samples = dat.AugmentedSamples.from_rows(rows, model.norm.columns)
+        samples = dat.augment(trajectories, horizon=0, columns=model.norm.columns)
+        samples.rul += np.repeat(truth, [traj.length for traj in trajectories])
 
-    points = model.latent_map(samples)
+    table = model.latent_map(samples)
     out = _out_dir(cfg)
     path = out / f"latent_map_{which}.csv"
-    _write_latent_csv(points, path)
-    print(f"wrote {path} ({len(points)} rows)")
+    _write_latent_csv(table, path)
+    print(f"wrote {path} ({len(table)} rows)")
     return 0
 
 

@@ -4,6 +4,11 @@ The augmentation step turns every logged row into a fan of training
 points: from the row at cycle c of an engine that lived L cycles, one
 sample per integer look-ahead t = 0 .. min(horizon, L - c) is emitted
 with label (L - c) - t. Labels run down to 0 at the failure cycle.
+Samples are held column-wise in one ``AugmentedSamples``; taking a slice
+of it gives views, taking an index array gives copies.
+
+The parsers reject any token that is not a finite number, and unit ids
+and cycles that are not integers, with a ParseError naming the line.
 
 A seeded synthetic generator provides a desk-scale stand-in for the real
 turbofan files: linear sensor ramps whose snapshot determines remaining
@@ -12,6 +17,7 @@ life up to the injected noise, so trained-model error has a known floor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,6 +91,10 @@ def parse_cmapss(text: str) -> list[EngineTrajectory]:
             row = [float(tok) for tok in tokens]
         except ValueError:
             raise ParseError(f"line {lineno}: non-numeric token") from None
+        if not all(map(math.isfinite, row)):
+            raise ParseError(f"line {lineno}: non-finite token")
+        if not (row[0].is_integer() and row[1].is_integer() and abs(row[0]) < 2**63):
+            raise ParseError(f"line {lineno}: unit and cycle must be integers")
         per_unit.setdefault(int(row[0]), []).append(row)
 
     trajectories = []
@@ -111,9 +121,12 @@ def parse_rul_truth(text: str) -> list[float]:
         if len(tokens) != 1:
             raise ParseError(f"line {lineno}: expected a single value, got {len(tokens)}")
         try:
-            values.append(float(tokens[0]))
+            value = float(tokens[0])
         except ValueError:
             raise ParseError(f"line {lineno}: non-numeric token") from None
+        if not math.isfinite(value):
+            raise ParseError(f"line {lineno}: non-finite token")
+        values.append(value)
     return values
 
 
@@ -157,7 +170,7 @@ class AugmentedSamples:
         return AugmentedSample(oc=self.oc[i], t=int(self.t[i]), rul=int(self.rul[i]))
 
     def take(self, idx) -> "AugmentedSamples":
-        idx = np.asarray(idx)
+        """Rows at ``idx``: an index array copies, a slice gives views."""
         return AugmentedSamples(
             unit=self.unit[idx],
             cycle=self.cycle[idx],
@@ -165,19 +178,6 @@ class AugmentedSamples:
             rul=self.rul[idx],
             oc=self.oc[idx],
             columns=self.columns,
-        )
-
-    @classmethod
-    def from_rows(cls, rows, columns=None) -> "AugmentedSamples":
-        """Build from (unit, cycle, t, rul, oc-vector) tuples."""
-        units, cycles, ts, ruls, ocs = zip(*rows)
-        return cls(
-            unit=np.asarray(units, dtype=np.int64),
-            cycle=np.asarray(cycles, dtype=np.int64),
-            t=np.asarray(ts, dtype=np.int64),
-            rul=np.asarray(ruls, dtype=np.float64),
-            oc=np.asarray(ocs, dtype=np.float64),
-            columns=list(columns or []),
         )
 
 

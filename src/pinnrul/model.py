@@ -11,6 +11,9 @@ sweep.
 
 A model is immutable during evaluation. Its graph is built once, for
 any batch width, and rebound with current parameter values on each call.
+Whole sample sets are read CHUNK samples at a time through slice views:
+``mean_cost`` sums the cost terms, and ``latent_map`` returns one (n, 4)
+float64 table whose columns are x, dx/dt, predicted RUL and true RUL.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .net import GraphMlp, MlpParams, MlpSpec, init_params
 
 X_HIDDEN = (3, 3, 3, 3, 3)
 RUL_HIDDEN = (10, 10, 10, 10, 10)
+CHUNK = 4096  # samples per graph evaluation in mean_cost and latent_map
 
 
 @dataclass(frozen=True)
@@ -73,14 +77,6 @@ class CostBreakdown:
     pde: float
     total: float
     grads: dict[str, np.ndarray]
-
-
-@dataclass
-class LatentMapPoint:
-    x: float
-    dx_dt: float
-    rul_pred: float
-    rul_true: float | None = None
 
 
 class _Wiring:
@@ -257,17 +253,17 @@ class PinnModel:
             float(g.value(w.total)[0, 0]),
         )
 
-    def mean_cost(self, samples: AugmentedSamples, chunk: int = 4096) -> tuple[float, float, float]:
+    def mean_cost(self, samples: AugmentedSamples) -> tuple[float, float, float]:
         """Exact cost means over a sample set, evaluated in chunks."""
         n = len(samples)
         if n == 0:
             raise ValueError("mean_cost needs samples")
         mse_sum = pde_sum = 0.0
-        for start in range(0, n, chunk):
-            idx = np.arange(start, min(start + chunk, n))
-            mse, pde, _ = self.cost_values(samples.take(idx))
-            mse_sum += mse * idx.shape[0]
-            pde_sum += pde * idx.shape[0]
+        for start in range(0, n, CHUNK):
+            part = samples.take(slice(start, start + CHUNK))
+            mse, pde, _ = self.cost_values(part)
+            mse_sum += mse * len(part)
+            pde_sum += pde * len(part)
         mse = mse_sum / n
         pde = pde_sum / n
         total = mse + self.config.pde_weight * pde
@@ -277,24 +273,13 @@ class PinnModel:
 
     # -- inspection ------------------------------------------------------
 
-    def latent_map(self, samples: AugmentedSamples, chunk: int = 4096) -> list[LatentMapPoint]:
-        """(x, dx/dt, predicted RUL, true RUL) per sample, order preserved."""
-        points: list[LatentMapPoint] = []
-        n = len(samples)
-        for start in range(0, n, chunk):
-            idx = np.arange(start, min(start + chunk, n))
-            part = samples.take(idx)
-            xs, dxs, ruls = self._outputs(part.oc, part.t, ("x", "dx_dt", "rul"))
-            for j in range(idx.shape[0]):
-                points.append(
-                    LatentMapPoint(
-                        x=float(xs[j]),
-                        dx_dt=float(dxs[j]),
-                        rul_pred=float(ruls[j]),
-                        rul_true=float(part.rul[j]),
-                    )
-                )
-        return points
+    def latent_map(self, samples: AugmentedSamples) -> np.ndarray:
+        """(n, 4) table of x, dx/dt, predicted RUL, true RUL; order preserved."""
+        chunks = [np.empty((4, 0))]
+        for start in range(0, len(samples), CHUNK):
+            part = samples.take(slice(start, start + CHUNK))
+            chunks.append(np.array([*self._outputs(part.oc, part.t, ("x", "dx_dt", "rul")), part.rul]))
+        return np.concatenate(chunks, axis=1).T
 
     def sweep(self, oc, t_list) -> list[tuple[float, float, float, float]]:
         """(t, x, dx/dt, predicted RUL) per horizon from one snapshot."""

@@ -1,4 +1,7 @@
-"""Shared helpers: random graph/model builders and finite-difference checks."""
+"""Shared helpers: random graph/model builders, finite-difference checks and
+FD001-style data files."""
+
+import json
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from pinnrul import (
     MlpSpec,
     NormStats,
     PinnConfig,
+    cli,
     init_model,
 )
 
@@ -154,6 +158,42 @@ def dyn_preactivations_safe(model, batch, margin=1e-3):
         else:
             h = z
     return True
+
+
+def write_fd001_style(tmp_path, n_units=2, length=40, test_length=25):
+    """Tiny files in the 26-column format plus a truth file."""
+    rng = np.random.default_rng(0)
+
+    def rows(n_units, length):
+        lines = []
+        for unit in range(1, n_units + 1):
+            for cycle in range(1, length + 1):
+                settings = [0.0, 0.0, 100.0]
+                sensors = [rng.normal(10 * j, 1.0) + 0.05 * cycle for j in range(21)]
+                vals = [unit, cycle] + settings + sensors
+                lines.append(" ".join(f"{v:.4f}" for v in vals))
+        return "\n".join(lines) + "\n"
+
+    (tmp_path / "train_FD001.txt").write_text(rows(n_units, length))
+    (tmp_path / "test_FD001.txt").write_text(rows(n_units, test_length))
+    (tmp_path / "RUL_FD001.txt").write_text("".join(f"{length - test_length}\n" for _ in range(n_units)))
+
+
+def fd001_config(data_dir):
+    """Path of a one-epoch ``fd001`` run config reading from ``data_dir``."""
+    cfg = {"dataset": "fd001", "data_dir": str(data_dir), "epochs": 1, "batch_size": 128, "output_dir": str(data_dir / "out")}
+    path = data_dir / "c.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def fd001_dir(tmp_path_factory):
+    """FD001-style files and, under ``out/``, a model trained on them for one epoch."""
+    path = tmp_path_factory.mktemp("fd001")
+    write_fd001_style(path)
+    assert cli.main(["train", "--config", fd001_config(path)]) == 0
+    return path
 
 
 @pytest.fixture

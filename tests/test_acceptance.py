@@ -267,10 +267,10 @@ def test_criterion_6_horizon_sweep_oracle(synthetic_run):
 def test_criterion_6_latent_map_structure(synthetic_run):
     # the health map must track the labels and vary coherently with x
     trained, _, samples, _, _ = synthetic_run
-    points = trained.latent_map(samples.take(np.arange(0, len(samples), 7)))
-    x = np.array([p.x for p in points])
-    pred = np.array([p.rul_pred for p in points])
-    true = np.array([p.rul_true for p in points])
+    table = trained.latent_map(samples.take(np.arange(0, len(samples), 7)))
+    x = table[:, 0]
+    pred = table[:, 2]
+    true = table[:, 3]
     fidelity = float(np.corrcoef(pred, true)[0, 1])
     alignment = abs(float(np.corrcoef(x, pred)[0, 1]))
     ok = fidelity > 0.99 and alignment > 0.5

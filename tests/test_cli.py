@@ -6,6 +6,9 @@ import pytest
 from pinnrul import cli, load_model, save_model
 from pinnrul.modelfile import ModelFileError
 from pinnrul.cli import _write_latent_csv
+from pinnrul.data import feature_matrix
+
+from conftest import fd001_config, write_fd001_style
 
 
 def run_cli(argv):
@@ -32,25 +35,6 @@ def synth_config(tmp_path, **over):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return str(path)
-
-
-def write_fd001_style(tmp_path, n_units=2, length=40, test_length=25):
-    """Tiny files in the 26-column format plus a truth file."""
-    rng = np.random.default_rng(0)
-
-    def rows(n_units, length):
-        lines = []
-        for unit in range(1, n_units + 1):
-            for cycle in range(1, length + 1):
-                settings = [0.0, 0.0, 100.0]
-                sensors = [rng.normal(10 * j, 1.0) + 0.05 * cycle for j in range(21)]
-                vals = [unit, cycle] + settings + sensors
-                lines.append(" ".join(f"{v:.4f}" for v in vals))
-        return "\n".join(lines) + "\n"
-
-    (tmp_path / "train_FD001.txt").write_text(rows(n_units, length))
-    (tmp_path / "test_FD001.txt").write_text(rows(n_units, test_length))
-    (tmp_path / "RUL_FD001.txt").write_text("".join(f"{length - test_length}\n" for _ in range(n_units)))
 
 
 class TestConfig:
@@ -218,6 +202,22 @@ class TestTrainEvalMapPredict:
         assert len(lines) > 3
         assert all(len(line.split(",")) == 4 for line in lines[1:])
 
+    def test_map_test_split_values(self, trained):
+        # each logged cycle c of a test engine is one t = 0 row labelled truth + (L - c)
+        _, cfg, out = trained
+        assert run_cli(["map", "--config", cfg, "--model", str(out / "model.bin"), "--which", "test"]) == 0
+        table = np.loadtxt(out / "latent_map_test.csv", delimiter=",", skiprows=1)
+        model = load_model(out / "model.bin")
+        trajectories, truth = cli.load_test_set(cli.load_config(cfg))
+        rows = [(traj, true_last, int(c)) for traj, true_last in zip(trajectories, truth) for c in traj.cycles]
+        assert table.shape == (len(rows), 4)
+        assert table[:, 3].tolist() == [true_last + traj.length - c for traj, true_last, c in rows]
+        for i in (0, len(rows) // 2, len(rows) - 1):
+            traj, _, c = rows[i]
+            oc = feature_matrix(traj, model.norm.columns)[c - 1]
+            assert table[i, 0] == pytest.approx(model.latent(oc, 0.0), rel=1e-8, abs=1e-9)
+            assert table[i, 2] == pytest.approx(model.predict_rul(oc, 0.0), rel=1e-8, abs=1e-9)
+
     def test_map_train_split_row_count(self, trained):
         _, cfg, out = trained
         assert run_cli(["map", "--config", cfg, "--model", str(out / "model.bin"), "--which", "train"]) == 0
@@ -325,44 +325,44 @@ class TestFd001StylePipeline:
         lines = (tmp_path / "out" / "pred_vs_true.csv").read_text().splitlines()
         assert len(lines) == 3
 
-    def test_map_with_mismatched_model_is_exit_2(self, tmp_path, capsys):
+    def test_map_with_mismatched_model_is_exit_2(self, fd001_dir, tmp_path, capsys):
         # a 21-sensor model cannot map 6-channel synthetic data
-        write_fd001_style(tmp_path)
-        fd_cfg = tmp_path / "fd.json"
-        fd_cfg.write_text(
-            json.dumps(
-                {
-                    "dataset": "fd001",
-                    "data_dir": str(tmp_path),
-                    "epochs": 1,
-                    "batch_size": 128,
-                    "output_dir": str(tmp_path / "out"),
-                }
-            )
-        )
-        assert run_cli(["train", "--config", str(fd_cfg)]) == 0
-        synth_cfg = synth_config(tmp_path)
-        code = run_cli(["map", "--config", synth_cfg, "--model", str(tmp_path / "out" / "model.bin"), "--which", "test"])
-        assert code == 2
+        model = str(fd001_dir / "out" / "model.bin")
+        assert run_cli(["map", "--config", synth_config(tmp_path), "--model", model, "--which", "test"]) == 2
         assert "column" in capsys.readouterr().err
 
-    def test_truth_count_mismatch_is_exit_2(self, tmp_path):
+    def test_truth_count_mismatch_is_exit_2(self, fd001_dir, tmp_path, capsys):
         write_fd001_style(tmp_path)
-        (tmp_path / "RUL_FD001.txt").write_text("15\n")  # one value for two engines
-        cfg_dict = {
-            "dataset": "fd001",
-            "data_dir": str(tmp_path),
-            "epochs": 1,
-            "batch_size": 128,
-            "output_dir": str(tmp_path / "out"),
-        }
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps(cfg_dict))
-        assert run_cli(["train", "--config", str(cfg)]) == 0
-        assert run_cli(["eval", "--config", str(cfg), "--model", str(tmp_path / "out" / "model.bin")]) == 2
+        cfg = fd001_config(tmp_path)
+        model = str(fd001_dir / "out" / "model.bin")
+        for truth, count in (("15\n", 1), ("15\n15\n15\n", 3)):
+            (tmp_path / "RUL_FD001.txt").write_text(truth)
+            for command in ("eval", "map"):  # map exports the test split by default
+                assert run_cli([command, "--config", cfg, "--model", model]) == 2
+                assert f"{count} truth values for 2 test engines" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check-data", "train"])
+    def test_nan_sensor_is_exit_2(self, tmp_path, capsys, command):
+        # variance of a nan column is nan, so feature selection would drop it silently
+        write_fd001_style(tmp_path)
+        path = tmp_path / "train_FD001.txt"
+        lines = path.read_text().splitlines()
+        tokens = lines[6].split()
+        tokens[10] = "nan"  # sensor s6
+        lines[6] = " ".join(tokens)
+        path.write_text("\n".join(lines) + "\n")
+        assert run_cli([command, "--config", fd001_config(tmp_path)]) == 2
+        assert "line 7: non-finite token" in capsys.readouterr().err
+
+    def test_nan_truth_line_is_exit_2(self, fd001_dir, tmp_path, capsys):
+        write_fd001_style(tmp_path)
+        (tmp_path / "RUL_FD001.txt").write_text("15\nnan\n")
+        assert run_cli(["eval", "--config", fd001_config(tmp_path), "--model", str(fd001_dir / "out" / "model.bin")]) == 2
+        assert "line 2: non-finite token" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "eval.json").exists()
 
 
 def test_latent_csv_writer_empty(tmp_path):
     path = tmp_path / "empty.csv"
-    _write_latent_csv([], path)
+    _write_latent_csv(np.empty((0, 4)), path)
     assert path.read_text() == "x,dx_dt,rul_pred,rul_true\n"

@@ -59,6 +59,23 @@ class TestParsing:
         with pytest.raises(ParseError, match="line 1"):
             parse_cmapss(bad)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_token_reports_line(self, token):
+        tokens = cmapss_line(1, 2).split()
+        tokens[10] = token  # sensor s6
+        text = cmapss_line(1, 1) + "\n" + " ".join(tokens) + "\n"
+        with pytest.raises(ParseError, match="line 2: non-finite"):
+            parse_cmapss(text)
+
+    @pytest.mark.parametrize("column, token", [(0, "1e99"), (0, "1.5"), (1, "2.5")])
+    def test_unit_and_cycle_must_be_integers(self, column, token):
+        # a unit id past int64 used to overflow in augment with a traceback
+        tokens = cmapss_line(1, 2).split()
+        tokens[column] = token
+        text = cmapss_line(1, 1) + "\n" + " ".join(tokens) + "\n"
+        with pytest.raises(ParseError, match="line 2: unit and cycle"):
+            parse_cmapss(text)
+
     def test_blank_lines_skipped(self):
         text = cmapss_line(1, 1) + "\n\n" + cmapss_line(1, 2) + "\n  \n"
         assert parse_cmapss(text)[0].length == 2
@@ -72,6 +89,11 @@ class TestParsing:
     def test_rul_truth_bad_token(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_rul_truth("10\nxx\n")
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
+    def test_rul_truth_non_finite_reports_line(self, token):
+        with pytest.raises(ParseError, match="line 2: non-finite"):
+            parse_rul_truth(f"10\n{token}\n")
 
     def test_rul_truth_two_values_on_line(self):
         with pytest.raises(ParseError, match="line 1"):
@@ -175,6 +197,15 @@ class TestAugment:
         samples = augment(trajs, horizon=4)
         order = np.lexsort((samples.t, samples.cycle, samples.unit))
         assert np.array_equal(order, np.arange(len(samples)))
+
+    @pytest.mark.parametrize("a, b", [(0, 5), (3, 11), (20, 10**6), (7, 7)])
+    def test_take_slice_equals_take_indices(self, a, b):
+        samples = augment([make_traj(2, 6), make_traj(1, 5)], horizon=4)
+        got = samples.take(slice(a, b))
+        want = samples.take(np.arange(a, min(b, len(samples))))
+        for name in ("unit", "cycle", "t", "rul", "oc"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.columns == want.columns
 
 
 class TestNorm:

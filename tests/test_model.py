@@ -222,9 +222,10 @@ class TestCost:
         for name in a.grads:
             assert np.array_equal(a.grads[name], b.grads[name])
 
-    def test_mean_cost_matches_single_batch(self, model):
+    def test_mean_cost_matches_single_batch(self, model, monkeypatch):
+        monkeypatch.setattr("pinnrul.model.CHUNK", 3)
         batch = random_batch(model, 22, n=10)
-        mse, pde, total = model.mean_cost(batch, chunk=3)
+        mse, pde, total = model.mean_cost(batch)
         one = model.cost_values(batch)
         assert mse == pytest.approx(one[0], rel=1e-12)
         assert pde == pytest.approx(one[1], rel=1e-12)
@@ -269,21 +270,22 @@ class TestWiring:
 class TestInspection:
     def test_latent_map_empty(self, model):
         empty = random_batch(model, 1, n=2).take(np.array([], dtype=int))
-        assert model.latent_map(empty) == []
+        assert model.latent_map(empty).shape == (0, 4)
 
     def test_latent_map_single_matches_predict(self, model):
         batch = random_batch(model, 17, n=1)
-        (point,) = model.latent_map(batch)
-        assert point.rul_pred == model.predict_rul(batch.oc[0], float(batch.t[0]))
-        assert point.rul_true == float(batch.rul[0])
-        assert point.x == model.latent(batch.oc[0], float(batch.t[0]))
+        table = model.latent_map(batch)
+        assert table.shape == (1, 4)
+        assert table[0, 2] == model.predict_rul(batch.oc[0], float(batch.t[0]))
+        assert table[0, 3] == float(batch.rul[0])
+        assert table[0, 0] == model.latent(batch.oc[0], float(batch.t[0]))
 
-    def test_latent_map_preserves_order(self, model):
+    def test_latent_map_preserves_order(self, model, monkeypatch):
+        monkeypatch.setattr("pinnrul.model.CHUNK", 3)
         batch = random_batch(model, 18, n=7)
-        points = model.latent_map(batch, chunk=3)
-        assert len(points) == 7
-        for i, p in enumerate(points):
-            assert p.rul_true == float(batch.rul[i])
+        table = model.latent_map(batch)
+        assert table.shape == (7, 4)
+        assert np.array_equal(table[:, 3], batch.rul)
 
     def test_horizon_sweep_entries(self, model):
         oc = [0.1, 0.2]

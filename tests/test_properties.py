@@ -1,6 +1,7 @@
 """Property tests of the CLI exit-code contract on damaged or random input.
 
-Whatever the input, a command returns 0, 2 or 3 and never raises.
+Whatever the input, a command returns 0, 2 or 3 (or 1, when check-data
+finds counts that differ from FD001's) and never raises.
 """
 
 import json
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from pinnrul import cli, save_model
 
-from conftest import small_random_model
+from conftest import fd001_config, small_random_model
 
 ALLOWED = (0, 2, 3)
 
@@ -81,3 +82,48 @@ def test_random_config_check_data(tmp_path_factory, config):
     path.write_text(json.dumps(config))
     with np.errstate(all="ignore"):
         assert cli.main(["check-data", "--config", str(path)]) in ALLOWED
+
+
+# numbers, non-finite spellings ("nan", "inf", "1e999") and garbage
+TOKEN = st.sampled_from(["nan", "inf", "-inf", "1e999"]) | st.text("0123456789.e+-naif", min_size=1, max_size=6)
+
+
+def damaged_text(text, data):
+    """``text`` with one line changed: a token replaced, the line cut short,
+    a column added, the line dropped or the line repeated."""
+    lines = text.splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    tokens = lines[i].split()
+    how = data.draw(st.sampled_from(["replace", "cut", "add column", "drop line", "repeat line"]), label="how")
+    if how == "replace":
+        tokens[data.draw(st.integers(0, len(tokens) - 1), label="column")] = data.draw(TOKEN, label="token")
+    elif how == "cut":
+        tokens = tokens[: data.draw(st.integers(0, len(tokens) - 1), label="keep")]
+    elif how == "add column":
+        tokens.append(data.draw(TOKEN, label="token"))
+    if how == "drop line":
+        del lines[i]
+    elif how == "repeat line":
+        lines.insert(i, lines[i])
+    else:
+        lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_damaged_data_files_check_data_and_eval(fd001_dir, tmp_path_factory, data):
+    data_dir = tmp_path_factory.getbasetemp() / "damaged"
+    data_dir.mkdir(exist_ok=True)
+    target = data.draw(st.sampled_from(sorted(cli.FD001_FILES.values())), label="file")
+    for name in cli.FD001_FILES.values():
+        text = (fd001_dir / name).read_text()
+        (data_dir / name).write_text(damaged_text(text, data) if name == target else text)
+    cfg = fd001_config(data_dir)
+    (data_dir / "out" / "eval.json").unlink(missing_ok=True)
+    with np.errstate(all="ignore"):
+        assert cli.main(["check-data", "--config", cfg]) in (0, 1, 2, 3)
+        code = cli.main(["eval", "--config", cfg, "--model", str(fd001_dir / "out" / "model.bin")])
+    assert code in ALLOWED
+    if code == 0:  # no silent NaN: the written RMSE is finite JSON
+        assert np.isfinite(json.loads((data_dir / "out" / "eval.json").read_text())["rmse_test"])
