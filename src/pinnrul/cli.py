@@ -154,9 +154,18 @@ def _read(path: Path) -> str:
     return path.read_text()
 
 
+def _engines(cfg: RunConfig, which: str):
+    """Trajectories of one FD001-style file; a file with no engine rows is a data error."""
+    path = Path(cfg.data_dir) / FD001_FILES[which]
+    trajectories = dat.parse_cmapss(_read(path))
+    if not trajectories:
+        raise CliError(2, f"{path}: no engine rows")
+    return trajectories
+
+
 def load_train_trajectories(cfg: RunConfig):
     if cfg.dataset == "fd001":
-        return dat.parse_cmapss(_read(Path(cfg.data_dir) / FD001_FILES["train"]))
+        return _engines(cfg, "train")
     trajectories, _ = dat.synth_generate(cfg.synth)
     return trajectories
 
@@ -164,7 +173,7 @@ def load_train_trajectories(cfg: RunConfig):
 def load_test_set(cfg: RunConfig):
     """Test trajectories plus the true RUL at each one's last cycle."""
     if cfg.dataset == "fd001":
-        trajectories = dat.parse_cmapss(_read(Path(cfg.data_dir) / FD001_FILES["test"]))
+        trajectories = _engines(cfg, "test")
         truth = dat.parse_rul_truth(_read(Path(cfg.data_dir) / FD001_FILES["rul"]))
         if len(truth) != len(trajectories):
             raise CliError(2, f"{len(truth)} truth values for {len(trajectories)} test engines")
@@ -196,6 +205,20 @@ def _load_model(path: str) -> PinnModel:
         raise CliError(2, f"model file not found: {path}") from None
     except ModelFileError as exc:
         raise CliError(2, str(exc)) from None
+
+
+def _training_report(model_path: str) -> dict | None:
+    """The ``training_report.json`` next to the model, or None if there is none."""
+    path = Path(model_path).parent / "training_report.json"
+    if not path.is_file():
+        return None
+    try:
+        report = json.loads(path.read_text())
+    except ValueError as exc:
+        raise CliError(2, f"training report {path} is not valid JSON: {exc}") from None
+    if not isinstance(report, dict) or not {"final_rmse_val", "per_epoch"} <= report.keys():
+        raise CliError(2, f"training report {path} is not a JSON object with final_rmse_val and per_epoch")
+    return report
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -258,6 +281,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
 def cmd_eval(cfg: RunConfig, model_path: str) -> int:
     model = _load_model(model_path)
+    training = _training_report(model_path)
     trajectories, truth = load_test_set(cfg)
     started = time.perf_counter()
     try:
@@ -271,12 +295,10 @@ def cmd_eval(cfg: RunConfig, model_path: str) -> int:
         for unit, true_v, pred_v in pairs:
             fh.write(f"{unit},{true_v:.9g},{pred_v:.9g}\n")
 
-    report_path = Path(model_path).parent / "training_report.json"
-    training = json.loads(report_path.read_text()) if report_path.is_file() else None
     metrics = {
         "rmse_test": rmse,
-        "rmse_val": training["final_rmse_val"] if training else None,
-        "per_epoch": training["per_epoch"] if training else None,
+        "rmse_val": None if training is None else training["final_rmse_val"],
+        "per_epoch": None if training is None else training["per_epoch"],
         "config": cfg.to_dict(),
         "seeds": {"init": model.init_seed, "split": model.split_seed},
         "wall_time": time.perf_counter() - started,

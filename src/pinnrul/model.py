@@ -9,8 +9,12 @@ labels. Both derivatives are forward-tangent nodes in the same graph,
 which makes the penalty differentiable w.r.t. all weights in one reverse
 sweep.
 
-A model is immutable during evaluation. Its graph is built once, for
-any batch width, and rebound with current parameter values on each call.
+A model owns one float64 vector ``theta`` holding every weight and bias;
+``_layout`` is the only code that knows their order, which is also the
+order of the ``model.bin`` body. Each network's ``MlpParams`` are views
+of ``theta``, so parameters change only in place. The graph is built
+once, for any batch width, and binds those views, so it sees every
+change without rebinding.
 Whole sample sets are read CHUNK samples at a time through slice views:
 ``mean_cost`` sums the cost terms, and ``latent_map`` returns one (n, 4)
 float64 table whose columns are x, dx/dt, predicted RUL and true RUL.
@@ -57,6 +61,12 @@ class PinnConfig:
         if self.t_scale <= 0:
             raise ValueError("t_scale must be positive")
 
+    @property
+    def n_params(self) -> int:
+        """Length of a model's parameter vector ``theta``."""
+        specs = (self.x_spec, self.rul_spec, self.dyn_spec)
+        return sum(w[0] * w[1] + b[0] for spec in specs for w, b in spec.layer_shapes())
+
     @classmethod
     def default(cls, d_oc: int, pde_weight: float = 1.0, t_scale: float = 30.0) -> "PinnConfig":
         return cls(
@@ -79,6 +89,30 @@ class CostBreakdown:
     grads: dict[str, np.ndarray]
 
 
+def _layout(config: PinnConfig, theta: np.ndarray):
+    """Cut ``theta`` into one view per weight and bias buffer.
+
+    This is the one statement of the parameter order, which is also the
+    order of the ``model.bin`` body: networks x, rul, dyn; per layer the
+    weight matrix W (out x in, row-major), then the bias column b.
+    Returns the (name, view) pairs in that order and each network's
+    ``MlpParams`` over the same views, keyed ``x``, ``rul``, ``dyn``.
+    """
+    if theta.dtype != np.float64 or theta.shape != (config.n_params,):
+        raise ValueError(f"theta must be float64 of shape ({config.n_params},), got {theta.dtype} {theta.shape}")
+    items, nets, start = [], {}, 0
+    for prefix, spec in (("x", config.x_spec), ("rul", config.rul_spec), ("dyn", config.dyn_spec)):
+        weights, biases = [], []
+        for i, shapes in enumerate(spec.layer_shapes(), start=1):
+            for kind, shape, bufs in zip("Wb", shapes, (weights, biases)):
+                stop = start + shape[0] * shape[1]
+                bufs.append(theta[start:stop].reshape(shape))
+                items.append((f"{prefix}.{kind}{i}", bufs[-1]))
+                start = stop
+        nets[prefix] = MlpParams(spec, tuple(weights), tuple(biases))
+    return items, nets
+
+
 class _Wiring:
     """The model's graph: inputs, three bound networks, cost outputs.
 
@@ -86,16 +120,16 @@ class _Wiring:
     batch width.
     """
 
-    def __init__(self, config: PinnConfig, x_params, rul_params, dyn_params, dyn_oracle: bool):
+    def __init__(self, config: PinnConfig, items, nets, dyn_oracle: bool):
         g = Graph()
         self.graph = g
         self.oc_in = g.input((config.d_oc, None))
         self.t_in = g.input((1, None))
         self.y_in = g.input((1, None))
 
-        self.x_mlp = GraphMlp(g, x_params)
-        self.rul_mlp = GraphMlp(g, rul_params)
-        self.dyn_mlp = GraphMlp(g, dyn_params)
+        self.x_mlp = GraphMlp(g, nets["x"])
+        self.rul_mlp = GraphMlp(g, nets["rul"])
+        self.dyn_mlp = GraphMlp(g, nets["dyn"])
 
         x_input = g.concat([self.oc_in, self.t_in])
         self.x, (self.dx_dt,) = self.x_mlp.forward_tangents(x_input, [config.d_oc])
@@ -115,48 +149,53 @@ class _Wiring:
         self.pde = g.mean(g.square(self.f))
         self.total = g.add(self.mse, g.scale(self.pde, config.pde_weight))
 
-        self.param_ids = (
-            self.x_mlp.param_nodes() + self.rul_mlp.param_nodes() + self.dyn_mlp.param_nodes()
-        )
-        self.named_params = None  # (name, node id) pairs, made by the first ``cost`` call
-
-    def sync(self, x_params, rul_params, dyn_params):
-        self.x_mlp.set_values(x_params)
-        self.rul_mlp.set_values(rul_params)
-        self.dyn_mlp.set_values(dyn_params)
+        param_ids = self.x_mlp.param_nodes() + self.rul_mlp.param_nodes() + self.dyn_mlp.param_nodes()
+        self.named_params = [(name, nid) for (name, _), nid in zip(items, param_ids)]
 
 
 @dataclass
 class PinnModel:
-    """Trained or fresh parameter set plus the normalization contract."""
+    """Parameter vector plus architecture and normalization contract.
+
+    ``theta`` holds every weight and bias in ``_layout`` order. The
+    read-only ``x_params``, ``rul_params`` and ``dyn_params`` are views of
+    it. None of the four can be rebound; write through them in place.
+    """
 
     config: PinnConfig
-    x_params: MlpParams
-    rul_params: MlpParams
-    dyn_params: MlpParams
+    theta: np.ndarray = field(repr=False)
     norm: NormStats
     init_scheme: str = "standard-normal"
     init_seed: int = 0
     split_seed: int | None = None  # set by training, None for a fresh model
     _wirings: dict = field(default_factory=dict, repr=False, compare=False)  # by dyn_oracle
 
+    def __post_init__(self):
+        self._items, self._nets = _layout(self.config, self.theta)
+        if not np.isfinite(self.theta).all():
+            name = next(name for name, buf in self._items if not np.isfinite(buf).all())
+            raise ValueError(f"non-finite parameter {name}")
+
+    def __setattr__(self, name, value):
+        # ``model.theta *= c`` works in place and then rebinds the same array
+        if name == "theta" and hasattr(self, "_items") and value is not self.theta:
+            raise AttributeError("theta is cut into the graph's views; change it in place")
+        super().__setattr__(name, value)
+
+    x_params = property(lambda self: self._nets["x"], doc="Latent network buffers, views of ``theta``.")
+    rul_params = property(lambda self: self._nets["rul"], doc="RUL network buffers, views of ``theta``.")
+    dyn_params = property(lambda self: self._nets["dyn"], doc="Rate network buffers, views of ``theta``.")
+
     # -- plumbing -----------------------------------------------------
 
     def parameter_items(self):
-        """Canonical (name, buffer) order: x, rul, dyn; per layer W then b."""
-        items = []
-        for prefix, params in (("x", self.x_params), ("rul", self.rul_params), ("dyn", self.dyn_params)):
-            for i, (w, b) in enumerate(zip(params.weights, params.biases), start=1):
-                items.append((f"{prefix}.W{i}", w))
-                items.append((f"{prefix}.b{i}", b))
-        return items
+        """(name, view) of every buffer, tiling ``theta`` in ``_layout`` order."""
+        return list(self._items)
 
     def _wiring(self, dyn_oracle: bool = False) -> _Wiring:
         wiring = self._wirings.get(dyn_oracle)
         if wiring is None:
-            wiring = _Wiring(self.config, self.x_params, self.rul_params, self.dyn_params, dyn_oracle)
-            self._wirings[dyn_oracle] = wiring
-        wiring.sync(self.x_params, self.rul_params, self.dyn_params)
+            wiring = self._wirings[dyn_oracle] = _Wiring(self.config, self._items, self._nets, dyn_oracle)
         return wiring
 
     def _check_oc(self, oc) -> np.ndarray:
@@ -236,8 +275,6 @@ class PinnModel:
         if not math.isfinite(total):
             raise NumericError(f"non-finite total cost (mse={mse}, pde={pde})")
         node_grads = g.grad(w.total)
-        if w.named_params is None:
-            w.named_params = list(zip([name for name, _ in self.parameter_items()], w.param_ids))
         grads = {name: node_grads[nid] for name, nid in w.named_params}
         return CostBreakdown(mse=mse, pde=pde, total=total, grads=grads)
 
@@ -321,12 +358,9 @@ def init_model(
 ) -> PinnModel:
     """Fresh model; the three networks get independent seeded draws."""
     seeds = np.random.SeedSequence(init_seed).generate_state(3, dtype=np.uint64)
-    return PinnModel(
-        config=config,
-        x_params=init_params(config.x_spec, scheme, int(seeds[0])),
-        rul_params=init_params(config.rul_spec, scheme, int(seeds[1])),
-        dyn_params=init_params(config.dyn_spec, scheme, int(seeds[2])),
-        norm=norm,
-        init_scheme=scheme,
-        init_seed=int(init_seed),
-    )
+    model = PinnModel(config, np.zeros(config.n_params), norm, init_scheme=scheme, init_seed=int(init_seed))
+    for params, seed in zip((model.x_params, model.rul_params, model.dyn_params), seeds):
+        drawn = init_params(params.spec, scheme, int(seed))
+        for view, value in zip((*params.weights, *params.biases), (*drawn.weights, *drawn.biases)):
+            view[...] = value
+    return model

@@ -6,8 +6,8 @@ Layout:
     line 2   decimal byte length of the JSON header, then "\n"
     header   JSON (sorted keys, compact separators): format version,
              architecture, init scheme/seed, cost settings, normalization
-    body     raw little-endian float64 buffers, row-major, in canonical
-             order (x, rul, dyn networks; per layer W then b)
+    body     the model's parameter vector ``theta`` as raw little-endian
+             float64, in the order set by ``model._layout``
 
 Header serialization is deterministic and float values round-trip via
 repr, so save -> load -> save reproduces the bytes exactly.
@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import NormStats
 from .model import PinnConfig, PinnModel
-from .net import MlpParams, MlpSpec
+from .net import MlpSpec
 
 MAGIC = b"PINNRUL-BIN 1\n"
 FORMAT_VERSION = 1
@@ -76,8 +76,7 @@ def save_model(model: PinnModel, path) -> None:
         fh.write(f"{len(header)}\n".encode("ascii"))
         fh.write(header)
         fh.write(b"\n")
-        for _, buf in model.parameter_items():
-            fh.write(np.ascontiguousarray(buf, dtype="<f8").tobytes())
+        fh.write(np.asarray(model.theta, dtype="<f8").tobytes())
 
 
 def load_model(path) -> PinnModel:
@@ -128,34 +127,19 @@ def load_model(path) -> PinnModel:
     except (TypeError, ValueError) as exc:
         raise ModelFileError(f"{path}: bad header ({exc})") from None
 
-    offset = 0
-
-    def read_params(spec: MlpSpec) -> MlpParams:
-        nonlocal offset
-        weights, biases = [], []
-        for w_shape, b_shape in spec.layer_shapes():
-            for shape, sink in ((w_shape, weights), (b_shape, biases)):
-                count = shape[0] * shape[1]
-                raw = body[offset : offset + 8 * count]
-                if len(raw) != 8 * count:
-                    raise ModelFileError(f"{path}: truncated parameter section")
-                sink.append(np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape))
-                offset += 8 * count
-        return MlpParams(spec, weights, biases)
-
-    x_params = read_params(config.x_spec)
-    rul_params = read_params(config.rul_spec)
-    dyn_params = read_params(config.dyn_spec)
-    if offset != len(body):
-        raise ModelFileError(f"{path}: {len(body) - offset} trailing bytes")
-
-    return PinnModel(
-        config=config,
-        x_params=x_params,
-        rul_params=rul_params,
-        dyn_params=dyn_params,
-        norm=norm,
-        init_scheme=init_scheme,
-        init_seed=init_seed,
-        split_seed=split_seed,
-    )
+    size = 8 * config.n_params
+    if len(body) < size:
+        raise ModelFileError(f"{path}: truncated parameter section")
+    if len(body) > size:
+        raise ModelFileError(f"{path}: {len(body) - size} trailing bytes")
+    try:
+        return PinnModel(
+            config=config,
+            theta=np.frombuffer(body, dtype="<f8").astype(np.float64),
+            norm=norm,
+            init_scheme=init_scheme,
+            init_seed=init_seed,
+            split_seed=split_seed,
+        )
+    except ValueError as exc:
+        raise ModelFileError(f"{path}: {exc}") from None

@@ -59,9 +59,7 @@ class MlpSpec:
 class MlpParams:
     """Weight matrices (out x in) and bias columns for one MlpSpec.
 
-    Immutable by convention once handed to a model; the trainer draws its
-    own, makes each buffer a view of one parameter vector and updates that
-    vector in place.
+    A model's are views of its parameter vector, cut by ``model._layout``.
     """
 
     spec: MlpSpec
@@ -75,8 +73,6 @@ class MlpParams:
         for (ws, bs), w, b in zip(shapes, self.weights, self.biases):
             if w.shape != ws or b.shape != bs:
                 raise ValueError(f"layer buffer shapes {w.shape}/{b.shape} do not match spec {ws}/{bs}")
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise ValueError("parameters must be finite")
 
 
 def init_params(spec: MlpSpec, scheme: str = "standard-normal", seed: int = 0) -> MlpParams:
@@ -110,7 +106,11 @@ def _tangent_coord(spec: MlpSpec, coord) -> int:
 
 
 class GraphMlp:
-    """One MLP's parameters embedded in a graph as trainable nodes."""
+    """One MLP's parameters embedded in a graph as trainable nodes.
+
+    The graph keeps the float64 buffers themselves, not copies, so each
+    ``eval`` reads their current values.
+    """
 
     def __init__(self, graph: Graph, params: MlpParams):
         self.graph = graph
@@ -122,12 +122,6 @@ class GraphMlp:
             graph.set_param(w_id, w)
             graph.set_param(b_id, b)
             self.layers.append((w_id, b_id))
-
-    def set_values(self, params: MlpParams) -> None:
-        """Rebind parameter node values (shapes must match the spec)."""
-        for (w_id, b_id), w, b in zip(self.layers, params.weights, params.biases):
-            self.graph.set_param(w_id, w)
-            self.graph.set_param(b_id, b)
 
     def param_nodes(self):
         """Flat (W1, b1, W2, b2, ...) node ids in layer order."""

@@ -17,14 +17,10 @@ grows at most about lr per step however large the gradient is.
 
 Every operation of the rule is elementwise, so it gives the same bits
 whether it runs per buffer or over one vector holding all of them.
-``train`` uses the vector: it lays the model's weight and bias buffers
-(36 in the default architecture) end to end in
-``PinnModel.parameter_items`` order (network x, rul, dyn; per layer W
-row-major, then b), which is also the order of the ``model.bin`` body,
-and makes each buffer a reshaped view of that vector. Each step copies
-the batch gradients into views of one gradient vector of the same
-layout and makes one ``nadam_step`` call on the pair, with one m and
-one v vector as its state.
+``train`` uses the vector: each step lays the batch gradients end to end
+in the order of the model's parameter vector ``theta`` (set by
+``model._layout``) and makes one ``nadam_step`` call on the pair, with
+one m and one v vector as its state.
 
 Training splits the dataset 75/25 (validation gets ceil(N/4) samples),
 reshuffles the training part with a fixed per-epoch seed, and evaluates
@@ -68,47 +64,33 @@ class NadamConfig:
 
 
 class NadamState:
-    """First/second moment buffers, one pair per buffer passed to ``nadam_step``.
+    """First and second moment vectors shaped like ``theta``, plus the step count."""
 
-    ``train`` passes one buffer, the flat parameter vector, so its state
-    is one m and one v vector in that vector's layout.
-    """
-
-    def __init__(self, m, v, step: int = 0):
-        self.m = m
-        self.v = v
-        self.step = step
-
-    @classmethod
-    def for_params(cls, params) -> "NadamState":
-        return cls([np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params])
+    def __init__(self, theta):
+        self.m = np.zeros_like(theta)
+        self.v = np.zeros_like(theta)
+        self.step = 0
 
 
-def nadam_step(state: NadamState, params, grads, config: NadamConfig):
-    """Apply one update in place; returns (params, state).
-
-    Raises NumericError naming the buffer's list position (``#k``) if its
-    gradient is non-finite.
-    """
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ValueError("params, grads and state must be parallel lists")
+def nadam_step(state: NadamState, theta, grad, config: NadamConfig) -> None:
+    """Update ``theta`` in place; raises NumericError if ``grad`` is non-finite."""
+    if grad.shape != theta.shape:
+        raise ValueError(f"gradient shape {grad.shape} does not match parameters {theta.shape}")
+    if not np.isfinite(grad).all():
+        raise NumericError("non-finite gradient")
     b1, b2 = config.beta1, config.beta2
     t = state.step + 1
     c_m = 1.0 - b1 ** (t + 1)
     c_g = 1.0 - b1**t
     c_v = 1.0 - b2**t
-    for k, (theta, g) in enumerate(zip(params, grads)):
-        if not np.isfinite(g).all():
-            raise NumericError(f"non-finite gradient for parameter #{k}")
-        m, v = state.m[k], state.v[k]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        update = (b1 * (m / c_m) + (1.0 - b1) * g / c_g) / (np.sqrt(v / c_v) + config.eps)
-        theta -= config.lr * update
+    m, v = state.m, state.v
+    m *= b1
+    m += (1.0 - b1) * grad
+    v *= b2
+    v += (1.0 - b2) * grad * grad
+    update = (b1 * (m / c_m) + (1.0 - b1) * grad / c_g) / (np.sqrt(v / c_v) + config.eps)
+    theta -= config.lr * update
     state.step = t
-    return params, state
 
 
 def split_indices(n: int, split_seed: int):
@@ -146,29 +128,6 @@ class TrainingReport:
         }
 
 
-def _flatten(model: PinnModel):
-    """Move the model's buffers into one vector in ``parameter_items`` order.
-
-    Each buffer of ``model`` is replaced by a reshaped view of the vector,
-    so the graph, ``save_model`` and the caller all see its values.
-    Returns the names, the vector, a gradient vector of the same layout
-    and one view of it per buffer.
-    """
-    items = model.parameter_items()
-    theta = np.concatenate([buf.ravel() for _, buf in items])
-    grad = np.empty_like(theta)
-    grad_views = []
-    start = 0
-    for params in (model.x_params, model.rul_params, model.dyn_params):  # parameter_items order
-        for i in range(len(params.weights)):
-            for bufs in (params.weights, params.biases):
-                shape, stop = bufs[i].shape, start + bufs[i].size
-                bufs[i] = theta[start:stop].reshape(shape)
-                grad_views.append(grad[start:stop].reshape(shape))
-                start = stop
-    return [name for name, _ in items], theta, grad, grad_views
-
-
 def train(
     model: PinnModel,
     dataset: AugmentedSamples,
@@ -203,8 +162,8 @@ def train(
     train_set = dataset.take(train_idx)
     val_set = dataset.take(val_idx)
 
-    names, theta, grad, grad_views = _flatten(model)
-    state = NadamState.for_params([theta])
+    names = [name for name, _ in model.parameter_items()]
+    state = NadamState(model.theta)
 
     report = TrainingReport(
         init_seed=int(init_seed),
@@ -219,15 +178,7 @@ def train(
             batch = train_set.take(order[start : start + batch_size])
             try:
                 grads = model.cost(batch).grads
-                for name, view in zip(names, grad_views):
-                    view[...] = grads[name]
-                try:
-                    nadam_step(state, [theta], [grad], config)
-                except NumericError:
-                    first = np.flatnonzero(~np.isfinite(grad))[0]
-                    ends = np.cumsum([view.size for view in grad_views])
-                    name = names[np.searchsorted(ends, first, side="right")]
-                    raise NumericError(f"non-finite gradient for parameter {name}") from None
+                nadam_step(state, model.theta, np.concatenate([grads[name].ravel() for name in names]), config)
             except NumericError as exc:
                 raise NumericError(f"epoch {epoch} batch {batch_no}: {exc}") from exc
 

@@ -156,8 +156,8 @@ def test_criterion_4_tangent_correctness():
 
 def test_criterion_5_hand_step():
     params = [np.array([[1.0]])]
-    state = NadamState.for_params(params)
-    nadam_step(state, params, [np.array([[2.0]])], NadamConfig(lr=0.1, beta1=0.9, beta2=0.999, eps=1e-7))
+    state = NadamState(params[0])
+    nadam_step(state, params[0], np.array([[2.0]]), NadamConfig(lr=0.1, beta1=0.9, beta2=0.999, eps=1e-7))
     value = float(params[0][0, 0])
     ok = abs(value - 0.8526316) <= 1e-6
     report("5 (hand step)", ok, f"theta1 = {value:.7f}")
@@ -180,7 +180,7 @@ def test_criterion_5_convergence_smoke():
     # quadratic cost theta^2/2, gradient theta, default configuration
     config = NadamConfig()
     params = [np.array([[5.0]])]
-    state = NadamState.for_params(params)
+    state = NadamState(params[0])
     # the bound holds while every gradient so far is positive and no larger
     # than the one before; the gradient at each step is theta itself
     steady, previous, checked = True, float("inf"), 0
@@ -188,7 +188,7 @@ def test_criterion_5_convergence_smoke():
         before = float(params[0][0, 0])
         steady = steady and 0 < before <= previous
         previous = before
-        nadam_step(state, params, [params[0].copy()], config)
+        nadam_step(state, params[0], params[0].copy(), config)
         if steady:
             moved = abs(before - float(params[0][0, 0]))
             bound = nadam_step_bound(t, config)

@@ -157,6 +157,20 @@ class TestTrainEvalMapPredict:
         save_model(model, copy_path)
         assert copy_path.read_bytes() == (out / "model.bin").read_bytes()
 
+    def test_non_finite_parameter_names_file_and_buffer(self, trained, tmp_path, capsys):
+        _, _, out = trained
+        model = load_model(out / "model.bin")
+        views = dict(model.parameter_items())
+        views["rul.W1"][0, 0] = np.nan
+        views["dyn.b2"][-1, 0] = np.inf  # a later bad buffer is not the one named
+        path = tmp_path / "nan.bin"
+        save_model(model, path)
+        with pytest.raises(ModelFileError, match=r"nan\.bin: non-finite parameter rul\.W1$"):
+            load_model(path)
+        zeros = ",".join("0" for _ in range(model.config.d_oc))
+        assert run_cli(["predict", "--model", str(path), f"--oc={zeros}"]) == 2
+        assert f"{path}: non-finite parameter rul.W1" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "section, key, value, message",
         [("norm", "stds", None, "lacks key 'stds'"), ("model", "d_oc", "6", "expected int, got '6'")],
@@ -189,6 +203,17 @@ class TestTrainEvalMapPredict:
         lines = (out / "pred_vs_true.csv").read_text().splitlines()
         assert lines[0] == "engine,rul_true,rul_pred"
         assert len(lines) == 1 + 3  # one row per held-out engine
+
+    @pytest.mark.parametrize("body", ['{"final_rmse_val": 1.0}', "{", "[1, 2]"], ids=["lacks-per-epoch", "not-json", "not-an-object"])
+    def test_bad_training_report_is_exit_2(self, trained, tmp_path, capsys, body):
+        _, cfg, out = trained
+        model = tmp_path / "model.bin"
+        model.write_bytes((out / "model.bin").read_bytes())
+        report = tmp_path / "training_report.json"
+        report.write_text(body)
+        assert run_cli(["eval", "--config", cfg, "--model", str(model), "--out", str(tmp_path / "eval")]) == 2
+        assert f"training report {report}" in capsys.readouterr().err
+        assert not (tmp_path / "eval" / "eval.json").exists()
 
     def test_eval_missing_model(self, trained):
         _, cfg, _ = trained
@@ -340,6 +365,23 @@ class TestFd001StylePipeline:
             for command in ("eval", "map"):  # map exports the test split by default
                 assert run_cli([command, "--config", cfg, "--model", model]) == 2
                 assert f"{count} truth values for 2 test engines" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, emptied",
+        [
+            (["eval"], ("test_FD001.txt", "RUL_FD001.txt")),
+            (["map", "--which", "test"], ("test_FD001.txt", "RUL_FD001.txt")),
+            (["map", "--which", "train"], ("train_FD001.txt",)),
+        ],
+        ids=["eval", "map-test", "map-train"],
+    )
+    def test_empty_data_file_is_exit_2(self, fd001_dir, tmp_path, capsys, command, emptied):
+        write_fd001_style(tmp_path)
+        for name in emptied:
+            (tmp_path / name).write_text("")
+        model = str(fd001_dir / "out" / "model.bin")
+        assert run_cli([*command, "--config", fd001_config(tmp_path), "--model", model]) == 2
+        assert f"{tmp_path / emptied[0]}: no engine rows" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["check-data", "train"])
     def test_nan_sensor_is_exit_2(self, tmp_path, capsys, command):

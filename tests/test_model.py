@@ -4,12 +4,13 @@ import pytest
 from pinnrul import (
     Graph,
     GraphMlp,
-    MlpParams,
     MlpSpec,
     NormStats,
     NumericError,
     PinnConfig,
+    PinnModel,
     init_model,
+    save_model,
 )
 
 from conftest import (
@@ -28,8 +29,9 @@ def residual_inputs(model, oc, t):
 
 
 def zeroed(params):
-    shapes = params.spec.layer_shapes()
-    return MlpParams(params.spec, [np.zeros(ws) for ws, _ in shapes], [np.zeros(bs) for _, bs in shapes])
+    """Zero every buffer of ``params`` in place."""
+    for buf in (*params.weights, *params.biases):
+        buf[...] = 0.0
 
 
 @pytest.fixture
@@ -62,7 +64,7 @@ class TestConfig:
 
 class TestPointOps:
     def test_latent_zero_net_is_zero(self, model):
-        model.x_params = zeroed(model.x_params)
+        zeroed(model.x_params)
         assert model.latent([0.3, -0.7], 12.0) == 0.0
         assert model.latent([5.0, 5.0], 0.0) == 0.0
 
@@ -84,7 +86,8 @@ class TestPointOps:
         )
         norm = NormStats(means=np.array([2.0]), stds=np.array([4.0]), rul_max=100.0, columns=["s1"])
         model = init_model(config, norm, 0)
-        model.x_params = MlpParams(spec, [w1, w2], [b1, b2])
+        for view, value in zip((*model.x_params.weights, *model.x_params.biases), (w1, w2, b1, b2)):
+            view[...] = value
 
         oc, t = 3.0, 15.0
         z = np.array([[(oc - 2.0) / 4.0], [t / 30.0]])
@@ -100,7 +103,7 @@ class TestPointOps:
             model.predict_rul([0.0, 0.0], -1.0)
 
     def test_predict_zero_rul_net(self, model):
-        model.rul_params = zeroed(model.rul_params)
+        zeroed(model.rul_params)
         assert model.predict_rul([0.2, 0.9], 7.0) == 0.0
 
     def test_predict_matches_sweep(self, model):
@@ -110,7 +113,7 @@ class TestPointOps:
 
 class TestResidual:
     def test_zero_rul_net_reduces_to_dynamics_output(self, model):
-        model.rul_params = zeroed(model.rul_params)
+        zeroed(model.rul_params)
         oc, t = [0.4, 0.1], 5.0
         dx_dt, drul_dx, drul_dt = residual_inputs(model, oc, t)
         assert drul_dt == 0.0 and drul_dx == 0.0
@@ -155,7 +158,7 @@ class TestResidual:
 
 class TestCost:
     def test_perfect_fit_is_zero(self, model):
-        model.rul_params = zeroed(model.rul_params)
+        zeroed(model.rul_params)
         batch = random_batch(model, 3, n=5)
         batch.rul = np.zeros(5)
         breakdown = model.cost(batch, dyn_oracle=True)
@@ -241,6 +244,53 @@ class TestCost:
                 model.predict_rul(batch.oc[0], 1.0)
             with pytest.raises(NumericError):
                 model.mean_cost(batch)
+
+
+class TestParameterVector:
+    def test_views_tile_theta_in_order(self, model):
+        items = model.parameter_items()
+        assert [name for name, _ in items[:4]] == ["x.W1", "x.b1", "x.W2", "x.b2"]
+        assert items[-1][0] == f"dyn.b{len(model.config.dyn_spec.widths) - 1}"
+        base = model.theta.__array_interface__["data"][0]
+        offset = 0
+        for name, view in items:
+            assert np.shares_memory(view, model.theta), name
+            assert view.__array_interface__["data"][0] - base == 8 * offset, name
+            offset += view.size
+        assert offset == model.theta.size == model.config.n_params
+        for params in (model.x_params, model.rul_params, model.dyn_params):
+            assert all(np.shares_memory(buf, model.theta) for buf in (*params.weights, *params.biases))
+
+    def test_model_file_body_is_theta(self, model, tmp_path):
+        save_model(model, tmp_path / "m.bin")
+        _, length, rest = (tmp_path / "m.bin").read_bytes().split(b"\n", 2)
+        assert rest[int(length) + 1 :] == model.theta.astype("<f8").tobytes()
+
+    def test_in_place_edit_reaches_built_graph(self, model):
+        batch = random_batch(model, 41, n=5)
+        oc = batch.oc[0]
+        before = (model.predict_rul(oc, 3.0), model.cost(batch).total)
+        model.theta *= 0.5  # the graph exists now and holds views, not copies
+        fresh = PinnModel(model.config, model.theta.copy(), model.norm)
+        after = (model.predict_rul(oc, 3.0), model.cost(batch))
+        assert after[0] != before[0] and after[1].total != before[1]
+        assert after[0] == fresh.predict_rul(oc, 3.0)
+        want = fresh.cost(batch)
+        assert after[1].total == want.total
+        assert all(np.array_equal(after[1].grads[name], want.grads[name]) for name in want.grads)
+
+    @pytest.mark.parametrize("attr", ["theta", "x_params", "rul_params", "dyn_params"])
+    def test_views_cannot_be_rebound(self, model, attr):
+        with pytest.raises(AttributeError):
+            setattr(model, attr, None)
+
+    def test_theta_must_fit_the_architecture(self, model):
+        with pytest.raises(ValueError, match="shape"):
+            PinnModel(model.config, model.theta[:-1].copy(), model.norm)
+        bad = model.theta.copy()
+        bad[-1] = np.nan
+        with pytest.raises(ValueError, match=r"non-finite parameter dyn\.b\d+$"):
+            PinnModel(model.config, bad, model.norm)
 
 
 class TestWiring:
