@@ -148,16 +148,20 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
 # -- data plumbing ------------------------------------------------------
 
 
-def _read(path: Path) -> str:
+def _parse(path: Path, parse):
+    """``parse`` of a data file's text; a missing or malformed file is a data error naming it."""
     if not path.is_file():
         raise CliError(2, f"missing data file: {path}")
-    return path.read_text()
+    try:
+        return parse(path.read_text())
+    except ParseError as exc:
+        raise CliError(2, f"{path}: {exc}") from None
 
 
 def _engines(cfg: RunConfig, which: str):
     """Trajectories of one FD001-style file; a file with no engine rows is a data error."""
     path = Path(cfg.data_dir) / FD001_FILES[which]
-    trajectories = dat.parse_cmapss(_read(path))
+    trajectories = _parse(path, dat.parse_cmapss)
     if not trajectories:
         raise CliError(2, f"{path}: no engine rows")
     return trajectories
@@ -174,7 +178,7 @@ def load_test_set(cfg: RunConfig):
     """Test trajectories plus the true RUL at each one's last cycle."""
     if cfg.dataset == "fd001":
         trajectories = _engines(cfg, "test")
-        truth = dat.parse_rul_truth(_read(Path(cfg.data_dir) / FD001_FILES["rul"]))
+        truth = _parse(Path(cfg.data_dir) / FD001_FILES["rul"], dat.parse_rul_truth)
         if len(truth) != len(trajectories):
             raise CliError(2, f"{len(truth)} truth values for {len(trajectories)} test engines")
         return trajectories, truth
@@ -333,20 +337,20 @@ def cmd_map(cfg: RunConfig, model_path: str, which: str) -> int:
     return 0
 
 
-def _parse_oc(text: str) -> np.ndarray:
-    if text.startswith("@"):
-        path = Path(text[1:])
+def _parse_oc(arg: str) -> np.ndarray:
+    """Comma- or space-separated values, inline or in the file named by ``@path``."""
+    text = arg
+    if arg.startswith("@"):
+        path = Path(arg[1:])
         if not path.is_file():
             raise CliError(2, f"oc file not found: {path}")
-        tokens = path.read_text().split()
-    else:
-        tokens = [tok for tok in text.replace(",", " ").split() if tok]
+        text = path.read_text()
     try:
-        oc = np.asarray([float(tok) for tok in tokens])
+        oc = np.asarray([float(tok) for tok in text.replace(",", " ").split()])
     except ValueError:
-        raise CliError(2, f"oc values must be numeric, got {text!r}") from None
+        raise CliError(2, f"oc values must be numeric, got {arg!r}") from None
     if not np.isfinite(oc).all():
-        raise CliError(2, f"oc values must be finite, got {text!r}")
+        raise CliError(2, f"oc values must be finite, got {arg!r}")
     return oc
 
 
@@ -405,6 +409,10 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: parse_args keeps no state between calls
+_PARSER = _parser()
+
+
 # argparse reads a token that starts with "-" and is not a plain number as an
 # option, so "--oc -0.5,1.2" would lose its value; "--oc=-0.5,1.2" keeps it.
 # argparse also takes any unambiguous prefix of a long option ("--o", "--t").
@@ -442,7 +450,7 @@ def _overrides(args) -> dict:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(_glue_values(sys.argv[1:] if argv is None else argv))
+    args = _PARSER.parse_args(_glue_values(sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "predict":
             return cmd_predict(args.model, args.oc, args.t_list, args.csv)
@@ -459,7 +467,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (ParseError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

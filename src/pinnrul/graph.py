@@ -10,11 +10,21 @@ All buffers are 2-D float64 arrays; scalars have shape (1, 1). An input
 may leave its column count open (``None``): the graph is then built once
 for any batch width, every op except ``mean`` acts column by column,
 and ``eval`` requires all width-free inputs to be bound with the same
-number of columns. ``affine`` adds its bias column to every column.
+number of columns.
+
+A ``layer`` node is one MLP layer, act(W h + b), together with k
+forward-tangent chains through it (vector forward mode). Its value
+stacks k + 1 blocks of m rows along the rows: the primal block act(z),
+then each tangent block act'(z) * (W t_j). Its input is stacked the same
+way, h then t_1..t_k, so the width stays n and one batched product makes
+every block. A first layer instead takes h alone and seeds tangent j
+with the weight column W[:, c_j], the derivative along input
+coordinate c_j. ``rows`` reads a block back out. Reverse mode through a
+tangent block gives exact mixed second derivatives.
 
 Each node records at build time whether it reaches a parameter. ``grad``
-propagates adjoints only into such nodes, so inputs and ``basis``
-tangent seeds (and anything computed only from them) get none.
+propagates adjoints only into such nodes, so inputs (and anything
+computed only from them) get none.
 
 A graph instance is single-writer. Distinct instances are independent and
 may be used from different threads.
@@ -36,23 +46,19 @@ __all__ = [
 OP_KINDS = {
     "parameter": 0,
     "input": 0,
-    "matmul": 2,
-    "affine": 3,
+    "layer": 3,
+    "rows": 1,
     "add": 2,
     "subtract": 2,
     "multiply": 2,
     "scale": 1,
-    "tanh": 1,
-    "dtanh": 1,
-    "relu": 1,
     "square": 1,
-    "basis": 1,
     "mean": 1,
     "concat": None,
 }
 
+ACTIVATIONS = ("tanh", "relu", "linear")
 _SAME_SHAPE = ("add", "subtract", "multiply")
-_ELEMENTWISE = ("scale", "tanh", "dtanh", "relu", "square", "basis")
 
 
 class GraphError(Exception):
@@ -78,7 +84,7 @@ class _Node:
         self.kind = kind
         self.inputs = inputs
         self.shape = shape  # (rows, cols); cols is None for a width-free node
-        self.payload = payload  # scale factor or basis row
+        self.payload = payload  # scale factor, rows range or layer (activation, k, seeds)
         self.reaches = reaches  # its value depends on a parameter
 
 
@@ -93,6 +99,81 @@ def _as_buffer(value, shape=None):
     if shape is not None and (arr.shape[0] != shape[0] or shape[1] not in (None, arr.shape[1])):
         raise GraphError(f"buffer shape {arr.shape} does not match declared {tuple(shape)}")
     return arr
+
+
+def _layer_shape(shapes, payload):
+    """Check a layer's input shapes and payload; return (payload, value shape)."""
+    activation, k, seeds = payload
+    k = int(k)
+    (m, d), (rows, n), bias = shapes
+    if activation not in ACTIVATIONS:
+        raise GraphError(f"layer activation must be one of {ACTIVATIONS}, got {activation!r}")
+    if k < 0 or (k and activation == "relu"):
+        raise GraphError(f"a {activation} layer cannot carry {k} tangents")
+    if d is None:
+        raise GraphError(f"layer weight needs a fixed shape, got {shapes[0]}")
+    if bias != (m, 1):
+        raise GraphError(f"layer bias must have shape {(m, 1)}, got {bias}")
+    if seeds is not None and not all(0 <= c < d for c in seeds):
+        raise GraphError(f"tangent seeds {seeds} out of range for {d} inputs")
+    want = d if seeds is not None else (1 + k) * d
+    if rows != want:
+        raise GraphError(f"layer input must have {want} rows for weight {(m, d)} and {k} tangents, got {rows}")
+    return (activation, k, seeds if k else None), ((1 + k) * m, n)
+
+
+def _layer_value(payload, w, s, b):
+    """Blocks act(z) and act'(z) * u_j of z = w @ h + b, u_j = w @ t_j (or w[:, c_j])."""
+    activation, k, seeds = payload
+    m, n = w.shape[0], s.shape[1]
+    if seeds is None:
+        z = np.matmul(w, s.reshape(1 + k, -1, n))
+    else:
+        z = np.empty((1 + k, m, n))
+        np.matmul(w, s, out=z[0])
+        z[1:] = w.T[list(seeds), :, None]
+    y = z[0]
+    y += b
+    if activation == "tanh":
+        np.tanh(y, out=y)
+        if k:
+            z[1:] *= 1.0 - y * y
+    elif activation == "relu":
+        np.maximum(y, 0.0, out=y)
+    return z.reshape((1 + k) * m, n)
+
+
+def _layer_adjoints(payload, a, v, w, s, reach):
+    """(dW, dS, db) of a layer node whose adjoint is ``a``; None where ``reach`` is False.
+
+    The second-order term: a tanh tangent block t_j = (1 - y^2) u_j moves
+    with z too, dt_j/dz = -2 y t_j, so dz = (1 - y^2) a_0 - 2 y sum_j a_j t_j.
+    """
+    activation, k, seeds = payload
+    m, n = w.shape[0], a.shape[1]
+    a = a.reshape(1 + k, m, n)
+    y = v[:m]
+    if activation == "tanh":
+        dz = a * (1.0 - y * y)
+        if k:
+            dz[0] -= 2.0 * y * (a[1:] * v[m:].reshape(k, m, n)).sum(axis=0)
+    elif activation == "relu":
+        dz = a * (y > 0.0)  # subgradient at exactly 0 is defined as 0
+    else:
+        dz = a
+    dw = ds = db = None
+    if reach[0]:
+        if seeds is None:
+            dw = np.matmul(dz, s.reshape(1 + k, -1, n).transpose(0, 2, 1)).sum(axis=0)
+        else:
+            dw = dz[0] @ s.T
+            for j, c in enumerate(seeds, start=1):
+                dw[:, c] += dz[j].sum(axis=1)
+    if reach[1]:
+        ds = w.T @ dz[0] if seeds is not None else np.matmul(w.T, dz).reshape(-1, n)
+    if reach[2]:
+        db = dz[0].sum(axis=1, keepdims=True)
+    return dw, ds, db
 
 
 class Graph:
@@ -113,8 +194,10 @@ class Graph:
         """Append a node and return its id.
 
         ``payload`` is the shape for ``parameter``/``input`` (an input's
-        column count may be None), the factor for ``scale`` and the row
-        index for ``basis``.
+        column count may be None), the factor for ``scale``, the
+        half-open range (start, stop) for ``rows`` and (activation, k,
+        seeds) for ``layer``, where seeds is None or a first layer's k
+        input coordinates.
         """
         if kind not in OP_KINDS:
             raise GraphError(f"unknown op kind {kind!r}")
@@ -138,25 +221,21 @@ class Graph:
             if shape[0] < 1 or (shape[1] is not None and shape[1] < 1):
                 raise GraphError(f"{kind} shape must be positive, got {shape}")
             payload = None
-        elif kind in ("matmul", "affine"):
-            (m, k1), (k2, n) = shapes[:2]
-            if k1 is None or k1 != k2:
-                raise GraphError(f"matmul shapes do not compose: {shapes[0]} x {shapes[1]}")
-            if kind == "affine" and shapes[2] != (m, 1):
-                raise GraphError(f"affine bias must have shape {(m, 1)}, got {shapes[2]}")
-            shape = (m, n)
+        elif kind == "layer":
+            payload, shape = _layer_shape(shapes, payload)
+        elif kind == "rows":
+            start, stop = (int(i) for i in payload)
+            if not 0 <= start < stop <= shapes[0][0]:
+                raise GraphError(f"rows {start}:{stop} out of range for {shapes[0][0]} rows")
+            payload, shape = (start, stop), (stop - start, shapes[0][1])
         elif kind in _SAME_SHAPE:
             if shapes[0] != shapes[1]:
                 raise GraphError(f"{kind} needs equal shapes, got {shapes[0]} and {shapes[1]}")
             shape = shapes[0]
-        elif kind in _ELEMENTWISE:
+        elif kind in ("scale", "square"):
             shape = shapes[0]
             if kind == "scale":
                 payload = float(payload)
-            elif kind == "basis":
-                payload = int(payload)
-                if not 0 <= payload < shape[0]:
-                    raise GraphError(f"basis row {payload} out of range for {shape[0]} rows")
         elif kind == "mean":
             shape = (1, 1)
         elif kind == "concat":
@@ -167,7 +246,7 @@ class Graph:
         else:  # pragma: no cover - kinds are exhaustive
             raise GraphError(f"unhandled op kind {kind!r}")
 
-        reaches = kind == "parameter" or (kind != "basis" and any(self.nodes[i].reaches for i in inputs))
+        reaches = kind == "parameter" or any(self.nodes[i].reaches for i in inputs)
         self.nodes.append(_Node(kind, inputs, shape, payload, reaches))
         self._values = None
         return len(self.nodes) - 1
@@ -181,12 +260,22 @@ class Graph:
         """Input of shape (rows, cols); cols None leaves the width to ``eval``."""
         return self.build("input", payload=shape)
 
-    def matmul(self, a, b) -> int:
-        return self.build("matmul", (a, b))
+    def layer(self, w, s, b, activation="linear", k=0, seeds=None) -> int:
+        """act(w @ h + b) and k tangent blocks, stacked along rows.
 
-    def affine(self, w, x, b) -> int:
-        """w @ x plus the bias column b added to every column."""
-        return self.build("affine", (w, x, b))
+        ``s`` stacks h and the k incoming tangent blocks, ((1 + k) d x n).
+        With ``seeds``, k input coordinates, ``s`` is h alone (d x n) and
+        tangent j starts at the weight column w[:, seeds[j]]. relu takes
+        no tangents.
+        """
+        if seeds is not None:
+            seeds = tuple(int(c) for c in seeds)
+            k = len(seeds)
+        return self.build("layer", (w, s, b), (activation, k, seeds))
+
+    def rows(self, a, start, stop) -> int:
+        """Rows start..stop-1 of ``a``, e.g. one block of a ``layer``."""
+        return self.build("rows", (a,), (start, stop))
 
     def add(self, a, b) -> int:
         return self.build("add", (a, b))
@@ -200,26 +289,8 @@ class Graph:
     def scale(self, a, factor) -> int:
         return self.build("scale", (a,), factor)
 
-    def tanh(self, a) -> int:
-        return self.build("tanh", (a,))
-
-    def dtanh(self, y) -> int:
-        """1 - y^2: the tanh derivative written in terms of y = tanh(z)."""
-        return self.build("dtanh", (y,))
-
-    def relu(self, a) -> int:
-        return self.build("relu", (a,))
-
     def square(self, a) -> int:
         return self.build("square", (a,))
-
-    def basis(self, a, row) -> int:
-        """Ones in ``row`` and zeros elsewhere, shaped like ``a``.
-
-        A forward-tangent seed: it takes only its width from ``a``, so
-        it is constant and gets no adjoint.
-        """
-        return self.build("basis", (a,), row)
 
     def mean(self, a) -> int:
         return self.build("mean", (a,))
@@ -265,11 +336,10 @@ class Graph:
                         )
             else:
                 ins = [values[i] for i in node.inputs]
-                if k == "matmul":
-                    v = ins[0] @ ins[1]
-                elif k == "affine":
-                    v = ins[0] @ ins[1]
-                    v += ins[2]
+                if k == "layer":
+                    v = _layer_value(node.payload, *ins)
+                elif k == "rows":
+                    v = ins[0][node.payload[0] : node.payload[1]]
                 elif k == "add":
                     v = ins[0] + ins[1]
                 elif k == "subtract":
@@ -278,18 +348,8 @@ class Graph:
                     v = ins[0] * ins[1]
                 elif k == "scale":
                     v = node.payload * ins[0]
-                elif k == "tanh":
-                    v = np.tanh(ins[0])
-                elif k == "dtanh":
-                    v = ins[0] * ins[0]
-                    np.subtract(1.0, v, out=v)
-                elif k == "relu":
-                    v = np.maximum(ins[0], 0.0)
                 elif k == "square":
                     v = ins[0] * ins[0]
-                elif k == "basis":
-                    v = np.zeros(ins[0].shape)
-                    v[node.payload] = 1.0
                 elif k == "mean":
                     v = np.array([[ins[0].mean()]])
                 else:  # concat
@@ -342,13 +402,15 @@ class Graph:
                 continue
             ins = node.inputs
             reach = [nodes[i].reaches for i in ins]
-            if k == "matmul" or k == "affine":
-                if reach[0]:
-                    acc(ins[0], a @ values[ins[1]].T)
-                if reach[1]:
-                    acc(ins[1], values[ins[0]].T @ a)
-                if k == "affine" and reach[2]:
-                    acc(ins[2], a.sum(axis=1, keepdims=True))
+            if k == "layer":
+                w, s = values[ins[0]], values[ins[1]]
+                for i, delta in zip(ins, _layer_adjoints(node.payload, a, values[nid], w, s, reach)):
+                    if delta is not None:
+                        acc(i, delta)
+            elif k == "rows":
+                delta = np.zeros(values[ins[0]].shape)
+                delta[node.payload[0] : node.payload[1]] = a
+                acc(ins[0], delta)
             elif k == "add":
                 if reach[0]:
                     acc(ins[0], a)
@@ -366,14 +428,6 @@ class Graph:
                     acc(ins[1], a * values[ins[0]])
             elif k == "scale":
                 acc(ins[0], node.payload * a)
-            elif k == "tanh":
-                y = values[nid]
-                acc(ins[0], a * (1.0 - y * y))
-            elif k == "dtanh":
-                acc(ins[0], a * (-2.0 * values[ins[0]]))
-            elif k == "relu":
-                # subgradient at exactly 0 is defined as 0
-                acc(ins[0], a * (values[ins[0]] > 0.0))
             elif k == "square":
                 acc(ins[0], a * (2.0 * values[ins[0]]))
             elif k == "mean":

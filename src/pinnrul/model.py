@@ -5,7 +5,7 @@ to a scalar latent health indicator x. The second maps (x, time) to the
 normalized remaining life. The third learns the rate law: it receives
 (dx/dt, dRUL/dx) and its output is pinned to the total time derivative
 of the predicted RUL by a squared-residual penalty, so it trains without
-labels. Both derivatives are forward-tangent nodes in the same graph,
+labels. Both derivatives are forward-tangent blocks in the same graph,
 which makes the penalty differentiable w.r.t. all weights in one reverse
 sweep.
 

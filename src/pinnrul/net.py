@@ -1,10 +1,13 @@
 """Multilayer perceptrons emitted as computation-graph nodes.
 
 ``GraphMlp`` binds one set of weights into a graph as trainable parameter
-nodes and can emit, besides the plain layer chain, forward-tangent chains
-for directional input derivatives. The tangent recurrence is built from
-ordinary graph nodes, so reverse-mode ``grad`` through a tangent output
-yields exact mixed second derivatives.
+nodes and emits one graph ``layer`` node per MLP layer. Besides the plain
+chain it can carry forward-tangent chains for directional input
+derivatives: each layer's value stacks the primal block and one tangent
+block per input coordinate along its rows, the first layer seeds the
+tangents from its weight columns, and ``rows`` nodes read the output
+blocks back out. Reverse-mode ``grad`` through a tangent output yields
+exact mixed second derivatives.
 """
 
 from __future__ import annotations
@@ -152,21 +155,14 @@ class GraphMlp:
         if coords and self.spec.hidden != "tanh":
             raise ValueError("tangent propagation needs a smooth (tanh) hidden activation")
 
-        h = input_id
-        tans = [g.basis(input_id, c) for c in coords]
+        h, seeds = input_id, coords
         last = len(self.layers) - 1
         for li, (w_id, b_id) in enumerate(self.layers):
-            z = g.affine(w_id, h, b_id)
             act = self.spec.output if li == last else self.spec.hidden
-            if act == "tanh":
-                h = g.tanh(z)
-                if tans:
-                    # sigma'(z) = 1 - tanh(z)^2, shared across tangent chains
-                    sig_prime = g.dtanh(h)
-                    tans = [g.multiply(sig_prime, g.matmul(w_id, t)) for t in tans]
-            elif act == "relu":
-                h = g.relu(z)
-            else:  # linear
-                h = z
-                tans = [g.matmul(w_id, t) for t in tans]
-        return h, tans
+            h = g.layer(w_id, h, b_id, act, len(coords), seeds)
+            seeds = None  # later layers take the stacked blocks
+        if not coords:
+            return h, []
+        m = self.spec.d_out
+        blocks = [g.rows(h, j * m, (j + 1) * m) for j in range(1 + len(coords))]
+        return blocks[0], blocks[1:]

@@ -33,10 +33,14 @@ def fd_tolerance_ok(analytic, numeric, rel=1e-4, abs_tol=1e-8):
 def random_graph(seed):
     """Small random DAG over the full primitive set with a scalar root.
 
-    The root squares the newest pool node that reaches a parameter. The
-    input leaves its width open and is bound with two columns.
-    Returns (graph, parameter ids, input bindings, root). relu inputs are
-    kept away from 0 by construction so finite differences stay valid.
+    ``layer`` nodes carry k in {0, 1, 2} tangent blocks (relu only k = 0)
+    and take either a seeded input (h alone, tangents started at weight
+    columns) or a stacked one (k + 1 blocks of rows). The root sums the
+    mean square of every pool node that reaches a parameter, so each of
+    them feeds the gradient. The input leaves its width open and is bound
+    with two columns. Returns (graph, parameter ids, input bindings, root).
+    Callers skip draws whose relu pre-activations come near 0
+    (``relu_inputs_safe``) so finite differences stay valid.
     """
     rng = np.random.default_rng(seed)
     g = Graph()
@@ -56,12 +60,11 @@ def random_graph(seed):
     pool.append(inp)
 
     for _ in range(rng.integers(4, 9)):
-        op = rng.choice(
-            ["tanh", "dtanh", "square", "scale", "add", "multiply", "subtract", "matmul", "affine", "concat", "relu"]
-        )
+        op = rng.choice(["layer", "layer", "rows", "square", "scale", "add", "multiply", "subtract", "concat"])
         a = pool[rng.integers(len(pool))]
-        if op in ("tanh", "dtanh", "square", "relu"):
-            pool.append(getattr(g, op)(a))
+        rows = g.shape_of(a)[0]
+        if op == "square":
+            pool.append(g.square(a))
         elif op == "scale":
             pool.append(g.scale(a, float(rng.uniform(0.5, 2.0))))
         elif op in ("add", "multiply", "subtract"):
@@ -70,26 +73,35 @@ def random_graph(seed):
         elif op == "concat":
             mates = [n for n in pool if g.shape_of(n)[1] == g.shape_of(a)[1]]
             pool.append(g.concat([a, mates[rng.integers(len(mates))]]))
-        elif op == "affine":  # a fresh weight and bias act on a
-            rows = int(rng.integers(1, 4))
-            w = new_parameter((rows, g.shape_of(a)[0]))
-            pool.append(g.affine(w, a, new_parameter((rows, 1))))
-        else:  # matmul
-            mates = [n for n in pool if g.shape_of(n)[0] == g.shape_of(a)[1]]
-            if mates:
-                pool.append(g.matmul(a, mates[rng.integers(len(mates))]))
-    # the newest node whose value depends on a parameter, so the gradient is not all zero
-    live = [n for n in pool if g.nodes[n].reaches]
-    root = g.mean(g.square(live[-1]))
+        elif op == "rows":
+            start = int(rng.integers(rows))
+            pool.append(g.rows(a, start, int(rng.integers(start + 1, rows + 1))))
+        else:  # layer: a fresh weight and bias act on a
+            act = str(rng.choice(["tanh", "linear", "relu"]))
+            out = int(rng.integers(1, 4))
+            if act != "relu" and rng.random() < 0.5:  # seeded: a is h, tangents start at weight columns
+                seeds = [int(c) for c in rng.integers(0, rows, int(rng.integers(0, 3)))]
+                w = new_parameter((out, rows))
+                pool.append(g.layer(w, a, new_parameter((out, 1)), act, seeds=seeds))
+            else:  # stacked: a holds h and k tangent blocks; k = 0 also comes seeded
+                ks = [k for k in (1, 2) if rows % (1 + k) == 0 and act != "relu"] or [0]
+                k = ks[rng.integers(len(ks))]
+                w = new_parameter((out, rows // (1 + k)))
+                pool.append(g.layer(w, a, new_parameter((out, 1)), act, k))
+    terms = [g.mean(g.square(n)) for n in pool if g.nodes[n].reaches]
+    root = terms[0]
+    for term in terms[1:]:
+        root = g.add(root, term)
     params = sorted(g.parameters)
     return g, params, bindings, root
 
 
 def relu_inputs_safe(g, values, margin=1e-3):
-    """True when no relu input entry sits within ``margin`` of 0."""
-    for nid, node in enumerate(g.nodes):
-        if node.kind == "relu":
-            if np.abs(values[node.inputs[0]]).min() < margin:
+    """True when no relu layer's pre-activation entry sits within ``margin`` of 0."""
+    for node in g.nodes:
+        if node.kind == "layer" and node.payload[0] == "relu":
+            w, h, b = (values[i] for i in node.inputs)
+            if np.abs(w @ h + b).min() < margin:
                 return False
     return True
 

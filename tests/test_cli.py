@@ -329,6 +329,40 @@ class TestTrainEvalMapPredict:
         oc_file.write_text("\n".join("0.0" for _ in range(model.config.d_oc)))
         assert run_cli(["predict", "--model", str(out / "model.bin"), "--oc", f"@{oc_file}", "--t-list", "0"]) == 0
 
+    def test_predict_oc_file_reads_like_the_inline_flag(self, trained, tmp_path, capsys):
+        _, _, out = trained
+        model = load_model(out / "model.bin")
+        oc = ",".join(str(v) for v in np.linspace(-1.0, 1.0, model.config.d_oc))
+        oc_file = tmp_path / "oc.txt"
+        oc_file.write_text(oc + "\n")
+        printed = []
+        for arg in (oc, f"@{oc_file}"):
+            assert run_cli(["predict", "--model", str(out / "model.bin"), f"--oc={arg}", "--t-list", "0,5"]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+
+    def test_shared_parser_keeps_no_state_between_calls(self, trained, tmp_path, capsys):
+        _, cfg, out = trained
+        model = str(out / "model.bin")
+        oc = ",".join("0" for _ in range(load_model(model).config.d_oc))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["predict", "--model", model])
+        assert exc.value.code == 2
+        assert cli.main(["predict", "--model", model, "--oc", oc, "--csv", "--t-list", "0,1,2"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4
+        assert cli.main(["predict", "--model", model, "--oc", oc]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 and lines[0].split() == ["t", "x", "dx_dt", "rul_pred"]
+        assert lines[1].split()[0] == "0.00"
+        # a train after an overriding train: the config's values, not the last call's flags
+        again = tmp_path / "again"
+        assert cli.main(["train", "--config", cfg, "--epochs", "1", "--seed-init", "9", "--out", str(tmp_path / "flags")]) == 0
+        assert cli.main(["train", "--config", cfg, "--out", str(again)]) == 0
+        capsys.readouterr()
+        report = json.loads((again / "training_report.json").read_text())
+        assert report["config"] == cli.load_config(cfg, {"output_dir": str(again)}).to_dict()
+        assert (again / "model.bin").read_bytes() == (out / "model.bin").read_bytes()
+
 
 class TestFd001StylePipeline:
     def test_train_eval_on_26_column_files(self, tmp_path, capsys):
@@ -395,6 +429,23 @@ class TestFd001StylePipeline:
         path.write_text("\n".join(lines) + "\n")
         assert run_cli([command, "--config", fd001_config(tmp_path)]) == 2
         assert "line 7: non-finite token" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, command",
+        [("train_FD001.txt", "check-data"), ("test_FD001.txt", "eval"), ("RUL_FD001.txt", "eval")],
+        ids=["train", "test", "truth"],
+    )
+    def test_parse_error_names_the_file(self, fd001_dir, tmp_path, capsys, name, command):
+        write_fd001_style(tmp_path)
+        path = tmp_path / name
+        lines = path.read_text().splitlines()
+        lines[1] = " ".join([*lines[1].split()[:-1], "nan"])
+        path.write_text("\n".join(lines) + "\n")
+        argv = [command, "--config", fd001_config(tmp_path)]
+        if command == "eval":
+            argv += ["--model", str(fd001_dir / "out" / "model.bin")]
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err == f"error: {path}: line 2: non-finite token\n"
 
     def test_nan_truth_line_is_exit_2(self, fd001_dir, tmp_path, capsys):
         write_fd001_style(tmp_path)

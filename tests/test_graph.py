@@ -12,25 +12,35 @@ def scalar(g, nid):
     return float(g.value(nid)[0, 0])
 
 
+def act(g, x, activation):
+    """``activation`` applied entrywise to ``x``: a layer with identity weight and zero bias."""
+    rows = g.shape_of(x)[0]
+    w = g.parameter((rows, rows))
+    b = g.parameter((rows, 1))
+    g.set_param(w, np.eye(rows))
+    g.set_param(b, np.zeros((rows, 1)))
+    return g.layer(w, x, b, activation)
+
+
 class TestBuildAndEval:
     def test_tanh_of_half(self):
         g = Graph()
         x = g.input((1, 1))
-        y = g.tanh(x)
+        y = act(g, x, "tanh")
         g.eval({x: [[0.5]]})
         assert scalar(g, y) == pytest.approx(TANH_HALF, abs=1e-12)
 
     def test_tanh_of_zero(self):
         g = Graph()
         x = g.input((1, 1))
-        y = g.tanh(x)
+        y = act(g, x, "tanh")
         g.eval({x: [[0.0]]})
         assert scalar(g, y) == 0.0
 
     def test_relu_negative(self):
         g = Graph()
         x = g.input((1, 1))
-        y = g.relu(x)
+        y = act(g, x, "relu")
         g.eval({x: [[-1.0]]})
         assert scalar(g, y) == 0.0
 
@@ -42,11 +52,24 @@ class TestBuildAndEval:
         g.eval({x: [[0.3], [-1.2], [4.0]], target: [[0.3], [-1.2], [4.0]]})
         assert scalar(g, loss) == 0.0
 
-    def test_matmul_shape(self):
+    def test_layer_shapes(self):
         g = Graph()
-        a = g.input((2, 3))
-        v = g.input((3, 1))
-        assert g.shape_of(g.matmul(a, v)) == (2, 1)
+        w = g.parameter((2, 3))
+        b = g.parameter((2, 1))
+        assert g.shape_of(g.layer(w, g.input((3, 1)), b)) == (2, 1)
+        # two tangents: stacked input of 3 blocks, or seeded from h alone
+        assert g.shape_of(g.layer(w, g.input((9, None)), b, "tanh", 2)) == (6, None)
+        assert g.shape_of(g.layer(w, g.input((3, None)), b, "tanh", seeds=[0, 2])) == (6, None)
+        with pytest.raises(GraphError, match="6 rows"):
+            g.layer(w, g.input((3, 1)), b, "tanh", 1)
+        with pytest.raises(GraphError, match="out of range"):
+            g.layer(w, g.input((3, 1)), b, "tanh", seeds=[3])
+        with pytest.raises(GraphError, match="bias"):
+            g.layer(w, g.input((3, 1)), w)
+        with pytest.raises(GraphError, match="relu"):
+            g.layer(w, g.input((6, 1)), b, "relu", 1)
+        with pytest.raises(GraphError, match="activation"):
+            g.layer(w, g.input((3, 1)), b, "sigmoid")
 
     def test_add_shape_mismatch_names_both_shapes(self):
         g = Graph()
@@ -64,12 +87,12 @@ class TestBuildAndEval:
         g = Graph()
         x = g.input((1, 1))
         with pytest.raises(GraphError, match="dangling"):
-            g.tanh(x + 5)
+            g.square(x + 5)
 
     def test_unbound_input_named(self):
         g = Graph()
         x = g.input((1, 1))
-        g.tanh(x)
+        g.square(x)
         with pytest.raises(EvaluationError, match=f"node {x}"):
             g.eval({})
 
@@ -106,12 +129,44 @@ class TestBuildAndEval:
             assert np.array_equal(grads1[nid], grads2[nid])
 
 
+class TestLayer:
+    @pytest.mark.parametrize("activation", ["tanh", "linear"])
+    def test_seeded_tangents_equal_stacked_basis_input(self, activation):
+        # seeding tangent j from w[:, c_j] is w @ e_{c_j} without the product
+        rng = np.random.default_rng(5)
+        g = Graph()
+        w, b = g.parameter((3, 4)), g.parameter((3, 1))
+        g.set_param(w, rng.normal(size=(3, 4)))
+        g.set_param(b, rng.normal(size=(3, 1)))
+        h = g.input((4, None))
+        basis = g.input((8, None))
+        seeded = g.layer(w, h, b, activation, seeds=[2, 0])
+        stacked = g.layer(w, g.concat([h, basis]), b, activation, 2)
+        x = rng.normal(size=(4, 5))
+        e = np.zeros((8, 5))
+        e[2] = e[4] = 1.0
+        g.eval({h: x, basis: e})
+        assert np.array_equal(g.value(seeded), g.value(stacked))
+        z = g.value(w) @ x + g.value(b)
+        assert np.array_equal(g.value(seeded)[:3], np.tanh(z) if activation == "tanh" else z)
+
+    def test_rows_reads_one_block(self):
+        g = Graph()
+        x = g.input((6, None))
+        mid = g.rows(x, 2, 4)
+        assert g.shape_of(mid) == (2, None)
+        g.eval({x: np.arange(18.0).reshape(6, 3)})
+        assert np.array_equal(g.value(mid), np.arange(6.0, 12.0).reshape(2, 3))
+        with pytest.raises(GraphError, match="out of range"):
+            g.rows(x, 4, 7)
+
+
 class TestGrad:
     def test_tanh_grad_at_zero(self):
         g = Graph()
         p = g.parameter((1, 1))
         g.set_param(p, [[0.0]])
-        root = g.tanh(p)
+        root = act(g, p, "tanh")
         g.eval()
         assert float(g.grad(root)[p][0, 0]) == 1.0
 
@@ -127,7 +182,7 @@ class TestGrad:
         g = Graph()
         p = g.parameter((1, 1))
         g.set_param(p, [[0.0]])
-        root = g.relu(p)
+        root = act(g, p, "relu")
         g.eval()
         assert float(g.grad(root)[p][0, 0]) == 0.0
 
@@ -135,7 +190,7 @@ class TestGrad:
         g = Graph()
         p = g.parameter((2, 1))
         g.set_param(p, [[1.0], [2.0]])
-        y = g.tanh(p)
+        y = g.square(p)
         g.eval()
         with pytest.raises(GraphError, match="scalar"):
             g.grad(y)
@@ -203,7 +258,7 @@ class TestGrad:
         p = g.parameter((2, 2))
         g.set_param(p, [[0.3, -1.1], [0.7, 0.2]])
         r1 = g.mean(g.square(p))
-        r2 = g.mean(g.tanh(p))
+        r2 = g.mean(act(g, p, "tanh"))
         a, b = 1.7, -0.4
         combined = g.add(g.scale(r1, a), g.scale(r2, b))
         g.eval()

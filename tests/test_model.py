@@ -12,6 +12,7 @@ from pinnrul import (
     init_model,
     save_model,
 )
+from pinnrul.graph import OP_KINDS
 
 from conftest import (
     dyn_preactivations_safe,
@@ -315,6 +316,44 @@ class TestWiring:
         assert after.total == before.total
         for name in before.grads:
             assert np.array_equal(after.grads[name], before.grads[name])
+
+
+    def test_model_graph_has_75_nodes_of_11_kinds(self, model):
+        graph = init_model(PinnConfig.default(model.config.d_oc), model.norm)._wiring().graph
+        assert len(graph.nodes) == 75
+        assert {node.kind for node in graph.nodes} == set(OP_KINDS)
+
+    def test_outputs_equal_plain_recurrence_bitwise(self):
+        # z = W h + b, y = tanh z, t' = (1 - y^2) (W t); last layer linear
+        d_oc, n = 3, 9
+        config = PinnConfig.default(d_oc)
+        rng = np.random.default_rng(8)
+        norm = NormStats(rng.normal(size=d_oc), rng.uniform(0.5, 2.0, d_oc), 90.0, ["a", "b", "c"])
+        model = init_model(config, norm, 17, scheme="xavier")
+        oc = rng.normal(size=(n, d_oc))
+        t = rng.integers(0, 31, n).astype(float)
+
+        def chain(params, h, coords):
+            tans = []
+            for c in coords:
+                tans.append(np.zeros(h.shape))
+                tans[-1][c] = 1.0
+            last = len(params.weights) - 1
+            for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+                z = w @ h + b
+                if i == last:
+                    h, tans = z, [w @ tan for tan in tans]
+                else:
+                    h = np.tanh(z)
+                    tans = [(1.0 - h * h) * (w @ tan) for tan in tans]
+            return h, tans
+
+        t_n = (t / config.t_scale).reshape(1, n)
+        x, (dx_dt,) = chain(model.x_params, np.vstack([((oc - norm.means) / norm.stds).T, t_n]), [d_oc])
+        rul, _ = chain(model.rul_params, np.vstack([x, t_n]), [0, 1])
+        w = model._eval_batch(oc, t)
+        for nid, want in ((w.x, x), (w.dx_dt, dx_dt), (w.rul, rul)):
+            assert np.array_equal(w.graph.value(nid), want)
 
 
 class TestInspection:
