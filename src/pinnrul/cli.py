@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data as dat
+from . import model as mdl
 from .data import ParseError, SynthSpec
 from .graph import NumericError
 from .model import PinnConfig, PinnModel, init_model
@@ -313,9 +314,12 @@ def cmd_eval(cfg: RunConfig, model_path: str) -> int:
 
 
 def _write_latent_csv(table, path) -> None:
+    """Write the (n, 4) latent map, formatting ``model.CHUNK`` rows per write."""
+    row = "{:.9g},{:.9g},{:.9g},{:.9g}\n".format
     with open(path, "w", encoding="ascii") as fh:
         fh.write("x,dx_dt,rul_pred,rul_true\n")
-        fh.write("".join(map("{:.9g},{:.9g},{:.9g},{:.9g}\n".format, *table.T.tolist())))
+        for start in range(0, len(table), mdl.CHUNK):
+            fh.write("".join(map(row, *table[start : start + mdl.CHUNK].T.tolist())))
 
 
 def cmd_map(cfg: RunConfig, model_path: str, which: str) -> int:

@@ -4,8 +4,9 @@ The augmentation step turns every logged row into a fan of training
 points: from the row at cycle c of an engine that lived L cycles, one
 sample per integer look-ahead t = 0 .. min(horizon, L - c) is emitted
 with label (L - c) - t. Labels run down to 0 at the failure cycle.
-Samples are held column-wise in one ``AugmentedSamples``; taking a slice
-of it gives views, taking an index array gives copies.
+Samples are held column-wise in one ``AugmentedSamples``, each column
+allocated once at its final size; taking a slice of it gives views,
+taking an index array gives copies.
 
 The parsers reject any token that is not a finite number, and unit ids
 and cycles that are not integers, with a ParseError naming the line.
@@ -184,33 +185,37 @@ class AugmentedSamples:
 def augment(trajectories, horizon: int = 30, columns=None) -> AugmentedSamples:
     """Emit (oc at cycle c, t, RUL0 - t) for t = 0 .. min(horizon, RUL0).
 
-    Output order is canonical: unit, then cycle, then t ascending.
+    Output order is canonical: unit, then cycle, then t ascending. Each
+    engine's sample counts come first, so every column is allocated once
+    at its final size and filled engine by engine.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    unit_parts, cycle_parts, t_parts, rul_parts, oc_parts = [], [], [], [], []
-    cols = None
-    for traj in sorted(trajectories, key=lambda tr: tr.unit_id):
-        feats = feature_matrix(traj, columns)
-        if cols is None:
-            cols = list(columns) if columns is not None else column_ids(traj)
-        n = traj.length
-        rul0 = n - traj.cycles  # L - c
-        counts = np.minimum(horizon, rul0) + 1
-        t = np.concatenate([np.arange(k) for k in counts])
-        unit_parts.append(np.full(t.shape[0], traj.unit_id, dtype=np.int64))
-        cycle_parts.append(np.repeat(traj.cycles, counts))
-        t_parts.append(t)
-        rul_parts.append(np.repeat(rul0, counts) - t)
-        oc_parts.append(np.repeat(feats, counts, axis=0))
-    return AugmentedSamples(
-        unit=np.concatenate(unit_parts),
-        cycle=np.concatenate(cycle_parts),
-        t=np.concatenate(t_parts),
-        rul=np.concatenate(rul_parts).astype(np.float64),
-        oc=np.vstack(oc_parts),
-        columns=cols or [],
+    trajs = sorted(trajectories, key=lambda tr: tr.unit_id)
+    if not trajs:
+        raise ValueError("no trajectories to augment")
+    cols = list(columns) if columns is not None else column_ids(trajs[0])
+    counts = [np.minimum(horizon, traj.length - traj.cycles) + 1 for traj in trajs]
+    n = sum(int(k.sum()) for k in counts)
+    out = AugmentedSamples(
+        unit=np.empty(n, dtype=np.int64),
+        cycle=np.empty(n, dtype=np.int64),
+        t=np.empty(n, dtype=np.int64),
+        rul=np.empty(n, dtype=np.float64),
+        oc=np.empty((n, len(cols)), dtype=np.float64),
+        columns=cols,
     )
+    stop = 0
+    for traj, k in zip(trajs, counts):
+        start, stop = stop, stop + int(k.sum())
+        rows = slice(start, stop)
+        t = np.arange(stop - start) - np.repeat(np.cumsum(k) - k, k)  # 0 .. k_i - 1 per logged row
+        out.unit[rows] = traj.unit_id
+        out.cycle[rows] = np.repeat(traj.cycles, k)
+        out.t[rows] = t
+        out.rul[rows] = np.repeat(traj.length - traj.cycles, k) - t
+        out.oc[rows] = np.repeat(feature_matrix(traj, columns), k, axis=0)
+    return out
 
 
 def augmented_count(trajectories, horizon: int = 30) -> int:

@@ -15,9 +15,10 @@ order of the ``model.bin`` body. Each network's ``MlpParams`` are views
 of ``theta``, so parameters change only in place. The graph is built
 once, for any batch width, and binds those views, so it sees every
 change without rebinding.
-Whole sample sets are read CHUNK samples at a time through slice views:
-``mean_cost`` sums the cost terms, and ``latent_map`` returns one (n, 4)
-float64 table whose columns are x, dx/dt, predicted RUL and true RUL.
+Whole sample sets are read CHUNK samples at a time: ``mean_cost`` sums
+the cost terms over the rows an index array names, gathering one chunk
+at a time, and ``latent_map`` returns one (n, 4) float64 table, built
+from slice views, whose columns are x, dx/dt, predicted RUL and true RUL.
 """
 
 from __future__ import annotations
@@ -290,14 +291,19 @@ class PinnModel:
             float(g.value(w.total)[0, 0]),
         )
 
-    def mean_cost(self, samples: AugmentedSamples) -> tuple[float, float, float]:
-        """Exact cost means over a sample set, evaluated in chunks."""
-        n = len(samples)
+    def mean_cost(self, samples: AugmentedSamples, rows) -> tuple[float, float, float]:
+        """Exact cost means over the samples at index array ``rows``.
+
+        Reads CHUNK rows at a time with ``samples.take(rows[a:b])``, so no
+        copy of the whole subset exists. The sums run in the order of
+        ``rows``; sorted rows make each chunk's gather nearly sequential.
+        """
+        n = len(rows)
         if n == 0:
             raise ValueError("mean_cost needs samples")
         mse_sum = pde_sum = 0.0
         for start in range(0, n, CHUNK):
-            part = samples.take(slice(start, start + CHUNK))
+            part = samples.take(rows[start : start + CHUNK])
             mse, pde, _ = self.cost_values(part)
             mse_sum += mse * len(part)
             pde_sum += pde * len(part)

@@ -25,7 +25,10 @@ one m and one v vector as its state.
 Training splits the dataset 75/25 (validation gets ceil(N/4) samples),
 reshuffles the training part with a fixed per-epoch seed, and evaluates
 both splits after every epoch, so identical seeds give bit-identical
-reports and final parameters.
+reports and final parameters. The splits are index arrays into the one
+dataset, never copies of it: a batch gathers its own rows, and the
+epoch-end means read each split in dataset order (its sorted indices),
+so their chunk gathers run nearly sequentially through memory.
 """
 
 from __future__ import annotations
@@ -159,8 +162,7 @@ def train(
     model = init_model(model.config, model.norm, init_seed, scheme or model.init_scheme)
     model.split_seed = int(split_seed)
     train_idx, val_idx = split_indices(n, split_seed)
-    train_set = dataset.take(train_idx)
-    val_set = dataset.take(val_idx)
+    train_rows, val_rows = np.sort(train_idx), np.sort(val_idx)
 
     names = [name for name, _ in model.parameter_items()]
     state = NadamState(model.theta)
@@ -171,19 +173,19 @@ def train(
         epochs=int(epochs),
         batch_size=int(batch_size),
     )
-    n_train = len(train_set)
+    n_train = len(train_idx)
     for epoch in range(epochs):
         order = np.random.default_rng([split_seed, 1 + epoch]).permutation(n_train)
         for batch_no, start in enumerate(range(0, n_train, batch_size)):
-            batch = train_set.take(order[start : start + batch_size])
+            batch = dataset.take(train_idx[order[start : start + batch_size]])
             try:
                 grads = model.cost(batch).grads
                 nadam_step(state, model.theta, np.concatenate([grads[name].ravel() for name in names]), config)
             except NumericError as exc:
                 raise NumericError(f"epoch {epoch} batch {batch_no}: {exc}") from exc
 
-        tr = model.mean_cost(train_set)
-        va = model.mean_cost(val_set)
+        tr = model.mean_cost(dataset, train_rows)
+        va = model.mean_cost(dataset, val_rows)
         report.per_epoch.append((tr[2], tr[0], tr[1], va[2], va[0], va[1]))
         if log is not None:
             log(

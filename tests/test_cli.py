@@ -459,3 +459,14 @@ def test_latent_csv_writer_empty(tmp_path):
     path = tmp_path / "empty.csv"
     _write_latent_csv(np.empty((0, 4)), path)
     assert path.read_text() == "x,dx_dt,rul_pred,rul_true\n"
+
+
+@pytest.mark.parametrize("n", [0, 1, 4, 5, 6, 13])
+def test_latent_csv_writer_streams_the_one_string_bytes(tmp_path, monkeypatch, n):
+    k = 5  # rows per write, so n covers 0, 1, k - 1, k, k + 1 and 2k + 3
+    monkeypatch.setattr("pinnrul.model.CHUNK", k)
+    table = np.random.default_rng(n).normal(scale=1e3, size=(n, 4))
+    path = tmp_path / "map.csv"
+    _write_latent_csv(table, path)
+    rows = "".join(map("{:.9g},{:.9g},{:.9g},{:.9g}\n".format, *table.T.tolist()))
+    assert path.read_bytes() == ("x,dx_dt,rul_pred,rul_true\n" + rows).encode("ascii")

@@ -198,6 +198,37 @@ class TestAugment:
         order = np.lexsort((samples.t, samples.cycle, samples.unit))
         assert np.array_equal(order, np.arange(len(samples)))
 
+    @pytest.mark.parametrize("horizon", [0, 30])
+    @pytest.mark.parametrize("columns", [None, ["s3", "s1"]])
+    def test_matches_concatenated_reference(self, horizon, columns):
+        # engines out of unit order, one of them shorter than the horizon
+        trajs = [make_traj(3, 40, n_sensors=3, seed=1), make_traj(1, 36, n_sensors=3, seed=2),
+                 make_traj(2, 2, n_sensors=3, seed=3)]
+        parts = {name: [] for name in ("unit", "cycle", "t", "rul", "oc")}
+        for traj in sorted(trajs, key=lambda tr: tr.unit_id):
+            feats = feature_matrix(traj, columns)
+            for row, c in enumerate(traj.cycles):
+                rul0 = traj.length - int(c)
+                ts = np.arange(min(horizon, rul0) + 1)
+                parts["unit"].append(np.full(len(ts), traj.unit_id))
+                parts["cycle"].append(np.full(len(ts), c))
+                parts["t"].append(ts)
+                parts["rul"].append((rul0 - ts).astype(np.float64))
+                parts["oc"].append(np.repeat(feats[row : row + 1], len(ts), axis=0))
+        want = {name: np.concatenate(p) for name, p in parts.items()}
+
+        got = augment(trajs, horizon=horizon, columns=columns)
+        dtypes = dict(unit=np.int64, cycle=np.int64, t=np.int64, rul=np.float64, oc=np.float64)
+        for name, dtype in dtypes.items():
+            assert getattr(got, name).dtype == dtype, name
+            assert np.array_equal(getattr(got, name), want[name]), name
+        assert got.oc.flags.c_contiguous
+        assert got.columns == (columns or ["s1", "s2", "s3"])
+
+    def test_no_trajectories_rejected(self):
+        with pytest.raises(ValueError, match="^no trajectories to augment$"):
+            augment([])
+
     @pytest.mark.parametrize("a, b", [(0, 5), (3, 11), (20, 10**6), (7, 7)])
     def test_take_slice_equals_take_indices(self, a, b):
         samples = augment([make_traj(2, 6), make_traj(1, 5)], horizon=4)

@@ -229,7 +229,7 @@ class TestCost:
     def test_mean_cost_matches_single_batch(self, model, monkeypatch):
         monkeypatch.setattr("pinnrul.model.CHUNK", 3)
         batch = random_batch(model, 22, n=10)
-        mse, pde, total = model.mean_cost(batch)
+        mse, pde, total = model.mean_cost(batch, np.arange(len(batch)))
         one = model.cost_values(batch)
         assert mse == pytest.approx(one[0], rel=1e-12)
         assert pde == pytest.approx(one[1], rel=1e-12)
@@ -244,7 +244,7 @@ class TestCost:
             with pytest.raises(NumericError):
                 model.predict_rul(batch.oc[0], 1.0)
             with pytest.raises(NumericError):
-                model.mean_cost(batch)
+                model.mean_cost(batch, np.arange(len(batch)))
 
 
 class TestParameterVector:

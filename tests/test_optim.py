@@ -161,22 +161,25 @@ class TestTrain:
         assert payload["epochs"] == 1
         assert list(payload["per_epoch"][0]) == list(report.EPOCH_FIELDS)
 
-    def test_flat_vector_matches_per_buffer_reference(self, tiny_dataset):
+    def test_flat_vector_matches_per_buffer_reference(self, tiny_dataset, monkeypatch):
         samples, norm = tiny_dataset
+        monkeypatch.setattr("pinnrul.model.CHUNK", 257)  # several chunks per split
         model = init_model(PinnConfig.default(len(norm.columns), pde_weight=0.2), norm, 0)
         config = NadamConfig(lr=5e-3)
         split_seed, init_seed, epochs, batch_size = 3, 9, 2, 40
-        trained, _ = train(
+        trained, report = train(
             model, samples, split_seed, init_seed, epochs, batch_size, config=config, scheme="xavier"
         )
 
-        # reference: one nadam_step per buffer, each with its own state, over the 36 buffers per batch
+        # reference: one nadam_step per buffer, each with its own state, over the 36 buffers per
+        # batch, on copies of the splits; the epoch-end means read copies in dataset order
         ref = init_model(model.config, norm, init_seed, "xavier")
         names = [name for name, _ in ref.parameter_items()]
         params = [buf for _, buf in ref.parameter_items()]
         states = [NadamState(buf) for buf in params]
-        train_idx, _ = split_indices(len(samples), split_seed)
+        train_idx, val_idx = split_indices(len(samples), split_seed)
         train_set = samples.take(train_idx)
+        sorted_sets = [samples.take(np.sort(idx)) for idx in (train_idx, val_idx)]
         n_batches = 0
         for epoch in range(epochs):
             order = np.random.default_rng([split_seed, 1 + epoch]).permutation(len(train_set))
@@ -185,7 +188,12 @@ class TestTrain:
                 for name, buf, state in zip(names, params, states):
                     nadam_step(state, buf, grads[name], config)
                 n_batches += 1
+            (tr_mse, tr_pde, tr_total), (va_mse, va_pde, va_total) = (
+                ref.mean_cost(split, np.arange(len(split))) for split in sorted_sets
+            )
+            assert report.per_epoch[epoch] == (tr_total, tr_mse, tr_pde, va_total, va_mse, va_pde)
         assert n_batches >= 4
+        assert len(sorted_sets[0]) > 2 * 257
         assert [name for name, _ in trained.parameter_items()] == names
         for (name, got), want in zip(trained.parameter_items(), params):
             assert np.array_equal(got, want), name
