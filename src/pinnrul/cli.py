@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -23,7 +22,7 @@ from . import model as mdl
 from .data import ParseError, SynthSpec
 from .graph import NumericError
 from .model import PinnConfig, PinnModel, init_model
-from .modelfile import ModelFileError, load_model, save_model
+from .modelfile import load_model, save_model
 from .optim import NadamConfig, train
 
 FD001_FILES = {"train": "train_FD001.txt", "test": "test_FD001.txt", "rul": "RUL_FD001.txt"}
@@ -54,7 +53,19 @@ class RunConfig:
     horizon: int = 30
     output_dir: str = "out"
 
+    def __post_init__(self):
+        # every message begins with a field's name, which load_config turns into its JSON key
+        if self.dataset not in ("fd001", "synthetic"):
+            raise ValueError(f"dataset must be 'fd001' or 'synthetic', got {self.dataset!r}")
+        for name, value in (("epochs", self.epochs), ("batch_size", self.batch_size)):
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value!r}")
+        if self.horizon < 0:
+            raise ValueError(f"horizon must be >= 0, got {self.horizon!r}")
+        PinnConfig.default(1, self.pde_weight, self.t_scale)  # the model's own ranges
+
     def to_dict(self) -> dict:
+        """The config file's only statement of its keys, nesting and JSON types (each default's)."""
         return {
             "data_dir": self.data_dir,
             "dataset": self.dataset,
@@ -71,23 +82,42 @@ class RunConfig:
         }
 
 
-_INT_FIELDS = ("epochs", "batch_size", "split_seed", "init_seed", "horizon")
-_SYNTH_INT_FIELDS = ("n_engines", "min_life", "max_life", "n_sensors", "seed")
-_STR_FIELDS = ("data_dir", "dataset", "init_scheme", "output_dir")
+# the "model" section's keys and the RunConfig fields they set
 _MODEL_FIELDS = {"lambda": "pde_weight", "t_scale": "t_scale"}
+_JSON_NAMES = {field: f"model.{key}" for key, field in _MODEL_FIELDS.items()}
+_NOUNS = {int: "an integer", float: "a number", str: "a string", dict: "a JSON object"}
 
 
-def _take(section, allowed: dict, where: str) -> dict:
-    if not isinstance(section, dict):
-        raise CliError(2, f"config: {where} must be a JSON object, got {type(section).__name__}")
-    unknown = set(section) - set(allowed)
-    if unknown:
-        raise CliError(2, f"config: unknown key(s) {sorted(unknown)} in {where}")
-    return {allowed[k]: v for k, v in section.items()}
+def _check_json(value, default, name: str = "") -> None:
+    """Config error unless ``value`` has the JSON type of ``default``, checked
+    recursively into objects, whose keys must be among ``default``'s.
+
+    An int default takes a JSON integer, a float default any JSON number;
+    true and false are never numbers.
+    """
+    kind = type(default)
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise CliError(2, f"config: {name or 'top level'} must be {_NOUNS[kind]}, got {value!r}")
+    if kind is dict:
+        for key, item in value.items():
+            dotted = f"{name}.{key}" if name else key
+            if key not in default:
+                raise CliError(2, f"config: unknown key {dotted!r}")
+            _check_json(item, default[key], dotted)
+
+
+def _build(prefix: str, make, kwargs: dict):
+    """``make(**kwargs)``; its ValueError, which begins with a field's name,
+    is a config error naming that field's dotted JSON key."""
+    try:
+        return make(**kwargs)
+    except ValueError as exc:
+        field, _, rest = str(exc).partition(" ")
+        raise CliError(2, f"config: {_JSON_NAMES.get(prefix + field, prefix + field)} {rest}") from None
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
-    """Read the JSON config, apply flag overrides, validate everything."""
+    """Read the JSON config, check it against ``RunConfig().to_dict()``, apply flag overrides."""
     raw = {}
     if path is not None:
         try:
@@ -96,54 +126,13 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
             raise CliError(2, f"config file not found: {path}") from None
         except json.JSONDecodeError as exc:
             raise CliError(2, f"config {path} is not valid JSON: {exc}") from None
+    _check_json(raw, RunConfig().to_dict())
 
-    top = _take(
-        raw,
-        {
-            "data_dir": "data_dir",
-            "dataset": "dataset",
-            "synth": "synth",
-            "model": "model",
-            "optimizer": "optimizer",
-            "epochs": "epochs",
-            "batch_size": "batch_size",
-            "split_seed": "split_seed",
-            "init_seed": "init_seed",
-            "init_scheme": "init_scheme",
-            "horizon": "horizon",
-            "output_dir": "output_dir",
-        },
-        "top level",
-    )
-    synth_kwargs = _take(
-        top.pop("synth", {}),
-        {k: k for k in ("n_engines", "min_life", "max_life", "n_sensors", "noise_std", "seed")},
-        "synth",
-    )
-    model_kwargs = _take(top.pop("model", {}), _MODEL_FIELDS, "model")
-    optim_kwargs = _take(top.pop("optimizer", {}), {k: k for k in ("lr", "beta1", "beta2", "eps")}, "optimizer")
-
-    merged = {**top, **model_kwargs, **(overrides or {})}
-    try:
-        cfg = RunConfig(
-            synth=SynthSpec(**synth_kwargs),
-            optimizer=NadamConfig(**optim_kwargs),
-            **merged,
-        )
-        typed = [(name, getattr(cfg, name), int, "an integer") for name in _INT_FIELDS]
-        typed += [(f"synth.{name}", getattr(cfg.synth, name), int, "an integer") for name in _SYNTH_INT_FIELDS]
-        typed += [(name, getattr(cfg, name), str, "a string") for name in _STR_FIELDS]
-        typed += [(f"model.{key}", getattr(cfg, attr), (int, float), "a number") for key, attr in _MODEL_FIELDS.items()]
-        for name, value, kind, noun in typed:
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(f"{name} must be {noun}, got {value!r}")
-        if cfg.dataset not in ("fd001", "synthetic"):
-            raise ValueError(f"dataset must be 'fd001' or 'synthetic', got {cfg.dataset!r}")
-        if cfg.epochs < 1 or cfg.batch_size < 1 or cfg.horizon < 0:
-            raise ValueError("epochs and batch_size must be >= 1, horizon >= 0")
-    except (TypeError, ValueError) as exc:
-        raise CliError(2, f"config: {exc}") from None
-    return cfg
+    top = {**raw, **(overrides or {})}
+    synth = _build("synth.", SynthSpec, top.pop("synth", {}))
+    optimizer = _build("optimizer.", NadamConfig, top.pop("optimizer", {}))
+    top.update((_MODEL_FIELDS[key], value) for key, value in top.pop("model", {}).items())
+    return _build("", RunConfig, {**top, "synth": synth, "optimizer": optimizer})
 
 
 # -- data plumbing ------------------------------------------------------
@@ -208,8 +197,6 @@ def _load_model(path: str) -> PinnModel:
         return load_model(path)
     except FileNotFoundError:
         raise CliError(2, f"model file not found: {path}") from None
-    except ModelFileError as exc:
-        raise CliError(2, str(exc)) from None
 
 
 def _training_report(model_path: str) -> dict | None:
@@ -289,10 +276,7 @@ def cmd_eval(cfg: RunConfig, model_path: str) -> int:
     training = _training_report(model_path)
     trajectories, truth = load_test_set(cfg)
     started = time.perf_counter()
-    try:
-        rmse, pairs = model.rmse_eval(trajectories, truth)
-    except ValueError as exc:
-        raise CliError(2, str(exc)) from None
+    rmse, pairs = model.rmse_eval(trajectories, truth)
 
     out = _out_dir(cfg)
     with open(out / "pred_vs_true.csv", "w", encoding="ascii") as fh:
@@ -361,16 +345,11 @@ def _parse_oc(arg: str) -> np.ndarray:
 def cmd_predict(model_path: str, oc_text: str, t_text: str, as_csv: bool) -> int:
     model = _load_model(model_path)
     oc = _parse_oc(oc_text)
-    if oc.shape[0] != model.config.d_oc:
-        raise CliError(2, f"oc has {oc.shape[0]} values, model expects d_oc={model.config.d_oc}")
     try:
         t_list = [float(tok) for tok in t_text.replace(",", " ").split()]
     except ValueError:
         raise CliError(2, f"t-list must be numeric, got {t_text!r}") from None
-    if not t_list or not all(math.isfinite(t) and t >= 0 for t in t_list):
-        raise CliError(2, "t-list must contain one or more finite horizons >= 0")
-
-    rows = model.sweep(oc, t_list)
+    rows = model.sweep(oc, t_list)  # checks the oc width and the horizons
     if as_csv:
         print("t,x,dx_dt,rul_pred")
         for t, x, dx, rul in rows:

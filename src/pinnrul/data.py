@@ -239,10 +239,12 @@ class NormStats:
     def __post_init__(self):
         self.means = np.asarray(self.means, dtype=np.float64)
         self.stds = np.asarray(self.stds, dtype=np.float64)
-        if (self.stds <= 0).any():
-            raise ValueError("feature stds must be strictly positive")
-        if self.rul_max < 1:
-            raise ValueError(f"rul_max must be >= 1, got {self.rul_max}")
+        if not np.isfinite(self.means).all():
+            raise ValueError("means must be finite")
+        if not ((0 < self.stds) & (self.stds < np.inf)).all():
+            raise ValueError("stds must be finite and > 0")
+        if not 1 <= self.rul_max < math.inf:
+            raise ValueError(f"rul_max must be finite and >= 1, got {self.rul_max!r}")
 
 
 def fit_norm(samples: AugmentedSamples) -> NormStats:
@@ -271,10 +273,12 @@ class SynthSpec:
             raise ValueError("min_life must be >= 35 so full augmentation windows exist")
         if self.max_life < self.min_life:
             raise ValueError("max_life must be >= min_life")
-        if self.n_engines < 1 or self.n_sensors < 2:
-            raise ValueError("need at least 1 engine and 2 sensors")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
+        if self.n_engines < 1:
+            raise ValueError(f"n_engines must be >= 1, got {self.n_engines!r}")
+        if self.n_sensors < 2:
+            raise ValueError(f"n_sensors must be >= 2, got {self.n_sensors!r}")
+        if not 0 <= self.noise_std < math.inf:
+            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std!r}")
 
 
 def _synth_coeffs(n_sensors: int):

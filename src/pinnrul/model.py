@@ -57,10 +57,10 @@ class PinnConfig:
             raise ValueError("rul and dynamics networks take exactly 2 inputs")
         if self.x_spec.d_out != 1 or self.rul_spec.d_out != 1 or self.dyn_spec.d_out != 1:
             raise ValueError("all three networks have a single output unit")
-        if self.pde_weight < 0:
-            raise ValueError("pde_weight must be >= 0")
-        if self.t_scale <= 0:
-            raise ValueError("t_scale must be positive")
+        if not 0 <= self.pde_weight < math.inf:
+            raise ValueError(f"pde_weight must be finite and >= 0, got {self.pde_weight!r}")
+        if not 0 < self.t_scale < math.inf:
+            raise ValueError(f"t_scale must be finite and > 0, got {self.t_scale!r}")
 
     @property
     def n_params(self) -> int:
@@ -202,15 +202,15 @@ class PinnModel:
     def _check_oc(self, oc) -> np.ndarray:
         oc = np.atleast_2d(np.asarray(oc, dtype=np.float64))
         if oc.shape[1] != self.config.d_oc:
-            raise ValueError(f"oc has {oc.shape[1]} features, model expects {self.config.d_oc}")
+            raise ValueError(f"oc has {oc.shape[1]} features, model expects d_oc={self.config.d_oc}")
         return oc
 
     def _eval_batch(self, oc, t, y=None, dyn_oracle: bool = False) -> _Wiring:
         """Bind raw inputs (normalizing internally) and evaluate the graph."""
         oc = self._check_oc(oc)
         t = np.asarray(t, dtype=np.float64).reshape(-1)
-        if (t < 0).any():
-            raise ValueError("time horizons must be >= 0")
+        if not ((0 <= t) & (t < np.inf)).all():
+            raise ValueError("time horizons must be finite and >= 0")
         n = t.shape[0]
         if oc.shape[0] != n:
             raise ValueError(f"{oc.shape[0]} oc rows vs {n} time values")

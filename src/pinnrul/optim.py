@@ -33,6 +33,7 @@ so their chunk gathers run nearly sequentially through memory.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -60,10 +61,13 @@ class NadamConfig:
     eps: float = 1e-7
 
     def __post_init__(self):
-        if self.lr <= 0 or self.eps <= 0:
-            raise ValueError("lr and eps must be positive")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ValueError("beta1 and beta2 must lie in (0, 1)")
+        # `not 0 < x < high` also holds for NaN and, with high = inf, for +inf
+        for name, value in (("lr", self.lr), ("eps", self.eps)):
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        for name, value in (("beta1", self.beta1), ("beta2", self.beta2)):
+            if not 0 < value < 1:
+                raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
 
 
 class NadamState:

@@ -72,6 +72,29 @@ class TestConfig:
         assert run_cli(["check-data", "--config", str(path)]) == 2
         assert "synth.n_engines must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("optimizer", "lr", True),
+            ("optimizer", "lr", float("nan")),
+            ("optimizer", "lr", "x"),
+            ("optimizer", "eps", float("inf")),
+            ("model", "lambda", float("nan")),
+            ("model", "lambda", float("inf")),
+            ("model", "t_scale", float("inf")),
+            ("synth", "noise_std", True),
+        ],
+    )
+    def test_bad_section_value_names_its_key(self, tmp_path, capsys, section, key, value):
+        path = synth_config(tmp_path)
+        with open(path) as fh:
+            cfg = json.load(fh)
+        cfg[section][key] = value
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)  # as NaN and Infinity, which Python's json reads back
+        assert run_cli(["train", "--config", path]) == 2
+        assert f"config: {section}.{key} must be" in capsys.readouterr().err
+
     def test_divergent_training_is_numeric_failure(self, tmp_path, capsys):
         cfg = synth_config(tmp_path, optimizer={"lr": 1e200})
         with np.errstate(all="ignore"):
@@ -173,7 +196,14 @@ class TestTrainEvalMapPredict:
 
     @pytest.mark.parametrize(
         "section, key, value, message",
-        [("norm", "stds", None, "lacks key 'stds'"), ("model", "d_oc", "6", "expected int, got '6'")],
+        [
+            ("norm", "stds", None, "lacks key 'stds'"),
+            ("model", "d_oc", "6", "expected int, got '6'"),
+            ("model", "t_scale", float("inf"), "t_scale must be finite and > 0, got inf"),
+            ("model", "pde_weight", float("nan"), "pde_weight must be finite and >= 0, got nan"),
+            ("norm", "rul_max", float("nan"), "rul_max must be finite and >= 1, got nan"),
+            ("norm", "stds", "first-inf", "stds must be finite and > 0"),
+        ],
     )
     def test_bad_header_key_is_exit_2(self, trained, tmp_path, capsys, section, key, value, message):
         _, _, out = trained
@@ -182,6 +212,8 @@ class TestTrainEvalMapPredict:
         header = json.loads(rest[: int(length)])
         if value is None:
             del header[section][key]
+        elif value == "first-inf":
+            header[section][key][0] = float("inf")
         else:
             header[section][key] = value
         raw = json.dumps(header).encode("ascii")
@@ -191,7 +223,8 @@ class TestTrainEvalMapPredict:
             load_model(broken)
         zeros = ",".join("0" for _ in header["norm"]["means"])
         assert run_cli(["predict", "--model", str(broken), f"--oc={zeros}"]) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(broken) in err and message in err
 
     def test_eval_writes_metrics_and_pairs(self, trained, capsys):
         _, cfg, out = trained

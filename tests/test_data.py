@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from pinnrul import (
     AugmentedSamples,
     EngineTrajectory,
+    NormStats,
     SynthSpec,
     augment,
     augmented_count,
@@ -254,6 +257,21 @@ class TestNorm:
         assert stats.rul_max == samples.rul.max()
         assert stats.columns == samples.columns
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("means", [0.0, math.nan], "^means must be finite$"),
+            ("stds", [1.0, math.inf], "^stds must be finite and > 0$"),
+            ("stds", [1.0, math.nan], "^stds must be finite and > 0$"),
+            ("rul_max", math.nan, "^rul_max must be finite and >= 1, got nan$"),
+            ("rul_max", math.inf, "^rul_max must be finite and >= 1, got inf$"),
+        ],
+    )
+    def test_non_finite_stats_rejected(self, field, value, message):
+        stats = {"means": [0.0, 0.0], "stds": [1.0, 1.0], "rul_max": 100.0, "columns": ["s1", "s2"]}
+        with pytest.raises(ValueError, match=message):
+            NormStats(**{**stats, field: value})
+
     def test_rul_max_is_longest_life_minus_one(self):
         trajs, _ = synth_generate(SynthSpec(n_engines=6, min_life=40, max_life=70, seed=4))
         samples = augment(trajs, horizon=30, columns=select_features(trajs))
@@ -281,6 +299,9 @@ class TestSynth:
             SynthSpec(min_life=40, max_life=39)
         with pytest.raises(ValueError):
             SynthSpec(noise_std=-0.1)
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"^noise_std must be finite and >= 0, got {value}$"):
+                SynthSpec(noise_std=value)
 
     def test_deterministic(self):
         spec = SynthSpec(n_engines=5, seed=7)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,12 @@ class TestConfig:
     def test_negative_penalty_weight_rejected(self):
         with pytest.raises(ValueError):
             PinnConfig.default(2, pde_weight=-0.5)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["pde_weight", "t_scale"])
+    def test_non_finite_cost_setting_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and "):
+            PinnConfig.default(2, **{name: value})
 
 
 class TestPointOps:

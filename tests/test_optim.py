@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,10 @@ class TestNadamStep:
             NadamConfig(beta1=1.0)
         with pytest.raises(ValueError):
             NadamConfig(eps=-1e-9)
+        for name in ("lr", "eps"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got {value}$"):
+                    NadamConfig(**{name: value})
 
 
 class TestSplit:

@@ -1,17 +1,19 @@
 """Property tests of the CLI exit-code contract on damaged or random input.
 
 Whatever the input, a command returns 0, 2 or 3 (or 1, when check-data
-finds counts that differ from FD001's) and never raises.
+finds counts that differ from FD001's) and never raises, and a config
+that loads holds only finite numbers of its defaults' JSON types.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pinnrul import cli, save_model
+from pinnrul import PinnConfig, cli, save_model
 
 from conftest import fd001_config, small_random_model
 
@@ -48,8 +50,9 @@ def test_damaged_model_file_predict(model_file, data):
 
 
 # integers stay small so that a valid synthetic fleet stays desk-sized
+SCALAR = st.none() | st.booleans() | st.integers(-2, 40) | st.floats() | st.text(max_size=6)
 JSON = st.recursive(
-    st.none() | st.booleans() | st.integers(-2, 40) | st.floats() | st.text(max_size=6),
+    SCALAR,
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
     max_leaves=6,
 )
@@ -82,6 +85,55 @@ def test_random_config_check_data(tmp_path_factory, config):
     path.write_text(json.dumps(config))
     with np.errstate(all="ignore"):
         assert cli.main(["check-data", "--config", str(path)]) in ALLOWED
+
+
+def leaves(tree, prefix=""):
+    """(dotted key, value) of every non-object value of a JSON object, in order."""
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from leaves(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value
+
+
+DEFAULT_KEYS = [name for name, _ in leaves(cli.RunConfig().to_dict())] + ["bogus", "synth.bogus"]
+
+
+@st.composite
+def one_key_changed(draw):
+    """The default config with one of its keys, or an unknown one, set to a JSON
+    scalar or a non-finite number (CONFIG draws objects and arrays there far
+    more often than scalars)."""
+    config = cli.RunConfig().to_dict()
+    *path, key = draw(st.sampled_from(DEFAULT_KEYS), label="key").split(".")
+    section = config
+    for name in path:
+        section = section[name]
+    section[key] = draw(SCALAR | st.sampled_from([math.nan, math.inf, -math.inf]), label="value")
+    return config
+
+
+@settings(max_examples=300, deadline=None)
+@given(config=st.sampled_from([one_key_changed(), CONFIG]).flatmap(lambda strategy: strategy))
+def test_random_config_is_rejected_or_finite_and_typed(tmp_path_factory, config):
+    # check-data reads neither "model" nor "optimizer", so this property loads the config itself.
+    # In a CONFIG draw one bad key usually hides the rest; in a one_key_changed draw it cannot.
+    # Each gets half the draws, where `|` would give one_key_changed about a tenth.
+    path = tmp_path_factory.getbasetemp() / "random_config.json"
+    path.write_text(json.dumps(config))
+    try:
+        cfg = cli.load_config(str(path))
+        PinnConfig.default(1, cfg.pde_weight, cfg.t_scale)
+    except cli.CliError as exc:
+        assert exc.code == 2
+        return
+    except ValueError:
+        return
+    for (name, value), (_, default) in zip(leaves(cfg.to_dict()), leaves(cli.RunConfig().to_dict()), strict=True):
+        kinds = (int, float) if isinstance(default, float) else type(default)
+        assert isinstance(value, kinds) and not isinstance(value, bool), (name, value)
+        if isinstance(value, (int, float)):
+            assert math.isfinite(value), (name, value)
 
 
 # numbers, non-finite spellings ("nan", "inf", "1e999") and garbage
