@@ -6,7 +6,6 @@ by a squared-residual penalty on the predicted RUL's time derivative.
 """
 
 from .data import (
-    AugmentedSample,
     AugmentedSamples,
     EngineTrajectory,
     NormStats,
@@ -34,7 +33,6 @@ from .optim import NadamConfig, NadamState, TrainingReport, nadam_step, split_in
 __version__ = "0.1.0"
 
 __all__ = [
-    "AugmentedSample",
     "AugmentedSamples",
     "CostBreakdown",
     "EngineTrajectory",

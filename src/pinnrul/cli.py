@@ -3,7 +3,8 @@
 Runs are driven by a JSON config file; a few flags (seeds, epochs, batch
 size, paths) override the file so experiments stay versionable. Exit
 codes are a stable contract: 0 success, 1 count/assertion failure,
-2 usage/config/data error, 3 numeric failure.
+2 usage/config/data error (a run too large to allocate included),
+3 numeric failure.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import reprlib
 import sys
 import time
 from pathlib import Path
@@ -22,7 +24,7 @@ from . import model as mdl
 from .data import ParseError, SynthSpec
 from .graph import NumericError
 from .model import PinnConfig, PinnModel, init_model
-from .modelfile import load_model, save_model
+from .modelfile import json_is, load_model, save_model
 from .optim import NadamConfig, train
 
 FD001_FILES = {"train": "train_FD001.txt", "test": "test_FD001.txt", "rul": "RUL_FD001.txt"}
@@ -85,19 +87,17 @@ class RunConfig:
 # the "model" section's keys and the RunConfig fields they set
 _MODEL_FIELDS = {"lambda": "pde_weight", "t_scale": "t_scale"}
 _JSON_NAMES = {field: f"model.{key}" for key, field in _MODEL_FIELDS.items()}
-_NOUNS = {int: "an integer", float: "a number", str: "a string", dict: "a JSON object"}
+_NOUNS = {int: "an integer in int64 range", float: "a number in float range", str: "a string", dict: "a JSON object"}
 
 
 def _check_json(value, default, name: str = "") -> None:
-    """Config error unless ``value`` has the JSON type of ``default``, checked
-    recursively into objects, whose keys must be among ``default``'s.
-
-    An int default takes a JSON integer, a float default any JSON number;
-    true and false are never numbers.
+    """Config error unless ``value`` has the JSON type of ``default`` (as
+    ``json_is`` reads it), checked recursively into objects, whose keys
+    must be among ``default``'s.
     """
     kind = type(default)
-    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
-        raise CliError(2, f"config: {name or 'top level'} must be {_NOUNS[kind]}, got {value!r}")
+    if not json_is(value, kind):
+        raise CliError(2, f"config: {name or 'top level'} must be {_NOUNS[kind]}, got {reprlib.repr(value)}")
     if kind is dict:
         for key, item in value.items():
             dotted = f"{name}.{key}" if name else key
@@ -456,6 +456,9 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # e.g. a synthetic fleet too large to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -145,15 +145,6 @@ def select_features(trajectories) -> list[str]:
 
 
 @dataclass
-class AugmentedSample:
-    """One training point: feature snapshot, look-ahead t, RUL label."""
-
-    oc: np.ndarray
-    t: int
-    rul: int
-
-
-@dataclass
 class AugmentedSamples:
     """Column-oriented collection of augmented samples."""
 
@@ -166,9 +157,6 @@ class AugmentedSamples:
 
     def __len__(self):
         return int(self.t.shape[0])
-
-    def __getitem__(self, i: int) -> AugmentedSample:
-        return AugmentedSample(oc=self.oc[i], t=int(self.t[i]), rul=int(self.rul[i]))
 
     def take(self, idx) -> "AugmentedSamples":
         """Rows at ``idx``: an index array copies, a slice gives views."""

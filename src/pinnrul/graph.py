@@ -2,15 +2,18 @@
 
 Nodes are appended in construction order, so index order is already a
 topological order: every node's inputs have smaller indices. The value
-store is populated by ``eval`` and the gradient store by ``grad``, which
-sweeps the nodes in fixed reverse index order so repeated runs are
-bit-identical.
+store is populated by ``eval``; ``grad`` sweeps the nodes in fixed
+reverse index order so repeated runs are bit-identical.
 
-All buffers are 2-D float64 arrays; scalars have shape (1, 1). An input
-may leave its column count open (``None``): the graph is then built once
-for any batch width, every op except ``mean`` acts column by column,
-and ``eval`` requires all width-free inputs to be bound with the same
-number of columns.
+All buffers are 2-D float64 arrays; scalars have shape (1, 1). A
+parameter node binds two caller-owned buffers of one shape, its value
+and its gradient, by reference: ``eval`` reads the value buffer as it is
+then, and ``grad`` overwrites the gradient buffer. Neither checks
+finiteness; the owner of the buffers does. An input may leave its
+column count open (``None``): the graph is then built once for any batch
+width, every op except ``mean`` acts column by column, and ``eval``
+requires all width-free inputs to be bound with the same number of
+columns.
 
 A ``layer`` node is one MLP layer, act(W h + b), together with k
 forward-tangent chains through it (vector forward mode). Its value
@@ -24,7 +27,8 @@ tangent block gives exact mixed second derivatives.
 
 Each node records at build time whether it reaches a parameter. ``grad``
 propagates adjoints only into such nodes, so inputs (and anything
-computed only from them) get none.
+computed only from them) get none, and copies each parameter's adjoint
+into its gradient buffer (zeros where the root does not depend on it).
 
 A graph instance is single-writer. Distinct instances are independent and
 may be used from different threads.
@@ -70,11 +74,7 @@ class EvaluationError(Exception):
 
 
 class NumericError(Exception):
-    """A non-finite value or adjoint appeared; ``node`` is the offending id."""
-
-    def __init__(self, message, node=None):
-        super().__init__(message)
-        self.node = node
+    """A non-finite value or gradient appeared."""
 
 
 class _Node:
@@ -84,11 +84,11 @@ class _Node:
         self.kind = kind
         self.inputs = inputs
         self.shape = shape  # (rows, cols); cols is None for a width-free node
-        self.payload = payload  # scale factor, rows range or layer (activation, k, seeds)
+        self.payload = payload  # (value, grad) buffers, scale factor, rows range or layer (activation, k, seeds)
         self.reaches = reaches  # its value depends on a parameter
 
 
-def _as_buffer(value, shape=None):
+def _as_buffer(value, shape):
     arr = np.asarray(value, dtype=np.float64)
     if arr.ndim == 0:
         arr = arr.reshape(1, 1)
@@ -96,7 +96,7 @@ def _as_buffer(value, shape=None):
         arr = arr.reshape(-1, 1)
     if arr.ndim != 2:
         raise GraphError(f"buffers must be at most 2-D, got ndim={arr.ndim}")
-    if shape is not None and (arr.shape[0] != shape[0] or shape[1] not in (None, arr.shape[1])):
+    if arr.shape[0] != shape[0] or shape[1] not in (None, arr.shape[1]):
         raise GraphError(f"buffer shape {arr.shape} does not match declared {tuple(shape)}")
     return arr
 
@@ -181,8 +181,6 @@ class Graph:
 
     def __init__(self):
         self.nodes: list[_Node] = []
-        self.parameters: set[int] = set()
-        self._param_values: dict[int, np.ndarray] = {}
         self._values: list[np.ndarray] | None = None
 
     def shape_of(self, nid: int) -> tuple[int, int | None]:
@@ -193,11 +191,11 @@ class Graph:
     def build(self, kind: str, inputs=(), payload=None) -> int:
         """Append a node and return its id.
 
-        ``payload`` is the shape for ``parameter``/``input`` (an input's
-        column count may be None), the factor for ``scale``, the
-        half-open range (start, stop) for ``rows`` and (activation, k,
-        seeds) for ``layer``, where seeds is None or a first layer's k
-        input coordinates.
+        ``payload`` is the (value, grad) buffer pair for ``parameter``,
+        the shape for ``input`` (its column count may be None), the
+        factor for ``scale``, the half-open range (start, stop) for
+        ``rows`` and (activation, k, seeds) for ``layer``, where seeds is
+        None or a first layer's k input coordinates.
         """
         if kind not in OP_KINDS:
             raise GraphError(f"unknown op kind {kind!r}")
@@ -213,13 +211,21 @@ class Graph:
                 raise GraphError(f"dangling node id {i} (graph has {len(self.nodes)} nodes)")
 
         shapes = [self.nodes[i].shape for i in inputs]
-        if kind in ("parameter", "input"):
+        if kind == "parameter":
+            value, grad = payload
+            arrays = isinstance(value, np.ndarray) and isinstance(grad, np.ndarray)
+            if not (arrays and value.dtype == grad.dtype == np.float64 and value.ndim == 2):
+                raise GraphError("parameter value and gradient must be 2-D float64 arrays")
+            if grad.shape != value.shape or not value.size:
+                raise GraphError(f"parameter value {value.shape} and gradient {grad.shape} need one nonempty shape")
+            shape = value.shape
+        elif kind == "input":
             if payload is None or len(tuple(payload)) != 2:
-                raise GraphError(f"{kind} needs an explicit 2-D shape")
+                raise GraphError("input needs an explicit 2-D shape")
             rows, cols = payload
-            shape = (int(rows), None if cols is None and kind == "input" else int(cols))
+            shape = (int(rows), None if cols is None else int(cols))
             if shape[0] < 1 or (shape[1] is not None and shape[1] < 1):
-                raise GraphError(f"{kind} shape must be positive, got {shape}")
+                raise GraphError(f"input shape must be positive, got {shape}")
             payload = None
         elif kind == "layer":
             payload, shape = _layer_shape(shapes, payload)
@@ -251,10 +257,9 @@ class Graph:
         self._values = None
         return len(self.nodes) - 1
 
-    def parameter(self, shape) -> int:
-        nid = self.build("parameter", payload=shape)
-        self.parameters.add(nid)
-        return nid
+    def parameter(self, value: np.ndarray, grad: np.ndarray) -> int:
+        """Parameter bound to the caller's ``value`` and ``grad`` buffers, not copies."""
+        return self.build("parameter", payload=(value, grad))
 
     def input(self, shape) -> int:
         """Input of shape (rows, cols); cols None leaves the width to ``eval``."""
@@ -300,17 +305,11 @@ class Graph:
 
     # -- values -------------------------------------------------------
 
-    def set_param(self, nid: int, value) -> None:
-        node = self.nodes[nid]
-        if node.kind != "parameter":
-            raise GraphError(f"node {nid} is {node.kind}, not a parameter")
-        self._param_values[nid] = _as_buffer(value, node.shape)
-
     def eval(self, bindings: dict[int, np.ndarray] | None = None) -> list[np.ndarray]:
         """Compute every node value in index (= topological) order.
 
-        ``bindings`` maps each input node to its value; parameters take
-        theirs from ``set_param``.
+        ``bindings`` maps each input node to its value; parameters read
+        their bound value buffers.
         """
         bindings = bindings or {}
         values: list[np.ndarray] = []
@@ -318,9 +317,7 @@ class Graph:
         for nid, node in enumerate(self.nodes):
             k = node.kind
             if k == "parameter":
-                v = self._param_values.get(nid)
-                if v is None:
-                    raise EvaluationError(f"parameter node {nid} has no value")
+                v = node.payload[0]
             elif k == "input":
                 if nid not in bindings:
                     raise EvaluationError(f"input node {nid} is unbound")
@@ -365,16 +362,11 @@ class Graph:
 
     # -- gradients ----------------------------------------------------
 
-    def grad(self, root: int) -> dict[int, np.ndarray]:
-        """Return d(root)/d(p) for every parameter node p.
+    def grad(self, root: int) -> None:
+        """Write d(root)/d(p) into the gradient buffer of every parameter node p.
 
-        ``root`` must be scalar-shaped and ``eval`` must have run. The
-        returned map has an entry for every parameter, zero-filled when
-        the parameter does not influence the root. The returned buffers
-        are read-only by contract: two entries may share one array.
-
-        Raises NumericError when a parameter gradient is non-finite,
-        naming the first node in sweep order whose adjoint is.
+        ``root`` must be scalar-shaped and ``eval`` must have run. A
+        parameter that does not influence the root gets zeros.
         """
         if self._values is None:
             raise EvaluationError("call eval before grad")
@@ -441,12 +433,6 @@ class Graph:
                         acc(i, a[row : row + h, :])
                     row += h
 
-        out = {}
-        for p in self.parameters:
-            g = adjoint.get(p)
-            out[p] = np.zeros(nodes[p].shape) if g is None else g
-        if not all(np.isfinite(g).all() for g in out.values()):
-            for nid in sorted(adjoint, reverse=True):
-                if not np.isfinite(adjoint[nid]).all():
-                    raise NumericError(f"non-finite adjoint at node {nid}", node=nid)
-        return out
+        for nid, node in enumerate(nodes):
+            if node.kind == "parameter":  # zeros where the root does not depend on it
+                np.copyto(node.payload[1], adjoint.get(nid, 0.0))

@@ -9,12 +9,14 @@ labels. Both derivatives are forward-tangent blocks in the same graph,
 which makes the penalty differentiable w.r.t. all weights in one reverse
 sweep.
 
-A model owns one float64 vector ``theta`` holding every weight and bias;
-``_layout`` is the only code that knows their order, which is also the
-order of the ``model.bin`` body. Each network's ``MlpParams`` are views
-of ``theta``, so parameters change only in place. The graph is built
-once, for any batch width, and binds those views, so it sees every
-change without rebinding.
+A model owns one float64 vector ``theta`` holding every weight and bias,
+and one gradient vector of the same shape; ``_layout`` is the only code
+that knows their order, which is also the order of the ``model.bin``
+body. Each network's ``MlpParams`` are views of ``theta``, so parameters
+change only in place. The graph is built once, for any batch width, and
+binds each parameter view with the gradient view at the same offsets, so
+it sees every change without rebinding and its reverse sweep fills the
+gradient vector, which ``cost`` checks once and returns as a copy.
 Whole sample sets are read CHUNK samples at a time: ``mean_cost`` sums
 the cost terms over the rows an index array names, gathering one chunk
 at a time, and ``latent_map`` returns one (n, 4) float64 table, built
@@ -82,36 +84,41 @@ class PinnConfig:
 
 @dataclass
 class CostBreakdown:
-    """Cost terms of one batch plus gradients for every parameter."""
+    """Cost terms of one batch plus the total's gradient, laid out like ``theta``."""
 
     mse: float
     pde: float
     total: float
-    grads: dict[str, np.ndarray]
+    grad: np.ndarray
 
 
-def _layout(config: PinnConfig, theta: np.ndarray):
-    """Cut ``theta`` into one view per weight and bias buffer.
+def _layout(config: PinnConfig, theta: np.ndarray, grad: np.ndarray):
+    """Cut ``theta`` and ``grad``, a gradient shaped like it, into one view
+    per weight and bias buffer each.
 
     This is the one statement of the parameter order, which is also the
     order of the ``model.bin`` body: networks x, rul, dyn; per layer the
     weight matrix W (out x in, row-major), then the bias column b.
-    Returns the (name, view) pairs in that order and each network's
-    ``MlpParams`` over the same views, keyed ``x``, ``rul``, ``dyn``.
+    Returns the (name, view of ``theta``) pairs in that order and, keyed
+    ``x``, ``rul``, ``dyn``, each network's ``MlpParams`` over its views
+    of ``theta`` and over its views of ``grad``.
     """
     if theta.dtype != np.float64 or theta.shape != (config.n_params,):
         raise ValueError(f"theta must be float64 of shape ({config.n_params},), got {theta.dtype} {theta.shape}")
-    items, nets, start = [], {}, 0
+    items, nets, grad_nets, start = [], {}, {}, 0
     for prefix, spec in (("x", config.x_spec), ("rul", config.rul_spec), ("dyn", config.dyn_spec)):
-        weights, biases = [], []
+        bufs = [], [], [], []  # W and b views of theta, then of grad
         for i, shapes in enumerate(spec.layer_shapes(), start=1):
-            for kind, shape, bufs in zip("Wb", shapes, (weights, biases)):
+            for j, shape in enumerate(shapes):
                 stop = start + shape[0] * shape[1]
-                bufs.append(theta[start:stop].reshape(shape))
-                items.append((f"{prefix}.{kind}{i}", bufs[-1]))
+                bufs[j].append(theta[start:stop].reshape(shape))
+                bufs[2 + j].append(grad[start:stop].reshape(shape))
+                items.append((f"{prefix}.{'Wb'[j]}{i}", bufs[j][-1]))
                 start = stop
-        nets[prefix] = MlpParams(spec, tuple(weights), tuple(biases))
-    return items, nets
+        weights, biases, grad_weights, grad_biases = map(tuple, bufs)
+        nets[prefix] = MlpParams(spec, weights, biases)
+        grad_nets[prefix] = MlpParams(spec, grad_weights, grad_biases)
+    return items, nets, grad_nets
 
 
 class _Wiring:
@@ -121,16 +128,16 @@ class _Wiring:
     batch width.
     """
 
-    def __init__(self, config: PinnConfig, items, nets, dyn_oracle: bool):
+    def __init__(self, config: PinnConfig, nets, grad_nets, dyn_oracle: bool):
         g = Graph()
         self.graph = g
         self.oc_in = g.input((config.d_oc, None))
         self.t_in = g.input((1, None))
         self.y_in = g.input((1, None))
 
-        self.x_mlp = GraphMlp(g, nets["x"])
-        self.rul_mlp = GraphMlp(g, nets["rul"])
-        self.dyn_mlp = GraphMlp(g, nets["dyn"])
+        self.x_mlp = GraphMlp(g, nets["x"], grad_nets["x"])
+        self.rul_mlp = GraphMlp(g, nets["rul"], grad_nets["rul"])
+        self.dyn_mlp = GraphMlp(g, nets["dyn"], grad_nets["dyn"])
 
         x_input = g.concat([self.oc_in, self.t_in])
         self.x, (self.dx_dt,) = self.x_mlp.forward_tangents(x_input, [config.d_oc])
@@ -150,9 +157,6 @@ class _Wiring:
         self.pde = g.mean(g.square(self.f))
         self.total = g.add(self.mse, g.scale(self.pde, config.pde_weight))
 
-        param_ids = self.x_mlp.param_nodes() + self.rul_mlp.param_nodes() + self.dyn_mlp.param_nodes()
-        self.named_params = [(name, nid) for (name, _), nid in zip(items, param_ids)]
-
 
 @dataclass
 class PinnModel:
@@ -169,13 +173,15 @@ class PinnModel:
     init_scheme: str = "standard-normal"
     init_seed: int = 0
     split_seed: int | None = None  # set by training, None for a fresh model
-    _wirings: dict = field(default_factory=dict, repr=False, compare=False)  # by dyn_oracle
+    # by dyn_oracle; not an init field, so dataclasses.replace builds fresh ones on the new views
+    _wirings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._items, self._nets = _layout(self.config, self.theta)
-        if not np.isfinite(self.theta).all():
-            name = next(name for name, buf in self._items if not np.isfinite(buf).all())
-            raise ValueError(f"non-finite parameter {name}")
+        self._grad = np.zeros_like(self.theta)
+        self._items, self._nets, self._grad_nets = _layout(self.config, self.theta, self._grad)
+        finite = np.isfinite(self.theta)
+        if not finite.all():
+            raise ValueError(f"non-finite parameter {self._buffer_at(np.argmin(finite))}")
 
     def __setattr__(self, name, value):
         # ``model.theta *= c`` works in place and then rebinds the same array
@@ -193,10 +199,15 @@ class PinnModel:
         """(name, view) of every buffer, tiling ``theta`` in ``_layout`` order."""
         return list(self._items)
 
+    def _buffer_at(self, offset) -> str:
+        """Name of the buffer that holds entry ``offset`` of ``theta`` (and of a gradient)."""
+        stops = np.cumsum([view.size for _, view in self._items])
+        return self._items[np.searchsorted(stops, offset, side="right")][0]
+
     def _wiring(self, dyn_oracle: bool = False) -> _Wiring:
         wiring = self._wirings.get(dyn_oracle)
         if wiring is None:
-            wiring = self._wirings[dyn_oracle] = _Wiring(self.config, self._items, self._nets, dyn_oracle)
+            wiring = self._wirings[dyn_oracle] = _Wiring(self.config, self._nets, self._grad_nets, dyn_oracle)
         return wiring
 
     def _check_oc(self, oc) -> np.ndarray:
@@ -259,12 +270,14 @@ class PinnModel:
     # -- batch cost ------------------------------------------------------
 
     def cost(self, batch: AugmentedSamples, dyn_oracle: bool = False) -> CostBreakdown:
-        """Batch cost (label MSE + weighted mean squared residual) and
-        gradients for every parameter of all three networks.
+        """Batch cost (label MSE + weighted mean squared residual) and its
+        gradient, one vector laid out like ``theta``.
 
-        ``dyn_oracle`` replaces the dynamics network output by the exact
-        time derivative it is meant to learn (a test seam: the residual
-        term is then identically zero).
+        The gradient is a fresh copy, so no breakdown aliases another.
+        Raises NumericError naming the buffer of its first non-finite
+        entry. ``dyn_oracle`` replaces the dynamics network output by the
+        exact time derivative it is meant to learn (a test seam: the
+        residual term is then identically zero).
         """
         if len(batch) == 0:
             raise ValueError("cost needs a nonempty batch")
@@ -275,9 +288,11 @@ class PinnModel:
         total = float(g.value(w.total)[0, 0])
         if not math.isfinite(total):
             raise NumericError(f"non-finite total cost (mse={mse}, pde={pde})")
-        node_grads = g.grad(w.total)
-        grads = {name: node_grads[nid] for name, nid in w.named_params}
-        return CostBreakdown(mse=mse, pde=pde, total=total, grads=grads)
+        g.grad(w.total)
+        finite = np.isfinite(self._grad)
+        if not finite.all():
+            raise NumericError(f"non-finite gradient of {self._buffer_at(np.argmin(finite))}")
+        return CostBreakdown(mse=mse, pde=pde, total=total, grad=self._grad.copy())
 
     def cost_values(self, batch: AugmentedSamples) -> tuple[float, float, float]:
         """(mse, pde, total) without the gradient sweep."""
@@ -333,10 +348,6 @@ class PinnModel:
         ocs = np.repeat(oc, len(t_list), axis=0)
         xs, dxs, ruls = self._outputs(ocs, t_list, ("x", "dx_dt", "rul"))
         return [(float(t), float(xs[j]), float(dxs[j]), float(ruls[j])) for j, t in enumerate(t_list)]
-
-    def horizon_sweep(self, oc, t_list) -> list[tuple[float, float, float]]:
-        """(t, x, predicted RUL) at each future horizon from one snapshot."""
-        return [(t, x, rul) for t, x, _, rul in self.sweep(oc, t_list)]
 
     def rmse_eval(self, trajectories, truth) -> tuple[float, list[tuple[int, float, float]]]:
         """RMSE in cycles of t=0 predictions at each unit's last cycle.

@@ -16,6 +16,8 @@ repr, so save -> load -> save reproduces the bytes exactly.
 from __future__ import annotations
 
 import json
+import reprlib
+import sys
 
 import numpy as np
 
@@ -35,10 +37,24 @@ def _spec_to_dict(spec: MlpSpec) -> dict:
     return {"widths": list(spec.widths), "hidden": spec.hidden, "output": spec.output}
 
 
-def _typed(value, *kinds):
-    """``value`` if it is one of ``kinds``; JSON true/false count as none."""
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise TypeError(f"expected {' or '.join(k.__name__ for k in kinds)}, got {value!r}")
+def json_is(value, kind) -> bool:
+    """True if the JSON ``value`` reads as a ``kind`` (int, float, str, dict).
+
+    true and false are never numbers, an int must fit int64, and a float
+    may also be an integer within float range. NaN and the infinities are
+    floats; the range checks of the fields that take them reject them.
+    """
+    if isinstance(value, bool) and kind in (int, float):
+        return False
+    if kind is float and isinstance(value, int):
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, kind) and (kind is not int or -(2**63) <= value < 2**63)
+
+
+def _typed(value, kind):
+    """``value`` if ``json_is(value, kind)``."""
+    if not json_is(value, kind):
+        raise TypeError(f"expected {kind.__name__}, got {reprlib.repr(value)}")
     return value
 
 
@@ -105,14 +121,14 @@ def load_model(path) -> PinnModel:
             x_spec=_spec_from_dict(m["x_spec"]),
             rul_spec=_spec_from_dict(m["rul_spec"]),
             dyn_spec=_spec_from_dict(m["dyn_spec"]),
-            pde_weight=float(_typed(m["pde_weight"], int, float)),
-            t_scale=float(_typed(m["t_scale"], int, float)),
+            pde_weight=float(_typed(m["pde_weight"], float)),
+            t_scale=float(_typed(m["t_scale"], float)),
         )
         nd = header["norm"]
         norm = NormStats(
-            means=np.asarray([_typed(v, int, float) for v in nd["means"]], dtype=np.float64),
-            stds=np.asarray([_typed(v, int, float) for v in nd["stds"]], dtype=np.float64),
-            rul_max=float(_typed(nd["rul_max"], int, float)),
+            means=np.asarray([_typed(v, float) for v in nd["means"]], dtype=np.float64),
+            stds=np.asarray([_typed(v, float) for v in nd["stds"]], dtype=np.float64),
+            rul_max=float(_typed(nd["rul_max"], float)),
             columns=[_typed(c, str) for c in nd["columns"]],
         )
         if not len(norm.means) == len(norm.stds) == len(norm.columns) == config.d_oc:

@@ -1,7 +1,8 @@
 """Multilayer perceptrons emitted as computation-graph nodes.
 
-``GraphMlp`` binds one set of weights into a graph as trainable parameter
-nodes and emits one graph ``layer`` node per MLP layer. Besides the plain
+``GraphMlp`` binds one set of weights into a graph as parameter nodes,
+each with the matching buffer of a gradient set of the same shapes, and
+emits one graph ``layer`` node per MLP layer. Besides the plain
 chain it can carry forward-tangent chains for directional input
 derivatives: each layer's value stacks the primal block and one tangent
 block per input coordinate along its rows, the first layer seeds the
@@ -111,24 +112,18 @@ def _tangent_coord(spec: MlpSpec, coord) -> int:
 class GraphMlp:
     """One MLP's parameters embedded in a graph as trainable nodes.
 
-    The graph keeps the float64 buffers themselves, not copies, so each
-    ``eval`` reads their current values.
+    Each node binds a buffer of ``params`` and the same-shaped buffer of
+    ``grads``, the arrays themselves, not copies: each ``eval`` reads the
+    current weights and each ``grad`` writes the gradients in place.
     """
 
-    def __init__(self, graph: Graph, params: MlpParams):
+    def __init__(self, graph: Graph, params: MlpParams, grads: MlpParams):
         self.graph = graph
         self.spec = params.spec
-        self.layers = []
-        for w, b in zip(params.weights, params.biases):
-            w_id = graph.parameter(w.shape)
-            b_id = graph.parameter(b.shape)
-            graph.set_param(w_id, w)
-            graph.set_param(b_id, b)
-            self.layers.append((w_id, b_id))
-
-    def param_nodes(self):
-        """Flat (W1, b1, W2, b2, ...) node ids in layer order."""
-        return [nid for pair in self.layers for nid in pair]
+        self.layers = [
+            (graph.parameter(w, dw), graph.parameter(b, db))
+            for w, b, dw, db in zip(params.weights, params.biases, grads.weights, grads.biases, strict=True)
+        ]
 
     def forward(self, input_id: int) -> int:
         """Emit the layer chain for ``input_id`` of shape (d_in, n); n may be None."""

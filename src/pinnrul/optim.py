@@ -17,9 +17,10 @@ grows at most about lr per step however large the gradient is.
 
 Every operation of the rule is elementwise, so it gives the same bits
 whether it runs per buffer or over one vector holding all of them.
-``train`` uses the vector: each step lays the batch gradients end to end
-in the order of the model's parameter vector ``theta`` (set by
-``model._layout``) and makes one ``nadam_step`` call on the pair, with
+``train`` uses the vector: the model's graph binds each weight and bias
+buffer with a gradient buffer at the same offsets of one gradient vector,
+laid out like the parameter vector ``theta`` (by ``model._layout``), and
+each step passes ``cost(batch).grad`` to one ``nadam_step`` call, with
 one m and one v vector as its state.
 
 Training splits the dataset 75/25 (validation gets ceil(N/4) samples),
@@ -168,7 +169,6 @@ def train(
     train_idx, val_idx = split_indices(n, split_seed)
     train_rows, val_rows = np.sort(train_idx), np.sort(val_idx)
 
-    names = [name for name, _ in model.parameter_items()]
     state = NadamState(model.theta)
 
     report = TrainingReport(
@@ -183,8 +183,7 @@ def train(
         for batch_no, start in enumerate(range(0, n_train, batch_size)):
             batch = dataset.take(train_idx[order[start : start + batch_size]])
             try:
-                grads = model.cost(batch).grads
-                nadam_step(state, model.theta, np.concatenate([grads[name].ravel() for name in names]), config)
+                nadam_step(state, model.theta, model.cost(batch).grad, config)
             except NumericError as exc:
                 raise NumericError(f"epoch {epoch} batch {batch_no}: {exc}") from exc
 

@@ -9,6 +9,7 @@ import pytest
 from pinnrul import (
     AugmentedSamples,
     Graph,
+    MlpParams,
     MlpSpec,
     NormStats,
     PinnConfig,
@@ -38,7 +39,9 @@ def random_graph(seed):
     columns) or a stacked one (k + 1 blocks of rows). The root sums the
     mean square of every pool node that reaches a parameter, so each of
     them feeds the gradient. The input leaves its width open and is bound
-    with two columns. Returns (graph, parameter ids, input bindings, root).
+    with two columns. Each parameter binds its own value and gradient
+    arrays. Returns (graph, (id, value, grad) per parameter, input
+    bindings, root).
     Callers skip draws whose relu pre-activations come near 0
     (``relu_inputs_safe``) so finite differences stay valid.
     """
@@ -46,12 +49,14 @@ def random_graph(seed):
     g = Graph()
     shapes = [(1, 1), (2, 1), (2, 2), (3, 2)]
     pool = []
+    params = []
     bindings = {}
 
     def new_parameter(shape):
-        p = g.parameter(shape)
-        g.set_param(p, rng.uniform(0.5, 1.5, shape) * rng.choice([-1.0, 1.0], shape))
-        return p
+        value = rng.uniform(0.5, 1.5, shape) * rng.choice([-1.0, 1.0], shape)
+        grad = np.zeros(shape)
+        params.append((g.parameter(value, grad), value, grad))
+        return params[-1][0]
 
     for _ in range(rng.integers(2, 4)):
         pool.append(new_parameter(shapes[rng.integers(len(shapes))]))
@@ -92,7 +97,6 @@ def random_graph(seed):
     root = terms[0]
     for term in terms[1:]:
         root = g.add(root, term)
-    params = sorted(g.parameters)
     return g, params, bindings, root
 
 
@@ -104,6 +108,20 @@ def relu_inputs_safe(g, values, margin=1e-3):
             if np.abs(w @ h + b).min() < margin:
                 return False
     return True
+
+
+def zero_grads(params):
+    """Gradient buffers shaped like ``params``, for binding them into a ``GraphMlp``."""
+    return MlpParams(params.spec, [np.zeros_like(w) for w in params.weights], [np.zeros_like(b) for b in params.biases])
+
+
+def grad_views(model, grad):
+    """Name -> view of a gradient vector, cut like ``model.theta``."""
+    views, start = {}, 0
+    for name, view in model.parameter_items():
+        views[name] = grad[start : start + view.size].reshape(view.shape)
+        start += view.size
+    return views
 
 
 def small_random_model(seed, d_oc=2, pde_weight=1.0):

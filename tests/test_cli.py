@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,17 +87,23 @@ class TestConfig:
             ("model", "lambda", float("inf")),
             ("model", "t_scale", float("inf")),
             ("synth", "noise_std", True),
+            # an integer too large for a float, or for int64
+            pytest.param("optimizer", "lr", 10**400, id="optimizer-lr-10**400"),
+            pytest.param("model", "lambda", 10**400, id="model-lambda-10**400"),
+            pytest.param("synth", "seed", 2**63, id="synth-seed-2**63"),
+            pytest.param(None, "horizon", 10**400, id="horizon-10**400"),
+            pytest.param(None, "horizon", 2**63, id="horizon-2**63"),
         ],
     )
     def test_bad_section_value_names_its_key(self, tmp_path, capsys, section, key, value):
         path = synth_config(tmp_path)
         with open(path) as fh:
             cfg = json.load(fh)
-        cfg[section][key] = value
+        (cfg[section] if section else cfg)[key] = value
         with open(path, "w") as fh:
             json.dump(cfg, fh)  # as NaN and Infinity, which Python's json reads back
         assert run_cli(["train", "--config", path]) == 2
-        assert f"config: {section}.{key} must be" in capsys.readouterr().err
+        assert f"config: {f'{section}.' if section else ''}{key} must be" in capsys.readouterr().err
 
     def test_divergent_training_is_numeric_failure(self, tmp_path, capsys):
         cfg = synth_config(tmp_path, optimizer={"lr": 1e200})
@@ -109,6 +119,30 @@ class TestConfig:
 
 
 class TestCheckData:
+    def test_unallocatable_fleet_is_exit_2(self, tmp_path):
+        # the child lowers its own address-space limit, so the failed allocation
+        # cannot touch the machine's memory even where the host overcommits
+        if not sys.platform.startswith("linux"):
+            pytest.skip("sizes the limit from /proc/self/statm")
+        child = (
+            "import os, resource, sys\n"
+            "from pinnrul import cli\n"
+            "used = int(open('/proc/self/statm').read().split()[0]) * os.sysconf('SC_PAGE_SIZE')\n"
+            "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+            "soft = used + 2**29 if hard == resource.RLIM_INFINITY else min(used + 2**29, hard)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (soft, hard))\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        cfg = synth_config(tmp_path, synth={"n_engines": 1, "max_life": 10**12})
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "check-data", "--config", cfg],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: out of memory: ")
+        assert "Traceback" not in proc.stderr
+
     def test_synthetic_counts(self, tmp_path, capsys):
         assert run_cli(["check-data", "--config", synth_config(tmp_path)]) == 0
         out = capsys.readouterr().out
@@ -203,6 +237,9 @@ class TestTrainEvalMapPredict:
             ("model", "pde_weight", float("nan"), "pde_weight must be finite and >= 0, got nan"),
             ("norm", "rul_max", float("nan"), "rul_max must be finite and >= 1, got nan"),
             ("norm", "stds", "first-inf", "stds must be finite and > 0"),
+            # an integer too large for a float, or for int64
+            pytest.param("model", "t_scale", 10**400, "expected float, got 1000", id="model-t_scale-10**400"),
+            pytest.param("init", "seed", 2**63, "expected int, got 9223372036854775808", id="init-seed-2**63"),
         ],
     )
     def test_bad_header_key_is_exit_2(self, trained, tmp_path, capsys, section, key, value, message):

@@ -151,15 +151,15 @@ class TestAugment:
     def test_engine_with_192_rows_at_cycle_100(self):
         traj = make_traj(1, 192)
         samples = augment([traj], horizon=30)
-        at_100 = [samples[i] for i in range(len(samples)) if samples.cycle[i] == 100]
-        assert (at_100[0].t, at_100[0].rul) == (0, 92)
-        assert (at_100[1].t, at_100[1].rul) == (1, 91)
+        at_100 = np.flatnonzero(samples.cycle == 100)
+        assert (samples.t[at_100[0]], samples.rul[at_100[0]]) == (0, 92)
+        assert (samples.t[at_100[1]], samples.rul[at_100[1]]) == (1, 91)
         assert len(at_100) == 31
-        assert [s.t for s in at_100] == list(range(31))
+        assert samples.t[at_100].tolist() == list(range(31))
 
     def test_length_two_trajectory(self):
         samples = augment([make_traj(1, 2)], horizon=30)
-        rows = [(int(samples.cycle[i]), samples[i].t, samples[i].rul) for i in range(len(samples))]
+        rows = list(zip(samples.cycle.tolist(), samples.t.tolist(), samples.rul.tolist()))
         assert rows == [(1, 0, 1), (1, 1, 0), (2, 0, 0)]
 
     def test_closed_form_count(self):
@@ -175,8 +175,7 @@ class TestAugment:
         assert (samples.t <= 30).all() and (samples.t >= 0).all()
         lengths = {t.unit_id: t.length for t in trajs}
         for i in range(0, len(samples), 97):
-            s = samples[i]
-            assert s.rul == (lengths[int(samples.unit[i])] - int(samples.cycle[i])) - s.t
+            assert samples.rul[i] == (lengths[int(samples.unit[i])] - int(samples.cycle[i])) - samples.t[i]
 
     def test_no_rows_lost(self):
         trajs, _ = synth_generate(SynthSpec(n_engines=4, min_life=35, max_life=45, seed=2))

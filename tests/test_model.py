@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -20,8 +21,10 @@ from conftest import (
     dyn_preactivations_safe,
     fd_gradient,
     fd_tolerance_ok,
+    grad_views,
     random_batch,
     small_random_model,
+    zero_grads,
 )
 
 
@@ -117,7 +120,7 @@ class TestPointOps:
 
     def test_predict_matches_sweep(self, model):
         oc = [0.5, -0.5]
-        assert model.predict_rul(oc, 3.0) == model.horizon_sweep(oc, [3.0])[0][2]
+        assert model.predict_rul(oc, 3.0) == model.sweep(oc, [3.0])[0][3]
 
 
 class TestResidual:
@@ -128,7 +131,7 @@ class TestResidual:
         assert drul_dt == 0.0 and drul_dx == 0.0
 
         g = Graph()
-        dyn = GraphMlp(g, model.dyn_params)
+        dyn = GraphMlp(g, model.dyn_params, zero_grads(model.dyn_params))
         xin = g.input((2, 1))
         out = dyn.forward(xin)
         g.eval({xin: np.array([[dx_dt], [0.0]])})
@@ -141,7 +144,7 @@ class TestResidual:
         f = model.residual(oc, t)
 
         g = Graph()
-        dyn = GraphMlp(g, model.dyn_params)
+        dyn = GraphMlp(g, model.dyn_params, zero_grads(model.dyn_params))
         xin = g.input((2, 1))
         out = dyn.forward(xin)
         g.eval({xin: np.array([[dx_dt], [drul_dx]])})
@@ -203,7 +206,8 @@ class TestCost:
         batch = random_batch(model, 13, n=4)
         breakdown = model.cost(batch)
         names = [name for name, _ in model.parameter_items()]
-        assert sorted(breakdown.grads) == sorted(names)
+        assert breakdown.grad.shape == model.theta.shape
+        assert sorted(grad_views(model, breakdown.grad)) == sorted(names)
         assert any(name.startswith("dyn.") for name in names)
 
     def test_gradients_match_finite_differences(self):
@@ -215,14 +219,14 @@ class TestCost:
             batch = random_batch(model, seed + 1000, n=4)
             if not dyn_preactivations_safe(model, batch):
                 continue
-            breakdown = model.cost(batch)
+            grads = grad_views(model, model.cost(batch).grad)
             for name, buf in model.parameter_items():
                 it = np.nditer(buf, flags=["multi_index"])
                 for _ in it:
                     idx = it.multi_index
                     fd = fd_gradient(model, batch, name, idx)
-                    assert fd_tolerance_ok(breakdown.grads[name][idx], fd), (
-                        f"seed {seed} {name}{idx}: {breakdown.grads[name][idx]} vs {fd}"
+                    assert fd_tolerance_ok(grads[name][idx], fd), (
+                        f"seed {seed} {name}{idx}: {grads[name][idx]} vs {fd}"
                     )
             checked += 1
 
@@ -231,8 +235,31 @@ class TestCost:
         a = model.cost(batch)
         b = model.cost(batch)
         assert a.total == b.total
-        for name in a.grads:
-            assert np.array_equal(a.grads[name], b.grads[name])
+        assert np.array_equal(a.grad, b.grad)
+
+    def test_breakdowns_do_not_share_a_gradient(self, model):
+        a = model.cost(random_batch(model, 24, n=5))
+        kept = a.grad.copy()
+        b = model.cost(random_batch(model, 25, n=5))
+        assert not np.shares_memory(a.grad, b.grad)
+        assert np.array_equal(a.grad, kept)
+        assert not np.array_equal(a.grad, b.grad)
+
+    def test_non_finite_gradient_names_its_buffer(self, model, monkeypatch):
+        # poison two gradient buffers inside Graph.grad; cost's one check names the first
+        batch = random_batch(model, 26, n=4)
+        wiring = model._wiring()
+        bad = (wiring.rul_mlp.layers[0][1], wiring.dyn_mlp.layers[-1][0])  # rul.b1, the last dyn.W
+        grad = Graph.grad
+
+        def poisoned(graph, root):
+            grad(graph, root)
+            for nid in bad:
+                graph.nodes[nid].payload[1][-1, -1] = np.nan
+
+        monkeypatch.setattr(Graph, "grad", poisoned)
+        with pytest.raises(NumericError, match=r"^non-finite gradient of rul\.b1$"):
+            model.cost(batch)
 
     def test_mean_cost_matches_single_batch(self, model, monkeypatch):
         monkeypatch.setattr("pinnrul.model.CHUNK", 3)
@@ -286,7 +313,16 @@ class TestParameterVector:
         assert after[0] == fresh.predict_rul(oc, 3.0)
         want = fresh.cost(batch)
         assert after[1].total == want.total
-        assert all(np.array_equal(after[1].grads[name], want.grads[name]) for name in want.grads)
+        assert np.array_equal(after[1].grad, want.grad)
+
+    def test_replace_binds_the_new_vectors(self, model):
+        batch = random_batch(model, 42, n=5)
+        model.cost(batch)  # builds the original's graph
+        half = dataclasses.replace(model, theta=model.theta * 0.5)
+        want = PinnModel(model.config, model.theta * 0.5, model.norm).cost(batch)
+        got = half.cost(batch)
+        assert got.total == want.total
+        assert np.array_equal(got.grad, want.grad)
 
     @pytest.mark.parametrize("attr", ["theta", "x_params", "rul_params", "dyn_params"])
     def test_views_cannot_be_rebound(self, model, attr):
@@ -322,8 +358,7 @@ class TestWiring:
         assert len(built) == 1
         after = model.cost(first)
         assert after.total == before.total
-        for name in before.grads:
-            assert np.array_equal(after.grads[name], before.grads[name])
+        assert np.array_equal(after.grad, before.grad)
 
 
     def test_model_graph_has_75_nodes_of_11_kinds(self, model):
@@ -386,15 +421,15 @@ class TestInspection:
 
     def test_horizon_sweep_entries(self, model):
         oc = [0.1, 0.2]
-        rows = model.horizon_sweep(oc, [0.0, 1.0, 2.0])
+        rows = model.sweep(oc, [0.0, 1.0, 2.0])
         assert [r[0] for r in rows] == [0.0, 1.0, 2.0]
-        assert rows == model.horizon_sweep(oc, [0.0, 1.0, 2.0])
+        assert rows == model.sweep(oc, [0.0, 1.0, 2.0])
 
     def test_horizon_sweep_validation(self, model):
         with pytest.raises(ValueError):
-            model.horizon_sweep([0.0, 0.0], [])
+            model.sweep([0.0, 0.0], [])
         with pytest.raises(ValueError):
-            model.horizon_sweep([0.0, 0.0], [-1.0])
+            model.sweep([0.0, 0.0], [-1.0])
 
     def test_rmse_eval_arithmetic(self, model):
         from pinnrul import EngineTrajectory

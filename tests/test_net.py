@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from pinnrul import Graph, GraphMlp, MlpParams, MlpSpec, init_params
+from pinnrul import Graph, GraphError, GraphMlp, MlpParams, MlpSpec, init_params
 
-from conftest import fd_tolerance_ok
+from conftest import fd_tolerance_ok, zero_grads
 
 TANH_HALF = 0.46211715726000974
 
@@ -23,7 +23,7 @@ def plain_forward(params, x):
 
 def eval_forward(params, x):
     g = Graph()
-    mlp = GraphMlp(g, params)
+    mlp = GraphMlp(g, params, zero_grads(params))
     xin = g.input((params.spec.d_in, 1))
     out = mlp.forward(xin)
     g.eval({xin: np.asarray(x, dtype=np.float64).reshape(-1, 1)})
@@ -32,7 +32,7 @@ def eval_forward(params, x):
 
 def eval_tangent(params, x, coord):
     g = Graph()
-    mlp = GraphMlp(g, params)
+    mlp = GraphMlp(g, params, zero_grads(params))
     xin = g.input((params.spec.d_in, 1))
     out, (tan,) = mlp.forward_tangents(xin, [coord])
     g.eval({xin: np.asarray(x, dtype=np.float64).reshape(-1, 1)})
@@ -116,7 +116,7 @@ class TestForward:
         params = init_params(MlpSpec((3, 5, 2)), "xavier", 3)
         xs = np.random.default_rng(0).normal(size=(3, 4))
         g = Graph()
-        mlp = GraphMlp(g, params)
+        mlp = GraphMlp(g, params, zero_grads(params))
         xin = g.input((3, 4))
         out = mlp.forward(xin)
         g.eval({xin: xs})
@@ -130,16 +130,23 @@ class TestForward:
         rul_params = init_params(MlpSpec((2, 10, 10, 10, 10, 10, 1)), "standard-normal", 1)
         for params, n in ((x_params, 15), (rul_params, 2)):
             g = Graph()
-            mlp = GraphMlp(g, params)
+            mlp = GraphMlp(g, params, zero_grads(params))
             xin = g.input((n, 7))
             out = mlp.forward(xin)
             assert g.shape_of(out) == (1, 7)
             assert len(params.weights) == 6
 
+    def test_gradient_buffers_must_follow_the_parameters(self):
+        params = init_params(MlpSpec((2, 3, 1)), "standard-normal", 0)
+        with pytest.raises(GraphError, match="gradient"):  # a buffer of another shape
+            GraphMlp(Graph(), params, zero_grads(init_params(MlpSpec((2, 4, 1)), "standard-normal", 0)))
+        with pytest.raises(ValueError):  # another layer count
+            GraphMlp(Graph(), params, zero_grads(init_params(MlpSpec((2, 3, 1, 1)), "standard-normal", 0)))
+
     def test_input_width_mismatch(self):
         params = init_params(MlpSpec((2, 3, 1)), "standard-normal", 0)
         g = Graph()
-        mlp = GraphMlp(g, params)
+        mlp = GraphMlp(g, params, zero_grads(params))
         xin = g.input((3, 1))
         with pytest.raises(ValueError):
             mlp.forward(xin)
@@ -167,7 +174,7 @@ class TestForwardTangent:
     def test_relu_hidden_rejected(self):
         params = init_params(MlpSpec((2, 3, 1), hidden="relu"), "standard-normal", 0)
         g = Graph()
-        mlp = GraphMlp(g, params)
+        mlp = GraphMlp(g, params, zero_grads(params))
         xin = g.input((2, 1))
         with pytest.raises(ValueError, match="tanh"):
             mlp.forward_tangents(xin, [0])
@@ -175,7 +182,7 @@ class TestForwardTangent:
     def test_bad_tangent_vectors_rejected(self):
         params = init_params(MlpSpec((3, 3, 1)), "standard-normal", 4)
         g = Graph()
-        mlp = GraphMlp(g, params)
+        mlp = GraphMlp(g, params, zero_grads(params))
         xin = g.input((3, 1))
         with pytest.raises(ValueError):
             mlp.forward_tangents(xin, [np.array([0.0, 2.0, 0.0])])
@@ -207,15 +214,15 @@ class TestForwardTangent:
             return float(tan[0, 0])
 
         g = Graph()
-        mlp = GraphMlp(g, params)
+        grads = zero_grads(params)
+        mlp = GraphMlp(g, params, grads)
         xin = g.input((2, 1))
         _, (tan,) = mlp.forward_tangents(xin, [0])
         g.eval({xin: x.reshape(2, 1)})
-        grads = g.grad(tan)
+        g.grad(tan)
 
         h = 1e-6
-        for li, (w_id, _) in enumerate(mlp.layers):
-            buf = params.weights[li]
+        for li, buf in enumerate(params.weights):
             it = np.nditer(buf, flags=["multi_index"])
             for _ in it:
                 idx = it.multi_index
@@ -226,4 +233,4 @@ class TestForwardTangent:
                 down = tangent_value()
                 buf[idx] = old
                 fd = (up - down) / (2 * h)
-                assert fd_tolerance_ok(grads[w_id][idx], fd, rel=1e-4, abs_tol=1e-8)
+                assert fd_tolerance_ok(grads.weights[li][idx], fd, rel=1e-4, abs_tol=1e-8)

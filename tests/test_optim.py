@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from pinnrul import (
+    Graph,
     NadamConfig,
     NadamState,
     NumericError,
     PinnConfig,
-    PinnModel,
     SynthSpec,
     augment,
     fit_norm,
@@ -19,6 +19,8 @@ from pinnrul import (
     synth_generate,
     train,
 )
+
+from conftest import grad_views
 
 
 @pytest.fixture(scope="module")
@@ -190,7 +192,7 @@ class TestTrain:
         for epoch in range(epochs):
             order = np.random.default_rng([split_seed, 1 + epoch]).permutation(len(train_set))
             for start in range(0, len(train_set), batch_size):
-                grads = ref.cost(train_set.take(order[start : start + batch_size])).grads
+                grads = grad_views(ref, ref.cost(train_set.take(order[start : start + batch_size])).grad)
                 for name, buf, state in zip(names, params, states):
                     nadam_step(state, buf, grads[name], config)
                 n_batches += 1
@@ -207,15 +209,14 @@ class TestTrain:
     def test_non_finite_gradient_names_epoch_batch_and_parameter(self, tiny_dataset, monkeypatch):
         samples, norm = tiny_dataset
         model = init_model(PinnConfig.default(len(norm.columns)), norm, 0)
-        cost = PinnModel.cost
+        grad = Graph.grad
+        rul_b1 = 2 * len(model.config.x_spec.layer_shapes()) + 1  # after x's buffers and rul.W1
 
-        def poisoned(self, batch, dyn_oracle=False):
-            breakdown = cost(self, batch, dyn_oracle)
-            bad = np.zeros_like(breakdown.grads["rul.b1"])
-            bad[0, 0] = np.nan
-            breakdown.grads["rul.b1"] = bad
-            return breakdown
+        def poisoned(graph, root):
+            grad(graph, root)
+            params = [node for node in graph.nodes if node.kind == "parameter"]
+            params[rul_b1].payload[1][0, 0] = np.nan
 
-        monkeypatch.setattr(PinnModel, "cost", poisoned)
-        with pytest.raises(NumericError, match=r"^epoch 0 batch 0: non-finite gradient$"):
+        monkeypatch.setattr(Graph, "grad", poisoned)
+        with pytest.raises(NumericError, match=r"^epoch 0 batch 0: non-finite gradient of rul\.b1$"):
             train(model, samples, 0, 0, epochs=1, batch_size=64)

@@ -2,7 +2,8 @@
 
 Whatever the input, a command returns 0, 2 or 3 (or 1, when check-data
 finds counts that differ from FD001's) and never raises, and a config
-that loads holds only finite numbers of its defaults' JSON types.
+that loads holds only finite numbers of its defaults' JSON types, its
+integers within int64.
 """
 
 import json
@@ -102,14 +103,15 @@ DEFAULT_KEYS = [name for name, _ in leaves(cli.RunConfig().to_dict())] + ["bogus
 @st.composite
 def one_key_changed(draw):
     """The default config with one of its keys, or an unknown one, set to a JSON
-    scalar or a non-finite number (CONFIG draws objects and arrays there far
-    more often than scalars)."""
+    scalar, a non-finite number or an integer beyond float or int64 range
+    (CONFIG draws objects and arrays there far more often than scalars)."""
     config = cli.RunConfig().to_dict()
     *path, key = draw(st.sampled_from(DEFAULT_KEYS), label="key").split(".")
     section = config
     for name in path:
         section = section[name]
-    section[key] = draw(SCALAR | st.sampled_from([math.nan, math.inf, -math.inf]), label="value")
+    extremes = [math.nan, math.inf, -math.inf, 10**400, -(10**400), 2**63]
+    section[key] = draw(SCALAR | st.sampled_from(extremes), label="value")
     return config
 
 
@@ -132,6 +134,8 @@ def test_random_config_is_rejected_or_finite_and_typed(tmp_path_factory, config)
     for (name, value), (_, default) in zip(leaves(cfg.to_dict()), leaves(cli.RunConfig().to_dict()), strict=True):
         kinds = (int, float) if isinstance(default, float) else type(default)
         assert isinstance(value, kinds) and not isinstance(value, bool), (name, value)
+        if isinstance(default, int):
+            assert -(2**63) <= value < 2**63, (name, value)
         if isinstance(value, (int, float)):
             assert math.isfinite(value), (name, value)
 
