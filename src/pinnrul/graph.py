@@ -11,9 +11,8 @@ and its gradient, by reference: ``eval`` reads the value buffer as it is
 then, and ``grad`` overwrites the gradient buffer. Neither checks
 finiteness; the owner of the buffers does. An input may leave its
 column count open (``None``): the graph is then built once for any batch
-width, every op except ``mean`` acts column by column, and ``eval``
-requires all width-free inputs to be bound with the same number of
-columns.
+width, every op acts column by column, and ``eval`` requires all
+width-free inputs to be bound with the same number of columns.
 
 A ``layer`` node is one MLP layer, act(W h + b), together with k
 forward-tangent chains through it (vector forward mode). Its value
@@ -25,10 +24,13 @@ with the weight column W[:, c_j], the derivative along input
 coordinate c_j. ``rows`` reads a block back out. Reverse mode through a
 tangent block gives exact mixed second derivatives.
 
-Each node records at build time whether it reaches a parameter. ``grad``
-propagates adjoints only into such nodes, so inputs (and anything
-computed only from them) get none, and copies each parameter's adjoint
-into its gradient buffer (zeros where the root does not depend on it).
+The graph ends at a model's outputs; a loss over them is the caller's.
+``grad`` takes the loss's adjoints at those outputs (seeds, each shaped
+like its node's value) and writes the vector-Jacobian product into every
+parameter's gradient buffer. Each node records at build time whether it
+reaches a parameter; adjoints propagate only into such nodes, so inputs
+(and anything computed only from them) get none, and a parameter that no
+seed reaches gets zeros.
 
 A graph instance is single-writer. Distinct instances are independent and
 may be used from different threads.
@@ -55,9 +57,6 @@ OP_KINDS = {
     "add": 2,
     "subtract": 2,
     "multiply": 2,
-    "scale": 1,
-    "square": 1,
-    "mean": 1,
     "concat": None,
 }
 
@@ -84,7 +83,7 @@ class _Node:
         self.kind = kind
         self.inputs = inputs
         self.shape = shape  # (rows, cols); cols is None for a width-free node
-        self.payload = payload  # (value, grad) buffers, scale factor, rows range or layer (activation, k, seeds)
+        self.payload = payload  # (value, grad) buffers, rows range or layer (activation, k, seeds)
         self.reaches = reaches  # its value depends on a parameter
 
 
@@ -193,9 +192,9 @@ class Graph:
 
         ``payload`` is the (value, grad) buffer pair for ``parameter``,
         the shape for ``input`` (its column count may be None), the
-        factor for ``scale``, the half-open range (start, stop) for
-        ``rows`` and (activation, k, seeds) for ``layer``, where seeds is
-        None or a first layer's k input coordinates.
+        half-open range (start, stop) for ``rows`` and (activation, k,
+        seeds) for ``layer``, where seeds is None or a first layer's k
+        input coordinates.
         """
         if kind not in OP_KINDS:
             raise GraphError(f"unknown op kind {kind!r}")
@@ -238,12 +237,6 @@ class Graph:
             if shapes[0] != shapes[1]:
                 raise GraphError(f"{kind} needs equal shapes, got {shapes[0]} and {shapes[1]}")
             shape = shapes[0]
-        elif kind in ("scale", "square"):
-            shape = shapes[0]
-            if kind == "scale":
-                payload = float(payload)
-        elif kind == "mean":
-            shape = (1, 1)
         elif kind == "concat":
             cols = {s[1] for s in shapes}
             if len(cols) != 1:
@@ -291,15 +284,6 @@ class Graph:
     def multiply(self, a, b) -> int:
         return self.build("multiply", (a, b))
 
-    def scale(self, a, factor) -> int:
-        return self.build("scale", (a,), factor)
-
-    def square(self, a) -> int:
-        return self.build("square", (a,))
-
-    def mean(self, a) -> int:
-        return self.build("mean", (a,))
-
     def concat(self, parts) -> int:
         return self.build("concat", tuple(parts))
 
@@ -343,12 +327,6 @@ class Graph:
                     v = ins[0] - ins[1]
                 elif k == "multiply":
                     v = ins[0] * ins[1]
-                elif k == "scale":
-                    v = node.payload * ins[0]
-                elif k == "square":
-                    v = ins[0] * ins[0]
-                elif k == "mean":
-                    v = np.array([[ins[0].mean()]])
                 else:  # concat
                     v = np.concatenate(ins, axis=0)
             values.append(v)
@@ -362,29 +340,34 @@ class Graph:
 
     # -- gradients ----------------------------------------------------
 
-    def grad(self, root: int) -> None:
-        """Write d(root)/d(p) into the gradient buffer of every parameter node p.
+    def grad(self, seeds: dict[int, np.ndarray]) -> None:
+        """Write sum_n <seeds[n], d(value n)/d(p)> into the gradient buffer of
+        every parameter node p.
 
-        ``root`` must be scalar-shaped and ``eval`` must have run. A
-        parameter that does not influence the root gets zeros.
+        ``seeds`` maps node ids to adjoints, each shaped like the node's
+        value from the last ``eval``, which must have run. A parameter that
+        no seed reaches gets zeros.
         """
-        if self._values is None:
-            raise EvaluationError("call eval before grad")
-        if not 0 <= root < len(self.nodes):
-            raise GraphError(f"dangling node id {root}")
-        if self.nodes[root].shape != (1, 1):
-            raise GraphError(f"grad root must be scalar-shaped, got {self.nodes[root].shape}")
-
         nodes = self.nodes
         values = self._values
-        # adjoints are never updated in place, so pass-through ops may share buffers
-        adjoint: dict[int, np.ndarray] = {root: np.ones((1, 1))} if nodes[root].reaches else {}
+        if values is None:
+            raise GraphError("call eval before grad")
+        # adjoints are never updated in place, so pass-through ops and seeds may share buffers
+        adjoint: dict[int, np.ndarray] = {}
+        for nid, seed in seeds.items():
+            if not 0 <= nid < len(nodes):
+                raise GraphError(f"dangling node id {nid} (graph has {len(nodes)} nodes)")
+            seed = np.asarray(seed, dtype=np.float64)
+            if seed.shape != values[nid].shape:
+                raise GraphError(f"seed of node {nid} has shape {seed.shape}, its value {values[nid].shape}")
+            if nodes[nid].reaches:
+                adjoint[nid] = seed
 
         def acc(nid, delta):
             cur = adjoint.get(nid)
             adjoint[nid] = delta if cur is None else cur + delta
 
-        for nid in range(root, -1, -1):
+        for nid in range(max(adjoint, default=-1), -1, -1):
             a = adjoint.get(nid)
             if a is None:
                 continue
@@ -418,13 +401,6 @@ class Graph:
                     acc(ins[0], a * values[ins[1]])
                 if reach[1]:
                     acc(ins[1], a * values[ins[0]])
-            elif k == "scale":
-                acc(ins[0], node.payload * a)
-            elif k == "square":
-                acc(ins[0], a * (2.0 * values[ins[0]]))
-            elif k == "mean":
-                src = values[ins[0]]
-                acc(ins[0], np.full(src.shape, a[0, 0] / src.size))
             else:  # concat
                 row = 0
                 for i, r in zip(ins, reach):
@@ -434,5 +410,5 @@ class Graph:
                     row += h
 
         for nid, node in enumerate(nodes):
-            if node.kind == "parameter":  # zeros where the root does not depend on it
+            if node.kind == "parameter":  # zeros where no seed reaches it
                 np.copyto(node.payload[1], adjoint.get(nid, 0.0))

@@ -6,8 +6,11 @@ normalized remaining life. The third learns the rate law: it receives
 (dx/dt, dRUL/dx) and its output is pinned to the total time derivative
 of the predicted RUL by a squared-residual penalty, so it trains without
 labels. Both derivatives are forward-tangent blocks in the same graph,
-which makes the penalty differentiable w.r.t. all weights in one reverse
-sweep.
+whose outputs are x, dx/dt, the RUL and the residual f. The cost, label
+MSE plus the weighted mean squared residual, is computed from those
+outputs in numpy by ``_loss``; ``cost`` hands its adjoints at the RUL and
+f outputs to one reverse sweep, which differentiates the penalty w.r.t.
+all weights.
 
 A model owns one float64 vector ``theta`` holding every weight and bias,
 and one gradient vector of the same shape; ``_layout`` is the only code
@@ -122,7 +125,7 @@ def _layout(config: PinnConfig, theta: np.ndarray, grad: np.ndarray):
 
 
 class _Wiring:
-    """The model's graph: inputs, three bound networks, cost outputs.
+    """The model's graph: inputs, three bound networks, outputs x, dx/dt, rul and f.
 
     Inputs leave their column count open, so one wiring serves every
     batch width.
@@ -133,7 +136,6 @@ class _Wiring:
         self.graph = g
         self.oc_in = g.input((config.d_oc, None))
         self.t_in = g.input((1, None))
-        self.y_in = g.input((1, None))
 
         self.x_mlp = GraphMlp(g, nets["x"], grad_nets["x"])
         self.rul_mlp = GraphMlp(g, nets["rul"], grad_nets["rul"])
@@ -152,10 +154,6 @@ class _Wiring:
         else:
             dyn_out = self.dyn_mlp.forward(g.concat([self.dx_dt, self.drul_dx]))
         self.f = g.subtract(self.drul_dt, dyn_out)
-
-        self.mse = g.mean(g.square(g.subtract(self.y_in, self.rul)))
-        self.pde = g.mean(g.square(self.f))
-        self.total = g.add(self.mse, g.scale(self.pde, config.pde_weight))
 
 
 @dataclass
@@ -216,7 +214,7 @@ class PinnModel:
             raise ValueError(f"oc has {oc.shape[1]} features, model expects d_oc={self.config.d_oc}")
         return oc
 
-    def _eval_batch(self, oc, t, y=None, dyn_oracle: bool = False) -> _Wiring:
+    def _eval_batch(self, oc, t, *, dyn_oracle: bool = False) -> _Wiring:
         """Bind raw inputs (normalizing internally) and evaluate the graph."""
         oc = self._check_oc(oc)
         t = np.asarray(t, dtype=np.float64).reshape(-1)
@@ -228,8 +226,7 @@ class PinnModel:
         wiring = self._wiring(dyn_oracle)
         oc_n = ((oc - self.norm.means) / self.norm.stds).T
         t_n = (t / self.config.t_scale).reshape(1, n)
-        y_n = np.zeros((1, n)) if y is None else (np.asarray(y, dtype=np.float64).reshape(1, n) / self.norm.rul_max)
-        wiring.graph.eval({wiring.oc_in: oc_n, wiring.t_in: t_n, wiring.y_in: y_n})
+        wiring.graph.eval({wiring.oc_in: oc_n, wiring.t_in: t_n})
         return wiring
 
     def _outputs(self, oc, t, names) -> list[np.ndarray]:
@@ -269,6 +266,23 @@ class PinnModel:
 
     # -- batch cost ------------------------------------------------------
 
+    def _loss(self, batch: AugmentedSamples, *, dyn_oracle: bool = False):
+        """Evaluate a nonempty batch; return (wiring, d, mse, pde, total).
+
+        d = y / rul_max - rul is the normalized label error row, mse =
+        mean(d^2), pde = mean(f^2) and total = mse + pde_weight * pde.
+        """
+        if len(batch) == 0:
+            raise ValueError("cost needs a nonempty batch")
+        w = self._eval_batch(batch.oc, batch.t, dyn_oracle=dyn_oracle)
+        g = w.graph
+        y_n = np.asarray(batch.rul, dtype=np.float64).reshape(1, -1) / self.norm.rul_max
+        d = y_n - g.value(w.rul)
+        f = g.value(w.f)
+        mse = float((d * d).mean())
+        pde = float((f * f).mean())
+        return w, d, mse, pde, mse + self.config.pde_weight * pde
+
     def cost(self, batch: AugmentedSamples, dyn_oracle: bool = False) -> CostBreakdown:
         """Batch cost (label MSE + weighted mean squared residual) and its
         gradient, one vector laid out like ``theta``.
@@ -279,16 +293,15 @@ class PinnModel:
         exact time derivative it is meant to learn (a test seam: the
         residual term is then identically zero).
         """
-        if len(batch) == 0:
-            raise ValueError("cost needs a nonempty batch")
-        w = self._eval_batch(batch.oc, batch.t, batch.rul, dyn_oracle=dyn_oracle)
-        g = w.graph
-        mse = float(g.value(w.mse)[0, 0])
-        pde = float(g.value(w.pde)[0, 0])
-        total = float(g.value(w.total)[0, 0])
+        w, d, mse, pde, total = self._loss(batch, dyn_oracle=dyn_oracle)
         if not math.isfinite(total):
             raise NumericError(f"non-finite total cost (mse={mse}, pde={pde})")
-        g.grad(w.total)
+        # d(total)/d(rul) and d(total)/d(f), multiplied in this order, which fixes model.bin's bits
+        n, f = d.shape[1], w.graph.value(w.f)
+        w.graph.grad({
+            w.rul: -(np.full(d.shape, 1.0 / n) * (2.0 * d)),
+            w.f: np.full(f.shape, self.config.pde_weight / n) * (2.0 * f),
+        })
         finite = np.isfinite(self._grad)
         if not finite.all():
             raise NumericError(f"non-finite gradient of {self._buffer_at(np.argmin(finite))}")
@@ -296,15 +309,7 @@ class PinnModel:
 
     def cost_values(self, batch: AugmentedSamples) -> tuple[float, float, float]:
         """(mse, pde, total) without the gradient sweep."""
-        if len(batch) == 0:
-            raise ValueError("cost needs a nonempty batch")
-        w = self._eval_batch(batch.oc, batch.t, batch.rul)
-        g = w.graph
-        return (
-            float(g.value(w.mse)[0, 0]),
-            float(g.value(w.pde)[0, 0]),
-            float(g.value(w.total)[0, 0]),
-        )
+        return self._loss(batch)[2:]
 
     def mean_cost(self, samples: AugmentedSamples, rows) -> tuple[float, float, float]:
         """Exact cost means over the samples at index array ``rows``.

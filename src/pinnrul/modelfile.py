@@ -111,7 +111,7 @@ def load_model(path) -> PinnModel:
         raise ModelFileError(f"{path}: corrupt header ({exc})") from None
     if not isinstance(header, dict):
         raise ModelFileError(f"{path}: header is not a JSON object")
-    if header.get("format") != FORMAT_VERSION:
+    if not json_is(header.get("format"), int) or header["format"] != FORMAT_VERSION:
         raise ModelFileError(f"{path}: unsupported format {header.get('format')!r}")
 
     try:

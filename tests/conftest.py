@@ -32,16 +32,16 @@ def fd_tolerance_ok(analytic, numeric, rel=1e-4, abs_tol=1e-8):
 
 
 def random_graph(seed):
-    """Small random DAG over the full primitive set with a scalar root.
+    """Small random DAG over the full primitive set with random output adjoints.
 
     ``layer`` nodes carry k in {0, 1, 2} tangent blocks (relu only k = 0)
     and take either a seeded input (h alone, tangents started at weight
-    columns) or a stacked one (k + 1 blocks of rows). The root sums the
-    mean square of every pool node that reaches a parameter, so each of
-    them feeds the gradient. The input leaves its width open and is bound
-    with two columns. Each parameter binds its own value and gradient
-    arrays. Returns (graph, (id, value, grad) per parameter, input
-    bindings, root).
+    columns) or a stacked one (k + 1 blocks of rows). Every pool node
+    that reaches a parameter gets a random seed shaped like its value, so
+    each of them feeds the gradient of sum_n <seed_n, value_n>. The input
+    leaves its width open and is bound with two columns. Each parameter
+    binds its own value and gradient arrays. Returns (graph, (id, value,
+    grad) per parameter, input bindings, seeds).
     Callers skip draws whose relu pre-activations come near 0
     (``relu_inputs_safe``) so finite differences stay valid.
     """
@@ -65,14 +65,10 @@ def random_graph(seed):
     pool.append(inp)
 
     for _ in range(rng.integers(4, 9)):
-        op = rng.choice(["layer", "layer", "rows", "square", "scale", "add", "multiply", "subtract", "concat"])
+        op = rng.choice(["layer", "layer", "rows", "add", "multiply", "subtract", "concat"])
         a = pool[rng.integers(len(pool))]
         rows = g.shape_of(a)[0]
-        if op == "square":
-            pool.append(g.square(a))
-        elif op == "scale":
-            pool.append(g.scale(a, float(rng.uniform(0.5, 2.0))))
-        elif op in ("add", "multiply", "subtract"):
+        if op in ("add", "multiply", "subtract"):
             mates = [n for n in pool if g.shape_of(n) == g.shape_of(a)]
             pool.append(getattr(g, op)(a, mates[rng.integers(len(mates))]))
         elif op == "concat":
@@ -93,11 +89,12 @@ def random_graph(seed):
                 k = ks[rng.integers(len(ks))]
                 w = new_parameter((out, rows // (1 + k)))
                 pool.append(g.layer(w, a, new_parameter((out, 1)), act, k))
-    terms = [g.mean(g.square(n)) for n in pool if g.nodes[n].reaches]
-    root = terms[0]
-    for term in terms[1:]:
-        root = g.add(root, term)
-    return g, params, bindings, root
+    seeds = {}
+    for n in pool:
+        if g.nodes[n].reaches:
+            rows, cols = g.shape_of(n)
+            seeds[n] = rng.uniform(-1.0, 1.0, (rows, cols or 2))
+    return g, params, bindings, seeds
 
 
 def relu_inputs_safe(g, values, margin=1e-3):
@@ -175,7 +172,7 @@ def dyn_preactivations_safe(model, batch, margin=1e-3):
     Replays the dynamics network input from the cost wiring and checks
     each relu layer's pre-activation entries.
     """
-    w = model._eval_batch(batch.oc, batch.t, batch.rul)
+    w = model._eval_batch(batch.oc, batch.t)
     h = np.vstack([w.graph.value(w.dx_dt), w.graph.value(w.drul_dx)])
     params = model.dyn_params
     n_layers = len(params.weights)

@@ -41,6 +41,16 @@ def synth_config(tmp_path, **over):
     return str(path)
 
 
+def rewrite_header(src, dst, edit):
+    """Copy model file ``src`` to ``dst`` with ``edit`` applied to its JSON header; return the header."""
+    magic, length, rest = Path(src).read_bytes().split(b"\n", 2)
+    header = json.loads(rest[: int(length)])
+    edit(header)
+    raw = json.dumps(header).encode("ascii")
+    Path(dst).write_bytes(magic + b"\n" + str(len(raw)).encode() + b"\n" + raw + rest[int(length) :])
+    return header
+
+
 class TestConfig:
     def test_unknown_key_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "c.json"
@@ -244,24 +254,36 @@ class TestTrainEvalMapPredict:
     )
     def test_bad_header_key_is_exit_2(self, trained, tmp_path, capsys, section, key, value, message):
         _, _, out = trained
-        blob = (out / "model.bin").read_bytes()
-        magic, length, rest = blob.split(b"\n", 2)
-        header = json.loads(rest[: int(length)])
-        if value is None:
-            del header[section][key]
-        elif value == "first-inf":
-            header[section][key][0] = float("inf")
-        else:
-            header[section][key] = value
-        raw = json.dumps(header).encode("ascii")
+
+        def edit(header):
+            if value is None:
+                del header[section][key]
+            elif value == "first-inf":
+                header[section][key][0] = float("inf")
+            else:
+                header[section][key] = value
+
         broken = tmp_path / "broken.bin"
-        broken.write_bytes(magic + b"\n" + str(len(raw)).encode() + b"\n" + raw + rest[int(length) :])
+        header = rewrite_header(out / "model.bin", broken, edit)
         with pytest.raises(ModelFileError, match=message):
             load_model(broken)
         zeros = ",".join("0" for _ in header["norm"]["means"])
         assert run_cli(["predict", "--model", str(broken), f"--oc={zeros}"]) == 2
         err = capsys.readouterr().err
         assert str(broken) in err and message in err
+
+    @pytest.mark.parametrize("version", [True, 1.0, 2])
+    def test_format_other_than_integer_1_is_exit_2(self, trained, tmp_path, capsys, version):
+        # true and 1.0 compare equal to 1 in Python; the header's version is the JSON integer 1
+        _, _, out = trained
+        broken = tmp_path / "format.bin"
+        header = rewrite_header(out / "model.bin", broken, lambda header: header.update(format=version))
+        message = f"unsupported format {version!r}"
+        with pytest.raises(ModelFileError, match=message):
+            load_model(broken)
+        zeros = ",".join("0" for _ in header["norm"]["means"])
+        assert run_cli(["predict", "--model", str(broken), f"--oc={zeros}"]) == 2
+        assert message in capsys.readouterr().err
 
     def test_eval_writes_metrics_and_pairs(self, trained, capsys):
         _, cfg, out = trained

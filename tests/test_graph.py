@@ -19,6 +19,14 @@ def bind(g, value):
     return g.parameter(value, grad), grad
 
 
+def seeded_sum(g, seeds):
+    """sum_n <seeds[n], value of n>, the scalar whose gradient ``grad(seeds)`` writes."""
+    return sum(float((seed * g.value(n)).sum()) for n, seed in seeds.items())
+
+
+ONE = np.ones((1, 1))
+
+
 def act(g, x, activation):
     """``activation`` applied entrywise to ``x``: a layer with identity weight and zero bias."""
     rows = g.shape_of(x)[0]
@@ -53,9 +61,9 @@ class TestBuildAndEval:
         g = Graph()
         x = g.input((3, 1))
         target = g.input((3, 1))
-        loss = g.mean(g.square(g.subtract(x, target)))
+        residual = g.subtract(x, target)
         g.eval({x: [[0.3], [-1.2], [4.0]], target: [[0.3], [-1.2], [4.0]]})
-        assert scalar(g, loss) == 0.0
+        assert (g.value(residual) ** 2).mean() == 0.0
 
     def test_layer_shapes(self):
         g = Graph()
@@ -92,12 +100,12 @@ class TestBuildAndEval:
         g = Graph()
         x = g.input((1, 1))
         with pytest.raises(GraphError, match="dangling"):
-            g.square(x + 5)
+            g.add(x, x + 5)
 
     def test_unbound_input_named(self):
         g = Graph()
         x = g.input((1, 1))
-        g.square(x)
+        g.add(x, x)
         with pytest.raises(EvaluationError, match=f"node {x}"):
             g.eval({})
 
@@ -106,7 +114,9 @@ class TestBuildAndEval:
         a = g.input((2, 1))
         b = g.input((1, 1))
         cat = g.concat([a, b])
-        total = g.scale(g.mean(cat), 3.0)  # sum of the three entries
+        ones, _ = bind(g, np.ones((1, 3)))
+        zero, _ = bind(g, np.zeros((1, 1)))
+        total = g.layer(ones, cat, zero)  # sum of the three entries
         g.eval({a: [[1.0], [2.0]], b: [[3.0]]})
         assert g.value(cat).shape == (3, 1)
         assert scalar(g, total) == 6.0
@@ -123,12 +133,12 @@ class TestBuildAndEval:
             g.eval({a: np.ones((2, 4)), b: np.ones((1, 1))})
 
     def test_deterministic_reeval_bit_identical(self):
-        g, params, bindings, root = random_graph(7)
+        g, params, bindings, seeds = random_graph(7)
         first = [v.copy() for v in g.eval(bindings)]
-        g.grad(root)
+        g.grad(seeds)
         grads1 = [grad.copy() for _, _, grad in params]
         second = g.eval(bindings)
-        g.grad(root)
+        g.grad(seeds)
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
         for (_, _, grad), before in zip(params, grads1):
@@ -138,14 +148,14 @@ class TestBuildAndEval:
         g = Graph()
         value, grad = np.array([[3.0]]), np.zeros((1, 1))
         p = g.parameter(value, grad)
-        root = g.square(p)
+        root = g.multiply(p, p)
         g.eval()
         assert g.value(p) is value
-        g.grad(root)
+        g.grad({root: ONE})
         assert grad[0, 0] == 6.0
         value[0, 0] = 2.0  # an in-place edit reaches the next eval and grad
         g.eval()
-        g.grad(root)
+        g.grad({root: ONE})
         assert grad[0, 0] == 4.0
 
     def test_parameter_buffers_checked(self):
@@ -199,15 +209,15 @@ class TestGrad:
         p, dp = bind(g, [[0.0]])
         root = act(g, p, "tanh")
         g.eval()
-        g.grad(root)
+        g.grad({root: ONE})
         assert float(dp[0, 0]) == 1.0
 
     def test_square_grad(self):
         g = Graph()
         p, dp = bind(g, [[3.0]])
-        root = g.square(p)
+        root = g.multiply(p, p)
         g.eval()
-        g.grad(root)
+        g.grad({root: ONE})
         assert float(dp[0, 0]) == 6.0
 
     def test_relu_subgradient_at_zero_is_zero(self):
@@ -215,53 +225,63 @@ class TestGrad:
         p, dp = bind(g, [[0.0]])
         root = act(g, p, "relu")
         g.eval()
-        g.grad(root)
+        g.grad({root: ONE})
         assert float(dp[0, 0]) == 0.0
 
-    def test_non_scalar_root_rejected(self):
+    def test_seed_ids_and_shapes_checked(self):
         g = Graph()
         p, _ = bind(g, [[1.0], [2.0]])
-        y = g.square(p)
-        g.eval()
-        with pytest.raises(GraphError, match="scalar"):
-            g.grad(y)
+        y = g.multiply(p, p)
+        x = g.input((2, None))
+        g.eval({x: np.ones((2, 3))})
+        with pytest.raises(GraphError, match="dangling"):
+            g.grad({y + 2: ONE})
+        with pytest.raises(GraphError, match=rf"node {y} has shape \(1, 1\), its value \(2, 1\)"):
+            g.grad({y: ONE})
+        with pytest.raises(GraphError, match=rf"node {x} has shape \(2, 1\)"):
+            g.grad({x: np.ones((2, 1))})  # a width-free node's seed takes the bound width
+        g.grad({y: np.ones((2, 1)), x: np.ones((2, 3))})
 
     def test_grad_before_eval_rejected(self):
         g = Graph()
         p, _ = bind(g, [[0.0]])
-        root = g.square(p)
-        with pytest.raises(EvaluationError):
-            g.grad(root)
+        root = g.multiply(p, p)
+        with pytest.raises(GraphError, match="eval"):
+            g.grad({root: ONE})
 
     def test_unreached_parameter_gets_zeros(self):
         g = Graph()
         p, dp = bind(g, [[1.0], [1.0]])
         q, dq = bind(g, [[2.0]])
+        x = g.input((1, 1))
         dp.fill(np.nan)  # a stale gradient is overwritten, not kept
-        root = g.square(q)
-        g.eval()
-        g.grad(root)
+        root = g.multiply(q, q)
+        g.eval({x: [[5.0]]})
+        g.grad({root: ONE, x: ONE})  # an input's seed reaches no parameter
         assert np.array_equal(dp, np.zeros((2, 1)))
         assert float(dq[0, 0]) == 4.0
+        g.grad({})
+        assert not dp.any() and not dq.any()
 
     def test_non_finite_adjoint_is_written_unchecked(self):
         # the graph checks no finiteness in grad, as in eval; the buffers' owner does
         g = Graph()
         p, dp = bind(g, [[1e308]])
-        root = g.mean(g.square(g.square(p)))
+        root = g.multiply(p, p)
         with np.errstate(over="ignore"):
             g.eval()
-            g.grad(root)
+            g.grad({root: ONE})
         assert not np.isfinite(dp).all()
 
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_central_finite_differences(self, seed):
-        g, params, bindings, root = random_graph(seed)
-        assert g.nodes[root].reaches
+        # the gradient of sum_n <seed_n, value_n> over random seeds on every
+        # parameter-reaching node, so no entry is zero by construction
+        g, params, bindings, seeds = random_graph(seed)
         values = g.eval(bindings)
         if not relu_inputs_safe(g, values):
             pytest.skip("relu pre-activation too close to 0 for finite differences")
-        g.grad(root)
+        g.grad(seeds)
         h = 1e-6
         for p, buf, grad in params:
             it = np.nditer(buf, flags=["multi_index"])
@@ -270,10 +290,10 @@ class TestGrad:
                 old = buf[idx]
                 buf[idx] = old + h
                 g.eval(bindings)
-                up = scalar(g, root)
+                up = seeded_sum(g, seeds)
                 buf[idx] = old - h
                 g.eval(bindings)
-                down = scalar(g, root)
+                down = seeded_sum(g, seeds)
                 buf[idx] = old
                 fd = (up - down) / (2 * h)
                 assert fd_tolerance_ok(grad[idx], fd, rel=1e-5, abs_tol=1e-8), (
@@ -284,15 +304,16 @@ class TestGrad:
     def test_linearity_of_gradients(self):
         g = Graph()
         p, dp = bind(g, [[0.3, -1.1], [0.7, 0.2]])
-        r1 = g.mean(g.square(p))
-        r2 = g.mean(act(g, p, "tanh"))
+        r1 = g.multiply(p, p)
+        r2 = act(g, p, "tanh")
+        rng = np.random.default_rng(3)
+        s1, s2 = rng.normal(size=(2, 2, 2))
         a, b = 1.7, -0.4
-        combined = g.add(g.scale(r1, a), g.scale(r2, b))
         g.eval()
-        g.grad(r1)
+        g.grad({r1: s1})
         g1 = dp.copy()
-        g.grad(r2)
+        g.grad({r2: s2})
         g2 = dp.copy()
-        g.grad(combined)
+        g.grad({r1: a * s1, r2: b * s2})
         gc = dp
         assert np.abs(gc - (a * g1 + b * g2)).max() <= 1e-12

@@ -252,8 +252,8 @@ class TestCost:
         bad = (wiring.rul_mlp.layers[0][1], wiring.dyn_mlp.layers[-1][0])  # rul.b1, the last dyn.W
         grad = Graph.grad
 
-        def poisoned(graph, root):
-            grad(graph, root)
+        def poisoned(graph, seeds):
+            grad(graph, seeds)
             for nid in bad:
                 graph.nodes[nid].payload[1][-1, -1] = np.nan
 
@@ -361,9 +361,10 @@ class TestWiring:
         assert np.array_equal(after.grad, before.grad)
 
 
-    def test_model_graph_has_75_nodes_of_11_kinds(self, model):
+    def test_model_graph_has_67_nodes_of_8_kinds(self, model):
         graph = init_model(PinnConfig.default(model.config.d_oc), model.norm)._wiring().graph
-        assert len(graph.nodes) == 75
+        assert len(OP_KINDS) == 8
+        assert len(graph.nodes) == 67
         assert {node.kind for node in graph.nodes} == set(OP_KINDS)
 
     def test_outputs_equal_plain_recurrence_bitwise(self):

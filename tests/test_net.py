@@ -219,7 +219,7 @@ class TestForwardTangent:
         xin = g.input((2, 1))
         _, (tan,) = mlp.forward_tangents(xin, [0])
         g.eval({xin: x.reshape(2, 1)})
-        g.grad(tan)
+        g.grad({tan: np.ones((1, 1))})
 
         h = 1e-6
         for li, buf in enumerate(params.weights):

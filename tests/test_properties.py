@@ -6,6 +6,7 @@ that loads holds only finite numbers of its defaults' JSON types, its
 integers within int64.
 """
 
+import copy
 import json
 import math
 
@@ -79,15 +80,6 @@ CONFIG = JSON | st.fixed_dictionaries(
 )
 
 
-@settings(max_examples=150, deadline=None)
-@given(config=CONFIG)
-def test_random_config_check_data(tmp_path_factory, config):
-    path = tmp_path_factory.getbasetemp() / "random_config.json"
-    path.write_text(json.dumps(config))
-    with np.errstate(all="ignore"):
-        assert cli.main(["check-data", "--config", str(path)]) in ALLOWED
-
-
 def leaves(tree, prefix=""):
     """(dotted key, value) of every non-object value of a JSON object, in order."""
     for key, value in tree.items():
@@ -100,12 +92,19 @@ def leaves(tree, prefix=""):
 DEFAULT_KEYS = [name for name, _ in leaves(cli.RunConfig().to_dict())] + ["bogus", "synth.bogus"]
 
 
+# a valid synthetic fleet whose counts stay desk-sized whatever one key draws:
+# SCALAR integers are at most 40, and the typed counts reject floats and extremes
+DESK = cli.RunConfig().to_dict()
+DESK["dataset"] = "synthetic"
+DESK["synth"].update(n_engines=3, min_life=36, max_life=42, n_sensors=6)
+
+
 @st.composite
 def one_key_changed(draw):
-    """The default config with one of its keys, or an unknown one, set to a JSON
+    """``DESK`` with one of its keys, or an unknown one, set to a JSON
     scalar, a non-finite number or an integer beyond float or int64 range
     (CONFIG draws objects and arrays there far more often than scalars)."""
-    config = cli.RunConfig().to_dict()
+    config = copy.deepcopy(DESK)
     *path, key = draw(st.sampled_from(DEFAULT_KEYS), label="key").split(".")
     section = config
     for name in path:
@@ -115,12 +114,25 @@ def one_key_changed(draw):
     return config
 
 
+# half the draws each; `|` would give one_key_changed about a tenth
+ONE_KEY_OR_ANY = st.sampled_from([one_key_changed(), CONFIG]).flatmap(lambda strategy: strategy)
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=ONE_KEY_OR_ANY)
+def test_random_config_check_data(tmp_path_factory, config):
+    # a one_key_changed draw runs check-data's synthetic path with one bad scalar beside valid keys
+    path = tmp_path_factory.getbasetemp() / "random_config.json"
+    path.write_text(json.dumps(config))
+    with np.errstate(all="ignore"):
+        assert cli.main(["check-data", "--config", str(path)]) in ALLOWED
+
+
 @settings(max_examples=300, deadline=None)
-@given(config=st.sampled_from([one_key_changed(), CONFIG]).flatmap(lambda strategy: strategy))
+@given(config=ONE_KEY_OR_ANY)
 def test_random_config_is_rejected_or_finite_and_typed(tmp_path_factory, config):
     # check-data reads neither "model" nor "optimizer", so this property loads the config itself.
     # In a CONFIG draw one bad key usually hides the rest; in a one_key_changed draw it cannot.
-    # Each gets half the draws, where `|` would give one_key_changed about a tenth.
     path = tmp_path_factory.getbasetemp() / "random_config.json"
     path.write_text(json.dumps(config))
     try:
