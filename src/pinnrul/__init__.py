@@ -19,7 +19,7 @@ from .data import (
     synth_generate,
     truncate_for_eval,
 )
-from .graph import EvaluationError, Graph, GraphError, NumericError
+from .graph import Graph, GraphError, NumericError
 from .model import (
     CostBreakdown,
     PinnConfig,
@@ -36,7 +36,6 @@ __all__ = [
     "AugmentedSamples",
     "CostBreakdown",
     "EngineTrajectory",
-    "EvaluationError",
     "Graph",
     "GraphError",
     "GraphMlp",

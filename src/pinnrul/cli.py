@@ -450,7 +450,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError, e.g. a directory given as a file, names the path
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -5,32 +5,33 @@ topological order: every node's inputs have smaller indices. The value
 store is populated by ``eval``; ``grad`` sweeps the nodes in fixed
 reverse index order so repeated runs are bit-identical.
 
-All buffers are 2-D float64 arrays; scalars have shape (1, 1). A
-parameter node binds two caller-owned buffers of one shape, its value
-and its gradient, by reference: ``eval`` reads the value buffer as it is
-then, and ``grad`` overwrites the gradient buffer. Neither checks
-finiteness; the owner of the buffers does. An input may leave its
-column count open (``None``): the graph is then built once for any batch
-width, every op acts column by column, and ``eval`` requires all
-width-free inputs to be bound with the same number of columns.
+All buffers are 2-D float64 arrays; scalars have shape (1, 1). An input
+may leave its column count open (``None``): the graph is then built once
+for any batch width, every op acts column by column, and ``eval``
+requires all width-free inputs to be bound with the same number of
+columns.
 
 A ``layer`` node is one MLP layer, act(W h + b), together with k
-forward-tangent chains through it (vector forward mode). Its value
+forward-tangent chains through it (vector forward mode). It binds four
+caller-owned buffers by reference, W, b and their gradients dW and db:
+``eval`` reads W and b as they are then, ``grad`` overwrites dW and db,
+and neither checks finiteness; the owner of the buffers does. Its value
 stacks k + 1 blocks of m rows along the rows: the primal block act(z),
-then each tangent block act'(z) * (W t_j). Its input is stacked the same
-way, h then t_1..t_k, so the width stays n and one batched product makes
-every block. A first layer instead takes h alone and seeds tangent j
-with the weight column W[:, c_j], the derivative along input
-coordinate c_j. ``rows`` reads a block back out. Reverse mode through a
-tangent block gives exact mixed second derivatives.
+then each tangent block act'(z) * (W t_j). Its one graph input is
+stacked the same way, h then t_1..t_k, so the width stays n and one
+batched product makes every block. A first layer instead takes h alone
+and seeds tangent j with the weight column W[:, c_j], the derivative
+along input coordinate c_j. ``rows`` reads a block back out. Reverse
+mode through a tangent block gives exact mixed second derivatives.
 
 The graph ends at a model's outputs; a loss over them is the caller's.
 ``grad`` takes the loss's adjoints at those outputs (seeds, each shaped
 like its node's value) and writes the vector-Jacobian product into every
-parameter's gradient buffer. Each node records at build time whether it
-reaches a parameter; adjoints propagate only into such nodes, so inputs
-(and anything computed only from them) get none, and a parameter that no
-seed reaches gets zeros.
+layer's dW and db, summed over the layers that share a buffer. A node
+reaches the weights iff it is a layer or one of its inputs does;
+adjoints propagate only into such nodes, so inputs (and anything
+computed only from them) get none, and a layer that no seed reaches
+gets zeros.
 
 A graph instance is single-writer. Distinct instances are independent and
 may be used from different threads.
@@ -43,16 +44,14 @@ import numpy as np
 __all__ = [
     "Graph",
     "GraphError",
-    "EvaluationError",
     "NumericError",
     "OP_KINDS",
 ]
 
 # arity per op kind; None = variadic (>= 1)
 OP_KINDS = {
-    "parameter": 0,
     "input": 0,
-    "layer": 3,
+    "layer": 1,
     "rows": 1,
     "add": 2,
     "subtract": 2,
@@ -65,11 +64,8 @@ _SAME_SHAPE = ("add", "subtract", "multiply")
 
 
 class GraphError(Exception):
-    """Malformed construction: bad shape, unknown op kind, dangling node id."""
-
-
-class EvaluationError(Exception):
-    """Evaluation cannot proceed, e.g. an input node was left unbound."""
+    """Misuse of a graph: a bad shape, buffer, op kind or node id, or an
+    evaluation that cannot proceed, e.g. an input node left unbound."""
 
 
 class NumericError(Exception):
@@ -83,8 +79,8 @@ class _Node:
         self.kind = kind
         self.inputs = inputs
         self.shape = shape  # (rows, cols); cols is None for a width-free node
-        self.payload = payload  # (value, grad) buffers, rows range or layer (activation, k, seeds)
-        self.reaches = reaches  # its value depends on a parameter
+        self.payload = payload  # rows range or layer (activation, k, seeds, w, b, dw, db)
+        self.reaches = reaches  # its value depends on a layer's weights
 
 
 def _as_buffer(value, shape):
@@ -100,30 +96,40 @@ def _as_buffer(value, shape):
     return arr
 
 
-def _layer_shape(shapes, payload):
-    """Check a layer's input shapes and payload; return (payload, value shape)."""
-    activation, k, seeds = payload
+def layer_buffers(w, b, dw, db) -> tuple:
+    """Check a layer's weight and bias and their gradient buffers; return the four."""
+    for name, value, grad in (("weight", w, dw), ("bias", b, db)):
+        arrays = isinstance(value, np.ndarray) and isinstance(grad, np.ndarray)
+        if not (arrays and value.dtype == grad.dtype == np.float64 and value.ndim == 2):
+            raise GraphError(f"layer {name} and its gradient must be 2-D float64 arrays")
+        if grad.shape != value.shape or not value.size:
+            raise GraphError(f"layer {name} {value.shape} and its gradient {grad.shape} need one nonempty shape")
+    if b.shape != (w.shape[0], 1):
+        raise GraphError(f"layer bias must have shape {(w.shape[0], 1)}, got {b.shape}")
+    return w, b, dw, db
+
+
+def _layer_shape(shape, payload):
+    """Check a layer's input shape and payload; return (payload, value shape)."""
+    activation, k, seeds, *buffers = payload
     k = int(k)
-    (m, d), (rows, n), bias = shapes
+    w, b, dw, db = layer_buffers(*buffers)
+    (m, d), (rows, n) = w.shape, shape
     if activation not in ACTIVATIONS:
         raise GraphError(f"layer activation must be one of {ACTIVATIONS}, got {activation!r}")
     if k < 0 or (k and activation == "relu"):
         raise GraphError(f"a {activation} layer cannot carry {k} tangents")
-    if d is None:
-        raise GraphError(f"layer weight needs a fixed shape, got {shapes[0]}")
-    if bias != (m, 1):
-        raise GraphError(f"layer bias must have shape {(m, 1)}, got {bias}")
     if seeds is not None and not all(0 <= c < d for c in seeds):
         raise GraphError(f"tangent seeds {seeds} out of range for {d} inputs")
     want = d if seeds is not None else (1 + k) * d
     if rows != want:
         raise GraphError(f"layer input must have {want} rows for weight {(m, d)} and {k} tangents, got {rows}")
-    return (activation, k, seeds if k else None), ((1 + k) * m, n)
+    return (activation, k, seeds if k else None, w, b, dw, db), ((1 + k) * m, n)
 
 
-def _layer_value(payload, w, s, b):
+def _layer_value(payload, s):
     """Blocks act(z) and act'(z) * u_j of z = w @ h + b, u_j = w @ t_j (or w[:, c_j])."""
-    activation, k, seeds = payload
+    activation, k, seeds, w, b, _, _ = payload
     m, n = w.shape[0], s.shape[1]
     if seeds is None:
         z = np.matmul(w, s.reshape(1 + k, -1, n))
@@ -142,13 +148,13 @@ def _layer_value(payload, w, s, b):
     return z.reshape((1 + k) * m, n)
 
 
-def _layer_adjoints(payload, a, v, w, s, reach):
-    """(dW, dS, db) of a layer node whose adjoint is ``a``; None where ``reach`` is False.
+def _layer_adjoints(payload, a, v, s, reach_s):
+    """(dW, dS, db) of a layer node whose adjoint is ``a``; dS is None unless ``reach_s``.
 
     The second-order term: a tanh tangent block t_j = (1 - y^2) u_j moves
     with z too, dt_j/dz = -2 y t_j, so dz = (1 - y^2) a_0 - 2 y sum_j a_j t_j.
     """
-    activation, k, seeds = payload
+    activation, k, seeds, w, _, _, _ = payload
     m, n = w.shape[0], a.shape[1]
     a = a.reshape(1 + k, m, n)
     y = v[:m]
@@ -160,18 +166,16 @@ def _layer_adjoints(payload, a, v, w, s, reach):
         dz = a * (y > 0.0)  # subgradient at exactly 0 is defined as 0
     else:
         dz = a
-    dw = ds = db = None
-    if reach[0]:
-        if seeds is None:
-            dw = np.matmul(dz, s.reshape(1 + k, -1, n).transpose(0, 2, 1)).sum(axis=0)
-        else:
-            dw = dz[0] @ s.T
-            for j, c in enumerate(seeds, start=1):
-                dw[:, c] += dz[j].sum(axis=1)
-    if reach[1]:
+    if seeds is None:
+        dw = np.matmul(dz, s.reshape(1 + k, -1, n).transpose(0, 2, 1)).sum(axis=0)
+    else:
+        dw = dz[0] @ s.T
+        for j, c in enumerate(seeds, start=1):
+            dw[:, c] += dz[j].sum(axis=1)
+    ds = None
+    if reach_s:
         ds = w.T @ dz[0] if seeds is not None else np.matmul(w.T, dz).reshape(-1, n)
-    if reach[2]:
-        db = dz[0].sum(axis=1, keepdims=True)
+    db = dz[0].sum(axis=1, keepdims=True)
     return dw, ds, db
 
 
@@ -190,11 +194,10 @@ class Graph:
     def build(self, kind: str, inputs=(), payload=None) -> int:
         """Append a node and return its id.
 
-        ``payload`` is the (value, grad) buffer pair for ``parameter``,
-        the shape for ``input`` (its column count may be None), the
-        half-open range (start, stop) for ``rows`` and (activation, k,
-        seeds) for ``layer``, where seeds is None or a first layer's k
-        input coordinates.
+        ``payload`` is the shape for ``input`` (its column count may be
+        None), the half-open range (start, stop) for ``rows`` and
+        (activation, k, seeds, w, b, dw, db) for ``layer``, where seeds
+        is None or a first layer's k input coordinates.
         """
         if kind not in OP_KINDS:
             raise GraphError(f"unknown op kind {kind!r}")
@@ -210,15 +213,7 @@ class Graph:
                 raise GraphError(f"dangling node id {i} (graph has {len(self.nodes)} nodes)")
 
         shapes = [self.nodes[i].shape for i in inputs]
-        if kind == "parameter":
-            value, grad = payload
-            arrays = isinstance(value, np.ndarray) and isinstance(grad, np.ndarray)
-            if not (arrays and value.dtype == grad.dtype == np.float64 and value.ndim == 2):
-                raise GraphError("parameter value and gradient must be 2-D float64 arrays")
-            if grad.shape != value.shape or not value.size:
-                raise GraphError(f"parameter value {value.shape} and gradient {grad.shape} need one nonempty shape")
-            shape = value.shape
-        elif kind == "input":
+        if kind == "input":
             if payload is None or len(tuple(payload)) != 2:
                 raise GraphError("input needs an explicit 2-D shape")
             rows, cols = payload
@@ -227,7 +222,7 @@ class Graph:
                 raise GraphError(f"input shape must be positive, got {shape}")
             payload = None
         elif kind == "layer":
-            payload, shape = _layer_shape(shapes, payload)
+            payload, shape = _layer_shape(shapes[0], payload)
         elif kind == "rows":
             start, stop = (int(i) for i in payload)
             if not 0 <= start < stop <= shapes[0][0]:
@@ -245,31 +240,29 @@ class Graph:
         else:  # pragma: no cover - kinds are exhaustive
             raise GraphError(f"unhandled op kind {kind!r}")
 
-        reaches = kind == "parameter" or any(self.nodes[i].reaches for i in inputs)
+        reaches = kind == "layer" or any(self.nodes[i].reaches for i in inputs)
         self.nodes.append(_Node(kind, inputs, shape, payload, reaches))
         self._values = None
         return len(self.nodes) - 1
-
-    def parameter(self, value: np.ndarray, grad: np.ndarray) -> int:
-        """Parameter bound to the caller's ``value`` and ``grad`` buffers, not copies."""
-        return self.build("parameter", payload=(value, grad))
 
     def input(self, shape) -> int:
         """Input of shape (rows, cols); cols None leaves the width to ``eval``."""
         return self.build("input", payload=shape)
 
-    def layer(self, w, s, b, activation="linear", k=0, seeds=None) -> int:
+    def layer(self, s, w, b, dw, db, activation="linear", k=0, seeds=None) -> int:
         """act(w @ h + b) and k tangent blocks, stacked along rows.
 
-        ``s`` stacks h and the k incoming tangent blocks, ((1 + k) d x n).
-        With ``seeds``, k input coordinates, ``s`` is h alone (d x n) and
+        ``w`` (m x d), ``b`` (m x 1) and their gradient buffers ``dw`` and
+        ``db`` are the caller's arrays, bound by reference. ``s`` stacks h
+        and the k incoming tangent blocks, ((1 + k) d x n). With
+        ``seeds``, k input coordinates, ``s`` is h alone (d x n) and
         tangent j starts at the weight column w[:, seeds[j]]. relu takes
         no tangents.
         """
         if seeds is not None:
             seeds = tuple(int(c) for c in seeds)
             k = len(seeds)
-        return self.build("layer", (w, s, b), (activation, k, seeds))
+        return self.build("layer", (s,), (activation, k, seeds, w, b, dw, db))
 
     def rows(self, a, start, stop) -> int:
         """Rows start..stop-1 of ``a``, e.g. one block of a ``layer``."""
@@ -292,33 +285,31 @@ class Graph:
     def eval(self, bindings: dict[int, np.ndarray] | None = None) -> list[np.ndarray]:
         """Compute every node value in index (= topological) order.
 
-        ``bindings`` maps each input node to its value; parameters read
-        their bound value buffers.
+        ``bindings`` maps each input node to its value; layers read their
+        bound weight and bias buffers.
         """
         bindings = bindings or {}
         values: list[np.ndarray] = []
         width = None  # shared column count of the width-free inputs
         for nid, node in enumerate(self.nodes):
             k = node.kind
-            if k == "parameter":
-                v = node.payload[0]
-            elif k == "input":
+            if k == "input":
                 if nid not in bindings:
-                    raise EvaluationError(f"input node {nid} is unbound")
+                    raise GraphError(f"input node {nid} is unbound")
                 v = _as_buffer(bindings[nid], node.shape)
                 if node.shape[1] is None:
                     if v.shape[1] == 0:
-                        raise EvaluationError(f"input node {nid} is bound to zero columns")
+                        raise GraphError(f"input node {nid} is bound to zero columns")
                     if width is None:
                         width = v.shape[1]
                     elif v.shape[1] != width:
-                        raise EvaluationError(
+                        raise GraphError(
                             f"input node {nid} has {v.shape[1]} columns, other inputs have {width}"
                         )
             else:
                 ins = [values[i] for i in node.inputs]
                 if k == "layer":
-                    v = _layer_value(node.payload, *ins)
+                    v = _layer_value(node.payload, ins[0])
                 elif k == "rows":
                     v = ins[0][node.payload[0] : node.payload[1]]
                 elif k == "add":
@@ -335,18 +326,19 @@ class Graph:
 
     def value(self, nid: int) -> np.ndarray:
         if self._values is None:
-            raise EvaluationError("graph has not been evaluated")
+            raise GraphError("graph has not been evaluated")
         return self._values[nid]
 
     # -- gradients ----------------------------------------------------
 
     def grad(self, seeds: dict[int, np.ndarray]) -> None:
         """Write sum_n <seeds[n], d(value n)/d(p)> into the gradient buffer of
-        every parameter node p.
+        every layer weight and bias p.
 
         ``seeds`` maps node ids to adjoints, each shaped like the node's
-        value from the last ``eval``, which must have run. A parameter that
-        no seed reaches gets zeros.
+        value from the last ``eval``, which must have run. A layer that no
+        seed reaches gets zeros; a buffer bound into several layers gets
+        the sum of their gradients.
         """
         nodes = self.nodes
         values = self._values
@@ -363,9 +355,11 @@ class Graph:
             if nodes[nid].reaches:
                 adjoint[nid] = seed
 
-        def acc(nid, delta):
-            cur = adjoint.get(nid)
-            adjoint[nid] = delta if cur is None else cur + delta
+        sums: dict[int, np.ndarray] = {}  # id of a layer's gradient buffer -> its gradient so far
+
+        def acc(key, delta, store=adjoint):
+            cur = store.get(key)
+            store[key] = delta if cur is None else cur + delta
 
         for nid in range(max(adjoint, default=-1), -1, -1):
             a = adjoint.get(nid)
@@ -373,15 +367,14 @@ class Graph:
                 continue
             node = nodes[nid]
             k = node.kind
-            if k == "parameter":
-                continue
             ins = node.inputs
             reach = [nodes[i].reaches for i in ins]
             if k == "layer":
-                w, s = values[ins[0]], values[ins[1]]
-                for i, delta in zip(ins, _layer_adjoints(node.payload, a, values[nid], w, s, reach)):
-                    if delta is not None:
-                        acc(i, delta)
+                dw, ds, db = _layer_adjoints(node.payload, a, values[nid], values[ins[0]], reach[0])
+                acc(id(node.payload[5]), dw, sums)
+                acc(id(node.payload[6]), db, sums)
+                if ds is not None:
+                    acc(ins[0], ds)
             elif k == "rows":
                 delta = np.zeros(values[ins[0]].shape)
                 delta[node.payload[0] : node.payload[1]] = a
@@ -409,6 +402,7 @@ class Graph:
                         acc(i, a[row : row + h, :])
                     row += h
 
-        for nid, node in enumerate(nodes):
-            if node.kind == "parameter":  # zeros where no seed reaches it
-                np.copyto(node.payload[1], adjoint.get(nid, 0.0))
+        for node in nodes:  # zeros where no seed reaches a layer
+            if node.kind == "layer":
+                for buf in node.payload[5:]:
+                    np.copyto(buf, sums.get(id(buf), 0.0))

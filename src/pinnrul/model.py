@@ -16,10 +16,12 @@ A model owns one float64 vector ``theta`` holding every weight and bias,
 and one gradient vector of the same shape; ``_layout`` is the only code
 that knows their order, which is also the order of the ``model.bin``
 body. Each network's ``MlpParams`` are views of ``theta``, so parameters
-change only in place. The graph is built once, for any batch width, and
-binds each parameter view with the gradient view at the same offsets, so
-it sees every change without rebinding and its reverse sweep fills the
-gradient vector, which ``cost`` checks once and returns as a copy.
+change only in place. The graph is built once, for any batch width; its
+31 nodes are 2 inputs, 18 layers and 11 nodes that join them. Each layer
+binds its weight and bias views with the gradient views at the same
+offsets, so the graph sees every change without rebinding and its
+reverse sweep fills the gradient vector, which ``cost`` checks once and
+returns as a copy.
 Whole sample sets are read CHUNK samples at a time: ``mean_cost`` sums
 the cost terms over the rows an index array names, gathering one chunk
 at a time, and ``latent_map`` returns one (n, 4) float64 table, built
@@ -296,6 +298,8 @@ class PinnModel:
         w, d, mse, pde, total = self._loss(batch, dyn_oracle=dyn_oracle)
         if not math.isfinite(total):
             raise NumericError(f"non-finite total cost (mse={mse}, pde={pde})")
+        if dyn_oracle:  # its graph has no rate-network layer to write that network's gradient
+            self._grad.fill(0.0)
         # d(total)/d(rul) and d(total)/d(f), multiplied in this order, which fixes model.bin's bits
         n, f = d.shape[1], w.graph.value(w.f)
         w.graph.grad({

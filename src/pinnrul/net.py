@@ -1,8 +1,8 @@
 """Multilayer perceptrons emitted as computation-graph nodes.
 
-``GraphMlp`` binds one set of weights into a graph as parameter nodes,
-each with the matching buffer of a gradient set of the same shapes, and
-emits one graph ``layer`` node per MLP layer. Besides the plain
+``GraphMlp`` holds one set of weights and a gradient set of the same
+shapes and emits one graph ``layer`` node per MLP layer, which binds that
+layer's weight, bias and their gradient buffers. Besides the plain
 chain it can carry forward-tangent chains for directional input
 derivatives: each layer's value stacks the primal block and one tangent
 block per input coordinate along its rows, the first layer seeds the
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, layer_buffers
 
 HIDDEN_ACTIVATIONS = ("tanh", "relu")
 OUTPUT_ACTIVATIONS = ("linear", "tanh")
@@ -110,19 +110,20 @@ def _tangent_coord(spec: MlpSpec, coord) -> int:
 
 
 class GraphMlp:
-    """One MLP's parameters embedded in a graph as trainable nodes.
+    """One MLP's parameters, emitted into a graph as trainable layers.
 
-    Each node binds a buffer of ``params`` and the same-shaped buffer of
-    ``grads``, the arrays themselves, not copies: each ``eval`` reads the
-    current weights and each ``grad`` writes the gradients in place.
+    Each layer node binds the buffers of ``params`` and the same-shaped
+    buffers of ``grads``, the arrays themselves, not copies: each ``eval``
+    reads the current weights and each ``grad`` writes the gradients in
+    place.
     """
 
     def __init__(self, graph: Graph, params: MlpParams, grads: MlpParams):
         self.graph = graph
         self.spec = params.spec
-        self.layers = [
-            (graph.parameter(w, dw), graph.parameter(b, db))
-            for w, b, dw, db in zip(params.weights, params.biases, grads.weights, grads.biases, strict=True)
+        self.layers = [  # (W, b, dW, db) per layer
+            layer_buffers(*bufs)
+            for bufs in zip(params.weights, params.biases, grads.weights, grads.biases, strict=True)
         ]
 
     def forward(self, input_id: int) -> int:
@@ -152,9 +153,9 @@ class GraphMlp:
 
         h, seeds = input_id, coords
         last = len(self.layers) - 1
-        for li, (w_id, b_id) in enumerate(self.layers):
+        for li, bufs in enumerate(self.layers):
             act = self.spec.output if li == last else self.spec.hidden
-            h = g.layer(w_id, h, b_id, act, len(coords), seeds)
+            h = g.layer(h, *bufs, act, len(coords), seeds)
             seeds = None  # later layers take the stacked blocks
         if not coords:
             return h, []

@@ -36,12 +36,15 @@ def random_graph(seed):
 
     ``layer`` nodes carry k in {0, 1, 2} tangent blocks (relu only k = 0)
     and take either a seeded input (h alone, tangents started at weight
-    columns) or a stacked one (k + 1 blocks of rows). Every pool node
-    that reaches a parameter gets a random seed shaped like its value, so
-    each of them feeds the gradient of sum_n <seed_n, value_n>. The input
-    leaves its width open and is bound with two columns. Each parameter
-    binds its own value and gradient arrays. Returns (graph, (id, value,
-    grad) per parameter, input bindings, seeds).
+    columns) or a stacked one (k + 1 blocks of rows). The leaves are the
+    width-free input, bound with two columns, and linear layers over an
+    identity-bound input, whose values are their weights plus their
+    biases, so ``add``, ``multiply`` and the other joining ops get
+    operands that depend on weights. Every pool node that reaches a
+    layer's weights gets a random seed shaped like its value, so each of
+    them feeds the gradient of sum_n <seed_n, value_n>. Each layer binds
+    its own weight, bias and gradient arrays. Returns (graph, (layer id,
+    value, grad) per weight and bias buffer, input bindings, seeds).
     Callers skip draws whose relu pre-activations come near 0
     (``relu_inputs_safe``) so finite differences stay valid.
     """
@@ -52,14 +55,21 @@ def random_graph(seed):
     params = []
     bindings = {}
 
-    def new_parameter(shape):
-        value = rng.uniform(0.5, 1.5, shape) * rng.choice([-1.0, 1.0], shape)
-        grad = np.zeros(shape)
-        params.append((g.parameter(value, grad), value, grad))
-        return params[-1][0]
+    def new_buffer(shape):
+        return rng.uniform(0.5, 1.5, shape) * rng.choice([-1.0, 1.0], shape)
+
+    def new_layer(s, w_shape, act="linear", k=0, seeds=None):
+        w, b = new_buffer(w_shape), new_buffer((w_shape[0], 1))
+        dw, db = np.zeros_like(w), np.zeros_like(b)
+        nid = g.layer(s, w, b, dw, db, act, k, seeds)
+        params.extend([(nid, w, dw), (nid, b, db)])
+        return nid
 
     for _ in range(rng.integers(2, 4)):
-        pool.append(new_parameter(shapes[rng.integers(len(shapes))]))
+        rows, cols = shapes[rng.integers(len(shapes))]
+        eye = g.input((cols, cols))
+        bindings[eye] = np.eye(cols)
+        pool.append(new_layer(eye, (rows, cols)))
     inp = g.input((2, None))
     bindings[inp] = rng.uniform(0.5, 1.5, (2, 2))
     pool.append(inp)
@@ -82,13 +92,11 @@ def random_graph(seed):
             out = int(rng.integers(1, 4))
             if act != "relu" and rng.random() < 0.5:  # seeded: a is h, tangents start at weight columns
                 seeds = [int(c) for c in rng.integers(0, rows, int(rng.integers(0, 3)))]
-                w = new_parameter((out, rows))
-                pool.append(g.layer(w, a, new_parameter((out, 1)), act, seeds=seeds))
+                pool.append(new_layer(a, (out, rows), act, seeds=seeds))
             else:  # stacked: a holds h and k tangent blocks; k = 0 also comes seeded
                 ks = [k for k in (1, 2) if rows % (1 + k) == 0 and act != "relu"] or [0]
                 k = ks[rng.integers(len(ks))]
-                w = new_parameter((out, rows // (1 + k)))
-                pool.append(g.layer(w, a, new_parameter((out, 1)), act, k))
+                pool.append(new_layer(a, (out, rows // (1 + k)), act, k))
     seeds = {}
     for n in pool:
         if g.nodes[n].reaches:
@@ -101,8 +109,8 @@ def relu_inputs_safe(g, values, margin=1e-3):
     """True when no relu layer's pre-activation entry sits within ``margin`` of 0."""
     for node in g.nodes:
         if node.kind == "layer" and node.payload[0] == "relu":
-            w, h, b = (values[i] for i in node.inputs)
-            if np.abs(w @ h + b).min() < margin:
+            w, b = node.payload[3:5]
+            if np.abs(w @ values[node.inputs[0]] + b).min() < margin:
                 return False
     return True
 

@@ -562,3 +562,19 @@ def test_latent_csv_writer_streams_the_one_string_bytes(tmp_path, monkeypatch, n
     _write_latent_csv(table, path)
     rows = "".join(map("{:.9g},{:.9g},{:.9g},{:.9g}\n".format, *table.T.tolist()))
     assert path.read_bytes() == ("x,dx_dt,rul_pred,rul_true\n" + rows).encode("ascii")
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["predict", "--model", "{dir}", "--oc", "0"], "dir"),
+        (["check-data", "--config", "{dir}"], "dir"),
+        (["train", "--config", "{config}", "--out", "{config}"], "config"),
+    ],
+    ids=["predict-model-is-a-directory", "check-data-config-is-a-directory", "train-out-is-a-file"],
+)
+def test_os_error_is_exit_2_naming_the_path(tmp_path, capsys, argv, named):
+    paths = {"dir": str(tmp_path), "config": synth_config(tmp_path, epochs=1)}
+    assert run_cli([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and paths[named] in err

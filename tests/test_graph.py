@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pinnrul import EvaluationError, Graph, GraphError
+from pinnrul import Graph, GraphError
 
 from conftest import fd_tolerance_ok, random_graph, relu_inputs_safe
 
@@ -12,11 +12,22 @@ def scalar(g, nid):
     return float(g.value(nid)[0, 0])
 
 
-def bind(g, value):
-    """A parameter bound to a float64 copy of ``value`` and a fresh gradient; returns (id, gradient)."""
-    value = np.array(value, dtype=np.float64)
-    grad = np.zeros_like(value)
-    return g.parameter(value, grad), grad
+def buffers(w, b=None):
+    """(W, b, dW, db) for a layer: float64 copies of ``w`` and ``b`` (zeros if None), zero gradients."""
+    w = np.array(w, dtype=np.float64)
+    b = np.zeros((w.shape[0], 1)) if b is None else np.array(b, dtype=np.float64)
+    return w, b, np.zeros_like(w), np.zeros_like(b)
+
+
+def bind(g, value, bindings):
+    """A node whose value is ``value``: a linear layer with weight ``value`` over an identity input.
+
+    Adds the identity to ``bindings``; returns (id, weight gradient).
+    """
+    w, b, dw, db = buffers(value)
+    eye = g.input((w.shape[1], w.shape[1]))
+    bindings[eye] = np.eye(w.shape[1])
+    return g.layer(eye, w, b, dw, db), dw
 
 
 def seeded_sum(g, seeds):
@@ -27,12 +38,29 @@ def seeded_sum(g, seeds):
 ONE = np.ones((1, 1))
 
 
+def assert_matches_fd(g, bindings, seeds, params, h=1e-6):
+    """Check each (label, value, grad) of ``params`` entrywise against central
+    differences of ``seeded_sum``; ``grad`` must hold the gradients of the last ``eval``."""
+    for p, buf, grad in params:
+        for idx in np.ndindex(buf.shape):
+            old = buf[idx]
+            buf[idx] = old + h
+            g.eval(bindings)
+            up = seeded_sum(g, seeds)
+            buf[idx] = old - h
+            g.eval(bindings)
+            down = seeded_sum(g, seeds)
+            buf[idx] = old
+            fd = (up - down) / (2 * h)
+            assert fd_tolerance_ok(grad[idx], fd, rel=1e-5, abs_tol=1e-8), (
+                f"node {p}{idx}: analytic {grad[idx]} vs fd {fd}"
+            )
+    g.eval(bindings)
+
+
 def act(g, x, activation):
     """``activation`` applied entrywise to ``x``: a layer with identity weight and zero bias."""
-    rows = g.shape_of(x)[0]
-    w, _ = bind(g, np.eye(rows))
-    b, _ = bind(g, np.zeros((rows, 1)))
-    return g.layer(w, x, b, activation)
+    return g.layer(x, *buffers(np.eye(g.shape_of(x)[0])), activation)
 
 
 class TestBuildAndEval:
@@ -67,22 +95,22 @@ class TestBuildAndEval:
 
     def test_layer_shapes(self):
         g = Graph()
-        w, _ = bind(g, np.zeros((2, 3)))
-        b, _ = bind(g, np.zeros((2, 1)))
-        assert g.shape_of(g.layer(w, g.input((3, 1)), b)) == (2, 1)
+        wb = buffers(np.zeros((2, 3)))
+        w, _, dw, _ = wb
+        assert g.shape_of(g.layer(g.input((3, 1)), *wb)) == (2, 1)
         # two tangents: stacked input of 3 blocks, or seeded from h alone
-        assert g.shape_of(g.layer(w, g.input((9, None)), b, "tanh", 2)) == (6, None)
-        assert g.shape_of(g.layer(w, g.input((3, None)), b, "tanh", seeds=[0, 2])) == (6, None)
+        assert g.shape_of(g.layer(g.input((9, None)), *wb, "tanh", 2)) == (6, None)
+        assert g.shape_of(g.layer(g.input((3, None)), *wb, "tanh", seeds=[0, 2])) == (6, None)
         with pytest.raises(GraphError, match="6 rows"):
-            g.layer(w, g.input((3, 1)), b, "tanh", 1)
+            g.layer(g.input((3, 1)), *wb, "tanh", 1)
         with pytest.raises(GraphError, match="out of range"):
-            g.layer(w, g.input((3, 1)), b, "tanh", seeds=[3])
+            g.layer(g.input((3, 1)), *wb, "tanh", seeds=[3])
         with pytest.raises(GraphError, match="bias"):
-            g.layer(w, g.input((3, 1)), w)
+            g.layer(g.input((3, 1)), w, w, dw, dw)
         with pytest.raises(GraphError, match="relu"):
-            g.layer(w, g.input((6, 1)), b, "relu", 1)
+            g.layer(g.input((6, 1)), *wb, "relu", 1)
         with pytest.raises(GraphError, match="activation"):
-            g.layer(w, g.input((3, 1)), b, "sigmoid")
+            g.layer(g.input((3, 1)), *wb, "sigmoid")
 
     def test_add_shape_mismatch_names_both_shapes(self):
         g = Graph()
@@ -106,7 +134,7 @@ class TestBuildAndEval:
         g = Graph()
         x = g.input((1, 1))
         g.add(x, x)
-        with pytest.raises(EvaluationError, match=f"node {x}"):
+        with pytest.raises(GraphError, match=f"node {x}"):
             g.eval({})
 
     def test_concat_and_sum(self):
@@ -114,9 +142,7 @@ class TestBuildAndEval:
         a = g.input((2, 1))
         b = g.input((1, 1))
         cat = g.concat([a, b])
-        ones, _ = bind(g, np.ones((1, 3)))
-        zero, _ = bind(g, np.zeros((1, 1)))
-        total = g.layer(ones, cat, zero)  # sum of the three entries
+        total = g.layer(cat, *buffers(np.ones((1, 3))))  # sum of the three entries
         g.eval({a: [[1.0], [2.0]], b: [[3.0]]})
         assert g.value(cat).shape == (3, 1)
         assert scalar(g, total) == 6.0
@@ -129,7 +155,7 @@ class TestBuildAndEval:
         assert g.shape_of(cat) == (3, None)
         g.eval({a: np.ones((2, 4)), b: np.ones((1, 4))})
         assert g.value(cat).shape == (3, 4)
-        with pytest.raises(EvaluationError, match=f"node {b}"):
+        with pytest.raises(GraphError, match=f"node {b}"):
             g.eval({a: np.ones((2, 4)), b: np.ones((1, 1))})
 
     def test_deterministic_reeval_bit_identical(self):
@@ -144,32 +170,36 @@ class TestBuildAndEval:
         for (_, _, grad), before in zip(params, grads1):
             assert np.array_equal(before, grad)
 
-    def test_parameter_binds_caller_buffers(self):
+    def test_layer_binds_caller_buffers(self):
         g = Graph()
+        x = g.input((1, 1))
         value, grad = np.array([[3.0]]), np.zeros((1, 1))
-        p = g.parameter(value, grad)
+        p = g.layer(x, value, np.zeros((1, 1)), grad, np.zeros((1, 1)))
         root = g.multiply(p, p)
-        g.eval()
-        assert g.value(p) is value
+        g.eval({x: ONE})
+        assert g.nodes[p].payload[3] is value and g.nodes[p].payload[5] is grad
         g.grad({root: ONE})
         assert grad[0, 0] == 6.0
         value[0, 0] = 2.0  # an in-place edit reaches the next eval and grad
-        g.eval()
+        g.eval({x: ONE})
         g.grad({root: ONE})
         assert grad[0, 0] == 4.0
 
-    def test_parameter_buffers_checked(self):
+    def test_layer_buffers_checked(self):
         g = Graph()
+        x = g.input((1, 1))
+        w, b, dw, db = buffers([[1.0]])
         with pytest.raises(GraphError, match="float64"):
-            g.parameter([[1.0]], np.zeros((1, 1)))
+            g.layer(x, [[1.0]], b, dw, db)
         with pytest.raises(GraphError, match="float64"):
-            g.parameter(np.ones((1, 1), dtype=np.int64), np.zeros((1, 1)))
+            g.layer(x, np.ones((1, 1), dtype=np.int64), b, dw, db)
         with pytest.raises(GraphError, match="float64"):
-            g.parameter(np.ones(2), np.zeros(2))
-        with pytest.raises(GraphError, match=r"\(2, 1\).*\(1, 2\)"):
-            g.parameter(np.ones((2, 1)), np.zeros((1, 2)))
+            g.layer(x, np.ones(1), b, np.zeros(1), db)
+        with pytest.raises(GraphError, match=r"\(1, 1\).*\(1, 2\)"):
+            g.layer(x, w, b, np.zeros((1, 2)), db)
         with pytest.raises(GraphError, match="nonempty"):
-            g.parameter(np.ones((0, 1)), np.zeros((0, 1)))
+            g.layer(x, np.ones((0, 1)), np.ones((0, 1)), np.zeros((0, 1)), np.zeros((0, 1)))
+        assert len(g.nodes) == 1
 
 
 class TestLayer:
@@ -178,18 +208,17 @@ class TestLayer:
         # seeding tangent j from w[:, c_j] is w @ e_{c_j} without the product
         rng = np.random.default_rng(5)
         g = Graph()
-        w, _ = bind(g, rng.normal(size=(3, 4)))
-        b, _ = bind(g, rng.normal(size=(3, 1)))
+        wb = buffers(rng.normal(size=(3, 4)), rng.normal(size=(3, 1)))
         h = g.input((4, None))
         basis = g.input((8, None))
-        seeded = g.layer(w, h, b, activation, seeds=[2, 0])
-        stacked = g.layer(w, g.concat([h, basis]), b, activation, 2)
+        seeded = g.layer(h, *wb, activation, seeds=[2, 0])
+        stacked = g.layer(g.concat([h, basis]), *wb, activation, 2)
         x = rng.normal(size=(4, 5))
         e = np.zeros((8, 5))
         e[2] = e[4] = 1.0
         g.eval({h: x, basis: e})
         assert np.array_equal(g.value(seeded), g.value(stacked))
-        z = g.value(w) @ x + g.value(b)
+        z = wb[0] @ x + wb[1]
         assert np.array_equal(g.value(seeded)[:3], np.tanh(z) if activation == "tanh" else z)
 
     def test_rows_reads_one_block(self):
@@ -205,35 +234,35 @@ class TestLayer:
 
 class TestGrad:
     def test_tanh_grad_at_zero(self):
-        g = Graph()
-        p, dp = bind(g, [[0.0]])
+        g, bound = Graph(), {}
+        p, dp = bind(g, [[0.0]], bound)
         root = act(g, p, "tanh")
-        g.eval()
+        g.eval(bound)
         g.grad({root: ONE})
         assert float(dp[0, 0]) == 1.0
 
     def test_square_grad(self):
-        g = Graph()
-        p, dp = bind(g, [[3.0]])
+        g, bound = Graph(), {}
+        p, dp = bind(g, [[3.0]], bound)
         root = g.multiply(p, p)
-        g.eval()
+        g.eval(bound)
         g.grad({root: ONE})
         assert float(dp[0, 0]) == 6.0
 
     def test_relu_subgradient_at_zero_is_zero(self):
-        g = Graph()
-        p, dp = bind(g, [[0.0]])
+        g, bound = Graph(), {}
+        p, dp = bind(g, [[0.0]], bound)
         root = act(g, p, "relu")
-        g.eval()
+        g.eval(bound)
         g.grad({root: ONE})
         assert float(dp[0, 0]) == 0.0
 
     def test_seed_ids_and_shapes_checked(self):
-        g = Graph()
-        p, _ = bind(g, [[1.0], [2.0]])
+        g, bound = Graph(), {}
+        p, _ = bind(g, [[1.0], [2.0]], bound)
         y = g.multiply(p, p)
         x = g.input((2, None))
-        g.eval({x: np.ones((2, 3))})
+        g.eval({**bound, x: np.ones((2, 3))})
         with pytest.raises(GraphError, match="dangling"):
             g.grad({y + 2: ONE})
         with pytest.raises(GraphError, match=rf"node {y} has shape \(1, 1\), its value \(2, 1\)"):
@@ -243,20 +272,20 @@ class TestGrad:
         g.grad({y: np.ones((2, 1)), x: np.ones((2, 3))})
 
     def test_grad_before_eval_rejected(self):
-        g = Graph()
-        p, _ = bind(g, [[0.0]])
+        g, bound = Graph(), {}
+        p, _ = bind(g, [[0.0]], bound)
         root = g.multiply(p, p)
         with pytest.raises(GraphError, match="eval"):
             g.grad({root: ONE})
 
     def test_unreached_parameter_gets_zeros(self):
-        g = Graph()
-        p, dp = bind(g, [[1.0], [1.0]])
-        q, dq = bind(g, [[2.0]])
+        g, bound = Graph(), {}
+        p, dp = bind(g, [[1.0], [1.0]], bound)
+        q, dq = bind(g, [[2.0]], bound)
         x = g.input((1, 1))
         dp.fill(np.nan)  # a stale gradient is overwritten, not kept
         root = g.multiply(q, q)
-        g.eval({x: [[5.0]]})
+        g.eval({**bound, x: [[5.0]]})
         g.grad({root: ONE, x: ONE})  # an input's seed reaches no parameter
         assert np.array_equal(dp, np.zeros((2, 1)))
         assert float(dq[0, 0]) == 4.0
@@ -265,11 +294,11 @@ class TestGrad:
 
     def test_non_finite_adjoint_is_written_unchecked(self):
         # the graph checks no finiteness in grad, as in eval; the buffers' owner does
-        g = Graph()
-        p, dp = bind(g, [[1e308]])
+        g, bound = Graph(), {}
+        p, dp = bind(g, [[1e308]], bound)
         root = g.multiply(p, p)
         with np.errstate(over="ignore"):
-            g.eval()
+            g.eval(bound)
             g.grad({root: ONE})
         assert not np.isfinite(dp).all()
 
@@ -282,34 +311,42 @@ class TestGrad:
         if not relu_inputs_safe(g, values):
             pytest.skip("relu pre-activation too close to 0 for finite differences")
         g.grad(seeds)
-        h = 1e-6
-        for p, buf, grad in params:
-            it = np.nditer(buf, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                old = buf[idx]
-                buf[idx] = old + h
-                g.eval(bindings)
-                up = seeded_sum(g, seeds)
-                buf[idx] = old - h
-                g.eval(bindings)
-                down = seeded_sum(g, seeds)
-                buf[idx] = old
-                fd = (up - down) / (2 * h)
-                assert fd_tolerance_ok(grad[idx], fd, rel=1e-5, abs_tol=1e-8), (
-                    f"node {p}{idx}: analytic {grad[idx]} vs fd {fd}"
-                )
+        assert_matches_fd(g, bindings, seeds, params)
+
+    def test_buffers_bound_into_two_layers_get_the_summed_gradient(self):
+        # one weight and bias drive two chained tanh layers, the second with a tangent
+        rng = np.random.default_rng(9)
+        wb = buffers(rng.normal(size=(2, 2)), rng.normal(size=(2, 1)))
+        w, b, dw, db = wb
+
+        def chain(first, second):
+            """Input 0, then layers 1 and 2 over the given (W, b, dW, db) buffers."""
+            g = Graph()
+            g.layer(g.layer(g.input((2, None)), *first, "tanh"), *second, "tanh", seeds=[1])
+            return g
+
+        bindings = {0: rng.normal(size=(2, 3))}
+        seeds = {1: rng.uniform(-1, 1, (2, 3)), 2: rng.uniform(-1, 1, (4, 3))}
+        g = chain(wb, wb)
         g.eval(bindings)
+        g.grad(seeds)
+        assert_matches_fd(g, bindings, seeds, [("W", w, dw), ("b", b, db)])
+        # bound to two copies instead, the layers' gradients add up to the shared buffers'
+        first, second = buffers(w, b), buffers(w, b)
+        apart = chain(first, second)
+        apart.eval(bindings)
+        apart.grad(seeds)
+        assert np.array_equal(first[2] + second[2], dw) and np.array_equal(first[3] + second[3], db)
 
     def test_linearity_of_gradients(self):
-        g = Graph()
-        p, dp = bind(g, [[0.3, -1.1], [0.7, 0.2]])
+        g, bound = Graph(), {}
+        p, dp = bind(g, [[0.3, -1.1], [0.7, 0.2]], bound)
         r1 = g.multiply(p, p)
         r2 = act(g, p, "tanh")
         rng = np.random.default_rng(3)
         s1, s2 = rng.normal(size=(2, 2, 2))
         a, b = 1.7, -0.4
-        g.eval()
+        g.eval(bound)
         g.grad({r1: s1})
         g1 = dp.copy()
         g.grad({r2: s2})

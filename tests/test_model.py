@@ -163,6 +163,14 @@ class TestResidual:
         breakdown = model.cost(batch, dyn_oracle=True)
         assert abs(breakdown.pde) <= 1e-12
 
+    def test_dyn_oracle_gradient_of_the_rate_network_is_zero(self, model):
+        # the oracle cost does not depend on the rate network, even right after a cost that does
+        batch = random_batch(model, 5, n=6)
+        assert grad_views(model, model.cost(batch).grad)["dyn.W1"].any()
+        grads = grad_views(model, model.cost(batch, dyn_oracle=True).grad)
+        assert not any(view.any() for name, view in grads.items() if name.startswith("dyn."))
+        assert grads["x.W1"].any() and grads["rul.W1"].any()
+
     def test_pure_bitwise(self, model):
         oc, t = [1.0, 2.0], 4.0
         assert model.residual(oc, t) == model.residual(oc, t)
@@ -249,13 +257,13 @@ class TestCost:
         # poison two gradient buffers inside Graph.grad; cost's one check names the first
         batch = random_batch(model, 26, n=4)
         wiring = model._wiring()
-        bad = (wiring.rul_mlp.layers[0][1], wiring.dyn_mlp.layers[-1][0])  # rul.b1, the last dyn.W
+        bad = (wiring.rul_mlp.layers[0][3], wiring.dyn_mlp.layers[-1][2])  # gradients of rul.b1, the last dyn.W
         grad = Graph.grad
 
         def poisoned(graph, seeds):
             grad(graph, seeds)
-            for nid in bad:
-                graph.nodes[nid].payload[1][-1, -1] = np.nan
+            for buf in bad:
+                buf[-1, -1] = np.nan
 
         monkeypatch.setattr(Graph, "grad", poisoned)
         with pytest.raises(NumericError, match=r"^non-finite gradient of rul\.b1$"):
@@ -361,10 +369,10 @@ class TestWiring:
         assert np.array_equal(after.grad, before.grad)
 
 
-    def test_model_graph_has_67_nodes_of_8_kinds(self, model):
+    def test_model_graph_has_31_nodes_of_7_kinds(self, model):
         graph = init_model(PinnConfig.default(model.config.d_oc), model.norm)._wiring().graph
-        assert len(OP_KINDS) == 8
-        assert len(graph.nodes) == 67
+        assert len(OP_KINDS) == 7
+        assert len(graph.nodes) == 31
         assert {node.kind for node in graph.nodes} == set(OP_KINDS)
 
     def test_outputs_equal_plain_recurrence_bitwise(self):

@@ -210,12 +210,12 @@ class TestTrain:
         samples, norm = tiny_dataset
         model = init_model(PinnConfig.default(len(norm.columns)), norm, 0)
         grad = Graph.grad
-        rul_b1 = 2 * len(model.config.x_spec.layer_shapes()) + 1  # after x's buffers and rul.W1
+        rul_1 = len(model.config.x_spec.layer_shapes())  # the first rul layer, after x's layers
 
         def poisoned(graph, root):
             grad(graph, root)
-            params = [node for node in graph.nodes if node.kind == "parameter"]
-            params[rul_b1].payload[1][0, 0] = np.nan
+            layers = [node for node in graph.nodes if node.kind == "layer"]
+            layers[rul_1].payload[6][0, 0] = np.nan  # its db
 
         monkeypatch.setattr(Graph, "grad", poisoned)
         with pytest.raises(NumericError, match=r"^epoch 0 batch 0: non-finite gradient of rul\.b1$"):
