@@ -1,10 +1,10 @@
 """Command-line pipeline: check-data, train, eval, map, predict.
 
-Runs are driven by a JSON config file; a few flags (seeds, epochs, batch
-size, paths) override the file so experiments stay versionable. Exit
-codes are a stable contract: 0 success, 1 count/assertion failure,
-2 usage/config/data error (a run too large to allocate included),
-3 numeric failure.
+Runs are driven by a JSON config file; ``--out`` and, on ``train``, the
+seeds, epochs and batch size override it so experiments stay
+versionable. Exit codes are a stable contract: 0 success, 1
+count/assertion failure, 2 usage/config/data error (a run too large to
+allocate included), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -249,6 +249,7 @@ def cmd_check_data(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
+    out = _out_dir(cfg)  # before any epoch, so an unusable --out fails at once
     samples, norm = build_training_data(cfg)
     model = _fresh_model(cfg, norm)
     trained, report = train(
@@ -262,7 +263,6 @@ def cmd_train(cfg: RunConfig) -> int:
         scheme=cfg.init_scheme,
         log=print,
     )
-    out = _out_dir(cfg)
     save_model(trained, out / "model.bin")
     payload = {"config": cfg.to_dict(), **report.to_dict()}
     (out / "training_report.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -371,18 +371,18 @@ def _parser() -> argparse.ArgumentParser:
     def common(p, model_flag=False):
         p.add_argument("--config", help="JSON run config")
         p.add_argument("--out", help="output directory (overrides config)")
-        p.add_argument("--seed-init", type=int, help="weight init seed")
-        p.add_argument("--seed-split", type=int, help="train/validation split seed")
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--batch", type=int)
         if model_flag:
             p.add_argument("--model", required=True, help="path to model.bin")
+        return p
 
     common(sub.add_parser("check-data", help="parse, augment and verify counts"))
-    common(sub.add_parser("train", help="run the training pipeline"))
+    p_train = common(sub.add_parser("train", help="run the training pipeline"))
+    p_train.add_argument("--seed-init", type=int, help="weight init seed")
+    p_train.add_argument("--seed-split", type=int, help="train/validation split seed")
+    p_train.add_argument("--epochs", type=int)
+    p_train.add_argument("--batch", type=int)
     common(sub.add_parser("eval", help="score the test set"), model_flag=True)
-    p_map = sub.add_parser("map", help="export the latent map CSV")
-    common(p_map, model_flag=True)
+    p_map = common(sub.add_parser("map", help="export the latent map CSV"), model_flag=True)
     p_map.add_argument("--which", choices=("train", "test"), default="test")
     p_pred = sub.add_parser("predict", help="sweep RUL over future horizons")
     p_pred.add_argument("--model", required=True)

@@ -24,14 +24,15 @@ and seeds tangent j with the weight column W[:, c_j], the derivative
 along input coordinate c_j. ``rows`` reads a block back out. Reverse
 mode through a tangent block gives exact mixed second derivatives.
 
-The graph ends at a model's outputs; a loss over them is the caller's.
-``grad`` takes the loss's adjoints at those outputs (seeds, each shaped
-like its node's value) and writes the vector-Jacobian product into every
-layer's dW and db, summed over the layers that share a buffer. A node
-reaches the weights iff it is a layer or one of its inputs does;
-adjoints propagate only into such nodes, so inputs (and anything
-computed only from them) get none, and a layer that no seed reaches
-gets zeros.
+There are four op kinds: ``input``, ``layer``, ``rows`` and ``concat``.
+The graph ends at a model's network outputs; arithmetic that joins them,
+such as a residual or a loss, is the caller's. ``grad`` takes the
+caller's adjoints at those outputs (seeds, each shaped like its node's
+value) and writes the vector-Jacobian product into every layer's dW and
+db, summed over the layers that share a buffer. A node reaches the
+weights iff it is a layer or one of its inputs does; adjoints propagate
+only into such nodes, so inputs (and anything computed only from them)
+get none, and a layer that no seed reaches gets zeros.
 
 A graph instance is single-writer. Distinct instances are independent and
 may be used from different threads.
@@ -53,14 +54,10 @@ OP_KINDS = {
     "input": 0,
     "layer": 1,
     "rows": 1,
-    "add": 2,
-    "subtract": 2,
-    "multiply": 2,
     "concat": None,
 }
 
 ACTIVATIONS = ("tanh", "relu", "linear")
-_SAME_SHAPE = ("add", "subtract", "multiply")
 
 
 class GraphError(Exception):
@@ -228,10 +225,6 @@ class Graph:
             if not 0 <= start < stop <= shapes[0][0]:
                 raise GraphError(f"rows {start}:{stop} out of range for {shapes[0][0]} rows")
             payload, shape = (start, stop), (stop - start, shapes[0][1])
-        elif kind in _SAME_SHAPE:
-            if shapes[0] != shapes[1]:
-                raise GraphError(f"{kind} needs equal shapes, got {shapes[0]} and {shapes[1]}")
-            shape = shapes[0]
         elif kind == "concat":
             cols = {s[1] for s in shapes}
             if len(cols) != 1:
@@ -268,15 +261,6 @@ class Graph:
         """Rows start..stop-1 of ``a``, e.g. one block of a ``layer``."""
         return self.build("rows", (a,), (start, stop))
 
-    def add(self, a, b) -> int:
-        return self.build("add", (a, b))
-
-    def subtract(self, a, b) -> int:
-        return self.build("subtract", (a, b))
-
-    def multiply(self, a, b) -> int:
-        return self.build("multiply", (a, b))
-
     def concat(self, parts) -> int:
         return self.build("concat", tuple(parts))
 
@@ -312,12 +296,6 @@ class Graph:
                     v = _layer_value(node.payload, ins[0])
                 elif k == "rows":
                     v = ins[0][node.payload[0] : node.payload[1]]
-                elif k == "add":
-                    v = ins[0] + ins[1]
-                elif k == "subtract":
-                    v = ins[0] - ins[1]
-                elif k == "multiply":
-                    v = ins[0] * ins[1]
                 else:  # concat
                     v = np.concatenate(ins, axis=0)
             values.append(v)
@@ -368,9 +346,8 @@ class Graph:
             node = nodes[nid]
             k = node.kind
             ins = node.inputs
-            reach = [nodes[i].reaches for i in ins]
             if k == "layer":
-                dw, ds, db = _layer_adjoints(node.payload, a, values[nid], values[ins[0]], reach[0])
+                dw, ds, db = _layer_adjoints(node.payload, a, values[nid], values[ins[0]], nodes[ins[0]].reaches)
                 acc(id(node.payload[5]), dw, sums)
                 acc(id(node.payload[6]), db, sums)
                 if ds is not None:
@@ -379,26 +356,11 @@ class Graph:
                 delta = np.zeros(values[ins[0]].shape)
                 delta[node.payload[0] : node.payload[1]] = a
                 acc(ins[0], delta)
-            elif k == "add":
-                if reach[0]:
-                    acc(ins[0], a)
-                if reach[1]:
-                    acc(ins[1], a)
-            elif k == "subtract":
-                if reach[0]:
-                    acc(ins[0], a)
-                if reach[1]:
-                    acc(ins[1], -a)
-            elif k == "multiply":
-                if reach[0]:
-                    acc(ins[0], a * values[ins[1]])
-                if reach[1]:
-                    acc(ins[1], a * values[ins[0]])
             else:  # concat
                 row = 0
-                for i, r in zip(ins, reach):
+                for i in ins:
                     h = nodes[i].shape[0]
-                    if r:
+                    if nodes[i].reaches:
                         acc(i, a[row : row + h, :])
                     row += h
 

@@ -5,19 +5,20 @@ to a scalar latent health indicator x. The second maps (x, time) to the
 normalized remaining life. The third learns the rate law: it receives
 (dx/dt, dRUL/dx) and its output is pinned to the total time derivative
 of the predicted RUL by a squared-residual penalty, so it trains without
-labels. Both derivatives are forward-tangent blocks in the same graph,
-whose outputs are x, dx/dt, the RUL and the residual f. The cost, label
-MSE plus the weighted mean squared residual, is computed from those
-outputs in numpy by ``_loss``; ``cost`` hands its adjoints at the RUL and
-f outputs to one reverse sweep, which differentiates the penalty w.r.t.
-all weights.
+labels. Both derivatives are forward-tangent blocks in the one graph,
+which ends at the networks' outputs: x, dx/dt, the RUL, dRUL/dx, the
+explicit partial dRUL/dt and the rate output dyn. In numpy, ``_residual``
+joins them into the residual f = dRUL/dx * dx/dt + partial dRUL/dt - dyn
+and ``_loss`` computes the cost, label MSE plus the weighted mean squared
+residual; ``cost`` hands its adjoints at the graph's outputs to one
+reverse sweep, which differentiates the penalty w.r.t. all weights.
 
 A model owns one float64 vector ``theta`` holding every weight and bias,
 and one gradient vector of the same shape; ``_layout`` is the only code
 that knows their order, which is also the order of the ``model.bin``
 body. Each network's ``MlpParams`` are views of ``theta``, so parameters
 change only in place. The graph is built once, for any batch width; its
-31 nodes are 2 inputs, 18 layers and 11 nodes that join them. Each layer
+28 nodes are 2 inputs, 18 layers, 3 concats and 5 rows. Each layer
 binds its weight and bias views with the gradient views at the same
 offsets, so the graph sees every change without rebinding and its
 reverse sweep fills the gradient vector, which ``cost`` checks once and
@@ -127,13 +128,14 @@ def _layout(config: PinnConfig, theta: np.ndarray, grad: np.ndarray):
 
 
 class _Wiring:
-    """The model's graph: inputs, three bound networks, outputs x, dx/dt, rul and f.
+    """The model's graph: inputs and the three bound networks.
 
-    Inputs leave their column count open, so one wiring serves every
-    batch width.
+    Its outputs are x, dx/dt, rul, dRUL/dx, the explicit partial dRUL/dt
+    and the rate network's output dyn. Inputs leave their column count
+    open, so one wiring serves every batch width.
     """
 
-    def __init__(self, config: PinnConfig, nets, grad_nets, dyn_oracle: bool):
+    def __init__(self, config: PinnConfig, nets, grad_nets):
         g = Graph()
         self.graph = g
         self.oc_in = g.input((config.d_oc, None))
@@ -147,15 +149,20 @@ class _Wiring:
         self.x, (self.dx_dt,) = self.x_mlp.forward_tangents(x_input, [config.d_oc])
 
         rul_input = g.concat([self.x, self.t_in])
-        self.rul, (self.drul_dx, drul_dt_partial) = self.rul_mlp.forward_tangents(rul_input, [0, 1])
-        # total derivative along t: explicit path plus the path through x
-        self.drul_dt = g.add(g.multiply(self.drul_dx, self.dx_dt), drul_dt_partial)
+        self.rul, (self.drul_dx, self.drul_dt_partial) = self.rul_mlp.forward_tangents(rul_input, [0, 1])
+        self.dyn = self.dyn_mlp.forward(g.concat([self.dx_dt, self.drul_dx]))
 
-        if dyn_oracle:
-            dyn_out = self.drul_dt
-        else:
-            dyn_out = self.dyn_mlp.forward(g.concat([self.dx_dt, self.drul_dx]))
-        self.f = g.subtract(self.drul_dt, dyn_out)
+
+def _residual(w: _Wiring, dyn_oracle: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(dRUL/dt, f) rows of an evaluated wiring, in numpy.
+
+    dRUL/dt = dRUL/dx * dx/dt + partial dRUL/dt, the path through x plus
+    the explicit one, and f = dRUL/dt - dyn. The oracle takes dRUL/dt for
+    the rate output, so its f is exactly 0.
+    """
+    value = w.graph.value
+    drul_dt = value(w.drul_dx) * value(w.dx_dt) + value(w.drul_dt_partial)
+    return drul_dt, drul_dt - (drul_dt if dyn_oracle else value(w.dyn))
 
 
 @dataclass
@@ -173,8 +180,8 @@ class PinnModel:
     init_scheme: str = "standard-normal"
     init_seed: int = 0
     split_seed: int | None = None  # set by training, None for a fresh model
-    # by dyn_oracle; not an init field, so dataclasses.replace builds fresh ones on the new views
-    _wirings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # built on first use; not an init field, so dataclasses.replace builds a fresh one on the new views
+    _wired: _Wiring | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._grad = np.zeros_like(self.theta)
@@ -204,11 +211,10 @@ class PinnModel:
         stops = np.cumsum([view.size for _, view in self._items])
         return self._items[np.searchsorted(stops, offset, side="right")][0]
 
-    def _wiring(self, dyn_oracle: bool = False) -> _Wiring:
-        wiring = self._wirings.get(dyn_oracle)
-        if wiring is None:
-            wiring = self._wirings[dyn_oracle] = _Wiring(self.config, self._nets, self._grad_nets, dyn_oracle)
-        return wiring
+    def _wiring(self) -> _Wiring:
+        if self._wired is None:
+            self._wired = _Wiring(self.config, self._nets, self._grad_nets)
+        return self._wired
 
     def _check_oc(self, oc) -> np.ndarray:
         oc = np.atleast_2d(np.asarray(oc, dtype=np.float64))
@@ -216,7 +222,7 @@ class PinnModel:
             raise ValueError(f"oc has {oc.shape[1]} features, model expects d_oc={self.config.d_oc}")
         return oc
 
-    def _eval_batch(self, oc, t, *, dyn_oracle: bool = False) -> _Wiring:
+    def _eval_batch(self, oc, t) -> _Wiring:
         """Bind raw inputs (normalizing internally) and evaluate the graph."""
         oc = self._check_oc(oc)
         t = np.asarray(t, dtype=np.float64).reshape(-1)
@@ -225,7 +231,7 @@ class PinnModel:
         n = t.shape[0]
         if oc.shape[0] != n:
             raise ValueError(f"{oc.shape[0]} oc rows vs {n} time values")
-        wiring = self._wiring(dyn_oracle)
+        wiring = self._wiring()
         oc_n = ((oc - self.norm.means) / self.norm.stds).T
         t_n = (t / self.config.t_scale).reshape(1, n)
         wiring.graph.eval({wiring.oc_in: oc_n, wiring.t_in: t_n})
@@ -241,7 +247,7 @@ class PinnModel:
         w = self._eval_batch(oc, t)
         rows = []
         for name in names:
-            row = w.graph.value(getattr(w, name))[0]
+            row = (_residual(w)[1] if name == "f" else w.graph.value(getattr(w, name)))[0]
             if name == "rul":
                 row = row * self.norm.rul_max
             if not np.isfinite(row).all():
@@ -268,22 +274,21 @@ class PinnModel:
 
     # -- batch cost ------------------------------------------------------
 
-    def _loss(self, batch: AugmentedSamples, *, dyn_oracle: bool = False):
-        """Evaluate a nonempty batch; return (wiring, d, mse, pde, total).
+    def _loss(self, batch: AugmentedSamples, dyn_oracle: bool = False):
+        """Evaluate a nonempty batch; return (wiring, d, f, mse, pde, total).
 
-        d = y / rul_max - rul is the normalized label error row, mse =
-        mean(d^2), pde = mean(f^2) and total = mse + pde_weight * pde.
+        d = y / rul_max - rul and f are the label error and residual rows,
+        mse = mean(d^2), pde = mean(f^2), total = mse + pde_weight * pde.
         """
         if len(batch) == 0:
             raise ValueError("cost needs a nonempty batch")
-        w = self._eval_batch(batch.oc, batch.t, dyn_oracle=dyn_oracle)
-        g = w.graph
+        w = self._eval_batch(batch.oc, batch.t)
         y_n = np.asarray(batch.rul, dtype=np.float64).reshape(1, -1) / self.norm.rul_max
-        d = y_n - g.value(w.rul)
-        f = g.value(w.f)
+        d = y_n - w.graph.value(w.rul)
+        _, f = _residual(w, dyn_oracle)
         mse = float((d * d).mean())
         pde = float((f * f).mean())
-        return w, d, mse, pde, mse + self.config.pde_weight * pde
+        return w, d, f, mse, pde, mse + self.config.pde_weight * pde
 
     def cost(self, batch: AugmentedSamples, dyn_oracle: bool = False) -> CostBreakdown:
         """Batch cost (label MSE + weighted mean squared residual) and its
@@ -293,19 +298,24 @@ class PinnModel:
         Raises NumericError naming the buffer of its first non-finite
         entry. ``dyn_oracle`` replaces the dynamics network output by the
         exact time derivative it is meant to learn (a test seam: the
-        residual term is then identically zero).
+        residual term and the rate network's gradient are then zero).
         """
-        w, d, mse, pde, total = self._loss(batch, dyn_oracle=dyn_oracle)
+        w, d, f, mse, pde, total = self._loss(batch, dyn_oracle)
         if not math.isfinite(total):
             raise NumericError(f"non-finite total cost (mse={mse}, pde={pde})")
-        if dyn_oracle:  # its graph has no rate-network layer to write that network's gradient
-            self._grad.fill(0.0)
-        # d(total)/d(rul) and d(total)/d(f), multiplied in this order, which fixes model.bin's bits
-        n, f = d.shape[1], w.graph.value(w.f)
-        w.graph.grad({
+        # d(total)/d(rul) and d(total)/d(f), then f's adjoint through f = drul_dx * dx_dt + partial - dyn;
+        # the factors multiply in this order, which fixes model.bin's bits
+        n, value = d.shape[1], w.graph.value
+        a_f = np.full(f.shape, self.config.pde_weight / n) * (2.0 * f)
+        seeds = {
             w.rul: -(np.full(d.shape, 1.0 / n) * (2.0 * d)),
-            w.f: np.full(f.shape, self.config.pde_weight / n) * (2.0 * f),
-        })
+            w.drul_dt_partial: a_f,
+            w.drul_dx: a_f * value(w.dx_dt),
+            w.dx_dt: a_f * value(w.drul_dx),
+        }
+        if not dyn_oracle:
+            seeds[w.dyn] = -a_f
+        w.graph.grad(seeds)
         finite = np.isfinite(self._grad)
         if not finite.all():
             raise NumericError(f"non-finite gradient of {self._buffer_at(np.argmin(finite))}")
@@ -313,7 +323,7 @@ class PinnModel:
 
     def cost_values(self, batch: AugmentedSamples) -> tuple[float, float, float]:
         """(mse, pde, total) without the gradient sweep."""
-        return self._loss(batch)[2:]
+        return self._loss(batch)[3:]
 
     def mean_cost(self, samples: AugmentedSamples, rows) -> tuple[float, float, float]:
         """Exact cost means over the samples at index array ``rows``.

@@ -32,15 +32,15 @@ def fd_tolerance_ok(analytic, numeric, rel=1e-4, abs_tol=1e-8):
 
 
 def random_graph(seed):
-    """Small random DAG over the full primitive set with random output adjoints.
+    """Small random DAG over every op kind with random output adjoints.
 
-    ``layer`` nodes carry k in {0, 1, 2} tangent blocks (relu only k = 0)
-    and take either a seeded input (h alone, tangents started at weight
-    columns) or a stacked one (k + 1 blocks of rows). The leaves are the
-    width-free input, bound with two columns, and linear layers over an
-    identity-bound input, whose values are their weights plus their
-    biases, so ``add``, ``multiply`` and the other joining ops get
-    operands that depend on weights. Every pool node that reaches a
+    ``layer`` nodes (tanh, relu or linear) carry k in {0, 1, 2} tangent
+    blocks (relu only k = 0) and take either a seeded input (h alone,
+    tangents started at weight columns) or a stacked one (k + 1 blocks of
+    rows). The leaves are the width-free input, bound with two columns,
+    and linear layers over an identity-bound input, whose values are their
+    weights plus their biases, so ``rows`` and ``concat`` get operands
+    that depend on weights. Every pool node that reaches a
     layer's weights gets a random seed shaped like its value, so each of
     them feeds the gradient of sum_n <seed_n, value_n>. Each layer binds
     its own weight, bias and gradient arrays. Returns (graph, (layer id,
@@ -75,13 +75,10 @@ def random_graph(seed):
     pool.append(inp)
 
     for _ in range(rng.integers(4, 9)):
-        op = rng.choice(["layer", "layer", "rows", "add", "multiply", "subtract", "concat"])
+        op = rng.choice(["layer", "layer", "rows", "concat"])
         a = pool[rng.integers(len(pool))]
         rows = g.shape_of(a)[0]
-        if op in ("add", "multiply", "subtract"):
-            mates = [n for n in pool if g.shape_of(n) == g.shape_of(a)]
-            pool.append(getattr(g, op)(a, mates[rng.integers(len(mates))]))
-        elif op == "concat":
+        if op == "concat":
             mates = [n for n in pool if g.shape_of(n)[1] == g.shape_of(a)[1]]
             pool.append(g.concat([a, mates[rng.integers(len(mates))]]))
         elif op == "rows":
@@ -177,22 +174,11 @@ def fd_gradient(model, batch, name, index, h=FD_H):
 def dyn_preactivations_safe(model, batch, margin=1e-3):
     """Keep finite differences honest: no relu pre-activation near 0.
 
-    Replays the dynamics network input from the cost wiring and checks
-    each relu layer's pre-activation entries.
+    Evaluates the model's graph on the batch and checks the pre-activation
+    entries of each relu layer, the rate network's hidden layers.
     """
-    w = model._eval_batch(batch.oc, batch.t)
-    h = np.vstack([w.graph.value(w.dx_dt), w.graph.value(w.drul_dx)])
-    params = model.dyn_params
-    n_layers = len(params.weights)
-    for i, (wgt, bias) in enumerate(zip(params.weights, params.biases)):
-        z = wgt @ h + bias
-        if i < n_layers - 1:
-            if np.abs(z).min() < margin:
-                return False
-            h = np.maximum(z, 0.0)
-        else:
-            h = z
-    return True
+    graph = model._eval_batch(batch.oc, batch.t).graph
+    return relu_inputs_safe(graph, [graph.value(nid) for nid in range(len(graph.nodes))], margin)
 
 
 def write_fd001_style(tmp_path, n_units=2, length=40, test_length=25):

@@ -127,6 +127,16 @@ class TestConfig:
         assert cfg.epochs == 9
         assert cfg.init_seed == 42
 
+    @pytest.mark.parametrize("flag", ["--seed-init", "--seed-split", "--epochs", "--batch"])
+    @pytest.mark.parametrize("command", ["check-data", "eval", "map"])
+    def test_training_flags_are_train_only(self, tmp_path, capsys, command, flag):
+        # the other commands never read the seeds, epochs or batch size, so they do not take them
+        argv = [command, "--config", synth_config(tmp_path), flag, "1"]
+        if command != "check-data":
+            argv += ["--model", str(tmp_path / "model.bin")]
+        assert run_cli(argv) == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
 
 class TestCheckData:
     def test_unallocatable_fleet_is_exit_2(self, tmp_path):
@@ -576,5 +586,6 @@ def test_latent_csv_writer_streams_the_one_string_bytes(tmp_path, monkeypatch, n
 def test_os_error_is_exit_2_naming_the_path(tmp_path, capsys, argv, named):
     paths = {"dir": str(tmp_path), "config": synth_config(tmp_path, epochs=1)}
     assert run_cli([arg.format(**paths) for arg in argv]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error: ") and paths[named] in err
+    assert not any(line.startswith("epoch") for line in out.splitlines())  # it fails before training

@@ -16,6 +16,7 @@ from pinnrul import (
     save_model,
 )
 from pinnrul.graph import OP_KINDS
+from pinnrul.model import _residual
 
 from conftest import (
     dyn_preactivations_safe,
@@ -29,9 +30,10 @@ from conftest import (
 
 
 def residual_inputs(model, oc, t):
-    """(dx/dt, dRUL/dx, dRUL/dt) at one point, read from the model's wiring."""
+    """(dx/dt, dRUL/dx, dRUL/dt) at one point, read from the model's wiring and ``_residual``."""
     w = model._eval_batch(oc, [t])
-    return [float(w.graph.value(nid)[0, 0]) for nid in (w.dx_dt, w.drul_dx, w.drul_dt)]
+    drul_dt, _ = _residual(w)
+    return [float(row[0, 0]) for row in (w.graph.value(w.dx_dt), w.graph.value(w.drul_dx), drul_dt)]
 
 
 def zeroed(params):
@@ -361,6 +363,7 @@ class TestWiring:
         for n in (1, 7, 512, 4096):
             batch = random_batch(model, 30 + n, n=n)
             model.cost(batch)
+            model.cost(batch, dyn_oracle=True)
             assert len(model.latent_map(batch)) == n
             assert len(model.sweep(batch.oc[0], batch.t.astype(float))) == n
         assert len(built) == 1
@@ -369,10 +372,10 @@ class TestWiring:
         assert np.array_equal(after.grad, before.grad)
 
 
-    def test_model_graph_has_31_nodes_of_7_kinds(self, model):
+    def test_model_graph_has_28_nodes_of_4_kinds(self, model):
         graph = init_model(PinnConfig.default(model.config.d_oc), model.norm)._wiring().graph
-        assert len(OP_KINDS) == 7
-        assert len(graph.nodes) == 31
+        assert len(OP_KINDS) == 4
+        assert len(graph.nodes) == 28
         assert {node.kind for node in graph.nodes} == set(OP_KINDS)
 
     def test_outputs_equal_plain_recurrence_bitwise(self):
