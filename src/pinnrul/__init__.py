@@ -27,7 +27,7 @@ from .model import (
     init_model,
 )
 from .modelfile import load_model, save_model
-from .net import GraphMlp, MlpParams, MlpSpec, init_params
+from .net import GraphMlp, MlpSpec, init_params
 from .optim import NadamConfig, NadamState, TrainingReport, nadam_step, split_indices, train
 
 __version__ = "0.1.0"
@@ -39,7 +39,6 @@ __all__ = [
     "Graph",
     "GraphError",
     "GraphMlp",
-    "MlpParams",
     "MlpSpec",
     "NadamConfig",
     "NadamState",

@@ -1,10 +1,10 @@
 """Command-line pipeline: check-data, train, eval, map, predict.
 
-Runs are driven by a JSON config file; ``--out`` and, on ``train``, the
-seeds, epochs and batch size override it so experiments stay
-versionable. Exit codes are a stable contract: 0 success, 1
-count/assertion failure, 2 usage/config/data error (a run too large to
-allocate included), 3 numeric failure.
+Runs are driven by a JSON config file; ``--out`` (on ``train``, ``eval``
+and ``map``) and, on ``train``, the seeds, epochs and batch size
+override it so experiments stay versionable. Exit codes are a stable
+contract: 0 success, 1 count/assertion failure, 2 usage/config/data
+error (a run too large to allocate included), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -375,7 +375,8 @@ def _parser() -> argparse.ArgumentParser:
             p.add_argument("--model", required=True, help="path to model.bin")
         return p
 
-    common(sub.add_parser("check-data", help="parse, augment and verify counts"))
+    p_check = sub.add_parser("check-data", help="parse, augment and verify counts")
+    p_check.add_argument("--config", help="JSON run config")  # it writes nothing, so it takes no --out
     p_train = common(sub.add_parser("train", help="run the training pipeline"))
     p_train.add_argument("--seed-init", type=int, help="weight init seed")
     p_train.add_argument("--seed-split", type=int, help="train/validation split seed")

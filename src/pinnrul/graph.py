@@ -13,9 +13,10 @@ columns.
 
 A ``layer`` node is one MLP layer, act(W h + b), together with k
 forward-tangent chains through it (vector forward mode). It binds four
-caller-owned buffers by reference, W, b and their gradients dW and db:
-``eval`` reads W and b as they are then, ``grad`` overwrites dW and db,
-and neither checks finiteness; the owner of the buffers does. Its value
+caller-owned buffers by reference, W, b and their gradients dW and db,
+which ``build`` checks once (2-D float64, shapes that agree): ``eval``
+reads W and b as they are then, ``grad`` overwrites dW and db, and
+neither checks finiteness; the owner of the buffers does. Its value
 stacks k + 1 blocks of m rows along the rows: the primal block act(z),
 then each tangent block act'(z) * (W t_j). Its one graph input is
 stacked the same way, h then t_1..t_k, so the width stays n and one
@@ -93,7 +94,7 @@ def _as_buffer(value, shape):
     return arr
 
 
-def layer_buffers(w, b, dw, db) -> tuple:
+def _layer_buffers(w, b, dw, db) -> tuple:
     """Check a layer's weight and bias and their gradient buffers; return the four."""
     for name, value, grad in (("weight", w, dw), ("bias", b, db)):
         arrays = isinstance(value, np.ndarray) and isinstance(grad, np.ndarray)
@@ -110,7 +111,7 @@ def _layer_shape(shape, payload):
     """Check a layer's input shape and payload; return (payload, value shape)."""
     activation, k, seeds, *buffers = payload
     k = int(k)
-    w, b, dw, db = layer_buffers(*buffers)
+    w, b, dw, db = _layer_buffers(*buffers)
     (m, d), (rows, n) = w.shape, shape
     if activation not in ACTIVATIONS:
         raise GraphError(f"layer activation must be one of {ACTIVATIONS}, got {activation!r}")

@@ -16,13 +16,12 @@ reverse sweep, which differentiates the penalty w.r.t. all weights.
 A model owns one float64 vector ``theta`` holding every weight and bias,
 and one gradient vector of the same shape; ``_layout`` is the only code
 that knows their order, which is also the order of the ``model.bin``
-body. Each network's ``MlpParams`` are views of ``theta``, so parameters
-change only in place. The graph is built once, for any batch width; its
-28 nodes are 2 inputs, 18 layers, 3 concats and 5 rows. Each layer
-binds its weight and bias views with the gradient views at the same
-offsets, so the graph sees every change without rebinding and its
-reverse sweep fills the gradient vector, which ``cost`` checks once and
-returns as a copy.
+body. ``_layout`` cuts both into one (W, b, dW, db) tuple of views per
+layer, so parameters change only in place. A model builds its graph
+once, when it is made, for any batch width; its 28 nodes are 2 inputs,
+18 layers, 3 concats and 5 rows. Each layer binds its tuple, so the
+graph sees every change without rebinding and its reverse sweep fills
+the gradient vector, which ``cost`` checks once and returns as a copy.
 Whole sample sets are read CHUNK samples at a time: ``mean_cost`` sums
 the cost terms over the rows an index array names, gathering one chunk
 at a time, and ``latent_map`` returns one (n, 4) float64 table, built
@@ -38,7 +37,7 @@ import numpy as np
 
 from .data import AugmentedSamples, NormStats, feature_matrix
 from .graph import Graph, NumericError
-from .net import GraphMlp, MlpParams, MlpSpec, init_params
+from .net import GraphMlp, MlpSpec, init_params
 
 X_HIDDEN = (3, 3, 3, 3, 3)
 RUL_HIDDEN = (10, 10, 10, 10, 10)
@@ -65,6 +64,8 @@ class PinnConfig:
             raise ValueError("rul and dynamics networks take exactly 2 inputs")
         if self.x_spec.d_out != 1 or self.rul_spec.d_out != 1 or self.dyn_spec.d_out != 1:
             raise ValueError("all three networks have a single output unit")
+        if self.x_spec.hidden != "tanh" or self.rul_spec.hidden != "tanh":
+            raise ValueError("x and rul networks carry tangent chains, which need a tanh hidden activation")
         if not 0 <= self.pde_weight < math.inf:
             raise ValueError(f"pde_weight must be finite and >= 0, got {self.pde_weight!r}")
         if not 0 < self.t_scale < math.inf:
@@ -106,25 +107,24 @@ def _layout(config: PinnConfig, theta: np.ndarray, grad: np.ndarray):
     order of the ``model.bin`` body: networks x, rul, dyn; per layer the
     weight matrix W (out x in, row-major), then the bias column b.
     Returns the (name, view of ``theta``) pairs in that order and, keyed
-    ``x``, ``rul``, ``dyn``, each network's ``MlpParams`` over its views
-    of ``theta`` and over its views of ``grad``.
+    ``x``, ``rul``, ``dyn``, each network's list of (W, b, dW, db) tuples,
+    views of ``theta`` and of ``grad`` at the same offsets.
     """
     if theta.dtype != np.float64 or theta.shape != (config.n_params,):
         raise ValueError(f"theta must be float64 of shape ({config.n_params},), got {theta.dtype} {theta.shape}")
-    items, nets, grad_nets, start = [], {}, {}, 0
+    items, layers, start = [], {}, 0
     for prefix, spec in (("x", config.x_spec), ("rul", config.rul_spec), ("dyn", config.dyn_spec)):
-        bufs = [], [], [], []  # W and b views of theta, then of grad
+        layers[prefix] = []
         for i, shapes in enumerate(spec.layer_shapes(), start=1):
-            for j, shape in enumerate(shapes):
+            cut = []  # (view of theta, view of grad) for W, then for b
+            for name, shape in zip("Wb", shapes):
                 stop = start + shape[0] * shape[1]
-                bufs[j].append(theta[start:stop].reshape(shape))
-                bufs[2 + j].append(grad[start:stop].reshape(shape))
-                items.append((f"{prefix}.{'Wb'[j]}{i}", bufs[j][-1]))
+                cut.append((theta[start:stop].reshape(shape), grad[start:stop].reshape(shape)))
+                items.append((f"{prefix}.{name}{i}", cut[-1][0]))
                 start = stop
-        weights, biases, grad_weights, grad_biases = map(tuple, bufs)
-        nets[prefix] = MlpParams(spec, weights, biases)
-        grad_nets[prefix] = MlpParams(spec, grad_weights, grad_biases)
-    return items, nets, grad_nets
+            (w, dw), (b, db) = cut
+            layers[prefix].append((w, b, dw, db))
+    return items, layers
 
 
 class _Wiring:
@@ -135,15 +135,15 @@ class _Wiring:
     open, so one wiring serves every batch width.
     """
 
-    def __init__(self, config: PinnConfig, nets, grad_nets):
+    def __init__(self, config: PinnConfig, layers):
         g = Graph()
         self.graph = g
         self.oc_in = g.input((config.d_oc, None))
         self.t_in = g.input((1, None))
 
-        self.x_mlp = GraphMlp(g, nets["x"], grad_nets["x"])
-        self.rul_mlp = GraphMlp(g, nets["rul"], grad_nets["rul"])
-        self.dyn_mlp = GraphMlp(g, nets["dyn"], grad_nets["dyn"])
+        self.x_mlp = GraphMlp(g, config.x_spec, layers["x"])
+        self.rul_mlp = GraphMlp(g, config.rul_spec, layers["rul"])
+        self.dyn_mlp = GraphMlp(g, config.dyn_spec, layers["dyn"])
 
         x_input = g.concat([self.oc_in, self.t_in])
         self.x, (self.dx_dt,) = self.x_mlp.forward_tangents(x_input, [config.d_oc])
@@ -169,9 +169,9 @@ def _residual(w: _Wiring, dyn_oracle: bool = False) -> tuple[np.ndarray, np.ndar
 class PinnModel:
     """Parameter vector plus architecture and normalization contract.
 
-    ``theta`` holds every weight and bias in ``_layout`` order. The
-    read-only ``x_params``, ``rul_params`` and ``dyn_params`` are views of
-    it. None of the four can be rebound; write through them in place.
+    ``theta`` holds every weight and bias in ``_layout`` order; the
+    graph, built here, binds views of it, so it cannot be rebound. Write
+    through it, or the views of ``parameter_items``, in place.
     """
 
     config: PinnConfig
@@ -180,25 +180,20 @@ class PinnModel:
     init_scheme: str = "standard-normal"
     init_seed: int = 0
     split_seed: int | None = None  # set by training, None for a fresh model
-    # built on first use; not an init field, so dataclasses.replace builds a fresh one on the new views
-    _wired: _Wiring | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._grad = np.zeros_like(self.theta)
-        self._items, self._nets, self._grad_nets = _layout(self.config, self.theta, self._grad)
+        self._items, layers = _layout(self.config, self.theta, self._grad)
         finite = np.isfinite(self.theta)
         if not finite.all():
             raise ValueError(f"non-finite parameter {self._buffer_at(np.argmin(finite))}")
+        self._wiring = _Wiring(self.config, layers)
 
     def __setattr__(self, name, value):
         # ``model.theta *= c`` works in place and then rebinds the same array
         if name == "theta" and hasattr(self, "_items") and value is not self.theta:
             raise AttributeError("theta is cut into the graph's views; change it in place")
         super().__setattr__(name, value)
-
-    x_params = property(lambda self: self._nets["x"], doc="Latent network buffers, views of ``theta``.")
-    rul_params = property(lambda self: self._nets["rul"], doc="RUL network buffers, views of ``theta``.")
-    dyn_params = property(lambda self: self._nets["dyn"], doc="Rate network buffers, views of ``theta``.")
 
     # -- plumbing -----------------------------------------------------
 
@@ -210,11 +205,6 @@ class PinnModel:
         """Name of the buffer that holds entry ``offset`` of ``theta`` (and of a gradient)."""
         stops = np.cumsum([view.size for _, view in self._items])
         return self._items[np.searchsorted(stops, offset, side="right")][0]
-
-    def _wiring(self) -> _Wiring:
-        if self._wired is None:
-            self._wired = _Wiring(self.config, self._nets, self._grad_nets)
-        return self._wired
 
     def _check_oc(self, oc) -> np.ndarray:
         oc = np.atleast_2d(np.asarray(oc, dtype=np.float64))
@@ -231,7 +221,7 @@ class PinnModel:
         n = t.shape[0]
         if oc.shape[0] != n:
             raise ValueError(f"{oc.shape[0]} oc rows vs {n} time values")
-        wiring = self._wiring()
+        wiring = self._wiring
         oc_n = ((oc - self.norm.means) / self.norm.stds).T
         t_n = (t / self.config.t_scale).reshape(1, n)
         wiring.graph.eval({wiring.oc_in: oc_n, wiring.t_in: t_n})
@@ -395,8 +385,7 @@ def init_model(
     """Fresh model; the three networks get independent seeded draws."""
     seeds = np.random.SeedSequence(init_seed).generate_state(3, dtype=np.uint64)
     model = PinnModel(config, np.zeros(config.n_params), norm, init_scheme=scheme, init_seed=int(init_seed))
-    for params, seed in zip((model.x_params, model.rul_params, model.dyn_params), seeds):
-        drawn = init_params(params.spec, scheme, int(seed))
-        for view, value in zip((*params.weights, *params.biases), (*drawn.weights, *drawn.biases)):
-            view[...] = value
+    w = model._wiring
+    for mlp, seed in zip((w.x_mlp, w.rul_mlp, w.dyn_mlp), seeds):
+        init_params(mlp.layers, scheme, int(seed))
     return model

@@ -1,8 +1,9 @@
 """Multilayer perceptrons emitted as computation-graph nodes.
 
-``GraphMlp`` holds one set of weights and a gradient set of the same
-shapes and emits one graph ``layer`` node per MLP layer, which binds that
-layer's weight, bias and their gradient buffers. Besides the plain
+``GraphMlp`` holds one (W, b, dW, db) tuple per MLP layer, the weight,
+the bias and their gradient buffers, and emits one graph ``layer`` node
+per tuple, which binds those four arrays; ``init_params`` draws into
+the W and b arrays in place. Besides the plain
 chain it can carry forward-tangent chains for directional input
 derivatives: each layer's value stacks the primal block and one tangent
 block per input coordinate along its rows, the first layer seeds the
@@ -13,11 +14,11 @@ exact mixed second derivatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, layer_buffers
+from .graph import Graph
 
 HIDDEN_ACTIVATIONS = ("tanh", "relu")
 OUTPUT_ACTIVATIONS = ("linear", "tanh")
@@ -59,45 +60,24 @@ class MlpSpec:
         ]
 
 
-@dataclass
-class MlpParams:
-    """Weight matrices (out x in) and bias columns for one MlpSpec.
+def init_params(layers, scheme: str = "standard-normal", seed: int = 0) -> None:
+    """Draw each layer's W and b into the arrays themselves from a seeded
+    generator, in layer order, W before b; same inputs, same bits.
 
-    A model's are views of its parameter vector, cut by ``model._layout``.
-    """
-
-    spec: MlpSpec
-    weights: list[np.ndarray] = field(repr=False)
-    biases: list[np.ndarray] = field(repr=False)
-
-    def __post_init__(self):
-        shapes = self.spec.layer_shapes()
-        if len(self.weights) != len(shapes) or len(self.biases) != len(shapes):
-            raise ValueError("layer count does not match spec")
-        for (ws, bs), w, b in zip(shapes, self.weights, self.biases):
-            if w.shape != ws or b.shape != bs:
-                raise ValueError(f"layer buffer shapes {w.shape}/{b.shape} do not match spec {ws}/{bs}")
-
-
-def init_params(spec: MlpSpec, scheme: str = "standard-normal", seed: int = 0) -> MlpParams:
-    """Draw parameters from a seeded generator; same inputs, same bits.
-
+    ``layers`` are (W, b, dW, db) tuples; the gradients are not touched.
     standard-normal: every weight and bias i.i.d. N(0, 1).
     xavier: W ~ N(0, 2 / (fan_in + fan_out)), biases zero.
     """
     if scheme not in INIT_SCHEMES:
         raise ValueError(f"unknown init scheme {scheme!r}, expected one of {INIT_SCHEMES}")
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for (out_w, in_w), _ in spec.layer_shapes():
+    for w, b, *_ in layers:
         if scheme == "standard-normal":
-            weights.append(rng.standard_normal((out_w, in_w)))
-            biases.append(rng.standard_normal((out_w, 1)))
+            w[...] = rng.standard_normal(w.shape)
+            b[...] = rng.standard_normal(b.shape)
         else:
-            std = np.sqrt(2.0 / (in_w + out_w))
-            weights.append(rng.normal(0.0, std, (out_w, in_w)))
-            biases.append(np.zeros((out_w, 1)))
-    return MlpParams(spec, weights, biases)
+            w[...] = rng.normal(0.0, np.sqrt(2.0 / sum(w.shape)), w.shape)
+            b[...] = 0.0
 
 
 def _tangent_coord(spec: MlpSpec, coord) -> int:
@@ -110,21 +90,19 @@ def _tangent_coord(spec: MlpSpec, coord) -> int:
 
 
 class GraphMlp:
-    """One MLP's parameters, emitted into a graph as trainable layers.
+    """One MLP's layers, emitted into a graph as trainable layer nodes.
 
-    Each layer node binds the buffers of ``params`` and the same-shaped
-    buffers of ``grads``, the arrays themselves, not copies: each ``eval``
-    reads the current weights and each ``grad`` writes the gradients in
-    place.
+    ``layers`` holds one (W, b, dW, db) tuple per layer of ``spec``: the
+    weight, the bias and their gradient buffers. Each layer node binds
+    the arrays themselves, not copies, so each ``eval`` reads the current
+    weights and each ``grad`` writes the gradients in place. The graph
+    checks each tuple when it builds the node.
     """
 
-    def __init__(self, graph: Graph, params: MlpParams, grads: MlpParams):
+    def __init__(self, graph: Graph, spec: MlpSpec, layers):
         self.graph = graph
-        self.spec = params.spec
-        self.layers = [  # (W, b, dW, db) per layer
-            layer_buffers(*bufs)
-            for bufs in zip(params.weights, params.biases, grads.weights, grads.biases, strict=True)
-        ]
+        self.spec = spec
+        self.layers = list(layers)
 
     def forward(self, input_id: int) -> int:
         """Emit the layer chain for ``input_id`` of shape (d_in, n); n may be None."""
@@ -148,6 +126,8 @@ class GraphMlp:
         d_in = g.shape_of(input_id)[0]
         if d_in != self.spec.d_in:
             raise ValueError(f"input has {d_in} rows, spec wants {self.spec.d_in}")
+        if len(self.layers) != len(self.spec.widths) - 1:
+            raise ValueError(f"{len(self.layers)} layers, spec has {len(self.spec.widths) - 1}")
         if coords and self.spec.hidden != "tanh":
             raise ValueError("tangent propagation needs a smooth (tanh) hidden activation")
 
@@ -159,6 +139,6 @@ class GraphMlp:
             seeds = None  # later layers take the stacked blocks
         if not coords:
             return h, []
-        m = self.spec.d_out
+        m = g.shape_of(h)[0] // (1 + len(coords))
         blocks = [g.rows(h, j * m, (j + 1) * m) for j in range(1 + len(coords))]
         return blocks[0], blocks[1:]

@@ -9,12 +9,12 @@ import pytest
 from pinnrul import (
     AugmentedSamples,
     Graph,
-    MlpParams,
     MlpSpec,
     NormStats,
     PinnConfig,
     cli,
     init_model,
+    init_params,
 )
 
 FD_H = 1e-5
@@ -112,9 +112,17 @@ def relu_inputs_safe(g, values, margin=1e-3):
     return True
 
 
-def zero_grads(params):
-    """Gradient buffers shaped like ``params``, for binding them into a ``GraphMlp``."""
-    return MlpParams(params.spec, [np.zeros_like(w) for w in params.weights], [np.zeros_like(b) for b in params.biases])
+def drawn_mlp(spec, scheme="standard-normal", seed=0):
+    """(spec, layers): one (W, b, dW, db) tuple per layer of ``spec``, W and b
+    drawn by ``init_params`` and the gradients zero, for ``GraphMlp(g, *mlp)``.
+
+    W and b start as NaN, so an entry the draw misses shows up.
+    """
+    layers = [
+        (np.full(w, np.nan), np.full(b, np.nan), np.zeros(w), np.zeros(b)) for w, b in spec.layer_shapes()
+    ]
+    init_params(layers, scheme, seed)
+    return spec, layers
 
 
 def grad_views(model, grad):

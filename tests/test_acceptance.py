@@ -23,7 +23,6 @@ from pinnrul import (
     augment,
     fit_norm,
     init_model,
-    init_params,
     nadam_step,
     parse_cmapss,
     parse_rul_truth,
@@ -36,6 +35,7 @@ from pinnrul import (
 from pinnrul import cli
 
 from conftest import (
+    drawn_mlp,
     dyn_preactivations_safe,
     fd_gradient,
     fd_tolerance_ok,
@@ -140,7 +140,7 @@ def test_criterion_4_tangent_correctness():
     for widths in ((2, 3, 3, 1), (3, 3, 3, 3, 3, 3, 1)):
         for draw in range(100):
             rng = np.random.default_rng((widths[0], draw))
-            params = init_params(MlpSpec(widths), "standard-normal", draw)
+            params = drawn_mlp(MlpSpec(widths), "standard-normal", draw)
             x = rng.normal(size=widths[0])
             coord = int(rng.integers(widths[0]))
             _, tan = eval_tangent(params, x, coord)

@@ -137,6 +137,11 @@ class TestConfig:
         assert run_cli(argv) == 2
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
+    def test_check_data_takes_no_out(self, tmp_path, capsys):
+        # check-data writes nothing, so an output directory would go unread
+        assert run_cli(["check-data", "--config", synth_config(tmp_path), "--out", "x"]) == 2
+        assert "unrecognized arguments: --out x" in capsys.readouterr().err
+
 
 class TestCheckData:
     def test_unallocatable_fleet_is_exit_2(self, tmp_path):
@@ -282,6 +287,17 @@ class TestTrainEvalMapPredict:
         err = capsys.readouterr().err
         assert str(broken) in err and message in err
 
+    @pytest.mark.parametrize("net", ["x_spec", "rul_spec"])
+    def test_relu_tangent_network_is_a_bad_header(self, trained, tmp_path, capsys, net):
+        # x and rul carry tangent chains, which need tanh; the header check names the file
+        _, _, out = trained
+        broken = tmp_path / "relu.bin"
+        header = rewrite_header(out / "model.bin", broken, lambda header: header["model"][net].update(hidden="relu"))
+        zeros = ",".join("0" for _ in header["norm"]["means"])
+        assert run_cli(["predict", "--model", str(broken), f"--oc={zeros}"]) == 2
+        err = capsys.readouterr().err
+        assert f"{broken}: bad header (" in err and "tanh" in err
+
     @pytest.mark.parametrize("version", [True, 1.0, 2])
     def test_format_other_than_integer_1_is_exit_2(self, trained, tmp_path, capsys, version):
         # true and 1.0 compare equal to 1 in Python; the header's version is the JSON integer 1
@@ -411,8 +427,9 @@ class TestTrainEvalMapPredict:
         # finite weights, so the file loads, whose products overflow to inf
         _, cfg, out = trained
         model = load_model(out / "model.bin")
-        model.rul_params.weights[-1][...] = 1e308
-        model.rul_params.biases[-1][...] = 1e308
+        views, last = dict(model.parameter_items()), len(model.config.rul_spec.widths) - 1
+        views[f"rul.W{last}"][...] = 1e308
+        views[f"rul.b{last}"][...] = 1e308
         path = str(tmp_path / "overflow.bin")
         save_model(model, path)
         argv = {

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -25,7 +26,6 @@ from conftest import (
     grad_views,
     random_batch,
     small_random_model,
-    zero_grads,
 )
 
 
@@ -36,10 +36,17 @@ def residual_inputs(model, oc, t):
     return [float(row[0, 0]) for row in (w.graph.value(w.dx_dt), w.graph.value(w.drul_dx), drul_dt)]
 
 
-def zeroed(params):
-    """Zero every buffer of ``params`` in place."""
-    for buf in (*params.weights, *params.biases):
-        buf[...] = 0.0
+def zeroed(model, net):
+    """Zero every weight and bias of network ``net`` (x, rul or dyn) in place."""
+    for name, view in model.parameter_items():
+        if name.startswith(f"{net}."):
+            view[...] = 0.0
+
+
+def rate_network(model, g):
+    """The model's rate network emitted into graph ``g``, on the same buffers."""
+    dyn = model._wiring.dyn_mlp
+    return GraphMlp(g, dyn.spec, dyn.layers)
 
 
 @pytest.fixture
@@ -78,7 +85,7 @@ class TestConfig:
 
 class TestPointOps:
     def test_latent_zero_net_is_zero(self, model):
-        zeroed(model.x_params)
+        zeroed(model, "x")
         assert model.latent([0.3, -0.7], 12.0) == 0.0
         assert model.latent([5.0, 5.0], 0.0) == 0.0
 
@@ -100,8 +107,9 @@ class TestPointOps:
         )
         norm = NormStats(means=np.array([2.0]), stds=np.array([4.0]), rul_max=100.0, columns=["s1"])
         model = init_model(config, norm, 0)
-        for view, value in zip((*model.x_params.weights, *model.x_params.biases), (w1, w2, b1, b2)):
-            view[...] = value
+        views = dict(model.parameter_items())
+        for name, value in (("x.W1", w1), ("x.W2", w2), ("x.b1", b1), ("x.b2", b2)):
+            views[name][...] = value
 
         oc, t = 3.0, 15.0
         z = np.array([[(oc - 2.0) / 4.0], [t / 30.0]])
@@ -117,7 +125,7 @@ class TestPointOps:
             model.predict_rul([0.0, 0.0], -1.0)
 
     def test_predict_zero_rul_net(self, model):
-        zeroed(model.rul_params)
+        zeroed(model, "rul")
         assert model.predict_rul([0.2, 0.9], 7.0) == 0.0
 
     def test_predict_matches_sweep(self, model):
@@ -127,13 +135,13 @@ class TestPointOps:
 
 class TestResidual:
     def test_zero_rul_net_reduces_to_dynamics_output(self, model):
-        zeroed(model.rul_params)
+        zeroed(model, "rul")
         oc, t = [0.4, 0.1], 5.0
         dx_dt, drul_dx, drul_dt = residual_inputs(model, oc, t)
         assert drul_dt == 0.0 and drul_dx == 0.0
 
         g = Graph()
-        dyn = GraphMlp(g, model.dyn_params, zero_grads(model.dyn_params))
+        dyn = rate_network(model, g)
         xin = g.input((2, 1))
         out = dyn.forward(xin)
         g.eval({xin: np.array([[dx_dt], [0.0]])})
@@ -146,7 +154,7 @@ class TestResidual:
         f = model.residual(oc, t)
 
         g = Graph()
-        dyn = GraphMlp(g, model.dyn_params, zero_grads(model.dyn_params))
+        dyn = rate_network(model, g)
         xin = g.input((2, 1))
         out = dyn.forward(xin)
         g.eval({xin: np.array([[dx_dt], [drul_dx]])})
@@ -180,7 +188,7 @@ class TestResidual:
 
 class TestCost:
     def test_perfect_fit_is_zero(self, model):
-        zeroed(model.rul_params)
+        zeroed(model, "rul")
         batch = random_batch(model, 3, n=5)
         batch.rul = np.zeros(5)
         breakdown = model.cost(batch, dyn_oracle=True)
@@ -258,7 +266,7 @@ class TestCost:
     def test_non_finite_gradient_names_its_buffer(self, model, monkeypatch):
         # poison two gradient buffers inside Graph.grad; cost's one check names the first
         batch = random_batch(model, 26, n=4)
-        wiring = model._wiring()
+        wiring = model._wiring
         bad = (wiring.rul_mlp.layers[0][3], wiring.dyn_mlp.layers[-1][2])  # gradients of rul.b1, the last dyn.W
         grad = Graph.grad
 
@@ -282,8 +290,9 @@ class TestCost:
 
     def test_non_finite_outputs_raise(self, model):
         # finite weights whose products overflow: no reader may hand back inf
-        model.rul_params.weights[-1][...] = 1e308
-        model.rul_params.biases[-1][...] = 1e308
+        views, last = dict(model.parameter_items()), len(model.config.rul_spec.widths) - 1
+        views[f"rul.W{last}"][...] = 1e308
+        views[f"rul.b{last}"][...] = 1e308
         batch = random_batch(model, 23, n=3)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError):
@@ -304,8 +313,27 @@ class TestParameterVector:
             assert view.__array_interface__["data"][0] - base == 8 * offset, name
             offset += view.size
         assert offset == model.theta.size == model.config.n_params
-        for params in (model.x_params, model.rul_params, model.dyn_params):
-            assert all(np.shares_memory(buf, model.theta) for buf in (*params.weights, *params.biases))
+
+    def test_each_layer_binds_theta_and_gradient_views_at_one_offset(self, model):
+        address = lambda a: a.__array_interface__["data"][0]
+        theta, grad = model.theta, model._grad
+        layers = [node.payload[3:] for node in model._wiring.graph.nodes if node.kind == "layer"]
+        assert 2 * len(layers) == len(model.parameter_items())
+        offsets = []
+        for w, b, dw, db in layers:
+            for value, gradient in ((w, dw), (b, db)):
+                assert np.shares_memory(value, theta) and np.shares_memory(gradient, grad)
+                assert gradient.shape == value.shape
+                offsets.append(address(value) - address(theta))
+                assert address(gradient) - address(grad) == offsets[-1]
+        assert sorted(offsets) == [address(view) - address(theta) for _, view in model.parameter_items()]
+
+    @pytest.mark.parametrize("scheme, digest", [("standard-normal", "5b611cca852afcb0"), ("xavier", "443d7b5bb72a86cd")])
+    def test_init_draws_are_pinned(self, scheme, digest):
+        # the seeded draws of init_model, and so every trained model.bin, rest on these bits
+        norm = NormStats(np.zeros(14), np.ones(14), 100.0, [f"s{i}" for i in range(14)])
+        model = init_model(PinnConfig.default(14), norm, 7, scheme)
+        assert hashlib.sha256(model.theta.tobytes()).hexdigest().startswith(digest)
 
     def test_model_file_body_is_theta(self, model, tmp_path):
         save_model(model, tmp_path / "m.bin")
@@ -334,7 +362,7 @@ class TestParameterVector:
         assert got.total == want.total
         assert np.array_equal(got.grad, want.grad)
 
-    @pytest.mark.parametrize("attr", ["theta", "x_params", "rul_params", "dyn_params"])
+    @pytest.mark.parametrize("attr", ["theta"])
     def test_views_cannot_be_rebound(self, model, attr):
         with pytest.raises(AttributeError):
             setattr(model, attr, None)
@@ -358,6 +386,7 @@ class TestWiring:
             original(self)
 
         monkeypatch.setattr(Graph, "__init__", counting_init)
+        model = PinnModel(model.config, model.theta.copy(), model.norm)  # builds its graph here, and only here
         first = random_batch(model, 30, n=7)
         before = model.cost(first)
         for n in (1, 7, 512, 4096):
@@ -373,7 +402,7 @@ class TestWiring:
 
 
     def test_model_graph_has_28_nodes_of_4_kinds(self, model):
-        graph = init_model(PinnConfig.default(model.config.d_oc), model.norm)._wiring().graph
+        graph = init_model(PinnConfig.default(model.config.d_oc), model.norm)._wiring.graph
         assert len(OP_KINDS) == 4
         assert len(graph.nodes) == 28
         assert {node.kind for node in graph.nodes} == set(OP_KINDS)
@@ -388,15 +417,18 @@ class TestWiring:
         oc = rng.normal(size=(n, d_oc))
         t = rng.integers(0, 31, n).astype(float)
 
-        def chain(params, h, coords):
+        views = dict(model.parameter_items())
+
+        def chain(net, h, coords):
             tans = []
             for c in coords:
                 tans.append(np.zeros(h.shape))
                 tans[-1][c] = 1.0
-            last = len(params.weights) - 1
-            for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+            depth = sum(name.startswith(f"{net}.W") for name in views)
+            for i in range(1, depth + 1):
+                w, b = views[f"{net}.W{i}"], views[f"{net}.b{i}"]
                 z = w @ h + b
-                if i == last:
+                if i == depth:
                     h, tans = z, [w @ tan for tan in tans]
                 else:
                     h = np.tanh(z)
@@ -404,8 +436,8 @@ class TestWiring:
             return h, tans
 
         t_n = (t / config.t_scale).reshape(1, n)
-        x, (dx_dt,) = chain(model.x_params, np.vstack([((oc - norm.means) / norm.stds).T, t_n]), [d_oc])
-        rul, _ = chain(model.rul_params, np.vstack([x, t_n]), [0, 1])
+        x, (dx_dt,) = chain("x", np.vstack([((oc - norm.means) / norm.stds).T, t_n]), [d_oc])
+        rul, _ = chain("rul", np.vstack([x, t_n]), [0, 1])
         w = model._eval_batch(oc, t)
         for nid, want in ((w.x, x), (w.dx_dt, dx_dt), (w.rul, rul)):
             assert np.array_equal(w.graph.value(nid), want)

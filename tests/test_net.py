@@ -1,30 +1,36 @@
 import numpy as np
 import pytest
 
-from pinnrul import Graph, GraphError, GraphMlp, MlpParams, MlpSpec, init_params
+from pinnrul import Graph, GraphError, GraphMlp, MlpSpec
 
-from conftest import fd_tolerance_ok, zero_grads
+from conftest import drawn_mlp, fd_tolerance_ok
 
 TANH_HALF = 0.46211715726000974
 
 
+def given_mlp(spec, weights, biases):
+    """(spec, layers) with these weights and biases and zero gradients."""
+    return spec, [(w, b, np.zeros_like(w), np.zeros_like(b)) for w, b in zip(weights, biases)]
+
+
 def plain_forward(params, x):
-    """Straight-line reference evaluation, independent of the graph."""
+    """Straight-line reference evaluation of (spec, layers), independent of the graph."""
+    spec, layers = params
     h = np.asarray(x, dtype=np.float64).reshape(-1, 1)
-    last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+    last = len(layers) - 1
+    for i, (w, b, _, _) in enumerate(layers):
         z = w @ h + b
         if i < last:
-            h = np.tanh(z) if params.spec.hidden == "tanh" else np.maximum(z, 0.0)
+            h = np.tanh(z) if spec.hidden == "tanh" else np.maximum(z, 0.0)
         else:
-            h = np.tanh(z) if params.spec.output == "tanh" else z
+            h = np.tanh(z) if spec.output == "tanh" else z
     return h
 
 
 def eval_forward(params, x):
     g = Graph()
-    mlp = GraphMlp(g, params, zero_grads(params))
-    xin = g.input((params.spec.d_in, 1))
+    mlp = GraphMlp(g, *params)
+    xin = g.input((mlp.spec.d_in, 1))
     out = mlp.forward(xin)
     g.eval({xin: np.asarray(x, dtype=np.float64).reshape(-1, 1)})
     return g.value(out)
@@ -32,8 +38,8 @@ def eval_forward(params, x):
 
 def eval_tangent(params, x, coord):
     g = Graph()
-    mlp = GraphMlp(g, params, zero_grads(params))
-    xin = g.input((params.spec.d_in, 1))
+    mlp = GraphMlp(g, *params)
+    xin = g.input((mlp.spec.d_in, 1))
     out, (tan,) = mlp.forward_tangents(xin, [coord])
     g.eval({xin: np.asarray(x, dtype=np.float64).reshape(-1, 1)})
     return g.value(out), g.value(tan)
@@ -50,49 +56,43 @@ class TestSpecAndInit:
 
     def test_same_seed_same_bits(self):
         spec = MlpSpec((2, 3, 1))
-        a = init_params(spec, "standard-normal", 99)
-        b = init_params(spec, "standard-normal", 99)
-        for wa, wb in zip(a.weights, b.weights):
+        _, a = drawn_mlp(spec, "standard-normal", 99)
+        _, b = drawn_mlp(spec, "standard-normal", 99)
+        for (wa, ba, _, _), (wb, bb, _, _) in zip(a, b):
             assert np.array_equal(wa, wb)
-        for ba, bb in zip(a.biases, b.biases):
             assert np.array_equal(ba, bb)
 
     def test_layer_shapes_2_3_1(self):
-        params = init_params(MlpSpec((2, 3, 1)), "standard-normal", 0)
-        assert params.weights[0].shape == (3, 2)
-        assert params.biases[0].shape == (3, 1)
-        assert params.weights[1].shape == (1, 3)
-        assert params.biases[1].shape == (1, 1)
+        _, layers = drawn_mlp(MlpSpec((2, 3, 1)), "standard-normal", 0)
+        assert layers[0][0].shape == (3, 2)
+        assert layers[0][1].shape == (3, 1)
+        assert layers[1][0].shape == (1, 3)
+        assert layers[1][1].shape == (1, 1)
 
     def test_standard_normal_statistics(self):
         # > 1e4 draws across one wide layer pair
-        params = init_params(MlpSpec((100, 99, 1)), "standard-normal", 1234)
-        flat = np.concatenate([w.ravel() for w in params.weights] + [b.ravel() for b in params.biases])
+        _, layers = drawn_mlp(MlpSpec((100, 99, 1)), "standard-normal", 1234)
+        flat = np.concatenate([buf.ravel() for w, b, _, _ in layers for buf in (w, b)])
         assert flat.size > 10_000
         assert abs(flat.mean()) < 0.05
         assert abs(flat.var() - 1.0) < 0.1
 
     def test_xavier_scale_and_zero_bias(self):
         spec = MlpSpec((8, 6, 1))
-        params = init_params(spec, "xavier", 5)
-        assert np.array_equal(params.biases[0], np.zeros((6, 1)))
-        std = params.weights[0].std()
+        _, layers = drawn_mlp(spec, "xavier", 5)
+        assert np.array_equal(layers[0][1], np.zeros((6, 1)))
+        std = layers[0][0].std()
         assert 0.3 * np.sqrt(2 / 14) < std < 3.0 * np.sqrt(2 / 14)
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
-            init_params(MlpSpec((2, 3, 1)), "orthogonal", 0)
-
-    def test_params_shape_mismatch_rejected(self):
-        spec = MlpSpec((2, 3, 1))
-        with pytest.raises(ValueError):
-            MlpParams(spec, [np.zeros((3, 3)), np.zeros((1, 3))], [np.zeros((3, 1)), np.zeros((1, 1))])
+            drawn_mlp(MlpSpec((2, 3, 1)), "orthogonal", 0)
 
 
 class TestForward:
     def test_zero_params_zero_output(self):
         spec = MlpSpec((3, 4, 4, 1))
-        params = MlpParams(
+        params = given_mlp(
             spec,
             [np.zeros(ws) for ws, _ in spec.layer_shapes()],
             [np.zeros(bs) for _, bs in spec.layer_shapes()],
@@ -102,21 +102,21 @@ class TestForward:
 
     def test_hand_evaluated_1_1_1(self):
         spec = MlpSpec((1, 1, 1))
-        params = MlpParams(spec, [np.array([[2.0]]), np.array([[1.0]])], [np.zeros((1, 1)), np.zeros((1, 1))])
+        params = given_mlp(spec, [np.array([[2.0]]), np.array([[1.0]])], [np.zeros((1, 1)), np.zeros((1, 1))])
         out = eval_forward(params, [0.25])
         assert float(out[0, 0]) == pytest.approx(TANH_HALF, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_straight_line_reference(self, seed):
-        params = init_params(MlpSpec((2, 3, 1)), "standard-normal", seed)
+        params = drawn_mlp(MlpSpec((2, 3, 1)), "standard-normal", seed)
         x = np.random.default_rng(seed).normal(size=2)
         assert np.abs(eval_forward(params, x) - plain_forward(params, x)).max() <= 1e-12
 
     def test_batched_forward_equals_per_column(self):
-        params = init_params(MlpSpec((3, 5, 2)), "xavier", 3)
+        params = drawn_mlp(MlpSpec((3, 5, 2)), "xavier", 3)
         xs = np.random.default_rng(0).normal(size=(3, 4))
         g = Graph()
-        mlp = GraphMlp(g, params, zero_grads(params))
+        mlp = GraphMlp(g, *params)
         xin = g.input((3, 4))
         out = mlp.forward(xin)
         g.eval({xin: xs})
@@ -126,27 +126,32 @@ class TestForward:
 
     def test_reference_architecture_shapes(self):
         # latent net: five 3-unit hidden layers; regression net: five 10-unit layers
-        x_params = init_params(MlpSpec((15, 3, 3, 3, 3, 3, 1)), "standard-normal", 0)
-        rul_params = init_params(MlpSpec((2, 10, 10, 10, 10, 10, 1)), "standard-normal", 1)
+        x_params = drawn_mlp(MlpSpec((15, 3, 3, 3, 3, 3, 1)), "standard-normal", 0)
+        rul_params = drawn_mlp(MlpSpec((2, 10, 10, 10, 10, 10, 1)), "standard-normal", 1)
         for params, n in ((x_params, 15), (rul_params, 2)):
             g = Graph()
-            mlp = GraphMlp(g, params, zero_grads(params))
+            mlp = GraphMlp(g, *params)
             xin = g.input((n, 7))
             out = mlp.forward(xin)
             assert g.shape_of(out) == (1, 7)
-            assert len(params.weights) == 6
+            assert len(params[1]) == 6
 
     def test_gradient_buffers_must_follow_the_parameters(self):
-        params = init_params(MlpSpec((2, 3, 1)), "standard-normal", 0)
+        # checked when the layers are emitted: build checks each layer's buffers
+        spec, layers = drawn_mlp(MlpSpec((2, 3, 1)), "standard-normal", 0)
+        _, other = drawn_mlp(MlpSpec((2, 4, 1)), "standard-normal", 0)
+        g = Graph()
+        xin = g.input((2, 1))
+        mixed = [(w, b, dw, db) for (w, b, _, _), (_, _, dw, db) in zip(layers, other)]
         with pytest.raises(GraphError, match="gradient"):  # a buffer of another shape
-            GraphMlp(Graph(), params, zero_grads(init_params(MlpSpec((2, 4, 1)), "standard-normal", 0)))
+            GraphMlp(g, spec, mixed).forward(xin)
         with pytest.raises(ValueError):  # another layer count
-            GraphMlp(Graph(), params, zero_grads(init_params(MlpSpec((2, 3, 1, 1)), "standard-normal", 0)))
+            GraphMlp(g, spec, drawn_mlp(MlpSpec((2, 3, 1, 1)), "standard-normal", 0)[1]).forward(xin)
 
     def test_input_width_mismatch(self):
-        params = init_params(MlpSpec((2, 3, 1)), "standard-normal", 0)
+        params = drawn_mlp(MlpSpec((2, 3, 1)), "standard-normal", 0)
         g = Graph()
-        mlp = GraphMlp(g, params, zero_grads(params))
+        mlp = GraphMlp(g, *params)
         xin = g.input((3, 1))
         with pytest.raises(ValueError):
             mlp.forward(xin)
@@ -157,13 +162,13 @@ class TestForwardTangent:
         # tanh'(0) = 1, so the tangent collapses to the weight product
         a, b = 1.7, -0.6
         spec = MlpSpec((1, 1, 1))
-        params = MlpParams(spec, [np.array([[a]]), np.array([[b]])], [np.zeros((1, 1)), np.zeros((1, 1))])
+        params = given_mlp(spec, [np.array([[a]]), np.array([[b]])], [np.zeros((1, 1)), np.zeros((1, 1))])
         _, tan = eval_tangent(params, [0.0], 0)
         assert float(tan[0, 0]) == pytest.approx(a * b, abs=1e-15)
 
     def test_zero_weights_zero_tangent(self):
         spec = MlpSpec((2, 3, 1))
-        params = MlpParams(
+        params = given_mlp(
             spec,
             [np.zeros(ws) for ws, _ in spec.layer_shapes()],
             [np.random.default_rng(0).normal(size=bs) for _, bs in spec.layer_shapes()],
@@ -172,17 +177,17 @@ class TestForwardTangent:
         assert np.array_equal(tan, np.zeros((1, 1)))
 
     def test_relu_hidden_rejected(self):
-        params = init_params(MlpSpec((2, 3, 1), hidden="relu"), "standard-normal", 0)
+        params = drawn_mlp(MlpSpec((2, 3, 1), hidden="relu"), "standard-normal", 0)
         g = Graph()
-        mlp = GraphMlp(g, params, zero_grads(params))
+        mlp = GraphMlp(g, *params)
         xin = g.input((2, 1))
         with pytest.raises(ValueError, match="tanh"):
             mlp.forward_tangents(xin, [0])
 
     def test_bad_tangent_vectors_rejected(self):
-        params = init_params(MlpSpec((3, 3, 1)), "standard-normal", 4)
+        params = drawn_mlp(MlpSpec((3, 3, 1)), "standard-normal", 4)
         g = Graph()
-        mlp = GraphMlp(g, params, zero_grads(params))
+        mlp = GraphMlp(g, *params)
         xin = g.input((3, 1))
         with pytest.raises(ValueError):
             mlp.forward_tangents(xin, [np.array([0.0, 2.0, 0.0])])
@@ -195,7 +200,7 @@ class TestForwardTangent:
         h = 1e-6
         for seed in range(20):
             rng = np.random.default_rng((seed, widths[0]))
-            params = init_params(MlpSpec(widths), "standard-normal", seed)
+            params = drawn_mlp(MlpSpec(widths), "standard-normal", seed)
             x = rng.normal(size=widths[0])
             coord = int(rng.integers(widths[0]))
             _, tan = eval_tangent(params, x, coord)
@@ -206,7 +211,8 @@ class TestForwardTangent:
 
     def test_tangent_weight_gradient_matches_fd(self):
         # reverse-mode through the tangent output = mixed second derivative
-        params = init_params(MlpSpec((2, 3, 1)), "standard-normal", 11)
+        params = drawn_mlp(MlpSpec((2, 3, 1)), "standard-normal", 11)
+        layers = params[1]
         x = np.array([0.37, -0.81])
 
         def tangent_value():
@@ -214,15 +220,14 @@ class TestForwardTangent:
             return float(tan[0, 0])
 
         g = Graph()
-        grads = zero_grads(params)
-        mlp = GraphMlp(g, params, grads)
+        mlp = GraphMlp(g, *params)
         xin = g.input((2, 1))
         _, (tan,) = mlp.forward_tangents(xin, [0])
         g.eval({xin: x.reshape(2, 1)})
         g.grad({tan: np.ones((1, 1))})
 
         h = 1e-6
-        for li, buf in enumerate(params.weights):
+        for buf, _, dw, _ in layers:
             it = np.nditer(buf, flags=["multi_index"])
             for _ in it:
                 idx = it.multi_index
@@ -233,4 +238,4 @@ class TestForwardTangent:
                 down = tangent_value()
                 buf[idx] = old
                 fd = (up - down) / (2 * h)
-                assert fd_tolerance_ok(grads.weights[li][idx], fd, rel=1e-4, abs_tol=1e-8)
+                assert fd_tolerance_ok(dw[idx], fd, rel=1e-4, abs_tol=1e-8)
