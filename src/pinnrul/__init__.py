@@ -19,15 +19,15 @@ from .data import (
     synth_generate,
     truncate_for_eval,
 )
-from .graph import Graph, GraphError, NumericError
 from .model import (
     CostBreakdown,
+    NumericError,
     PinnConfig,
     PinnModel,
     init_model,
 )
 from .modelfile import load_model, save_model
-from .net import GraphMlp, MlpSpec, init_params
+from .net import MlpSpec, init_params
 from .optim import NadamConfig, NadamState, TrainingReport, nadam_step, split_indices, train
 
 __version__ = "0.1.0"
@@ -36,9 +36,6 @@ __all__ = [
     "AugmentedSamples",
     "CostBreakdown",
     "EngineTrajectory",
-    "Graph",
-    "GraphError",
-    "GraphMlp",
     "MlpSpec",
     "NadamConfig",
     "NadamState",

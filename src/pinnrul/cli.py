@@ -22,8 +22,7 @@ import numpy as np
 from . import data as dat
 from . import model as mdl
 from .data import ParseError, SynthSpec
-from .graph import NumericError
-from .model import PinnConfig, PinnModel, init_model
+from .model import NumericError, PinnConfig, PinnModel, init_model
 from .modelfile import json_is, load_model, save_model
 from .optim import NadamConfig, train
 
@@ -436,18 +435,20 @@ def _overrides(args) -> dict:
 def main(argv=None) -> int:
     args = _PARSER.parse_args(_glue_values(sys.argv[1:] if argv is None else argv))
     try:
-        if args.command == "predict":
-            return cmd_predict(args.model, args.oc, args.t_list, args.csv)
-        cfg = load_config(args.config, _overrides(args))
-        if args.command == "check-data":
-            return cmd_check_data(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "eval":
-            return cmd_eval(cfg, args.model)
-        if args.command == "map":
-            return cmd_map(cfg, args.model, args.which)
-        raise CliError(2, f"unknown command {args.command!r}")
+        # every output is checked for finiteness, so numpy's float warnings would only repeat it
+        with np.errstate(all="ignore"):
+            if args.command == "predict":
+                return cmd_predict(args.model, args.oc, args.t_list, args.csv)
+            cfg = load_config(args.config, _overrides(args))
+            if args.command == "check-data":
+                return cmd_check_data(cfg)
+            if args.command == "train":
+                return cmd_train(cfg)
+            if args.command == "eval":
+                return cmd_eval(cfg, args.model)
+            if args.command == "map":
+                return cmd_map(cfg, args.model, args.which)
+            raise CliError(2, f"unknown command {args.command!r}")
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -7,9 +7,10 @@ reverse index order so repeated runs are bit-identical.
 
 All buffers are 2-D float64 arrays; scalars have shape (1, 1). An input
 may leave its column count open (``None``): the graph is then built once
-for any batch width, every op acts column by column, and ``eval``
-requires all width-free inputs to be bound with the same number of
-columns.
+for any batch width and every op acts column by column. ``build`` checks
+every node; ``eval`` checks no binding, so binding each input to a 2-D
+array of its rows, the width-free ones with one column count, is the
+caller's contract.
 
 A ``layer`` node is one MLP layer, act(W h + b), together with k
 forward-tangent chains through it (vector forward mode). It binds four
@@ -29,8 +30,8 @@ There are four op kinds: ``input``, ``layer``, ``rows`` and ``concat``.
 The graph ends at a model's network outputs; arithmetic that joins them,
 such as a residual or a loss, is the caller's. ``grad`` takes the
 caller's adjoints at those outputs (seeds, each shaped like its node's
-value) and writes the vector-Jacobian product into every layer's dW and
-db, summed over the layers that share a buffer. A node reaches the
+value) and writes the vector-Jacobian product over every layer's own dW
+and db; the caller binds no buffer into two layers. A node reaches the
 weights iff it is a layer or one of its inputs does; adjoints propagate
 only into such nodes, so inputs (and anything computed only from them)
 get none, and a layer that no seed reaches gets zeros.
@@ -41,12 +42,13 @@ may be used from different threads.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 __all__ = [
     "Graph",
     "GraphError",
-    "NumericError",
     "OP_KINDS",
 ]
 
@@ -62,12 +64,8 @@ ACTIVATIONS = ("tanh", "relu", "linear")
 
 
 class GraphError(Exception):
-    """Misuse of a graph: a bad shape, buffer, op kind or node id, or an
-    evaluation that cannot proceed, e.g. an input node left unbound."""
-
-
-class NumericError(Exception):
-    """A non-finite value or gradient appeared."""
+    """Misuse of a graph: a node with a bad shape, buffer, op kind or input
+    id at build, a seed with a bad id or shape, or a read before ``eval``."""
 
 
 class _Node:
@@ -79,19 +77,6 @@ class _Node:
         self.shape = shape  # (rows, cols); cols is None for a width-free node
         self.payload = payload  # rows range or layer (activation, k, seeds, w, b, dw, db)
         self.reaches = reaches  # its value depends on a layer's weights
-
-
-def _as_buffer(value, shape):
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    elif arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
-    if arr.ndim != 2:
-        raise GraphError(f"buffers must be at most 2-D, got ndim={arr.ndim}")
-    if arr.shape[0] != shape[0] or shape[1] not in (None, arr.shape[1]):
-        raise GraphError(f"buffer shape {arr.shape} does not match declared {tuple(shape)}")
-    return arr
 
 
 def _layer_buffers(w, b, dw, db) -> tuple:
@@ -184,9 +169,6 @@ class Graph:
         self.nodes: list[_Node] = []
         self._values: list[np.ndarray] | None = None
 
-    def shape_of(self, nid: int) -> tuple[int, int | None]:
-        return self.nodes[nid].shape
-
     # -- construction -------------------------------------------------
 
     def build(self, kind: str, inputs=(), payload=None) -> int:
@@ -254,7 +236,7 @@ class Graph:
         no tangents.
         """
         if seeds is not None:
-            seeds = tuple(int(c) for c in seeds)
+            seeds = tuple(operator.index(c) for c in seeds)  # an index, never a truncated float
             k = len(seeds)
         return self.build("layer", (s,), (activation, k, seeds, w, b, dw, db))
 
@@ -267,30 +249,19 @@ class Graph:
 
     # -- values -------------------------------------------------------
 
-    def eval(self, bindings: dict[int, np.ndarray] | None = None) -> list[np.ndarray]:
+    def eval(self, bindings: dict[int, np.ndarray]) -> list[np.ndarray]:
         """Compute every node value in index (= topological) order.
 
-        ``bindings`` maps each input node to its value; layers read their
-        bound weight and bias buffers.
+        ``bindings`` maps every input node to its value, a 2-D array with
+        the node's rows and, if it is width-free, the one column count of
+        all width-free inputs; the caller ensures this, eval checks none
+        of it. Layers read their bound weight and bias buffers.
         """
-        bindings = bindings or {}
         values: list[np.ndarray] = []
-        width = None  # shared column count of the width-free inputs
         for nid, node in enumerate(self.nodes):
             k = node.kind
             if k == "input":
-                if nid not in bindings:
-                    raise GraphError(f"input node {nid} is unbound")
-                v = _as_buffer(bindings[nid], node.shape)
-                if node.shape[1] is None:
-                    if v.shape[1] == 0:
-                        raise GraphError(f"input node {nid} is bound to zero columns")
-                    if width is None:
-                        width = v.shape[1]
-                    elif v.shape[1] != width:
-                        raise GraphError(
-                            f"input node {nid} has {v.shape[1]} columns, other inputs have {width}"
-                        )
+                v = np.asarray(bindings[nid], dtype=np.float64)
             else:
                 ins = [values[i] for i in node.inputs]
                 if k == "layer":
@@ -315,9 +286,8 @@ class Graph:
         every layer weight and bias p.
 
         ``seeds`` maps node ids to adjoints, each shaped like the node's
-        value from the last ``eval``, which must have run. A layer that no
-        seed reaches gets zeros; a buffer bound into several layers gets
-        the sum of their gradients.
+        value from the last ``eval``, which must have run. Each layer's
+        gradient overwrites its own dW and db, zeros if no seed reaches it.
         """
         nodes = self.nodes
         values = self._values
@@ -334,25 +304,26 @@ class Graph:
             if nodes[nid].reaches:
                 adjoint[nid] = seed
 
-        sums: dict[int, np.ndarray] = {}  # id of a layer's gradient buffer -> its gradient so far
+        def acc(nid, delta):
+            cur = adjoint.get(nid)
+            adjoint[nid] = delta if cur is None else cur + delta
 
-        def acc(key, delta, store=adjoint):
-            cur = store.get(key)
-            store[key] = delta if cur is None else cur + delta
-
-        for nid in range(max(adjoint, default=-1), -1, -1):
+        for nid in range(len(nodes) - 1, -1, -1):
             a = adjoint.get(nid)
-            if a is None:
-                continue
             node = nodes[nid]
             k = node.kind
             ins = node.inputs
             if k == "layer":
-                dw, ds, db = _layer_adjoints(node.payload, a, values[nid], values[ins[0]], nodes[ins[0]].reaches)
-                acc(id(node.payload[5]), dw, sums)
-                acc(id(node.payload[6]), db, sums)
+                if a is None:  # no seed reaches this layer
+                    dw, ds, db = 0.0, None, 0.0
+                else:
+                    dw, ds, db = _layer_adjoints(node.payload, a, values[nid], values[ins[0]], nodes[ins[0]].reaches)
+                np.copyto(node.payload[5], dw)
+                np.copyto(node.payload[6], db)
                 if ds is not None:
                     acc(ins[0], ds)
+            elif a is None:
+                continue
             elif k == "rows":
                 delta = np.zeros(values[ins[0]].shape)
                 delta[node.payload[0] : node.payload[1]] = a
@@ -364,8 +335,3 @@ class Graph:
                     if nodes[i].reaches:
                         acc(i, a[row : row + h, :])
                     row += h
-
-        for node in nodes:  # zeros where no seed reaches a layer
-            if node.kind == "layer":
-                for buf in node.payload[5:]:
-                    np.copyto(buf, sums.get(id(buf), 0.0))

@@ -26,6 +26,8 @@ Whole sample sets are read CHUNK samples at a time: ``mean_cost`` sums
 the cost terms over the rows an index array names, gathering one chunk
 at a time, and ``latent_map`` returns one (n, 4) float64 table, built
 from slice views, whose columns are x, dx/dt, predicted RUL and true RUL.
+``_eval_batch`` is the one check of a batch's oc shape, row counts and
+times, and ``NumericError``, defined here, reports a non-finite output.
 """
 
 from __future__ import annotations
@@ -36,12 +38,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import AugmentedSamples, NormStats, feature_matrix
-from .graph import Graph, NumericError
+from .graph import Graph
 from .net import GraphMlp, MlpSpec, init_params
 
 X_HIDDEN = (3, 3, 3, 3, 3)
 RUL_HIDDEN = (10, 10, 10, 10, 10)
 CHUNK = 4096  # samples per graph evaluation in mean_cost and latent_map
+
+
+class NumericError(Exception):
+    """A non-finite value or gradient appeared."""
 
 
 @dataclass(frozen=True)
@@ -208,6 +214,8 @@ class PinnModel:
 
     def _check_oc(self, oc) -> np.ndarray:
         oc = np.atleast_2d(np.asarray(oc, dtype=np.float64))
+        if oc.ndim > 2:
+            raise ValueError(f"oc must be one snapshot or a 2-D batch, got shape {oc.shape}")
         if oc.shape[1] != self.config.d_oc:
             raise ValueError(f"oc has {oc.shape[1]} features, model expects d_oc={self.config.d_oc}")
         return oc

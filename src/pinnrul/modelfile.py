@@ -3,9 +3,10 @@
 Layout:
 
     line 1   magic  b"PINNRUL-BIN 1\n"
-    line 2   decimal byte length of the JSON header, then "\n"
+    line 2   byte length of the JSON header, ASCII digits, no leading 0, "\n"
     header   JSON (sorted keys, compact separators): format version,
-             architecture, init scheme/seed, cost settings, normalization
+             architecture, init scheme/seed, cost settings, normalization,
+             then "\n"
     body     the model's parameter vector ``theta`` as raw little-endian
              float64, in the order set by ``model._layout``
 
@@ -103,11 +104,15 @@ def load_model(path) -> PinnModel:
     rest = blob[len(MAGIC) :]
     try:
         newline = rest.index(b"\n")
-        header_len = int(rest[:newline])
-        header_raw = rest[newline + 1 : newline + 1 + header_len]
-        header = json.loads(header_raw.decode("ascii"))
-        body = rest[newline + 1 + header_len + 1 :]
-    except (ValueError, IndexError) as exc:
+        digits = rest[:newline]
+        if not digits.isdigit() or digits.startswith(b"0"):
+            raise ValueError(f"header length {digits!r} is not a decimal byte count")
+        end = newline + 1 + int(digits)
+        header = json.loads(rest[newline + 1 : end].decode("ascii"))
+        if rest[end : end + 1] != b"\n":
+            raise ValueError("no newline after the header")
+        body = rest[end + 1 :]
+    except ValueError as exc:
         raise ModelFileError(f"{path}: corrupt header ({exc})") from None
     if not isinstance(header, dict):
         raise ModelFileError(f"{path}: header is not a JSON object")

@@ -9,7 +9,9 @@ derivatives: each layer's value stacks the primal block and one tangent
 block per input coordinate along its rows, the first layer seeds the
 tangents from its weight columns, and ``rows`` nodes read the output
 blocks back out. Reverse-mode ``grad`` through a tangent output yields
-exact mixed second derivatives.
+exact mixed second derivatives. ``Graph.build`` checks each emitted
+layer: its buffers, its input's rows, its tangent coordinates and that
+relu carries no tangents.
 """
 
 from __future__ import annotations
@@ -80,15 +82,6 @@ def init_params(layers, scheme: str = "standard-normal", seed: int = 0) -> None:
             b[...] = 0.0
 
 
-def _tangent_coord(spec: MlpSpec, coord) -> int:
-    """Check that ``coord`` is an input coordinate index."""
-    if not isinstance(coord, (int, np.integer)):
-        raise ValueError(f"tangent coordinate must be an integer index, got {coord!r}")
-    if not 0 <= coord < spec.d_in:
-        raise ValueError(f"tangent coordinate {coord} out of range for input width {spec.d_in}")
-    return int(coord)
-
-
 class GraphMlp:
     """One MLP's layers, emitted into a graph as trainable layer nodes.
 
@@ -96,7 +89,7 @@ class GraphMlp:
     weight, the bias and their gradient buffers. Each layer node binds
     the arrays themselves, not copies, so each ``eval`` reads the current
     weights and each ``grad`` writes the gradients in place. The graph
-    checks each tuple when it builds the node.
+    checks each tuple and the input it acts on when it builds the node.
     """
 
     def __init__(self, graph: Graph, spec: MlpSpec, layers):
@@ -115,22 +108,12 @@ class GraphMlp:
         ``coords`` are input coordinate indices. Returns the output node
         and, in the order of ``coords``, the node of the output's derivative
         along each coordinate; all of them share one primal chain.
-        Requires a smooth hidden activation, so relu hidden layers are
-        rejected.
+        Requires a smooth hidden activation: a relu layer takes no tangents.
         """
-        coords = tuple(_tangent_coord(self.spec, c) for c in coords)
-        return self._chain(input_id, coords)
+        return self._chain(input_id, tuple(coords))
 
     def _chain(self, input_id, coords):
         g = self.graph
-        d_in = g.shape_of(input_id)[0]
-        if d_in != self.spec.d_in:
-            raise ValueError(f"input has {d_in} rows, spec wants {self.spec.d_in}")
-        if len(self.layers) != len(self.spec.widths) - 1:
-            raise ValueError(f"{len(self.layers)} layers, spec has {len(self.spec.widths) - 1}")
-        if coords and self.spec.hidden != "tanh":
-            raise ValueError("tangent propagation needs a smooth (tanh) hidden activation")
-
         h, seeds = input_id, coords
         last = len(self.layers) - 1
         for li, bufs in enumerate(self.layers):
@@ -139,6 +122,6 @@ class GraphMlp:
             seeds = None  # later layers take the stacked blocks
         if not coords:
             return h, []
-        m = g.shape_of(h)[0] // (1 + len(coords))
+        m = self.spec.d_out
         blocks = [g.rows(h, j * m, (j + 1) * m) for j in range(1 + len(coords))]
         return blocks[0], blocks[1:]

@@ -41,8 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import AugmentedSamples
-from .graph import NumericError
-from .model import PinnModel, init_model
+from .model import NumericError, PinnModel, init_model
 
 __all__ = [
     "NadamConfig",

@@ -8,7 +8,6 @@ import pytest
 
 from pinnrul import (
     AugmentedSamples,
-    Graph,
     MlpSpec,
     NormStats,
     PinnConfig,
@@ -16,6 +15,7 @@ from pinnrul import (
     init_model,
     init_params,
 )
+from pinnrul.graph import Graph
 
 FD_H = 1e-5
 
@@ -77,9 +77,9 @@ def random_graph(seed):
     for _ in range(rng.integers(4, 9)):
         op = rng.choice(["layer", "layer", "rows", "concat"])
         a = pool[rng.integers(len(pool))]
-        rows = g.shape_of(a)[0]
+        rows = g.nodes[a].shape[0]
         if op == "concat":
-            mates = [n for n in pool if g.shape_of(n)[1] == g.shape_of(a)[1]]
+            mates = [n for n in pool if g.nodes[n].shape[1] == g.nodes[a].shape[1]]
             pool.append(g.concat([a, mates[rng.integers(len(mates))]]))
         elif op == "rows":
             start = int(rng.integers(rows))
@@ -97,7 +97,7 @@ def random_graph(seed):
     seeds = {}
     for n in pool:
         if g.nodes[n].reaches:
-            rows, cols = g.shape_of(n)
+            rows, cols = g.nodes[n].shape
             seeds[n] = rng.uniform(-1.0, 1.0, (rows, cols or 2))
     return g, params, bindings, seeds
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -311,6 +312,26 @@ class TestTrainEvalMapPredict:
         assert run_cli(["predict", "--model", str(broken), f"--oc={zeros}"]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["signed-length", "underscored-length", "zero-padded-length", "no-newline"])
+    def test_non_canonical_framing_is_exit_2(self, trained, tmp_path, capsys, case):
+        # save writes the length in plain digits and a newline after the header; other bytes would not round-trip
+        _, _, out = trained
+        magic, length, rest = (out / "model.bin").read_bytes().split(b"\n", 2)
+        n = int(length)
+        length, rest = {
+            "signed-length": (b" +" + length, rest),
+            "underscored-length": (length[:1] + b"_" + length[1:], rest),
+            "zero-padded-length": (b"0" + length, rest),
+            "no-newline": (length, rest[:n] + b"X" + rest[n + 1 :]),
+        }[case]
+        broken = tmp_path / "framing.bin"
+        broken.write_bytes(magic + b"\n" + length + b"\n" + rest)
+        with pytest.raises(ModelFileError, match=r"framing\.bin: corrupt header"):
+            load_model(broken)
+        zeros = ",".join("0" for _ in json.loads(rest[:n])["norm"]["means"])
+        assert run_cli(["predict", "--model", str(broken), f"--oc={zeros}"]) == 2
+        assert f"{broken}: corrupt header" in capsys.readouterr().err
+
     def test_eval_writes_metrics_and_pairs(self, trained, capsys):
         _, cfg, out = trained
         assert run_cli(["eval", "--config", cfg, "--model", str(out / "model.bin")]) == 0
@@ -440,6 +461,16 @@ class TestTrainEvalMapPredict:
         with np.errstate(over="ignore", invalid="ignore"):
             assert run_cli(argv) == 3
         assert "non-finite" in capsys.readouterr().err
+
+    def test_numeric_failure_is_one_stderr_line(self, trained, capsys):
+        # outputs are checked for finiteness, so numpy's overflow warnings stay silent
+        _, _, out = trained
+        oc = ",".join("1e308" for _ in range(load_model(out / "model.bin").config.d_oc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["predict", "--model", str(out / "model.bin"), f"--oc={oc}"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: non-finite") and err.count("\n") == 1
 
     def test_predict_oc_from_file(self, trained, tmp_path, capsys):
         _, _, out = trained

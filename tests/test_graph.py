@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pinnrul import Graph, GraphError
+from pinnrul.graph import Graph, GraphError
 
 from conftest import fd_tolerance_ok, random_graph, relu_inputs_safe
 
@@ -60,7 +60,7 @@ def assert_matches_fd(g, bindings, seeds, params, h=1e-6):
 
 def act(g, x, activation):
     """``activation`` applied entrywise to ``x``: a layer with identity weight and zero bias."""
-    return g.layer(x, *buffers(np.eye(g.shape_of(x)[0])), activation)
+    return g.layer(x, *buffers(np.eye(g.nodes[x].shape[0])), activation)
 
 
 class TestBuildAndEval:
@@ -97,10 +97,10 @@ class TestBuildAndEval:
         g = Graph()
         wb = buffers(np.zeros((2, 3)))
         w, _, dw, _ = wb
-        assert g.shape_of(g.layer(g.input((3, 1)), *wb)) == (2, 1)
+        assert g.nodes[g.layer(g.input((3, 1)), *wb)].shape == (2, 1)
         # two tangents: stacked input of 3 blocks, or seeded from h alone
-        assert g.shape_of(g.layer(g.input((9, None)), *wb, "tanh", 2)) == (6, None)
-        assert g.shape_of(g.layer(g.input((3, None)), *wb, "tanh", seeds=[0, 2])) == (6, None)
+        assert g.nodes[g.layer(g.input((9, None)), *wb, "tanh", 2)].shape == (6, None)
+        assert g.nodes[g.layer(g.input((3, None)), *wb, "tanh", seeds=[0, 2])].shape == (6, None)
         with pytest.raises(GraphError, match="6 rows"):
             g.layer(g.input((3, 1)), *wb, "tanh", 1)
         with pytest.raises(GraphError, match="out of range"):
@@ -130,13 +130,6 @@ class TestBuildAndEval:
         with pytest.raises(GraphError, match="dangling"):
             g.concat([x, x + 5])
 
-    def test_unbound_input_named(self):
-        g = Graph()
-        x = g.input((1, 1))
-        g.concat([x, x])
-        with pytest.raises(GraphError, match=f"node {x}"):
-            g.eval({})
-
     def test_concat_and_sum(self):
         g = Graph()
         a = g.input((2, 1))
@@ -152,11 +145,9 @@ class TestBuildAndEval:
         a = g.input((2, None))
         b = g.input((1, None))
         cat = g.concat([a, b])
-        assert g.shape_of(cat) == (3, None)
+        assert g.nodes[cat].shape == (3, None)
         g.eval({a: np.ones((2, 4)), b: np.ones((1, 4))})
         assert g.value(cat).shape == (3, 4)
-        with pytest.raises(GraphError, match=f"node {b}"):
-            g.eval({a: np.ones((2, 4)), b: np.ones((1, 1))})
 
     def test_deterministic_reeval_bit_identical(self):
         g, params, bindings, seeds = random_graph(7)
@@ -220,11 +211,17 @@ class TestLayer:
         z = wb[0] @ x + wb[1]
         assert np.array_equal(g.value(seeded)[:3], np.tanh(z) if activation == "tanh" else z)
 
+    def test_float_tangent_seed_rejected(self):
+        # a coordinate is an index: 0.7 must not become coordinate 0
+        g = Graph()
+        with pytest.raises(TypeError):
+            g.layer(g.input((3, 1)), *buffers(np.ones((1, 3))), "tanh", seeds=[0.7])
+
     def test_rows_reads_one_block(self):
         g = Graph()
         x = g.input((6, None))
         mid = g.rows(x, 2, 4)
-        assert g.shape_of(mid) == (2, None)
+        assert g.nodes[mid].shape == (2, None)
         g.eval({x: np.arange(18.0).reshape(6, 3)})
         assert np.array_equal(g.value(mid), np.arange(6.0, 12.0).reshape(2, 3))
         with pytest.raises(GraphError, match="out of range"):
@@ -301,31 +298,6 @@ class TestGrad:
             pytest.skip("relu pre-activation too close to 0 for finite differences")
         g.grad(seeds)
         assert_matches_fd(g, bindings, seeds, params)
-
-    def test_buffers_bound_into_two_layers_get_the_summed_gradient(self):
-        # one weight and bias drive two chained tanh layers, the second with a tangent
-        rng = np.random.default_rng(9)
-        wb = buffers(rng.normal(size=(2, 2)), rng.normal(size=(2, 1)))
-        w, b, dw, db = wb
-
-        def chain(first, second):
-            """Input 0, then layers 1 and 2 over the given (W, b, dW, db) buffers."""
-            g = Graph()
-            g.layer(g.layer(g.input((2, None)), *first, "tanh"), *second, "tanh", seeds=[1])
-            return g
-
-        bindings = {0: rng.normal(size=(2, 3))}
-        seeds = {1: rng.uniform(-1, 1, (2, 3)), 2: rng.uniform(-1, 1, (4, 3))}
-        g = chain(wb, wb)
-        g.eval(bindings)
-        g.grad(seeds)
-        assert_matches_fd(g, bindings, seeds, [("W", w, dw), ("b", b, db)])
-        # bound to two copies instead, the layers' gradients add up to the shared buffers'
-        first, second = buffers(w, b), buffers(w, b)
-        apart = chain(first, second)
-        apart.eval(bindings)
-        apart.grad(seeds)
-        assert np.array_equal(first[2] + second[2], dw) and np.array_equal(first[3] + second[3], db)
 
     def test_linearity_of_gradients(self):
         g, bound = Graph(), {}

@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from pinnrul import (
-    Graph,
-    GraphMlp,
     MlpSpec,
     NormStats,
     NumericError,
@@ -16,8 +14,9 @@ from pinnrul import (
     init_model,
     save_model,
 )
-from pinnrul.graph import OP_KINDS
+from pinnrul.graph import OP_KINDS, Graph
 from pinnrul.model import _residual
+from pinnrul.net import GraphMlp
 
 from conftest import (
     dyn_preactivations_safe,
@@ -119,6 +118,16 @@ class TestPointOps:
     def test_wrong_oc_length(self, model):
         with pytest.raises(ValueError, match="2"):
             model.latent([1.0, 2.0, 3.0], 0.0)
+
+    @pytest.mark.parametrize("rows, t_list", [(1, [0.0]), (2, [0.0, 0.0])])
+    def test_oc_of_more_than_two_dimensions_rejected(self, model, rows, t_list):
+        with pytest.raises(ValueError, match=rf"shape \({rows}, 2, 1\)"):
+            model.sweep(np.zeros((rows, 2, 1)), t_list)
+
+    def test_oc_rows_must_match_time_values(self, model):
+        batch = dataclasses.replace(random_batch(model, 3, n=5), t=np.zeros(4))
+        with pytest.raises(ValueError, match="5 oc rows vs 4 time values"):
+            model.cost(batch)
 
     def test_negative_horizon_rejected(self, model):
         with pytest.raises(ValueError):

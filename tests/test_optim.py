@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pinnrul import (
-    Graph,
     NadamConfig,
     NadamState,
     NumericError,
@@ -19,6 +18,7 @@ from pinnrul import (
     synth_generate,
     train,
 )
+from pinnrul.graph import Graph
 
 from conftest import grad_views
 
