@@ -5,6 +5,11 @@ and ``map``) and, on ``train``, the seeds, epochs and batch size
 override it so experiments stay versionable. Exit codes are a stable
 contract: 0 success, 1 count/assertion failure, 2 usage/config/data
 error (a run too large to allocate included), 3 numeric failure.
+
+Every bad input takes one path to exit 2: it raises ValueError (or
+OSError, for a file that cannot be opened), and ``main`` prints
+``error: <message>``. ``_parse`` reads each text input and puts the
+file's path in front of any decode or parse error.
 """
 
 from __future__ import annotations
@@ -21,8 +26,8 @@ import numpy as np
 
 from . import data as dat
 from . import model as mdl
-from .data import ParseError, SynthSpec
-from .model import NumericError, PinnConfig, PinnModel, init_model
+from .data import SynthSpec
+from .model import NumericError, PinnConfig, init_model
 from .modelfile import json_is, load_model, save_model
 from .optim import NadamConfig, train
 
@@ -30,12 +35,6 @@ FD001_FILES = {"train": "train_FD001.txt", "test": "test_FD001.txt", "rul": "RUL
 FD001_RAW_ROWS = 20631
 FD001_AUGMENTED = 593061
 FD001_ENGINES = 100
-
-
-class CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
 
 
 @dataclasses.dataclass
@@ -61,8 +60,9 @@ class RunConfig:
         for name, value in (("epochs", self.epochs), ("batch_size", self.batch_size)):
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value!r}")
-        if self.horizon < 0:
-            raise ValueError(f"horizon must be >= 0, got {self.horizon!r}")
+        for name, value in (("horizon", self.horizon), ("split_seed", self.split_seed), ("init_seed", self.init_seed)):
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value!r}")
         PinnConfig.default(1, self.pde_weight, self.t_scale)  # the model's own ranges
 
     def to_dict(self) -> dict:
@@ -96,12 +96,12 @@ def _check_json(value, default, name: str = "") -> None:
     """
     kind = type(default)
     if not json_is(value, kind):
-        raise CliError(2, f"config: {name or 'top level'} must be {_NOUNS[kind]}, got {reprlib.repr(value)}")
+        raise ValueError(f"config: {name or 'top level'} must be {_NOUNS[kind]}, got {reprlib.repr(value)}")
     if kind is dict:
         for key, item in value.items():
             dotted = f"{name}.{key}" if name else key
             if key not in default:
-                raise CliError(2, f"config: unknown key {dotted!r}")
+                raise ValueError(f"config: unknown key {dotted!r}")
             _check_json(item, default[key], dotted)
 
 
@@ -112,19 +112,22 @@ def _build(prefix: str, make, kwargs: dict):
         return make(**kwargs)
     except ValueError as exc:
         field, _, rest = str(exc).partition(" ")
-        raise CliError(2, f"config: {_JSON_NAMES.get(prefix + field, prefix + field)} {rest}") from None
+        raise ValueError(f"config: {_JSON_NAMES.get(prefix + field, prefix + field)} {rest}") from None
+
+
+def _parse(path: Path, parse):
+    """``parse`` of a UTF-8 text file (the config, a data file, an oc file);
+    an undecodable or malformed file is a ValueError naming it (a missing or
+    unreadable one is an OSError, whose message names it too)."""
+    try:
+        return parse(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     """Read the JSON config, check it against ``RunConfig().to_dict()``, apply flag overrides."""
-    raw = {}
-    if path is not None:
-        try:
-            raw = json.loads(Path(path).read_text())
-        except FileNotFoundError:
-            raise CliError(2, f"config file not found: {path}") from None
-        except json.JSONDecodeError as exc:
-            raise CliError(2, f"config {path} is not valid JSON: {exc}") from None
+    raw = {} if path is None else _parse(Path(path), json.loads)
     _check_json(raw, RunConfig().to_dict())
 
     top = {**raw, **(overrides or {})}
@@ -137,22 +140,12 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
 # -- data plumbing ------------------------------------------------------
 
 
-def _parse(path: Path, parse):
-    """``parse`` of a data file's text; a missing or malformed file is a data error naming it."""
-    if not path.is_file():
-        raise CliError(2, f"missing data file: {path}")
-    try:
-        return parse(path.read_text())
-    except ParseError as exc:
-        raise CliError(2, f"{path}: {exc}") from None
-
-
 def _engines(cfg: RunConfig, which: str):
     """Trajectories of one FD001-style file; a file with no engine rows is a data error."""
     path = Path(cfg.data_dir) / FD001_FILES[which]
     trajectories = _parse(path, dat.parse_cmapss)
     if not trajectories:
-        raise CliError(2, f"{path}: no engine rows")
+        raise ValueError(f"{path}: no engine rows")
     return trajectories
 
 
@@ -167,9 +160,10 @@ def load_test_set(cfg: RunConfig):
     """Test trajectories plus the true RUL at each one's last cycle."""
     if cfg.dataset == "fd001":
         trajectories = _engines(cfg, "test")
-        truth = _parse(Path(cfg.data_dir) / FD001_FILES["rul"], dat.parse_rul_truth)
+        path = Path(cfg.data_dir) / FD001_FILES["rul"]
+        truth = _parse(path, dat.parse_rul_truth)
         if len(truth) != len(trajectories):
-            raise CliError(2, f"{len(truth)} truth values for {len(trajectories)} test engines")
+            raise ValueError(f"{path}: {len(truth)} truth values for {len(trajectories)} test engines")
         return trajectories, truth
     # held-out fleet: fresh engines, truncated mid-life like a test set
     holdout = dataclasses.replace(cfg.synth, seed=cfg.synth.seed + 1)
@@ -186,29 +180,17 @@ def build_training_data(cfg: RunConfig):
     return samples, norm
 
 
-def _fresh_model(cfg: RunConfig, norm) -> PinnModel:
-    config = PinnConfig.default(len(norm.columns), pde_weight=cfg.pde_weight, t_scale=cfg.t_scale)
-    return init_model(config, norm, cfg.init_seed, cfg.init_scheme)
-
-
-def _load_model(path: str) -> PinnModel:
-    try:
-        return load_model(path)
-    except FileNotFoundError:
-        raise CliError(2, f"model file not found: {path}") from None
-
-
 def _training_report(model_path: str) -> dict | None:
     """The ``training_report.json`` next to the model, or None if there is none."""
     path = Path(model_path).parent / "training_report.json"
     if not path.is_file():
         return None
     try:
-        report = json.loads(path.read_text())
+        report = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:
-        raise CliError(2, f"training report {path} is not valid JSON: {exc}") from None
+        raise ValueError(f"training report {path} is not valid JSON: {exc}") from None
     if not isinstance(report, dict) or not {"final_rmse_val", "per_epoch"} <= report.keys():
-        raise CliError(2, f"training report {path} is not a JSON object with final_rmse_val and per_epoch")
+        raise ValueError(f"training report {path} is not a JSON object with final_rmse_val and per_epoch")
     return report
 
 
@@ -250,7 +232,8 @@ def cmd_check_data(cfg: RunConfig) -> int:
 def cmd_train(cfg: RunConfig) -> int:
     out = _out_dir(cfg)  # before any epoch, so an unusable --out fails at once
     samples, norm = build_training_data(cfg)
-    model = _fresh_model(cfg, norm)
+    config = PinnConfig.default(len(norm.columns), pde_weight=cfg.pde_weight, t_scale=cfg.t_scale)
+    model = init_model(config, norm, cfg.init_seed, cfg.init_scheme)
     trained, report = train(
         model,
         samples,
@@ -271,7 +254,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_eval(cfg: RunConfig, model_path: str) -> int:
-    model = _load_model(model_path)
+    model = load_model(model_path)
     training = _training_report(model_path)
     trajectories, truth = load_test_set(cfg)
     started = time.perf_counter()
@@ -306,7 +289,7 @@ def _write_latent_csv(table, path) -> None:
 
 
 def cmd_map(cfg: RunConfig, model_path: str, which: str) -> int:
-    model = _load_model(model_path)
+    model = load_model(model_path)
     if which == "train":
         trajectories = load_train_trajectories(cfg)
         samples = dat.augment(trajectories, horizon=cfg.horizon, columns=model.norm.columns)
@@ -326,28 +309,23 @@ def cmd_map(cfg: RunConfig, model_path: str, which: str) -> int:
 
 def _parse_oc(arg: str) -> np.ndarray:
     """Comma- or space-separated values, inline or in the file named by ``@path``."""
-    text = arg
-    if arg.startswith("@"):
-        path = Path(arg[1:])
-        if not path.is_file():
-            raise CliError(2, f"oc file not found: {path}")
-        text = path.read_text()
+    text = _parse(Path(arg[1:]), str) if arg.startswith("@") else arg
     try:
         oc = np.asarray([float(tok) for tok in text.replace(",", " ").split()])
     except ValueError:
-        raise CliError(2, f"oc values must be numeric, got {arg!r}") from None
+        raise ValueError(f"oc values must be numeric, got {arg!r}") from None
     if not np.isfinite(oc).all():
-        raise CliError(2, f"oc values must be finite, got {arg!r}")
+        raise ValueError(f"oc values must be finite, got {arg!r}")
     return oc
 
 
 def cmd_predict(model_path: str, oc_text: str, t_text: str, as_csv: bool) -> int:
-    model = _load_model(model_path)
+    model = load_model(model_path)
     oc = _parse_oc(oc_text)
     try:
         t_list = [float(tok) for tok in t_text.replace(",", " ").split()]
     except ValueError:
-        raise CliError(2, f"t-list must be numeric, got {t_text!r}") from None
+        raise ValueError(f"t-list must be numeric, got {t_text!r}") from None
     rows = model.sweep(oc, t_list)  # checks the oc width and the horizons
     if as_csv:
         print("t,x,dx_dt,rul_pred")
@@ -446,13 +424,8 @@ def main(argv=None) -> int:
                 return cmd_train(cfg)
             if args.command == "eval":
                 return cmd_eval(cfg, args.model)
-            if args.command == "map":
-                return cmd_map(cfg, args.model, args.which)
-            raise CliError(2, f"unknown command {args.command!r}")
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (ValueError, OSError) as exc:  # OSError, e.g. a directory given as a file, names the path
+            return cmd_map(cfg, args.model, args.which)
+    except (ValueError, OSError) as exc:  # each message names its key or file (OSError's its path)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

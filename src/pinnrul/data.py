@@ -267,6 +267,8 @@ class SynthSpec:
             raise ValueError(f"n_sensors must be >= 2, got {self.n_sensors!r}")
         if not 0 <= self.noise_std < math.inf:
             raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 
 
 def _synth_coeffs(n_sensors: int):

@@ -16,6 +16,7 @@ repr, so save -> load -> save reproduces the bytes exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import reprlib
 import sys
@@ -32,10 +33,6 @@ FORMAT_VERSION = 1
 
 class ModelFileError(ValueError):
     """Unreadable or inconsistent model file."""
-
-
-def _spec_to_dict(spec: MlpSpec) -> dict:
-    return {"widths": list(spec.widths), "hidden": spec.hidden, "output": spec.output}
 
 
 def json_is(value, kind) -> bool:
@@ -65,17 +62,9 @@ def _spec_from_dict(d: dict) -> MlpSpec:
 
 
 def _header(model: PinnModel) -> dict:
-    cfg = model.config
     return {
         "format": FORMAT_VERSION,
-        "model": {
-            "d_oc": cfg.d_oc,
-            "pde_weight": cfg.pde_weight,
-            "t_scale": cfg.t_scale,
-            "x_spec": _spec_to_dict(cfg.x_spec),
-            "rul_spec": _spec_to_dict(cfg.rul_spec),
-            "dyn_spec": _spec_to_dict(cfg.dyn_spec),
-        },
+        "model": dataclasses.asdict(model.config),
         "init": {"scheme": model.init_scheme, "seed": model.init_seed, "split_seed": model.split_seed},
         "norm": {
             "columns": list(model.norm.columns),

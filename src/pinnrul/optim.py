@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -124,15 +124,7 @@ class TrainingReport:
     EPOCH_FIELDS = ("train_total", "train_mse", "train_pde", "val_total", "val_mse", "val_pde")
 
     def to_dict(self) -> dict:
-        return {
-            "per_epoch": [dict(zip(self.EPOCH_FIELDS, row)) for row in self.per_epoch],
-            "final_rmse_val": self.final_rmse_val,
-            "init_seed": self.init_seed,
-            "split_seed": self.split_seed,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "wall_time": self.wall_time,
-        }
+        return {**asdict(self), "per_epoch": [dict(zip(self.EPOCH_FIELDS, row)) for row in self.per_epoch]}
 
 
 def train(

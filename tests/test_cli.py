@@ -104,17 +104,30 @@ class TestConfig:
             pytest.param("synth", "seed", 2**63, id="synth-seed-2**63"),
             pytest.param(None, "horizon", 10**400, id="horizon-10**400"),
             pytest.param(None, "horizon", 2**63, id="horizon-2**63"),
+            # a negative seed, which numpy's generators reject only after the data is built
+            (None, "init_seed", -1),
+            (None, "split_seed", -1),
+            ("synth", "seed", -5),
+            # a train flag overrides its key, and is checked as the key is
+            pytest.param("--seed-init", "init_seed", -1, id="flag-seed-init--1"),
+            pytest.param("--seed-split", "split_seed", -3, id="flag-seed-split--3"),
         ],
     )
     def test_bad_section_value_names_its_key(self, tmp_path, capsys, section, key, value):
         path = synth_config(tmp_path)
-        with open(path) as fh:
-            cfg = json.load(fh)
-        (cfg[section] if section else cfg)[key] = value
-        with open(path, "w") as fh:
-            json.dump(cfg, fh)  # as NaN and Infinity, which Python's json reads back
-        assert run_cli(["train", "--config", path]) == 2
+        argv = ["train", "--config", path]
+        if section is not None and section.startswith("--"):
+            argv += [section, str(value)]
+            section = None
+        else:
+            with open(path) as fh:
+                cfg = json.load(fh)
+            (cfg[section] if section else cfg)[key] = value
+            with open(path, "w") as fh:
+                json.dump(cfg, fh)  # as NaN and Infinity, which Python's json reads back
+        assert run_cli(argv) == 2
         assert f"config: {f'{section}.' if section else ''}{key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()  # a config error comes before the output directory
 
     def test_divergent_training_is_numeric_failure(self, tmp_path, capsys):
         cfg = synth_config(tmp_path, optimizer={"lr": 1e200})
@@ -548,7 +561,7 @@ class TestFd001StylePipeline:
             (tmp_path / "RUL_FD001.txt").write_text(truth)
             for command in ("eval", "map"):  # map exports the test split by default
                 assert run_cli([command, "--config", cfg, "--model", model]) == 2
-                assert f"{count} truth values for 2 test engines" in capsys.readouterr().err
+                assert capsys.readouterr().err == f"error: {tmp_path / 'RUL_FD001.txt'}: {count} truth values for 2 test engines\n"
 
     @pytest.mark.parametrize(
         "command, emptied",
@@ -581,21 +594,69 @@ class TestFd001StylePipeline:
         assert "line 7: non-finite token" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "name, command",
-        [("train_FD001.txt", "check-data"), ("test_FD001.txt", "eval"), ("RUL_FD001.txt", "eval")],
-        ids=["train", "test", "truth"],
+        "name, command, damage",
+        [
+            ("train_FD001.txt", "check-data", "nan"),
+            ("test_FD001.txt", "eval", "nan"),
+            ("RUL_FD001.txt", "eval", "nan"),
+            # a byte that is not UTF-8
+            ("c.json", "check-data", "0xff"),
+            ("train_FD001.txt", "check-data", "0xff"),
+            ("oc.txt", "predict", "0xff"),
+            # a unit whose rows are not cycles 1..L, L >= 2
+            ("train_FD001.txt", "check-data", "gap"),
+            ("train_FD001.txt", "check-data", "repeat"),
+            ("train_FD001.txt", "check-data", "one-row"),
+            ("test_FD001.txt", "eval", "gap"),
+            ("test_FD001.txt", "eval", "repeat"),
+            ("test_FD001.txt", "eval", "one-row"),
+        ],
+        ids=[
+            "train",
+            "test",
+            "truth",
+            "config-0xff",
+            "train-0xff",
+            "oc-file-0xff",
+            "train-cycle-gap",
+            "train-repeated-cycle",
+            "train-one-row-unit",
+            "test-cycle-gap",
+            "test-repeated-cycle",
+            "test-one-row-unit",
+        ],
     )
-    def test_parse_error_names_the_file(self, fd001_dir, tmp_path, capsys, name, command):
+    def test_parse_error_names_the_file(self, fd001_dir, tmp_path, capsys, name, command, damage):
         write_fd001_style(tmp_path)
+        cfg = fd001_config(tmp_path)
         path = tmp_path / name
+        if name == "oc.txt":
+            path.write_text("0\n")
         lines = path.read_text().splitlines()
-        lines[1] = " ".join([*lines[1].split()[:-1], "nan"])
-        path.write_text("\n".join(lines) + "\n")
-        argv = [command, "--config", fd001_config(tmp_path)]
-        if command == "eval":
-            argv += ["--model", str(fd001_dir / "out" / "model.bin")]
+        if damage == "nan":
+            lines[1] = " ".join([*lines[1].split()[:-1], "nan"])
+        elif damage == "gap":
+            del lines[2]
+        elif damage == "repeat":
+            lines.insert(2, lines[2])
+        elif damage == "one-row":  # unit 1 keeps only its first row
+            lines = [lines[0], *(line for line in lines if float(line.split()[0]) != 1)]
+        path.write_bytes((b"\xff" if damage == "0xff" else b"") + "".join(f"{line}\n" for line in lines).encode())
+        model = str(fd001_dir / "out" / "model.bin")
+        argv = {
+            "check-data": ["check-data", "--config", cfg],
+            "eval": ["eval", "--config", cfg, "--model", model],
+            "predict": ["predict", "--model", model, f"--oc=@{path}"],
+        }[command]
+        message = {
+            "nan": "line 2: non-finite token",
+            "0xff": "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+            "gap": "unit 1: cycles must be 1..L consecutive ascending",
+            "repeat": "unit 1: cycles must be 1..L consecutive ascending",
+            "one-row": "unit 1: need at least 2 rows, got 1",
+        }[damage]
         assert run_cli(argv) == 2
-        assert capsys.readouterr().err == f"error: {path}: line 2: non-finite token\n"
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
     def test_nan_truth_line_is_exit_2(self, fd001_dir, tmp_path, capsys):
         write_fd001_style(tmp_path)
@@ -628,12 +689,39 @@ def test_latent_csv_writer_streams_the_one_string_bytes(tmp_path, monkeypatch, n
         (["predict", "--model", "{dir}", "--oc", "0"], "dir"),
         (["check-data", "--config", "{dir}"], "dir"),
         (["train", "--config", "{config}", "--out", "{config}"], "config"),
+        (["check-data", "--config", "{absent}"], "absent"),
+        (["predict", "--model", "{absent}", "--oc", "0"], "absent"),
+        (["eval", "--config", "{config}", "--model", "{absent}"], "absent"),
+        (["predict", "--model", "{model}", "--oc=@{absent}"], "absent"),
+        (["predict", "--model", "{model}", "--oc=@{dir}"], "dir"),
+        (["check-data", "--config", "{fd001}"], "train_dir"),
     ],
-    ids=["predict-model-is-a-directory", "check-data-config-is-a-directory", "train-out-is-a-file"],
+    ids=[
+        "predict-model-is-a-directory",
+        "check-data-config-is-a-directory",
+        "train-out-is-a-file",
+        "check-data-config-is-missing",
+        "predict-model-is-missing",
+        "eval-model-is-missing",
+        "predict-oc-file-is-missing",
+        "predict-oc-file-is-a-directory",
+        "check-data-train-file-is-a-directory",
+    ],
 )
-def test_os_error_is_exit_2_naming_the_path(tmp_path, capsys, argv, named):
-    paths = {"dir": str(tmp_path), "config": synth_config(tmp_path, epochs=1)}
+def test_os_error_is_exit_2_naming_the_path(trained, tmp_path, capsys, argv, named):
+    train_dir = tmp_path / "fd001" / "train_FD001.txt"
+    train_dir.mkdir(parents=True)
+    paths = {
+        "dir": str(tmp_path),
+        "config": synth_config(tmp_path, epochs=1),
+        "absent": str(tmp_path / "absent"),
+        "model": str(trained[2] / "model.bin"),
+        "fd001": fd001_config(train_dir.parent),
+        "train_dir": str(train_dir),
+    }
     assert run_cli([arg.format(**paths) for arg in argv]) == 2
     out, err = capsys.readouterr()
-    assert err.startswith("error: ") and paths[named] in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and paths[named] in err
+    # the OS message, not a guess: a directory is neither "not found" nor "missing"
+    assert "not found" not in err and "missing" not in err
     assert not any(line.startswith("epoch") for line in out.splitlines())  # it fails before training

@@ -138,9 +138,6 @@ def test_random_config_is_rejected_or_finite_and_typed(tmp_path_factory, config)
     try:
         cfg = cli.load_config(str(path))
         PinnConfig.default(1, cfg.pde_weight, cfg.t_scale)
-    except cli.CliError as exc:
-        assert exc.code == 2
-        return
     except ValueError:
         return
     for (name, value), (_, default) in zip(leaves(cfg.to_dict()), leaves(cli.RunConfig().to_dict()), strict=True):
