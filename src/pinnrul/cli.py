@@ -28,7 +28,7 @@ from . import data as dat
 from . import model as mdl
 from .data import SynthSpec
 from .model import NumericError, PinnConfig, init_model
-from .modelfile import json_is, load_model, save_model
+from .modelfile import json_is, json_loads, load_model, save_model
 from .optim import NadamConfig, train
 
 FD001_FILES = {"train": "train_FD001.txt", "test": "test_FD001.txt", "rul": "RUL_FD001.txt"}
@@ -127,7 +127,7 @@ def _parse(path: Path, parse):
 
 def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     """Read the JSON config, check it against ``RunConfig().to_dict()``, apply flag overrides."""
-    raw = {} if path is None else _parse(Path(path), json.loads)
+    raw = {} if path is None else _parse(Path(path), json_loads)
     _check_json(raw, RunConfig().to_dict())
 
     top = {**raw, **(overrides or {})}
@@ -186,7 +186,7 @@ def _training_report(model_path: str) -> dict | None:
     if not path.is_file():
         return None
     try:
-        report = json.loads(path.read_text(encoding="utf-8"))
+        report = json_loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise ValueError(f"training report {path} is not valid JSON: {exc}") from None
     if not isinstance(report, dict) or not {"final_rmse_val", "per_epoch"} <= report.keys():
@@ -198,6 +198,11 @@ def _out_dir(cfg: RunConfig) -> Path:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _flat(rows) -> tuple:
+    """The values of ``rows`` (tuples of numbers) in row-major order, for a ``%`` template."""
+    return tuple(value for row in rows for value in row)
 
 
 # -- commands -----------------------------------------------------------
@@ -262,9 +267,8 @@ def cmd_eval(cfg: RunConfig, model_path: str) -> int:
 
     out = _out_dir(cfg)
     with open(out / "pred_vs_true.csv", "w", encoding="ascii") as fh:
-        fh.write("engine,rul_true,rul_pred\n")
-        for unit, true_v, pred_v in pairs:
-            fh.write(f"{unit},{true_v:.9g},{pred_v:.9g}\n")
+        # %d, not %.9g: a unit id of 10**9 or more prints in full
+        fh.write("engine,rul_true,rul_pred\n" + "%d,%.9g,%.9g\n" * len(pairs) % _flat(pairs))
 
     metrics = {
         "rmse_test": rmse,
@@ -281,11 +285,11 @@ def cmd_eval(cfg: RunConfig, model_path: str) -> int:
 
 def _write_latent_csv(table, path) -> None:
     """Write the (n, 4) latent map, formatting ``model.CHUNK`` rows per write."""
-    row = "{:.9g},{:.9g},{:.9g},{:.9g}\n".format
     with open(path, "w", encoding="ascii") as fh:
         fh.write("x,dx_dt,rul_pred,rul_true\n")
         for start in range(0, len(table), mdl.CHUNK):
-            fh.write("".join(map(row, *table[start : start + mdl.CHUNK].T.tolist())))
+            part = table[start : start + mdl.CHUNK]
+            fh.write("%.9g,%.9g,%.9g,%.9g\n" * len(part) % tuple(part.ravel().tolist()))
 
 
 def cmd_map(cfg: RunConfig, model_path: str, which: str) -> int:
@@ -328,13 +332,10 @@ def cmd_predict(model_path: str, oc_text: str, t_text: str, as_csv: bool) -> int
         raise ValueError(f"t-list must be numeric, got {t_text!r}") from None
     rows = model.sweep(oc, t_list)  # checks the oc width and the horizons
     if as_csv:
-        print("t,x,dx_dt,rul_pred")
-        for t, x, dx, rul in rows:
-            print(f"{t:.9g},{x:.9g},{dx:.9g},{rul:.9g}")
+        head, row = "t,x,dx_dt,rul_pred\n", "%.9g,%.9g,%.9g,%.9g\n"
     else:
-        print(f"{'t':>8} {'x':>14} {'dx_dt':>14} {'rul_pred':>12}")
-        for t, x, dx, rul in rows:
-            print(f"{t:8.2f} {x:14.6f} {dx:14.6f} {rul:12.3f}")
+        head, row = f"{'t':>8} {'x':>14} {'dx_dt':>14} {'rul_pred':>12}\n", "%8.2f %14.6f %14.6f %12.3f\n"
+    sys.stdout.write(head + row * len(rows) % _flat(rows))
     return 0
 
 

@@ -49,6 +49,14 @@ def json_is(value, kind) -> bool:
     return isinstance(value, kind) and (kind is not int or -(2**63) <= value < 2**63)
 
 
+def json_loads(text):
+    """``json.loads``; JSON nested too deeply for the parser's recursion is a ValueError too."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 def _typed(value, kind):
     """``value`` if ``json_is(value, kind)``."""
     if not json_is(value, kind):
@@ -97,7 +105,7 @@ def load_model(path) -> PinnModel:
         if not digits.isdigit() or digits.startswith(b"0"):
             raise ValueError(f"header length {digits!r} is not a decimal byte count")
         end = newline + 1 + int(digits)
-        header = json.loads(rest[newline + 1 : end].decode("ascii"))
+        header = json_loads(rest[newline + 1 : end].decode("ascii"))
         if rest[end : end + 1] != b"\n":
             raise ValueError("no newline after the header")
         body = rest[end + 1 :]

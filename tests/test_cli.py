@@ -725,3 +725,24 @@ def test_os_error_is_exit_2_naming_the_path(trained, tmp_path, capsys, argv, nam
     # the OS message, not a guess: a directory is neither "not found" nor "missing"
     assert "not found" not in err and "missing" not in err
     assert not any(line.startswith("epoch") for line in out.splitlines())  # it fails before training
+
+
+@pytest.mark.parametrize("damaged", ["config", "training-report", "model-header"])
+def test_json_nested_too_deeply_is_exit_2_naming_the_file(trained, tmp_path, capsys, damaged):
+    # json.loads raises RecursionError, not ValueError, on nesting deeper than its recursion limit
+    _, cfg, out = trained
+    deep = "[" * 100_000
+    magic, length, rest = (out / "model.bin").read_bytes().split(b"\n", 2)
+    if damaged == "model-header":
+        rest = deep.encode("ascii") + rest[int(length) :]
+        length = str(len(deep)).encode("ascii")
+    model = tmp_path / "model.bin"
+    model.write_bytes(magic + b"\n" + length + b"\n" + rest)
+    named = {"config": tmp_path / "deep.json", "training-report": tmp_path / "training_report.json", "model-header": model}
+    if damaged != "model-header":
+        named[damaged].write_text(deep)
+    config = str(named["config"]) if damaged == "config" else cfg
+    assert run_cli(["eval", "--config", config, "--model", str(model), "--out", str(tmp_path / "eval")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(named[damaged]) in err
+    assert "nested too deeply" in err
