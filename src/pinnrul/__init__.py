@@ -27,7 +27,7 @@ from .model import (
     init_model,
 )
 from .modelfile import load_model, save_model
-from .net import MlpSpec, init_params
+from .net import init_params
 from .optim import NadamConfig, NadamState, TrainingReport, nadam_step, split_indices, train
 
 __version__ = "0.1.0"
@@ -36,7 +36,6 @@ __all__ = [
     "AugmentedSamples",
     "CostBreakdown",
     "EngineTrajectory",
-    "MlpSpec",
     "NadamConfig",
     "NadamState",
     "NormStats",

@@ -29,6 +29,7 @@ from . import model as mdl
 from .data import SynthSpec
 from .model import NumericError, PinnConfig, init_model
 from .modelfile import json_is, json_loads, load_model, save_model
+from .net import INIT_SCHEMES
 from .optim import NadamConfig, train
 
 FD001_FILES = {"train": "train_FD001.txt", "test": "test_FD001.txt", "rul": "RUL_FD001.txt"}
@@ -63,6 +64,8 @@ class RunConfig:
         for name, value in (("horizon", self.horizon), ("split_seed", self.split_seed), ("init_seed", self.init_seed)):
             if value < 0:
                 raise ValueError(f"{name} must be >= 0, got {value!r}")
+        if self.init_scheme not in INIT_SCHEMES:
+            raise ValueError(f"init_scheme must be one of {INIT_SCHEMES}, got {self.init_scheme!r}")
         PinnConfig.default(1, self.pde_weight, self.t_scale)  # the model's own ranges
 
     def to_dict(self) -> dict:

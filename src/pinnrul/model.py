@@ -39,10 +39,12 @@ import numpy as np
 
 from .data import AugmentedSamples, NormStats, feature_matrix
 from .graph import Graph
-from .net import GraphMlp, MlpSpec, init_params
+from .net import INIT_SCHEMES, GraphMlp, init_params
 
 X_HIDDEN = (3, 3, 3, 3, 3)
 RUL_HIDDEN = (10, 10, 10, 10, 10)
+# each network's hidden activation; x and rul carry tangent chains, which need tanh
+HIDDEN = {"x": "tanh", "rul": "tanh", "dyn": "relu"}
 CHUNK = 4096  # samples per graph evaluation in mean_cost and latent_map
 
 
@@ -52,47 +54,34 @@ class NumericError(Exception):
 
 @dataclass(frozen=True)
 class PinnConfig:
-    """Architecture and cost settings for the three networks."""
+    """Input width and cost settings. The architecture is the paper's and fixed:
+    ``widths`` and ``HIDDEN`` state it, and every output is one linear unit."""
 
     d_oc: int
-    x_spec: MlpSpec
-    rul_spec: MlpSpec
-    dyn_spec: MlpSpec
     pde_weight: float = 1.0
     t_scale: float = 30.0
 
     def __post_init__(self):
         if self.d_oc < 1:
             raise ValueError("d_oc must be >= 1")
-        if self.x_spec.d_in != self.d_oc + 1:
-            raise ValueError(f"x network input must be d_oc + 1 = {self.d_oc + 1}, got {self.x_spec.d_in}")
-        if self.rul_spec.d_in != 2 or self.dyn_spec.d_in != 2:
-            raise ValueError("rul and dynamics networks take exactly 2 inputs")
-        if self.x_spec.d_out != 1 or self.rul_spec.d_out != 1 or self.dyn_spec.d_out != 1:
-            raise ValueError("all three networks have a single output unit")
-        if self.x_spec.hidden != "tanh" or self.rul_spec.hidden != "tanh":
-            raise ValueError("x and rul networks carry tangent chains, which need a tanh hidden activation")
         if not 0 <= self.pde_weight < math.inf:
             raise ValueError(f"pde_weight must be finite and >= 0, got {self.pde_weight!r}")
         if not 0 < self.t_scale < math.inf:
             raise ValueError(f"t_scale must be finite and > 0, got {self.t_scale!r}")
 
     @property
+    def widths(self) -> dict[str, tuple[int, ...]]:
+        """Layer widths [d_in, h1, ..., h5, 1] of each network, in ``_layout`` order."""
+        return {"x": (self.d_oc + 1, *X_HIDDEN, 1), "rul": (2, *RUL_HIDDEN, 1), "dyn": (2, *RUL_HIDDEN, 1)}
+
+    @property
     def n_params(self) -> int:
         """Length of a model's parameter vector ``theta``."""
-        specs = (self.x_spec, self.rul_spec, self.dyn_spec)
-        return sum(w[0] * w[1] + b[0] for spec in specs for w, b in spec.layer_shapes())
+        return sum(d_out * (d_in + 1) for w in self.widths.values() for d_in, d_out in zip(w, w[1:]))
 
     @classmethod
     def default(cls, d_oc: int, pde_weight: float = 1.0, t_scale: float = 30.0) -> "PinnConfig":
-        return cls(
-            d_oc=d_oc,
-            x_spec=MlpSpec((d_oc + 1, *X_HIDDEN, 1), hidden="tanh", output="linear"),
-            rul_spec=MlpSpec((2, *RUL_HIDDEN, 1), hidden="tanh", output="linear"),
-            dyn_spec=MlpSpec((2, *RUL_HIDDEN, 1), hidden="relu", output="linear"),
-            pde_weight=pde_weight,
-            t_scale=t_scale,
-        )
+        return cls(d_oc, pde_weight, t_scale)
 
 
 @dataclass
@@ -119,11 +108,11 @@ def _layout(config: PinnConfig, theta: np.ndarray, grad: np.ndarray):
     if theta.dtype != np.float64 or theta.shape != (config.n_params,):
         raise ValueError(f"theta must be float64 of shape ({config.n_params},), got {theta.dtype} {theta.shape}")
     items, layers, start = [], {}, 0
-    for prefix, spec in (("x", config.x_spec), ("rul", config.rul_spec), ("dyn", config.dyn_spec)):
+    for prefix, widths in config.widths.items():
         layers[prefix] = []
-        for i, shapes in enumerate(spec.layer_shapes(), start=1):
+        for i, (d_in, d_out) in enumerate(zip(widths, widths[1:]), start=1):
             cut = []  # (view of theta, view of grad) for W, then for b
-            for name, shape in zip("Wb", shapes):
+            for name, shape in zip("Wb", ((d_out, d_in), (d_out, 1))):
                 stop = start + shape[0] * shape[1]
                 cut.append((theta[start:stop].reshape(shape), grad[start:stop].reshape(shape)))
                 items.append((f"{prefix}.{name}{i}", cut[-1][0]))
@@ -147,9 +136,7 @@ class _Wiring:
         self.oc_in = g.input((config.d_oc, None))
         self.t_in = g.input((1, None))
 
-        self.x_mlp = GraphMlp(g, config.x_spec, layers["x"])
-        self.rul_mlp = GraphMlp(g, config.rul_spec, layers["rul"])
-        self.dyn_mlp = GraphMlp(g, config.dyn_spec, layers["dyn"])
+        self.x_mlp, self.rul_mlp, self.dyn_mlp = (GraphMlp(g, HIDDEN[net], layers[net]) for net in config.widths)
 
         x_input = g.concat([self.oc_in, self.t_in])
         self.x, (self.dx_dt,) = self.x_mlp.forward_tangents(x_input, [config.d_oc])
@@ -188,6 +175,11 @@ class PinnModel:
     split_seed: int | None = None  # set by training, None for a fresh model
 
     def __post_init__(self):
+        if self.init_scheme not in INIT_SCHEMES:
+            raise ValueError(f"init_scheme must be one of {INIT_SCHEMES}, got {self.init_scheme!r}")
+        for name, seed in (("init_seed", self.init_seed), ("split_seed", self.split_seed)):
+            if seed is not None and seed < 0:  # split_seed is None for a fresh model
+                raise ValueError(f"{name} must be >= 0, got {seed!r}")
         self._grad = np.zeros_like(self.theta)
         self._items, layers = _layout(self.config, self.theta, self._grad)
         finite = np.isfinite(self.theta)

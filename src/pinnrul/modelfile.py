@@ -24,8 +24,7 @@ import sys
 import numpy as np
 
 from .data import NormStats
-from .model import PinnConfig, PinnModel
-from .net import MlpSpec
+from .model import HIDDEN, PinnConfig, PinnModel
 
 MAGIC = b"PINNRUL-BIN 1\n"
 FORMAT_VERSION = 1
@@ -64,15 +63,18 @@ def _typed(value, kind):
     return value
 
 
-def _spec_from_dict(d: dict) -> MlpSpec:
-    widths = tuple(_typed(w, int) for w in d["widths"])
-    return MlpSpec(widths, hidden=_typed(d["hidden"], str), output=_typed(d["output"], str))
+def _specs(config: PinnConfig) -> dict:
+    """The header's statement of the fixed architecture, one ``<net>_spec`` per network."""
+    return {
+        f"{net}_spec": {"hidden": HIDDEN[net], "output": "linear", "widths": list(widths)}
+        for net, widths in config.widths.items()
+    }
 
 
 def _header(model: PinnModel) -> dict:
     return {
         "format": FORMAT_VERSION,
-        "model": dataclasses.asdict(model.config),
+        "model": {**dataclasses.asdict(model.config), **_specs(model.config)},
         "init": {"scheme": model.init_scheme, "seed": model.init_seed, "split_seed": model.split_seed},
         "norm": {
             "columns": list(model.norm.columns),
@@ -120,12 +122,13 @@ def load_model(path) -> PinnModel:
         m = header["model"]
         config = PinnConfig(
             d_oc=_typed(m["d_oc"], int),
-            x_spec=_spec_from_dict(m["x_spec"]),
-            rul_spec=_spec_from_dict(m["rul_spec"]),
-            dyn_spec=_spec_from_dict(m["dyn_spec"]),
             pde_weight=float(_typed(m["pde_weight"], float)),
             t_scale=float(_typed(m["t_scale"], float)),
         )
+        for key, spec in _specs(config).items():
+            want = json.dumps(spec, sort_keys=True)  # compared as JSON text, so true is not 1 and 1.0 is not 1
+            if json.dumps(m[key], sort_keys=True) != want:
+                raise ValueError(f"model.{key} must be {want}, got {reprlib.repr(m[key])}")
         nd = header["norm"]
         norm = NormStats(
             means=np.asarray([_typed(v, float) for v in nd["means"]], dtype=np.float64),

@@ -16,50 +16,11 @@ relu carries no tangents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .graph import Graph
 
-HIDDEN_ACTIVATIONS = ("tanh", "relu")
-OUTPUT_ACTIVATIONS = ("linear", "tanh")
 INIT_SCHEMES = ("standard-normal", "xavier")
-
-
-@dataclass(frozen=True)
-class MlpSpec:
-    """Layer widths [d_in, h1, ..., hL, d_out] plus activation choices."""
-
-    widths: tuple[int, ...]
-    hidden: str = "tanh"
-    output: str = "linear"
-
-    def __post_init__(self):
-        object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
-        if len(self.widths) < 3:
-            raise ValueError("an MLP needs at least one hidden layer")
-        if any(w < 1 for w in self.widths):
-            raise ValueError(f"all layer widths must be >= 1, got {self.widths}")
-        if self.hidden not in HIDDEN_ACTIVATIONS:
-            raise ValueError(f"hidden activation must be one of {HIDDEN_ACTIVATIONS}")
-        if self.output not in OUTPUT_ACTIVATIONS:
-            raise ValueError(f"output activation must be one of {OUTPUT_ACTIVATIONS}")
-
-    @property
-    def d_in(self) -> int:
-        return self.widths[0]
-
-    @property
-    def d_out(self) -> int:
-        return self.widths[-1]
-
-    def layer_shapes(self):
-        """Per-layer (W, b) shapes; W is (out x in)."""
-        return [
-            ((self.widths[i + 1], self.widths[i]), (self.widths[i + 1], 1))
-            for i in range(len(self.widths) - 1)
-        ]
 
 
 def init_params(layers, scheme: str = "standard-normal", seed: int = 0) -> None:
@@ -85,16 +46,17 @@ def init_params(layers, scheme: str = "standard-normal", seed: int = 0) -> None:
 class GraphMlp:
     """One MLP's layers, emitted into a graph as trainable layer nodes.
 
-    ``layers`` holds one (W, b, dW, db) tuple per layer of ``spec``: the
-    weight, the bias and their gradient buffers. Each layer node binds
+    ``layers`` holds one (W, b, dW, db) tuple per layer: the weight, the
+    bias and their gradient buffers. Every layer but the last applies
+    ``hidden`` (tanh or relu); the last is linear. Each layer node binds
     the arrays themselves, not copies, so each ``eval`` reads the current
     weights and each ``grad`` writes the gradients in place. The graph
     checks each tuple and the input it acts on when it builds the node.
     """
 
-    def __init__(self, graph: Graph, spec: MlpSpec, layers):
+    def __init__(self, graph: Graph, hidden: str, layers):
         self.graph = graph
-        self.spec = spec
+        self.hidden = hidden
         self.layers = list(layers)
 
     def forward(self, input_id: int) -> int:
@@ -117,11 +79,10 @@ class GraphMlp:
         h, seeds = input_id, coords
         last = len(self.layers) - 1
         for li, bufs in enumerate(self.layers):
-            act = self.spec.output if li == last else self.spec.hidden
-            h = g.layer(h, *bufs, act, len(coords), seeds)
+            h = g.layer(h, *bufs, "linear" if li == last else self.hidden, len(coords), seeds)
             seeds = None  # later layers take the stacked blocks
         if not coords:
             return h, []
-        m = self.spec.d_out
+        m = self.layers[-1][0].shape[0]  # d_out, the rows of the last W
         blocks = [g.rows(h, j * m, (j + 1) * m) for j in range(1 + len(coords))]
         return blocks[0], blocks[1:]

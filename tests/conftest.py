@@ -8,7 +8,6 @@ import pytest
 
 from pinnrul import (
     AugmentedSamples,
-    MlpSpec,
     NormStats,
     PinnConfig,
     cli,
@@ -112,17 +111,23 @@ def relu_inputs_safe(g, values, margin=1e-3):
     return True
 
 
-def drawn_mlp(spec, scheme="standard-normal", seed=0):
-    """(spec, layers): one (W, b, dW, db) tuple per layer of ``spec``, W and b
-    drawn by ``init_params`` and the gradients zero, for ``GraphMlp(g, *mlp)``.
+def layer_shapes(widths):
+    """Per-layer (W, b) shapes of an MLP of layer ``widths``; W is (out x in)."""
+    return [((d_out, d_in), (d_out, 1)) for d_in, d_out in zip(widths, widths[1:])]
+
+
+def drawn_mlp(widths, scheme="standard-normal", seed=0, hidden="tanh"):
+    """(hidden, layers): one (W, b, dW, db) tuple per layer of an MLP of
+    layer ``widths`` [d_in, h1, ..., d_out], W and b drawn by ``init_params``
+    and the gradients zero, for ``GraphMlp(g, *mlp)``.
 
     W and b start as NaN, so an entry the draw misses shows up.
     """
     layers = [
-        (np.full(w, np.nan), np.full(b, np.nan), np.zeros(w), np.zeros(b)) for w, b in spec.layer_shapes()
+        (np.full(w, np.nan), np.full(b, np.nan), np.zeros(w), np.zeros(b)) for w, b in layer_shapes(widths)
     ]
     init_params(layers, scheme, seed)
-    return spec, layers
+    return hidden, layers
 
 
 def grad_views(model, grad):
@@ -135,16 +140,9 @@ def grad_views(model, grad):
 
 
 def small_random_model(seed, d_oc=2, pde_weight=1.0):
-    """Tiny random three-network model with a fitted-looking norm."""
+    """Random model of the paper's three networks on a few features, with a fitted-looking norm."""
     rng = np.random.default_rng(seed)
-    hidden = lambda: tuple(int(rng.integers(2, 4)) for _ in range(int(rng.integers(1, 3))))
-    config = PinnConfig(
-        d_oc=d_oc,
-        x_spec=MlpSpec((d_oc + 1, *hidden(), 1), hidden="tanh", output="linear"),
-        rul_spec=MlpSpec((2, *hidden(), 1), hidden="tanh", output="linear"),
-        dyn_spec=MlpSpec((2, *hidden(), 1), hidden="relu", output="linear"),
-        pde_weight=pde_weight,
-    )
+    config = PinnConfig(d_oc, pde_weight)
     norm = NormStats(
         means=rng.normal(0, 1, d_oc),
         stds=rng.uniform(0.5, 2.0, d_oc),

@@ -45,8 +45,6 @@ from conftest import (
 )
 from test_net import eval_tangent, plain_forward
 
-from pinnrul.net import MlpSpec
-
 
 def fd001_dir():
     for candidate in (os.environ.get("PINNRUL_CMAPSS_DIR"), "data"):
@@ -140,7 +138,7 @@ def test_criterion_4_tangent_correctness():
     for widths in ((2, 3, 3, 1), (3, 3, 3, 3, 3, 3, 1)):
         for draw in range(100):
             rng = np.random.default_rng((widths[0], draw))
-            params = drawn_mlp(MlpSpec(widths), "standard-normal", draw)
+            params = drawn_mlp(widths, "standard-normal", draw)
             x = rng.normal(size=widths[0])
             coord = int(rng.integers(widths[0]))
             _, tan = eval_tangent(params, x, coord)

@@ -108,6 +108,8 @@ class TestConfig:
             (None, "init_seed", -1),
             (None, "split_seed", -1),
             ("synth", "seed", -5),
+            # a scheme init_params does not know, which would fail only after the data is built
+            (None, "init_scheme", "orthogonal"),
             # a train flag overrides its key, and is checked as the key is
             pytest.param("--seed-init", "init_seed", -1, id="flag-seed-init--1"),
             pytest.param("--seed-split", "split_seed", -3, id="flag-seed-split--3"),
@@ -279,6 +281,16 @@ class TestTrainEvalMapPredict:
             # an integer too large for a float, or for int64
             pytest.param("model", "t_scale", 10**400, "expected float, got 1000", id="model-t_scale-10**400"),
             pytest.param("init", "seed", 2**63, "expected int, got 9223372036854775808", id="init-seed-2**63"),
+            # the ranges PinnModel owns, as init_model has them
+            ("init", "scheme", "orthogonal", "init_scheme must be one of"),
+            ("init", "seed", -3, "init_seed must be >= 0, got -3"),
+            ("init", "split_seed", -1, "split_seed must be >= 0, got -1"),
+            # the architecture is fixed, and each spec must state it in the JSON types save_model writes
+            pytest.param("model", "x_spec", lambda s: {**s, "widths": [s["widths"][0], 4, *s["widths"][2:]]}, "model.x_spec must be", id="x-hidden-width-4"),
+            pytest.param("model", "rul_spec", lambda s: {**s, "widths": [*s["widths"][:-1], 10, 1]}, "model.rul_spec must be", id="rul-extra-layer"),
+            pytest.param("model", "dyn_spec", lambda s: {**s, "output": "tanh"}, "model.dyn_spec must be", id="dyn-output-tanh"),
+            pytest.param("model", "rul_spec", lambda s: {**s, "widths": [*s["widths"][:-1], True]}, "model.rul_spec must be", id="rul-final-width-true"),
+            pytest.param("model", "x_spec", lambda s: {**s, "widths": [*s["widths"][:-1], 1.0]}, "model.x_spec must be", id="x-final-width-1.0"),
         ],
     )
     def test_bad_header_key_is_exit_2(self, trained, tmp_path, capsys, section, key, value, message):
@@ -289,6 +301,8 @@ class TestTrainEvalMapPredict:
                 del header[section][key]
             elif value == "first-inf":
                 header[section][key][0] = float("inf")
+            elif callable(value):
+                header[section][key] = value(header[section][key])
             else:
                 header[section][key] = value
 
@@ -461,7 +475,7 @@ class TestTrainEvalMapPredict:
         # finite weights, so the file loads, whose products overflow to inf
         _, cfg, out = trained
         model = load_model(out / "model.bin")
-        views, last = dict(model.parameter_items()), len(model.config.rul_spec.widths) - 1
+        views, last = dict(model.parameter_items()), len(model.config.widths["rul"]) - 1
         views[f"rul.W{last}"][...] = 1e308
         views[f"rul.b{last}"][...] = 1e308
         path = str(tmp_path / "overflow.bin")

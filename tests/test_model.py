@@ -1,12 +1,12 @@
 import dataclasses
 import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
 from pinnrul import (
-    MlpSpec,
     NormStats,
     NumericError,
     PinnConfig,
@@ -15,7 +15,7 @@ from pinnrul import (
     save_model,
 )
 from pinnrul.graph import OP_KINDS, Graph
-from pinnrul.model import _residual
+from pinnrul.model import HIDDEN, _residual
 from pinnrul.net import GraphMlp
 
 from conftest import (
@@ -45,7 +45,7 @@ def zeroed(model, net):
 def rate_network(model, g):
     """The model's rate network emitted into graph ``g``, on the same buffers."""
     dyn = model._wiring.dyn_mlp
-    return GraphMlp(g, dyn.spec, dyn.layers)
+    return GraphMlp(g, dyn.hidden, dyn.layers)
 
 
 @pytest.fixture
@@ -56,20 +56,11 @@ def model():
 class TestConfig:
     def test_default_architecture(self):
         cfg = PinnConfig.default(14)
-        assert cfg.x_spec.widths == (15, 3, 3, 3, 3, 3, 1)
-        assert cfg.rul_spec.widths == (2, 10, 10, 10, 10, 10, 1)
-        assert cfg.dyn_spec.widths == (2, 10, 10, 10, 10, 10, 1)
-        assert cfg.dyn_spec.hidden == "relu"
+        assert cfg.widths["x"] == (15, 3, 3, 3, 3, 3, 1)
+        assert cfg.widths["rul"] == (2, 10, 10, 10, 10, 10, 1)
+        assert cfg.widths["dyn"] == (2, 10, 10, 10, 10, 10, 1)
+        assert HIDDEN["dyn"] == "relu"
         assert cfg.pde_weight == 1.0 and cfg.t_scale == 30.0
-
-    def test_input_width_validation(self):
-        with pytest.raises(ValueError):
-            PinnConfig(
-                d_oc=3,
-                x_spec=MlpSpec((3, 3, 1)),
-                rul_spec=MlpSpec((2, 3, 1)),
-                dyn_spec=MlpSpec((2, 3, 1), hidden="relu"),
-            )
 
     def test_negative_penalty_weight_rejected(self):
         with pytest.raises(ValueError):
@@ -93,26 +84,23 @@ class TestPointOps:
         assert model.latent(oc, 0.0) == model.latent(oc, 0.0)
 
     def test_latent_hand_evaluation(self):
-        spec = MlpSpec((2, 2, 1))
-        w1 = np.array([[0.5, -0.3], [0.2, 0.8]])
-        b1 = np.array([[0.1], [-0.2]])
-        w2 = np.array([[1.5, -0.7]])
-        b2 = np.array([[0.05]])
-        config = PinnConfig(
-            d_oc=1,
-            x_spec=spec,
-            rul_spec=MlpSpec((2, 3, 1)),
-            dyn_spec=MlpSpec((2, 3, 1), hidden="relu"),
-        )
+        # the paper's x net, (2, 3, 3, 3, 3, 3, 1): h = tanh(W h + b) five times, then x = W h + b
+        rng = np.random.default_rng(5)
+        config = PinnConfig(d_oc=1)
+        widths = config.widths["x"]
+        weights = [(rng.normal(size=(o, i)), rng.normal(size=(o, 1))) for i, o in zip(widths, widths[1:])]
         norm = NormStats(means=np.array([2.0]), stds=np.array([4.0]), rul_max=100.0, columns=["s1"])
         model = init_model(config, norm, 0)
         views = dict(model.parameter_items())
-        for name, value in (("x.W1", w1), ("x.W2", w2), ("x.b1", b1), ("x.b2", b2)):
-            views[name][...] = value
+        for i, (w, b) in enumerate(weights, start=1):
+            views[f"x.W{i}"][...] = w
+            views[f"x.b{i}"][...] = b
 
         oc, t = 3.0, 15.0
-        z = np.array([[(oc - 2.0) / 4.0], [t / 30.0]])
-        expected = float((w2 @ np.tanh(w1 @ z + b1) + b2)[0, 0])
+        h = np.array([[(oc - 2.0) / 4.0], [t / 30.0]])
+        for w, b in weights[:-1]:
+            h = np.tanh(w @ h + b)
+        expected = float((weights[-1][0] @ h + weights[-1][1])[0, 0])
         assert model.latent([oc], t) == pytest.approx(expected, abs=1e-12)
 
     def test_wrong_oc_length(self, model):
@@ -299,7 +287,7 @@ class TestCost:
 
     def test_non_finite_outputs_raise(self, model):
         # finite weights whose products overflow: no reader may hand back inf
-        views, last = dict(model.parameter_items()), len(model.config.rul_spec.widths) - 1
+        views, last = dict(model.parameter_items()), len(model.config.widths["rul"]) - 1
         views[f"rul.W{last}"][...] = 1e308
         views[f"rul.b{last}"][...] = 1e308
         batch = random_batch(model, 23, n=3)
@@ -314,7 +302,7 @@ class TestParameterVector:
     def test_views_tile_theta_in_order(self, model):
         items = model.parameter_items()
         assert [name for name, _ in items[:4]] == ["x.W1", "x.b1", "x.W2", "x.b2"]
-        assert items[-1][0] == f"dyn.b{len(model.config.dyn_spec.widths) - 1}"
+        assert items[-1][0] == f"dyn.b{len(model.config.widths['dyn']) - 1}"
         base = model.theta.__array_interface__["data"][0]
         offset = 0
         for name, view in items:
@@ -343,6 +331,15 @@ class TestParameterVector:
         norm = NormStats(np.zeros(14), np.ones(14), 100.0, [f"s{i}" for i in range(14)])
         model = init_model(PinnConfig.default(14), norm, 7, scheme)
         assert hashlib.sha256(model.theta.tobytes()).hexdigest().startswith(digest)
+
+    def test_model_file_header_is_pinned(self, tmp_path):
+        # perfbench/reference.py reads this header, specs included; the fixed architecture writes the same bytes
+        norm = NormStats(np.zeros(14), np.ones(14), 100.0, [f"s{i}" for i in range(14)])
+        save_model(init_model(PinnConfig.default(14), norm, 7, "xavier"), tmp_path / "m.bin")
+        _, length, rest = (tmp_path / "m.bin").read_bytes().split(b"\n", 2)
+        header = rest[: int(length)]
+        assert json.loads(header)["model"]["x_spec"] == {"hidden": "tanh", "output": "linear", "widths": [15, 3, 3, 3, 3, 3, 1]}
+        assert hashlib.sha256(header).hexdigest() == "65fbe505ce243a3a89812db2123f206492de677a19c9882702e8580c5ddf074c"
 
     def test_model_file_body_is_theta(self, model, tmp_path):
         save_model(model, tmp_path / "m.bin")

@@ -1,38 +1,42 @@
 import numpy as np
 import pytest
 
-from pinnrul import MlpSpec
 from pinnrul.graph import Graph, GraphError
 from pinnrul.net import GraphMlp
 
-from conftest import drawn_mlp, fd_tolerance_ok
+from conftest import drawn_mlp, fd_tolerance_ok, layer_shapes
 
 TANH_HALF = 0.46211715726000974
 
 
-def given_mlp(spec, weights, biases):
-    """(spec, layers) with these weights and biases and zero gradients."""
-    return spec, [(w, b, np.zeros_like(w), np.zeros_like(b)) for w, b in zip(weights, biases)]
+def given_mlp(hidden, weights, biases):
+    """(hidden, layers) with these weights and biases and zero gradients."""
+    return hidden, [(w, b, np.zeros_like(w), np.zeros_like(b)) for w, b in zip(weights, biases)]
 
 
 def plain_forward(params, x):
-    """Straight-line reference evaluation of (spec, layers), independent of the graph."""
-    spec, layers = params
+    """Straight-line reference evaluation of (hidden, layers), independent of the graph."""
+    hidden, layers = params
     h = np.asarray(x, dtype=np.float64).reshape(-1, 1)
     last = len(layers) - 1
     for i, (w, b, _, _) in enumerate(layers):
         z = w @ h + b
         if i < last:
-            h = np.tanh(z) if spec.hidden == "tanh" else np.maximum(z, 0.0)
+            h = np.tanh(z) if hidden == "tanh" else np.maximum(z, 0.0)
         else:
-            h = np.tanh(z) if spec.output == "tanh" else z
+            h = z
     return h
+
+
+def d_in(params):
+    """Input width of (hidden, layers): the columns of the first W."""
+    return params[1][0][0].shape[1]
 
 
 def eval_forward(params, x):
     g = Graph()
     mlp = GraphMlp(g, *params)
-    xin = g.input((mlp.spec.d_in, 1))
+    xin = g.input((d_in(params), 1))
     out = mlp.forward(xin)
     g.eval({xin: np.asarray(x, dtype=np.float64).reshape(-1, 1)})
     return g.value(out)
@@ -41,31 +45,22 @@ def eval_forward(params, x):
 def eval_tangent(params, x, coord):
     g = Graph()
     mlp = GraphMlp(g, *params)
-    xin = g.input((mlp.spec.d_in, 1))
+    xin = g.input((d_in(params), 1))
     out, (tan,) = mlp.forward_tangents(xin, [coord])
     g.eval({xin: np.asarray(x, dtype=np.float64).reshape(-1, 1)})
     return g.value(out), g.value(tan)
 
 
 class TestSpecAndInit:
-    def test_spec_needs_hidden_layer(self):
-        with pytest.raises(ValueError):
-            MlpSpec((3, 1))
-
-    def test_spec_rejects_zero_width(self):
-        with pytest.raises(ValueError):
-            MlpSpec((3, 0, 1))
-
     def test_same_seed_same_bits(self):
-        spec = MlpSpec((2, 3, 1))
-        _, a = drawn_mlp(spec, "standard-normal", 99)
-        _, b = drawn_mlp(spec, "standard-normal", 99)
+        _, a = drawn_mlp((2, 3, 1), "standard-normal", 99)
+        _, b = drawn_mlp((2, 3, 1), "standard-normal", 99)
         for (wa, ba, _, _), (wb, bb, _, _) in zip(a, b):
             assert np.array_equal(wa, wb)
             assert np.array_equal(ba, bb)
 
     def test_layer_shapes_2_3_1(self):
-        _, layers = drawn_mlp(MlpSpec((2, 3, 1)), "standard-normal", 0)
+        _, layers = drawn_mlp((2, 3, 1), "standard-normal", 0)
         assert layers[0][0].shape == (3, 2)
         assert layers[0][1].shape == (3, 1)
         assert layers[1][0].shape == (1, 3)
@@ -73,49 +68,43 @@ class TestSpecAndInit:
 
     def test_standard_normal_statistics(self):
         # > 1e4 draws across one wide layer pair
-        _, layers = drawn_mlp(MlpSpec((100, 99, 1)), "standard-normal", 1234)
+        _, layers = drawn_mlp((100, 99, 1), "standard-normal", 1234)
         flat = np.concatenate([buf.ravel() for w, b, _, _ in layers for buf in (w, b)])
         assert flat.size > 10_000
         assert abs(flat.mean()) < 0.05
         assert abs(flat.var() - 1.0) < 0.1
 
     def test_xavier_scale_and_zero_bias(self):
-        spec = MlpSpec((8, 6, 1))
-        _, layers = drawn_mlp(spec, "xavier", 5)
+        _, layers = drawn_mlp((8, 6, 1), "xavier", 5)
         assert np.array_equal(layers[0][1], np.zeros((6, 1)))
         std = layers[0][0].std()
         assert 0.3 * np.sqrt(2 / 14) < std < 3.0 * np.sqrt(2 / 14)
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
-            drawn_mlp(MlpSpec((2, 3, 1)), "orthogonal", 0)
+            drawn_mlp((2, 3, 1), "orthogonal", 0)
 
 
 class TestForward:
     def test_zero_params_zero_output(self):
-        spec = MlpSpec((3, 4, 4, 1))
-        params = given_mlp(
-            spec,
-            [np.zeros(ws) for ws, _ in spec.layer_shapes()],
-            [np.zeros(bs) for _, bs in spec.layer_shapes()],
-        )
+        shapes = layer_shapes((3, 4, 4, 1))
+        params = given_mlp("tanh", [np.zeros(ws) for ws, _ in shapes], [np.zeros(bs) for _, bs in shapes])
         out = eval_forward(params, [0.7, -2.0, 5.5])
         assert np.array_equal(out, np.zeros((1, 1)))
 
     def test_hand_evaluated_1_1_1(self):
-        spec = MlpSpec((1, 1, 1))
-        params = given_mlp(spec, [np.array([[2.0]]), np.array([[1.0]])], [np.zeros((1, 1)), np.zeros((1, 1))])
+        params = given_mlp("tanh", [np.array([[2.0]]), np.array([[1.0]])], [np.zeros((1, 1)), np.zeros((1, 1))])
         out = eval_forward(params, [0.25])
         assert float(out[0, 0]) == pytest.approx(TANH_HALF, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_straight_line_reference(self, seed):
-        params = drawn_mlp(MlpSpec((2, 3, 1)), "standard-normal", seed)
+        params = drawn_mlp((2, 3, 1), "standard-normal", seed)
         x = np.random.default_rng(seed).normal(size=2)
         assert np.abs(eval_forward(params, x) - plain_forward(params, x)).max() <= 1e-12
 
     def test_batched_forward_equals_per_column(self):
-        params = drawn_mlp(MlpSpec((3, 5, 2)), "xavier", 3)
+        params = drawn_mlp((3, 5, 2), "xavier", 3)
         xs = np.random.default_rng(0).normal(size=(3, 4))
         g = Graph()
         mlp = GraphMlp(g, *params)
@@ -128,8 +117,8 @@ class TestForward:
 
     def test_reference_architecture_shapes(self):
         # latent net: five 3-unit hidden layers; regression net: five 10-unit layers
-        x_params = drawn_mlp(MlpSpec((15, 3, 3, 3, 3, 3, 1)), "standard-normal", 0)
-        rul_params = drawn_mlp(MlpSpec((2, 10, 10, 10, 10, 10, 1)), "standard-normal", 1)
+        x_params = drawn_mlp((15, 3, 3, 3, 3, 3, 1), "standard-normal", 0)
+        rul_params = drawn_mlp((2, 10, 10, 10, 10, 10, 1), "standard-normal", 1)
         for params, n in ((x_params, 15), (rul_params, 2)):
             g = Graph()
             mlp = GraphMlp(g, *params)
@@ -140,16 +129,16 @@ class TestForward:
 
     def test_gradient_buffers_must_follow_the_parameters(self):
         # checked when the layers are emitted: build checks each layer's buffers
-        spec, layers = drawn_mlp(MlpSpec((2, 3, 1)), "standard-normal", 0)
-        _, other = drawn_mlp(MlpSpec((2, 4, 1)), "standard-normal", 0)
+        hidden, layers = drawn_mlp((2, 3, 1), "standard-normal", 0)
+        _, other = drawn_mlp((2, 4, 1), "standard-normal", 0)
         g = Graph()
         xin = g.input((2, 1))
         mixed = [(w, b, dw, db) for (w, b, _, _), (_, _, dw, db) in zip(layers, other)]
         with pytest.raises(GraphError, match="gradient"):  # a buffer of another shape
-            GraphMlp(g, spec, mixed).forward(xin)
+            GraphMlp(g, hidden, mixed).forward(xin)
 
     def test_input_width_mismatch(self):
-        params = drawn_mlp(MlpSpec((2, 3, 1)), "standard-normal", 0)
+        params = drawn_mlp((2, 3, 1), "standard-normal", 0)
         g = Graph()
         mlp = GraphMlp(g, *params)
         xin = g.input((3, 1))
@@ -161,23 +150,22 @@ class TestForwardTangent:
     def test_linear_chain_at_zero(self):
         # tanh'(0) = 1, so the tangent collapses to the weight product
         a, b = 1.7, -0.6
-        spec = MlpSpec((1, 1, 1))
-        params = given_mlp(spec, [np.array([[a]]), np.array([[b]])], [np.zeros((1, 1)), np.zeros((1, 1))])
+        params = given_mlp("tanh", [np.array([[a]]), np.array([[b]])], [np.zeros((1, 1)), np.zeros((1, 1))])
         _, tan = eval_tangent(params, [0.0], 0)
         assert float(tan[0, 0]) == pytest.approx(a * b, abs=1e-15)
 
     def test_zero_weights_zero_tangent(self):
-        spec = MlpSpec((2, 3, 1))
+        shapes = layer_shapes((2, 3, 1))
         params = given_mlp(
-            spec,
-            [np.zeros(ws) for ws, _ in spec.layer_shapes()],
-            [np.random.default_rng(0).normal(size=bs) for _, bs in spec.layer_shapes()],
+            "tanh",
+            [np.zeros(ws) for ws, _ in shapes],
+            [np.random.default_rng(0).normal(size=bs) for _, bs in shapes],
         )
         _, tan = eval_tangent(params, [0.4, -0.2], 1)
         assert np.array_equal(tan, np.zeros((1, 1)))
 
     def test_relu_hidden_rejected(self):
-        params = drawn_mlp(MlpSpec((2, 3, 1), hidden="relu"), "standard-normal", 0)
+        params = drawn_mlp((2, 3, 1), "standard-normal", 0, hidden="relu")
         g = Graph()
         mlp = GraphMlp(g, *params)
         xin = g.input((2, 1))
@@ -185,7 +173,7 @@ class TestForwardTangent:
             mlp.forward_tangents(xin, [0])
 
     def test_bad_tangent_vectors_rejected(self):
-        params = drawn_mlp(MlpSpec((3, 3, 1)), "standard-normal", 4)
+        params = drawn_mlp((3, 3, 1), "standard-normal", 4)
         g = Graph()
         mlp = GraphMlp(g, *params)
         xin = g.input((3, 1))
@@ -198,7 +186,7 @@ class TestForwardTangent:
         h = 1e-6
         for seed in range(20):
             rng = np.random.default_rng((seed, widths[0]))
-            params = drawn_mlp(MlpSpec(widths), "standard-normal", seed)
+            params = drawn_mlp(widths, "standard-normal", seed)
             x = rng.normal(size=widths[0])
             coord = int(rng.integers(widths[0]))
             _, tan = eval_tangent(params, x, coord)
@@ -209,7 +197,7 @@ class TestForwardTangent:
 
     def test_tangent_weight_gradient_matches_fd(self):
         # reverse-mode through the tangent output = mixed second derivative
-        params = drawn_mlp(MlpSpec((2, 3, 1)), "standard-normal", 11)
+        params = drawn_mlp((2, 3, 1), "standard-normal", 11)
         layers = params[1]
         x = np.array([0.37, -0.81])
 

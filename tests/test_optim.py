@@ -210,7 +210,7 @@ class TestTrain:
         samples, norm = tiny_dataset
         model = init_model(PinnConfig.default(len(norm.columns)), norm, 0)
         grad = Graph.grad
-        rul_1 = len(model.config.x_spec.layer_shapes())  # the first rul layer, after x's layers
+        rul_1 = len(model.config.widths["x"]) - 1  # the first rul layer, after x's layers
 
         def poisoned(graph, root):
             grad(graph, root)
