@@ -27,7 +27,6 @@ from .model import (
     init_model,
 )
 from .modelfile import load_model, save_model
-from .net import init_params
 from .optim import NadamConfig, NadamState, TrainingReport, nadam_step, split_indices, train
 
 __version__ = "0.1.0"
@@ -48,7 +47,6 @@ __all__ = [
     "augmented_count",
     "fit_norm",
     "init_model",
-    "init_params",
     "load_model",
     "nadam_step",
     "parse_cmapss",

@@ -129,11 +129,11 @@ def _parse(path: Path, parse):
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
-    """Read the JSON config, check it against ``RunConfig().to_dict()``, apply flag overrides."""
+    """Read the JSON config, apply flag overrides and check the result against
+    ``RunConfig().to_dict()``, so a flag's value is checked as its key's."""
     raw = {} if path is None else _parse(Path(path), json_loads)
-    _check_json(raw, RunConfig().to_dict())
-
-    top = {**raw, **(overrides or {})}
+    top = {**raw, **(overrides or {})} if isinstance(raw, dict) else raw
+    _check_json(top, RunConfig().to_dict())
     synth = _build("synth.", SynthSpec, top.pop("synth", {}))
     optimizer = _build("optimizer.", NadamConfig, top.pop("optimizer", {}))
     top.update((_MODEL_FIELDS[key], value) for key, value in top.pop("model", {}).items())

@@ -9,7 +9,7 @@ allocated once at its final size; taking a slice of it gives views,
 taking an index array gives copies.
 
 The parsers reject any token that is not a finite number, and unit ids
-and cycles that are not integers, with a ParseError naming the line.
+and cycles that are not integers, with a ValueError naming the line.
 
 A seeded synthetic generator provides a desk-scale stand-in for the real
 turbofan files: linear sensor ramps whose snapshot determines remaining
@@ -28,10 +28,6 @@ CMAPSS_SENSORS = 21
 CMAPSS_COLUMNS = 2 + CMAPSS_SETTINGS + CMAPSS_SENSORS
 
 VARIANCE_FLOOR = 1e-12
-
-
-class ParseError(ValueError):
-    """Malformed input text; message carries the offending line number."""
 
 
 @dataclass
@@ -87,15 +83,15 @@ def parse_cmapss(text: str) -> list[EngineTrajectory]:
         if not tokens:
             continue
         if len(tokens) != CMAPSS_COLUMNS:
-            raise ParseError(f"line {lineno}: expected {CMAPSS_COLUMNS} columns, got {len(tokens)}")
+            raise ValueError(f"line {lineno}: expected {CMAPSS_COLUMNS} columns, got {len(tokens)}")
         try:
             row = [float(tok) for tok in tokens]
         except ValueError:
-            raise ParseError(f"line {lineno}: non-numeric token") from None
+            raise ValueError(f"line {lineno}: non-numeric token") from None
         if not all(map(math.isfinite, row)):
-            raise ParseError(f"line {lineno}: non-finite token")
+            raise ValueError(f"line {lineno}: non-finite token")
         if not (row[0].is_integer() and row[1].is_integer() and abs(row[0]) < 2**63):
-            raise ParseError(f"line {lineno}: unit and cycle must be integers")
+            raise ValueError(f"line {lineno}: unit and cycle must be integers")
         per_unit.setdefault(int(row[0]), []).append(row)
 
     trajectories = []
@@ -120,13 +116,13 @@ def parse_rul_truth(text: str) -> list[float]:
         if not tokens:
             continue
         if len(tokens) != 1:
-            raise ParseError(f"line {lineno}: expected a single value, got {len(tokens)}")
+            raise ValueError(f"line {lineno}: expected a single value, got {len(tokens)}")
         try:
             value = float(tokens[0])
         except ValueError:
-            raise ParseError(f"line {lineno}: non-numeric token") from None
+            raise ValueError(f"line {lineno}: non-numeric token") from None
         if not math.isfinite(value):
-            raise ParseError(f"line {lineno}: non-finite token")
+            raise ValueError(f"line {lineno}: non-finite token")
         values.append(value)
     return values
 

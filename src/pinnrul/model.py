@@ -27,7 +27,9 @@ the cost terms over the rows an index array names, gathering one chunk
 at a time, and ``latent_map`` returns one (n, 4) float64 table, built
 from slice views, whose columns are x, dx/dt, predicted RUL and true RUL.
 ``_eval_batch`` is the one check of a batch's oc shape, row counts and
-times, and ``NumericError``, defined here, reports a non-finite output.
+times, and ``_read`` the one reader of x, dx/dt and the RUL in cycles for
+``sweep``, ``latent_map`` and ``rmse_eval``; ``NumericError``, defined
+here, reports a non-finite output.
 """
 
 from __future__ import annotations
@@ -177,9 +179,6 @@ class PinnModel:
     def __post_init__(self):
         if self.init_scheme not in INIT_SCHEMES:
             raise ValueError(f"init_scheme must be one of {INIT_SCHEMES}, got {self.init_scheme!r}")
-        for name, seed in (("init_seed", self.init_seed), ("split_seed", self.split_seed)):
-            if seed is not None and seed < 0:  # split_seed is None for a fresh model
-                raise ValueError(f"{name} must be >= 0, got {seed!r}")
         self._grad = np.zeros_like(self.theta)
         self._items, layers = _layout(self.config, self.theta, self._grad)
         finite = np.isfinite(self.theta)
@@ -191,6 +190,9 @@ class PinnModel:
         # ``model.theta *= c`` works in place and then rebinds the same array
         if name == "theta" and hasattr(self, "_items") and value is not self.theta:
             raise AttributeError("theta is cut into the graph's views; change it in place")
+        # the seeds' one check, for __init__ and for train's later split_seed; a header holds int64
+        if name in ("init_seed", "split_seed") and value is not None and not 0 <= value < 2**63:
+            raise ValueError(f"{name} must be >= 0 and <= {2**63 - 1}, got {value!r}")
         super().__setattr__(name, value)
 
     # -- plumbing -----------------------------------------------------
@@ -227,40 +229,20 @@ class PinnModel:
         wiring.graph.eval({wiring.oc_in: oc_n, wiring.t_in: t_n})
         return wiring
 
-    def _outputs(self, oc, t, names) -> list[np.ndarray]:
-        """Evaluate a batch and return the rows of the named wiring outputs.
+    def _read(self, oc, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Evaluate a batch; return its x, dx/dt and RUL rows, the RUL in cycles.
 
-        ``names`` are among ``x``, ``dx_dt``, ``rul`` and ``f``; the ``rul``
-        row comes scaled to cycles. Raises NumericError if a returned value
-        is non-finite.
+        x and dx/dt are views of the graph's values, which the next
+        evaluation overwrites. Raises NumericError naming the first
+        non-finite row.
         """
         w = self._eval_batch(oc, t)
-        rows = []
-        for name in names:
-            row = (_residual(w)[1] if name == "f" else w.graph.value(getattr(w, name)))[0]
-            if name == "rul":
-                row = row * self.norm.rul_max
+        value = w.graph.value
+        rows = value(w.x)[0], value(w.dx_dt)[0], value(w.rul)[0] * self.norm.rul_max
+        for name, row in zip(("x", "dx_dt", "rul"), rows):
             if not np.isfinite(row).all():
                 raise NumericError(f"non-finite {name} output")
-            rows.append(row)
         return rows
-
-    # -- point evaluation ----------------------------------------------
-
-    def latent(self, oc, t: float) -> float:
-        """Health indicator at a raw snapshot and look-ahead (cycles)."""
-        (x,) = self._outputs(oc, [t], ("x",))
-        return float(x[0])
-
-    def predict_rul(self, oc, t: float) -> float:
-        """Remaining life in cycles at look-ahead t from the snapshot."""
-        (rul,) = self._outputs(oc, [t], ("rul",))
-        return float(rul[0])
-
-    def residual(self, oc, t: float) -> float:
-        """Rate-law residual f at one point, in normalized units."""
-        (f,) = self._outputs(oc, [t], ("f",))
-        return float(f[0])
 
     # -- batch cost ------------------------------------------------------
 
@@ -345,7 +327,7 @@ class PinnModel:
         chunks = [np.empty((4, 0))]
         for start in range(0, len(samples), CHUNK):
             part = samples.take(slice(start, start + CHUNK))
-            chunks.append(np.array([*self._outputs(part.oc, part.t, ("x", "dx_dt", "rul")), part.rul]))
+            chunks.append(np.array([*self._read(part.oc, part.t), part.rul]))
         return np.concatenate(chunks, axis=1).T
 
     def sweep(self, oc, t_list) -> list[tuple[float, float, float, float]]:
@@ -355,7 +337,7 @@ class PinnModel:
             raise ValueError("need at least one horizon")
         oc = self._check_oc(oc)
         ocs = np.repeat(oc, len(t_list), axis=0)
-        xs, dxs, ruls = self._outputs(ocs, t_list, ("x", "dx_dt", "rul"))
+        xs, dxs, ruls = self._read(ocs, t_list)
         return [(float(t), float(xs[j]), float(dxs[j]), float(ruls[j])) for j, t in enumerate(t_list)]
 
     def rmse_eval(self, trajectories, truth) -> tuple[float, list[tuple[int, float, float]]]:
@@ -368,7 +350,7 @@ class PinnModel:
         if len(trajectories) != len(truth):
             raise ValueError(f"{len(trajectories)} trajectories vs {len(truth)} truth values")
         ocs = np.vstack([feature_matrix(traj, self.norm.columns)[-1] for traj in trajectories])
-        (preds,) = self._outputs(ocs, np.zeros(len(trajectories)), ("rul",))
+        _, _, preds = self._read(ocs, np.zeros(len(trajectories)))
         pairs = [
             (traj.unit_id, tv, float(pv)) for traj, tv, pv in zip(trajectories, truth, preds)
         ]

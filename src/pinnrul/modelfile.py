@@ -30,10 +30,6 @@ MAGIC = b"PINNRUL-BIN 1\n"
 FORMAT_VERSION = 1
 
 
-class ModelFileError(ValueError):
-    """Unreadable or inconsistent model file."""
-
-
 def json_is(value, kind) -> bool:
     """True if the JSON ``value`` reads as a ``kind`` (int, float, str, dict).
 
@@ -99,7 +95,7 @@ def load_model(path) -> PinnModel:
     with open(path, "rb") as fh:
         blob = fh.read()
     if not blob.startswith(MAGIC):
-        raise ModelFileError(f"{path}: not a model file (bad magic)")
+        raise ValueError(f"{path}: not a model file (bad magic)")
     rest = blob[len(MAGIC) :]
     try:
         newline = rest.index(b"\n")
@@ -112,11 +108,11 @@ def load_model(path) -> PinnModel:
             raise ValueError("no newline after the header")
         body = rest[end + 1 :]
     except ValueError as exc:
-        raise ModelFileError(f"{path}: corrupt header ({exc})") from None
+        raise ValueError(f"{path}: corrupt header ({exc})") from None
     if not isinstance(header, dict):
-        raise ModelFileError(f"{path}: header is not a JSON object")
+        raise ValueError(f"{path}: header is not a JSON object")
     if not json_is(header.get("format"), int) or header["format"] != FORMAT_VERSION:
-        raise ModelFileError(f"{path}: unsupported format {header.get('format')!r}")
+        raise ValueError(f"{path}: unsupported format {header.get('format')!r}")
 
     try:
         m = header["model"]
@@ -144,15 +140,15 @@ def load_model(path) -> PinnModel:
         split_seed = init.get("split_seed")
         split_seed = None if split_seed is None else _typed(split_seed, int)
     except KeyError as exc:
-        raise ModelFileError(f"{path}: header lacks key {exc}") from None
+        raise ValueError(f"{path}: header lacks key {exc}") from None
     except (TypeError, ValueError) as exc:
-        raise ModelFileError(f"{path}: bad header ({exc})") from None
+        raise ValueError(f"{path}: bad header ({exc})") from None
 
     size = 8 * config.n_params
     if len(body) < size:
-        raise ModelFileError(f"{path}: truncated parameter section")
+        raise ValueError(f"{path}: truncated parameter section")
     if len(body) > size:
-        raise ModelFileError(f"{path}: {len(body) - size} trailing bytes")
+        raise ValueError(f"{path}: {len(body) - size} trailing bytes")
     try:
         return PinnModel(
             config=config,
@@ -163,4 +159,4 @@ def load_model(path) -> PinnModel:
             split_seed=split_seed,
         )
     except ValueError as exc:
-        raise ModelFileError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None

@@ -30,9 +30,8 @@ def init_params(layers, scheme: str = "standard-normal", seed: int = 0) -> None:
     ``layers`` are (W, b, dW, db) tuples; the gradients are not touched.
     standard-normal: every weight and bias i.i.d. N(0, 1).
     xavier: W ~ N(0, 2 / (fan_in + fan_out)), biases zero.
+    ``scheme`` is one of ``INIT_SCHEMES``, which ``PinnModel`` checks.
     """
-    if scheme not in INIT_SCHEMES:
-        raise ValueError(f"unknown init scheme {scheme!r}, expected one of {INIT_SCHEMES}")
     rng = np.random.default_rng(seed)
     for w, b, *_ in layers:
         if scheme == "standard-normal":

@@ -12,9 +12,9 @@ from pinnrul import (
     PinnConfig,
     cli,
     init_model,
-    init_params,
 )
 from pinnrul.graph import Graph
+from pinnrul.net import init_params
 
 FD_H = 1e-5
 

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from pinnrul import cli, load_model, save_model
-from pinnrul.modelfile import ModelFileError
 from pinnrul.cli import _write_latent_csv
 from pinnrul.data import feature_matrix
 
@@ -108,11 +107,13 @@ class TestConfig:
             (None, "init_seed", -1),
             (None, "split_seed", -1),
             ("synth", "seed", -5),
-            # a scheme init_params does not know, which would fail only after the data is built
+            # a scheme init_model does not know, which would fail only after the data is built
             (None, "init_scheme", "orthogonal"),
             # a train flag overrides its key, and is checked as the key is
             pytest.param("--seed-init", "init_seed", -1, id="flag-seed-init--1"),
             pytest.param("--seed-split", "split_seed", -3, id="flag-seed-split--3"),
+            pytest.param("--seed-init", "init_seed", 2**63, id="flag-seed-init-2**63"),
+            pytest.param("--seed-split", "split_seed", 2**63, id="flag-seed-split-2**63"),
         ],
     )
     def test_bad_section_value_names_its_key(self, tmp_path, capsys, section, key, value):
@@ -263,7 +264,7 @@ class TestTrainEvalMapPredict:
         views["dyn.b2"][-1, 0] = np.inf  # a later bad buffer is not the one named
         path = tmp_path / "nan.bin"
         save_model(model, path)
-        with pytest.raises(ModelFileError, match=r"nan\.bin: non-finite parameter rul\.W1$"):
+        with pytest.raises(ValueError, match=r"nan\.bin: non-finite parameter rul\.W1$"):
             load_model(path)
         zeros = ",".join("0" for _ in range(model.config.d_oc))
         assert run_cli(["predict", "--model", str(path), f"--oc={zeros}"]) == 2
@@ -283,8 +284,8 @@ class TestTrainEvalMapPredict:
             pytest.param("init", "seed", 2**63, "expected int, got 9223372036854775808", id="init-seed-2**63"),
             # the ranges PinnModel owns, as init_model has them
             ("init", "scheme", "orthogonal", "init_scheme must be one of"),
-            ("init", "seed", -3, "init_seed must be >= 0, got -3"),
-            ("init", "split_seed", -1, "split_seed must be >= 0, got -1"),
+            ("init", "seed", -3, "init_seed must be >= 0 and <= 9223372036854775807, got -3"),
+            ("init", "split_seed", -1, "split_seed must be >= 0 and <= 9223372036854775807, got -1"),
             # the architecture is fixed, and each spec must state it in the JSON types save_model writes
             pytest.param("model", "x_spec", lambda s: {**s, "widths": [s["widths"][0], 4, *s["widths"][2:]]}, "model.x_spec must be", id="x-hidden-width-4"),
             pytest.param("model", "rul_spec", lambda s: {**s, "widths": [*s["widths"][:-1], 10, 1]}, "model.rul_spec must be", id="rul-extra-layer"),
@@ -308,7 +309,7 @@ class TestTrainEvalMapPredict:
 
         broken = tmp_path / "broken.bin"
         header = rewrite_header(out / "model.bin", broken, edit)
-        with pytest.raises(ModelFileError, match=message):
+        with pytest.raises(ValueError, match=message):
             load_model(broken)
         zeros = ",".join("0" for _ in header["norm"]["means"])
         assert run_cli(["predict", "--model", str(broken), f"--oc={zeros}"]) == 2
@@ -333,7 +334,7 @@ class TestTrainEvalMapPredict:
         broken = tmp_path / "format.bin"
         header = rewrite_header(out / "model.bin", broken, lambda header: header.update(format=version))
         message = f"unsupported format {version!r}"
-        with pytest.raises(ModelFileError, match=message):
+        with pytest.raises(ValueError, match=message):
             load_model(broken)
         zeros = ",".join("0" for _ in header["norm"]["means"])
         assert run_cli(["predict", "--model", str(broken), f"--oc={zeros}"]) == 2
@@ -353,7 +354,7 @@ class TestTrainEvalMapPredict:
         }[case]
         broken = tmp_path / "framing.bin"
         broken.write_bytes(magic + b"\n" + length + b"\n" + rest)
-        with pytest.raises(ModelFileError, match=r"framing\.bin: corrupt header"):
+        with pytest.raises(ValueError, match=r"framing\.bin: corrupt header"):
             load_model(broken)
         zeros = ",".join("0" for _ in json.loads(rest[:n])["norm"]["means"])
         assert run_cli(["predict", "--model", str(broken), f"--oc={zeros}"]) == 2
@@ -406,8 +407,9 @@ class TestTrainEvalMapPredict:
         for i in (0, len(rows) // 2, len(rows) - 1):
             traj, _, c = rows[i]
             oc = feature_matrix(traj, model.norm.columns)[c - 1]
-            assert table[i, 0] == pytest.approx(model.latent(oc, 0.0), rel=1e-8, abs=1e-9)
-            assert table[i, 2] == pytest.approx(model.predict_rul(oc, 0.0), rel=1e-8, abs=1e-9)
+            (_, x, _, rul), = model.sweep(oc, [0.0])
+            assert table[i, 0] == pytest.approx(x, rel=1e-8, abs=1e-9)
+            assert table[i, 2] == pytest.approx(rul, rel=1e-8, abs=1e-9)
 
     def test_map_train_split_row_count(self, trained):
         _, cfg, out = trained

@@ -17,7 +17,7 @@ from pinnrul import (
     synth_generate,
     truncate_for_eval,
 )
-from pinnrul.data import ParseError, column_ids, feature_matrix
+from pinnrul.data import column_ids, feature_matrix
 
 
 def cmapss_line(unit, cycle, fill=0.0):
@@ -54,12 +54,12 @@ class TestParsing:
 
     def test_wrong_column_count_reports_line(self):
         text = cmapss_line(1, 1) + "\n" + "1 2 3\n"
-        with pytest.raises(ParseError, match="line 2"):
+        with pytest.raises(ValueError, match="line 2"):
             parse_cmapss(text)
 
     def test_non_numeric_reports_line(self):
         bad = cmapss_line(1, 2).rsplit(" ", 1)[0] + " oops"
-        with pytest.raises(ParseError, match="line 1"):
+        with pytest.raises(ValueError, match="line 1"):
             parse_cmapss(bad)
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN"])
@@ -67,7 +67,7 @@ class TestParsing:
         tokens = cmapss_line(1, 2).split()
         tokens[10] = token  # sensor s6
         text = cmapss_line(1, 1) + "\n" + " ".join(tokens) + "\n"
-        with pytest.raises(ParseError, match="line 2: non-finite"):
+        with pytest.raises(ValueError, match="line 2: non-finite"):
             parse_cmapss(text)
 
     @pytest.mark.parametrize("column, token", [(0, "1e99"), (0, "1.5"), (1, "2.5")])
@@ -76,7 +76,7 @@ class TestParsing:
         tokens = cmapss_line(1, 2).split()
         tokens[column] = token
         text = cmapss_line(1, 1) + "\n" + " ".join(tokens) + "\n"
-        with pytest.raises(ParseError, match="line 2: unit and cycle"):
+        with pytest.raises(ValueError, match="line 2: unit and cycle"):
             parse_cmapss(text)
 
     def test_blank_lines_skipped(self):
@@ -90,16 +90,16 @@ class TestParsing:
         assert parse_rul_truth("") == []
 
     def test_rul_truth_bad_token(self):
-        with pytest.raises(ParseError, match="line 2"):
+        with pytest.raises(ValueError, match="line 2"):
             parse_rul_truth("10\nxx\n")
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
     def test_rul_truth_non_finite_reports_line(self, token):
-        with pytest.raises(ParseError, match="line 2: non-finite"):
+        with pytest.raises(ValueError, match="line 2: non-finite"):
             parse_rul_truth(f"10\n{token}\n")
 
     def test_rul_truth_two_values_on_line(self):
-        with pytest.raises(ParseError, match="line 1"):
+        with pytest.raises(ValueError, match="line 1"):
             parse_rul_truth("10 20\n")
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pinnrul import (
+    EngineTrajectory,
     NormStats,
     NumericError,
     PinnConfig,
@@ -33,6 +34,21 @@ def residual_inputs(model, oc, t):
     w = model._eval_batch(oc, [t])
     drul_dt, _ = _residual(w)
     return [float(row[0, 0]) for row in (w.graph.value(w.dx_dt), w.graph.value(w.drul_dx), drul_dt)]
+
+
+def residual_at(model, oc, t):
+    """The rate-law residual f at one point, in normalized units, from ``_residual``."""
+    return float(_residual(model._eval_batch(oc, [t]))[1][0, 0])
+
+
+def readers(model, batch):
+    """Calls of the three readers, ``sweep``, ``latent_map`` and ``rmse_eval``, on ``batch``."""
+    engine = EngineTrajectory(1, batch.cycle, np.zeros((len(batch), 0)), batch.oc)
+    return (
+        lambda: model.sweep(batch.oc[0], [1.0]),
+        lambda: model.latent_map(batch),
+        lambda: model.rmse_eval([engine], [1.0]),
+    )
 
 
 def zeroed(model, net):
@@ -76,12 +92,12 @@ class TestConfig:
 class TestPointOps:
     def test_latent_zero_net_is_zero(self, model):
         zeroed(model, "x")
-        assert model.latent([0.3, -0.7], 12.0) == 0.0
-        assert model.latent([5.0, 5.0], 0.0) == 0.0
+        assert model.sweep([0.3, -0.7], [12.0])[0][1] == 0.0
+        assert model.sweep([5.0, 5.0], [0.0])[0][1] == 0.0
 
     def test_latent_deterministic(self, model):
         oc = [0.4, 1.2]
-        assert model.latent(oc, 0.0) == model.latent(oc, 0.0)
+        assert model.sweep(oc, [0.0])[0][1] == model.sweep(oc, [0.0])[0][1]
 
     def test_latent_hand_evaluation(self):
         # the paper's x net, (2, 3, 3, 3, 3, 3, 1): h = tanh(W h + b) five times, then x = W h + b
@@ -101,11 +117,11 @@ class TestPointOps:
         for w, b in weights[:-1]:
             h = np.tanh(w @ h + b)
         expected = float((weights[-1][0] @ h + weights[-1][1])[0, 0])
-        assert model.latent([oc], t) == pytest.approx(expected, abs=1e-12)
+        assert model.sweep([oc], [t])[0][1] == pytest.approx(expected, abs=1e-12)
 
     def test_wrong_oc_length(self, model):
         with pytest.raises(ValueError, match="2"):
-            model.latent([1.0, 2.0, 3.0], 0.0)
+            model.sweep([1.0, 2.0, 3.0], [0.0])
 
     @pytest.mark.parametrize("rows, t_list", [(1, [0.0]), (2, [0.0, 0.0])])
     def test_oc_of_more_than_two_dimensions_rejected(self, model, rows, t_list):
@@ -119,15 +135,11 @@ class TestPointOps:
 
     def test_negative_horizon_rejected(self, model):
         with pytest.raises(ValueError):
-            model.predict_rul([0.0, 0.0], -1.0)
+            model.sweep([0.0, 0.0], [-1.0])
 
     def test_predict_zero_rul_net(self, model):
         zeroed(model, "rul")
-        assert model.predict_rul([0.2, 0.9], 7.0) == 0.0
-
-    def test_predict_matches_sweep(self, model):
-        oc = [0.5, -0.5]
-        assert model.predict_rul(oc, 3.0) == model.sweep(oc, [3.0])[0][3]
+        assert model.sweep([0.2, 0.9], [7.0])[0][3] == 0.0
 
 
 class TestResidual:
@@ -142,13 +154,13 @@ class TestResidual:
         xin = g.input((2, 1))
         out = dyn.forward(xin)
         g.eval({xin: np.array([[dx_dt], [0.0]])})
-        assert model.residual(oc, t) == pytest.approx(-float(g.value(out)[0, 0]), abs=1e-12)
+        assert residual_at(model, oc, t) == pytest.approx(-float(g.value(out)[0, 0]), abs=1e-12)
 
     def test_finite_difference_reconstruction(self, model):
         oc, t = [0.35, -0.6], 9.0
         h = 1e-4
         dx_dt, drul_dx, drul_dt = residual_inputs(model, oc, t)
-        f = model.residual(oc, t)
+        f = residual_at(model, oc, t)
 
         g = Graph()
         dyn = rate_network(model, g)
@@ -158,7 +170,7 @@ class TestResidual:
         dyn_value = float(g.value(out)[0, 0])
 
         fd_drul_dt = (
-            (model.predict_rul(oc, t + h) - model.predict_rul(oc, t - h))
+            (model.sweep(oc, [t + h])[0][3] - model.sweep(oc, [t - h])[0][3])
             / (2 * h * model.norm.rul_max)
             * model.config.t_scale
         )
@@ -180,7 +192,7 @@ class TestResidual:
 
     def test_pure_bitwise(self, model):
         oc, t = [1.0, 2.0], 4.0
-        assert model.residual(oc, t) == model.residual(oc, t)
+        assert residual_at(model, oc, t) == residual_at(model, oc, t)
 
 
 class TestCost:
@@ -292,10 +304,25 @@ class TestCost:
         views[f"rul.b{last}"][...] = 1e308
         batch = random_batch(model, 23, n=3)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericError):
-                model.predict_rul(batch.oc[0], 1.0)
+            for read in readers(model, batch):
+                with pytest.raises(NumericError, match=r"^non-finite rul output$"):
+                    read()
             with pytest.raises(NumericError):
                 model.mean_cost(batch, np.arange(len(batch)))
+
+    def test_non_finite_latent_raises_in_every_reader(self, model):
+        # the last hidden x layer outputs tanh(1) per unit, so x = 1e308 * (3 tanh(1) + 1) overflows;
+        # dx/dt is 0 and the RUL stays finite, and rmse_eval, which prints only the RUL, still refuses
+        views, last = dict(model.parameter_items()), len(model.config.widths["x"]) - 1
+        views[f"x.W{last - 1}"][...] = 0.0
+        views[f"x.b{last - 1}"][...] = 1.0
+        views[f"x.W{last}"][...] = 1e308
+        views[f"x.b{last}"][...] = 1e308
+        batch = random_batch(model, 23, n=3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for read in readers(model, batch):
+                with pytest.raises(NumericError, match=r"^non-finite x output$"):
+                    read()
 
 
 class TestParameterVector:
@@ -349,12 +376,12 @@ class TestParameterVector:
     def test_in_place_edit_reaches_built_graph(self, model):
         batch = random_batch(model, 41, n=5)
         oc = batch.oc[0]
-        before = (model.predict_rul(oc, 3.0), model.cost(batch).total)
+        before = (model.sweep(oc, [3.0])[0][3], model.cost(batch).total)
         model.theta *= 0.5  # the graph exists now and holds views, not copies
         fresh = PinnModel(model.config, model.theta.copy(), model.norm)
-        after = (model.predict_rul(oc, 3.0), model.cost(batch))
+        after = (model.sweep(oc, [3.0])[0][3], model.cost(batch))
         assert after[0] != before[0] and after[1].total != before[1]
-        assert after[0] == fresh.predict_rul(oc, 3.0)
+        assert after[0] == fresh.sweep(oc, [3.0])[0][3]
         want = fresh.cost(batch)
         assert after[1].total == want.total
         assert np.array_equal(after[1].grad, want.grad)
@@ -458,9 +485,10 @@ class TestInspection:
         batch = random_batch(model, 17, n=1)
         table = model.latent_map(batch)
         assert table.shape == (1, 4)
-        assert table[0, 2] == model.predict_rul(batch.oc[0], float(batch.t[0]))
+        (_, x, _, rul), = model.sweep(batch.oc[0], [float(batch.t[0])])
+        assert table[0, 2] == rul
         assert table[0, 3] == float(batch.rul[0])
-        assert table[0, 0] == model.latent(batch.oc[0], float(batch.t[0]))
+        assert table[0, 0] == x
 
     def test_latent_map_preserves_order(self, model, monkeypatch):
         monkeypatch.setattr("pinnrul.model.CHUNK", 3)
@@ -482,8 +510,6 @@ class TestInspection:
             model.sweep([0.0, 0.0], [-1.0])
 
     def test_rmse_eval_arithmetic(self, model):
-        from pinnrul import EngineTrajectory
-
         rng = np.random.default_rng(3)
         trajs = [
             EngineTrajectory(
@@ -494,7 +520,7 @@ class TestInspection:
             )
             for u in (1, 2)
         ]
-        preds = [model.predict_rul(t.sensors[-1], 0.0) for t in trajs]
+        preds = [model.sweep(t.sensors[-1], [0.0])[0][3] for t in trajs]
         rmse0, pairs = model.rmse_eval(trajs, preds)
         assert rmse0 == pytest.approx(0.0, abs=1e-9)
         assert [p[0] for p in pairs] == [1, 2]
@@ -503,8 +529,6 @@ class TestInspection:
         assert rmse2 == pytest.approx(np.sqrt(2.0), abs=1e-9)
 
     def test_rmse_eval_count_mismatch(self, model):
-        from pinnrul import EngineTrajectory
-
         traj = EngineTrajectory(1, np.arange(1, 4), np.zeros((3, 0)), np.zeros((3, 2)))
         with pytest.raises(ValueError):
             model.rmse_eval([traj], [1.0, 2.0])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pinnrul import NormStats, PinnConfig, init_model
 from pinnrul.graph import Graph, GraphError
 from pinnrul.net import GraphMlp
 
@@ -81,8 +82,9 @@ class TestSpecAndInit:
         assert 0.3 * np.sqrt(2 / 14) < std < 3.0 * np.sqrt(2 / 14)
 
     def test_unknown_scheme(self):
-        with pytest.raises(ValueError):
-            drawn_mlp((2, 3, 1), "orthogonal", 0)
+        norm = NormStats(np.zeros(2), np.ones(2), 100.0, ["a", "b"])
+        with pytest.raises(ValueError, match="init_scheme must be one of"):
+            init_model(PinnConfig(d_oc=2), norm, 0, "orthogonal")
 
 
 class TestForward:

@@ -1,9 +1,9 @@
 """Property tests of the CLI exit-code contract on damaged or random input.
 
 Whatever the input, a command returns 0, 2 or 3 (or 1, when check-data
-finds counts that differ from FD001's) and never raises, and a config
+finds counts that differ from FD001's) and never raises, a config
 that loads holds only finite numbers of its defaults' JSON types, its
-integers within int64.
+integers within int64, and a seed that a model takes survives its file.
 """
 
 import copy
@@ -12,12 +12,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pinnrul import PinnConfig, cli, save_model
+from pinnrul import PinnConfig, cli, load_model, save_model, train
 
-from conftest import fd001_config, small_random_model
+from conftest import fd001_config, random_batch, small_random_model
 
 ALLOWED = (0, 2, 3)
 
@@ -192,3 +192,21 @@ def test_damaged_data_files_check_data_and_eval(fd001_dir, tmp_path_factory, dat
     assert code in ALLOWED
     if code == 0:  # no silent NaN: the written RMSE is finite JSON
         assert np.isfinite(json.loads((data_dir / "out" / "eval.json").read_text())["rmse_test"])
+
+
+@settings(max_examples=50, deadline=None)
+@given(init_seed=st.integers(-(2**64), 2**64), split_seed=st.integers(-(2**64), 2**64))
+@example(init_seed=2**63, split_seed=0)
+@example(init_seed=0, split_seed=2**63)
+@example(init_seed=2**63 - 1, split_seed=2**63 - 1)
+def test_accepted_seeds_survive_the_model_file(tmp_path_factory, init_seed, split_seed):
+    # train draws its model with init_model, so a seed either is rejected where it enters or loads back
+    model = small_random_model(3, d_oc=2)
+    try:
+        trained, _ = train(model, random_batch(model, 4, n=8), split_seed, init_seed, epochs=1, batch_size=8)
+    except ValueError:
+        return
+    path = tmp_path_factory.getbasetemp() / "seeds.bin"
+    save_model(trained, path)
+    loaded = load_model(path)
+    assert (loaded.init_seed, loaded.split_seed) == (init_seed, split_seed)
