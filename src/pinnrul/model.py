@@ -18,22 +18,28 @@ and one gradient vector of the same shape; ``_layout`` is the only code
 that knows their order, which is also the order of the ``model.bin``
 body. ``_layout`` cuts both into one (W, b, dW, db) tuple of views per
 layer, so parameters change only in place. A model builds its graph
-once, when it is made, for any batch width; its 28 nodes are 2 inputs,
-18 layers, 3 concats and 5 rows. Each layer binds its tuple, so the
-graph sees every change without rebinding and its reverse sweep fills
-the gradient vector, which ``cost`` checks once and returns as a copy.
-Whole sample sets are read CHUNK samples at a time: ``mean_cost`` sums
-the cost terms over the rows an index array names, gathering one chunk
-at a time, and ``latent_map`` returns one (n, 4) float64 table, built
-from slice views, whose columns are x, dx/dt, predicted RUL and true RUL.
-``_eval_batch`` is the one check of a batch's oc shape, row counts and
-times, and ``_read`` the one reader of x, dx/dt and the RUL in cycles for
-``sweep``, ``latent_map`` and ``rmse_eval``; ``NumericError``, defined
-here, reports a non-finite output.
+once, the first time ``cost``, ``cost_values`` or ``mean_cost`` needs
+it, for any batch width; its 28 nodes are 2 inputs, 18 layers, 3
+concats and 5 rows. Each layer binds its tuple, so the graph sees every
+change without rebinding and its reverse sweep fills the gradient
+vector, which ``cost`` checks once and returns as a copy. Reads need no
+gradient and build no graph: ``_read`` runs the same layer kernel over
+the tuples of the x network, with its dx/dt tangent, and of the RUL
+network, without tangents, and never the rate network. Whole sample
+sets are read CHUNK samples at a time: ``mean_cost`` sums the cost
+terms over the rows an index array names, gathering one chunk at a
+time, and ``latent_map`` returns one (n, 4) float64 table, built from
+slice views, whose columns are x, dx/dt, predicted RUL and true RUL.
+``_inputs`` is the one check of a batch's oc shape, row counts and
+times, for ``_eval_batch`` and ``_read``, and ``_read`` the one reader
+of x, dx/dt and the RUL in cycles for ``sweep``, ``latent_map`` and
+``rmse_eval``; ``NumericError``, defined here, reports a non-finite
+output.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -41,13 +47,13 @@ import numpy as np
 
 from .data import AugmentedSamples, NormStats, feature_matrix
 from .graph import Graph
-from .net import INIT_SCHEMES, GraphMlp, init_params
+from .net import INIT_SCHEMES, GraphMlp, _chain, init_params
 
 X_HIDDEN = (3, 3, 3, 3, 3)
 RUL_HIDDEN = (10, 10, 10, 10, 10)
 # each network's hidden activation; x and rul carry tangent chains, which need tanh
 HIDDEN = {"x": "tanh", "rul": "tanh", "dyn": "relu"}
-CHUNK = 4096  # samples per graph evaluation in mean_cost and latent_map
+CHUNK = 4096  # samples per evaluation in mean_cost and latent_map
 
 
 class NumericError(Exception):
@@ -165,8 +171,9 @@ class PinnModel:
     """Parameter vector plus architecture and normalization contract.
 
     ``theta`` holds every weight and bias in ``_layout`` order; the
-    graph, built here, binds views of it, so it cannot be rebound. Write
-    through it, or the views of ``parameter_items``, in place.
+    layer tuples, cut here, and the graph bind views of it, so it cannot
+    be rebound. Write through it, or the views of ``parameter_items``,
+    in place.
     """
 
     config: PinnConfig
@@ -180,20 +187,27 @@ class PinnModel:
         if self.init_scheme not in INIT_SCHEMES:
             raise ValueError(f"init_scheme must be one of {INIT_SCHEMES}, got {self.init_scheme!r}")
         self._grad = np.zeros_like(self.theta)
-        self._items, layers = _layout(self.config, self.theta, self._grad)
+        self._items, self._layers = _layout(self.config, self.theta, self._grad)
         finite = np.isfinite(self.theta)
         if not finite.all():
             raise ValueError(f"non-finite parameter {self._buffer_at(np.argmin(finite))}")
-        self._wiring = _Wiring(self.config, layers)
 
     def __setattr__(self, name, value):
         # ``model.theta *= c`` works in place and then rebinds the same array
         if name == "theta" and hasattr(self, "_items") and value is not self.theta:
-            raise AttributeError("theta is cut into the graph's views; change it in place")
-        # the seeds' one check, for __init__ and for train's later split_seed; a header holds int64
-        if name in ("init_seed", "split_seed") and value is not None and not 0 <= value < 2**63:
+            raise AttributeError("theta is cut into the layers' views; change it in place")
+        # the seeds' one check, for __init__ and for train's later split_seed; a header holds an
+        # int64, never a bool, and only split_seed may be None
+        if name in ("init_seed", "split_seed") and not (
+            (value is None and name == "split_seed") or (type(value) is int and 0 <= value < 2**63)
+        ):
             raise ValueError(f"{name} must be >= 0 and <= {2**63 - 1}, got {value!r}")
         super().__setattr__(name, value)
+
+    @functools.cached_property
+    def _wiring(self) -> _Wiring:
+        """The model's graph, built the first time ``cost``, ``cost_values`` or ``mean_cost`` needs it."""
+        return _Wiring(self.config, self._layers)
 
     # -- plumbing -----------------------------------------------------
 
@@ -214,8 +228,8 @@ class PinnModel:
             raise ValueError(f"oc has {oc.shape[1]} features, model expects d_oc={self.config.d_oc}")
         return oc
 
-    def _eval_batch(self, oc, t) -> _Wiring:
-        """Bind raw inputs (normalizing internally) and evaluate the graph."""
+    def _inputs(self, oc, t) -> tuple[np.ndarray, np.ndarray]:
+        """Check a raw batch; return its normalized (d_oc, n) features and (1, n) times."""
         oc = self._check_oc(oc)
         t = np.asarray(t, dtype=np.float64).reshape(-1)
         if not ((0 <= t) & (t < np.inf)).all():
@@ -223,22 +237,30 @@ class PinnModel:
         n = t.shape[0]
         if oc.shape[0] != n:
             raise ValueError(f"{oc.shape[0]} oc rows vs {n} time values")
+        return ((oc - self.norm.means) / self.norm.stds).T, (t / self.config.t_scale).reshape(1, n)
+
+    def _eval_batch(self, oc, t) -> _Wiring:
+        """Evaluate the graph on a raw batch, checked and normalized by ``_inputs``."""
+        oc_n, t_n = self._inputs(oc, t)
         wiring = self._wiring
-        oc_n = ((oc - self.norm.means) / self.norm.stds).T
-        t_n = (t / self.config.t_scale).reshape(1, n)
         wiring.graph.eval({wiring.oc_in: oc_n, wiring.t_in: t_n})
         return wiring
 
     def _read(self, oc, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Evaluate a batch; return its x, dx/dt and RUL rows, the RUL in cycles.
+        """Evaluate a batch without the graph; return its x, dx/dt and RUL
+        rows, the RUL in cycles.
 
-        x and dx/dt are views of the graph's values, which the next
-        evaluation overwrites. Raises NumericError naming the first
-        non-finite row.
+        Runs the x chain with its one tangent, along the time input, and
+        the RUL chain without tangents; the rate network does not run.
+        The pass is held until the next read replaces it, as the graph
+        holds its values, and x and dx/dt are views of it. Raises
+        NumericError naming the first non-finite row.
         """
-        w = self._eval_batch(oc, t)
-        value = w.graph.value
-        rows = value(w.x)[0], value(w.dx_dt)[0], value(w.rul)[0] * self.norm.rul_max
+        oc_n, t_n = self._inputs(oc, t)
+        xs = _chain(HIDDEN["x"], self._layers["x"], np.concatenate([oc_n, t_n]), 1, (self.config.d_oc,))
+        ruls = _chain(HIDDEN["rul"], self._layers["rul"], np.concatenate([xs[-1][:1], t_n]), 0, None)
+        self._last_read = xs, ruls
+        rows = xs[-1][0], xs[-1][1], ruls[-1][0] * self.norm.rul_max
         for name, row in zip(("x", "dx_dt", "rul"), rows):
             if not np.isfinite(row).all():
                 raise NumericError(f"non-finite {name} output")
@@ -367,7 +389,6 @@ def init_model(
     """Fresh model; the three networks get independent seeded draws."""
     seeds = np.random.SeedSequence(init_seed).generate_state(3, dtype=np.uint64)
     model = PinnModel(config, np.zeros(config.n_params), norm, init_scheme=scheme, init_seed=int(init_seed))
-    w = model._wiring
-    for mlp, seed in zip((w.x_mlp, w.rul_mlp, w.dyn_mlp), seeds):
-        init_params(mlp.layers, scheme, int(seed))
+    for net, seed in zip(config.widths, seeds):
+        init_params(model._layers[net], scheme, int(seed))
     return model

@@ -11,14 +11,15 @@ tangents from its weight columns, and ``rows`` nodes read the output
 blocks back out. Reverse-mode ``grad`` through a tangent output yields
 exact mixed second derivatives. ``Graph.build`` checks each emitted
 layer: its buffers, its input's rows, its tangent coordinates and that
-relu carries no tangents.
+relu carries no tangents. ``_chain`` runs the same layer kernel over a
+network's tuples without a graph, for reads that need no gradient.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, _layer_value
 
 INIT_SCHEMES = ("standard-normal", "xavier")
 
@@ -40,6 +41,22 @@ def init_params(layers, scheme: str = "standard-normal", seed: int = 0) -> None:
         else:
             w[...] = rng.normal(0.0, np.sqrt(2.0 / sum(w.shape)), w.shape)
             b[...] = 0.0
+
+
+def _chain(hidden: str, layers, s: np.ndarray, k: int, seeds) -> list[np.ndarray]:
+    """Values of one network's layers on ``s``, input first, without a graph.
+
+    ``layers`` are (W, b, dW, db) tuples; every layer but the last applies
+    ``hidden``, the last is linear. ``k`` and ``seeds`` are the first
+    layer's as for a graph ``layer`` node (seeds None when k is 0), and
+    each value stacks the primal block and k tangent blocks along its rows.
+    """
+    values = [s]
+    last = len(layers) - 1
+    for i, bufs in enumerate(layers):
+        values.append(_layer_value(("linear" if i == last else hidden, k, seeds, *bufs), values[-1]))
+        seeds = None  # later layers take the stacked blocks
+    return values
 
 
 class GraphMlp:

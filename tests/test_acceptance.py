@@ -33,6 +33,7 @@ from pinnrul import (
     truncate_for_eval,
 )
 from pinnrul import cli
+from pinnrul.model import _residual
 
 from conftest import (
     drawn_mlp,
@@ -343,3 +344,26 @@ def test_criterion_9_residual_identity():
     report(9, ok, f"oracle pde {oracle.pde:.2e}, lambda=0 |total-mse| {abs(plain.total - plain.mse):.2e}")
     assert abs(oracle.pde) <= 1e-12
     assert abs(plain.total - plain.mse) <= 1e-12
+
+
+# -- 10: the discovered rate law ----------------------------------------------
+
+LAW_BOUND = 0.05  # on |mean dRUL/dt + 1|, |mean dyn + 1| (cycles per cycle) and rms f / rms dRUL/dt
+
+
+def test_criterion_10_discovered_law(synthetic_run):
+    # the synthetic labels fall one cycle per cycle of look-ahead, so the true law is dRUL/dt = -1;
+    # the rate network, trained only through the residual, must have learned it
+    trained, _, samples, _, _ = synthetic_run
+    part = samples.take(np.arange(0, len(samples), 7))
+    w = trained._eval_batch(part.oc, part.t)
+    drul_dt, f = _residual(w)
+    cycles = trained.norm.rul_max / trained.config.t_scale  # normalized rate -> cycles per cycle
+    mean_rate = float(drul_dt.mean()) * cycles
+    mean_dyn = float(w.graph.value(w.dyn).mean()) * cycles
+    ratio = float(np.sqrt(np.mean(f * f) / np.mean(drul_dt * drul_dt)))
+    ok = abs(mean_rate + 1) < LAW_BOUND and abs(mean_dyn + 1) < LAW_BOUND and ratio < LAW_BOUND
+    report(10, ok, f"mean dRUL/dt {mean_rate:.4f}, mean dyn {mean_dyn:.4f}, rms f / rms dRUL/dt {ratio:.4f}")
+    assert abs(mean_rate + 1) < LAW_BOUND
+    assert abs(mean_dyn + 1) < LAW_BOUND
+    assert ratio < LAW_BOUND

@@ -13,7 +13,9 @@ from pinnrul import (
     PinnConfig,
     PinnModel,
     init_model,
+    load_model,
     save_model,
+    train,
 )
 from pinnrul.graph import OP_KINDS, Graph
 from pinnrul.model import HIDDEN, _residual
@@ -419,7 +421,7 @@ class TestWiring:
             original(self)
 
         monkeypatch.setattr(Graph, "__init__", counting_init)
-        model = PinnModel(model.config, model.theta.copy(), model.norm)  # builds its graph here, and only here
+        model = PinnModel(model.config, model.theta.copy(), model.norm)  # builds its graph at its first cost, and only then
         first = random_batch(model, 30, n=7)
         before = model.cost(first)
         for n in (1, 7, 512, 4096):
@@ -474,6 +476,40 @@ class TestWiring:
         w = model._eval_batch(oc, t)
         for nid, want in ((w.x, x), (w.dx_dt, dx_dt), (w.rul, rul)):
             assert np.array_equal(w.graph.value(nid), want)
+
+    def test_reads_equal_the_graph_bitwise(self, model):
+        # _read runs the x and RUL chains without the graph; the cost's graph must give the same rows
+        trained, _ = train(model, random_batch(model, 50, n=64), 1, 2, epochs=3, batch_size=16)
+        for n in (1, 31, 4096):
+            batch = random_batch(trained, 50 + n, n=n)
+            rows = trained._read(batch.oc, batch.t)
+            w = trained._eval_batch(batch.oc, batch.t)
+            value = w.graph.value
+            want = value(w.x)[0], value(w.dx_dt)[0], value(w.rul)[0] * trained.norm.rul_max
+            for got, row in zip(rows, want):
+                assert np.array_equal(got, row), n
+
+    def test_reads_build_no_graph(self, model, tmp_path, monkeypatch):
+        built = []
+        original = Graph.__init__
+
+        def counting_init(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(Graph, "__init__", counting_init)
+        save_model(model, tmp_path / "m.bin")
+        loaded = load_model(tmp_path / "m.bin")
+        batch = random_batch(loaded, 51, n=9)
+        loaded.sweep(batch.oc[0], [0.0, 1.0, 2.0])
+        loaded.latent_map(batch)
+        assert "_wiring" not in loaded.__dict__ and not built
+        loaded.cost(batch)
+        wiring = loaded.__dict__["_wiring"]
+        loaded.cost_values(batch)
+        loaded.mean_cost(batch, np.arange(len(batch)))
+        loaded.cost(batch)
+        assert loaded._wiring is wiring and len(built) == 1
 
 
 class TestInspection:

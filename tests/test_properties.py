@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pinnrul import PinnConfig, cli, load_model, save_model, train
+from pinnrul import PinnConfig, PinnModel, cli, load_model, save_model, train
 
 from conftest import fd001_config, random_batch, small_random_model
 
@@ -209,4 +209,31 @@ def test_accepted_seeds_survive_the_model_file(tmp_path_factory, init_seed, spli
     path = tmp_path_factory.getbasetemp() / "seeds.bin"
     save_model(trained, path)
     loaded = load_model(path)
+    assert (loaded.init_seed, loaded.split_seed) == (init_seed, split_seed)
+
+
+@pytest.mark.parametrize(
+    "init_seed, split_seed, accepted",
+    [
+        (0, None, True),
+        (2**63 - 1, 2**63 - 1, True),
+        # a header holds a JSON integer: no None or bool for init_seed, no bool for split_seed
+        (None, 0, False),
+        (True, 0, False),
+        (0, True, False),
+        (False, None, False),
+        (np.int64(3), 0, False),
+        (0, 1.0, False),
+    ],
+)
+def test_constructed_seeds_survive_the_model_file(tmp_path, init_seed, split_seed, accepted):
+    # PinnModel takes its seeds as given; each is rejected there or loads back as itself
+    model = small_random_model(3, d_oc=2)
+    args = model.config, model.theta.copy(), model.norm
+    if not accepted:
+        with pytest.raises(ValueError, match="_seed must be"):
+            PinnModel(*args, init_seed=init_seed, split_seed=split_seed)
+        return
+    save_model(PinnModel(*args, init_seed=init_seed, split_seed=split_seed), tmp_path / "seeds.bin")
+    loaded = load_model(tmp_path / "seeds.bin")
     assert (loaded.init_seed, loaded.split_seed) == (init_seed, split_seed)
