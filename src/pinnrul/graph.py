@@ -12,29 +12,23 @@ every node; ``eval`` checks no binding, so binding each input to a 2-D
 array of its rows, the width-free ones with one column count, is the
 caller's contract.
 
-A ``layer`` node is one MLP layer, act(W h + b), together with k
-forward-tangent chains through it (vector forward mode). It binds four
-caller-owned buffers by reference, W, b and their gradients dW and db,
-which ``build`` checks once (2-D float64, shapes that agree): ``eval``
-reads W and b as they are then, ``grad`` overwrites dW and db, and
-neither checks finiteness; the owner of the buffers does. Its value
-stacks k + 1 blocks of m rows along the rows: the primal block act(z),
-then each tangent block act'(z) * (W t_j). Its one graph input is
-stacked the same way, h then t_1..t_k, so the width stays n and one
-batched product makes every block. A first layer instead takes h alone
-and seeds tangent j with the weight column W[:, c_j], the derivative
-along input coordinate c_j. ``rows`` reads a block back out. Reverse
-mode through a tangent block gives exact mixed second derivatives.
+An ``mlp`` node is one whole network and its k forward-tangent chains,
+stacked along the rows as ``net`` describes; ``rows`` reads a block back
+out. It binds the network's (W, b, dW, db) tuples by reference, which
+``build`` checks once (2-D float64, shapes that agree). ``eval`` runs
+``net._chain`` and holds every layer's value, ``grad`` runs
+``net._chain_grad``, which overwrites dW and db. Neither checks
+finiteness; the owner of the buffers does.
 
-There are four op kinds: ``input``, ``layer``, ``rows`` and ``concat``.
+There are four op kinds: ``input``, ``mlp``, ``rows`` and ``concat``.
 The graph ends at a model's network outputs; arithmetic that joins them,
 such as a residual or a loss, is the caller's. ``grad`` takes the
 caller's adjoints at those outputs (seeds, each shaped like its node's
 value) and writes the vector-Jacobian product over every layer's own dW
 and db; the caller binds no buffer into two layers. A node reaches the
-weights iff it is a layer or one of its inputs does; adjoints propagate
+weights iff it is an mlp or one of its inputs does; adjoints propagate
 only into such nodes, so inputs (and anything computed only from them)
-get none, and a layer that no seed reaches gets zeros.
+get none, and an mlp that no seed reaches gets zeros.
 
 A graph instance is single-writer. Distinct instances are independent and
 may be used from different threads.
@@ -46,6 +40,8 @@ import operator
 
 import numpy as np
 
+from .net import _chain, _chain_grad
+
 __all__ = [
     "Graph",
     "GraphError",
@@ -55,7 +51,7 @@ __all__ = [
 # arity per op kind; None = variadic (>= 1)
 OP_KINDS = {
     "input": 0,
-    "layer": 1,
+    "mlp": 1,
     "rows": 1,
     "concat": None,
 }
@@ -75,8 +71,8 @@ class _Node:
         self.kind = kind
         self.inputs = inputs
         self.shape = shape  # (rows, cols); cols is None for a width-free node
-        self.payload = payload  # rows range or layer (activation, k, seeds, w, b, dw, db)
-        self.reaches = reaches  # its value depends on a layer's weights
+        self.payload = payload  # rows range or mlp (hidden, layers, k, seeds)
+        self.reaches = reaches  # its value depends on an mlp's weights
 
 
 def _layer_buffers(w, b, dw, db) -> tuple:
@@ -92,74 +88,29 @@ def _layer_buffers(w, b, dw, db) -> tuple:
     return w, b, dw, db
 
 
-def _layer_shape(shape, payload):
-    """Check a layer's input shape and payload; return (payload, value shape)."""
-    activation, k, seeds, *buffers = payload
-    k = int(k)
-    w, b, dw, db = _layer_buffers(*buffers)
-    (m, d), (rows, n) = w.shape, shape
-    if activation not in ACTIVATIONS:
-        raise GraphError(f"layer activation must be one of {ACTIVATIONS}, got {activation!r}")
-    if k < 0 or (k and activation == "relu"):
-        raise GraphError(f"a {activation} layer cannot carry {k} tangents")
+def _mlp_shape(shape, payload):
+    """Check an mlp node's input shape and payload; return (payload, value shape)."""
+    hidden, layers, k, seeds = payload
+    k, layers = int(k), tuple(_layer_buffers(*bufs) for bufs in layers)
+    if seeds is not None:
+        seeds = tuple(operator.index(c) for c in seeds)  # an index, never a truncated float
+        k = len(seeds)
+    if hidden not in ACTIVATIONS:
+        raise GraphError(f"hidden activation must be one of {ACTIVATIONS}, got {hidden!r}")
+    if not layers:
+        raise GraphError("an mlp needs at least one layer")
+    if k < 0 or (k and hidden == "relu"):
+        raise GraphError(f"a {hidden} mlp cannot carry {k} tangents")
+    d = layers[0][0].shape[1]
     if seeds is not None and not all(0 <= c < d for c in seeds):
         raise GraphError(f"tangent seeds {seeds} out of range for {d} inputs")
-    want = d if seeds is not None else (1 + k) * d
-    if rows != want:
-        raise GraphError(f"layer input must have {want} rows for weight {(m, d)} and {k} tangents, got {rows}")
-    return (activation, k, seeds if k else None, w, b, dw, db), ((1 + k) * m, n)
-
-
-def _layer_value(payload, s):
-    """Blocks act(z) and act'(z) * u_j of z = w @ h + b, u_j = w @ t_j (or w[:, c_j])."""
-    activation, k, seeds, w, b, _, _ = payload
-    m, n = w.shape[0], s.shape[1]
-    if seeds is None:
-        z = np.matmul(w, s.reshape(1 + k, -1, n))
-    else:
-        z = np.empty((1 + k, m, n))
-        np.matmul(w, s, out=z[0])
-        z[1:] = w.T[list(seeds), :, None]
-    y = z[0]
-    y += b
-    if activation == "tanh":
-        np.tanh(y, out=y)
-        if k:
-            z[1:] *= 1.0 - y * y
-    elif activation == "relu":
-        np.maximum(y, 0.0, out=y)
-    return z.reshape((1 + k) * m, n)
-
-
-def _layer_adjoints(payload, a, v, s, reach_s):
-    """(dW, dS, db) of a layer node whose adjoint is ``a``; dS is None unless ``reach_s``.
-
-    The second-order term: a tanh tangent block t_j = (1 - y^2) u_j moves
-    with z too, dt_j/dz = -2 y t_j, so dz = (1 - y^2) a_0 - 2 y sum_j a_j t_j.
-    """
-    activation, k, seeds, w, _, _, _ = payload
-    m, n = w.shape[0], a.shape[1]
-    a = a.reshape(1 + k, m, n)
-    y = v[:m]
-    if activation == "tanh":
-        dz = a * (1.0 - y * y)
-        if k:
-            dz[0] -= 2.0 * y * (a[1:] * v[m:].reshape(k, m, n)).sum(axis=0)
-    elif activation == "relu":
-        dz = a * (y > 0.0)  # subgradient at exactly 0 is defined as 0
-    else:
-        dz = a
-    if seeds is None:
-        dw = np.matmul(dz, s.reshape(1 + k, -1, n).transpose(0, 2, 1)).sum(axis=0)
-    else:
-        dw = dz[0] @ s.T
-        for j, c in enumerate(seeds, start=1):
-            dw[:, c] += dz[j].sum(axis=1)
-    ds = None
-    if reach_s:
-        ds = w.T @ dz[0] if seeds is not None else np.matmul(w.T, dz).reshape(-1, n)
-    db = dz[0].sum(axis=1, keepdims=True)
-    return dw, ds, db
+    rows = shape[0]
+    for i, (w, *_) in enumerate(layers, start=1):
+        want = w.shape[1] if i == 1 and seeds is not None else (1 + k) * w.shape[1]
+        if rows != want:
+            raise GraphError(f"layer {i} input must have {want} rows for weight {w.shape} and {k} tangents, got {rows}")
+        rows = (1 + k) * w.shape[0]
+    return (hidden, layers, k, seeds if k else None), (rows, shape[1])
 
 
 class Graph:
@@ -168,6 +119,7 @@ class Graph:
     def __init__(self):
         self.nodes: list[_Node] = []
         self._values: list[np.ndarray] | None = None
+        self._chains: dict[int, list[np.ndarray]] = {}  # each mlp's layer values, input first
 
     # -- construction -------------------------------------------------
 
@@ -176,8 +128,9 @@ class Graph:
 
         ``payload`` is the shape for ``input`` (its column count may be
         None), the half-open range (start, stop) for ``rows`` and
-        (activation, k, seeds, w, b, dw, db) for ``layer``, where seeds
-        is None or a first layer's k input coordinates.
+        (hidden, layers, k, seeds) for ``mlp``, where layers are the
+        network's (W, b, dW, db) tuples and seeds is None or the first
+        layer's k input coordinates.
         """
         if kind not in OP_KINDS:
             raise GraphError(f"unknown op kind {kind!r}")
@@ -201,8 +154,8 @@ class Graph:
             if shape[0] < 1 or (shape[1] is not None and shape[1] < 1):
                 raise GraphError(f"input shape must be positive, got {shape}")
             payload = None
-        elif kind == "layer":
-            payload, shape = _layer_shape(shapes[0], payload)
+        elif kind == "mlp":
+            payload, shape = _mlp_shape(shapes[0], payload)
         elif kind == "rows":
             start, stop = (int(i) for i in payload)
             if not 0 <= start < stop <= shapes[0][0]:
@@ -216,7 +169,7 @@ class Graph:
         else:  # pragma: no cover - kinds are exhaustive
             raise GraphError(f"unhandled op kind {kind!r}")
 
-        reaches = kind == "layer" or any(self.nodes[i].reaches for i in inputs)
+        reaches = kind == "mlp" or any(self.nodes[i].reaches for i in inputs)
         self.nodes.append(_Node(kind, inputs, shape, payload, reaches))
         self._values = None
         return len(self.nodes) - 1
@@ -225,23 +178,8 @@ class Graph:
         """Input of shape (rows, cols); cols None leaves the width to ``eval``."""
         return self.build("input", payload=shape)
 
-    def layer(self, s, w, b, dw, db, activation="linear", k=0, seeds=None) -> int:
-        """act(w @ h + b) and k tangent blocks, stacked along rows.
-
-        ``w`` (m x d), ``b`` (m x 1) and their gradient buffers ``dw`` and
-        ``db`` are the caller's arrays, bound by reference. ``s`` stacks h
-        and the k incoming tangent blocks, ((1 + k) d x n). With
-        ``seeds``, k input coordinates, ``s`` is h alone (d x n) and
-        tangent j starts at the weight column w[:, seeds[j]]. relu takes
-        no tangents.
-        """
-        if seeds is not None:
-            seeds = tuple(operator.index(c) for c in seeds)  # an index, never a truncated float
-            k = len(seeds)
-        return self.build("layer", (s,), (activation, k, seeds, w, b, dw, db))
-
     def rows(self, a, start, stop) -> int:
-        """Rows start..stop-1 of ``a``, e.g. one block of a ``layer``."""
+        """Rows start..stop-1 of ``a``, e.g. one block of an ``mlp``."""
         return self.build("rows", (a,), (start, stop))
 
     def concat(self, parts) -> int:
@@ -255,23 +193,27 @@ class Graph:
         ``bindings`` maps every input node to its value, a 2-D array with
         the node's rows and, if it is width-free, the one column count of
         all width-free inputs; the caller ensures this, eval checks none
-        of it. Layers read their bound weight and bias buffers.
+        of it. An mlp reads its bound weight and bias buffers and holds
+        its layer values for ``grad``.
         """
         values: list[np.ndarray] = []
+        chains = {}
         for nid, node in enumerate(self.nodes):
-            k = node.kind
-            if k == "input":
+            kind = node.kind
+            if kind == "input":
                 v = np.asarray(bindings[nid], dtype=np.float64)
             else:
                 ins = [values[i] for i in node.inputs]
-                if k == "layer":
-                    v = _layer_value(node.payload, ins[0])
-                elif k == "rows":
+                if kind == "mlp":
+                    hidden, layers, k, seeds = node.payload
+                    chains[nid] = _chain(hidden, layers, ins[0], k, seeds)
+                    v = chains[nid][-1]
+                elif kind == "rows":
                     v = ins[0][node.payload[0] : node.payload[1]]
                 else:  # concat
                     v = np.concatenate(ins, axis=0)
             values.append(v)
-        self._values = values
+        self._values, self._chains = values, chains
         return values
 
     def value(self, nid: int) -> np.ndarray:
@@ -287,7 +229,8 @@ class Graph:
 
         ``seeds`` maps node ids to adjoints, each shaped like the node's
         value from the last ``eval``, which must have run. Each layer's
-        gradient overwrites its own dW and db, zeros if no seed reaches it.
+        gradient overwrites its own dW and db, zeros if no seed reaches
+        its mlp.
         """
         nodes = self.nodes
         values = self._values
@@ -311,20 +254,16 @@ class Graph:
         for nid in range(len(nodes) - 1, -1, -1):
             a = adjoint.get(nid)
             node = nodes[nid]
-            k = node.kind
+            kind = node.kind
             ins = node.inputs
-            if k == "layer":
-                if a is None:  # no seed reaches this layer
-                    dw, ds, db = 0.0, None, 0.0
-                else:
-                    dw, ds, db = _layer_adjoints(node.payload, a, values[nid], values[ins[0]], nodes[ins[0]].reaches)
-                np.copyto(node.payload[5], dw)
-                np.copyto(node.payload[6], db)
+            if kind == "mlp":
+                hidden, layers, k, seeds = node.payload
+                ds = _chain_grad(hidden, layers, self._chains[nid], a, k, seeds, nodes[ins[0]].reaches)
                 if ds is not None:
                     acc(ins[0], ds)
             elif a is None:
                 continue
-            elif k == "rows":
+            elif kind == "rows":
                 delta = np.zeros(values[ins[0]].shape)
                 delta[node.payload[0] : node.payload[1]] = a
                 acc(ins[0], delta)

@@ -19,13 +19,14 @@ that knows their order, which is also the order of the ``model.bin``
 body. ``_layout`` cuts both into one (W, b, dW, db) tuple of views per
 layer, so parameters change only in place. A model builds its graph
 once, the first time ``cost``, ``cost_values`` or ``mean_cost`` needs
-it, for any batch width; its 28 nodes are 2 inputs, 18 layers, 3
-concats and 5 rows. Each layer binds its tuple, so the graph sees every
-change without rebinding and its reverse sweep fills the gradient
-vector, which ``cost`` checks once and returns as a copy. Reads need no
-gradient and build no graph: ``_read`` runs the same layer kernel over
-the tuples of the x network, with its dx/dt tangent, and of the RUL
-network, without tangents, and never the rate network. Whole sample
+it, for any batch width; its 13 nodes are 2 inputs, 3 mlps (one per
+network), 3 concats and 5 rows. Each mlp binds its network's tuples, so
+the graph sees every change without rebinding and its reverse sweep
+fills the gradient vector, which ``cost`` checks once and returns as a
+copy. Reads need no gradient and build no graph: ``_read`` runs
+``net._chain``, the graph's own forward walk, over the tuples of the x
+network, with its dx/dt tangent, and of the RUL network, without
+tangents, and never the rate network. Whole sample
 sets are read CHUNK samples at a time: ``mean_cost`` sums the cost
 terms over the rows an index array names, gathering one chunk at a
 time, and ``latent_map`` returns one (n, 4) float64 table, built from
@@ -184,8 +185,6 @@ class PinnModel:
     split_seed: int | None = None  # set by training, None for a fresh model
 
     def __post_init__(self):
-        if self.init_scheme not in INIT_SCHEMES:
-            raise ValueError(f"init_scheme must be one of {INIT_SCHEMES}, got {self.init_scheme!r}")
         self._grad = np.zeros_like(self.theta)
         self._items, self._layers = _layout(self.config, self.theta, self._grad)
         finite = np.isfinite(self.theta)
@@ -196,8 +195,10 @@ class PinnModel:
         # ``model.theta *= c`` works in place and then rebinds the same array
         if name == "theta" and hasattr(self, "_items") and value is not self.theta:
             raise AttributeError("theta is cut into the layers' views; change it in place")
-        # the seeds' one check, for __init__ and for train's later split_seed; a header holds an
-        # int64, never a bool, and only split_seed may be None
+        # the init fields' one check, for __init__, load_model and train's later split_seed; a
+        # header holds an int64 seed, never a bool, and only split_seed may be None
+        if name == "init_scheme" and value not in INIT_SCHEMES:
+            raise ValueError(f"init_scheme must be one of {INIT_SCHEMES}, got {value!r}")
         if name in ("init_seed", "split_seed") and not (
             (value is None and name == "split_seed") or (type(value) is int and 0 <= value < 2**63)
         ):
@@ -220,21 +221,20 @@ class PinnModel:
         stops = np.cumsum([view.size for _, view in self._items])
         return self._items[np.searchsorted(stops, offset, side="right")][0]
 
-    def _check_oc(self, oc) -> np.ndarray:
+    def _inputs(self, oc, t, snapshot=False) -> tuple[np.ndarray, np.ndarray]:
+        """Check a raw batch; return its normalized (d_oc, n) features and (1, n) times.
+        With ``snapshot``, each oc row repeats once per time (one snapshot, many times)."""
         oc = np.atleast_2d(np.asarray(oc, dtype=np.float64))
         if oc.ndim > 2:
             raise ValueError(f"oc must be one snapshot or a 2-D batch, got shape {oc.shape}")
         if oc.shape[1] != self.config.d_oc:
             raise ValueError(f"oc has {oc.shape[1]} features, model expects d_oc={self.config.d_oc}")
-        return oc
-
-    def _inputs(self, oc, t) -> tuple[np.ndarray, np.ndarray]:
-        """Check a raw batch; return its normalized (d_oc, n) features and (1, n) times."""
-        oc = self._check_oc(oc)
         t = np.asarray(t, dtype=np.float64).reshape(-1)
         if not ((0 <= t) & (t < np.inf)).all():
             raise ValueError("time horizons must be finite and >= 0")
         n = t.shape[0]
+        if snapshot:
+            oc = np.repeat(oc, n, axis=0)
         if oc.shape[0] != n:
             raise ValueError(f"{oc.shape[0]} oc rows vs {n} time values")
         return ((oc - self.norm.means) / self.norm.stds).T, (t / self.config.t_scale).reshape(1, n)
@@ -246,9 +246,9 @@ class PinnModel:
         wiring.graph.eval({wiring.oc_in: oc_n, wiring.t_in: t_n})
         return wiring
 
-    def _read(self, oc, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _read(self, oc, t, snapshot=False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Evaluate a batch without the graph; return its x, dx/dt and RUL
-        rows, the RUL in cycles.
+        rows, the RUL in cycles. ``snapshot`` is ``_inputs``'.
 
         Runs the x chain with its one tangent, along the time input, and
         the RUL chain without tangents; the rate network does not run.
@@ -256,7 +256,7 @@ class PinnModel:
         holds its values, and x and dx/dt are views of it. Raises
         NumericError naming the first non-finite row.
         """
-        oc_n, t_n = self._inputs(oc, t)
+        oc_n, t_n = self._inputs(oc, t, snapshot)
         xs = _chain(HIDDEN["x"], self._layers["x"], np.concatenate([oc_n, t_n]), 1, (self.config.d_oc,))
         ruls = _chain(HIDDEN["rul"], self._layers["rul"], np.concatenate([xs[-1][:1], t_n]), 0, None)
         self._last_read = xs, ruls
@@ -357,9 +357,7 @@ class PinnModel:
         t_list = list(t_list)
         if not t_list:
             raise ValueError("need at least one horizon")
-        oc = self._check_oc(oc)
-        ocs = np.repeat(oc, len(t_list), axis=0)
-        xs, dxs, ruls = self._read(ocs, t_list)
+        xs, dxs, ruls = self._read(oc, t_list, snapshot=True)
         return [(float(t), float(xs[j]), float(dxs[j]), float(ruls[j])) for j, t in enumerate(t_list)]
 
     def rmse_eval(self, trajectories, truth) -> tuple[float, list[tuple[int, float, float]]]:

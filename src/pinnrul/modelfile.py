@@ -135,10 +135,12 @@ def load_model(path) -> PinnModel:
         if not len(norm.means) == len(norm.stds) == len(norm.columns) == config.d_oc:
             raise ValueError(f"norm has {len(norm.columns)} columns, model has d_oc={config.d_oc}")
         init = header["init"]
-        init_scheme = _typed(init["scheme"], str)
-        init_seed = _typed(init["seed"], int)
         split_seed = init.get("split_seed")
-        split_seed = None if split_seed is None else _typed(split_seed, int)
+        init_fields = {
+            "init_scheme": _typed(init["scheme"], str),
+            "init_seed": _typed(init["seed"], int),
+            "split_seed": None if split_seed is None else _typed(split_seed, int),
+        }
     except KeyError as exc:
         raise ValueError(f"{path}: header lacks key {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -150,13 +152,12 @@ def load_model(path) -> PinnModel:
     if len(body) > size:
         raise ValueError(f"{path}: {len(body) - size} trailing bytes")
     try:
-        return PinnModel(
-            config=config,
-            theta=np.frombuffer(body, dtype="<f8").astype(np.float64),
-            norm=norm,
-            init_scheme=init_scheme,
-            init_seed=init_seed,
-            split_seed=split_seed,
-        )
-    except ValueError as exc:
+        model = PinnModel(config, np.frombuffer(body, dtype="<f8").astype(np.float64), norm)
+    except ValueError as exc:  # a non-finite parameter, named by its buffer
         raise ValueError(f"{path}: {exc}") from None
+    try:  # PinnModel checks each init field as it is set
+        for name, value in init_fields.items():
+            setattr(model, name, value)
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad header ({exc})") from None
+    return model

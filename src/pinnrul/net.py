@@ -1,25 +1,25 @@
-"""Multilayer perceptrons emitted as computation-graph nodes.
+"""Multilayer perceptrons: the layer kernels, the walks over a network's
+layers and their emission as one computation-graph node.
 
-``GraphMlp`` holds one (W, b, dW, db) tuple per MLP layer, the weight,
-the bias and their gradient buffers, and emits one graph ``layer`` node
-per tuple, which binds those four arrays; ``init_params`` draws into
-the W and b arrays in place. Besides the plain
-chain it can carry forward-tangent chains for directional input
-derivatives: each layer's value stacks the primal block and one tangent
-block per input coordinate along its rows, the first layer seeds the
-tangents from its weight columns, and ``rows`` nodes read the output
-blocks back out. Reverse-mode ``grad`` through a tangent output yields
-exact mixed second derivatives. ``Graph.build`` checks each emitted
-layer: its buffers, its input's rows, its tangent coordinates and that
-relu carries no tangents. ``_chain`` runs the same layer kernel over a
-network's tuples without a graph, for reads that need no gradient.
+A network is one (W, b, dW, db) tuple per layer: the weight, the bias
+and their gradient buffers. Every layer but the last applies the hidden
+activation; the last is linear. With k forward-tangent chains (vector
+forward mode, for directional input derivatives) a layer's value stacks
+k + 1 blocks of m rows: act(z), then each tangent block act'(z) * (W t_j).
+Its input stacks h, t_1..t_k the same way, so one batched product makes
+every block; the first layer takes h alone and seeds tangent j with the
+weight column W[:, c_j], the derivative along input coordinate c_j.
+Reverse mode through a tangent block gives exact mixed second derivatives.
+
+``_chain`` is the one forward walk over a network's layers and
+``_chain_grad`` the one backward walk. Reads call ``_chain``;
+``GraphMlp`` emits a network as one graph ``mlp`` node, which the graph
+runs with the same two walkers, and ``rows`` nodes for its output blocks.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .graph import Graph, _layer_value
 
 INIT_SCHEMES = ("standard-normal", "xavier")
 
@@ -43,60 +43,120 @@ def init_params(layers, scheme: str = "standard-normal", seed: int = 0) -> None:
             b[...] = 0.0
 
 
-def _chain(hidden: str, layers, s: np.ndarray, k: int, seeds) -> list[np.ndarray]:
-    """Values of one network's layers on ``s``, input first, without a graph.
+def _layer_value(activation, k, seeds, w, b, s):
+    """Blocks act(z) and act'(z) * u_j of z = w @ h + b, u_j = w @ t_j (or w[:, c_j])."""
+    m, n = w.shape[0], s.shape[1]
+    if seeds is None:
+        z = np.matmul(w, s.reshape(1 + k, -1, n))
+    else:
+        z = np.empty((1 + k, m, n))
+        np.matmul(w, s, out=z[0])
+        z[1:] = w.T[list(seeds), :, None]
+    y = z[0]
+    y += b
+    if activation == "tanh":
+        np.tanh(y, out=y)
+        if k:
+            z[1:] *= 1.0 - y * y
+    elif activation == "relu":
+        np.maximum(y, 0.0, out=y)
+    return z.reshape((1 + k) * m, n)
 
-    ``layers`` are (W, b, dW, db) tuples; every layer but the last applies
-    ``hidden``, the last is linear. ``k`` and ``seeds`` are the first
-    layer's as for a graph ``layer`` node (seeds None when k is 0), and
-    each value stacks the primal block and k tangent blocks along its rows.
+
+def _layer_adjoints(activation, k, seeds, w, a, v, s, need_s):
+    """(dW, dS, db) of a layer with value ``v`` on input ``s`` whose adjoint is ``a``;
+    dS is None unless ``need_s``.
+
+    The second-order term: a tanh tangent block t_j = (1 - y^2) u_j moves
+    with z too, dt_j/dz = -2 y t_j, so dz = (1 - y^2) a_0 - 2 y sum_j a_j t_j.
+    """
+    m, n = w.shape[0], a.shape[1]
+    a = a.reshape(1 + k, m, n)
+    y = v[:m]
+    if activation == "tanh":
+        dz = a * (1.0 - y * y)
+        if k:
+            dz[0] -= 2.0 * y * (a[1:] * v[m:].reshape(k, m, n)).sum(axis=0)
+    elif activation == "relu":
+        dz = a * (y > 0.0)  # subgradient at exactly 0 is defined as 0
+    else:
+        dz = a
+    if seeds is None:
+        dw = np.matmul(dz, s.reshape(1 + k, -1, n).transpose(0, 2, 1)).sum(axis=0)
+    else:
+        dw = dz[0] @ s.T
+        for j, c in enumerate(seeds, start=1):
+            dw[:, c] += dz[j].sum(axis=1)
+    ds = None
+    if need_s:
+        ds = w.T @ dz[0] if seeds is not None else np.matmul(w.T, dz).reshape(-1, n)
+    db = dz[0].sum(axis=1, keepdims=True)
+    return dw, ds, db
+
+
+def _chain(hidden: str, layers, s: np.ndarray, k: int, seeds) -> list[np.ndarray]:
+    """Values of the network ``layers`` on ``s``, input first. ``seeds`` is None
+    when ``s`` stacks h and k tangent blocks, or the first layer's k input
+    coordinates when ``s`` is h alone.
     """
     values = [s]
     last = len(layers) - 1
-    for i, bufs in enumerate(layers):
-        values.append(_layer_value(("linear" if i == last else hidden, k, seeds, *bufs), values[-1]))
+    for i, (w, b, _, _) in enumerate(layers):
+        values.append(_layer_value("linear" if i == last else hidden, k, seeds, w, b, values[-1]))
         seeds = None  # later layers take the stacked blocks
     return values
 
 
-class GraphMlp:
-    """One MLP's layers, emitted into a graph as trainable layer nodes.
+def _chain_grad(hidden: str, layers, values, a, k: int, seeds, need_input: bool):
+    """Backward walk of ``_chain`` over its ``values``: overwrite each layer's
+    dW and db with the vector-Jacobian product of the output adjoint ``a``
+    (zeros if ``a`` is None) and return the input's adjoint, None unless
+    ``need_input``.
+    """
+    last = len(layers) - 1
+    for i in range(last, -1, -1):
+        w, _, dw, db = layers[i]
+        if a is None:
+            dw.fill(0.0)
+            db.fill(0.0)
+            continue
+        dw_i, a, db_i = _layer_adjoints(
+            "linear" if i == last else hidden, k, seeds if i == 0 else None, w, a, values[i + 1], values[i], i > 0 or need_input
+        )
+        np.copyto(dw, dw_i)
+        np.copyto(db, db_i)
+    return a
 
-    ``layers`` holds one (W, b, dW, db) tuple per layer: the weight, the
-    bias and their gradient buffers. Every layer but the last applies
-    ``hidden`` (tanh or relu); the last is linear. Each layer node binds
-    the arrays themselves, not copies, so each ``eval`` reads the current
-    weights and each ``grad`` writes the gradients in place. The graph
-    checks each tuple and the input it acts on when it builds the node.
+
+class GraphMlp:
+    """One network, ``hidden`` (tanh or relu) and its ``layers``, emitted into
+    a graph as one trainable ``mlp`` node. The node binds the arrays
+    themselves, not copies, so each ``eval`` reads the current weights and
+    each ``grad`` writes the gradients in place.
     """
 
-    def __init__(self, graph: Graph, hidden: str, layers):
+    def __init__(self, graph, hidden: str, layers):
         self.graph = graph
         self.hidden = hidden
         self.layers = list(layers)
 
     def forward(self, input_id: int) -> int:
-        """Emit the layer chain for ``input_id`` of shape (d_in, n); n may be None."""
-        out, _ = self._chain(input_id, ())
-        return out
+        """Emit the network for ``input_id`` of shape (d_in, n); n may be None."""
+        return self._emit(input_id, ())[0]
 
     def forward_tangents(self, input_id: int, coords) -> tuple[int, list[int]]:
-        """Emit the layer chain plus one directional-derivative chain per coordinate.
+        """Emit the network plus one directional-derivative chain per coordinate.
 
         ``coords`` are input coordinate indices. Returns the output node
         and, in the order of ``coords``, the node of the output's derivative
         along each coordinate; all of them share one primal chain.
-        Requires a smooth hidden activation: a relu layer takes no tangents.
+        Requires a smooth hidden activation: a relu network takes no tangents.
         """
-        return self._chain(input_id, tuple(coords))
+        return self._emit(input_id, tuple(coords))
 
-    def _chain(self, input_id, coords):
+    def _emit(self, input_id, coords):
         g = self.graph
-        h, seeds = input_id, coords
-        last = len(self.layers) - 1
-        for li, bufs in enumerate(self.layers):
-            h = g.layer(h, *bufs, "linear" if li == last else self.hidden, len(coords), seeds)
-            seeds = None  # later layers take the stacked blocks
+        h = g.build("mlp", (input_id,), (self.hidden, self.layers, len(coords), coords or None))
         if not coords:
             return h, []
         m = self.layers[-1][0].shape[0]  # d_out, the rows of the last W

@@ -33,19 +33,20 @@ def fd_tolerance_ok(analytic, numeric, rel=1e-4, abs_tol=1e-8):
 def random_graph(seed):
     """Small random DAG over every op kind with random output adjoints.
 
-    ``layer`` nodes (tanh, relu or linear) carry k in {0, 1, 2} tangent
-    blocks (relu only k = 0) and take either a seeded input (h alone,
-    tangents started at weight columns) or a stacked one (k + 1 blocks of
-    rows). The leaves are the width-free input, bound with two columns,
-    and linear layers over an identity-bound input, whose values are their
-    weights plus their biases, so ``rows`` and ``concat`` get operands
-    that depend on weights. Every pool node that reaches a
-    layer's weights gets a random seed shaped like its value, so each of
-    them feeds the gradient of sum_n <seed_n, value_n>. Each layer binds
-    its own weight, bias and gradient arrays. Returns (graph, (layer id,
-    value, grad) per weight and bias buffer, input bindings, seeds).
-    Callers skip draws whose relu pre-activations come near 0
-    (``relu_inputs_safe``) so finite differences stay valid.
+    ``mlp`` nodes of depth 1 to 3, hidden tanh, relu or linear (the last
+    layer is always linear), carry k in {0, 1, 2} tangent blocks (relu
+    only k = 0) and take either a seeded input (h alone, tangents started
+    at weight columns) or a stacked one (k + 1 blocks of rows). The
+    leaves are the width-free input, bound with two columns, and one-layer
+    mlps over an identity-bound input, whose values are their weights plus
+    their biases, so ``rows`` and ``concat`` get operands that depend on
+    weights. Every pool node that reaches an mlp's weights gets a random
+    seed shaped like its value, so each of them feeds the gradient of
+    sum_n <seed_n, value_n>. Each layer has its own weight, bias and
+    gradient arrays. Returns (graph, (mlp id, value, grad) per weight and
+    bias buffer, input bindings, seeds). Callers skip draws whose relu
+    pre-activations come near 0 (``relu_inputs_safe``) so finite
+    differences stay valid.
     """
     rng = np.random.default_rng(seed)
     g = Graph()
@@ -57,24 +58,28 @@ def random_graph(seed):
     def new_buffer(shape):
         return rng.uniform(0.5, 1.5, shape) * rng.choice([-1.0, 1.0], shape)
 
-    def new_layer(s, w_shape, act="linear", k=0, seeds=None):
-        w, b = new_buffer(w_shape), new_buffer((w_shape[0], 1))
-        dw, db = np.zeros_like(w), np.zeros_like(b)
-        nid = g.layer(s, w, b, dw, db, act, k, seeds)
-        params.extend([(nid, w, dw), (nid, b, db)])
+    def new_mlp(s, d_in, d_out, hidden="linear", k=0, seeds=None, depth=1):
+        widths = [d_in, *(int(m) for m in rng.integers(1, 4, depth - 1)), d_out]
+        layers = []
+        for d, m in zip(widths, widths[1:]):
+            w, b = new_buffer((m, d)), new_buffer((m, 1))
+            layers.append((w, b, np.zeros_like(w), np.zeros_like(b)))
+        nid = g.build("mlp", (s,), (hidden, layers, k, seeds))
+        for w, b, dw, db in layers:
+            params.extend([(nid, w, dw), (nid, b, db)])
         return nid
 
     for _ in range(rng.integers(2, 4)):
         rows, cols = shapes[rng.integers(len(shapes))]
         eye = g.input((cols, cols))
         bindings[eye] = np.eye(cols)
-        pool.append(new_layer(eye, (rows, cols)))
+        pool.append(new_mlp(eye, cols, rows))
     inp = g.input((2, None))
     bindings[inp] = rng.uniform(0.5, 1.5, (2, 2))
     pool.append(inp)
 
     for _ in range(rng.integers(4, 9)):
-        op = rng.choice(["layer", "layer", "rows", "concat"])
+        op = rng.choice(["mlp", "mlp", "rows", "concat"])
         a = pool[rng.integers(len(pool))]
         rows = g.nodes[a].shape[0]
         if op == "concat":
@@ -83,16 +88,16 @@ def random_graph(seed):
         elif op == "rows":
             start = int(rng.integers(rows))
             pool.append(g.rows(a, start, int(rng.integers(start + 1, rows + 1))))
-        else:  # layer: a fresh weight and bias act on a
-            act = str(rng.choice(["tanh", "linear", "relu"]))
-            out = int(rng.integers(1, 4))
-            if act != "relu" and rng.random() < 0.5:  # seeded: a is h, tangents start at weight columns
+        else:  # mlp: fresh layers act on a
+            hidden = str(rng.choice(["tanh", "linear", "relu"]))
+            out, depth = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            if hidden != "relu" and rng.random() < 0.5:  # seeded: a is h, tangents start at weight columns
                 seeds = [int(c) for c in rng.integers(0, rows, int(rng.integers(0, 3)))]
-                pool.append(new_layer(a, (out, rows), act, seeds=seeds))
+                pool.append(new_mlp(a, rows, out, hidden, len(seeds), seeds, depth))
             else:  # stacked: a holds h and k tangent blocks; k = 0 also comes seeded
-                ks = [k for k in (1, 2) if rows % (1 + k) == 0 and act != "relu"] or [0]
+                ks = [k for k in (1, 2) if rows % (1 + k) == 0 and hidden != "relu"] or [0]
                 k = ks[rng.integers(len(ks))]
-                pool.append(new_layer(a, (out, rows // (1 + k)), act, k))
+                pool.append(new_mlp(a, rows // (1 + k), out, hidden, k, depth=depth))
     seeds = {}
     for n in pool:
         if g.nodes[n].reaches:
@@ -101,14 +106,19 @@ def random_graph(seed):
     return g, params, bindings, seeds
 
 
-def relu_inputs_safe(g, values, margin=1e-3):
-    """True when no relu layer's pre-activation entry sits within ``margin`` of 0."""
-    for node in g.nodes:
-        if node.kind == "layer" and node.payload[0] == "relu":
-            w, b = node.payload[3:5]
-            if np.abs(w @ values[node.inputs[0]] + b).min() < margin:
-                return False
-    return True
+def relu_inputs_safe(g, margin=1e-3):
+    """(safe, checked) over graph ``g``'s last ``eval``: whether no relu hidden
+    layer's pre-activation W h + b, on the layer input h that its mlp holds,
+    has an entry within ``margin`` of 0, and how many such layers there are.
+    """
+    safe, checked = True, 0
+    for nid, node in enumerate(g.nodes):
+        if node.kind == "mlp" and node.payload[0] == "relu":
+            layers = node.payload[1]
+            for (w, b, _, _), h in zip(layers[:-1], g._chains[nid]):
+                safe = safe and np.abs(w @ h + b).min() >= margin
+                checked += 1
+    return safe, checked
 
 
 def layer_shapes(widths):
@@ -119,7 +129,7 @@ def layer_shapes(widths):
 def drawn_mlp(widths, scheme="standard-normal", seed=0, hidden="tanh"):
     """(hidden, layers): one (W, b, dW, db) tuple per layer of an MLP of
     layer ``widths`` [d_in, h1, ..., d_out], W and b drawn by ``init_params``
-    and the gradients zero, for ``GraphMlp(g, *mlp)``.
+    and the gradients zero, for ``GraphMlp(g, *mlp)`` or ``_chain(*mlp, ...)``.
 
     W and b start as NaN, so an entry the draw misses shows up.
     """
@@ -181,10 +191,11 @@ def dyn_preactivations_safe(model, batch, margin=1e-3):
     """Keep finite differences honest: no relu pre-activation near 0.
 
     Evaluates the model's graph on the batch and checks the pre-activation
-    entries of each relu layer, the rate network's hidden layers.
+    entries of each relu layer: the rate network's five hidden layers.
     """
-    graph = model._eval_batch(batch.oc, batch.t).graph
-    return relu_inputs_safe(graph, [graph.value(nid) for nid in range(len(graph.nodes))], margin)
+    safe, checked = relu_inputs_safe(model._eval_batch(batch.oc, batch.t).graph, margin)
+    assert checked == 5
+    return safe
 
 
 def write_fd001_style(tmp_path, n_units=2, length=40, test_length=25):

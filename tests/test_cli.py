@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -283,9 +284,10 @@ class TestTrainEvalMapPredict:
             pytest.param("model", "t_scale", 10**400, "expected float, got 1000", id="model-t_scale-10**400"),
             pytest.param("init", "seed", 2**63, "expected int, got 9223372036854775808", id="init-seed-2**63"),
             # the ranges PinnModel owns, as init_model has them
-            ("init", "scheme", "orthogonal", "init_scheme must be one of"),
-            ("init", "seed", -3, "init_seed must be >= 0 and <= 9223372036854775807, got -3"),
-            ("init", "split_seed", -1, "split_seed must be >= 0 and <= 9223372036854775807, got -1"),
+            # each a bad header like any other value, with the ids the cases had before the prefix
+            pytest.param("init", "scheme", "orthogonal", "bad header (init_scheme must be one of", id="init-scheme-orthogonal-init_scheme must be one of"),
+            pytest.param("init", "seed", -3, "bad header (init_seed must be >= 0 and <= 9223372036854775807, got -3)", id="init-seed--3-init_seed must be >= 0 and <= 9223372036854775807, got -3"),
+            pytest.param("init", "split_seed", -1, "bad header (split_seed must be >= 0 and <= 9223372036854775807, got -1)", id="init-split_seed--1-split_seed must be >= 0 and <= 9223372036854775807, got -1"),
             # the architecture is fixed, and each spec must state it in the JSON types save_model writes
             pytest.param("model", "x_spec", lambda s: {**s, "widths": [s["widths"][0], 4, *s["widths"][2:]]}, "model.x_spec must be", id="x-hidden-width-4"),
             pytest.param("model", "rul_spec", lambda s: {**s, "widths": [*s["widths"][:-1], 10, 1]}, "model.rul_spec must be", id="rul-extra-layer"),
@@ -309,7 +311,7 @@ class TestTrainEvalMapPredict:
 
         broken = tmp_path / "broken.bin"
         header = rewrite_header(out / "model.bin", broken, edit)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_model(broken)
         zeros = ",".join("0" for _ in header["norm"]["means"])
         assert run_cli(["predict", "--model", str(broken), f"--oc={zeros}"]) == 2

@@ -12,6 +12,11 @@ def scalar(g, nid):
     return float(g.value(nid)[0, 0])
 
 
+def mlp(g, s, *layers, hidden="linear", k=0, seeds=None):
+    """An ``mlp`` node over ``s`` with these (W, b, dW, db) ``layers``."""
+    return g.build("mlp", (s,), (hidden, list(layers), k, seeds))
+
+
 def buffers(w, b=None):
     """(W, b, dW, db) for a layer: float64 copies of ``w`` and ``b`` (zeros if None), zero gradients."""
     w = np.array(w, dtype=np.float64)
@@ -20,14 +25,14 @@ def buffers(w, b=None):
 
 
 def bind(g, value, bindings):
-    """A node whose value is ``value``: a linear layer with weight ``value`` over an identity input.
+    """A node whose value is ``value``: a one-layer linear mlp with weight ``value`` over an identity input.
 
     Adds the identity to ``bindings``; returns (id, weight gradient).
     """
     w, b, dw, db = buffers(value)
     eye = g.input((w.shape[1], w.shape[1]))
     bindings[eye] = np.eye(w.shape[1])
-    return g.layer(eye, w, b, dw, db), dw
+    return mlp(g, eye, (w, b, dw, db)), dw
 
 
 def seeded_sum(g, seeds):
@@ -58,9 +63,16 @@ def assert_matches_fd(g, bindings, seeds, params, h=1e-6):
     g.eval(bindings)
 
 
+def identity(rows):
+    """(W, b, dW, db) of a layer that passes its ``rows`` inputs through unchanged."""
+    return buffers(np.eye(rows))
+
+
 def act(g, x, activation):
-    """``activation`` applied entrywise to ``x``: a layer with identity weight and zero bias."""
-    return g.layer(x, *buffers(np.eye(g.nodes[x].shape[0])), activation)
+    """``activation`` applied entrywise to ``x``: a 2-layer mlp of identity
+    weights and zero biases, whose hidden layer applies ``activation``."""
+    rows = g.nodes[x].shape[0]
+    return mlp(g, x, identity(rows), identity(rows), hidden=activation)
 
 
 class TestBuildAndEval:
@@ -89,7 +101,7 @@ class TestBuildAndEval:
         g = Graph()
         x = g.input((3, 1))
         target = g.input((3, 1))
-        residual = g.layer(g.concat([x, target]), *buffers(np.hstack([np.eye(3), -np.eye(3)])))  # x - target
+        residual = mlp(g, g.concat([x, target]), buffers(np.hstack([np.eye(3), -np.eye(3)])))  # x - target
         g.eval({x: [[0.3], [-1.2], [4.0]], target: [[0.3], [-1.2], [4.0]]})
         assert (g.value(residual) ** 2).mean() == 0.0
 
@@ -97,20 +109,26 @@ class TestBuildAndEval:
         g = Graph()
         wb = buffers(np.zeros((2, 3)))
         w, _, dw, _ = wb
-        assert g.nodes[g.layer(g.input((3, 1)), *wb)].shape == (2, 1)
+        assert g.nodes[mlp(g, g.input((3, 1)), wb)].shape == (2, 1)
         # two tangents: stacked input of 3 blocks, or seeded from h alone
-        assert g.nodes[g.layer(g.input((9, None)), *wb, "tanh", 2)].shape == (6, None)
-        assert g.nodes[g.layer(g.input((3, None)), *wb, "tanh", seeds=[0, 2])].shape == (6, None)
+        assert g.nodes[mlp(g, g.input((9, None)), wb, hidden="tanh", k=2)].shape == (6, None)
+        assert g.nodes[mlp(g, g.input((3, None)), wb, hidden="tanh", seeds=[0, 2])].shape == (6, None)
+        # a deeper mlp stacks its blocks at every layer; its value has its last layer's rows
+        assert g.nodes[mlp(g, g.input((3, None)), wb, identity(2), buffers(np.zeros((4, 2))), hidden="tanh", seeds=[1])].shape == (8, None)
         with pytest.raises(GraphError, match="6 rows"):
-            g.layer(g.input((3, 1)), *wb, "tanh", 1)
+            mlp(g, g.input((3, 1)), wb, hidden="tanh", k=1)
+        with pytest.raises(GraphError, match=r"layer 2 input must have 9 rows .* got 6"):  # a later layer follows the one before
+            mlp(g, g.input((9, 1)), wb, identity(3), hidden="tanh", k=2)
         with pytest.raises(GraphError, match="out of range"):
-            g.layer(g.input((3, 1)), *wb, "tanh", seeds=[3])
+            mlp(g, g.input((3, 1)), wb, hidden="tanh", seeds=[3])
         with pytest.raises(GraphError, match="bias"):
-            g.layer(g.input((3, 1)), w, w, dw, dw)
+            mlp(g, g.input((3, 1)), (w, w, dw, dw))
         with pytest.raises(GraphError, match="relu"):
-            g.layer(g.input((6, 1)), *wb, "relu", 1)
+            mlp(g, g.input((6, 1)), wb, hidden="relu", k=1)
         with pytest.raises(GraphError, match="activation"):
-            g.layer(g.input((3, 1)), *wb, "sigmoid")
+            mlp(g, g.input((3, 1)), wb, hidden="sigmoid")
+        with pytest.raises(GraphError, match="at least one layer"):
+            mlp(g, g.input((3, 1)))
 
     def test_concat_width_mismatch_names_both_shapes(self):
         g = Graph()
@@ -135,7 +153,7 @@ class TestBuildAndEval:
         a = g.input((2, 1))
         b = g.input((1, 1))
         cat = g.concat([a, b])
-        total = g.layer(cat, *buffers(np.ones((1, 3))))  # sum of the three entries
+        total = mlp(g, cat, buffers(np.ones((1, 3))))  # sum of the three entries
         g.eval({a: [[1.0], [2.0]], b: [[3.0]]})
         assert g.value(cat).shape == (3, 1)
         assert scalar(g, total) == 6.0
@@ -165,9 +183,10 @@ class TestBuildAndEval:
         g = Graph()
         x = g.input((1, 1))
         value, grad = np.array([[3.0]]), np.zeros((1, 1))
-        p = g.layer(x, value, np.zeros((1, 1)), grad, np.zeros((1, 1)))
+        p = mlp(g, x, (value, np.zeros((1, 1)), grad, np.zeros((1, 1))))
         g.eval({x: ONE})
-        assert g.nodes[p].payload[3] is value and g.nodes[p].payload[5] is grad
+        (layer,) = g.nodes[p].payload[1]
+        assert layer[0] is value and layer[2] is grad
         g.grad({p: 2.0 * g.value(p)})  # the adjoint of p^2
         assert grad[0, 0] == 6.0
         value[0, 0] = 2.0  # an in-place edit reaches the next eval and grad
@@ -180,29 +199,32 @@ class TestBuildAndEval:
         x = g.input((1, 1))
         w, b, dw, db = buffers([[1.0]])
         with pytest.raises(GraphError, match="float64"):
-            g.layer(x, [[1.0]], b, dw, db)
+            mlp(g, x, ([[1.0]], b, dw, db))
         with pytest.raises(GraphError, match="float64"):
-            g.layer(x, np.ones((1, 1), dtype=np.int64), b, dw, db)
+            mlp(g, x, (np.ones((1, 1), dtype=np.int64), b, dw, db))
         with pytest.raises(GraphError, match="float64"):
-            g.layer(x, np.ones(1), b, np.zeros(1), db)
+            mlp(g, x, (np.ones(1), b, np.zeros(1), db))
         with pytest.raises(GraphError, match=r"\(1, 1\).*\(1, 2\)"):
-            g.layer(x, w, b, np.zeros((1, 2)), db)
+            mlp(g, x, (w, b, np.zeros((1, 2)), db))
         with pytest.raises(GraphError, match="nonempty"):
-            g.layer(x, np.ones((0, 1)), np.ones((0, 1)), np.zeros((0, 1)), np.zeros((0, 1)))
+            mlp(g, x, (np.ones((0, 1)), np.ones((0, 1)), np.zeros((0, 1)), np.zeros((0, 1))))
+        with pytest.raises(GraphError, match="float64"):  # every layer is checked, not only the first
+            mlp(g, x, (w, b, dw, db), ([[1.0]], b, dw, db))
         assert len(g.nodes) == 1
 
 
 class TestLayer:
     @pytest.mark.parametrize("activation", ["tanh", "linear"])
     def test_seeded_tangents_equal_stacked_basis_input(self, activation):
-        # seeding tangent j from w[:, c_j] is w @ e_{c_j} without the product
+        # seeding tangent j from w[:, c_j] is w @ e_{c_j} without the product; an identity
+        # last layer lets the first one apply ``activation``
         rng = np.random.default_rng(5)
         g = Graph()
         wb = buffers(rng.normal(size=(3, 4)), rng.normal(size=(3, 1)))
         h = g.input((4, None))
         basis = g.input((8, None))
-        seeded = g.layer(h, *wb, activation, seeds=[2, 0])
-        stacked = g.layer(g.concat([h, basis]), *wb, activation, 2)
+        seeded = mlp(g, h, wb, identity(3), hidden=activation, seeds=[2, 0])
+        stacked = mlp(g, g.concat([h, basis]), wb, identity(3), hidden=activation, k=2)
         x = rng.normal(size=(4, 5))
         e = np.zeros((8, 5))
         e[2] = e[4] = 1.0
@@ -215,7 +237,7 @@ class TestLayer:
         # a coordinate is an index: 0.7 must not become coordinate 0
         g = Graph()
         with pytest.raises(TypeError):
-            g.layer(g.input((3, 1)), *buffers(np.ones((1, 3))), "tanh", seeds=[0.7])
+            mlp(g, g.input((3, 1)), buffers(np.ones((1, 3))), hidden="tanh", seeds=[0.7])
 
     def test_rows_reads_one_block(self):
         g = Graph()
@@ -293,8 +315,8 @@ class TestGrad:
         # the gradient of sum_n <seed_n, value_n> over random seeds on every
         # parameter-reaching node, so no entry is zero by construction
         g, params, bindings, seeds = random_graph(seed)
-        values = g.eval(bindings)
-        if not relu_inputs_safe(g, values):
+        g.eval(bindings)
+        if not relu_inputs_safe(g)[0]:
             pytest.skip("relu pre-activation too close to 0 for finite differences")
         g.grad(seeds)
         assert_matches_fd(g, bindings, seeds, params)

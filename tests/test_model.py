@@ -343,7 +343,7 @@ class TestParameterVector:
     def test_each_layer_binds_theta_and_gradient_views_at_one_offset(self, model):
         address = lambda a: a.__array_interface__["data"][0]
         theta, grad = model.theta, model._grad
-        layers = [node.payload[3:] for node in model._wiring.graph.nodes if node.kind == "layer"]
+        layers = [bufs for node in model._wiring.graph.nodes if node.kind == "mlp" for bufs in node.payload[1]]
         assert 2 * len(layers) == len(model.parameter_items())
         offsets = []
         for w, b, dw, db in layers:
@@ -436,10 +436,11 @@ class TestWiring:
         assert np.array_equal(after.grad, before.grad)
 
 
-    def test_model_graph_has_28_nodes_of_4_kinds(self, model):
+    def test_model_graph_has_13_nodes_of_4_kinds(self, model):
+        # 2 inputs, one mlp per network, 3 concats and 5 rows
         graph = init_model(PinnConfig.default(model.config.d_oc), model.norm)._wiring.graph
         assert len(OP_KINDS) == 4
-        assert len(graph.nodes) == 28
+        assert len(graph.nodes) == 13
         assert {node.kind for node in graph.nodes} == set(OP_KINDS)
 
     def test_outputs_equal_plain_recurrence_bitwise(self):

@@ -3,7 +3,7 @@ import pytest
 
 from pinnrul import NormStats, PinnConfig, init_model
 from pinnrul.graph import Graph, GraphError
-from pinnrul.net import GraphMlp
+from pinnrul.net import GraphMlp, _chain, _chain_grad
 
 from conftest import drawn_mlp, fd_tolerance_ok, layer_shapes
 
@@ -227,3 +227,46 @@ class TestForwardTangent:
                 buf[idx] = old
                 fd = (up - down) / (2 * h)
                 assert fd_tolerance_ok(dw[idx], fd, rel=1e-4, abs_tol=1e-8)
+
+
+class TestChainGrad:
+    @pytest.mark.parametrize(
+        "hidden, k, seeded",
+        [("tanh", 0, False), ("tanh", 1, False), ("tanh", 2, False), ("tanh", 1, True), ("tanh", 2, True), ("relu", 0, False), ("linear", 2, True)],
+    )
+    def test_input_adjoint_matches_finite_differences(self, hidden, k, seeded):
+        # the gradient of <a, output> w.r.t. the chain's input, which a graph asks for only
+        # when the input itself depends on weights
+        rng = np.random.default_rng((k, seeded))
+        _, layers = drawn_mlp((3, 4, 4, 2), "standard-normal", 7, hidden)
+        seeds = [2, 0][:k] if seeded else None
+        s = rng.normal(size=(3 if seeded else (1 + k) * 3, 5))
+        values = _chain(hidden, layers, s, k, seeds)
+        if hidden == "relu":
+            assert min(np.abs(w @ h + b).min() for (w, b, _, _), h in zip(layers[:-1], values)) > 1e-3
+        a = rng.normal(size=values[-1].shape)
+        ds = _chain_grad(hidden, layers, values, a, k, seeds, True)
+        weight_grads = [buf.copy() for layer in layers for buf in layer[2:]]
+        assert _chain_grad(hidden, layers, values, a, k, seeds, False) is None
+        assert all(np.array_equal(want, got) for want, got in zip(weight_grads, (buf for layer in layers for buf in layer[2:])))
+        assert ds.shape == s.shape
+
+        def pairing(s):
+            return float((a * _chain(hidden, layers, s, k, seeds)[-1]).sum())
+
+        h = 1e-6
+        for idx in np.ndindex(s.shape):
+            up, down = s.copy(), s.copy()
+            up[idx] += h
+            down[idx] -= h
+            fd = (pairing(up) - pairing(down)) / (2 * h)
+            assert fd_tolerance_ok(ds[idx], fd, rel=1e-5, abs_tol=1e-8), (idx, ds[idx], fd)
+
+    def test_no_adjoint_writes_zeros(self):
+        hidden, layers = drawn_mlp((3, 4, 2), "standard-normal", 3)
+        for _, _, dw, db in layers:
+            dw.fill(np.nan)  # a stale gradient is overwritten, not kept
+            db.fill(np.nan)
+        values = _chain(hidden, layers, np.ones((3, 2)), 0, None)
+        assert _chain_grad(hidden, layers, values, None, 0, None, True) is None
+        assert not any(buf.any() for layer in layers for buf in layer[2:])

@@ -214,8 +214,8 @@ class TestTrain:
 
         def poisoned(graph, root):
             grad(graph, root)
-            layers = [node for node in graph.nodes if node.kind == "layer"]
-            layers[rul_1].payload[6][0, 0] = np.nan  # its db
+            layers = [bufs for node in graph.nodes if node.kind == "mlp" for bufs in node.payload[1]]
+            layers[rul_1][3][0, 0] = np.nan  # its db
 
         monkeypatch.setattr(Graph, "grad", poisoned)
         with pytest.raises(NumericError, match=r"^epoch 0 batch 0: non-finite gradient of rul\.b1$"):
