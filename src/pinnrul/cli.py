@@ -261,10 +261,20 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
+def _check_columns(model_path: str, model, trajectories) -> None:
+    """Every feature column the model reads must be in each trajectory; a missing one names the model file."""
+    for traj in trajectories:
+        have = dat.column_ids(traj)
+        missing = [c for c in model.norm.columns if c not in have]
+        if missing:
+            raise ValueError(f"{model_path}: model needs column {missing[0]!r}, which the data lacks")
+
+
 def cmd_eval(cfg: RunConfig, model_path: str) -> int:
     model = load_model(model_path)
     training = _training_report(model_path)
     trajectories, truth = load_test_set(cfg)
+    _check_columns(model_path, model, trajectories)
     started = time.perf_counter()
     rmse, pairs = model.rmse_eval(trajectories, truth)
 
@@ -298,12 +308,12 @@ def _write_latent_csv(table, path) -> None:
 def cmd_map(cfg: RunConfig, model_path: str, which: str) -> int:
     model = load_model(model_path)
     if which == "train":
-        trajectories = load_train_trajectories(cfg)
-        samples = dat.augment(trajectories, horizon=cfg.horizon, columns=model.norm.columns)
+        trajectories, truth = load_train_trajectories(cfg), None
     else:
-        # one t = 0 row per logged cycle, labelled with the engine's true RUL there
         trajectories, truth = load_test_set(cfg)
-        samples = dat.augment(trajectories, horizon=0, columns=model.norm.columns)
+    _check_columns(model_path, model, trajectories)
+    samples = dat.augment(trajectories, horizon=cfg.horizon if truth is None else 0, columns=model.norm.columns)
+    if truth is not None:  # one t = 0 row per logged cycle, labelled with the engine's true RUL there
         samples.rul += np.repeat(truth, [traj.length for traj in trajectories])
 
     table = model.latent_map(samples)

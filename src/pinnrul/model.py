@@ -17,25 +17,25 @@ A model owns one float64 vector ``theta`` holding every weight and bias,
 and one gradient vector of the same shape; ``_layout`` is the only code
 that knows their order, which is also the order of the ``model.bin``
 body. ``_layout`` cuts both into one (W, b, dW, db) tuple of views per
-layer, so parameters change only in place. A model builds its graph
-once, the first time ``cost``, ``cost_values`` or ``mean_cost`` needs
-it, for any batch width; its 13 nodes are 2 inputs, 3 mlps (one per
-network), 3 concats and 5 rows. Each mlp binds its network's tuples, so
-the graph sees every change without rebinding and its reverse sweep
-fills the gradient vector, which ``cost`` checks once and returns as a
-copy. Reads need no gradient and build no graph: ``_read`` runs
-``net._chain``, the graph's own forward walk, over the tuples of the x
-network, with its dx/dt tangent, and of the RUL network, without
-tangents, and never the rate network. Whole sample
-sets are read CHUNK samples at a time: ``mean_cost`` sums the cost
-terms over the rows an index array names, gathering one chunk at a
-time, and ``latent_map`` returns one (n, 4) float64 table, built from
-slice views, whose columns are x, dx/dt, predicted RUL and true RUL.
-``_inputs`` is the one check of a batch's oc shape, row counts and
-times, for ``_eval_batch`` and ``_read``, and ``_read`` the one reader
-of x, dx/dt and the RUL in cycles for ``sweep``, ``latent_map`` and
-``rmse_eval``; ``NumericError``, defined here, reports a non-finite
-output.
+layer, so parameters change only in place; buffer names are derived
+from the tuples on demand. A model builds its graph once, the first time
+``cost``, ``cost_values`` or ``mean_cost`` needs it, for any batch
+width; its 13 nodes are 2 inputs, 3 mlps (one per network), 3 concats
+and 5 rows. Each mlp binds its network's tuples, so the graph sees every
+change without rebinding and its reverse sweep fills the gradient
+vector, which ``cost`` checks once and returns as a copy. Reads need no
+gradient and build no graph: ``_read`` runs ``net._chain``, the graph's
+own forward walk, over the tuples of the x network, with its dx/dt
+tangent, and of the RUL network, without tangents, and never the rate
+network. Whole sample sets are read CHUNK samples at a time:
+``mean_cost`` sums the cost terms over the rows an index array names,
+gathering one chunk at a time, and ``latent_map`` returns one (n, 4)
+float64 table, built from slice views, whose columns are x, dx/dt,
+predicted RUL and true RUL. ``_inputs`` is the one check of a batch's
+oc shape, row counts and times, for ``_eval_batch`` and ``_read``, and
+``_read`` the one reader of x, dx/dt and the RUL in cycles for
+``sweep``, ``latent_map`` and ``rmse_eval``; ``NumericError``, defined
+here, reports a non-finite output.
 """
 
 from __future__ import annotations
@@ -78,12 +78,12 @@ class PinnConfig:
         if not 0 < self.t_scale < math.inf:
             raise ValueError(f"t_scale must be finite and > 0, got {self.t_scale!r}")
 
-    @property
+    @functools.cached_property
     def widths(self) -> dict[str, tuple[int, ...]]:
         """Layer widths [d_in, h1, ..., h5, 1] of each network, in ``_layout`` order."""
         return {"x": (self.d_oc + 1, *X_HIDDEN, 1), "rul": (2, *RUL_HIDDEN, 1), "dyn": (2, *RUL_HIDDEN, 1)}
 
-    @property
+    @functools.cached_property
     def n_params(self) -> int:
         """Length of a model's parameter vector ``theta``."""
         return sum(d_out * (d_in + 1) for w in self.widths.values() for d_in, d_out in zip(w, w[1:]))
@@ -104,31 +104,27 @@ class CostBreakdown:
 
 
 def _layout(config: PinnConfig, theta: np.ndarray, grad: np.ndarray):
-    """Cut ``theta`` and ``grad``, a gradient shaped like it, into one view
-    per weight and bias buffer each.
+    """Cut ``theta`` and ``grad``, a gradient shaped like it, into each
+    network's list (keyed ``x``, ``rul``, ``dyn``) of (W, b, dW, db)
+    tuples of views, one per layer, the gradient's at the values' offsets.
 
     This is the one statement of the parameter order, which is also the
     order of the ``model.bin`` body: networks x, rul, dyn; per layer the
     weight matrix W (out x in, row-major), then the bias column b.
-    Returns the (name, view of ``theta``) pairs in that order and, keyed
-    ``x``, ``rul``, ``dyn``, each network's list of (W, b, dW, db) tuples,
-    views of ``theta`` and of ``grad`` at the same offsets.
+    ``parameter_items`` derives the buffers' names from it on demand.
     """
     if theta.dtype != np.float64 or theta.shape != (config.n_params,):
         raise ValueError(f"theta must be float64 of shape ({config.n_params},), got {theta.dtype} {theta.shape}")
-    items, layers, start = [], {}, 0
+    layers, start = {}, 0
     for prefix, widths in config.widths.items():
         layers[prefix] = []
-        for i, (d_in, d_out) in enumerate(zip(widths, widths[1:]), start=1):
-            cut = []  # (view of theta, view of grad) for W, then for b
-            for name, shape in zip("Wb", ((d_out, d_in), (d_out, 1))):
-                stop = start + shape[0] * shape[1]
-                cut.append((theta[start:stop].reshape(shape), grad[start:stop].reshape(shape)))
-                items.append((f"{prefix}.{name}{i}", cut[-1][0]))
-                start = stop
-            (w, dw), (b, db) = cut
-            layers[prefix].append((w, b, dw, db))
-    return items, layers
+        for d_in, d_out in zip(widths, widths[1:]):
+            mid = start + d_out * d_in
+            stop = mid + d_out
+            w, b, dw, db = theta[start:mid], theta[mid:stop], grad[start:mid], grad[mid:stop]
+            layers[prefix].append((w.reshape(d_out, d_in), b.reshape(d_out, 1), dw.reshape(d_out, d_in), db.reshape(d_out, 1)))
+            start = stop
+    return layers
 
 
 class _Wiring:
@@ -186,14 +182,14 @@ class PinnModel:
 
     def __post_init__(self):
         self._grad = np.zeros_like(self.theta)
-        self._items, self._layers = _layout(self.config, self.theta, self._grad)
+        self._layers = _layout(self.config, self.theta, self._grad)
         finite = np.isfinite(self.theta)
         if not finite.all():
             raise ValueError(f"non-finite parameter {self._buffer_at(np.argmin(finite))}")
 
     def __setattr__(self, name, value):
         # ``model.theta *= c`` works in place and then rebinds the same array
-        if name == "theta" and hasattr(self, "_items") and value is not self.theta:
+        if name == "theta" and hasattr(self, "_layers") and value is not self.theta:
             raise AttributeError("theta is cut into the layers' views; change it in place")
         # the init fields' one check, for __init__, load_model and train's later split_seed; a
         # header holds an int64 seed, never a bool, and only split_seed may be None
@@ -213,13 +209,14 @@ class PinnModel:
     # -- plumbing -----------------------------------------------------
 
     def parameter_items(self):
-        """(name, view) of every buffer, tiling ``theta`` in ``_layout`` order."""
-        return list(self._items)
+        """(name, view) of every buffer, e.g. ``rul.W1``, tiling ``theta`` in ``_layout`` order."""
+        named = ((net, i, layer) for net, layers in self._layers.items() for i, layer in enumerate(layers, start=1))
+        return [(f"{net}.{kind}{i}", view) for net, i, layer in named for kind, view in zip("Wb", layer)]
 
     def _buffer_at(self, offset) -> str:
         """Name of the buffer that holds entry ``offset`` of ``theta`` (and of a gradient)."""
-        stops = np.cumsum([view.size for _, view in self._items])
-        return self._items[np.searchsorted(stops, offset, side="right")][0]
+        items = self.parameter_items()
+        return items[np.searchsorted(np.cumsum([view.size for _, view in items]), offset, side="right")][0]
 
     def _inputs(self, oc, t, snapshot=False) -> tuple[np.ndarray, np.ndarray]:
         """Check a raw batch; return its normalized (d_oc, n) features and (1, n) times.
@@ -358,7 +355,7 @@ class PinnModel:
         if not t_list:
             raise ValueError("need at least one horizon")
         xs, dxs, ruls = self._read(oc, t_list, snapshot=True)
-        return [(float(t), float(xs[j]), float(dxs[j]), float(ruls[j])) for j, t in enumerate(t_list)]
+        return list(zip(map(float, t_list), xs.tolist(), dxs.tolist(), ruls.tolist()))
 
     def rmse_eval(self, trajectories, truth) -> tuple[float, list[tuple[int, float, float]]]:
         """RMSE in cycles of t=0 predictions at each unit's last cycle.

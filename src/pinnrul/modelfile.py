@@ -31,7 +31,7 @@ FORMAT_VERSION = 1
 
 
 def json_is(value, kind) -> bool:
-    """True if the JSON ``value`` reads as a ``kind`` (int, float, str, dict).
+    """True if the JSON ``value`` reads as a ``kind`` (int, float, str, list, dict).
 
     true and false are never numbers, an int must fit int64, and a float
     may also be an integer within float range. NaN and the infinities are
@@ -127,10 +127,10 @@ def load_model(path) -> PinnModel:
                 raise ValueError(f"model.{key} must be {want}, got {reprlib.repr(m[key])}")
         nd = header["norm"]
         norm = NormStats(
-            means=np.asarray([_typed(v, float) for v in nd["means"]], dtype=np.float64),
-            stds=np.asarray([_typed(v, float) for v in nd["stds"]], dtype=np.float64),
+            means=np.asarray([_typed(v, float) for v in _typed(nd["means"], list)], dtype=np.float64),
+            stds=np.asarray([_typed(v, float) for v in _typed(nd["stds"], list)], dtype=np.float64),
             rul_max=float(_typed(nd["rul_max"], float)),
-            columns=[_typed(c, str) for c in nd["columns"]],
+            columns=[_typed(c, str) for c in _typed(nd["columns"], list)],
         )
         if not len(norm.means) == len(norm.stds) == len(norm.columns) == config.d_oc:
             raise ValueError(f"norm has {len(norm.columns)} columns, model has d_oc={config.d_oc}")

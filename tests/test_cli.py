@@ -294,6 +294,9 @@ class TestTrainEvalMapPredict:
             pytest.param("model", "dyn_spec", lambda s: {**s, "output": "tanh"}, "model.dyn_spec must be", id="dyn-output-tanh"),
             pytest.param("model", "rul_spec", lambda s: {**s, "widths": [*s["widths"][:-1], True]}, "model.rul_spec must be", id="rul-final-width-true"),
             pytest.param("model", "x_spec", lambda s: {**s, "widths": [*s["widths"][:-1], 1.0]}, "model.x_spec must be", id="x-final-width-1.0"),
+            # the norm arrays are JSON arrays: a string or an object of d_oc entries is no list of column names
+            pytest.param("norm", "columns", lambda c: "abcdefghijklmnopqrstuvwxyz"[: len(c)], "bad header (expected list, got 'abc", id="norm-columns-string"),
+            pytest.param("norm", "columns", lambda c: dict.fromkeys(c, 0), "bad header (expected list, got {", id="norm-columns-object"),
         ],
     )
     def test_bad_header_key_is_exit_2(self, trained, tmp_path, capsys, section, key, value, message):
@@ -383,6 +386,14 @@ class TestTrainEvalMapPredict:
         assert run_cli(["eval", "--config", cfg, "--model", str(model), "--out", str(tmp_path / "eval")]) == 2
         assert f"training report {report}" in capsys.readouterr().err
         assert not (tmp_path / "eval" / "eval.json").exists()
+
+    @pytest.mark.parametrize("command", [["eval"], ["map", "--which", "test"], ["map", "--which", "train"]], ids=["eval", "map-test", "map-train"])
+    def test_model_column_the_data_lacks_names_the_model_file(self, trained, tmp_path, capsys, command):
+        _, cfg, out = trained
+        broken = tmp_path / "s99.bin"
+        rewrite_header(out / "model.bin", broken, lambda header: header["norm"]["columns"].__setitem__(-1, "s99"))
+        assert run_cli([*command, "--config", cfg, "--model", str(broken), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {broken}: model needs column 's99', which the data lacks\n"
 
     def test_eval_missing_model(self, trained):
         _, cfg, _ = trained

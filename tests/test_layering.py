@@ -29,3 +29,13 @@ def test_net_imports_nothing_from_the_graph():
     # the networks' walkers stand alone, so the graph can go without touching net.py
     assert "graph" not in package_imports(PACKAGE / "net.py")
     assert "net" in package_imports(PACKAGE / "graph.py")
+
+
+def test_every_traced_name_resolves(monkeypatch):
+    # the benchmark's tracer wraps each target found as owner.__dict__[attr]; a refactor that
+    # drops one fails here, not only in a traced benchmark run
+    monkeypatch.syspath_prepend(str(PACKAGE.parents[1] / "perfbench"))
+    import tracing
+
+    missing = [(name, attr) for name, owner, attr, _ in tracing.TARGETS if attr not in owner.__dict__]
+    assert tracing.TARGETS and not missing

@@ -354,6 +354,38 @@ class TestParameterVector:
                 assert address(gradient) - address(grad) == offsets[-1]
         assert sorted(offsets) == [address(view) - address(theta) for _, view in model.parameter_items()]
 
+    def test_buffer_at_names_each_buffer_at_its_first_and_last_offset(self, model):
+        items = model.parameter_items()
+        assert len(items) == 36
+        start = 0
+        for name, view in items:
+            assert model._buffer_at(start) == name
+            assert model._buffer_at(start + view.size - 1) == name
+            start += view.size
+
+    @pytest.mark.parametrize("name, last", [("x.W1", True), ("dyn.b6", False)])
+    def test_non_finite_entry_at_a_buffer_edge_names_that_buffer(self, model, monkeypatch, name, last):
+        # the entry next to a neighbouring buffer: the last of x.W1 (x.b1 follows), the first of dyn.b6
+        names = [n for n, _ in model.parameter_items()]
+        views = dict(model.parameter_items())
+        offset = sum(views[n].size for n in names[: names.index(name)]) + (views[name].size - 1 if last else 0)
+        bad = model.theta.copy()
+        bad[offset] = np.nan
+        with pytest.raises(ValueError) as exc:
+            PinnModel(model.config, bad, model.norm)
+        assert str(exc.value) == f"non-finite parameter {name}"
+
+        grad = Graph.grad
+
+        def poisoned(graph, seeds):
+            grad(graph, seeds)
+            model._grad[offset] = np.inf
+
+        monkeypatch.setattr(Graph, "grad", poisoned)
+        with pytest.raises(NumericError) as exc:
+            model.cost(random_batch(model, 27, n=4))
+        assert str(exc.value) == f"non-finite gradient of {name}"
+
     @pytest.mark.parametrize("scheme, digest", [("standard-normal", "5b611cca852afcb0"), ("xavier", "443d7b5bb72a86cd")])
     def test_init_draws_are_pinned(self, scheme, digest):
         # the seeded draws of init_model, and so every trained model.bin, rest on these bits
