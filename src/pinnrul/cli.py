@@ -38,6 +38,10 @@ FD001_AUGMENTED = 593061
 FD001_ENGINES = 100
 
 
+# the "model" section's keys and the RunConfig fields they set
+_MODEL_FIELDS = {"lambda": "pde_weight", "t_scale": "t_scale"}
+
+
 @dataclasses.dataclass
 class RunConfig:
     data_dir: str = "."
@@ -70,24 +74,11 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         """The config file's only statement of its keys, nesting and JSON types (each default's)."""
-        return {
-            "data_dir": self.data_dir,
-            "dataset": self.dataset,
-            "synth": dataclasses.asdict(self.synth),
-            "model": {"lambda": self.pde_weight, "t_scale": self.t_scale},
-            "optimizer": dataclasses.asdict(self.optimizer),
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "split_seed": self.split_seed,
-            "init_seed": self.init_seed,
-            "init_scheme": self.init_scheme,
-            "horizon": self.horizon,
-            "output_dir": self.output_dir,
-        }
+        out = dataclasses.asdict(self)
+        out["model"] = {key: out.pop(field) for key, field in _MODEL_FIELDS.items()}
+        return out
 
 
-# the "model" section's keys and the RunConfig fields they set
-_MODEL_FIELDS = {"lambda": "pde_weight", "t_scale": "t_scale"}
 _JSON_NAMES = {field: f"model.{key}" for key, field in _MODEL_FIELDS.items()}
 _NOUNS = {int: "an integer in int64 range", float: "a number in float range", str: "a string", dict: "a JSON object"}
 
@@ -264,8 +255,7 @@ def cmd_train(cfg: RunConfig) -> int:
 def _check_columns(model_path: str, model, trajectories) -> None:
     """Every feature column the model reads must be in each trajectory; a missing one names the model file."""
     for traj in trajectories:
-        have = dat.column_ids(traj)
-        missing = [c for c in model.norm.columns if c not in have]
+        missing = [c for c in model.norm.columns if c not in traj.columns]
         if missing:
             raise ValueError(f"{model_path}: model needs column {missing[0]!r}, which the data lacks")
 

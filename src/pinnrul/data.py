@@ -8,8 +8,10 @@ Samples are held column-wise in one ``AugmentedSamples``, each column
 allocated once at its final size; taking a slice of it gives views,
 taking an index array gives copies.
 
-The parsers reject any token that is not a finite number, and unit ids
-and cycles that are not integers, with a ValueError naming the line.
+The parsers reject any token that is not a finite number, unit ids and
+cycles that are not integers and a negative true RUL, with a ValueError
+naming the line, and a unit whose rows are not cycles 1..L with one
+naming the unit.
 
 A seeded synthetic generator provides a desk-scale stand-in for the real
 turbofan files: linear sensor ramps whose snapshot determines remaining
@@ -23,73 +25,69 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-CMAPSS_SETTINGS = 3
-CMAPSS_SENSORS = 21
-CMAPSS_COLUMNS = 2 + CMAPSS_SETTINGS + CMAPSS_SENSORS
+# the feature columns of a C-MAPSS row, after its unit and cycle
+CMAPSS_FEATURES = tuple(f"setting{i}" for i in range(1, 4)) + tuple(f"s{i}" for i in range(1, 22))
+CMAPSS_COLUMNS = 2 + len(CMAPSS_FEATURES)
 
 VARIANCE_FLOOR = 1e-12
 
 
 @dataclass
 class EngineTrajectory:
-    """One unit's ordered log: cycles 1..L with settings and sensor rows."""
+    """One unit's log: row i of ``features`` is cycle i + 1, its columns named by ``columns``."""
 
     unit_id: int
-    cycles: np.ndarray
-    settings: np.ndarray
-    sensors: np.ndarray
+    features: np.ndarray
+    columns: list[str]
 
     def __post_init__(self):
-        self.cycles = np.asarray(self.cycles, dtype=np.int64)
-        self.settings = np.asarray(self.settings, dtype=np.float64)
-        self.sensors = np.asarray(self.sensors, dtype=np.float64)
-        n = self.cycles.shape[0]
+        self.features = np.asarray(self.features, dtype=np.float64)
+        self.columns = list(self.columns)
+        if self.features.ndim != 2 or self.features.shape[1] != len(self.columns):
+            raise ValueError(f"unit {self.unit_id}: features of shape {self.features.shape} for {len(self.columns)} columns")
+        n = self.features.shape[0]
         if n < 2:
             raise ValueError(f"unit {self.unit_id}: need at least 2 rows, got {n}")
-        if not np.array_equal(self.cycles, np.arange(1, n + 1)):
-            raise ValueError(f"unit {self.unit_id}: cycles must be 1..L consecutive ascending")
-        if self.settings.shape[0] != n or self.sensors.shape[0] != n:
-            raise ValueError(f"unit {self.unit_id}: row count mismatch across fields")
 
     @property
     def length(self) -> int:
-        return int(self.cycles.shape[0])
-
-
-def column_ids(trajectory: EngineTrajectory) -> list[str]:
-    ns = trajectory.settings.shape[1]
-    nn = trajectory.sensors.shape[1]
-    return [f"setting{i + 1}" for i in range(ns)] + [f"s{i + 1}" for i in range(nn)]
+        return int(self.features.shape[0])
 
 
 def feature_matrix(trajectory: EngineTrajectory, columns=None) -> np.ndarray:
-    """Rows x selected features; ``columns=None`` keeps everything."""
-    full = np.hstack([trajectory.settings, trajectory.sensors])
+    """Rows x selected features; ``columns=None`` gives the whole matrix."""
     if columns is None:
-        return full
-    ids = column_ids(trajectory)
+        return trajectory.features
     try:
-        idx = [ids.index(c) for c in columns]
+        idx = [trajectory.columns.index(c) for c in columns]
     except ValueError as exc:
         raise ValueError(f"unknown column in selection: {exc}") from None
-    return full[:, idx]
+    return trajectory.features[:, idx]
 
 
-def parse_cmapss(text: str) -> list[EngineTrajectory]:
-    """Parse a 26-column whitespace-separated C-MAPSS unit log."""
-    per_unit: dict[int, list[list[float]]] = {}
+def _numeric_rows(text: str, width: int, what: str):
+    """(line number, floats) of each non-blank line, which must hold ``width``
+    finite numbers; ``what`` states that count in the error."""
     for lineno, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
         if not tokens:
             continue
-        if len(tokens) != CMAPSS_COLUMNS:
-            raise ValueError(f"line {lineno}: expected {CMAPSS_COLUMNS} columns, got {len(tokens)}")
+        if len(tokens) != width:
+            raise ValueError(f"line {lineno}: expected {what}, got {len(tokens)}")
         try:
             row = [float(tok) for tok in tokens]
         except ValueError:
             raise ValueError(f"line {lineno}: non-numeric token") from None
         if not all(map(math.isfinite, row)):
             raise ValueError(f"line {lineno}: non-finite token")
+        yield lineno, row
+
+
+def parse_cmapss(text: str) -> list[EngineTrajectory]:
+    """Parse a 26-column whitespace-separated C-MAPSS unit log; each unit's
+    rows, in any order, must be cycles 1..L."""
+    per_unit: dict[int, list[list[float]]] = {}
+    for lineno, row in _numeric_rows(text, CMAPSS_COLUMNS, f"{CMAPSS_COLUMNS} columns"):
         if not (row[0].is_integer() and row[1].is_integer() and abs(row[0]) < 2**63):
             raise ValueError(f"line {lineno}: unit and cycle must be integers")
         per_unit.setdefault(int(row[0]), []).append(row)
@@ -97,32 +95,18 @@ def parse_cmapss(text: str) -> list[EngineTrajectory]:
     trajectories = []
     for unit in sorted(per_unit):
         rows = np.asarray(sorted(per_unit[unit], key=lambda r: r[1]))
-        trajectories.append(
-            EngineTrajectory(
-                unit_id=unit,
-                cycles=rows[:, 1].astype(np.int64),
-                settings=rows[:, 2 : 2 + CMAPSS_SETTINGS],
-                sensors=rows[:, 2 + CMAPSS_SETTINGS :],
-            )
-        )
+        trajectories.append(EngineTrajectory(unit, rows[:, 2:], CMAPSS_FEATURES))  # checks the row count first
+        if not np.array_equal(rows[:, 1], np.arange(1, len(rows) + 1)):
+            raise ValueError(f"unit {unit}: cycles must be 1..L consecutive ascending")
     return trajectories
 
 
 def parse_rul_truth(text: str) -> list[float]:
     """Parse the one-value-per-line true-RUL file for a test set."""
     values = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        tokens = line.split()
-        if not tokens:
-            continue
-        if len(tokens) != 1:
-            raise ValueError(f"line {lineno}: expected a single value, got {len(tokens)}")
-        try:
-            value = float(tokens[0])
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-numeric token") from None
-        if not math.isfinite(value):
-            raise ValueError(f"line {lineno}: non-finite token")
+    for lineno, (value,) in _numeric_rows(text, 1, "a single value"):
+        if value < 0:
+            raise ValueError(f"line {lineno}: RUL must be >= 0, got {value:g}")
         values.append(value)
     return values
 
@@ -131,10 +115,8 @@ def select_features(trajectories) -> list[str]:
     """Keep columns whose variance over all rows is at least 1e-12."""
     if not trajectories:
         raise ValueError("no trajectories to select features from")
-    ids = column_ids(trajectories[0])
-    stacked = np.vstack([feature_matrix(t) for t in trajectories])
-    variances = stacked.var(axis=0)
-    selected = [c for c, v in zip(ids, variances) if v >= VARIANCE_FLOOR]
+    variances = np.vstack([t.features for t in trajectories]).var(axis=0)
+    selected = [c for c, v in zip(trajectories[0].columns, variances) if v >= VARIANCE_FLOOR]
     if not selected:
         raise ValueError("all columns are constant; nothing to train on")
     return selected
@@ -178,8 +160,9 @@ def augment(trajectories, horizon: int = 30, columns=None) -> AugmentedSamples:
     trajs = sorted(trajectories, key=lambda tr: tr.unit_id)
     if not trajs:
         raise ValueError("no trajectories to augment")
-    cols = list(columns) if columns is not None else column_ids(trajs[0])
-    counts = [np.minimum(horizon, traj.length - traj.cycles) + 1 for traj in trajs]
+    cols = list(trajs[0].columns if columns is None else columns)
+    rul0 = [np.arange(traj.length - 1, -1, -1) for traj in trajs]  # L - c at each row's cycle c
+    counts = [np.minimum(horizon, r) + 1 for r in rul0]
     n = sum(int(k.sum()) for k in counts)
     out = AugmentedSamples(
         unit=np.empty(n, dtype=np.int64),
@@ -190,25 +173,21 @@ def augment(trajectories, horizon: int = 30, columns=None) -> AugmentedSamples:
         columns=cols,
     )
     stop = 0
-    for traj, k in zip(trajs, counts):
+    for traj, r, k in zip(trajs, rul0, counts):
         start, stop = stop, stop + int(k.sum())
         rows = slice(start, stop)
         t = np.arange(stop - start) - np.repeat(np.cumsum(k) - k, k)  # 0 .. k_i - 1 per logged row
         out.unit[rows] = traj.unit_id
-        out.cycle[rows] = np.repeat(traj.cycles, k)
+        out.cycle[rows] = np.repeat(traj.length - r, k)
         out.t[rows] = t
-        out.rul[rows] = np.repeat(traj.length - traj.cycles, k) - t
+        out.rul[rows] = np.repeat(r, k) - t
         out.oc[rows] = np.repeat(feature_matrix(traj, columns), k, axis=0)
     return out
 
 
 def augmented_count(trajectories, horizon: int = 30) -> int:
     """Closed-form sample count: sum over rows of min(horizon, L - c) + 1."""
-    total = 0
-    for traj in trajectories:
-        rul0 = traj.length - traj.cycles
-        total += int((np.minimum(horizon, rul0) + 1).sum())
-    return total
+    return sum(int((np.minimum(horizon, np.arange(traj.length)) + 1).sum()) for traj in trajectories)
 
 
 @dataclass
@@ -296,6 +275,7 @@ def synth_generate(spec: SynthSpec):
     gains, offsets = _synth_coeffs(d)
     even = np.arange(d) % 2 == 0
 
+    names = [f"s{j + 1}" for j in range(d)]
     trajectories = []
     for unit in range(1, spec.n_engines + 1):
         life = int(rng.integers(spec.min_life, spec.max_life + 1))
@@ -304,14 +284,7 @@ def synth_generate(spec: SynthSpec):
         b = np.where(even, -gains * rel, gains * rel)
         frac = np.arange(1, life + 1)[:, None] / life
         sensors = a[None, :] + b[None, :] * frac + rng.normal(0.0, spec.noise_std, (life, d))
-        trajectories.append(
-            EngineTrajectory(
-                unit_id=unit,
-                cycles=np.arange(1, life + 1),
-                settings=np.zeros((life, 0)),
-                sensors=sensors,
-            )
-        )
+        trajectories.append(EngineTrajectory(unit, sensors, names))
     truth = [0.0] * spec.n_engines
     return trajectories, truth
 
@@ -325,13 +298,6 @@ def truncate_for_eval(trajectories, seed: int):
     out, truth = [], []
     for traj in trajectories:
         last = int(rng.integers(2, traj.length))
-        out.append(
-            EngineTrajectory(
-                unit_id=traj.unit_id,
-                cycles=traj.cycles[:last],
-                settings=traj.settings[:last],
-                sensors=traj.sensors[:last],
-            )
-        )
+        out.append(EngineTrajectory(traj.unit_id, traj.features[:last], traj.columns))
         truth.append(float(traj.length - last))
     return out, truth

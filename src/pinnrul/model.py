@@ -297,9 +297,9 @@ class PinnModel:
         # d(total)/d(rul) and d(total)/d(f), then f's adjoint through f = drul_dx * dx_dt + partial - dyn;
         # the factors multiply in this order, which fixes model.bin's bits
         n, value = d.shape[1], w.graph.value
-        a_f = np.full(f.shape, self.config.pde_weight / n) * (2.0 * f)
+        a_f = self.config.pde_weight / n * (2.0 * f)
         seeds = {
-            w.rul: -(np.full(d.shape, 1.0 / n) * (2.0 * d)),
+            w.rul: -(1.0 / n * (2.0 * d)),
             w.drul_dt_partial: a_f,
             w.drul_dx: a_f * value(w.dx_dt),
             w.dx_dt: a_f * value(w.drul_dx),

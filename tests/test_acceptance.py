@@ -63,12 +63,7 @@ def report(criterion, ok, detail):
 
 def test_criterion_1_augmentation_oracle():
     # the augmentation rule itself, on a constructed 192-cycle trajectory
-    traj = EngineTrajectory(
-        unit_id=1,
-        cycles=np.arange(1, 193),
-        settings=np.zeros((192, 0)),
-        sensors=np.random.default_rng(0).normal(size=(192, 3)),
-    )
+    traj = EngineTrajectory(1, np.random.default_rng(0).normal(size=(192, 3)), ["s1", "s2", "s3"])
     samples = augment([traj], horizon=30)
     at_100 = np.flatnonzero(samples.cycle == 100)
     assert (samples.t[at_100[0]], samples.rul[at_100[0]]) == (0, 92)

@@ -414,7 +414,7 @@ class TestTrainEvalMapPredict:
         table = np.loadtxt(out / "latent_map_test.csv", delimiter=",", skiprows=1)
         model = load_model(out / "model.bin")
         trajectories, truth = cli.load_test_set(cli.load_config(cfg))
-        rows = [(traj, true_last, int(c)) for traj, true_last in zip(trajectories, truth) for c in traj.cycles]
+        rows = [(traj, true_last, c) for traj, true_last in zip(trajectories, truth) for c in range(1, traj.length + 1)]
         assert table.shape == (len(rows), 4)
         assert table[:, 3].tolist() == [true_last + traj.length - c for traj, true_last, c in rows]
         for i in (0, len(rows) // 2, len(rows) - 1):
@@ -639,6 +639,8 @@ class TestFd001StylePipeline:
             ("test_FD001.txt", "eval", "gap"),
             ("test_FD001.txt", "eval", "repeat"),
             ("test_FD001.txt", "eval", "one-row"),
+            # a true RUL below 0
+            ("RUL_FD001.txt", "eval", "negative"),
         ],
         ids=[
             "train",
@@ -653,6 +655,7 @@ class TestFd001StylePipeline:
             "test-cycle-gap",
             "test-repeated-cycle",
             "test-one-row-unit",
+            "truth-negative",
         ],
     )
     def test_parse_error_names_the_file(self, fd001_dir, tmp_path, capsys, name, command, damage):
@@ -670,6 +673,8 @@ class TestFd001StylePipeline:
             lines.insert(2, lines[2])
         elif damage == "one-row":  # unit 1 keeps only its first row
             lines = [lines[0], *(line for line in lines if float(line.split()[0]) != 1)]
+        elif damage == "negative":
+            lines[1] = "-5"
         path.write_bytes((b"\xff" if damage == "0xff" else b"") + "".join(f"{line}\n" for line in lines).encode())
         model = str(fd001_dir / "out" / "model.bin")
         argv = {
@@ -683,6 +688,7 @@ class TestFd001StylePipeline:
             "gap": "unit 1: cycles must be 1..L consecutive ascending",
             "repeat": "unit 1: cycles must be 1..L consecutive ascending",
             "one-row": "unit 1: need at least 2 rows, got 1",
+            "negative": "line 2: RUL must be >= 0, got -5",
         }[damage]
         assert run_cli(argv) == 2
         assert capsys.readouterr().err == f"error: {path}: {message}\n"

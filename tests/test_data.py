@@ -17,7 +17,7 @@ from pinnrul import (
     synth_generate,
     truncate_for_eval,
 )
-from pinnrul.data import column_ids, feature_matrix
+from pinnrul.data import CMAPSS_FEATURES, feature_matrix
 
 
 def cmapss_line(unit, cycle, fill=0.0):
@@ -27,12 +27,7 @@ def cmapss_line(unit, cycle, fill=0.0):
 
 def make_traj(unit, length, n_sensors=2, seed=0):
     rng = np.random.default_rng(seed)
-    return EngineTrajectory(
-        unit_id=unit,
-        cycles=np.arange(1, length + 1),
-        settings=np.zeros((length, 0)),
-        sensors=rng.normal(size=(length, n_sensors)),
-    )
+    return EngineTrajectory(unit, rng.normal(size=(length, n_sensors)), [f"s{j + 1}" for j in range(n_sensors)])
 
 
 class TestParsing:
@@ -41,8 +36,7 @@ class TestParsing:
         trajs = parse_cmapss(text)
         assert len(trajs) == 1
         assert trajs[0].length == 2
-        assert trajs[0].settings.shape == (2, 3)
-        assert trajs[0].sensors.shape == (2, 21)
+        assert trajs[0].features.shape == (2, 3 + 21)
 
     def test_units_grouped_and_cycle_sorted(self):
         text = "\n".join(
@@ -50,7 +44,7 @@ class TestParsing:
         )
         trajs = parse_cmapss(text)
         assert [t.unit_id for t in trajs] == [1, 2]
-        assert list(trajs[0].cycles) == [1, 2]
+        assert trajs[0].features[:, 0].tolist() == [0.1, 0.2]  # setting1 of cycles 1, 2
 
     def test_wrong_column_count_reports_line(self):
         text = cmapss_line(1, 1) + "\n" + "1 2 3\n"
@@ -102,45 +96,61 @@ class TestParsing:
         with pytest.raises(ValueError, match="line 1"):
             parse_rul_truth("10 20\n")
 
+    def test_rul_truth_negative_reports_line(self):
+        assert parse_rul_truth("0\n-0\n") == [0.0, 0.0]
+        with pytest.raises(ValueError, match="^line 2: RUL must be >= 0, got -5$"):
+            parse_rul_truth("10\n-5\n")
+
 
 class TestTrajectoryInvariants:
     def test_needs_two_rows(self):
         with pytest.raises(ValueError, match="2 rows"):
-            EngineTrajectory(1, np.array([1]), np.zeros((1, 0)), np.zeros((1, 3)))
+            EngineTrajectory(1, np.zeros((1, 3)), ["s1", "s2", "s3"])
 
+    def test_lone_row_is_too_short_before_its_cycle_is_checked(self):
+        with pytest.raises(ValueError, match="^unit 1: need at least 2 rows, got 1$"):
+            parse_cmapss(cmapss_line(1, 5))
+
+    # the parser checks cycles: synthetic and truncated fleets are 1..L by construction
     def test_cycles_must_be_consecutive_from_one(self):
-        with pytest.raises(ValueError, match="consecutive"):
-            EngineTrajectory(1, np.array([1, 3]), np.zeros((2, 0)), np.zeros((2, 3)))
+        for cycles in ((2, 3), (1, 3), (1, 2, 2), (1, 1)):  # starts at 2, skips, repeats
+            text = "\n".join(cmapss_line(1, c) for c in cycles)
+            with pytest.raises(ValueError, match="^unit 1: cycles must be 1..L consecutive ascending$"):
+                parse_cmapss(text)
 
     def test_column_ids(self):
         traj = parse_cmapss(cmapss_line(1, 1) + "\n" + cmapss_line(1, 2))[0]
-        ids = column_ids(traj)
-        assert ids[:3] == ["setting1", "setting2", "setting3"]
-        assert ids[3] == "s1" and ids[-1] == "s21" and len(ids) == 24
+        ids = ["setting1", "setting2", "setting3"] + [f"s{i}" for i in range(1, 22)]
+        assert traj.columns == ids == list(CMAPSS_FEATURES)
+
+    @pytest.mark.parametrize("features", [np.zeros((4, 2)), np.zeros((4, 4)), np.zeros(4)], ids=["narrow", "wide", "1-d"])
+    def test_one_name_per_column(self, features):
+        with pytest.raises(ValueError, match="^unit 1: features of shape .* for 3 columns$"):
+            EngineTrajectory(1, features, ["s1", "s2", "s3"])
 
 
 class TestSelectFeatures:
     def test_constant_columns_dropped(self):
         sensors = np.column_stack([np.full(5, 3.7), np.arange(5.0)])
-        traj = EngineTrajectory(1, np.arange(1, 6), np.zeros((5, 0)), sensors)
+        traj = EngineTrajectory(1, sensors, ["s1", "s2"])
         assert select_features([traj]) == ["s2"]
 
     def test_all_constant_is_error(self):
-        traj = EngineTrajectory(1, np.arange(1, 6), np.zeros((5, 0)), np.ones((5, 2)))
+        traj = EngineTrajectory(1, np.ones((5, 2)), ["s1", "s2"])
         with pytest.raises(ValueError, match="constant"):
             select_features([traj])
 
     def test_variance_pooled_across_units(self):
         # constant within each unit but different across units -> kept
-        t1 = EngineTrajectory(1, np.arange(1, 4), np.zeros((3, 0)), np.full((3, 1), 1.0))
-        t2 = EngineTrajectory(2, np.arange(1, 4), np.zeros((3, 0)), np.full((3, 1), 2.0))
+        t1 = EngineTrajectory(1, np.full((3, 1), 1.0), ["s1"])
+        t2 = EngineTrajectory(2, np.full((3, 1), 2.0), ["s1"])
         assert select_features([t1, t2]) == ["s1"]
 
     def test_feature_matrix_selection(self):
         traj = make_traj(1, 4, n_sensors=3)
         mat = feature_matrix(traj, ["s3", "s1"])
         assert mat.shape == (4, 2)
-        assert np.array_equal(mat[:, 0], traj.sensors[:, 2])
+        assert np.array_equal(mat[:, 0], traj.features[:, 2])
 
     def test_feature_matrix_unknown_column(self):
         with pytest.raises(ValueError, match="s9"):
@@ -165,7 +175,7 @@ class TestAugment:
     def test_closed_form_count(self):
         trajs, _ = synth_generate(SynthSpec(n_engines=5, min_life=38, max_life=52, seed=3))
         samples = augment([t for t in trajs], horizon=30)
-        expected = sum(int(np.minimum(30, t.length - t.cycles).sum()) + t.length for t in trajs)
+        expected = sum(int(np.minimum(30, t.length - np.arange(1, t.length + 1)).sum()) + t.length for t in trajs)
         assert len(samples) == expected == augmented_count(trajs, 30)
 
     def test_labels_and_horizons_in_range(self):
@@ -209,7 +219,8 @@ class TestAugment:
         parts = {name: [] for name in ("unit", "cycle", "t", "rul", "oc")}
         for traj in sorted(trajs, key=lambda tr: tr.unit_id):
             feats = feature_matrix(traj, columns)
-            for row, c in enumerate(traj.cycles):
+            for row in range(traj.length):
+                c = row + 1
                 rul0 = traj.length - int(c)
                 ts = np.arange(min(horizon, rul0) + 1)
                 parts["unit"].append(np.full(len(ts), traj.unit_id))
@@ -308,12 +319,12 @@ class TestSynth:
         b, truth_b = synth_generate(spec)
         assert truth_a == truth_b
         for ta, tb in zip(a, b):
-            assert np.array_equal(ta.sensors, tb.sensors)
+            assert np.array_equal(ta.features, tb.features)
 
     def test_zero_noise_gives_exact_ramps(self):
         trajs, _ = synth_generate(SynthSpec(n_engines=2, noise_std=0.0, seed=1))
         for traj in trajs:
-            second_diff = np.diff(traj.sensors, n=2, axis=0)
+            second_diff = np.diff(traj.features, n=2, axis=0)
             assert np.abs(second_diff).max() < 1e-12
 
     def test_lives_within_bounds_and_truth_zero(self):
@@ -321,6 +332,7 @@ class TestSynth:
         trajs, truth = synth_generate(spec)
         assert truth == [0.0] * 8
         assert all(41 <= t.length <= 55 for t in trajs)
+        assert all(t.columns == [f"s{j}" for j in range(1, 9)] for t in trajs)
 
     def test_shared_physics_across_seeds(self):
         # same engine life => statistically identical ramps, seed only moves noise
@@ -329,7 +341,7 @@ class TestSynth:
         matches = [(x, y) for x in a for y in b if x.length == y.length]
         assert matches, "expected at least one life collision"
         x, y = matches[0]
-        assert np.abs(x.sensors - y.sensors).max() < 1e-12
+        assert np.abs(x.features - y.features).max() < 1e-12
 
     def test_truncation(self):
         trajs, _ = synth_generate(SynthSpec(n_engines=5, seed=21))
@@ -337,5 +349,7 @@ class TestSynth:
         for original, shortened, tv in zip(trajs, cut, truth):
             assert shortened.length < original.length
             assert tv == original.length - shortened.length
-            assert list(shortened.cycles) == list(range(1, shortened.length + 1))
+            # cycles 1..L of the cut engine are the original's first L rows
+            assert np.array_equal(shortened.features, original.features[: shortened.length])
+            assert shortened.columns == original.columns
 

@@ -45,7 +45,7 @@ def residual_at(model, oc, t):
 
 def readers(model, batch):
     """Calls of the three readers, ``sweep``, ``latent_map`` and ``rmse_eval``, on ``batch``."""
-    engine = EngineTrajectory(1, batch.cycle, np.zeros((len(batch), 0)), batch.oc)
+    engine = EngineTrajectory(1, batch.oc, model.norm.columns)
     return (
         lambda: model.sweep(batch.oc[0], [1.0]),
         lambda: model.latent_map(batch),
@@ -580,16 +580,8 @@ class TestInspection:
 
     def test_rmse_eval_arithmetic(self, model):
         rng = np.random.default_rng(3)
-        trajs = [
-            EngineTrajectory(
-                unit_id=u,
-                cycles=np.arange(1, 6),
-                settings=np.zeros((5, 0)),
-                sensors=rng.normal(size=(5, 2)),
-            )
-            for u in (1, 2)
-        ]
-        preds = [model.sweep(t.sensors[-1], [0.0])[0][3] for t in trajs]
+        trajs = [EngineTrajectory(u, rng.normal(size=(5, 2)), ["s1", "s2"]) for u in (1, 2)]
+        preds = [model.sweep(t.features[-1], [0.0])[0][3] for t in trajs]
         rmse0, pairs = model.rmse_eval(trajs, preds)
         assert rmse0 == pytest.approx(0.0, abs=1e-9)
         assert [p[0] for p in pairs] == [1, 2]
@@ -598,6 +590,6 @@ class TestInspection:
         assert rmse2 == pytest.approx(np.sqrt(2.0), abs=1e-9)
 
     def test_rmse_eval_count_mismatch(self, model):
-        traj = EngineTrajectory(1, np.arange(1, 4), np.zeros((3, 0)), np.zeros((3, 2)))
+        traj = EngineTrajectory(1, np.zeros((3, 2)), ["s1", "s2"])
         with pytest.raises(ValueError):
             model.rmse_eval([traj], [1.0, 2.0])
