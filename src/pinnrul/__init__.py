@@ -7,11 +7,11 @@ by a squared-residual penalty on the predicted RUL's time derivative.
 
 from .data import (
     AugmentedSamples,
+    Batch,
     EngineTrajectory,
     NormStats,
     SynthSpec,
     augment,
-    augmented_count,
     fit_norm,
     parse_cmapss,
     parse_rul_truth,
@@ -33,6 +33,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AugmentedSamples",
+    "Batch",
     "CostBreakdown",
     "EngineTrajectory",
     "NadamConfig",
@@ -44,7 +45,6 @@ __all__ = [
     "SynthSpec",
     "TrainingReport",
     "augment",
-    "augmented_count",
     "fit_norm",
     "init_model",
     "load_model",

@@ -207,25 +207,20 @@ def cmd_check_data(cfg: RunConfig) -> int:
     raw_rows = sum(t.length for t in trajectories)
     columns = dat.select_features(trajectories)
     samples = dat.augment(trajectories, horizon=cfg.horizon, columns=columns)
-    expected = dat.augmented_count(trajectories, horizon=cfg.horizon)
     print(f"{len(trajectories)} engines, {raw_rows} rows, {len(samples)} augmented")
     print(f"selected features ({len(columns)}): {','.join(columns)}")
 
-    problems = []
-    if len(samples) != expected:
-        problems.append(f"augmented count {len(samples)} != closed-form {expected}")
-    if cfg.dataset == "fd001" and cfg.horizon == 30:
-        checks = (
-            ("engines", len(trajectories), FD001_ENGINES),
-            ("raw rows", raw_rows, FD001_RAW_ROWS),
-            ("augmented", len(samples), FD001_AUGMENTED),
-        )
-        problems += [f"{name}: got {got}, expected {want}" for name, got, want in checks if got != want]
-    if problems:
-        for p in problems:
-            print(f"MISMATCH: {p}", file=sys.stderr)
-        return 1
-    return 0
+    if cfg.dataset != "fd001" or cfg.horizon != 30:
+        return 0
+    checks = (
+        ("engines", len(trajectories), FD001_ENGINES),
+        ("raw rows", raw_rows, FD001_RAW_ROWS),
+        ("augmented", len(samples), FD001_AUGMENTED),
+    )
+    problems = [f"{name}: got {got}, expected {want}" for name, got, want in checks if got != want]
+    for p in problems:
+        print(f"MISMATCH: {p}", file=sys.stderr)
+    return 1 if problems else 0
 
 
 def cmd_train(cfg: RunConfig) -> int:
@@ -303,8 +298,8 @@ def cmd_map(cfg: RunConfig, model_path: str, which: str) -> int:
         trajectories, truth = load_test_set(cfg)
     _check_columns(model_path, model, trajectories)
     samples = dat.augment(trajectories, horizon=cfg.horizon if truth is None else 0, columns=model.norm.columns)
-    if truth is not None:  # one t = 0 row per logged cycle, labelled with the engine's true RUL there
-        samples.rul += np.repeat(truth, [traj.length for traj in trajectories])
+    if truth is not None:  # one t = 0 sample per logged row, labelled with the engine's true RUL there
+        samples.rul0 += np.repeat(truth, [traj.length for traj in trajectories])
 
     table = model.latent_map(samples)
     out = _out_dir(cfg)

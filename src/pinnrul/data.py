@@ -4,9 +4,12 @@ The augmentation step turns every logged row into a fan of training
 points: from the row at cycle c of an engine that lived L cycles, one
 sample per integer look-ahead t = 0 .. min(horizon, L - c) is emitted
 with label (L - c) - t. Labels run down to 0 at the failure cycle.
-Samples are held column-wise in one ``AugmentedSamples``, each column
-allocated once at its final size; taking a slice of it gives views,
-taking an index array gives copies.
+An ``AugmentedSamples`` stores each logged row once, in a per-row
+table, and per sample only the row's index and t, so memory grows with
+the rows logged, not with the up to horizon + 1 samples of each.
+``take`` gathers a ``Batch`` of features, look-aheads and labels for an
+index array or a slice, always into new arrays; ``fit_norm`` reduces
+the features in chunks, never gathering them whole.
 
 The parsers reject any token that is not a finite number, unit ids and
 cycles that are not integers and a negative true RUL, with a ValueError
@@ -21,7 +24,7 @@ life up to the injected noise, so trained-model error has a known floor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +33,7 @@ CMAPSS_FEATURES = tuple(f"setting{i}" for i in range(1, 4)) + tuple(f"s{i}" for 
 CMAPSS_COLUMNS = 2 + len(CMAPSS_FEATURES)
 
 VARIANCE_FLOOR = 1e-12
+NORM_CHUNK = 4096  # samples gathered per step in fit_norm
 
 
 @dataclass
@@ -123,37 +127,69 @@ def select_features(trajectories) -> list[str]:
 
 
 @dataclass
-class AugmentedSamples:
-    """Column-oriented collection of augmented samples."""
+class Batch:
+    """Materialized samples: feature rows ``oc``, look-aheads ``t`` and labels ``rul``."""
 
-    unit: np.ndarray
-    cycle: np.ndarray
+    oc: np.ndarray
     t: np.ndarray
     rul: np.ndarray
-    oc: np.ndarray
-    columns: list[str] = field(default_factory=list)
 
     def __len__(self):
         return int(self.t.shape[0])
 
-    def take(self, idx) -> "AugmentedSamples":
-        """Rows at ``idx``: an index array copies, a slice gives views."""
-        return AugmentedSamples(
-            unit=self.unit[idx],
-            cycle=self.cycle[idx],
-            t=self.t[idx],
-            rul=self.rul[idx],
-            oc=self.oc[idx],
-            columns=self.columns,
-        )
+    def take(self, idx) -> "Batch":
+        return Batch(oc=self.oc[idx], t=self.t[idx], rul=self.rul[idx])
+
+
+@dataclass
+class AugmentedSamples:
+    """Augmented samples over a table of logged rows, each row stored once.
+
+    ``rows`` holds every logged row's selected features (engines in unit
+    order, then cycles), and ``rul0``, ``row_unit`` and ``row_cycle`` its
+    RUL at that cycle, unit id and cycle. A sample is a row index ``row``
+    and a look-ahead ``t``; its label is ``rul0[row] - t``.
+    """
+
+    rows: np.ndarray
+    rul0: np.ndarray
+    row_unit: np.ndarray
+    row_cycle: np.ndarray
+    row: np.ndarray
+    t: np.ndarray
+    columns: list[str]
+
+    def __len__(self):
+        return int(self.t.shape[0])
+
+    def take(self, idx) -> Batch:
+        """The samples at ``idx`` (an index array or a slice), gathered into new arrays."""
+        row, t = self.row[idx], self.t[idx]
+        return Batch(oc=self.rows[row], t=t, rul=self.rul0[row] - t)
+
+    # the whole set, per sample; each read gathers a new array
+    @property
+    def oc(self) -> np.ndarray:
+        return self.rows[self.row]
+
+    @property
+    def rul(self) -> np.ndarray:
+        return self.rul0[self.row] - self.t
+
+    @property
+    def unit(self) -> np.ndarray:
+        return self.row_unit[self.row]
+
+    @property
+    def cycle(self) -> np.ndarray:
+        return self.row_cycle[self.row]
 
 
 def augment(trajectories, horizon: int = 30, columns=None) -> AugmentedSamples:
     """Emit (oc at cycle c, t, RUL0 - t) for t = 0 .. min(horizon, RUL0).
 
     Output order is canonical: unit, then cycle, then t ascending. Each
-    engine's sample counts come first, so every column is allocated once
-    at its final size and filled engine by engine.
+    logged row is stored once; a sample holds its row's index and its t.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
@@ -161,33 +197,21 @@ def augment(trajectories, horizon: int = 30, columns=None) -> AugmentedSamples:
     if not trajs:
         raise ValueError("no trajectories to augment")
     cols = list(trajs[0].columns if columns is None else columns)
-    rul0 = [np.arange(traj.length - 1, -1, -1) for traj in trajs]  # L - c at each row's cycle c
-    counts = [np.minimum(horizon, r) + 1 for r in rul0]
-    n = sum(int(k.sum()) for k in counts)
-    out = AugmentedSamples(
-        unit=np.empty(n, dtype=np.int64),
-        cycle=np.empty(n, dtype=np.int64),
-        t=np.empty(n, dtype=np.int64),
-        rul=np.empty(n, dtype=np.float64),
-        oc=np.empty((n, len(cols)), dtype=np.float64),
+    lengths = [traj.length for traj in trajs]
+    rul0 = np.concatenate([np.arange(n - 1, -1, -1) for n in lengths])  # L - c at each row's cycle c
+    counts = np.minimum(horizon, rul0) + 1
+    row = np.repeat(np.arange(len(rul0)), counts)
+    t = np.arange(len(row))
+    t -= np.repeat(np.cumsum(counts) - counts, counts)  # 0 .. counts - 1 per logged row
+    return AugmentedSamples(
+        rows=np.concatenate([feature_matrix(traj, columns) for traj in trajs]),
+        rul0=rul0.astype(np.float64),
+        row_unit=np.repeat(np.array([traj.unit_id for traj in trajs], dtype=np.int64), lengths),
+        row_cycle=np.concatenate([np.arange(1, n + 1) for n in lengths]),
+        row=row,
+        t=t,
         columns=cols,
     )
-    stop = 0
-    for traj, r, k in zip(trajs, rul0, counts):
-        start, stop = stop, stop + int(k.sum())
-        rows = slice(start, stop)
-        t = np.arange(stop - start) - np.repeat(np.cumsum(k) - k, k)  # 0 .. k_i - 1 per logged row
-        out.unit[rows] = traj.unit_id
-        out.cycle[rows] = np.repeat(traj.length - r, k)
-        out.t[rows] = t
-        out.rul[rows] = np.repeat(r, k) - t
-        out.oc[rows] = np.repeat(feature_matrix(traj, columns), k, axis=0)
-    return out
-
-
-def augmented_count(trajectories, horizon: int = 30) -> int:
-    """Closed-form sample count: sum over rows of min(horizon, L - c) + 1."""
-    return sum(int((np.minimum(horizon, np.arange(traj.length)) + 1).sum()) for traj in trajectories)
 
 
 @dataclass
@@ -210,14 +234,39 @@ class NormStats:
             raise ValueError(f"rul_max must be finite and >= 1, got {self.rul_max!r}")
 
 
+def _row_sum(samples: AugmentedSamples, f) -> np.ndarray:
+    """Column sums of ``f(oc)`` over the samples, gathering NORM_CHUNK of them at a time.
+
+    Each chunk is reduced with the running sum as its first row, so rows
+    are added one after another, as numpy adds the rows of a C-ordered
+    (n, d >= 2) array in ``oc.sum(axis=0)``.
+    """
+    acc = np.empty((0, samples.rows.shape[1]))
+    for start in range(0, len(samples), NORM_CHUNK):
+        chunk = f(samples.rows[samples.row[start : start + NORM_CHUNK]])
+        acc = np.add.reduce(np.concatenate([acc, chunk]), axis=0, keepdims=True)
+    return acc[0]
+
+
 def fit_norm(samples: AugmentedSamples) -> NormStats:
-    """Fit z-score statistics and the label scale on training samples."""
-    means = samples.oc.mean(axis=0)
-    stds = samples.oc.std(axis=0)
+    """Fit z-score statistics and the label scale on training samples.
+
+    The means and stds are ``samples.oc.mean(axis=0)`` and
+    ``.std(axis=0)`` bit for bit, but only a one-column ``oc`` is gathered
+    whole: numpy sums one contiguous column pairwise, not row by row.
+    """
+    n = len(samples)
+    if samples.rows.shape[1] == 1:
+        oc = samples.oc
+        means, stds = oc.mean(axis=0), oc.std(axis=0)
+    else:
+        means = _row_sum(samples, lambda oc: oc) / n
+        stds = np.sqrt(_row_sum(samples, lambda oc: np.square(oc - means)) / n)
     if (stds < 1e-12).any():
         bad = [c for c, s in zip(samples.columns, stds) if s < 1e-12]
         raise ValueError(f"zero-variance feature(s) after selection: {bad}")
-    return NormStats(means=means, stds=stds, rul_max=float(samples.rul.max()), columns=list(samples.columns))
+    # every logged row has a t = 0 sample, whose label rul0 is that row's largest
+    return NormStats(means=means, stds=stds, rul_max=float(samples.rul0.max()), columns=list(samples.columns))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ tangent, and of the RUL network, without tangents, and never the rate
 network. Whole sample sets are read CHUNK samples at a time:
 ``mean_cost`` sums the cost terms over the rows an index array names,
 gathering one chunk at a time, and ``latent_map`` returns one (n, 4)
-float64 table, built from slice views, whose columns are x, dx/dt,
+float64 table, gathered a slice at a time, whose columns are x, dx/dt,
 predicted RUL and true RUL. ``_inputs`` is the one check of a batch's
 oc shape, row counts and times, for ``_eval_batch`` and ``_read``, and
 ``_read`` the one reader of x, dx/dt and the RUL in cycles for
@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import AugmentedSamples, NormStats, feature_matrix
+from .data import AugmentedSamples, Batch, NormStats, feature_matrix
 from .graph import Graph
 from .net import INIT_SCHEMES, GraphMlp, _chain, init_params
 
@@ -265,7 +265,7 @@ class PinnModel:
 
     # -- batch cost ------------------------------------------------------
 
-    def _loss(self, batch: AugmentedSamples, dyn_oracle: bool = False):
+    def _loss(self, batch: Batch, dyn_oracle: bool = False):
         """Evaluate a nonempty batch; return (wiring, d, f, mse, pde, total).
 
         d = y / rul_max - rul and f are the label error and residual rows,
@@ -281,7 +281,7 @@ class PinnModel:
         pde = float((f * f).mean())
         return w, d, f, mse, pde, mse + self.config.pde_weight * pde
 
-    def cost(self, batch: AugmentedSamples, dyn_oracle: bool = False) -> CostBreakdown:
+    def cost(self, batch: Batch, dyn_oracle: bool = False) -> CostBreakdown:
         """Batch cost (label MSE + weighted mean squared residual) and its
         gradient, one vector laid out like ``theta``.
 
@@ -312,7 +312,7 @@ class PinnModel:
             raise NumericError(f"non-finite gradient of {self._buffer_at(np.argmin(finite))}")
         return CostBreakdown(mse=mse, pde=pde, total=total, grad=self._grad.copy())
 
-    def cost_values(self, batch: AugmentedSamples) -> tuple[float, float, float]:
+    def cost_values(self, batch: Batch) -> tuple[float, float, float]:
         """(mse, pde, total) without the gradient sweep."""
         return self._loss(batch)[3:]
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pinnrul import (
-    AugmentedSamples,
+    Batch,
     NormStats,
     PinnConfig,
     cli,
@@ -165,13 +165,10 @@ def small_random_model(seed, d_oc=2, pde_weight=1.0):
 def random_batch(model, seed, n=4):
     rng = np.random.default_rng(seed)
     d = model.config.d_oc
-    return AugmentedSamples(
-        unit=np.ones(n, dtype=np.int64),
-        cycle=np.arange(1, n + 1),
+    return Batch(
         t=rng.integers(0, 31, n),
         rul=rng.uniform(0, model.norm.rul_max, n),
         oc=model.norm.means + model.norm.stds * rng.normal(0, 1, (n, d)),
-        columns=model.norm.columns,
     )
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from pinnrul import (
     NormStats,
     SynthSpec,
     augment,
-    augmented_count,
     fit_norm,
     parse_cmapss,
     parse_rul_truth,
@@ -17,7 +17,7 @@ from pinnrul import (
     synth_generate,
     truncate_for_eval,
 )
-from pinnrul.data import CMAPSS_FEATURES, feature_matrix
+from pinnrul.data import CMAPSS_FEATURES, NORM_CHUNK, feature_matrix
 
 
 def cmapss_line(unit, cycle, fill=0.0):
@@ -157,6 +157,29 @@ class TestSelectFeatures:
             feature_matrix(make_traj(1, 4), ["s9"])
 
 
+def reference_fleet():
+    # engines out of unit order, one of them shorter than the horizon
+    return [make_traj(3, 40, n_sensors=3, seed=1), make_traj(1, 36, n_sensors=3, seed=2),
+            make_traj(2, 2, n_sensors=3, seed=3)]
+
+
+def repeated_reference(trajs, horizon, columns=None):
+    """The augmented set's per-sample columns, built by repeating each logged row once per look-ahead."""
+    parts = {name: [] for name in ("unit", "cycle", "t", "rul", "oc")}
+    for traj in sorted(trajs, key=lambda tr: tr.unit_id):
+        feats = feature_matrix(traj, columns)
+        for row in range(traj.length):
+            c = row + 1
+            rul0 = traj.length - int(c)
+            ts = np.arange(min(horizon, rul0) + 1)
+            parts["unit"].append(np.full(len(ts), traj.unit_id))
+            parts["cycle"].append(np.full(len(ts), c))
+            parts["t"].append(ts)
+            parts["rul"].append((rul0 - ts).astype(np.float64))
+            parts["oc"].append(np.repeat(feats[row : row + 1], len(ts), axis=0))
+    return {name: np.concatenate(p) for name, p in parts.items()}
+
+
 class TestAugment:
     def test_engine_with_192_rows_at_cycle_100(self):
         traj = make_traj(1, 192)
@@ -176,7 +199,7 @@ class TestAugment:
         trajs, _ = synth_generate(SynthSpec(n_engines=5, min_life=38, max_life=52, seed=3))
         samples = augment([t for t in trajs], horizon=30)
         expected = sum(int(np.minimum(30, t.length - np.arange(1, t.length + 1)).sum()) + t.length for t in trajs)
-        assert len(samples) == expected == augmented_count(trajs, 30)
+        assert len(samples) == expected
 
     def test_labels_and_horizons_in_range(self):
         trajs, _ = synth_generate(SynthSpec(n_engines=3, min_life=36, max_life=60, seed=11))
@@ -213,22 +236,8 @@ class TestAugment:
     @pytest.mark.parametrize("horizon", [0, 30])
     @pytest.mark.parametrize("columns", [None, ["s3", "s1"]])
     def test_matches_concatenated_reference(self, horizon, columns):
-        # engines out of unit order, one of them shorter than the horizon
-        trajs = [make_traj(3, 40, n_sensors=3, seed=1), make_traj(1, 36, n_sensors=3, seed=2),
-                 make_traj(2, 2, n_sensors=3, seed=3)]
-        parts = {name: [] for name in ("unit", "cycle", "t", "rul", "oc")}
-        for traj in sorted(trajs, key=lambda tr: tr.unit_id):
-            feats = feature_matrix(traj, columns)
-            for row in range(traj.length):
-                c = row + 1
-                rul0 = traj.length - int(c)
-                ts = np.arange(min(horizon, rul0) + 1)
-                parts["unit"].append(np.full(len(ts), traj.unit_id))
-                parts["cycle"].append(np.full(len(ts), c))
-                parts["t"].append(ts)
-                parts["rul"].append((rul0 - ts).astype(np.float64))
-                parts["oc"].append(np.repeat(feats[row : row + 1], len(ts), axis=0))
-        want = {name: np.concatenate(p) for name, p in parts.items()}
+        trajs = reference_fleet()
+        want = repeated_reference(trajs, horizon, columns)
 
         got = augment(trajs, horizon=horizon, columns=columns)
         dtypes = dict(unit=np.int64, cycle=np.int64, t=np.int64, rul=np.float64, oc=np.float64)
@@ -247,9 +256,59 @@ class TestAugment:
         samples = augment([make_traj(2, 6), make_traj(1, 5)], horizon=4)
         got = samples.take(slice(a, b))
         want = samples.take(np.arange(a, min(b, len(samples))))
-        for name in ("unit", "cycle", "t", "rul", "oc"):
+        for name in ("t", "rul", "oc"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
-        assert got.columns == want.columns
+
+
+class TestTake:
+    @pytest.mark.parametrize("kind", ["sorted", "shuffled", "empty", "slice", "open slice", "strided slice"])
+    @pytest.mark.parametrize("horizon", [0, 30])
+    def test_equals_repeated_reference(self, kind, horizon):
+        trajs = reference_fleet()
+        samples = augment(trajs, horizon=horizon, columns=["s3", "s1"])
+        want = repeated_reference(trajs, horizon, ["s3", "s1"])
+        rng = np.random.default_rng(horizon)
+        idx = {
+            "sorted": np.sort(rng.choice(len(samples), len(samples) // 3, replace=False)),
+            "shuffled": rng.permutation(len(samples)),
+            "empty": np.array([], dtype=np.int64),
+            "slice": slice(5, 40),
+            "open slice": slice(len(samples) - 7, None),
+            "strided slice": slice(1, None, 7),
+        }[kind]
+        got = samples.take(idx)
+        assert len(got) == len(want["t"][idx])
+        for name in ("oc", "t", "rul"):
+            assert getattr(got, name).dtype == want[name].dtype, name
+            assert np.array_equal(getattr(got, name), want[name][idx]), name
+        assert got.oc.shape == (len(got), 2)
+
+    def test_map_test_labels_with_truth_added(self):
+        # map --which test augments at horizon 0 and adds each engine's true RUL to its rows' RUL0
+        trajs = reference_fleet()
+        truth = np.array([4.5, 0.0, 17.0])  # units 1, 2, 3
+        samples = augment(trajs, horizon=0)
+        samples.rul0 += np.repeat(truth, [tr.length for tr in sorted(trajs, key=lambda tr: tr.unit_id)])
+        want = repeated_reference(trajs, 0)
+        want_rul = want["rul"] + truth[want["unit"] - 1]
+        assert np.array_equal(samples.rul, want_rul)
+        for idx in (slice(None), np.arange(len(samples))[::-1], slice(30, 50)):
+            got = samples.take(idx)
+            assert np.array_equal(got.rul, want_rul[idx])
+            assert np.array_equal(got.oc, want["oc"][idx])
+            assert (got.t == 0).all()
+
+    def test_rows_stored_once(self):
+        trajs = reference_fleet()
+        samples = augment(trajs, horizon=30)
+        assert samples.rows.shape == (sum(tr.length for tr in trajs), 3)
+        assert all(samples.__dict__[name].ndim == 1 for name in ("rul0", "row_unit", "row_cycle", "row", "t"))
+
+    @pytest.mark.parametrize("name", ["oc", "rul", "unit", "cycle"])
+    def test_whole_set_columns_are_read_only(self, name):
+        samples = augment(reference_fleet(), horizon=3)
+        with pytest.raises(AttributeError):
+            setattr(samples, name, getattr(samples, name))
 
 
 class TestNorm:
@@ -288,13 +347,41 @@ class TestNorm:
         stats = fit_norm(samples)
         assert stats.rul_max == max(t.length for t in trajs) - 1
 
+    @pytest.mark.parametrize("seed", [5, 7, 11])
+    @pytest.mark.parametrize("d", [1, 2, 14])
+    def test_stats_equal_the_materialized_set_bitwise(self, d, seed):
+        # several NORM_CHUNK chunks; at d = 1 a chunked sum differs from numpy's pairwise one
+        trajs, _ = synth_generate(SynthSpec(n_engines=4, min_life=128, max_life=285, n_sensors=14, seed=seed))
+        samples = augment(trajs, horizon=30, columns=[f"s{j + 1}" for j in range(d)])
+        assert len(samples) > 4 * NORM_CHUNK
+        stats = fit_norm(samples)
+        oc = samples.oc
+        assert np.array_equal(stats.means, oc.mean(axis=0))
+        assert np.array_equal(stats.stds, oc.std(axis=0))
+        assert stats.rul_max == samples.rul.max()
+
+    def test_set_up_peak_below_half_a_feature_array(self):
+        # the benchmark's train fleet: augment + fit_norm never hold an n x d copy of the features
+        trajs, _ = synth_generate(SynthSpec(n_engines=25, min_life=128, max_life=285, n_sensors=14, seed=7))
+        columns = select_features(trajs)
+        tracemalloc.start()
+        try:
+            samples = augment(trajs, horizon=30, columns=columns)
+            fit_norm(samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(columns) == 14
+        assert peak < len(samples) * len(columns) * 8 / 2
+
     def test_zero_std_rejected(self):
         samples = AugmentedSamples(
-            unit=np.ones(4, dtype=np.int64),
-            cycle=np.arange(1, 5),
+            rows=np.column_stack([np.ones(4), np.arange(4.0)]),
+            rul0=np.array([3.0, 2.0, 1.0, 0.0]),
+            row_unit=np.ones(4, dtype=np.int64),
+            row_cycle=np.arange(1, 5),
+            row=np.arange(4),
             t=np.zeros(4, dtype=np.int64),
-            rul=np.array([3.0, 2.0, 1.0, 0.0]),
-            oc=np.column_stack([np.ones(4), np.arange(4.0)]),
             columns=["s1", "s2"],
         )
         with pytest.raises(ValueError, match="s1"):
