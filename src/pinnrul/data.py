@@ -9,7 +9,8 @@ table, and per sample only the row's index and t, so memory grows with
 the rows logged, not with the up to horizon + 1 samples of each.
 ``take`` gathers a ``Batch`` of features, look-aheads and labels for an
 index array or a slice, always into new arrays; ``fit_norm`` reduces
-the features in chunks, never gathering them whole.
+the row table, each row weighted by its sample count, never gathering
+the features per sample.
 
 The parsers reject any token that is not a finite number, unit ids and
 cycles that are not integers and a negative true RUL, with a ValueError
@@ -33,7 +34,6 @@ CMAPSS_FEATURES = tuple(f"setting{i}" for i in range(1, 4)) + tuple(f"s{i}" for 
 CMAPSS_COLUMNS = 2 + len(CMAPSS_FEATURES)
 
 VARIANCE_FLOOR = 1e-12
-NORM_CHUNK = 4096  # samples gathered per step in fit_norm
 
 
 @dataclass
@@ -234,34 +234,17 @@ class NormStats:
             raise ValueError(f"rul_max must be finite and >= 1, got {self.rul_max!r}")
 
 
-def _row_sum(samples: AugmentedSamples, f) -> np.ndarray:
-    """Column sums of ``f(oc)`` over the samples, gathering NORM_CHUNK of them at a time.
-
-    Each chunk is reduced with the running sum as its first row, so rows
-    are added one after another, as numpy adds the rows of a C-ordered
-    (n, d >= 2) array in ``oc.sum(axis=0)``.
-    """
-    acc = np.empty((0, samples.rows.shape[1]))
-    for start in range(0, len(samples), NORM_CHUNK):
-        chunk = f(samples.rows[samples.row[start : start + NORM_CHUNK]])
-        acc = np.add.reduce(np.concatenate([acc, chunk]), axis=0, keepdims=True)
-    return acc[0]
-
-
 def fit_norm(samples: AugmentedSamples) -> NormStats:
     """Fit z-score statistics and the label scale on training samples.
 
-    The means and stds are ``samples.oc.mean(axis=0)`` and
-    ``.std(axis=0)`` bit for bit, but only a one-column ``oc`` is gathered
-    whole: numpy sums one contiguous column pairwise, not row by row.
+    The means and stds are those of ``samples.oc``, reduced over the row
+    table with each row weighted by the number of samples that read it;
+    numpy, not BLAS, sums, so no BLAS build or thread count moves a bit.
     """
-    n = len(samples)
-    if samples.rows.shape[1] == 1:
-        oc = samples.oc
-        means, stds = oc.mean(axis=0), oc.std(axis=0)
-    else:
-        means = _row_sum(samples, lambda oc: oc) / n
-        stds = np.sqrt(_row_sum(samples, lambda oc: np.square(oc - means)) / n)
+    n, rows = len(samples), samples.rows
+    w = np.bincount(samples.row, minlength=len(rows))[:, None]
+    means = (w * rows).sum(axis=0) / n
+    stds = np.sqrt((w * np.square(rows - means)).sum(axis=0) / n)
     if (stds < 1e-12).any():
         bad = [c for c, s in zip(samples.columns, stds) if s < 1e-12]
         raise ValueError(f"zero-variance feature(s) after selection: {bad}")

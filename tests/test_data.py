@@ -17,7 +17,7 @@ from pinnrul import (
     synth_generate,
     truncate_for_eval,
 )
-from pinnrul.data import CMAPSS_FEATURES, NORM_CHUNK, feature_matrix
+from pinnrul.data import CMAPSS_FEATURES, feature_matrix
 
 
 def cmapss_line(unit, cycle, fill=0.0):
@@ -349,16 +349,23 @@ class TestNorm:
 
     @pytest.mark.parametrize("seed", [5, 7, 11])
     @pytest.mark.parametrize("d", [1, 2, 14])
-    def test_stats_equal_the_materialized_set_bitwise(self, d, seed):
-        # several NORM_CHUNK chunks; at d = 1 a chunked sum differs from numpy's pairwise one
+    def test_stats_match_an_exact_sum_in_any_order(self, d, seed):
         trajs, _ = synth_generate(SynthSpec(n_engines=4, min_life=128, max_life=285, n_sensors=14, seed=seed))
         samples = augment(trajs, horizon=30, columns=[f"s{j + 1}" for j in range(d)])
-        assert len(samples) > 4 * NORM_CHUNK
         stats = fit_norm(samples)
-        oc = samples.oc
-        assert np.array_equal(stats.means, oc.mean(axis=0))
-        assert np.array_equal(stats.stds, oc.std(axis=0))
+        eps = np.finfo(np.float64).eps
+        for j, col in enumerate(samples.oc.T):
+            mean = math.fsum(col) / len(col)
+            std = math.sqrt(math.fsum(np.square(col - mean)) / len(col))
+            assert abs(stats.means[j] - mean) <= 4 * eps * np.abs(col).mean()
+            assert abs(stats.stds[j] - std) <= 4 * eps * std
         assert stats.rul_max == samples.rul.max()
+        # the weights count each row's samples, whatever their order
+        perm = np.random.default_rng(seed).permutation(len(samples))
+        samples.row, samples.t = samples.row[perm], samples.t[perm]
+        shuffled = fit_norm(samples)
+        assert np.array_equal(shuffled.means, stats.means)
+        assert np.array_equal(shuffled.stds, stats.stds)
 
     def test_set_up_peak_below_half_a_feature_array(self):
         # the benchmark's train fleet: augment + fit_norm never hold an n x d copy of the features
