@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import reprlib
 import sys
@@ -281,13 +282,129 @@ def cmd_eval(cfg: RunConfig, model_path: str) -> int:
     return 0
 
 
+# The latent map's CSV. Each value's text is cut from 24 one-byte slots,
+# three 8-byte words filled by table lookups:
+#   "-0.000" d0 "."  |  d1 "." d2 "." d3 "." d4 "."  |  d5 "." d6 "." d7 "." d8 sep
+# so the mantissa d0..d8 splits into d0 and two groups of four digits.
+_POW10 = np.array([float(10**k) for k in range(14)])  # exact: every power of ten up to 1e22 is a double
+_SEP_OFFSET = np.array([0, 0, 0, 10_000])  # the row's last value takes the newline words
+
+
+def _digit_words(last: bytes) -> np.ndarray:
+    """The 8-byte words of "d.d.d.d" and one byte of ``last``, for
+    0000..9999 and each such byte in turn: ``len(last)`` * 10,000 words."""
+    pairs = np.frombuffer("".join(f"{k:02d}" for k in range(100)).encode(), np.uint8).reshape(100, 2)
+    words = np.full((len(last), 100, 100, 8), ord("."), np.uint8)
+    words[..., 0:3:2] = pairs[:, None]
+    words[..., 4:7:2] = pairs
+    words[..., 7] = np.frombuffer(last, np.uint8)[:, None, None]
+    return words.reshape(-1).view(np.uint64)
+
+
+@functools.cache
+def _csv_tables() -> tuple[np.ndarray, ...]:
+    """The bulk formatter's tables, built by the first export so that the
+    other commands neither build nor hold them (~0.3 MB):
+
+    - the first word for each d0, and for d0 = 10, a mantissa rounded up
+      to 1e9, which prints as 1 then zeros;
+    - the second and third words for each group of four digits;
+    - the significant digits of each group of four: 4 less its trailing zeros;
+    - (300, 3) words of bools: the slots printed by class
+      (e + 5) * 20 + 2 * s + negative, for decimal exponent e in -5..9 and
+      s significant digits. Only e in -4..8 prints in fixed notation; the
+      classes of e = -5 and 9 keep just the separator, and mark a value
+      that ``%`` formats;
+    - the number of slots each class prints.
+    """
+    lead = np.frombuffer(b"".join(b"-0.000%c." % d for d in b"01234567891"), np.uint64)
+    significant = 4 - sum(np.arange(10_000) % 10**k == 0 for k in range(1, 5))
+    keep = np.zeros((15, 10, 2, 24), bool)
+    keep[..., 23] = True
+    digit = np.arange(6, 23, 2)
+    for e in range(-4, 9):
+        for s in range(1, 10):
+            k = keep[e + 5, s]
+            k[1, 0] = True
+            if e < 0:  # "0." then -e - 1 zeros, then the digits
+                k[:, 1 : 2 - e] = True
+                k[:, digit[:s]] = True
+            else:  # the digits through d_e, then the dot and the rest if any remain
+                k[:, digit[: max(s, e + 1)]] = True
+                if s > e + 1:
+                    k[:, digit[e] + 1] = True
+    keep = keep.reshape(300, 24)
+    return lead, _digit_words(b"."), _digit_words(b",\n"), significant, keep.view(np.uint64), keep.sum(axis=1)
+
+
+def _csv_text(part: np.ndarray) -> str:
+    """``"%.9g,%.9g,%.9g,%.9g\\n" * len(part) % tuple(part.ravel())`` for an
+    (m, 4) float64 array, built in bulk (``_write_latent_csv`` says why
+    its digits are exact)."""
+    lead_words, mid_words, last_words, significant, keep_words, kept = _csv_tables()
+    v = part.ravel()
+    a = np.abs(v)
+    inrange = (a >= 1e-5) & (a < 1e9)  # false for inf and nan
+    a = np.where(inrange, a, 1.0)  # the rest are zeros or print through %
+    e = np.floor(np.log10(a)).astype(np.intp)
+    np.clip(e, -5, 8, out=e)
+    q = a * _POW10[8 - e]
+    off = (q >= 1e9) | (q < 1e8)  # log10 missed by one next to a power of ten
+    if off.any():
+        (i,) = np.nonzero(off)
+        e[i] += np.where(q[i] >= 1e9, 1, -1)
+        inrange[i] &= (e[i] >= -5) & (e[i] <= 8)
+        np.clip(e, -5, 8, out=e)
+        q[i] = a[i] * _POW10[8 - e[i]]
+    m = np.rint(q)
+    fixed = inrange & (np.abs(q - m) < 0.5 - 1e-6)
+    mantissa = np.where(fixed, m, 0.0).astype(np.intp)
+    fixed |= v == 0  # mantissa 0 at e = 0 prints "0"
+    lead = mantissa // 10**8
+    low = mantissa - lead * 10**8
+    mid = low // 10**4
+    low -= mid * 10**4
+    words = np.empty((len(v), 3), np.uint64)
+    words[:, 0] = lead_words[lead]
+    words[:, 1] = mid_words[mid]
+    words[:, 2] = last_words[(low.reshape(-1, 4) + _SEP_OFFSET).reshape(-1)]
+    digits = np.where(low > 0, 5 + significant[low], 1 + significant[mid])
+    cls = ((e + 5 + lead // 10) * 10 + digits) * 2 + np.signbit(v)
+    cls *= fixed  # class 0 (e = -5) marks the rest
+    keep = np.take(keep_words, cls, axis=0).view(bool)
+    text = np.compress(keep.reshape(-1), words.view(np.uint8).reshape(-1)).tobytes().decode("ascii")
+    lengths = kept[cls]
+    (others,) = np.nonzero(lengths == 1)
+    if not len(others):
+        return text
+    # each of the rest gets its text in front of its separator
+    ends = (np.cumsum(lengths)[others] - 1).tolist()
+    pieces, start = [], 0
+    for end, word in zip(ends, ("%.9g " * len(others) % tuple(v[others].tolist())).split()):
+        pieces += text[start:end], word
+        start = end
+    pieces.append(text[start:])
+    return "".join(pieces)
+
+
 def _write_latent_csv(table, path) -> None:
-    """Write the (n, 4) latent map, formatting ``model.CHUNK`` rows per write."""
+    """Write the (n, 4) latent map, formatting ``model.CHUNK`` rows per write.
+
+    The text is that of ``"%.9g,%.9g,%.9g,%.9g\\n"``, built in bulk by
+    ``_csv_text``, and its digits are exact. A value v whose decimal
+    exponent e lies in -5..8 gets the mantissa q = |v| * 10**(8 - e). The
+    power of ten is an exact double, so q is the exact product rounded
+    once: within 6e-8 of it, half an ulp below 2**30. Where q lies more
+    than 1e-6 from a half-integer, rint(q) is therefore the correctly
+    rounded 9-digit mantissa that ``%.9g`` prints; a mantissa rounded up
+    to 1e9 moves e up one. The values in that band, those that print in
+    exponent notation (e outside -4..8), inf and nan go through one ``%``
+    call per chunk.
+    """
     with open(path, "w", encoding="ascii") as fh:
         fh.write("x,dx_dt,rul_pred,rul_true\n")
         for start in range(0, len(table), mdl.CHUNK):
-            part = table[start : start + mdl.CHUNK]
-            fh.write("%.9g,%.9g,%.9g,%.9g\n" * len(part) % tuple(part.ravel().tolist()))
+            fh.write(_csv_text(table[start : start + mdl.CHUNK]))
 
 
 def cmd_map(cfg: RunConfig, model_path: str, which: str) -> int:

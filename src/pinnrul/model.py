@@ -29,8 +29,8 @@ own forward walk, over the tuples of the x network, with its dx/dt
 tangent, and of the RUL network, without tangents, and never the rate
 network. Whole sample sets are read CHUNK samples at a time:
 ``mean_cost`` sums the cost terms over the rows an index array names,
-gathering one chunk at a time, and ``latent_map`` returns one (n, 4)
-float64 table, gathered a slice at a time, whose columns are x, dx/dt,
+gathering one chunk at a time, and ``latent_map`` fills one C-order (n, 4)
+float64 table a slice at a time, whose columns are x, dx/dt,
 predicted RUL and true RUL. ``_inputs`` is the one check of a batch's
 oc shape, row counts and times, for ``_eval_batch`` and ``_read``, and
 ``_read`` the one reader of x, dx/dt and the RUL in cycles for
@@ -342,12 +342,14 @@ class PinnModel:
     # -- inspection ------------------------------------------------------
 
     def latent_map(self, samples: AugmentedSamples) -> np.ndarray:
-        """(n, 4) table of x, dx/dt, predicted RUL, true RUL; order preserved."""
-        chunks = [np.empty((4, 0))]
+        """(n, 4) C-order table of x, dx/dt, predicted RUL, true RUL; order preserved."""
+        table = np.empty((len(samples), 4))
         for start in range(0, len(samples), CHUNK):
             part = samples.take(slice(start, start + CHUNK))
-            chunks.append(np.array([*self._read(part.oc, part.t), part.rul]))
-        return np.concatenate(chunks, axis=1).T
+            block = table[start : start + CHUNK]
+            block[:, 0], block[:, 1], block[:, 2] = self._read(part.oc, part.t)
+            block[:, 3] = part.rul
+        return table
 
     def sweep(self, oc, t_list) -> list[tuple[float, float, float, float]]:
         """(t, x, dx/dt, predicted RUL) per horizon from one snapshot."""

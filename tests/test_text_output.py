@@ -1,12 +1,14 @@
 """The CLI's text tables are byte for byte what a per-row ``str.format``
 writer gives.
 
-``_write_latent_csv``, ``predict`` (``--csv`` and the plain table) and
-``eval``'s ``pred_vs_true.csv`` fill one ``%`` template per chunk of rows.
+``predict`` (``--csv`` and the plain table) and ``eval``'s
+``pred_vs_true.csv`` fill one ``%`` template per chunk of rows;
+``_write_latent_csv`` builds the digits of ``%.9g`` in bulk with numpy.
 The reference writers below are the per-row formatting those tables had
 before: property tests feed both the same numbers, edge cases included,
-and a fixed synthetic run compares each command's real output with the
-reference rendering of the numbers the model gave it.
+a fixed table covers every class of the bulk formatter, and a fixed
+synthetic run compares each command's real output with the reference
+rendering of the numbers the model gave it.
 """
 
 import contextlib
@@ -22,7 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pinnrul import cli, load_model
-from pinnrul.model import PinnModel
+from pinnrul.model import CHUNK, PinnModel
 
 # -- reference writers: one str.format / f-string call per row -----------
 
@@ -49,7 +51,10 @@ def pred_vs_true_reference(pairs) -> str:
 # -- property tests ------------------------------------------------------
 
 # signed zeros, subnormal and normal extremes, values that round across a
-# digit or a power of ten at 9 significant digits, integers, inf and nan
+# digit or a power of ten at 9 significant digits, integers, inf and nan;
+# then the bulk latent-map formatter's boundaries: leading zeros after the
+# point, the last fixed-notation exponents at each end, a mantissa that
+# rounds up to e = 8, a tie, and digits on both sides of the point
 EDGES = [
     0.0,
     -0.0,
@@ -69,6 +74,14 @@ EDGES = [
     math.inf,
     -math.inf,
     math.nan,
+    0.0625,
+    -0.000123456789,
+    1e-4,
+    float(np.nextafter(1e-4, 0)),
+    99999999.995,
+    123456789.5,
+    1e8,
+    12345.6789,
 ]
 VALUE = st.sampled_from(EDGES) | st.floats() | st.integers(-(2**53), 2**53).map(float)
 # sweep and rmse_eval return Python floats; a Python int must format the same too
@@ -86,6 +99,26 @@ def test_latent_csv_bytes_equal_per_row_format(tmp_path_factory, rows, chunk):
     path = tmp_path_factory.getbasetemp() / "latent.csv"
     with mock.patch("pinnrul.model.CHUNK", chunk):
         cli._write_latent_csv(table, path)
+    assert path.read_bytes() == latent_reference(table).encode("ascii")
+
+
+def test_latent_csv_covers_every_class(tmp_path):
+    # 3 * CHUNK + 5 rows: every decimal exponent from -5 to 9 with every
+    # count of significant digits from 1 to 9, of both signs, each many
+    # times with seeded random digits; a nonzero first and last digit fix the count
+    n = 4 * (3 * CHUNK + 5)
+    i = np.arange(n)
+    exponent, digits, sign = i % 15 - 5, i // 15 % 9 + 1, np.where(i // 135 % 2, -1.0, 1.0)
+    rng = np.random.default_rng(28)
+    lead = rng.integers(1, 10, n)
+    middle = (rng.integers(0, 10**7, n) % 10 ** np.maximum(digits - 2, 0)) * 10
+    last = np.where(digits > 1, rng.integers(1, 10, n), 0)
+    mantissa = (lead * 10 ** np.maximum(digits - 1, 0) + middle + last) * 10 ** (9 - digits)
+    # one decimal-to-binary rounding per value, as a parser gives it
+    values = [s * float(f"{m}e{e - 8}") for s, m, e in zip(sign.tolist(), mantissa.tolist(), exponent.tolist())]
+    table = np.array(values).reshape(-1, 4)
+    path = tmp_path / "latent.csv"
+    cli._write_latent_csv(table, path)
     assert path.read_bytes() == latent_reference(table).encode("ascii")
 
 
