@@ -463,7 +463,7 @@ def _parser() -> argparse.ArgumentParser:
 
     def common(p, model_flag=False):
         p.add_argument("--config", help="JSON run config")
-        p.add_argument("--out", help="output directory (overrides config)")
+        p.add_argument("--out", dest="output_dir", help="output directory (overrides config)")
         if model_flag:
             p.add_argument("--model", required=True, help="path to model.bin")
         return p
@@ -471,10 +471,10 @@ def _parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check-data", help="parse, augment and verify counts")
     p_check.add_argument("--config", help="JSON run config")  # it writes nothing, so it takes no --out
     p_train = common(sub.add_parser("train", help="run the training pipeline"))
-    p_train.add_argument("--seed-init", type=int, help="weight init seed")
-    p_train.add_argument("--seed-split", type=int, help="train/validation split seed")
+    p_train.add_argument("--seed-init", dest="init_seed", type=int, help="weight init seed")
+    p_train.add_argument("--seed-split", dest="split_seed", type=int, help="train/validation split seed")
     p_train.add_argument("--epochs", type=int)
-    p_train.add_argument("--batch", type=int)
+    p_train.add_argument("--batch", dest="batch_size", type=int)
     common(sub.add_parser("eval", help="score the test set"), model_flag=True)
     p_map = common(sub.add_parser("map", help="export the latent map CSV"), model_flag=True)
     p_map.add_argument("--which", choices=("train", "test"), default="test")
@@ -490,40 +490,27 @@ def _parser() -> argparse.ArgumentParser:
 _PARSER = _parser()
 
 
-# argparse reads a token that starts with "-" and is not a plain number as an
-# option, so "--oc -0.5,1.2" would lose its value; "--oc=-0.5,1.2" keeps it.
-# argparse also takes any unambiguous prefix of a long option ("--o", "--t").
-_PREDICT_FLAGS = ("--model", "--oc", "--t-list", "--csv", "--help")
-_VALUE_FLAGS = ("--oc", "--t-list")
-
-
-def _is_value_flag(tok: str) -> bool:
-    """``--oc``/``--t-list`` or a prefix that argparse resolves to one of them."""
-    if not tok.startswith("--") or len(tok) < 3:
-        return False
-    hits = [flag for flag in _PREDICT_FLAGS if flag.startswith(tok)]
-    return len(hits) == 1 and hits[0] in _VALUE_FLAGS
-
-
 def _glue_values(argv) -> list[str]:
-    """Join each ``--oc``/``--t-list`` flag with the token after it."""
+    """Join each ``--oc``/``--t-list`` flag with the token after it.
+
+    argparse reads a token that starts with "-" and is not a plain number as
+    an option, so "--oc -0.5,1.2" would lose its value; "--oc=-0.5,1.2" keeps
+    it. argparse also takes any unambiguous prefix of a long option ("--o",
+    "--t"); no other flag of ``predict`` shares one of these, and if a later
+    one did, argparse would reject the joined "--o=v" as ambiguous.
+    """
     out = []
     tokens = iter(argv)
     for tok in tokens:
-        value = next(tokens, None) if _is_value_flag(tok) else None
+        glue = len(tok) >= 3 and ("--oc".startswith(tok) or "--t-list".startswith(tok))
+        value = next(tokens, None) if glue else None
         out.append(tok if value is None else f"{tok}={value}")
     return out
 
 
 def _overrides(args) -> dict:
-    pairs = (
-        ("out", "output_dir"),
-        ("seed_init", "init_seed"),
-        ("seed_split", "split_seed"),
-        ("epochs", "epochs"),
-        ("batch", "batch_size"),
-    )
-    return {key: getattr(args, flag) for flag, key in pairs if getattr(args, flag, None) is not None}
+    """The ``RunConfig`` fields given as flags: each flag's ``dest`` is its field's name."""
+    return {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig) if getattr(args, f.name, None) is not None}
 
 
 def main(argv=None) -> int:

@@ -32,10 +32,11 @@ network. Whole sample sets are read CHUNK samples at a time:
 gathering one chunk at a time, and ``latent_map`` fills one C-order (n, 4)
 float64 table a slice at a time, whose columns are x, dx/dt,
 predicted RUL and true RUL. ``_inputs`` is the one check of a batch's
-oc shape, row counts and times, for ``_eval_batch`` and ``_read``, and
-``_read`` the one reader of x, dx/dt and the RUL in cycles for
-``sweep``, ``latent_map`` and ``rmse_eval``; ``NumericError``, defined
-here, reports a non-finite output.
+oc shape, row counts and times, for ``_eval_batch`` and ``_read``
+(``_loss`` adds its label count), and ``_read`` the one reader of x,
+dx/dt and the RUL in cycles for ``sweep``, ``latent_map`` and
+``rmse_eval``; ``NumericError``, defined here, reports a non-finite
+output.
 """
 
 from __future__ import annotations
@@ -273,8 +274,11 @@ class PinnModel:
         """
         if len(batch) == 0:
             raise ValueError("cost needs a nonempty batch")
-        w = self._eval_batch(batch.oc, batch.t)
         y_n = np.asarray(batch.rul, dtype=np.float64).reshape(1, -1) / self.norm.rul_max
+        rows = len(np.atleast_2d(batch.oc))
+        if y_n.shape[1] != rows:  # numpy would broadcast one label over every row
+            raise ValueError(f"{rows} oc rows vs {y_n.shape[1]} rul labels")
+        w = self._eval_batch(batch.oc, batch.t)
         d = y_n - w.graph.value(w.rul)
         _, f = _residual(w, dyn_oracle)
         mse = float((d * d).mean())

@@ -133,7 +133,8 @@ def load_model(path) -> PinnModel:
             columns=[_typed(c, str) for c in _typed(nd["columns"], list)],
         )
         if not len(norm.means) == len(norm.stds) == len(norm.columns) == config.d_oc:
-            raise ValueError(f"norm has {len(norm.columns)} columns, model has d_oc={config.d_oc}")
+            counts = f"{len(norm.means)} means, {len(norm.stds)} stds and {len(norm.columns)} columns"
+            raise ValueError(f"norm has {counts}, model has d_oc={config.d_oc}")
         init = header["init"]
         split_seed = init.get("split_seed")
         init_fields = {

@@ -108,6 +108,9 @@ class TestConfig:
             (None, "init_seed", -1),
             (None, "split_seed", -1),
             ("synth", "seed", -5),
+            # a fleet of no engines, or of one sensor
+            ("synth", "n_engines", 0),
+            ("synth", "n_sensors", 1),
             # a scheme init_model does not know, which would fail only after the data is built
             (None, "init_scheme", "orthogonal"),
             # a train flag overrides its key, and is checked as the key is
@@ -144,6 +147,28 @@ class TestConfig:
         cfg = cli.load_config(synth_config(tmp_path), {"epochs": 9, "init_seed": 42})
         assert cfg.epochs == 9
         assert cfg.init_seed == 42
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--out", "--seed-init", "--seed-split", "--epochs", "--batch"], ["--o", "--seed-i", "--seed-s", "--ep", "--b"]],
+        ids=["full", "prefixes"],
+    )
+    def test_each_train_flag_sets_its_key(self, tmp_path, flags):
+        path = synth_config(tmp_path)
+        argv = ["train", "--config", path]
+        for flag, value in zip(flags, ["D", "3", "4", "5", "6"]):
+            argv += [flag, value]
+        args = cli._PARSER.parse_args(cli._glue_values(argv))
+        cfg = cli.load_config(args.config, cli._overrides(args))
+        # each flag sets its key, and the keys no flag names keep the file's values
+        assert cfg.to_dict() == {**cli.load_config(path).to_dict(), "output_dir": "D", "init_seed": 3, "split_seed": 4, "epochs": 5, "batch_size": 6}
+
+    @pytest.mark.parametrize("command", ["eval", "map"])
+    def test_out_sets_output_dir(self, tmp_path, command):
+        argv = [command, "--config", synth_config(tmp_path), "--model", "m.bin", "--out", "D"]
+        args = cli._PARSER.parse_args(cli._glue_values(argv))
+        assert cli._overrides(args) == {"output_dir": "D"}
+        assert cli.load_config(args.config, cli._overrides(args)).output_dir == "D"
 
     @pytest.mark.parametrize("flag", ["--seed-init", "--seed-split", "--epochs", "--batch"])
     @pytest.mark.parametrize("command", ["check-data", "eval", "map"])
@@ -760,6 +785,38 @@ def test_os_error_is_exit_2_naming_the_path(trained, tmp_path, capsys, argv, nam
     # the OS message, not a guess: a directory is neither "not found" nor "missing"
     assert "not found" not in err and "missing" not in err
     assert not any(line.startswith("epoch") for line in out.splitlines())  # it fails before training
+
+
+@pytest.mark.parametrize(
+    "case, argv, message",
+    [
+        ("dataset", ["check-data", "--config", "{config}"], "config: dataset must be 'fd001' or 'synthetic', got 'fd002'"),
+        ("", ["predict", "--model", "{model}", "--oc", "0,x"], "oc values must be numeric, got '0,x'"),
+        ("", ["predict", "--model", "{model}", "--oc={zeros}", "--t-list", "0,x"], "t-list must be numeric, got '0,x'"),
+        ("header-array", ["predict", "--model", "{broken}", "--oc={zeros}"], "{broken}: header is not a JSON object"),
+        ("norm-means", ["predict", "--model", "{broken}", "--oc={zeros}"], "{broken}: bad header (norm has {short} means, {d} stds and {d} columns, model has d_oc={d})"),
+        ("norm-stds", ["predict", "--model", "{broken}", "--oc={zeros}"], "{broken}: bad header (norm has {d} means, {short} stds and {d} columns, model has d_oc={d})"),
+        ("trailing-bytes", ["predict", "--model", "{broken}", "--oc={zeros}"], "{broken}: 3 trailing bytes"),
+    ],
+    ids=["config-dataset-fd002", "predict-oc-not-numeric", "predict-t-list-not-numeric", "model-header-is-an-array", "model-norm-means-short", "model-norm-stds-short", "model-trailing-bytes"],
+)
+def test_bad_value_is_one_error_line_naming_its_key_or_file(trained, tmp_path, capsys, case, argv, message):
+    _, cfg, out = trained
+    model = out / "model.bin"
+    broken = tmp_path / "broken.bin"
+    d = load_model(model).config.d_oc
+    if case == "dataset":
+        cfg = synth_config(tmp_path, dataset="fd002")
+    elif case == "header-array":
+        magic, length, rest = model.read_bytes().split(b"\n", 2)
+        broken.write_bytes(magic + b"\n3\n[1]" + rest[int(length) :])
+    elif case.startswith("norm-"):
+        rewrite_header(model, broken, lambda header: header["norm"][case[5:]].pop())
+    elif case == "trailing-bytes":
+        broken.write_bytes(model.read_bytes() + b"\0\0\0")
+    fields = {"config": cfg, "model": str(model), "broken": str(broken), "zeros": ",".join("0" * d), "d": d, "short": d - 1}
+    assert run_cli([arg.format(**fields) for arg in argv]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(**fields)}\n"
 
 
 @pytest.mark.parametrize("damaged", ["config", "training-report", "model-header"])

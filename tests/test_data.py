@@ -135,6 +135,10 @@ class TestSelectFeatures:
         traj = EngineTrajectory(1, sensors, ["s1", "s2"])
         assert select_features([traj]) == ["s2"]
 
+    def test_no_trajectories_is_error(self):
+        with pytest.raises(ValueError, match="^no trajectories to select features from$"):
+            select_features([])
+
     def test_all_constant_is_error(self):
         traj = EngineTrajectory(1, np.ones((5, 2)), ["s1", "s2"])
         with pytest.raises(ValueError, match="constant"):
@@ -250,6 +254,11 @@ class TestAugment:
     def test_no_trajectories_rejected(self):
         with pytest.raises(ValueError, match="^no trajectories to augment$"):
             augment([])
+
+    def test_negative_horizon_rejected(self):
+        trajs, _ = synth_generate(SynthSpec(n_engines=1, seed=3))
+        with pytest.raises(ValueError, match="^horizon must be >= 0$"):
+            augment(trajs, horizon=-1)
 
     @pytest.mark.parametrize("a, b", [(0, 5), (3, 11), (20, 10**6), (7, 7)])
     def test_take_slice_equals_take_indices(self, a, b):

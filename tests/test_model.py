@@ -12,6 +12,7 @@ from pinnrul import (
     NumericError,
     PinnConfig,
     PinnModel,
+    augment,
     init_model,
     load_model,
     save_model,
@@ -80,6 +81,10 @@ class TestConfig:
         assert HIDDEN["dyn"] == "relu"
         assert cfg.pde_weight == 1.0 and cfg.t_scale == 30.0
 
+    def test_needs_a_feature(self):
+        with pytest.raises(ValueError, match="^d_oc must be >= 1$"):
+            PinnConfig(d_oc=0)
+
     def test_negative_penalty_weight_rejected(self):
         with pytest.raises(ValueError):
             PinnConfig.default(2, pde_weight=-0.5)
@@ -134,6 +139,15 @@ class TestPointOps:
         batch = dataclasses.replace(random_batch(model, 3, n=5), t=np.zeros(4))
         with pytest.raises(ValueError, match="5 oc rows vs 4 time values"):
             model.cost(batch)
+
+    @pytest.mark.parametrize("labels", [1, 3])
+    @pytest.mark.parametrize("method", ["cost", "cost_values"])
+    def test_labels_must_match_oc_rows(self, model, method, labels):
+        # one label would broadcast over all 8 rows; three would fail inside numpy
+        batch = random_batch(model, 3, n=8)
+        batch = dataclasses.replace(batch, rul=batch.rul[:labels])
+        with pytest.raises(ValueError, match=f"^8 oc rows vs {labels} rul labels$"):
+            getattr(model, method)(batch)
 
     def test_negative_horizon_rejected(self, model):
         with pytest.raises(ValueError):
@@ -230,6 +244,11 @@ class TestCost:
     def test_empty_batch_rejected(self, model):
         with pytest.raises(ValueError):
             model.cost(random_batch(model, 0, n=4).take(np.array([], dtype=int)))
+
+    def test_mean_cost_over_no_rows_rejected(self, model):
+        samples = augment([EngineTrajectory(1, np.arange(8.0).reshape(4, 2), ["s1", "s2"])], horizon=0)
+        with pytest.raises(ValueError, match="^mean_cost needs samples$"):
+            model.mean_cost(samples, np.array([], dtype=np.intp))
 
     def test_gradients_cover_all_parameters(self, model):
         batch = random_batch(model, 13, n=4)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -69,6 +70,11 @@ class TestNadamStep:
             nadam_step(state, theta, np.array([1.0, 1.0, 1.0, 1.0, np.nan]), NadamConfig())
         assert np.array_equal(theta, np.ones(5)) and state.step == 0
 
+    def test_gradient_of_another_shape_rejected(self):
+        theta = np.ones(5)
+        with pytest.raises(ValueError, match=r"^gradient shape \(4,\) does not match parameters \(5,\)$"):
+            nadam_step(NadamState(theta), theta, np.ones(4), NadamConfig())
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             NadamConfig(lr=0.0)
@@ -99,6 +105,10 @@ class TestSplit:
         assert np.array_equal(merged, np.arange(n))
         assert len(val_idx) == -(-n // 4)
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="^cannot split an empty dataset$"):
+            split_indices(0, 0)
+
     def test_deterministic(self):
         a = split_indices(1000, split_seed=9)
         b = split_indices(1000, split_seed=9)
@@ -115,6 +125,13 @@ class TestTrain:
             train(model, samples, 0, 0, epochs=1, batch_size=len(samples) + 1)
         with pytest.raises(ValueError):
             train(model, samples, 0, 0, epochs=0, batch_size=64)
+
+    def test_empty_dataset_rejected(self, tiny_dataset):
+        samples, norm = tiny_dataset
+        model = init_model(PinnConfig.default(len(norm.columns)), norm, 0)
+        empty = dataclasses.replace(samples, row=samples.row[:0], t=samples.t[:0])
+        with pytest.raises(ValueError, match="^training dataset is empty$"):
+            train(model, empty, 0, 0, epochs=1, batch_size=1)
 
     def test_report_shape_and_determinism(self, tiny_dataset):
         samples, norm = tiny_dataset
