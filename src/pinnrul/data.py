@@ -148,7 +148,7 @@ class AugmentedSamples:
     ``rows`` holds every logged row's selected features (engines in unit
     order, then cycles), and ``rul0``, ``row_unit`` and ``row_cycle`` its
     RUL at that cycle, unit id and cycle. A sample is a row index ``row``
-    and a look-ahead ``t``; its label is ``rul0[row] - t``.
+    (int32) and a look-ahead ``t`` (int64); its label is ``rul0[row] - t``.
     """
 
     rows: np.ndarray
@@ -190,6 +190,8 @@ def augment(trajectories, horizon: int = 30, columns=None) -> AugmentedSamples:
 
     Output order is canonical: unit, then cycle, then t ascending. Each
     logged row is stored once; a sample holds its row's index and its t.
+    A ValueError names a sample count beyond int32, before any per-sample
+    array is allocated.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
@@ -200,8 +202,11 @@ def augment(trajectories, horizon: int = 30, columns=None) -> AugmentedSamples:
     lengths = [traj.length for traj in trajs]
     rul0 = np.concatenate([np.arange(n - 1, -1, -1) for n in lengths])  # L - c at each row's cycle c
     counts = np.minimum(horizon, rul0) + 1
-    row = np.repeat(np.arange(len(rul0)), counts)
-    t = np.arange(len(row))
+    n = int(counts.sum())
+    if n > np.iinfo(np.int32).max:
+        raise ValueError(f"{n} augmented samples exceed the int32 sample index range")
+    row = np.repeat(np.arange(len(rul0), dtype=np.int32), counts)
+    t = np.arange(n)
     t -= np.repeat(np.cumsum(counts) - counts, counts)  # 0 .. counts - 1 per logged row
     return AugmentedSamples(
         rows=np.concatenate([feature_matrix(traj, columns) for traj in trajs]),

@@ -195,7 +195,12 @@ class Graph:
         all width-free inputs; the caller ensures this, eval checks none
         of it. An mlp reads its bound weight and bias buffers and holds
         its layer values for ``grad``.
+
+        The last pass is released first, so at most one pass exists at a
+        time, and after an eval that raises, ``value`` and ``grad`` raise
+        GraphError rather than read a stale pass.
         """
+        self._values, self._chains = None, {}
         values: list[np.ndarray] = []
         chains = {}
         for nid, node in enumerate(self.nodes):

@@ -27,11 +27,13 @@ vector, which ``cost`` checks once and returns as a copy. Reads need no
 gradient and build no graph: ``_read`` runs ``net._chain``, the graph's
 own forward walk, over the tuples of the x network, with its dx/dt
 tangent, and of the RUL network, without tangents, and never the rate
-network. Whole sample sets are read CHUNK samples at a time:
-``mean_cost`` sums the cost terms over the rows an index array names,
-gathering one chunk at a time, and ``latent_map`` fills one C-order (n, 4)
-float64 table a slice at a time, whose columns are x, dx/dt,
-predicted RUL and true RUL. ``_inputs`` is the one check of a batch's
+network. The graph and ``_read`` each hold their last pass between
+calls and release it before computing the next, so a model holds at
+most one pass of each kind, never two. Whole sample sets are read
+CHUNK samples at a time: ``mean_cost`` sums the cost terms over the
+rows an index array names, gathering one chunk at a time, and
+``latent_map`` fills one C-order (n, 4) float64 table a slice at a
+time, whose columns are x, dx/dt, predicted RUL and true RUL. ``_inputs`` is the one check of a batch's
 oc shape, row counts and times, for ``_eval_batch`` and ``_read``
 (``_loss`` adds its label count), and ``_read`` the one reader of x,
 dx/dt and the RUL in cycles for ``sweep``, ``latent_map`` and
@@ -250,10 +252,12 @@ class PinnModel:
 
         Runs the x chain with its one tangent, along the time input, and
         the RUL chain without tangents; the rate network does not run.
-        The pass is held until the next read replaces it, as the graph
-        holds its values, and x and dx/dt are views of it. Raises
-        NumericError naming the first non-finite row.
+        The pass is held until the next read, as the graph holds its
+        values, and x and dx/dt are views of it; the next read releases
+        it first, so two passes never exist at once. Raises NumericError
+        naming the first non-finite row.
         """
+        self._last_read = None
         oc_n, t_n = self._inputs(oc, t, snapshot)
         xs = _chain(HIDDEN["x"], self._layers["x"], np.concatenate([oc_n, t_n]), 1, (self.config.d_oc,))
         ruls = _chain(HIDDEN["rul"], self._layers["rul"], np.concatenate([xs[-1][:1], t_n]), 0, None)

@@ -29,7 +29,10 @@ both splits after every epoch, so identical seeds give bit-identical
 reports and final parameters. The splits are index arrays into the one
 dataset, never copies of it: a batch gathers its own rows, and the
 epoch-end means read each split in dataset order (its sorted indices),
-so their chunk gathers run nearly sequentially through memory.
+so their chunk gathers run nearly sequentially through memory. Every
+index array (the split permutation, both splits, their sorted copies and
+each epoch's order) is int32, half the size of int64 with the same
+values, since ``augment`` keeps a dataset's sample count within int32.
 """
 
 from __future__ import annotations
@@ -101,11 +104,13 @@ def nadam_step(state: NadamState, theta, grad, config: NadamConfig) -> None:
 
 
 def split_indices(n: int, split_seed: int):
-    """Deterministic 75/25 partition; validation count is ceil(n / 4)."""
+    """Deterministic 75/25 partition into int32 index arrays; validation
+    count is ceil(n / 4)."""
     if n < 1:
         raise ValueError("cannot split an empty dataset")
     n_val = -(-n // 4)
-    perm = np.random.default_rng([split_seed, 0]).permutation(n)
+    # the shuffle of permutation(n), over an int32 range: the same values at half the size
+    perm = np.random.default_rng([split_seed, 0]).permutation(np.arange(n, dtype=np.int32))
     return perm[n_val:], perm[:n_val]
 
 
@@ -170,7 +175,7 @@ def train(
     )
     n_train = len(train_idx)
     for epoch in range(epochs):
-        order = np.random.default_rng([split_seed, 1 + epoch]).permutation(n_train)
+        order = np.random.default_rng([split_seed, 1 + epoch]).permutation(np.arange(n_train, dtype=np.int32))
         for batch_no, start in enumerate(range(0, n_train, batch_size)):
             batch = dataset.take(train_idx[order[start : start + batch_size]])
             try:

@@ -260,6 +260,18 @@ class TestAugment:
         with pytest.raises(ValueError, match="^horizon must be >= 0$"):
             augment(trajs, horizon=-1)
 
+    def test_sample_count_beyond_int32_rejected_before_allocating(self):
+        # one engine of 70,000 cycles at horizon 10**6 has 70,000 * 70,001 / 2 samples, past int32's 2**31 - 1
+        traj = make_traj(1, 70_000, n_sensors=1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^2450035000 augmented samples exceed the int32 sample index range$"):
+                augment([traj], horizon=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 70_000 * 8  # a few per-row arrays, no per-sample one
+
     @pytest.mark.parametrize("a, b", [(0, 5), (3, 11), (20, 10**6), (7, 7)])
     def test_take_slice_equals_take_indices(self, a, b):
         samples = augment([make_traj(2, 6), make_traj(1, 5)], horizon=4)
@@ -312,6 +324,7 @@ class TestTake:
         samples = augment(trajs, horizon=30)
         assert samples.rows.shape == (sum(tr.length for tr in trajs), 3)
         assert all(samples.__dict__[name].ndim == 1 for name in ("rul0", "row_unit", "row_cycle", "row", "t"))
+        assert samples.row.dtype == np.int32 and samples.t.dtype == np.int64
 
     @pytest.mark.parametrize("name", ["oc", "rul", "unit", "cycle"])
     def test_whole_set_columns_are_read_only(self, name):

@@ -288,6 +288,18 @@ class TestGrad:
         with pytest.raises(GraphError, match="eval"):
             g.grad({root: ONE})
 
+    def test_failed_eval_leaves_no_stale_pass(self):
+        g = Graph()
+        x = g.input((1, None))
+        root = act(g, x, "tanh")
+        g.eval({x: ONE})
+        with pytest.raises(ValueError):
+            g.eval({x: np.ones((2, 1))})  # a binding with the wrong row count fails in the mlp
+        with pytest.raises(GraphError, match="not been evaluated"):
+            g.value(root)
+        with pytest.raises(GraphError, match="eval before grad"):
+            g.grad({root: ONE})
+
     def test_unreached_parameter_gets_zeros(self):
         g, bound = Graph(), {}
         p, dp = bind(g, [[1.0], [1.0]], bound)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from pinnrul import (
     train,
 )
 from pinnrul.graph import OP_KINDS, Graph
-from pinnrul.model import HIDDEN, _residual
+from pinnrul.model import CHUNK, HIDDEN, _residual
 from pinnrul.net import GraphMlp
 
 from conftest import (
@@ -562,6 +563,25 @@ class TestWiring:
         loaded.mean_cost(batch, np.arange(len(batch)))
         loaded.cost(batch)
         assert loaded._wiring is wiring and len(built) == 1
+
+
+class TestHeldPass:
+    @pytest.mark.parametrize("method", ["cost_values", "_read"])
+    def test_next_pass_releases_the_held_one_first(self, model, method):
+        # the model holds one width-CHUNK pass between calls; building the next beside it would double it
+        batch = random_batch(model, 52, n=CHUNK)
+        run = model.cost_values if method == "cost_values" else lambda b: model._read(b.oc, b.t)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run(batch)
+            held = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.reset_peak()
+            run(batch)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * held, f"second pass peaked at {peak} bytes, {peak / held:.2f} x the {held} held"
 
 
 class TestInspection:

@@ -98,12 +98,15 @@ class TestSplit:
         assert len(train_idx) == 444795
         assert len(val_idx) == 148266
 
-    @pytest.mark.parametrize("n", [1, 4, 5, 101, 4096])
+    @pytest.mark.parametrize("n", [1, 4, 5, 101, 4096, 593061])
     def test_partition(self, n):
         train_idx, val_idx = split_indices(n, split_seed=n)
         merged = np.sort(np.concatenate([train_idx, val_idx]))
         assert np.array_equal(merged, np.arange(n))
         assert len(val_idx) == -(-n // 4)
+        # int32 parts of the int64 permutation, value for value
+        assert train_idx.dtype == val_idx.dtype == np.int32
+        assert np.array_equal(np.concatenate([val_idx, train_idx]), np.random.default_rng([n, 0]).permutation(n))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="^cannot split an empty dataset$"):
