@@ -33,12 +33,12 @@ most one pass of each kind, never two. Whole sample sets are read
 CHUNK samples at a time: ``mean_cost`` sums the cost terms over the
 rows an index array names, gathering one chunk at a time, and
 ``latent_map`` fills one C-order (n, 4) float64 table a slice at a
-time, whose columns are x, dx/dt, predicted RUL and true RUL. ``_inputs`` is the one check of a batch's
-oc shape, row counts and times, for ``_eval_batch`` and ``_read``
-(``_loss`` adds its label count), and ``_read`` the one reader of x,
-dx/dt and the RUL in cycles for ``sweep``, ``latent_map`` and
-``rmse_eval``; ``NumericError``, defined here, reports a non-finite
-output.
+time, whose columns are x, dx/dt, predicted RUL and true RUL.
+``_inputs`` is the one check of a batch's oc shape, row counts and
+times, for ``_eval_batch`` and ``_read`` (``_loss`` adds its label
+count), and ``_read`` the one reader of x, dx/dt and the RUL in cycles
+for ``sweep``, ``latent_map`` and ``rmse_eval``; ``NumericError``,
+defined here, reports a non-finite output.
 """
 
 from __future__ import annotations
