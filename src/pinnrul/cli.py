@@ -55,7 +55,7 @@ class RunConfig:
     batch_size: int = 512
     split_seed: int = 0
     init_seed: int = 0
-    init_scheme: str = "standard-normal"
+    init_scheme: str = "xavier"
     horizon: int = 30
     output_dir: str = "out"
 
@@ -71,7 +71,7 @@ class RunConfig:
                 raise ValueError(f"{name} must be >= 0, got {value!r}")
         if self.init_scheme not in INIT_SCHEMES:
             raise ValueError(f"init_scheme must be one of {INIT_SCHEMES}, got {self.init_scheme!r}")
-        PinnConfig.default(1, self.pde_weight, self.t_scale)  # the model's own ranges
+        PinnConfig(1, self.pde_weight, self.t_scale)  # the model's own ranges
 
     def to_dict(self) -> dict:
         """The config file's only statement of its keys, nesting and JSON types (each default's)."""
@@ -227,7 +227,7 @@ def cmd_check_data(cfg: RunConfig) -> int:
 def cmd_train(cfg: RunConfig) -> int:
     out = _out_dir(cfg)  # before any epoch, so an unusable --out fails at once
     samples, norm = build_training_data(cfg)
-    config = PinnConfig.default(len(norm.columns), pde_weight=cfg.pde_weight, t_scale=cfg.t_scale)
+    config = PinnConfig(len(norm.columns), pde_weight=cfg.pde_weight, t_scale=cfg.t_scale)
     model = init_model(config, norm, cfg.init_seed, cfg.init_scheme)
     trained, report = train(
         model,

@@ -27,9 +27,9 @@ vector, which ``cost`` checks once and returns as a copy. Reads need no
 gradient and build no graph: ``_read`` runs ``net._chain``, the graph's
 own forward walk, over the tuples of the x network, with its dx/dt
 tangent, and of the RUL network, without tangents, and never the rate
-network. The graph and ``_read`` each hold their last pass between
-calls and release it before computing the next, so a model holds at
-most one pass of each kind, never two. Whole sample sets are read
+network. The graph holds its last pass between calls and releases it
+before computing the next, so a model never holds two; a read holds
+nothing once its rows are dropped. Whole sample sets are read
 CHUNK samples at a time: ``mean_cost`` sums the cost terms over the
 rows an index array names, gathering one chunk at a time, and
 ``latent_map`` fills one C-order (n, 4) float64 table a slice at a
@@ -179,7 +179,7 @@ class PinnModel:
     config: PinnConfig
     theta: np.ndarray = field(repr=False)
     norm: NormStats
-    init_scheme: str = "standard-normal"
+    init_scheme: str = "xavier"
     init_seed: int = 0
     split_seed: int | None = None  # set by training, None for a fresh model
 
@@ -252,16 +252,12 @@ class PinnModel:
 
         Runs the x chain with its one tangent, along the time input, and
         the RUL chain without tangents; the rate network does not run.
-        The pass is held until the next read, as the graph holds its
-        values, and x and dx/dt are views of it; the next read releases
-        it first, so two passes never exist at once. Raises NumericError
-        naming the first non-finite row.
+        x and dx/dt are views of the x chain's output, which the model
+        does not keep. Raises NumericError naming the first non-finite row.
         """
-        self._last_read = None
         oc_n, t_n = self._inputs(oc, t, snapshot)
         xs = _chain(HIDDEN["x"], self._layers["x"], np.concatenate([oc_n, t_n]), 1, (self.config.d_oc,))
         ruls = _chain(HIDDEN["rul"], self._layers["rul"], np.concatenate([xs[-1][:1], t_n]), 0, None)
-        self._last_read = xs, ruls
         rows = xs[-1][0], xs[-1][1], ruls[-1][0] * self.norm.rul_max
         for name, row in zip(("x", "dx_dt", "rul"), rows):
             if not np.isfinite(row).all():
@@ -389,7 +385,7 @@ def init_model(
     config: PinnConfig,
     norm: NormStats,
     init_seed: int = 0,
-    scheme: str = "standard-normal",
+    scheme: str = "xavier",
 ) -> PinnModel:
     """Fresh model; the three networks get independent seeded draws."""
     seeds = np.random.SeedSequence(init_seed).generate_state(3, dtype=np.uint64)

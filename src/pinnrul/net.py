@@ -24,7 +24,7 @@ import numpy as np
 INIT_SCHEMES = ("standard-normal", "xavier")
 
 
-def init_params(layers, scheme: str = "standard-normal", seed: int = 0) -> None:
+def init_params(layers, scheme: str = "xavier", seed: int = 0) -> None:
     """Draw each layer's W and b into the arrays themselves from a seeded
     generator, in layer order, W before b; same inputs, same bits.
 

@@ -1,7 +1,9 @@
 """Nesterov-momentum Adam updates and the minibatch training loop.
 
-The update rule, with step counter t starting at 1 and moment estimates
-m, v shaped like the parameters they follow:
+The update rule, with step counter t starting at 1, moment estimates m,
+v shaped like the parameters they follow, the constants b1 = ``BETA1``,
+b2 = ``BETA2`` and eps = ``EPS``, and the learning rate lr, which is
+``NadamConfig``'s one setting:
 
     m <- b1*m + (1-b1)*g          v <- b2*v + (1-b2)*g^2
     mhat = m / (1 - b1^(t+1))     vhat = v / (1 - b2^t)
@@ -12,7 +14,7 @@ grows, step t moves that coordinate by at most
 
     lr * (b1*(1-b1^t)/(1-b1^(t+1)) + (1-b1)/(1-b1^t))
 
-which is 1.4737*lr at t=1 for b1=0.9 and falls toward lr, so travel
+which is 1.4737*lr at t=1 and falls toward lr, so travel
 grows at most about lr per step however large the gradient is.
 
 Every operation of the rule is elementwise, so it gives the same bits
@@ -56,21 +58,20 @@ __all__ = [
 ]
 
 
+# Dozat, "Incorporating Nesterov Momentum into Adam" (2016), at Keras's defaults
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-7
+
+
 @dataclass(frozen=True)
 class NadamConfig:
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-7
 
     def __post_init__(self):
-        # `not 0 < x < high` also holds for NaN and, with high = inf, for +inf
-        for name, value in (("lr", self.lr), ("eps", self.eps)):
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-        for name, value in (("beta1", self.beta1), ("beta2", self.beta2)):
-            if not 0 < value < 1:
-                raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
+        # `not 0 < x < inf` also holds for NaN and +inf
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
 
 
 class NadamState:
@@ -88,7 +89,7 @@ def nadam_step(state: NadamState, theta, grad, config: NadamConfig) -> None:
         raise ValueError(f"gradient shape {grad.shape} does not match parameters {theta.shape}")
     if not np.isfinite(grad).all():
         raise NumericError("non-finite gradient")
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = BETA1, BETA2
     t = state.step + 1
     c_m = 1.0 - b1 ** (t + 1)
     c_g = 1.0 - b1**t
@@ -98,7 +99,7 @@ def nadam_step(state: NadamState, theta, grad, config: NadamConfig) -> None:
     m += (1.0 - b1) * grad
     v *= b2
     v += (1.0 - b2) * grad * grad
-    update = (b1 * (m / c_m) + (1.0 - b1) * grad / c_g) / (np.sqrt(v / c_v) + config.eps)
+    update = (b1 * (m / c_m) + (1.0 - b1) * grad / c_g) / (np.sqrt(v / c_v) + EPS)
     theta -= config.lr * update
     state.step = t
 

@@ -34,6 +34,7 @@ from pinnrul import (
 )
 from pinnrul import cli
 from pinnrul.model import _residual
+from pinnrul.optim import BETA1, BETA2, EPS
 
 from conftest import (
     drawn_mlp,
@@ -150,9 +151,10 @@ def test_criterion_4_tangent_correctness():
 
 
 def test_criterion_5_hand_step():
+    assert (BETA1, BETA2, EPS) == (0.9, 0.999, 1e-7)
     params = [np.array([[1.0]])]
     state = NadamState(params[0])
-    nadam_step(state, params[0], np.array([[2.0]]), NadamConfig(lr=0.1, beta1=0.9, beta2=0.999, eps=1e-7))
+    nadam_step(state, params[0], np.array([[2.0]]), NadamConfig(lr=0.1))
     value = float(params[0][0, 0])
     ok = abs(value - 0.8526316) <= 1e-6
     report("5 (hand step)", ok, f"theta1 = {value:.7f}")
@@ -161,7 +163,7 @@ def test_criterion_5_hand_step():
 
 def nadam_step_bound(t, config):
     """Largest |step| at step t while the gradient keeps its sign and never grows."""
-    b1 = config.beta1
+    b1 = BETA1
     return config.lr * (b1 * (1 - b1**t) / (1 - b1 ** (t + 1)) + (1 - b1) / (1 - b1**t))
 
 

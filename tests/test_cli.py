@@ -93,7 +93,6 @@ class TestConfig:
             ("optimizer", "lr", True),
             ("optimizer", "lr", float("nan")),
             ("optimizer", "lr", "x"),
-            ("optimizer", "eps", float("inf")),
             ("model", "lambda", float("nan")),
             ("model", "lambda", float("inf")),
             ("model", "t_scale", float("inf")),
@@ -135,6 +134,14 @@ class TestConfig:
         assert run_cli(argv) == 2
         assert f"config: {f'{section}.' if section else ''}{key} must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()  # a config error comes before the output directory
+
+    @pytest.mark.parametrize("key", ["beta1", "beta2", "eps"])
+    def test_nadam_constant_is_unknown_key(self, tmp_path, capsys, key):
+        # Nadam's beta1, beta2 and eps are constants; the learning rate is its one setting
+        path = synth_config(tmp_path, optimizer={"lr": 5e-3, key: 0.5})
+        assert run_cli(["train", "--config", path]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: config: unknown key 'optimizer.{key}'"]
+        assert not (tmp_path / "out").exists()
 
     def test_divergent_training_is_numeric_failure(self, tmp_path, capsys):
         cfg = synth_config(tmp_path, optimizer={"lr": 1e200})

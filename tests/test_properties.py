@@ -61,7 +61,7 @@ JSON = st.recursive(
 SECTION_KEYS = {
     "synth": ("n_engines", "min_life", "max_life", "n_sensors", "noise_std", "seed", "bogus"),
     "model": ("lambda", "t_scale"),
-    "optimizer": ("lr", "beta1", "beta2", "eps"),
+    "optimizer": ("lr",),
 }
 TOP_KEYS = ("data_dir", "epochs", "batch_size", "split_seed", "init_seed", "init_scheme", "horizon", "output_dir", "bogus")
 
