@@ -22,7 +22,9 @@ finiteness; the owner of the buffers does.
 
 There are four op kinds: ``input``, ``mlp``, ``rows`` and ``concat``.
 The graph ends at a model's network outputs; arithmetic that joins them,
-such as a residual or a loss, is the caller's. ``grad`` takes the
+such as a residual or a loss, is the caller's. A model evaluates it only
+for ``cost``, whose gradient reads the held pass; its forward-only
+passes run ``net._chain`` without a graph. ``grad`` takes the
 caller's adjoints at those outputs (seeds, each shaped like its node's
 value) and writes the vector-Jacobian product over every layer's own dW
 and db; the caller binds no buffer into two layers. A node reaches the

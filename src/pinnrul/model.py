@@ -5,13 +5,16 @@ to a scalar latent health indicator x. The second maps (x, time) to the
 normalized remaining life. The third learns the rate law: it receives
 (dx/dt, dRUL/dx) and its output is pinned to the total time derivative
 of the predicted RUL by a squared-residual penalty, so it trains without
-labels. Both derivatives are forward-tangent blocks in the one graph,
-which ends at the networks' outputs: x, dx/dt, the RUL, dRUL/dx, the
-explicit partial dRUL/dt and the rate output dyn. In numpy, ``_residual``
-joins them into the residual f = dRUL/dx * dx/dt + partial dRUL/dt - dyn
-and ``_loss`` computes the cost, label MSE plus the weighted mean squared
-residual; ``cost`` hands its adjoints at the graph's outputs to one
-reverse sweep, which differentiates the penalty w.r.t. all weights.
+labels. Both derivatives are forward-tangent blocks of the networks'
+chains. A pass ends at the networks' outputs, a ``_Pass`` of rows: x,
+dx/dt, the RUL, dRUL/dx, the explicit partial dRUL/dt and the rate
+output dyn. In numpy, ``_residual`` joins them into the residual
+f = dRUL/dx * dx/dt + partial dRUL/dt - dyn and ``_loss`` computes the
+cost, label MSE plus the weighted mean squared residual. ``cost`` takes
+its pass from the graph and hands its adjoints at the graph's outputs to
+one reverse sweep, which differentiates the penalty w.r.t. all weights;
+``cost_values`` and ``mean_cost`` take theirs from ``_forward``, which
+runs the three chains without the graph and gives the same bits.
 
 A model owns one float64 vector ``theta`` holding every weight and bias,
 and one gradient vector of the same shape; ``_layout`` is the only code
@@ -19,24 +22,27 @@ that knows their order, which is also the order of the ``model.bin``
 body. ``_layout`` cuts both into one (W, b, dW, db) tuple of views per
 layer, so parameters change only in place; buffer names are derived
 from the tuples on demand. A model builds its graph once, the first time
-``cost``, ``cost_values`` or ``mean_cost`` needs it, for any batch
-width; its 13 nodes are 2 inputs, 3 mlps (one per network), 3 concats
-and 5 rows. Each mlp binds its network's tuples, so the graph sees every
-change without rebinding and its reverse sweep fills the gradient
-vector, which ``cost`` checks once and returns as a copy. Reads need no
-gradient and build no graph: ``_read`` runs ``net._chain``, the graph's
-own forward walk, over the tuples of the x network, with its dx/dt
-tangent, and of the RUL network, without tangents, and never the rate
-network. The graph holds its last pass between calls and releases it
-before computing the next, so a model never holds two; a read holds
-nothing once its rows are dropped. Whole sample sets are read
-CHUNK samples at a time: ``mean_cost`` sums the cost terms over the
-rows an index array names, gathering one chunk at a time, and
-``latent_map`` fills one C-order (n, 4) float64 table a slice at a
-time, whose columns are x, dx/dt, predicted RUL and true RUL.
-``_inputs`` is the one check of a batch's oc shape, row counts and
-times, for ``_eval_batch`` and ``_read`` (``_loss`` adds its label
-count), and ``_read`` the one reader of x, dx/dt and the RUL in cycles
+``cost`` needs it, for any batch width; its 13 nodes are 2 inputs, 3
+mlps (one per network), 3 concats and 5 rows. Each mlp binds its
+network's tuples, so the graph sees every change without rebinding and
+its reverse sweep fills the gradient vector, which ``cost`` checks once
+and returns as a copy. Nothing else needs a gradient, and nothing else
+builds the graph: ``_forward`` and ``_read`` run ``net._chain``, the
+graph's own forward walk, over the tuples. ``_forward`` runs all three
+networks, each writing its layers into two buffers that one
+``mean_cost`` reuses for all its chunks, and keeps only each chain's
+output; ``_read`` runs the x network, with its dx/dt tangent, and the
+RUL network, without tangents, and never the rate network. The graph
+holds its last pass between calls and releases it before computing the
+next, so a model never holds two; ``_forward`` and ``_read`` hold
+nothing once their rows are dropped. Whole sample sets are read CHUNK
+samples at a time: ``mean_cost`` sums the cost terms over the rows an
+index array names, gathering one chunk at a time, and ``latent_map``
+fills one C-order (n, 4) float64 table a slice at a time, whose columns
+are x, dx/dt, predicted RUL and true RUL. ``_inputs`` is the one check
+of a batch's oc shape, row counts and times, for ``_eval_batch``,
+``_forward`` and ``_read`` (``_loss`` adds its label count), and
+``_read`` the one reader of x, dx/dt and the RUL in cycles
 for ``sweep``, ``latent_map`` and ``rmse_eval``; ``NumericError``,
 defined here, reports a non-finite output.
 """
@@ -46,6 +52,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,12 +137,22 @@ def _layout(config: PinnConfig, theta: np.ndarray, grad: np.ndarray):
     return layers
 
 
+class _Pass(NamedTuple):
+    """The networks' output rows of one forward pass, each (1, n)."""
+
+    x: np.ndarray
+    dx_dt: np.ndarray
+    rul: np.ndarray
+    drul_dx: np.ndarray
+    drul_dt_partial: np.ndarray  # the explicit partial dRUL/dt
+    dyn: np.ndarray
+
+
 class _Wiring:
     """The model's graph: inputs and the three bound networks.
 
-    Its outputs are x, dx/dt, rul, dRUL/dx, the explicit partial dRUL/dt
-    and the rate network's output dyn. Inputs leave their column count
-    open, so one wiring serves every batch width.
+    Its outputs are the nodes of a ``_Pass``'s rows. Inputs leave their
+    column count open, so one wiring serves every batch width.
     """
 
     def __init__(self, config: PinnConfig, layers):
@@ -154,16 +171,15 @@ class _Wiring:
         self.dyn = self.dyn_mlp.forward(g.concat([self.dx_dt, self.drul_dx]))
 
 
-def _residual(w: _Wiring, dyn_oracle: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """(dRUL/dt, f) rows of an evaluated wiring, in numpy.
+def _residual(p: _Pass, dyn_oracle: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(dRUL/dt, f) rows of a pass, in numpy.
 
     dRUL/dt = dRUL/dx * dx/dt + partial dRUL/dt, the path through x plus
     the explicit one, and f = dRUL/dt - dyn. The oracle takes dRUL/dt for
     the rate output, so its f is exactly 0.
     """
-    value = w.graph.value
-    drul_dt = value(w.drul_dx) * value(w.dx_dt) + value(w.drul_dt_partial)
-    return drul_dt, drul_dt - (drul_dt if dyn_oracle else value(w.dyn))
+    drul_dt = p.drul_dx * p.dx_dt + p.drul_dt_partial
+    return drul_dt, drul_dt - (drul_dt if dyn_oracle else p.dyn)
 
 
 @dataclass
@@ -206,7 +222,7 @@ class PinnModel:
 
     @functools.cached_property
     def _wiring(self) -> _Wiring:
-        """The model's graph, built the first time ``cost``, ``cost_values`` or ``mean_cost`` needs it."""
+        """The model's graph, built the first time ``cost`` needs it."""
         return _Wiring(self.config, self._layers)
 
     # -- plumbing -----------------------------------------------------
@@ -239,12 +255,40 @@ class PinnModel:
             raise ValueError(f"{oc.shape[0]} oc rows vs {n} time values")
         return ((oc - self.norm.means) / self.norm.stds).T, (t / self.config.t_scale).reshape(1, n)
 
-    def _eval_batch(self, oc, t) -> _Wiring:
-        """Evaluate the graph on a raw batch, checked and normalized by ``_inputs``."""
+    def _eval_batch(self, oc, t) -> _Pass:
+        """Evaluate the graph on a raw batch, checked and normalized by
+        ``_inputs``; return its output rows, views of the pass it holds."""
         oc_n, t_n = self._inputs(oc, t)
-        wiring = self._wiring
-        wiring.graph.eval({wiring.oc_in: oc_n, wiring.t_in: t_n})
-        return wiring
+        w = self._wiring
+        w.graph.eval({w.oc_in: oc_n, w.t_in: t_n})
+        return _Pass(*map(w.graph.value, (w.x, w.dx_dt, w.rul, w.drul_dx, w.drul_dt_partial, w.dyn)))
+
+    def _forward(self, oc, t, bufs=None) -> _Pass:
+        """Evaluate a raw batch, checked and normalized by ``_inputs``,
+        without the graph; its rows equal the graph's bit for bit.
+
+        Runs the x chain with its dx/dt tangent, the RUL chain with its
+        tangents along x and t, and the rate chain without tangents, on
+        inputs joined by ``np.concatenate`` as ``_Wiring``'s concats join
+        them. Each chain writes its layers into its two buffers in
+        ``bufs``, a dict that a caller may reuse from pass to pass (a
+        buffer too small for a batch is replaced); only each chain's
+        output is kept, and the rows are views of it, current until the
+        next pass on the same ``bufs``.
+        """
+        oc_n, t_n = self._inputs(oc, t)
+        bufs = {} if bufs is None else bufs
+
+        def run(net, s, k, seeds):
+            size = (1 + k) * max(self.config.widths[net][1:]) * s.shape[1]
+            if net not in bufs or bufs[net][0].size < size:
+                bufs[net] = (np.empty(size), np.empty(size))
+            return _chain(HIDDEN[net], self._layers[net], s, k, seeds, bufs[net])[-1]
+
+        xs = run("x", np.concatenate([oc_n, t_n]), 1, (self.config.d_oc,))
+        ruls = run("rul", np.concatenate([xs[:1], t_n]), 2, (0, 1))
+        dyn = run("dyn", np.concatenate([xs[1:], ruls[1:2]]), 0, None)
+        return _Pass(xs[:1], xs[1:], ruls[:1], ruls[1:2], ruls[2:], dyn)
 
     def _read(self, oc, t, snapshot=False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Evaluate a batch without the graph; return its x, dx/dt and RUL
@@ -266,8 +310,9 @@ class PinnModel:
 
     # -- batch cost ------------------------------------------------------
 
-    def _loss(self, batch: Batch, dyn_oracle: bool = False):
-        """Evaluate a nonempty batch; return (wiring, d, f, mse, pde, total).
+    def _loss(self, batch: Batch, forward, dyn_oracle: bool = False):
+        """Check a nonempty batch, evaluate it with ``forward(oc, t)``, which
+        returns its ``_Pass``; return (pass, d, f, mse, pde, total).
 
         d = y / rul_max - rul and f are the label error and residual rows,
         mse = mean(d^2), pde = mean(f^2), total = mse + pde_weight * pde.
@@ -278,12 +323,12 @@ class PinnModel:
         rows = len(np.atleast_2d(batch.oc))
         if y_n.shape[1] != rows:  # numpy would broadcast one label over every row
             raise ValueError(f"{rows} oc rows vs {y_n.shape[1]} rul labels")
-        w = self._eval_batch(batch.oc, batch.t)
-        d = y_n - w.graph.value(w.rul)
-        _, f = _residual(w, dyn_oracle)
+        p = forward(batch.oc, batch.t)
+        d = y_n - p.rul
+        _, f = _residual(p, dyn_oracle)
         mse = float((d * d).mean())
         pde = float((f * f).mean())
-        return w, d, f, mse, pde, mse + self.config.pde_weight * pde
+        return p, d, f, mse, pde, mse + self.config.pde_weight * pde
 
     def cost(self, batch: Batch, dyn_oracle: bool = False) -> CostBreakdown:
         """Batch cost (label MSE + weighted mean squared residual) and its
@@ -295,18 +340,18 @@ class PinnModel:
         exact time derivative it is meant to learn (a test seam: the
         residual term and the rate network's gradient are then zero).
         """
-        w, d, f, mse, pde, total = self._loss(batch, dyn_oracle)
+        p, d, f, mse, pde, total = self._loss(batch, self._eval_batch, dyn_oracle)
         if not math.isfinite(total):
             raise NumericError(f"non-finite total cost (mse={mse}, pde={pde})")
         # d(total)/d(rul) and d(total)/d(f), then f's adjoint through f = drul_dx * dx_dt + partial - dyn;
         # the factors multiply in this order, which fixes model.bin's bits
-        n, value = d.shape[1], w.graph.value
+        n, w = d.shape[1], self._wiring
         a_f = self.config.pde_weight / n * (2.0 * f)
         seeds = {
             w.rul: -(1.0 / n * (2.0 * d)),
             w.drul_dt_partial: a_f,
-            w.drul_dx: a_f * value(w.dx_dt),
-            w.dx_dt: a_f * value(w.drul_dx),
+            w.drul_dx: a_f * p.dx_dt,
+            w.dx_dt: a_f * p.drul_dx,
         }
         if not dyn_oracle:
             seeds[w.dyn] = -a_f
@@ -317,23 +362,27 @@ class PinnModel:
         return CostBreakdown(mse=mse, pde=pde, total=total, grad=self._grad.copy())
 
     def cost_values(self, batch: Batch) -> tuple[float, float, float]:
-        """(mse, pde, total) without the gradient sweep."""
-        return self._loss(batch)[3:]
+        """(mse, pde, total) of ``_forward``'s pass: no graph, no gradient,
+        and nothing held once it returns."""
+        return self._loss(batch, self._forward)[3:]
 
     def mean_cost(self, samples: AugmentedSamples, rows) -> tuple[float, float, float]:
         """Exact cost means over the samples at index array ``rows``.
 
         Reads CHUNK rows at a time with ``samples.take(rows[a:b])``, so no
-        copy of the whole subset exists. The sums run in the order of
-        ``rows``; sorted rows make each chunk's gather nearly sequential.
+        copy of the whole subset exists, and evaluates each chunk as
+        ``cost_values`` does, with one set of ``_forward`` buffers for all
+        of them. The sums run in the order of ``rows``; sorted rows make
+        each chunk's gather nearly sequential.
         """
         n = len(rows)
         if n == 0:
             raise ValueError("mean_cost needs samples")
+        forward = functools.partial(self._forward, bufs={})
         mse_sum = pde_sum = 0.0
         for start in range(0, n, CHUNK):
             part = samples.take(rows[start : start + CHUNK])
-            mse, pde, _ = self.cost_values(part)
+            mse, pde = self._loss(part, forward)[3:5]
             mse_sum += mse * len(part)
             pde_sum += pde * len(part)
         mse = mse_sum / n

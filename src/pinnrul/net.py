@@ -12,9 +12,11 @@ weight column W[:, c_j], the derivative along input coordinate c_j.
 Reverse mode through a tangent block gives exact mixed second derivatives.
 
 ``_chain`` is the one forward walk over a network's layers and
-``_chain_grad`` the one backward walk. Reads call ``_chain``;
-``GraphMlp`` emits a network as one graph ``mlp`` node, which the graph
-runs with the same two walkers, and ``rows`` nodes for its output blocks.
+``_chain_grad`` the one backward walk. The model's reads and its
+forward-only cost pass call ``_chain``, the latter into two reused
+buffers per network; ``GraphMlp`` emits a network as one graph ``mlp``
+node, which the graph runs with the same two walkers, and ``rows``
+nodes for its output blocks.
 """
 
 from __future__ import annotations
@@ -43,13 +45,19 @@ def init_params(layers, scheme: str = "xavier", seed: int = 0) -> None:
             b[...] = 0.0
 
 
-def _layer_value(activation, k, seeds, w, b, s):
-    """Blocks act(z) and act'(z) * u_j of z = w @ h + b, u_j = w @ t_j (or w[:, c_j])."""
+def _layer_value(activation, k, seeds, w, b, s, out=None):
+    """Blocks act(z) and act'(z) * u_j of z = w @ h + b, u_j = w @ t_j (or w[:, c_j]).
+
+    The value is a new array, or with ``out``, a flat float64 array of at
+    least (1 + k) * m * n entries, a view of its head.
+    """
     m, n = w.shape[0], s.shape[1]
+    z = None if out is None else out[: (1 + k) * m * n].reshape(1 + k, m, n)
     if seeds is None:
-        z = np.matmul(w, s.reshape(1 + k, -1, n))
+        z = np.matmul(w, s.reshape(1 + k, -1, n), out=z)
     else:
-        z = np.empty((1 + k, m, n))
+        if z is None:
+            z = np.empty((1 + k, m, n))
         np.matmul(w, s, out=z[0])
         z[1:] = w.T[list(seeds), :, None]
     y = z[0]
@@ -94,15 +102,21 @@ def _layer_adjoints(activation, k, seeds, w, a, v, s, need_s):
     return dw, ds, db
 
 
-def _chain(hidden: str, layers, s: np.ndarray, k: int, seeds) -> list[np.ndarray]:
+def _chain(hidden: str, layers, s: np.ndarray, k: int, seeds, bufs=None) -> list[np.ndarray]:
     """Values of the network ``layers`` on ``s``, input first. ``seeds`` is None
     when ``s`` stacks h and k tangent blocks, or the first layer's k input
     coordinates when ``s`` is h alone.
+
+    With ``bufs``, two flat float64 arrays each large enough for any layer's
+    value, layer i writes its value into ``bufs[i % 2]``, so no layer value
+    is allocated and only the last two stay current: a forward-only caller
+    reads the output, the last value, and nothing else.
     """
     values = [s]
     last = len(layers) - 1
     for i, (w, b, _, _) in enumerate(layers):
-        values.append(_layer_value("linear" if i == last else hidden, k, seeds, w, b, values[-1]))
+        out = None if bufs is None else bufs[i % 2]
+        values.append(_layer_value("linear" if i == last else hidden, k, seeds, w, b, values[-1], out))
         seeds = None  # later layers take the stacked blocks
     return values
 

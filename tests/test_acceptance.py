@@ -353,11 +353,11 @@ def test_criterion_10_discovered_law(synthetic_run):
     # the rate network, trained only through the residual, must have learned it
     trained, _, samples, _, _ = synthetic_run
     part = samples.take(np.arange(0, len(samples), 7))
-    w = trained._eval_batch(part.oc, part.t)
-    drul_dt, f = _residual(w)
+    p = trained._forward(part.oc, part.t)
+    drul_dt, f = _residual(p)
     cycles = trained.norm.rul_max / trained.config.t_scale  # normalized rate -> cycles per cycle
     mean_rate = float(drul_dt.mean()) * cycles
-    mean_dyn = float(w.graph.value(w.dyn).mean()) * cycles
+    mean_dyn = float(p.dyn.mean()) * cycles
     ratio = float(np.sqrt(np.mean(f * f) / np.mean(drul_dt * drul_dt)))
     ok = abs(mean_rate + 1) < LAW_BOUND and abs(mean_dyn + 1) < LAW_BOUND and ratio < LAW_BOUND
     report(10, ok, f"mean dRUL/dt {mean_rate:.4f}, mean dyn {mean_dyn:.4f}, rms f / rms dRUL/dt {ratio:.4f}")

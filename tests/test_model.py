@@ -34,15 +34,15 @@ from conftest import (
 
 
 def residual_inputs(model, oc, t):
-    """(dx/dt, dRUL/dx, dRUL/dt) at one point, read from the model's wiring and ``_residual``."""
-    w = model._eval_batch(oc, [t])
-    drul_dt, _ = _residual(w)
-    return [float(row[0, 0]) for row in (w.graph.value(w.dx_dt), w.graph.value(w.drul_dx), drul_dt)]
+    """(dx/dt, dRUL/dx, dRUL/dt) at one point, read from the model's forward-only pass and ``_residual``."""
+    p = model._forward(oc, [t])
+    drul_dt, _ = _residual(p)
+    return [float(row[0, 0]) for row in (p.dx_dt, p.drul_dx, drul_dt)]
 
 
 def residual_at(model, oc, t):
     """The rate-law residual f at one point, in normalized units, from ``_residual``."""
-    return float(_residual(model._eval_batch(oc, [t]))[1][0, 0])
+    return float(_residual(model._forward(oc, [t]))[1][0, 0])
 
 
 def readers(model, batch):
@@ -526,9 +526,9 @@ class TestWiring:
         t_n = (t / config.t_scale).reshape(1, n)
         x, (dx_dt,) = chain("x", np.vstack([((oc - norm.means) / norm.stds).T, t_n]), [d_oc])
         rul, _ = chain("rul", np.vstack([x, t_n]), [0, 1])
-        w = model._eval_batch(oc, t)
-        for nid, want in ((w.x, x), (w.dx_dt, dx_dt), (w.rul, rul)):
-            assert np.array_equal(w.graph.value(nid), want)
+        p = model._eval_batch(oc, t)
+        for got, want in ((p.x, x), (p.dx_dt, dx_dt), (p.rul, rul)):
+            assert np.array_equal(got, want)
 
     def test_reads_equal_the_graph_bitwise(self, model):
         # _read runs the x and RUL chains without the graph; the cost's graph must give the same rows
@@ -536,11 +536,33 @@ class TestWiring:
         for n in (1, 31, 4096):
             batch = random_batch(trained, 50 + n, n=n)
             rows = trained._read(batch.oc, batch.t)
-            w = trained._eval_batch(batch.oc, batch.t)
-            value = w.graph.value
-            want = value(w.x)[0], value(w.dx_dt)[0], value(w.rul)[0] * trained.norm.rul_max
+            p = trained._eval_batch(batch.oc, batch.t)
+            want = p.x[0], p.dx_dt[0], p.rul[0] * trained.norm.rul_max
             for got, row in zip(rows, want):
                 assert np.array_equal(got, row), n
+
+    def test_forward_only_costs_equal_the_graph_bitwise(self, model, monkeypatch):
+        # cost_values and mean_cost run _forward, not the graph; the graph must give the same rows and cost's
+        # graph the same (mse, pde, total)
+        trained, _ = train(model, random_batch(model, 53, n=64), 1, 2, epochs=3, batch_size=16)
+        for n in (1, 31, 4096):
+            batch = random_batch(trained, 53 + n, n=n)
+            for got, want in zip(trained._forward(batch.oc, batch.t), trained._eval_batch(batch.oc, batch.t)):
+                assert np.array_equal(got, want), n
+            graph = trained.cost(batch)
+            assert trained.cost_values(batch) == (graph.mse, graph.pde, graph.total), n
+        # chunks of 13, 13, 13 and 1 rows, in a shuffled order: the last reuses the buffers of a wider one
+        monkeypatch.setattr("pinnrul.model.CHUNK", 13)
+        batch = random_batch(trained, 54, n=40)
+        rows = np.random.default_rng(54).permutation(40).astype(np.int32)
+        mse_sum = pde_sum = 0.0
+        for start in range(0, 40, 13):
+            part = batch.take(rows[start : start + 13])
+            graph = trained.cost(part)
+            mse_sum += graph.mse * len(part)
+            pde_sum += graph.pde * len(part)
+        mse, pde = mse_sum / 40, pde_sum / 40
+        assert trained.mean_cost(batch, rows) == (mse, pde, mse + trained.config.pde_weight * pde)
 
     def test_reads_build_no_graph(self, model, tmp_path, monkeypatch):
         built = []
@@ -556,37 +578,51 @@ class TestWiring:
         batch = random_batch(loaded, 51, n=9)
         loaded.sweep(batch.oc[0], [0.0, 1.0, 2.0])
         loaded.latent_map(batch)
+        loaded.cost_values(batch)
+        loaded.mean_cost(batch, np.arange(len(batch)))
         assert "_wiring" not in loaded.__dict__ and not built
         loaded.cost(batch)
         wiring = loaded.__dict__["_wiring"]
-        loaded.cost_values(batch)
-        loaded.mean_cost(batch, np.arange(len(batch)))
         loaded.cost(batch)
         assert loaded._wiring is wiring and len(built) == 1
 
 
+def traced_calls(run):
+    """(held, first peak, second peak) in bytes traced by two calls of ``run``, above what was traced before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        held, first = (m - base for m in tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        run()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return held, first, peak
+
+
 class TestHeldPass:
-    @pytest.mark.parametrize("method", ["cost_values", "_read"])
+    @pytest.mark.parametrize("method", ["_eval_batch", "cost_values", "_read"])
     def test_next_pass_releases_the_held_one_first(self, model, method):
         # the graph holds one width-CHUNK pass between calls, which grad reads; building the next beside it
-        # would double it. A read holds nothing once its rows are dropped.
+        # would double it. A read or a forward-only cost holds nothing once its result is dropped.
         batch = random_batch(model, 52, n=CHUNK)
-        run = model.cost_values if method == "cost_values" else lambda b: model._read(b.oc, b.t)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            run(batch)
-            held, first = (m - base for m in tracemalloc.get_traced_memory())
-            tracemalloc.reset_peak()
-            run(batch)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        if method == "_read":
-            assert held < first / 100, f"a dropped read left {held} of its {first} bytes traced"
-            assert peak <= held + first, f"second read peaked at {peak} bytes, the first at {first}"
-        else:
+        runs = {
+            "_eval_batch": lambda: model._eval_batch(batch.oc, batch.t),
+            "cost_values": lambda: model.cost_values(batch),
+            "_read": lambda: model._read(batch.oc, batch.t),
+        }
+        held, first, peak = traced_calls(runs[method])
+        if method == "_eval_batch":
             assert peak < 1.5 * held, f"second pass peaked at {peak} bytes, {peak / held:.2f} x the {held} held"
+            return
+        assert held < first / 100, f"a dropped call left {held} of its {first} bytes traced"
+        assert peak <= held + first, f"second call peaked at {peak} bytes, the first at {first}"
+        if method == "cost_values":
+            # its chains keep only their current layers, in reused buffers, so it peaks well below the graph's pass
+            graph_held = traced_calls(runs["_eval_batch"])[0]
+            assert first <= 0.6 * graph_held, f"cost_values peaked at {first} bytes, the graph holds {graph_held}"
 
 
 class TestInspection:
