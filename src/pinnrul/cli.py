@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import reprlib
 import sys
 import time
@@ -387,8 +388,14 @@ def _csv_text(part: np.ndarray) -> str:
     return "".join(pieces)
 
 
-def _write_latent_csv(table, path) -> None:
-    """Write the (n, 4) latent map, formatting ``model.CHUNK`` rows per write.
+def _write_latent_csv(blocks, path) -> None:
+    """Write the latent map from ``blocks``, an iterable of (m, 4) arrays,
+    formatting and writing each block as it arrives.
+
+    The file is written as ``<path>.part`` and renamed to ``path`` after
+    the last block, so an export that fails part way (a ``NumericError``
+    in a later block, say) removes the part file and leaves any earlier
+    file at ``path`` as it was.
 
     The text is that of ``"%.9g,%.9g,%.9g,%.9g\\n"``, built in bulk by
     ``_csv_text``, and its digits are exact. A value v whose decimal
@@ -399,12 +406,18 @@ def _write_latent_csv(table, path) -> None:
     rounded 9-digit mantissa that ``%.9g`` prints; a mantissa rounded up
     to 1e9 moves e up one. The values in that band, those that print in
     exponent notation (e outside -4..8), inf and nan go through one ``%``
-    call per chunk.
+    call per block.
     """
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("x,dx_dt,rul_pred,rul_true\n")
-        for start in range(0, len(table), mdl.CHUNK):
-            fh.write(_csv_text(table[start : start + mdl.CHUNK]))
+    part = Path(f"{path}.part")
+    try:
+        with open(part, "w", encoding="ascii") as fh:
+            fh.write("x,dx_dt,rul_pred,rul_true\n")
+            for block in blocks:
+                fh.write(_csv_text(block))
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
 
 
 def cmd_map(cfg: RunConfig, model_path: str, which: str) -> int:
@@ -418,11 +431,12 @@ def cmd_map(cfg: RunConfig, model_path: str, which: str) -> int:
     if truth is not None:  # one t = 0 sample per logged row, labelled with the engine's true RUL there
         samples.rul0 += np.repeat(truth, [traj.length for traj in trajectories])
 
-    table = model.latent_map(samples)
     out = _out_dir(cfg)
     path = out / f"latent_map_{which}.csv"
-    _write_latent_csv(table, path)
-    print(f"wrote {path} ({len(table)} rows)")
+    # one CHUNK-row block of the map at a time, so no (n, 4) table exists
+    blocks = (model.latent_map(samples.take(slice(a, a + mdl.CHUNK))) for a in range(0, len(samples), mdl.CHUNK))
+    _write_latent_csv(blocks, path)
+    print(f"wrote {path} ({len(samples)} rows)")
     return 0
 
 

@@ -148,7 +148,7 @@ class AugmentedSamples:
     ``rows`` holds every logged row's selected features (engines in unit
     order, then cycles), and ``rul0``, ``row_unit`` and ``row_cycle`` its
     RUL at that cycle, unit id and cycle. A sample is a row index ``row``
-    (int32) and a look-ahead ``t`` (int64); its label is ``rul0[row] - t``.
+    and a look-ahead ``t``, both int32; its label is ``rul0[row] - t``.
     """
 
     rows: np.ndarray
@@ -189,9 +189,9 @@ def augment(trajectories, horizon: int = 30, columns=None) -> AugmentedSamples:
     """Emit (oc at cycle c, t, RUL0 - t) for t = 0 .. min(horizon, RUL0).
 
     Output order is canonical: unit, then cycle, then t ascending. Each
-    logged row is stored once; a sample holds its row's index and its t.
-    A ValueError names a sample count beyond int32, before any per-sample
-    array is allocated.
+    logged row is stored once; a sample holds its row's index and its t,
+    both int32 (t < the sample count). A ValueError names a sample count
+    beyond int32, before any per-sample array is allocated.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
@@ -206,8 +206,8 @@ def augment(trajectories, horizon: int = 30, columns=None) -> AugmentedSamples:
     if n > np.iinfo(np.int32).max:
         raise ValueError(f"{n} augmented samples exceed the int32 sample index range")
     row = np.repeat(np.arange(len(rul0), dtype=np.int32), counts)
-    t = np.arange(n)
-    t -= np.repeat(np.cumsum(counts) - counts, counts)  # 0 .. counts - 1 per logged row
+    t = np.arange(n, dtype=np.int32)
+    t -= np.repeat((np.cumsum(counts) - counts).astype(np.int32), counts)  # 0 .. counts - 1 per logged row
     return AugmentedSamples(
         rows=np.concatenate([feature_matrix(traj, columns) for traj in trajs]),
         rul0=rul0.astype(np.float64),

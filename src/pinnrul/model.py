@@ -35,16 +35,17 @@ output; ``_read`` runs the x network, with its dx/dt tangent, and the
 RUL network, without tangents, and never the rate network. The graph
 holds its last pass between calls and releases it before computing the
 next, so a model never holds two; ``_forward`` and ``_read`` hold
-nothing once their rows are dropped. Whole sample sets are read CHUNK
-samples at a time: ``mean_cost`` sums the cost terms over the rows an
-index array names, gathering one chunk at a time, and ``latent_map``
-fills one C-order (n, 4) float64 table a slice at a time, whose columns
-are x, dx/dt, predicted RUL and true RUL. ``_inputs`` is the one check
-of a batch's oc shape, row counts and times, for ``_eval_batch``,
-``_forward`` and ``_read`` (``_loss`` adds its label count), and
-``_read`` the one reader of x, dx/dt and the RUL in cycles
-for ``sweep``, ``latent_map`` and ``rmse_eval``; ``NumericError``,
-defined here, reports a non-finite output.
+nothing once their rows are dropped. Whole sample sets are read a chunk
+at a time: ``mean_cost`` sums the cost terms over the rows an index
+array names, gathering MEAN_CHUNK samples at a time, and ``latent_map``
+fills one C-order (n, 4) float64 table CHUNK samples at a time, whose
+columns are x, dx/dt, predicted RUL and true RUL; the ``map`` command
+hands it one CHUNK slice at a time, so no whole table exists there.
+``_inputs`` is the one check of a batch's oc shape, row counts and
+times, for ``_eval_batch``, ``_forward`` and ``_read`` (``_loss`` adds
+its label count), and ``_read`` the one reader of x, dx/dt and the RUL
+in cycles for ``sweep``, ``latent_map`` and ``rmse_eval``;
+``NumericError``, defined here, reports a non-finite output.
 """
 
 from __future__ import annotations
@@ -64,7 +65,14 @@ X_HIDDEN = (3, 3, 3, 3, 3)
 RUL_HIDDEN = (10, 10, 10, 10, 10)
 # each network's hidden activation; x and rul carry tangent chains, which need tanh
 HIDDEN = {"x": "tanh", "rul": "tanh", "dyn": "relu"}
-CHUNK = 4096  # samples per evaluation in mean_cost and latent_map
+# Samples per whole-set read. CHUNK is latent_map's read block and the CSV's write block;
+# mean_cost's forward-only passes take MEAN_CHUNK, whose RUL chain buffers (2 x 3 x 10 x 2,048
+# float64, 0.98 MB) fit a core's 2 MB L2. On the benchmark's train fleet, interleaved in one
+# process, a 2,048-sample epoch-end pair was as fast as a 4,096 one (min 95.6 against 98.3 ms)
+# and 1,024 was slower (107.2 ms); in the benchmark, 2,048-row latent-map blocks slowed map by
+# 8-9% (median throughput and p50 of 5 pairs).
+CHUNK = 4096
+MEAN_CHUNK = 2048
 
 
 class NumericError(Exception):
@@ -369,19 +377,19 @@ class PinnModel:
     def mean_cost(self, samples: AugmentedSamples, rows) -> tuple[float, float, float]:
         """Exact cost means over the samples at index array ``rows``.
 
-        Reads CHUNK rows at a time with ``samples.take(rows[a:b])``, so no
-        copy of the whole subset exists, and evaluates each chunk as
+        Reads MEAN_CHUNK rows at a time with ``samples.take(rows[a:b])``,
+        so no copy of the whole subset exists, and evaluates each chunk as
         ``cost_values`` does, with one set of ``_forward`` buffers for all
-        of them. The sums run in the order of ``rows``; sorted rows make
-        each chunk's gather nearly sequential.
+        of them. The sums run in the order of ``rows``, grouped by chunk;
+        sorted rows make each chunk's gather nearly sequential.
         """
         n = len(rows)
         if n == 0:
             raise ValueError("mean_cost needs samples")
         forward = functools.partial(self._forward, bufs={})
         mse_sum = pde_sum = 0.0
-        for start in range(0, n, CHUNK):
-            part = samples.take(rows[start : start + CHUNK])
+        for start in range(0, n, MEAN_CHUNK):
+            part = samples.take(rows[start : start + MEAN_CHUNK])
             mse, pde = self._loss(part, forward)[3:5]
             mse_sum += mse * len(part)
             pde_sum += pde * len(part)

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 from pinnrul import cli, load_model, save_model
 from pinnrul.cli import _write_latent_csv
 from pinnrul.data import feature_matrix
+from pinnrul.model import CHUNK, NumericError, PinnModel
 
 from conftest import fd001_config, write_fd001_style
 
@@ -467,6 +469,50 @@ class TestTrainEvalMapPredict:
         trajs, _ = synth_generate(spec)
         assert len(lines) - 1 == len(augment(trajs, horizon=30))
 
+    def test_failed_map_leaves_no_part_file_and_keeps_the_old_csv(self, trained, tmp_path, monkeypatch, capsys):
+        # blocks of 5 rows; the second block's read fails after the first block was written
+        _, cfg, out = trained
+        monkeypatch.setattr("pinnrul.model.CHUNK", 5)
+        read, calls = PinnModel._read, []
+
+        def failing_read(self, *args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise NumericError("non-finite x output")
+            return read(self, *args, **kwargs)
+
+        monkeypatch.setattr(PinnModel, "_read", failing_read)
+        old = tmp_path / "o" / "latent_map_train.csv"
+        old.parent.mkdir()
+        old.write_bytes(b"x,dx_dt,rul_pred,rul_true\n1,2,3,4\n")
+        argv = ["map", "--config", cfg, "--model", str(out / "model.bin"), "--which", "train", "--out", str(old.parent)]
+        assert run_cli(argv) == 3
+        assert capsys.readouterr().err == "numeric failure: non-finite x output\n"
+        assert len(calls) == 2
+        assert list(old.parent.iterdir()) == [old]
+        assert old.read_bytes() == b"x,dx_dt,rul_pred,rul_true\n1,2,3,4\n"
+
+    def test_map_peak_grows_by_less_than_a_table_row_per_sample(self, trained, tmp_path):
+        # map holds one CHUNK-row block of the latent table, never the whole (n, 4) table, so a
+        # 4x larger fleet adds only its per-sample index arrays and row table, not 32 bytes a sample
+        _, _, out = trained
+        peaks, samples = [], []
+        for n_engines in (12, 48):
+            synth = {"n_engines": n_engines, "min_life": 36, "max_life": 42, "n_sensors": 6, "noise_std": 0.01, "seed": 5}
+            cfg = synth_config(tmp_path, synth=synth)
+            argv = ["map", "--config", cfg, "--model", str(out / "model.bin"), "--which", "train", "--out", str(tmp_path / "o")]
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                assert run_cli(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+            samples.append(len((tmp_path / "o" / "latent_map_train.csv").read_bytes().splitlines()) - 1)
+        assert samples[1] > 3.5 * samples[0] > 3.5 * 2 * CHUNK
+        per_sample = (peaks[1] - peaks[0]) / (samples[1] - samples[0])
+        assert per_sample < 20, f"{per_sample:.1f} bytes per extra sample"
+
     def test_predict_rows(self, trained, capsys):
         _, _, out = trained
         model = load_model(out / "model.bin")
@@ -733,19 +779,23 @@ class TestFd001StylePipeline:
         assert not (tmp_path / "out" / "eval.json").exists()
 
 
+def chunks(table, k):
+    """The k-row slices of ``table`` that ``map`` hands the writer, one per block."""
+    return (table[a : a + k] for a in range(0, len(table), k))
+
+
 def test_latent_csv_writer_empty(tmp_path):
     path = tmp_path / "empty.csv"
-    _write_latent_csv(np.empty((0, 4)), path)
+    _write_latent_csv(chunks(np.empty((0, 4)), CHUNK), path)
     assert path.read_text() == "x,dx_dt,rul_pred,rul_true\n"
 
 
 @pytest.mark.parametrize("n", [0, 1, 4, 5, 6, 13])
-def test_latent_csv_writer_streams_the_one_string_bytes(tmp_path, monkeypatch, n):
+def test_latent_csv_writer_streams_the_one_string_bytes(tmp_path, n):
     k = 5  # rows per write, so n covers 0, 1, k - 1, k, k + 1 and 2k + 3
-    monkeypatch.setattr("pinnrul.model.CHUNK", k)
     table = np.random.default_rng(n).normal(scale=1e3, size=(n, 4))
     path = tmp_path / "map.csv"
-    _write_latent_csv(table, path)
+    _write_latent_csv(chunks(table, k), path)
     rows = "".join(map("{:.9g},{:.9g},{:.9g},{:.9g}\n".format, *table.T.tolist()))
     assert path.read_bytes() == ("x,dx_dt,rul_pred,rul_true\n" + rows).encode("ascii")
 

@@ -178,7 +178,7 @@ def repeated_reference(trajs, horizon, columns=None):
             ts = np.arange(min(horizon, rul0) + 1)
             parts["unit"].append(np.full(len(ts), traj.unit_id))
             parts["cycle"].append(np.full(len(ts), c))
-            parts["t"].append(ts)
+            parts["t"].append(ts.astype(np.int32))  # augment's t dtype
             parts["rul"].append((rul0 - ts).astype(np.float64))
             parts["oc"].append(np.repeat(feats[row : row + 1], len(ts), axis=0))
     return {name: np.concatenate(p) for name, p in parts.items()}
@@ -244,7 +244,7 @@ class TestAugment:
         want = repeated_reference(trajs, horizon, columns)
 
         got = augment(trajs, horizon=horizon, columns=columns)
-        dtypes = dict(unit=np.int64, cycle=np.int64, t=np.int64, rul=np.float64, oc=np.float64)
+        dtypes = dict(unit=np.int64, cycle=np.int64, t=np.int32, rul=np.float64, oc=np.float64)
         for name, dtype in dtypes.items():
             assert getattr(got, name).dtype == dtype, name
             assert np.array_equal(getattr(got, name), want[name]), name
@@ -324,7 +324,7 @@ class TestTake:
         samples = augment(trajs, horizon=30)
         assert samples.rows.shape == (sum(tr.length for tr in trajs), 3)
         assert all(samples.__dict__[name].ndim == 1 for name in ("rul0", "row_unit", "row_cycle", "row", "t"))
-        assert samples.row.dtype == np.int32 and samples.t.dtype == np.int64
+        assert samples.row.dtype == np.int32 and samples.t.dtype == np.int32
 
     @pytest.mark.parametrize("name", ["oc", "rul", "unit", "cycle"])
     def test_whole_set_columns_are_read_only(self, name):

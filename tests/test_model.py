@@ -311,7 +311,7 @@ class TestCost:
             model.cost(batch)
 
     def test_mean_cost_matches_single_batch(self, model, monkeypatch):
-        monkeypatch.setattr("pinnrul.model.CHUNK", 3)
+        monkeypatch.setattr("pinnrul.model.MEAN_CHUNK", 3)
         batch = random_batch(model, 22, n=10)
         mse, pde, total = model.mean_cost(batch, np.arange(len(batch)))
         one = model.cost_values(batch)
@@ -552,7 +552,7 @@ class TestWiring:
             graph = trained.cost(batch)
             assert trained.cost_values(batch) == (graph.mse, graph.pde, graph.total), n
         # chunks of 13, 13, 13 and 1 rows, in a shuffled order: the last reuses the buffers of a wider one
-        monkeypatch.setattr("pinnrul.model.CHUNK", 13)
+        monkeypatch.setattr("pinnrul.model.MEAN_CHUNK", 13)
         batch = random_batch(trained, 54, n=40)
         rows = np.random.default_rng(54).permutation(40).astype(np.int32)
         mse_sum = pde_sum = 0.0
@@ -623,6 +623,14 @@ class TestHeldPass:
             # its chains keep only their current layers, in reused buffers, so it peaks well below the graph's pass
             graph_held = traced_calls(runs["_eval_batch"])[0]
             assert first <= 0.6 * graph_held, f"cost_values peaked at {first} bytes, the graph holds {graph_held}"
+
+    def test_mean_cost_peaks_near_one_chunk(self, model):
+        # MEAN_CHUNK-sample chunks in one reused buffer set: about 2 MB above entry here, where
+        # 4,096-sample chunks took about 4 MB
+        batch = random_batch(model, 56, n=4 * 2048)
+        rows = np.arange(len(batch), dtype=np.int32)
+        _, first, peak = traced_calls(lambda: model.mean_cost(batch, rows))
+        assert max(first, peak) < 3e6, f"mean_cost peaked at {max(first, peak)} bytes above its entry"
 
 
 class TestInspection:

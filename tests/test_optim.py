@@ -188,7 +188,7 @@ class TestTrain:
 
     def test_flat_vector_matches_per_buffer_reference(self, tiny_dataset, monkeypatch):
         samples, norm = tiny_dataset
-        monkeypatch.setattr("pinnrul.model.CHUNK", 257)  # several chunks per split
+        monkeypatch.setattr("pinnrul.model.MEAN_CHUNK", 257)  # several chunks per split
         model = init_model(PinnConfig.default(len(norm.columns), pde_weight=0.2), norm, 0)
         config = NadamConfig(lr=5e-3)
         split_seed, init_seed, epochs, batch_size = 3, 9, 2, 40

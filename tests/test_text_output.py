@@ -97,8 +97,7 @@ EDGE_ROWS = [tuple(EDGES[i : i + 4]) for i in range(0, len(EDGES) - 3, 2)]
 def test_latent_csv_bytes_equal_per_row_format(tmp_path_factory, rows, chunk):
     table = np.array(rows, dtype=np.float64).reshape(-1, 4)
     path = tmp_path_factory.getbasetemp() / "latent.csv"
-    with mock.patch("pinnrul.model.CHUNK", chunk):
-        cli._write_latent_csv(table, path)
+    cli._write_latent_csv((table[a : a + chunk] for a in range(0, len(table), chunk)), path)
     assert path.read_bytes() == latent_reference(table).encode("ascii")
 
 
@@ -118,7 +117,7 @@ def test_latent_csv_covers_every_class(tmp_path):
     values = [s * float(f"{m}e{e - 8}") for s, m, e in zip(sign.tolist(), mantissa.tolist(), exponent.tolist())]
     table = np.array(values).reshape(-1, 4)
     path = tmp_path / "latent.csv"
-    cli._write_latent_csv(table, path)
+    cli._write_latent_csv((table[a : a + CHUNK] for a in range(0, len(table), CHUNK)), path)
     assert path.read_bytes() == latent_reference(table).encode("ascii")
 
 
@@ -188,7 +187,7 @@ def test_map_csv_equals_per_row_format(run, monkeypatch, capsys, which):
     config, out = run
     tables = recording(monkeypatch, "latent_map")
     assert cli.main(["map", "--config", config, "--model", str(out / "model.bin"), "--which", which]) == 0
-    (table,) = tables
+    table = np.vstack(tables)  # one table per CHUNK-row block
     assert len(table) > 0
     assert (out / f"latent_map_{which}.csv").read_bytes() == latent_reference(table).encode("ascii")
 
