@@ -7,16 +7,17 @@ reverse index order so repeated runs are bit-identical.
 
 All buffers are 2-D float64 arrays; scalars have shape (1, 1). An input
 may leave its column count open (``None``): the graph is then built once
-for any batch width and every op acts column by column. ``build`` checks
-every node; ``eval`` checks no binding, so binding each input to a 2-D
-array of its rows, the width-free ones with one column count, is the
-caller's contract.
+for any batch width and every op acts column by column. The graph
+trusts ``model._Wiring``, its one client: ``build`` records each node's
+shape and checks nothing, and ``eval`` checks no binding, so well-formed
+nodes, and binding each input to a 2-D array of its rows, the
+width-free ones with one column count, are the caller's contract.
 
 An ``mlp`` node is one whole network and its k forward-tangent chains,
 stacked along the rows as ``net`` describes; ``rows`` reads a block back
 out. It binds the network's (W, b, dW, db) tuples by reference, which
-``build`` checks once (2-D float64, shapes that agree). ``eval`` runs
-``net._chain`` and holds every layer's value, ``grad`` runs
+``_layout`` cuts as 2-D float64 views of shapes that agree. ``eval``
+runs ``net._chain`` and holds every layer's value, ``grad`` runs
 ``net._chain_grad``, which overwrites dW and db. Neither checks
 finiteness; the owner of the buffers does.
 
@@ -25,20 +26,19 @@ The graph ends at a model's network outputs; arithmetic that joins them,
 such as a residual or a loss, is the caller's. A model evaluates it only
 for ``cost``, whose gradient reads the held pass; its forward-only
 passes run ``net._chain`` without a graph. ``grad`` takes the
-caller's adjoints at those outputs (seeds, each shaped like its node's
-value) and writes the vector-Jacobian product over every layer's own dW
-and db; the caller binds no buffer into two layers. A node reaches the
-weights iff it is an mlp or one of its inputs does; adjoints propagate
-only into such nodes, so inputs (and anything computed only from them)
-get none, and an mlp that no seed reaches gets zeros.
+caller's adjoints at those outputs (seeds, each a float64 array shaped
+like its node's value) and writes the vector-Jacobian product over every
+layer's own dW and db; the caller binds no buffer into two layers. A
+node reaches the weights iff it is an mlp or one of its inputs does;
+adjoints propagate only into such nodes, so inputs (and anything
+computed only from them) get none, and an mlp that no seed reaches gets
+zeros.
 
 A graph instance is single-writer. Distinct instances are independent and
 may be used from different threads.
 """
 
 from __future__ import annotations
-
-import operator
 
 import numpy as np
 
@@ -50,20 +50,12 @@ __all__ = [
     "OP_KINDS",
 ]
 
-# arity per op kind; None = variadic (>= 1)
-OP_KINDS = {
-    "input": 0,
-    "mlp": 1,
-    "rows": 1,
-    "concat": None,
-}
-
-ACTIVATIONS = ("tanh", "relu", "linear")
+OP_KINDS = ("input", "mlp", "rows", "concat")
 
 
 class GraphError(Exception):
-    """Misuse of a graph: a node with a bad shape, buffer, op kind or input
-    id at build, a seed with a bad id or shape, or a read before ``eval``."""
+    """A ``value`` or ``grad`` with no successful ``eval`` before it. The
+    graph trusts ``model._Wiring``, its one client, for everything else."""
 
 
 class _Node:
@@ -77,44 +69,6 @@ class _Node:
         self.reaches = reaches  # its value depends on an mlp's weights
 
 
-def _layer_buffers(w, b, dw, db) -> tuple:
-    """Check a layer's weight and bias and their gradient buffers; return the four."""
-    for name, value, grad in (("weight", w, dw), ("bias", b, db)):
-        arrays = isinstance(value, np.ndarray) and isinstance(grad, np.ndarray)
-        if not (arrays and value.dtype == grad.dtype == np.float64 and value.ndim == 2):
-            raise GraphError(f"layer {name} and its gradient must be 2-D float64 arrays")
-        if grad.shape != value.shape or not value.size:
-            raise GraphError(f"layer {name} {value.shape} and its gradient {grad.shape} need one nonempty shape")
-    if b.shape != (w.shape[0], 1):
-        raise GraphError(f"layer bias must have shape {(w.shape[0], 1)}, got {b.shape}")
-    return w, b, dw, db
-
-
-def _mlp_shape(shape, payload):
-    """Check an mlp node's input shape and payload; return (payload, value shape)."""
-    hidden, layers, k, seeds = payload
-    k, layers = int(k), tuple(_layer_buffers(*bufs) for bufs in layers)
-    if seeds is not None:
-        seeds = tuple(operator.index(c) for c in seeds)  # an index, never a truncated float
-        k = len(seeds)
-    if hidden not in ACTIVATIONS:
-        raise GraphError(f"hidden activation must be one of {ACTIVATIONS}, got {hidden!r}")
-    if not layers:
-        raise GraphError("an mlp needs at least one layer")
-    if k < 0 or (k and hidden == "relu"):
-        raise GraphError(f"a {hidden} mlp cannot carry {k} tangents")
-    d = layers[0][0].shape[1]
-    if seeds is not None and not all(0 <= c < d for c in seeds):
-        raise GraphError(f"tangent seeds {seeds} out of range for {d} inputs")
-    rows = shape[0]
-    for i, (w, *_) in enumerate(layers, start=1):
-        want = w.shape[1] if i == 1 and seeds is not None else (1 + k) * w.shape[1]
-        if rows != want:
-            raise GraphError(f"layer {i} input must have {want} rows for weight {w.shape} and {k} tangents, got {rows}")
-        rows = (1 + k) * w.shape[0]
-    return (hidden, layers, k, seeds if k else None), (rows, shape[1])
-
-
 class Graph:
     """Append-only computation graph over float64 matrix buffers."""
 
@@ -126,51 +80,25 @@ class Graph:
     # -- construction -------------------------------------------------
 
     def build(self, kind: str, inputs=(), payload=None) -> int:
-        """Append a node and return its id.
+        """Append a node and return its id. It trusts ``model._Wiring``,
+        its one client, and checks nothing.
 
         ``payload`` is the shape for ``input`` (its column count may be
         None), the half-open range (start, stop) for ``rows`` and
         (hidden, layers, k, seeds) for ``mlp``, where layers are the
         network's (W, b, dW, db) tuples and seeds is None or the first
-        layer's k input coordinates.
+        layer's k input coordinates. Every other node takes its first
+        input's column count.
         """
-        if kind not in OP_KINDS:
-            raise GraphError(f"unknown op kind {kind!r}")
-        inputs = tuple(int(i) for i in inputs)
-        arity = OP_KINDS[kind]
-        if arity is None:
-            if not inputs:
-                raise GraphError(f"{kind} needs at least one input")
-        elif len(inputs) != arity:
-            raise GraphError(f"{kind} takes {arity} inputs, got {len(inputs)}")
-        for i in inputs:
-            if not 0 <= i < len(self.nodes):
-                raise GraphError(f"dangling node id {i} (graph has {len(self.nodes)} nodes)")
-
         shapes = [self.nodes[i].shape for i in inputs]
         if kind == "input":
-            if payload is None or len(tuple(payload)) != 2:
-                raise GraphError("input needs an explicit 2-D shape")
-            rows, cols = payload
-            shape = (int(rows), None if cols is None else int(cols))
-            if shape[0] < 1 or (shape[1] is not None and shape[1] < 1):
-                raise GraphError(f"input shape must be positive, got {shape}")
-            payload = None
-        elif kind == "mlp":
-            payload, shape = _mlp_shape(shapes[0], payload)
+            shape, payload = payload, None
+        elif kind == "mlp":  # 1 + k blocks of the last layer's rows
+            shape = ((1 + payload[2]) * payload[1][-1][0].shape[0], shapes[0][1])
         elif kind == "rows":
-            start, stop = (int(i) for i in payload)
-            if not 0 <= start < stop <= shapes[0][0]:
-                raise GraphError(f"rows {start}:{stop} out of range for {shapes[0][0]} rows")
-            payload, shape = (start, stop), (stop - start, shapes[0][1])
-        elif kind == "concat":
-            cols = {s[1] for s in shapes}
-            if len(cols) != 1:
-                raise GraphError(f"concat needs equal column counts, got {shapes}")
+            shape = (payload[1] - payload[0], shapes[0][1])
+        else:  # concat
             shape = (sum(s[0] for s in shapes), shapes[0][1])
-        else:  # pragma: no cover - kinds are exhaustive
-            raise GraphError(f"unhandled op kind {kind!r}")
-
         reaches = kind == "mlp" or any(self.nodes[i].reaches for i in inputs)
         self.nodes.append(_Node(kind, inputs, shape, payload, reaches))
         self._values = None
@@ -234,25 +162,17 @@ class Graph:
         """Write sum_n <seeds[n], d(value n)/d(p)> into the gradient buffer of
         every layer weight and bias p.
 
-        ``seeds`` maps node ids to adjoints, each shaped like the node's
-        value from the last ``eval``, which must have run. Each layer's
-        gradient overwrites its own dW and db, zeros if no seed reaches
-        its mlp.
+        ``seeds`` maps node ids to float64 adjoints, each shaped like the
+        node's value from the last ``eval``; grad trusts its caller for
+        this and checks only that ``eval`` has run. Each layer's gradient
+        overwrites its own dW and db, zeros if no seed reaches its mlp.
         """
         nodes = self.nodes
         values = self._values
         if values is None:
             raise GraphError("call eval before grad")
         # adjoints are never updated in place, so pass-through ops and seeds may share buffers
-        adjoint: dict[int, np.ndarray] = {}
-        for nid, seed in seeds.items():
-            if not 0 <= nid < len(nodes):
-                raise GraphError(f"dangling node id {nid} (graph has {len(nodes)} nodes)")
-            seed = np.asarray(seed, dtype=np.float64)
-            if seed.shape != values[nid].shape:
-                raise GraphError(f"seed of node {nid} has shape {seed.shape}, its value {values[nid].shape}")
-            if nodes[nid].reaches:
-                adjoint[nid] = seed
+        adjoint = {nid: seed for nid, seed in seeds.items() if nodes[nid].reaches}
 
         def acc(nid, delta):
             cur = adjoint.get(nid)

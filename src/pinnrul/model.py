@@ -27,25 +27,28 @@ mlps (one per network), 3 concats and 5 rows. Each mlp binds its
 network's tuples, so the graph sees every change without rebinding and
 its reverse sweep fills the gradient vector, which ``cost`` checks once
 and returns as a copy. Nothing else needs a gradient, and nothing else
-builds the graph: ``_forward`` and ``_read`` run ``net._chain``, the
-graph's own forward walk, over the tuples. ``_forward`` runs all three
-networks, each writing its layers into two buffers that one
-``mean_cost`` reuses for all its chunks, and keeps only each chain's
-output; ``_read`` runs the x network, with its dx/dt tangent, and the
-RUL network, without tangents, and never the rate network. The graph
-holds its last pass between calls and releases it before computing the
-next, so a model never holds two; ``_forward`` and ``_read`` hold
-nothing once their rows are dropped. Whole sample sets are read a chunk
-at a time: ``mean_cost`` sums the cost terms over the rows an index
-array names, gathering MEAN_CHUNK samples at a time, and ``latent_map``
-fills one C-order (n, 4) float64 table CHUNK samples at a time, whose
-columns are x, dx/dt, predicted RUL and true RUL; the ``map`` command
-hands it one CHUNK slice at a time, so no whole table exists there.
-``_inputs`` is the one check of a batch's oc shape, row counts and
-times, for ``_eval_batch``, ``_forward`` and ``_read`` (``_loss`` adds
-its label count), and ``_read`` the one reader of x, dx/dt and the RUL
-in cycles for ``sweep``, ``latent_map`` and ``rmse_eval``;
-``NumericError``, defined here, reports a non-finite output.
+builds the graph: ``_forward`` and ``_read`` run each network in
+``_run``, the one chain runner, which runs ``net._chain``, the graph's
+own forward walk, over the tuples, writes the layers into two buffers
+per network and keeps only the output. ``_forward`` runs all three
+networks; ``_read`` runs the x network, with its dx/dt tangent, and the
+RUL network, without tangents, and never the rate network. Their rows
+are views of those buffers, valid until the next pass on the same
+buffers; ``mean_cost`` and ``latent_map`` each reuse one set for all
+their chunks. The graph holds its last pass between calls and releases
+it before computing the next, so a model never holds two; ``_forward``
+and ``_read`` hold nothing once their rows are dropped. Whole sample
+sets are read a chunk at a time: ``mean_cost`` sums the cost terms over
+the rows an index array names, gathering MEAN_CHUNK samples at a time,
+and ``latent_map`` fills one C-order (n, 4) float64 table CHUNK samples
+at a time, whose columns are x, dx/dt, predicted RUL and true RUL; the
+``map`` command hands it one CHUNK slice at a time, so no whole table
+exists there. ``_inputs`` is the one check of a batch's oc shape, row
+counts and times, for ``_eval_batch``, ``_forward`` and ``_read``
+(``_loss`` adds its label count), and ``_read`` the one reader of x,
+dx/dt and the RUL in cycles for ``sweep``, ``latent_map`` and
+``rmse_eval``; ``NumericError``, defined here, reports a non-finite
+output.
 """
 
 from __future__ import annotations
@@ -271,6 +274,16 @@ class PinnModel:
         w.graph.eval({w.oc_in: oc_n, w.t_in: t_n})
         return _Pass(*map(w.graph.value, (w.x, w.dx_dt, w.rul, w.drul_dx, w.drul_dt_partial, w.dyn)))
 
+    def _run(self, net: str, s, k: int, seeds, bufs) -> np.ndarray:
+        """The one chain runner of passes without the graph: the output of
+        network ``net`` on ``s`` (``_chain``'s k and seeds), its layers
+        written into the two buffers ``bufs[net]``, which are made when
+        missing or too small for the batch."""
+        size = (1 + k) * max(self.config.widths[net][1:]) * s.shape[1]
+        if net not in bufs or bufs[net][0].size < size:
+            bufs[net] = (np.empty(size), np.empty(size))
+        return _chain(HIDDEN[net], self._layers[net], s, k, seeds, bufs[net])[-1]
+
     def _forward(self, oc, t, bufs=None) -> _Pass:
         """Evaluate a raw batch, checked and normalized by ``_inputs``,
         without the graph; its rows equal the graph's bit for bit.
@@ -278,39 +291,32 @@ class PinnModel:
         Runs the x chain with its dx/dt tangent, the RUL chain with its
         tangents along x and t, and the rate chain without tangents, on
         inputs joined by ``np.concatenate`` as ``_Wiring``'s concats join
-        them. Each chain writes its layers into its two buffers in
-        ``bufs``, a dict that a caller may reuse from pass to pass (a
-        buffer too small for a batch is replaced); only each chain's
-        output is kept, and the rows are views of it, current until the
-        next pass on the same ``bufs``.
+        them. Each chain runs in ``_run``, in ``bufs``, a dict that a
+        caller may reuse from pass to pass; the rows are views of the
+        chains' outputs, valid until the next pass on the same ``bufs``.
         """
         oc_n, t_n = self._inputs(oc, t)
         bufs = {} if bufs is None else bufs
-
-        def run(net, s, k, seeds):
-            size = (1 + k) * max(self.config.widths[net][1:]) * s.shape[1]
-            if net not in bufs or bufs[net][0].size < size:
-                bufs[net] = (np.empty(size), np.empty(size))
-            return _chain(HIDDEN[net], self._layers[net], s, k, seeds, bufs[net])[-1]
-
-        xs = run("x", np.concatenate([oc_n, t_n]), 1, (self.config.d_oc,))
-        ruls = run("rul", np.concatenate([xs[:1], t_n]), 2, (0, 1))
-        dyn = run("dyn", np.concatenate([xs[1:], ruls[1:2]]), 0, None)
+        xs = self._run("x", np.concatenate([oc_n, t_n]), 1, (self.config.d_oc,), bufs)
+        ruls = self._run("rul", np.concatenate([xs[:1], t_n]), 2, (0, 1), bufs)
+        dyn = self._run("dyn", np.concatenate([xs[1:], ruls[1:2]]), 0, None, bufs)
         return _Pass(xs[:1], xs[1:], ruls[:1], ruls[1:2], ruls[2:], dyn)
 
-    def _read(self, oc, t, snapshot=False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _read(self, oc, t, snapshot=False, bufs=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Evaluate a batch without the graph; return its x, dx/dt and RUL
         rows, the RUL in cycles. ``snapshot`` is ``_inputs``'.
 
         Runs the x chain with its one tangent, along the time input, and
-        the RUL chain without tangents; the rate network does not run.
-        x and dx/dt are views of the x chain's output, which the model
-        does not keep. Raises NumericError naming the first non-finite row.
+        the RUL chain without tangents, each in ``_run`` and ``bufs`` as
+        ``_forward`` does; the rate network does not run. x and dx/dt are
+        views of the x chain's output, valid until the next pass on the
+        same ``bufs``. Raises NumericError naming the first non-finite row.
         """
         oc_n, t_n = self._inputs(oc, t, snapshot)
-        xs = _chain(HIDDEN["x"], self._layers["x"], np.concatenate([oc_n, t_n]), 1, (self.config.d_oc,))
-        ruls = _chain(HIDDEN["rul"], self._layers["rul"], np.concatenate([xs[-1][:1], t_n]), 0, None)
-        rows = xs[-1][0], xs[-1][1], ruls[-1][0] * self.norm.rul_max
+        bufs = {} if bufs is None else bufs
+        xs = self._run("x", np.concatenate([oc_n, t_n]), 1, (self.config.d_oc,), bufs)
+        ruls = self._run("rul", np.concatenate([xs[:1], t_n]), 0, None, bufs)
+        rows = xs[0], xs[1], ruls[0] * self.norm.rul_max
         for name, row in zip(("x", "dx_dt", "rul"), rows):
             if not np.isfinite(row).all():
                 raise NumericError(f"non-finite {name} output")
@@ -404,11 +410,11 @@ class PinnModel:
 
     def latent_map(self, samples: AugmentedSamples) -> np.ndarray:
         """(n, 4) C-order table of x, dx/dt, predicted RUL, true RUL; order preserved."""
-        table = np.empty((len(samples), 4))
+        table, bufs = np.empty((len(samples), 4)), {}
         for start in range(0, len(samples), CHUNK):
             part = samples.take(slice(start, start + CHUNK))
             block = table[start : start + CHUNK]
-            block[:, 0], block[:, 1], block[:, 2] = self._read(part.oc, part.t)
+            block[:, 0], block[:, 1], block[:, 2] = self._read(part.oc, part.t, bufs=bufs)
             block[:, 3] = part.rul
         return table
 

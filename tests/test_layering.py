@@ -20,9 +20,17 @@ def package_imports(path):
     return {name.partition(".")[0] for name in names}
 
 
+def imported_names(path):
+    """Names that the module at ``path`` imports with ``from ... import``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
 def test_only_model_imports_the_graph():
+    # model._Wiring is the one client of the graph and of GraphMlp, so Graph.build trusts what it is given
     importers = {path.stem for path in PACKAGE.glob("*.py") if "graph" in package_imports(path)}
     assert importers == {"model"}
+    assert {path.stem for path in PACKAGE.glob("*.py") if "GraphMlp" in imported_names(path)} == {"model"}
 
 
 def test_net_imports_nothing_from_the_graph():

@@ -624,6 +624,13 @@ class TestHeldPass:
             graph_held = traced_calls(runs["_eval_batch"])[0]
             assert first <= 0.6 * graph_held, f"cost_values peaked at {first} bytes, the graph holds {graph_held}"
 
+    def test_read_writes_its_layers_into_two_buffers_per_network(self, model):
+        # each chain's layers alternate between two buffers: about 1.3 MB above entry at CHUNK wide,
+        # where a new array per layer took about 3.0 MB
+        batch = random_batch(model, 58, n=CHUNK)
+        _, first, peak = traced_calls(lambda: model._read(batch.oc, batch.t))
+        assert max(first, peak) < 2.5e6, f"_read peaked at {max(first, peak)} bytes above its entry"
+
     def test_mean_cost_peaks_near_one_chunk(self, model):
         # MEAN_CHUNK-sample chunks in one reused buffer set: about 2 MB above entry here, where
         # 4,096-sample chunks took about 4 MB
