@@ -433,8 +433,9 @@ def cmd_map(cfg: RunConfig, model_path: str, which: str) -> int:
 
     out = _out_dir(cfg)
     path = out / f"latent_map_{which}.csv"
-    # one CHUNK-row block of the map at a time, so no (n, 4) table exists
-    blocks = (model.latent_map(samples.take(slice(a, a + mdl.CHUNK))) for a in range(0, len(samples), mdl.CHUNK))
+    # one CHUNK-row block of the map at a time, so no (n, 4) table and no whole-set index array exists
+    n = len(samples)
+    blocks = (model.latent_map(samples, np.arange(a, min(a + mdl.CHUNK, n))) for a in range(0, n, mdl.CHUNK))
     _write_latent_csv(blocks, path)
     print(f"wrote {path} ({len(samples)} rows)")
     return 0

@@ -128,7 +128,7 @@ def select_features(trajectories) -> list[str]:
 
 @dataclass
 class Batch:
-    """Materialized samples: feature rows ``oc``, look-aheads ``t`` and labels ``rul``."""
+    """Samples as ``AugmentedSamples.take`` gathers them: features ``oc``, look-aheads ``t``, labels ``rul``."""
 
     oc: np.ndarray
     t: np.ndarray
@@ -136,9 +136,6 @@ class Batch:
 
     def __len__(self):
         return int(self.t.shape[0])
-
-    def take(self, idx) -> "Batch":
-        return Batch(oc=self.oc[idx], t=self.t[idx], rul=self.rul[idx])
 
 
 @dataclass

@@ -22,8 +22,8 @@ that knows their order, which is also the order of the ``model.bin``
 body. ``_layout`` cuts both into one (W, b, dW, db) tuple of views per
 layer, so parameters change only in place; buffer names are derived
 from the tuples on demand. A model builds its graph once, the first time
-``cost`` needs it, for any batch width; its 13 nodes are 2 inputs, 3
-mlps (one per network), 3 concats and 5 rows. Each mlp binds its
+``cost`` needs it, for any batch width; its 12 nodes are 1 input, 3
+mlps (one per network), 2 concats and 6 rows. Each mlp binds its
 network's tuples, so the graph sees every change without rebinding and
 its reverse sweep fills the gradient vector, which ``cost`` checks once
 and returns as a copy. Nothing else needs a gradient, and nothing else
@@ -38,17 +38,17 @@ buffers; ``mean_cost`` and ``latent_map`` each reuse one set for all
 their chunks. The graph holds its last pass between calls and releases
 it before computing the next, so a model never holds two; ``_forward``
 and ``_read`` hold nothing once their rows are dropped. Whole sample
-sets are read a chunk at a time: ``mean_cost`` sums the cost terms over
-the rows an index array names, gathering MEAN_CHUNK samples at a time,
-and ``latent_map`` fills one C-order (n, 4) float64 table CHUNK samples
-at a time, whose columns are x, dx/dt, predicted RUL and true RUL; the
-``map`` command hands it one CHUNK slice at a time, so no whole table
-exists there. ``_inputs`` is the one check of a batch's oc shape, row
-counts and times, for ``_eval_batch``, ``_forward`` and ``_read``
-(``_loss`` adds its label count), and ``_read`` the one reader of x,
-dx/dt and the RUL in cycles for ``sweep``, ``latent_map`` and
-``rmse_eval``; ``NumericError``, defined here, reports a non-finite
-output.
+sets are read a chunk at a time, both readers taking the samples and an
+index array ``rows`` and gathering with ``samples.take``: ``mean_cost``
+sums the cost terms MEAN_CHUNK samples at a time, and ``latent_map``
+fills one C-order (n, 4) float64 table of x, dx/dt, predicted RUL and
+true RUL CHUNK samples at a time; ``map`` hands it one CHUNK-row range
+at a time, so no whole table exists there. ``_inputs`` is the one check
+of a batch's oc shape, row counts and times (``_loss`` adds its label
+count) and stacks the x network's input [oc; t], whose last row is the
+RUL network's t; ``_read`` is the one reader of x, dx/dt and the RUL in
+cycles for ``sweep``, ``latent_map`` and ``rmse_eval``. ``NumericError``,
+defined here, reports a non-finite output.
 """
 
 from __future__ import annotations
@@ -160,24 +160,23 @@ class _Pass(NamedTuple):
 
 
 class _Wiring:
-    """The model's graph: inputs and the three bound networks.
+    """The model's graph: one input, ``_inputs``' [oc; t], and the three bound networks.
 
-    Its outputs are the nodes of a ``_Pass``'s rows. Inputs leave their
-    column count open, so one wiring serves every batch width.
+    Its outputs are the nodes of a ``_Pass``'s rows; a ``rows`` node reads t back out of the
+    input, which leaves its column count open, so one wiring serves every batch width.
     """
 
     def __init__(self, config: PinnConfig, layers):
         g = Graph()
         self.graph = g
-        self.oc_in = g.input((config.d_oc, None))
-        self.t_in = g.input((1, None))
+        self.x_in = g.input((config.d_oc + 1, None))
+        t = g.rows(self.x_in, config.d_oc, config.d_oc + 1)
 
         self.x_mlp, self.rul_mlp, self.dyn_mlp = (GraphMlp(g, HIDDEN[net], layers[net]) for net in config.widths)
 
-        x_input = g.concat([self.oc_in, self.t_in])
-        self.x, (self.dx_dt,) = self.x_mlp.forward_tangents(x_input, [config.d_oc])
+        self.x, (self.dx_dt,) = self.x_mlp.forward_tangents(self.x_in, [config.d_oc])
 
-        rul_input = g.concat([self.x, self.t_in])
+        rul_input = g.concat([self.x, t])
         self.rul, (self.drul_dx, self.drul_dt_partial) = self.rul_mlp.forward_tangents(rul_input, [0, 1])
         self.dyn = self.dyn_mlp.forward(g.concat([self.dx_dt, self.drul_dx]))
 
@@ -248,9 +247,9 @@ class PinnModel:
         items = self.parameter_items()
         return items[np.searchsorted(np.cumsum([view.size for _, view in items]), offset, side="right")][0]
 
-    def _inputs(self, oc, t, snapshot=False) -> tuple[np.ndarray, np.ndarray]:
-        """Check a raw batch; return its normalized (d_oc, n) features and (1, n) times.
-        With ``snapshot``, each oc row repeats once per time (one snapshot, many times)."""
+    def _inputs(self, oc, t, snapshot=False) -> np.ndarray:
+        """Check a raw batch; return the x network's (d_oc + 1, n) input, the normalized
+        features above the scaled times. With ``snapshot``, each oc row repeats once per time."""
         oc = np.atleast_2d(np.asarray(oc, dtype=np.float64))
         if oc.ndim > 2:
             raise ValueError(f"oc must be one snapshot or a 2-D batch, got shape {oc.shape}")
@@ -264,14 +263,13 @@ class PinnModel:
             oc = np.repeat(oc, n, axis=0)
         if oc.shape[0] != n:
             raise ValueError(f"{oc.shape[0]} oc rows vs {n} time values")
-        return ((oc - self.norm.means) / self.norm.stds).T, (t / self.config.t_scale).reshape(1, n)
+        return np.concatenate([((oc - self.norm.means) / self.norm.stds).T, (t / self.config.t_scale)[None]])
 
     def _eval_batch(self, oc, t) -> _Pass:
-        """Evaluate the graph on a raw batch, checked and normalized by
-        ``_inputs``; return its output rows, views of the pass it holds."""
-        oc_n, t_n = self._inputs(oc, t)
+        """Evaluate the graph on a raw batch, ``_inputs``' array bound as its
+        one input; return its output rows, views of the pass it holds."""
         w = self._wiring
-        w.graph.eval({w.oc_in: oc_n, w.t_in: t_n})
+        w.graph.eval({w.x_in: self._inputs(oc, t)})
         return _Pass(*map(w.graph.value, (w.x, w.dx_dt, w.rul, w.drul_dx, w.drul_dt_partial, w.dyn)))
 
     def _run(self, net: str, s, k: int, seeds, bufs) -> np.ndarray:
@@ -285,7 +283,7 @@ class PinnModel:
         return _chain(HIDDEN[net], self._layers[net], s, k, seeds, bufs[net])[-1]
 
     def _forward(self, oc, t, bufs=None) -> _Pass:
-        """Evaluate a raw batch, checked and normalized by ``_inputs``,
+        """Evaluate a raw batch, checked, normalized and stacked by ``_inputs``,
         without the graph; its rows equal the graph's bit for bit.
 
         Runs the x chain with its dx/dt tangent, the RUL chain with its
@@ -295,10 +293,10 @@ class PinnModel:
         caller may reuse from pass to pass; the rows are views of the
         chains' outputs, valid until the next pass on the same ``bufs``.
         """
-        oc_n, t_n = self._inputs(oc, t)
+        s = self._inputs(oc, t)
         bufs = {} if bufs is None else bufs
-        xs = self._run("x", np.concatenate([oc_n, t_n]), 1, (self.config.d_oc,), bufs)
-        ruls = self._run("rul", np.concatenate([xs[:1], t_n]), 2, (0, 1), bufs)
+        xs = self._run("x", s, 1, (self.config.d_oc,), bufs)
+        ruls = self._run("rul", np.concatenate([xs[:1], s[-1:]]), 2, (0, 1), bufs)
         dyn = self._run("dyn", np.concatenate([xs[1:], ruls[1:2]]), 0, None, bufs)
         return _Pass(xs[:1], xs[1:], ruls[:1], ruls[1:2], ruls[2:], dyn)
 
@@ -312,10 +310,10 @@ class PinnModel:
         views of the x chain's output, valid until the next pass on the
         same ``bufs``. Raises NumericError naming the first non-finite row.
         """
-        oc_n, t_n = self._inputs(oc, t, snapshot)
+        s = self._inputs(oc, t, snapshot)
         bufs = {} if bufs is None else bufs
-        xs = self._run("x", np.concatenate([oc_n, t_n]), 1, (self.config.d_oc,), bufs)
-        ruls = self._run("rul", np.concatenate([xs[:1], t_n]), 0, None, bufs)
+        xs = self._run("x", s, 1, (self.config.d_oc,), bufs)
+        ruls = self._run("rul", np.concatenate([xs[:1], s[-1:]]), 0, None, bufs)
         rows = xs[0], xs[1], ruls[0] * self.norm.rul_max
         for name, row in zip(("x", "dx_dt", "rul"), rows):
             if not np.isfinite(row).all():
@@ -408,11 +406,12 @@ class PinnModel:
 
     # -- inspection ------------------------------------------------------
 
-    def latent_map(self, samples: AugmentedSamples) -> np.ndarray:
-        """(n, 4) C-order table of x, dx/dt, predicted RUL, true RUL; order preserved."""
-        table, bufs = np.empty((len(samples), 4)), {}
-        for start in range(0, len(samples), CHUNK):
-            part = samples.take(slice(start, start + CHUNK))
+    def latent_map(self, samples: AugmentedSamples, rows) -> np.ndarray:
+        """(n, 4) C-order table of x, dx/dt, predicted RUL and true RUL of the samples at
+        index array ``rows``, in its order, read CHUNK at a time with ``samples.take``."""
+        table, bufs = np.empty((len(rows), 4)), {}
+        for start in range(0, len(rows), CHUNK):
+            part = samples.take(rows[start : start + CHUNK])
             block = table[start : start + CHUNK]
             block[:, 0], block[:, 1], block[:, 2] = self._read(part.oc, part.t, bufs=bufs)
             block[:, 3] = part.rul

@@ -135,7 +135,7 @@ def load_model(path) -> PinnModel:
         if not len(norm.means) == len(norm.stds) == len(norm.columns) == config.d_oc:
             counts = f"{len(norm.means)} means, {len(norm.stds)} stds and {len(norm.columns)} columns"
             raise ValueError(f"norm has {counts}, model has d_oc={config.d_oc}")
-        init = header["init"]
+        init = _typed(header["init"], dict)
         split_seed = init.get("split_seed")
         init_fields = {
             "init_scheme": _typed(init["scheme"], str),

@@ -33,7 +33,7 @@ dataset, never copies of it: a batch gathers its own rows, and the
 epoch-end means read each split in dataset order (its sorted indices),
 so their chunk gathers run nearly sequentially through memory. Every
 index array (the split permutation, both splits, their sorted copies and
-each epoch's order) is int32, half the size of int64 with the same
+each epoch's shuffled rows) is int32, half the size of int64 with the same
 values, since ``augment`` keeps a dataset's sample count within int32.
 """
 
@@ -176,9 +176,10 @@ def train(
     )
     n_train = len(train_idx)
     for epoch in range(epochs):
-        order = np.random.default_rng([split_seed, 1 + epoch]).permutation(np.arange(n_train, dtype=np.int32))
+        # equal to train_idx[permutation(n_train)], the batch order model.bin's bits rest on
+        shuffled = np.random.default_rng([split_seed, 1 + epoch]).permutation(train_idx)
         for batch_no, start in enumerate(range(0, n_train, batch_size)):
-            batch = dataset.take(train_idx[order[start : start + batch_size]])
+            batch = dataset.take(shuffled[start : start + batch_size])
             try:
                 nadam_step(state, model.theta, model.cost(batch).grad, config)
             except NumericError as exc:

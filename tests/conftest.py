@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pinnrul import (
+    AugmentedSamples,
     Batch,
     NormStats,
     PinnConfig,
@@ -169,6 +170,21 @@ def random_batch(model, seed, n=4):
         t=rng.integers(0, 31, n),
         rul=rng.uniform(0, model.norm.rul_max, n),
         oc=model.norm.means + model.norm.stds * rng.normal(0, 1, (n, d)),
+    )
+
+
+def random_samples(model, seed, n=4):
+    """``random_batch``'s draws as an ``AugmentedSamples`` of one logged row per
+    sample: its oc and t are the batch's, its labels rul0 - t only near its rul."""
+    b = random_batch(model, seed, n)
+    return AugmentedSamples(
+        rows=b.oc,
+        rul0=b.rul + b.t,
+        row_unit=np.ones(n, dtype=np.int32),
+        row_cycle=np.arange(1, n + 1, dtype=np.int32),
+        row=np.arange(n, dtype=np.int32),
+        t=b.t.astype(np.int32),
+        columns=list(model.norm.columns),
     )
 
 

@@ -264,7 +264,7 @@ def test_criterion_6_horizon_sweep_oracle(synthetic_run):
 def test_criterion_6_latent_map_structure(synthetic_run):
     # the health map must track the labels and vary coherently with x
     trained, _, samples, _, _ = synthetic_run
-    table = trained.latent_map(samples.take(np.arange(0, len(samples), 7)))
+    table = trained.latent_map(samples, np.arange(0, len(samples), 7))
     x = table[:, 0]
     pred = table[:, 2]
     true = table[:, 3]

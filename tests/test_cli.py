@@ -10,10 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pinnrul import cli, load_model, save_model
+from pinnrul import NormStats, PinnConfig, cli, init_model, load_model, save_model
 from pinnrul.cli import _write_latent_csv
 from pinnrul.data import feature_matrix
 from pinnrul.model import CHUNK, NumericError, PinnModel
+from pinnrul.modelfile import _header
 
 from conftest import fd001_config, write_fd001_style
 
@@ -52,6 +53,18 @@ def rewrite_header(src, dst, edit):
     raw = json.dumps(header).encode("ascii")
     Path(dst).write_bytes(magic + b"\n" + str(len(raw)).encode() + b"\n" + raw + rest[int(length) :])
     return header
+
+
+def key_paths(node, prefix=()):
+    """Every key path of the nested JSON object ``node``, each section before its keys."""
+    for key, value in node.items():
+        yield (*prefix, key)
+        if isinstance(value, dict):
+            yield from key_paths(value, (*prefix, key))
+
+
+# every section and leaf of a saved model's header: format, model.*, its three *_specs, init.* and norm.*
+HEADER_PATHS = list(key_paths(_header(init_model(PinnConfig(2), NormStats(np.zeros(2), np.ones(2), 100.0, ["a", "b"])))))
 
 
 class TestConfig:
@@ -354,6 +367,30 @@ class TestTrainEvalMapPredict:
         assert run_cli(["predict", "--model", str(broken), f"--oc={zeros}"]) == 2
         err = capsys.readouterr().err
         assert str(broken) in err and message in err
+
+    @pytest.mark.parametrize("value", [None, [], "x", True, 1.5, {}], ids=json.dumps)
+    @pytest.mark.parametrize("path", HEADER_PATHS, ids=".".join)
+    def test_header_value_of_any_json_type_exits_0_or_2(self, trained, tmp_path, capsys, path, value):
+        # a section or leaf of the wrong JSON type is a bad header naming the file, never a traceback;
+        # a value that happens to be valid (t_scale 1.5, split_seed null) loads
+        _, _, out = trained
+        d_oc = load_model(out / "model.bin").config.d_oc
+
+        def edit(header):
+            *sections, key = path
+            for section in sections:
+                header = header[section]
+            header[key] = value
+
+        broken = tmp_path / "typed.bin"
+        rewrite_header(out / "model.bin", broken, edit)
+        code = run_cli(["predict", "--model", str(broken), "--oc=" + ",".join(["0"] * d_oc)])
+        err = capsys.readouterr().err
+        assert code in (0, 2), err
+        if code == 0:
+            assert err == ""
+        else:
+            assert err.count("\n") == 1 and err.startswith(f"error: {broken}: "), err
 
     @pytest.mark.parametrize("net", ["x_spec", "rul_spec"])
     def test_relu_tangent_network_is_a_bad_header(self, trained, tmp_path, capsys, net):

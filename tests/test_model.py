@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from conftest import (
     fd_tolerance_ok,
     grad_views,
     random_batch,
+    random_samples,
     small_random_model,
 )
 
@@ -45,12 +47,12 @@ def residual_at(model, oc, t):
     return float(_residual(model._forward(oc, [t]))[1][0, 0])
 
 
-def readers(model, batch):
-    """Calls of the three readers, ``sweep``, ``latent_map`` and ``rmse_eval``, on ``batch``."""
-    engine = EngineTrajectory(1, batch.oc, model.norm.columns)
+def readers(model, samples):
+    """Calls of the three readers, ``sweep``, ``latent_map`` and ``rmse_eval``, on ``samples``."""
+    engine = EngineTrajectory(1, samples.rows, model.norm.columns)
     return (
-        lambda: model.sweep(batch.oc[0], [1.0]),
-        lambda: model.latent_map(batch),
+        lambda: model.sweep(samples.rows[0], [1.0]),
+        lambda: model.latent_map(samples, np.arange(len(samples))),
         lambda: model.rmse_eval([engine], [1.0]),
     )
 
@@ -244,7 +246,7 @@ class TestCost:
 
     def test_empty_batch_rejected(self, model):
         with pytest.raises(ValueError):
-            model.cost(random_batch(model, 0, n=4).take(np.array([], dtype=int)))
+            model.cost(random_samples(model, 0, n=4).take(np.array([], dtype=int)))
 
     def test_mean_cost_over_no_rows_rejected(self, model):
         samples = augment([EngineTrajectory(1, np.arange(8.0).reshape(4, 2), ["s1", "s2"])], horizon=0)
@@ -312,9 +314,10 @@ class TestCost:
 
     def test_mean_cost_matches_single_batch(self, model, monkeypatch):
         monkeypatch.setattr("pinnrul.model.MEAN_CHUNK", 3)
-        batch = random_batch(model, 22, n=10)
-        mse, pde, total = model.mean_cost(batch, np.arange(len(batch)))
-        one = model.cost_values(batch)
+        samples = random_samples(model, 22, n=10)
+        rows = np.arange(len(samples))
+        mse, pde, total = model.mean_cost(samples, rows)
+        one = model.cost_values(samples.take(rows))
         assert mse == pytest.approx(one[0], rel=1e-12)
         assert pde == pytest.approx(one[1], rel=1e-12)
         assert total == pytest.approx(one[2], rel=1e-12)
@@ -324,13 +327,13 @@ class TestCost:
         views, last = dict(model.parameter_items()), len(model.config.widths["rul"]) - 1
         views[f"rul.W{last}"][...] = 1e308
         views[f"rul.b{last}"][...] = 1e308
-        batch = random_batch(model, 23, n=3)
+        samples = random_samples(model, 23, n=3)
         with np.errstate(over="ignore", invalid="ignore"):
-            for read in readers(model, batch):
+            for read in readers(model, samples):
                 with pytest.raises(NumericError, match=r"^non-finite rul output$"):
                     read()
             with pytest.raises(NumericError):
-                model.mean_cost(batch, np.arange(len(batch)))
+                model.mean_cost(samples, np.arange(len(samples)))
 
     def test_non_finite_latent_raises_in_every_reader(self, model):
         # the last hidden x layer outputs tanh(1) per unit, so x = 1e308 * (3 tanh(1) + 1) overflows;
@@ -340,9 +343,9 @@ class TestCost:
         views[f"x.b{last - 1}"][...] = 1.0
         views[f"x.W{last}"][...] = 1e308
         views[f"x.b{last}"][...] = 1e308
-        batch = random_batch(model, 23, n=3)
+        samples = random_samples(model, 23, n=3)
         with np.errstate(over="ignore", invalid="ignore"):
-            for read in readers(model, batch):
+            for read in readers(model, samples):
                 with pytest.raises(NumericError, match=r"^non-finite x output$"):
                     read()
 
@@ -477,10 +480,11 @@ class TestWiring:
         first = random_batch(model, 30, n=7)
         before = model.cost(first)
         for n in (1, 7, 512, 4096):
-            batch = random_batch(model, 30 + n, n=n)
+            samples, rows = random_samples(model, 30 + n, n=n), np.arange(n)
+            batch = samples.take(rows)
             model.cost(batch)
             model.cost(batch, dyn_oracle=True)
-            assert len(model.latent_map(batch)) == n
+            assert len(model.latent_map(samples, rows)) == n
             assert len(model.sweep(batch.oc[0], batch.t.astype(float))) == n
         assert len(built) == 1
         after = model.cost(first)
@@ -488,12 +492,13 @@ class TestWiring:
         assert np.array_equal(after.grad, before.grad)
 
 
-    def test_model_graph_has_13_nodes_of_4_kinds(self, model):
-        # 2 inputs, one mlp per network, 3 concats and 5 rows
+    def test_model_graph_has_12_nodes_of_4_kinds(self, model):
+        # 1 input, the x network's stacked [oc; t], one mlp per network, 2 concats and 6 rows (t among them)
         graph = init_model(PinnConfig.default(model.config.d_oc), model.norm)._wiring.graph
         assert len(OP_KINDS) == 4
-        assert len(graph.nodes) == 13
+        assert len(graph.nodes) == 12
         assert {node.kind for node in graph.nodes} == set(OP_KINDS)
+        assert Counter(node.kind for node in graph.nodes) == {"input": 1, "mlp": 3, "concat": 2, "rows": 6}
 
     def test_outputs_equal_plain_recurrence_bitwise(self):
         # z = W h + b, y = tanh z, t' = (1 - y^2) (W t); last layer linear
@@ -532,7 +537,7 @@ class TestWiring:
 
     def test_reads_equal_the_graph_bitwise(self, model):
         # _read runs the x and RUL chains without the graph; the cost's graph must give the same rows
-        trained, _ = train(model, random_batch(model, 50, n=64), 1, 2, epochs=3, batch_size=16)
+        trained, _ = train(model, random_samples(model, 50, n=64), 1, 2, epochs=3, batch_size=16)
         for n in (1, 31, 4096):
             batch = random_batch(trained, 50 + n, n=n)
             rows = trained._read(batch.oc, batch.t)
@@ -544,7 +549,7 @@ class TestWiring:
     def test_forward_only_costs_equal_the_graph_bitwise(self, model, monkeypatch):
         # cost_values and mean_cost run _forward, not the graph; the graph must give the same rows and cost's
         # graph the same (mse, pde, total)
-        trained, _ = train(model, random_batch(model, 53, n=64), 1, 2, epochs=3, batch_size=16)
+        trained, _ = train(model, random_samples(model, 53, n=64), 1, 2, epochs=3, batch_size=16)
         for n in (1, 31, 4096):
             batch = random_batch(trained, 53 + n, n=n)
             for got, want in zip(trained._forward(batch.oc, batch.t), trained._eval_batch(batch.oc, batch.t)):
@@ -553,16 +558,16 @@ class TestWiring:
             assert trained.cost_values(batch) == (graph.mse, graph.pde, graph.total), n
         # chunks of 13, 13, 13 and 1 rows, in a shuffled order: the last reuses the buffers of a wider one
         monkeypatch.setattr("pinnrul.model.MEAN_CHUNK", 13)
-        batch = random_batch(trained, 54, n=40)
+        samples = random_samples(trained, 54, n=40)
         rows = np.random.default_rng(54).permutation(40).astype(np.int32)
         mse_sum = pde_sum = 0.0
         for start in range(0, 40, 13):
-            part = batch.take(rows[start : start + 13])
+            part = samples.take(rows[start : start + 13])
             graph = trained.cost(part)
             mse_sum += graph.mse * len(part)
             pde_sum += graph.pde * len(part)
         mse, pde = mse_sum / 40, pde_sum / 40
-        assert trained.mean_cost(batch, rows) == (mse, pde, mse + trained.config.pde_weight * pde)
+        assert trained.mean_cost(samples, rows) == (mse, pde, mse + trained.config.pde_weight * pde)
 
     def test_reads_build_no_graph(self, model, tmp_path, monkeypatch):
         built = []
@@ -575,11 +580,12 @@ class TestWiring:
         monkeypatch.setattr(Graph, "__init__", counting_init)
         save_model(model, tmp_path / "m.bin")
         loaded = load_model(tmp_path / "m.bin")
-        batch = random_batch(loaded, 51, n=9)
+        samples, rows = random_samples(loaded, 51, n=9), np.arange(9)
+        batch = samples.take(rows)
         loaded.sweep(batch.oc[0], [0.0, 1.0, 2.0])
-        loaded.latent_map(batch)
+        loaded.latent_map(samples, rows)
         loaded.cost_values(batch)
-        loaded.mean_cost(batch, np.arange(len(batch)))
+        loaded.mean_cost(samples, rows)
         assert "_wiring" not in loaded.__dict__ and not built
         loaded.cost(batch)
         wiring = loaded.__dict__["_wiring"]
@@ -634,20 +640,20 @@ class TestHeldPass:
     def test_mean_cost_peaks_near_one_chunk(self, model):
         # MEAN_CHUNK-sample chunks in one reused buffer set: about 2 MB above entry here, where
         # 4,096-sample chunks took about 4 MB
-        batch = random_batch(model, 56, n=4 * 2048)
-        rows = np.arange(len(batch), dtype=np.int32)
-        _, first, peak = traced_calls(lambda: model.mean_cost(batch, rows))
+        samples = random_samples(model, 56, n=4 * 2048)
+        rows = np.arange(len(samples), dtype=np.int32)
+        _, first, peak = traced_calls(lambda: model.mean_cost(samples, rows))
         assert max(first, peak) < 3e6, f"mean_cost peaked at {max(first, peak)} bytes above its entry"
 
 
 class TestInspection:
     def test_latent_map_empty(self, model):
-        empty = random_batch(model, 1, n=2).take(np.array([], dtype=int))
-        assert model.latent_map(empty).shape == (0, 4)
+        assert model.latent_map(random_samples(model, 1, n=2), np.array([], dtype=int)).shape == (0, 4)
 
     def test_latent_map_single_matches_predict(self, model):
-        batch = random_batch(model, 17, n=1)
-        table = model.latent_map(batch)
+        samples, rows = random_samples(model, 17, n=1), np.arange(1)
+        table = model.latent_map(samples, rows)
+        batch = samples.take(rows)
         assert table.shape == (1, 4)
         (_, x, _, rul), = model.sweep(batch.oc[0], [float(batch.t[0])])
         assert table[0, 2] == rul
@@ -656,10 +662,11 @@ class TestInspection:
 
     def test_latent_map_preserves_order(self, model, monkeypatch):
         monkeypatch.setattr("pinnrul.model.CHUNK", 3)
-        batch = random_batch(model, 18, n=7)
-        table = model.latent_map(batch)
+        samples = random_samples(model, 18, n=7)
+        rows = np.random.default_rng(18).permutation(7)
+        table = model.latent_map(samples, rows)
         assert table.shape == (7, 4)
-        assert np.array_equal(table[:, 3], batch.rul)
+        assert np.array_equal(table[:, 3], samples.take(rows).rul)
 
     def test_horizon_sweep_entries(self, model):
         oc = [0.1, 0.2]

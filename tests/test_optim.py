@@ -197,28 +197,28 @@ class TestTrain:
         )
 
         # reference: one nadam_step per buffer, each with its own state, over the 36 buffers per
-        # batch, on copies of the splits; the epoch-end means read copies in dataset order
+        # batch, each batch the training rows at permutation(n_train)'s positions; the epoch-end
+        # means read each split in dataset order
         ref = init_model(model.config, norm, init_seed, "xavier")
         names = [name for name, _ in ref.parameter_items()]
         params = [buf for _, buf in ref.parameter_items()]
         states = [NadamState(buf) for buf in params]
         train_idx, val_idx = split_indices(len(samples), split_seed)
-        train_set = samples.take(train_idx)
-        sorted_sets = [samples.take(np.sort(idx)) for idx in (train_idx, val_idx)]
+        sorted_rows = [np.sort(idx) for idx in (train_idx, val_idx)]
         n_batches = 0
         for epoch in range(epochs):
-            order = np.random.default_rng([split_seed, 1 + epoch]).permutation(len(train_set))
-            for start in range(0, len(train_set), batch_size):
-                grads = grad_views(ref, ref.cost(train_set.take(order[start : start + batch_size])).grad)
+            order = np.random.default_rng([split_seed, 1 + epoch]).permutation(len(train_idx))
+            for start in range(0, len(train_idx), batch_size):
+                grads = grad_views(ref, ref.cost(samples.take(train_idx[order[start : start + batch_size]])).grad)
                 for name, buf, state in zip(names, params, states):
                     nadam_step(state, buf, grads[name], config)
                 n_batches += 1
             (tr_mse, tr_pde, tr_total), (va_mse, va_pde, va_total) = (
-                ref.mean_cost(split, np.arange(len(split))) for split in sorted_sets
+                ref.mean_cost(samples, rows) for rows in sorted_rows
             )
             assert report.per_epoch[epoch] == (tr_total, tr_mse, tr_pde, va_total, va_mse, va_pde)
         assert n_batches >= 4
-        assert len(sorted_sets[0]) > 2 * 257
+        assert len(sorted_rows[0]) > 2 * 257
         assert [name for name, _ in trained.parameter_items()] == names
         for (name, got), want in zip(trained.parameter_items(), params):
             assert np.array_equal(got, want), name

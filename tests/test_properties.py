@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from pinnrul import PinnConfig, PinnModel, cli, load_model, save_model, train
 
-from conftest import fd001_config, random_batch, small_random_model
+from conftest import fd001_config, random_samples, small_random_model
 
 ALLOWED = (0, 2, 3)
 
@@ -203,7 +203,7 @@ def test_accepted_seeds_survive_the_model_file(tmp_path_factory, init_seed, spli
     # train draws its model with init_model, so a seed either is rejected where it enters or loads back
     model = small_random_model(3, d_oc=2)
     try:
-        trained, _ = train(model, random_batch(model, 4, n=8), split_seed, init_seed, epochs=1, batch_size=8)
+        trained, _ = train(model, random_samples(model, 4, n=8), split_seed, init_seed, epochs=1, batch_size=8)
     except ValueError:
         return
     path = tmp_path_factory.getbasetemp() / "seeds.bin"
