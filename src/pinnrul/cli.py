@@ -311,11 +311,11 @@ def _csv_tables() -> tuple[np.ndarray, ...]:
       to 1e9, which prints as 1 then zeros;
     - the second and third words for each group of four digits;
     - the significant digits of each group of four: 4 less its trailing zeros;
-    - (300, 3) words of bools: the slots printed by class
-      (e + 5) * 20 + 2 * s + negative, for decimal exponent e in -5..9 and
-      s significant digits. Only e in -4..8 prints in fixed notation; the
-      classes of e = -5 and 9 keep just the separator, and mark a value
-      that ``%`` formats;
+    - (300, 3) words of byte masks, 0xff for a slot printed by class
+      (e + 5) * 20 + 2 * s + negative and 0 for the rest, for decimal
+      exponent e in -5..9 and s significant digits. Only e in -4..8 prints
+      in fixed notation; the classes of e = -5 and 9 keep just the
+      separator, and mark a value that ``%`` formats;
     - the number of slots each class prints.
     """
     lead = np.frombuffer(b"".join(b"-0.000%c." % d for d in b"01234567891"), np.uint64)
@@ -335,13 +335,16 @@ def _csv_tables() -> tuple[np.ndarray, ...]:
                 if s > e + 1:
                     k[:, digit[e] + 1] = True
     keep = keep.reshape(300, 24)
-    return lead, _digit_words(b"."), _digit_words(b",\n"), significant, keep.view(np.uint64), keep.sum(axis=1)
+    masks = np.where(keep, np.uint8(0xFF), np.uint8(0)).view(np.uint64)
+    return lead, _digit_words(b"."), _digit_words(b",\n"), significant, masks, keep.sum(axis=1)
 
 
-def _csv_text(part: np.ndarray) -> str:
-    """``"%.9g,%.9g,%.9g,%.9g\\n" * len(part) % tuple(part.ravel())`` for an
+def _csv_text(part: np.ndarray) -> bytes:
+    """``b"%.9g,%.9g,%.9g,%.9g\\n" * len(part) % tuple(part.ravel())`` for an
     (m, 4) float64 array, built in bulk (``_write_latent_csv`` says why
-    its digits are exact)."""
+    its digits are exact). Each value's 24 slots are masked by its class,
+    so a dropped slot becomes a 0 byte, which no printed byte is, and one
+    ``translate`` pass deletes them all."""
     lead_words, mid_words, last_words, significant, keep_words, kept = _csv_tables()
     v = part.ravel()
     a = np.abs(v)
@@ -372,8 +375,8 @@ def _csv_text(part: np.ndarray) -> str:
     digits = np.where(low > 0, 5 + significant[low], 1 + significant[mid])
     cls = ((e + 5 + lead // 10) * 10 + digits) * 2 + np.signbit(v)
     cls *= fixed  # class 0 (e = -5) marks the rest
-    keep = np.take(keep_words, cls, axis=0).view(bool)
-    text = np.compress(keep.reshape(-1), words.view(np.uint8).reshape(-1)).tobytes().decode("ascii")
+    words &= np.take(keep_words, cls, axis=0)  # np.take, not keep_words[cls], which took 3.6 x as long
+    text = words.tobytes().translate(None, b"\0")
     lengths = kept[cls]
     (others,) = np.nonzero(lengths == 1)
     if not len(others):
@@ -381,11 +384,11 @@ def _csv_text(part: np.ndarray) -> str:
     # each of the rest gets its text in front of its separator
     ends = (np.cumsum(lengths)[others] - 1).tolist()
     pieces, start = [], 0
-    for end, word in zip(ends, ("%.9g " * len(others) % tuple(v[others].tolist())).split()):
+    for end, word in zip(ends, (b"%.9g " * len(others) % tuple(v[others].tolist())).split()):
         pieces += text[start:end], word
         start = end
     pieces.append(text[start:])
-    return "".join(pieces)
+    return b"".join(pieces)
 
 
 def _write_latent_csv(blocks, path) -> None:
@@ -410,8 +413,8 @@ def _write_latent_csv(blocks, path) -> None:
     """
     part = Path(f"{path}.part")
     try:
-        with open(part, "w", encoding="ascii") as fh:
-            fh.write("x,dx_dt,rul_pred,rul_true\n")
+        with open(part, "wb") as fh:
+            fh.write(b"x,dx_dt,rul_pred,rul_true\n")
             for block in blocks:
                 fh.write(_csv_text(block))
         os.replace(part, path)

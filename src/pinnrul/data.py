@@ -8,7 +8,7 @@ An ``AugmentedSamples`` stores each logged row once, in a per-row
 table, and per sample only the row's index and t, so memory grows with
 the rows logged, not with the up to horizon + 1 samples of each.
 ``take`` gathers a ``Batch`` of features, look-aheads and labels for an
-index array or a slice, always into new arrays; ``fit_norm`` reduces
+index array, always into new arrays; ``fit_norm`` reduces
 the row table, each row weighted by its sample count, never gathering
 the features per sample.
 
@@ -160,8 +160,8 @@ class AugmentedSamples:
         return int(self.t.shape[0])
 
     def take(self, idx) -> Batch:
-        """The samples at ``idx`` (an index array or a slice), gathered into new arrays."""
-        row, t = self.row[idx], self.t[idx]
+        """The samples at index array ``idx``, gathered into new arrays; a slice is refused."""
+        row, t = self.row.take(idx), self.t.take(idx)
         return Batch(oc=self.rows[row], t=t, rul=self.rul0[row] - t)
 
     # the whole set, per sample; each read gathers a new array

@@ -16,18 +16,22 @@ one reverse sweep, which differentiates the penalty w.r.t. all weights;
 ``cost_values`` and ``mean_cost`` take theirs from ``_forward``, which
 runs the three chains without the graph and gives the same bits.
 
-A model owns one float64 vector ``theta`` holding every weight and bias,
-and one gradient vector of the same shape; ``_layout`` is the only code
-that knows their order, which is also the order of the ``model.bin``
-body. ``_layout`` cuts both into one (W, b, dW, db) tuple of views per
-layer, so parameters change only in place; buffer names are derived
-from the tuples on demand. A model builds its graph once, the first time
-``cost`` needs it, for any batch width; its 12 nodes are 1 input, 3
-mlps (one per network), 2 concats and 6 rows. Each mlp binds its
-network's tuples, so the graph sees every change without rebinding and
-its reverse sweep fills the gradient vector, which ``cost`` checks once
-and returns as a copy. Nothing else needs a gradient, and nothing else
-builds the graph: ``_forward`` and ``_read`` run each network in
+A model owns one float64 vector ``theta`` holding every weight and bias;
+``_layout`` is the only code that knows its order, which is also the
+order of the ``model.bin`` body. ``_layout`` cuts it into one (W, b, dW,
+db) tuple of views per layer, so parameters change only in place; buffer
+names are derived from the tuples on demand. The model's own tuples
+have no gradient views (dW and db are None). A model builds its graph
+once, the first time ``cost`` needs it, for any batch width, and with it
+one gradient vector shaped like ``theta``, which ``_layout`` cuts
+together with ``theta`` into the tuples the graph binds; its 12 nodes
+are 1 input, 3 mlps (one per network), 2 concats and 6 rows. Each mlp
+binds its network's tuples, so the graph sees every change without
+rebinding and its reverse sweep fills the gradient vector, which
+``cost`` checks once and returns as a copy. Nothing else needs a
+gradient, and nothing else builds the graph or makes a gradient: a
+model that is only loaded and read holds none. ``_forward`` and
+``_read`` run each network in
 ``_run``, the one chain runner, which runs ``net._chain``, the graph's
 own forward walk, over the tuples, writes the layers into two buffers
 per network and keeps only the output. ``_forward`` runs all three
@@ -124,10 +128,11 @@ class CostBreakdown:
     grad: np.ndarray
 
 
-def _layout(config: PinnConfig, theta: np.ndarray, grad: np.ndarray):
-    """Cut ``theta`` and ``grad``, a gradient shaped like it, into each
-    network's list (keyed ``x``, ``rul``, ``dyn``) of (W, b, dW, db)
-    tuples of views, one per layer, the gradient's at the values' offsets.
+def _layout(config: PinnConfig, theta: np.ndarray, grad: np.ndarray | None = None):
+    """Cut ``theta`` into each network's list (keyed ``x``, ``rul``, ``dyn``)
+    of (W, b, dW, db) tuples of views, one per layer. dW and db are views
+    of ``grad``, a gradient shaped like ``theta``, at the values' offsets,
+    or None when no gradient is given.
 
     This is the one statement of the parameter order, which is also the
     order of the ``model.bin`` body: networks x, rul, dyn; per layer the
@@ -142,8 +147,10 @@ def _layout(config: PinnConfig, theta: np.ndarray, grad: np.ndarray):
         for d_in, d_out in zip(widths, widths[1:]):
             mid = start + d_out * d_in
             stop = mid + d_out
-            w, b, dw, db = theta[start:mid], theta[mid:stop], grad[start:mid], grad[mid:stop]
-            layers[prefix].append((w.reshape(d_out, d_in), b.reshape(d_out, 1), dw.reshape(d_out, d_in), db.reshape(d_out, 1)))
+            dw = db = None
+            if grad is not None:
+                dw, db = grad[start:mid].reshape(d_out, d_in), grad[mid:stop].reshape(d_out, 1)
+            layers[prefix].append((theta[start:mid].reshape(d_out, d_in), theta[mid:stop].reshape(d_out, 1), dw, db))
             start = stop
     return layers
 
@@ -197,9 +204,10 @@ class PinnModel:
     """Parameter vector plus architecture and normalization contract.
 
     ``theta`` holds every weight and bias in ``_layout`` order; the
-    layer tuples, cut here, and the graph bind views of it, so it cannot
-    be rebound. Write through it, or the views of ``parameter_items``,
-    in place.
+    layer tuples, cut here without gradient views, and the graph bind
+    views of it, so it cannot be rebound. Write through it, or the views
+    of ``parameter_items``, in place. The gradient vector ``_grad`` and
+    its views exist only once ``cost`` has built the graph.
     """
 
     config: PinnConfig
@@ -210,8 +218,7 @@ class PinnModel:
     split_seed: int | None = None  # set by training, None for a fresh model
 
     def __post_init__(self):
-        self._grad = np.zeros_like(self.theta)
-        self._layers = _layout(self.config, self.theta, self._grad)
+        self._layers = _layout(self.config, self.theta)
         finite = np.isfinite(self.theta)
         if not finite.all():
             raise ValueError(f"non-finite parameter {self._buffer_at(np.argmin(finite))}")
@@ -232,8 +239,10 @@ class PinnModel:
 
     @functools.cached_property
     def _wiring(self) -> _Wiring:
-        """The model's graph, built the first time ``cost`` needs it."""
-        return _Wiring(self.config, self._layers)
+        """The model's graph, built the first time ``cost`` needs it, with the
+        gradient vector ``_grad`` that its reverse sweep fills."""
+        self._grad = np.zeros_like(self.theta)
+        return _Wiring(self.config, _layout(self.config, self.theta, self._grad))
 
     # -- plumbing -----------------------------------------------------
 

@@ -59,6 +59,26 @@ def _typed(value, kind):
     return value
 
 
+def _typed_list(values, kind) -> list:
+    """``values``, a JSON list, if each of its items reads as a ``kind``; the
+    items of exactly that type pass without a ``_typed`` call."""
+    return [v if type(v) is kind else _typed(v, kind) for v in _typed(values, list)]
+
+
+def _same_json(value, spec) -> bool:
+    """True if the JSON value ``value`` is ``spec``: dicts with the same keys, in
+    any order, lists item by item, and leaves of the same type that are ==, so
+    true is not 1 and 1.0 is not 1. For a ``spec`` of ints, strings, lists and
+    dicts it accepts what equal ``json.dumps(v, sort_keys=True)`` texts accept."""
+    if type(value) is not type(spec):
+        return False
+    if type(spec) is dict:
+        return value.keys() == spec.keys() and all(_same_json(value[k], v) for k, v in spec.items())
+    if type(spec) is list:
+        return len(value) == len(spec) and all(map(_same_json, value, spec))
+    return value == spec
+
+
 def _specs(config: PinnConfig) -> dict:
     """The header's statement of the fixed architecture, one ``<net>_spec`` per network."""
     return {
@@ -122,15 +142,14 @@ def load_model(path) -> PinnModel:
             t_scale=float(_typed(m["t_scale"], float)),
         )
         for key, spec in _specs(config).items():
-            want = json.dumps(spec, sort_keys=True)  # compared as JSON text, so true is not 1 and 1.0 is not 1
-            if json.dumps(m[key], sort_keys=True) != want:
-                raise ValueError(f"model.{key} must be {want}, got {reprlib.repr(m[key])}")
+            if not _same_json(m[key], spec):  # compared as JSON values of the same types, so true is not 1
+                raise ValueError(f"model.{key} must be {json.dumps(spec, sort_keys=True)}, got {reprlib.repr(m[key])}")
         nd = header["norm"]
         norm = NormStats(
-            means=np.asarray([_typed(v, float) for v in _typed(nd["means"], list)], dtype=np.float64),
-            stds=np.asarray([_typed(v, float) for v in _typed(nd["stds"], list)], dtype=np.float64),
+            means=np.asarray(_typed_list(nd["means"], float), dtype=np.float64),
+            stds=np.asarray(_typed_list(nd["stds"], float), dtype=np.float64),
             rul_max=float(_typed(nd["rul_max"], float)),
-            columns=[_typed(c, str) for c in _typed(nd["columns"], list)],
+            columns=_typed_list(nd["columns"], str),
         )
         if not len(norm.means) == len(norm.stds) == len(norm.columns) == config.d_oc:
             counts = f"{len(norm.means)} means, {len(norm.stds)} stds and {len(norm.columns)} columns"

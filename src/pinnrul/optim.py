@@ -19,11 +19,12 @@ grows at most about lr per step however large the gradient is.
 
 Every operation of the rule is elementwise, so it gives the same bits
 whether it runs per buffer or over one vector holding all of them.
-``train`` uses the vector: each network of the model binds one
+``train`` uses the vector: each network in the model's graph binds one
 (W, b, dW, db) tuple of views per layer, which ``model._layout`` cuts
-from the parameter vector ``theta`` and from one gradient vector laid
-out like it, and each step passes ``cost(batch).grad`` to one
-``nadam_step`` call, with one m and one v vector as its state.
+from the parameter vector ``theta`` and from the one gradient vector
+laid out like it that the first ``cost`` makes, and each step passes
+``cost(batch).grad`` to one ``nadam_step`` call, with one m and one v
+vector as its state.
 
 Training splits the dataset 75/25 (validation gets ceil(N/4) samples),
 reshuffles the training part with a fixed per-epoch seed, and evaluates

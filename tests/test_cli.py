@@ -403,6 +403,53 @@ class TestTrainEvalMapPredict:
         err = capsys.readouterr().err
         assert f"{broken}: bad header (" in err and "tanh" in err
 
+    def test_spec_keys_in_any_order_load(self, trained, tmp_path, capsys):
+        # each spec is compared as a JSON value: its keys' order is free, and the model reads the same
+        _, _, out = trained
+        reordered = tmp_path / "reordered.bin"
+
+        def reverse_keys(header):
+            for net in ("x_spec", "rul_spec", "dyn_spec"):
+                header["model"][net] = dict(reversed(header["model"][net].items()))
+
+        header = rewrite_header(out / "model.bin", reordered, reverse_keys)
+        assert list(header["model"]["x_spec"]) == ["widths", "output", "hidden"]
+        oc = ",".join("0.5" for _ in header["norm"]["means"])
+        texts = []
+        for path in (out / "model.bin", reordered):
+            assert run_cli(["predict", "--model", str(path), f"--oc={oc}", "--t-list", "0,3,7", "--csv"]) == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize(
+        "net, edit",
+        [
+            pytest.param("x_spec", lambda s: {**s, "bias": True}, id="extra-key"),
+            pytest.param("rul_spec", lambda s: {k: s[k] for k in ("hidden", "widths")}, id="missing-key"),
+            pytest.param("dyn_spec", lambda s: {**s, "widths": [*s["widths"][:-1], True]}, id="width-true"),
+            pytest.param("dyn_spec", lambda s: {**s, "widths": [*s["widths"][:-1], 1.0]}, id="width-1.0"),
+            pytest.param("x_spec", lambda s: {**s, "widths": [s["widths"]]}, id="nested-list"),
+        ],
+    )
+    def test_spec_of_other_keys_or_types_is_exit_2(self, trained, tmp_path, capsys, net, edit):
+        _, _, out = trained
+        broken = tmp_path / "spec.bin"
+        header = rewrite_header(out / "model.bin", broken, lambda header: header["model"].update({net: edit(header["model"][net])}))
+        zeros = ",".join("0" for _ in header["norm"]["means"])
+        assert run_cli(["predict", "--model", str(broken), f"--oc={zeros}"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {broken}: bad header (model.{net} must be {{"), err
+
+    def test_load_writes_no_json(self, trained, monkeypatch):
+        # the specs are compared as values; their JSON text is built only for a failure's message
+        _, _, out = trained
+
+        def dumps(*args, **kwargs):
+            raise AssertionError("json.dumps called")
+
+        monkeypatch.setattr(json, "dumps", dumps)
+        assert load_model(out / "model.bin").config.d_oc == 6
+
     @pytest.mark.parametrize("version", [True, 1.0, 2])
     def test_format_other_than_integer_1_is_exit_2(self, trained, tmp_path, capsys, version):
         # true and 1.0 compare equal to 1 in Python; the header's version is the JSON integer 1

@@ -365,8 +365,8 @@ class TestParameterVector:
 
     def test_each_layer_binds_theta_and_gradient_views_at_one_offset(self, model):
         address = lambda a: a.__array_interface__["data"][0]
-        theta, grad = model.theta, model._grad
         layers = [bufs for node in model._wiring.graph.nodes if node.kind == "mlp" for bufs in node.payload[1]]
+        theta, grad = model.theta, model._grad  # made with the graph, just above
         assert 2 * len(layers) == len(model.parameter_items())
         offsets = []
         for w, b, dw, db in layers:
@@ -587,10 +587,17 @@ class TestWiring:
         loaded.cost_values(batch)
         loaded.mean_cost(samples, rows)
         assert "_wiring" not in loaded.__dict__ and not built
-        loaded.cost(batch)
+        # nor a gradient: no layer holds a gradient view, and the first cost makes the vector
+        assert "_grad" not in loaded.__dict__
+        assert all(dw is None and db is None for layers in loaded._layers.values() for *_, dw, db in layers)
+        grad = loaded.cost(batch).grad
+        assert loaded.__dict__["_grad"].shape == loaded.theta.shape
         wiring = loaded.__dict__["_wiring"]
         loaded.cost(batch)
         assert loaded._wiring is wiring and len(built) == 1
+        # the same bits as a model whose graph is built before any read
+        want = PinnModel(loaded.config, loaded.theta.copy(), loaded.norm).cost(batch).grad
+        assert grad.tobytes() == want.tobytes()
 
 
 def traced_calls(run):

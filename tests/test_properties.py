@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pinnrul import PinnConfig, PinnModel, cli, load_model, save_model, train
+from pinnrul.modelfile import _same_json, _specs
 
 from conftest import fd001_config, random_samples, small_random_model
 
@@ -237,3 +238,61 @@ def test_constructed_seeds_survive_the_model_file(tmp_path, init_seed, split_see
     save_model(PinnModel(*args, init_seed=init_seed, split_seed=split_seed), tmp_path / "seeds.bin")
     loaded = load_model(tmp_path / "seeds.bin")
     assert (loaded.init_seed, loaded.split_seed) == (init_seed, split_seed)
+
+
+def json_paths(value, path=()):
+    """The key path of every node of the JSON ``value``, its own () first."""
+    yield path
+    if isinstance(value, (list, dict)):
+        for key, item in enumerate(value) if isinstance(value, list) else value.items():
+            yield from json_paths(item, (*path, key))
+
+
+def edited(value, data):
+    """``value`` with one node, drawn among all of them, replaced by a JSON value (an
+    int also by itself, its float, true, false, -0.0 or nan), or, for an array or an
+    object, one item added or dropped, one key renamed or the keys reordered."""
+    path = data.draw(st.sampled_from(list(json_paths(value))), label="node")
+    node = value
+    for key in path:
+        node = node[key]
+    edits = ["replace"]
+    if isinstance(node, (list, dict)):
+        edits += ["add"] + ["drop"] * bool(node) + ["rename", "reorder"] * (isinstance(node, dict) and bool(node))
+    how = data.draw(st.sampled_from(edits), label="edit")
+    if how == "replace":
+        near = [node, float(node), True, False, -0.0, math.nan] if type(node) is int else [-0.0, math.nan]
+        new = data.draw(st.sampled_from(near) | JSON, label="value")
+    else:
+        items = list(enumerate(node) if isinstance(node, list) else node.items())
+        if how == "add":
+            items.append((data.draw(st.text(max_size=8), label="key"), data.draw(JSON, label="value")))
+        elif how == "reorder":
+            items = data.draw(st.permutations(items), label="order")
+        else:
+            i = data.draw(st.integers(0, len(items) - 1), label="item")
+            if how == "drop":
+                del items[i]
+            else:
+                items[i] = data.draw(st.text(max_size=8), label="key"), items[i][1]
+        new = [item for _, item in items] if isinstance(node, list) else dict(items)
+    if not path:
+        return new
+    parent = value
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = new
+    return value
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_spec_check_accepts_exactly_the_same_json_text(data):
+    # load_model compares each header *_spec as a JSON value; it must accept what equal
+    # sorted-key JSON text accepts, so true is not 1, 1.0 is not 1, and keys may come in any order
+    specs = _specs(PinnConfig(data.draw(st.integers(1, 20), label="d_oc")))
+    spec = specs[data.draw(st.sampled_from(sorted(specs)), label="net")]
+    value = copy.deepcopy(spec)
+    for _ in range(data.draw(st.integers(0, 3), label="edits")):
+        value = edited(value, data)
+    assert _same_json(value, spec) == (json.dumps(value, sort_keys=True) == json.dumps(spec, sort_keys=True))
