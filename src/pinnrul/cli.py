@@ -29,9 +29,8 @@ import numpy as np
 from . import data as dat
 from . import model as mdl
 from .data import SynthSpec
-from .model import NumericError, PinnConfig, init_model
+from .model import INIT_SCHEMES, NumericError, PinnConfig, init_model
 from .modelfile import json_is, json_loads, load_model, save_model
-from .net import INIT_SCHEMES
 from .optim import NadamConfig, train
 
 FD001_FILES = {"train": "train_FD001.txt", "test": "test_FD001.txt", "rul": "RUL_FD001.txt"}

@@ -58,10 +58,8 @@ class EngineTrajectory:
         return int(self.features.shape[0])
 
 
-def feature_matrix(trajectory: EngineTrajectory, columns=None) -> np.ndarray:
-    """Rows x selected features; ``columns=None`` gives the whole matrix."""
-    if columns is None:
-        return trajectory.features
+def feature_matrix(trajectory: EngineTrajectory, columns) -> np.ndarray:
+    """Rows x the features named by ``columns``, in their order."""
     try:
         idx = [trajectory.columns.index(c) for c in columns]
     except ValueError as exc:
@@ -182,8 +180,9 @@ class AugmentedSamples:
         return self.row_cycle[self.row]
 
 
-def augment(trajectories, horizon: int = 30, columns=None) -> AugmentedSamples:
-    """Emit (oc at cycle c, t, RUL0 - t) for t = 0 .. min(horizon, RUL0).
+def augment(trajectories, horizon: int = 30, *, columns) -> AugmentedSamples:
+    """Emit (oc at cycle c, t, RUL0 - t) for t = 0 .. min(horizon, RUL0),
+    oc the features named by ``columns``, in their order.
 
     Output order is canonical: unit, then cycle, then t ascending. Each
     logged row is stored once; a sample holds its row's index and its t,
@@ -195,7 +194,6 @@ def augment(trajectories, horizon: int = 30, columns=None) -> AugmentedSamples:
     trajs = sorted(trajectories, key=lambda tr: tr.unit_id)
     if not trajs:
         raise ValueError("no trajectories to augment")
-    cols = list(trajs[0].columns if columns is None else columns)
     lengths = [traj.length for traj in trajs]
     rul0 = np.concatenate([np.arange(n - 1, -1, -1) for n in lengths])  # L - c at each row's cycle c
     counts = np.minimum(horizon, rul0) + 1
@@ -212,7 +210,7 @@ def augment(trajectories, horizon: int = 30, columns=None) -> AugmentedSamples:
         row_cycle=np.concatenate([np.arange(1, n + 1) for n in lengths]),
         row=row,
         t=t,
-        columns=cols,
+        columns=list(columns),
     )
 
 

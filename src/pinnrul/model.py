@@ -66,12 +66,14 @@ import numpy as np
 
 from .data import AugmentedSamples, Batch, NormStats, feature_matrix
 from .graph import Graph
-from .net import INIT_SCHEMES, GraphMlp, _chain, init_params
+from .net import GraphMlp, _chain
 
 X_HIDDEN = (3, 3, 3, 3, 3)
 RUL_HIDDEN = (10, 10, 10, 10, 10)
 # each network's hidden activation; x and rul carry tangent chains, which need tanh
 HIDDEN = {"x": "tanh", "rul": "tanh", "dyn": "relu"}
+# the one weight draw, init_model's; a model, its file and a run config name it
+INIT_SCHEMES = ("xavier",)
 # Samples per whole-set read. CHUNK is latent_map's read block and the CSV's write block;
 # mean_cost's forward-only passes take MEAN_CHUNK, whose RUL chain buffers (2 x 3 x 10 x 2,048
 # float64, 0.98 MB) fit a core's 2 MB L2. On the benchmark's train fleet, interleaved in one
@@ -452,15 +454,17 @@ class PinnModel:
         return rmse, pairs
 
 
-def init_model(
-    config: PinnConfig,
-    norm: NormStats,
-    init_seed: int = 0,
-    scheme: str = "xavier",
-) -> PinnModel:
-    """Fresh model; the three networks get independent seeded draws."""
+def init_model(config: PinnConfig, norm: NormStats, init_seed: int = 0, scheme: str = "xavier") -> PinnModel:
+    """Fresh model with Xavier weights (Glorot & Bengio, 2010), the one weight draw.
+
+    Each network draws from its own generator, seeded by one of three states
+    of ``SeedSequence(init_seed)``, layer by layer: W ~ N(0, 2 / (fan_in +
+    fan_out)); the biases stay zero. ``scheme`` must be one of INIT_SCHEMES.
+    """
     seeds = np.random.SeedSequence(init_seed).generate_state(3, dtype=np.uint64)
     model = PinnModel(config, np.zeros(config.n_params), norm, init_scheme=scheme, init_seed=int(init_seed))
     for net, seed in zip(config.widths, seeds):
-        init_params(model._layers[net], scheme, int(seed))
+        rng = np.random.default_rng(int(seed))
+        for w, *_ in model._layers[net]:
+            w[...] = rng.normal(0.0, np.sqrt(2.0 / sum(w.shape)), w.shape)
     return model

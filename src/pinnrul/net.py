@@ -16,34 +16,12 @@ Reverse mode through a tangent block gives exact mixed second derivatives.
 forward-only cost pass call ``_chain`` into two reused buffers per
 network; ``GraphMlp`` emits a network as one graph ``mlp`` node, which
 the graph runs with the same two walkers, and ``rows`` nodes for its
-output blocks.
+output blocks. Nothing here draws weights: ``model.init_model`` does.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-INIT_SCHEMES = ("standard-normal", "xavier")
-
-
-def init_params(layers, scheme: str = "xavier", seed: int = 0) -> None:
-    """Draw each layer's W and b into the arrays themselves from a seeded
-    generator, in layer order, W before b; same inputs, same bits.
-
-    ``layers`` are (W, b, dW, db) tuples; the gradients are not touched.
-    standard-normal: every weight and bias i.i.d. N(0, 1).
-    xavier: W ~ N(0, 2 / (fan_in + fan_out)), biases zero.
-    ``scheme`` is one of ``INIT_SCHEMES``, which ``PinnModel`` checks.
-    """
-    rng = np.random.default_rng(seed)
-    for w, b, *_ in layers:
-        if scheme == "standard-normal":
-            w[...] = rng.standard_normal(w.shape)
-            b[...] = rng.standard_normal(b.shape)
-        else:
-            w[...] = rng.normal(0.0, np.sqrt(2.0 / sum(w.shape)), w.shape)
-            b[...] = 0.0
-
 
 def _layer_value(activation, k, seeds, w, b, s, out=None):
     """Blocks act(z) and act'(z) * u_j of z = w @ h + b, u_j = w @ t_j (or w[:, c_j]).

@@ -148,9 +148,10 @@ def train(
     """Train a freshly initialized copy of ``model`` on ``dataset``.
 
     The incoming model supplies the architecture and normalization; its
-    weights are re-drawn from ``init_seed`` (scheme defaults to the
-    model's own) so that the outcome depends only on the two seeds, the
-    epoch/batch settings and the data. Returns the final-epoch model.
+    weights are re-drawn by ``init_model`` from ``init_seed`` (``scheme``,
+    like the model's own, can only be "xavier") so that the outcome depends
+    only on the two seeds, the epoch/batch settings and the data. Returns
+    the final-epoch model.
     """
     n = len(dataset)
     if n == 0:

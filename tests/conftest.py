@@ -15,7 +15,6 @@ from pinnrul import (
     init_model,
 )
 from pinnrul.graph import Graph
-from pinnrul.net import init_params
 
 FD_H = 1e-5
 
@@ -127,17 +126,17 @@ def layer_shapes(widths):
     return [((d_out, d_in), (d_out, 1)) for d_in, d_out in zip(widths, widths[1:])]
 
 
-def drawn_mlp(widths, scheme="standard-normal", seed=0, hidden="tanh"):
+def drawn_mlp(widths, seed=0, hidden="tanh"):
     """(hidden, layers): one (W, b, dW, db) tuple per layer of an MLP of
-    layer ``widths`` [d_in, h1, ..., d_out], W and b drawn by ``init_params``
-    and the gradients zero, for ``GraphMlp(g, *mlp)`` or ``_chain(*mlp, ...)``.
-
-    W and b start as NaN, so an entry the draw misses shows up.
+    layer ``widths`` [d_in, h1, ..., d_out], every W and b entry i.i.d.
+    N(0, 1) from ``np.random.default_rng(seed)``, per layer W then b, and
+    the gradients zero, for ``GraphMlp(g, *mlp)`` or ``_chain(*mlp, ...)``.
     """
-    layers = [
-        (np.full(w, np.nan), np.full(b, np.nan), np.zeros(w), np.zeros(b)) for w, b in layer_shapes(widths)
-    ]
-    init_params(layers, scheme, seed)
+    rng = np.random.default_rng(seed)
+    layers = []
+    for w_shape, b_shape in layer_shapes(widths):
+        w, b = rng.standard_normal(w_shape), rng.standard_normal(b_shape)
+        layers.append((w, b, np.zeros_like(w), np.zeros_like(b)))
     return hidden, layers
 
 

@@ -65,7 +65,7 @@ def report(criterion, ok, detail):
 def test_criterion_1_augmentation_oracle():
     # the augmentation rule itself, on a constructed 192-cycle trajectory
     traj = EngineTrajectory(1, np.random.default_rng(0).normal(size=(192, 3)), ["s1", "s2", "s3"])
-    samples = augment([traj], horizon=30)
+    samples = augment([traj], horizon=30, columns=traj.columns)
     at_100 = np.flatnonzero(samples.cycle == 100)
     assert (samples.t[at_100[0]], samples.rul[at_100[0]]) == (0, 92)
     assert (samples.t[at_100[1]], samples.rul[at_100[1]]) == (1, 91)
@@ -78,7 +78,7 @@ def test_criterion_1_augmentation_oracle():
     started = time.perf_counter()
     trajectories = parse_cmapss((data_dir / "train_FD001.txt").read_text())
     raw = sum(t.length for t in trajectories)
-    augmented = len(augment(trajectories, horizon=30))
+    augmented = len(augment(trajectories, horizon=30, columns=trajectories[0].columns))
     elapsed = time.perf_counter() - started
     ok = (len(trajectories), raw, augmented) == (100, 20631, 593061) and elapsed < 10
     report(1, ok, f"{len(trajectories)} engines, {raw} rows, {augmented} augmented in {elapsed:.1f}s")
@@ -135,7 +135,7 @@ def test_criterion_4_tangent_correctness():
     for widths in ((2, 3, 3, 1), (3, 3, 3, 3, 3, 3, 1)):
         for draw in range(100):
             rng = np.random.default_rng((widths[0], draw))
-            params = drawn_mlp(widths, "standard-normal", draw)
+            params = drawn_mlp(widths, draw)
             x = rng.normal(size=widths[0])
             coord = int(rng.integers(widths[0]))
             _, tan = eval_tangent(params, x, coord)

@@ -127,6 +127,7 @@ class TestConfig:
             ("synth", "n_sensors", 1),
             # a scheme init_model does not know, which would fail only after the data is built
             (None, "init_scheme", "orthogonal"),
+            (None, "init_scheme", "standard-normal"),
             # a train flag overrides its key, and is checked as the key is
             pytest.param("--seed-init", "init_seed", -1, id="flag-seed-init--1"),
             pytest.param("--seed-split", "split_seed", -3, id="flag-seed-split--3"),
@@ -333,6 +334,7 @@ class TestTrainEvalMapPredict:
             # the ranges PinnModel owns, as init_model has them
             # each a bad header like any other value, with the ids the cases had before the prefix
             pytest.param("init", "scheme", "orthogonal", "bad header (init_scheme must be one of", id="init-scheme-orthogonal-init_scheme must be one of"),
+            pytest.param("init", "scheme", "standard-normal", "bad header (init_scheme must be one of", id="init-scheme-standard-normal"),
             pytest.param("init", "seed", -3, "bad header (init_seed must be >= 0 and <= 9223372036854775807, got -3)", id="init-seed--3-init_seed must be >= 0 and <= 9223372036854775807, got -3"),
             pytest.param("init", "split_seed", -1, "bad header (split_seed must be >= 0 and <= 9223372036854775807, got -1)", id="init-split_seed--1-split_seed must be >= 0 and <= 9223372036854775807, got -1"),
             # the architecture is fixed, and each spec must state it in the JSON types save_model writes
@@ -551,7 +553,7 @@ class TestTrainEvalMapPredict:
 
         spec = SynthSpec(n_engines=3, min_life=36, max_life=42, n_sensors=6, noise_std=0.01, seed=5)
         trajs, _ = synth_generate(spec)
-        assert len(lines) - 1 == len(augment(trajs, horizon=30))
+        assert len(lines) - 1 == len(augment(trajs, horizon=30, columns=trajs[0].columns))
 
     def test_failed_map_leaves_no_part_file_and_keeps_the_old_csv(self, trained, tmp_path, monkeypatch, capsys):
         # blocks of 5 rows; the second block's read fails after the first block was written

@@ -167,7 +167,7 @@ def reference_fleet():
             make_traj(2, 2, n_sensors=3, seed=3)]
 
 
-def repeated_reference(trajs, horizon, columns=None):
+def repeated_reference(trajs, horizon, columns):
     """The augmented set's per-sample columns, built by repeating each logged row once per look-ahead."""
     parts = {name: [] for name in ("unit", "cycle", "t", "rul", "oc")}
     for traj in sorted(trajs, key=lambda tr: tr.unit_id):
@@ -187,7 +187,7 @@ def repeated_reference(trajs, horizon, columns=None):
 class TestAugment:
     def test_engine_with_192_rows_at_cycle_100(self):
         traj = make_traj(1, 192)
-        samples = augment([traj], horizon=30)
+        samples = augment([traj], horizon=30, columns=traj.columns)
         at_100 = np.flatnonzero(samples.cycle == 100)
         assert (samples.t[at_100[0]], samples.rul[at_100[0]]) == (0, 92)
         assert (samples.t[at_100[1]], samples.rul[at_100[1]]) == (1, 91)
@@ -195,19 +195,19 @@ class TestAugment:
         assert samples.t[at_100].tolist() == list(range(31))
 
     def test_length_two_trajectory(self):
-        samples = augment([make_traj(1, 2)], horizon=30)
+        samples = augment([make_traj(1, 2)], horizon=30, columns=["s1", "s2"])
         rows = list(zip(samples.cycle.tolist(), samples.t.tolist(), samples.rul.tolist()))
         assert rows == [(1, 0, 1), (1, 1, 0), (2, 0, 0)]
 
     def test_closed_form_count(self):
         trajs, _ = synth_generate(SynthSpec(n_engines=5, min_life=38, max_life=52, seed=3))
-        samples = augment([t for t in trajs], horizon=30)
+        samples = augment([t for t in trajs], horizon=30, columns=trajs[0].columns)
         expected = sum(int(np.minimum(30, t.length - np.arange(1, t.length + 1)).sum()) + t.length for t in trajs)
         assert len(samples) == expected
 
     def test_labels_and_horizons_in_range(self):
         trajs, _ = synth_generate(SynthSpec(n_engines=3, min_life=36, max_life=60, seed=11))
-        samples = augment(trajs, horizon=30)
+        samples = augment(trajs, horizon=30, columns=trajs[0].columns)
         assert (samples.rul >= 0).all()
         assert (samples.t <= 30).all() and (samples.t >= 0).all()
         lengths = {t.unit_id: t.length for t in trajs}
@@ -216,12 +216,12 @@ class TestAugment:
 
     def test_no_rows_lost(self):
         trajs, _ = synth_generate(SynthSpec(n_engines=4, min_life=35, max_life=45, seed=2))
-        samples = augment(trajs, horizon=30)
+        samples = augment(trajs, horizon=30, columns=trajs[0].columns)
         pairs = {(int(u), int(c)) for u, c in zip(samples.unit, samples.cycle)}
         assert len(pairs) == sum(t.length for t in trajs)
 
     def test_horizon_zero(self):
-        samples = augment([make_traj(1, 5)], horizon=0)
+        samples = augment([make_traj(1, 5)], horizon=0, columns=["s1", "s2"])
         assert len(samples) == 5
         assert (samples.t == 0).all()
 
@@ -233,12 +233,12 @@ class TestAugment:
 
     def test_canonical_order(self):
         trajs = [make_traj(2, 6), make_traj(1, 5)]
-        samples = augment(trajs, horizon=4)
+        samples = augment(trajs, horizon=4, columns=["s1", "s2"])
         order = np.lexsort((samples.t, samples.cycle, samples.unit))
         assert np.array_equal(order, np.arange(len(samples)))
 
     @pytest.mark.parametrize("horizon", [0, 30])
-    @pytest.mark.parametrize("columns", [None, ["s3", "s1"]])
+    @pytest.mark.parametrize("columns", [["s1", "s2", "s3"], ["s3", "s1"]])
     def test_matches_concatenated_reference(self, horizon, columns):
         trajs = reference_fleet()
         want = repeated_reference(trajs, horizon, columns)
@@ -249,16 +249,16 @@ class TestAugment:
             assert getattr(got, name).dtype == dtype, name
             assert np.array_equal(getattr(got, name), want[name]), name
         assert got.oc.flags.c_contiguous
-        assert got.columns == (columns or ["s1", "s2", "s3"])
+        assert got.columns == columns
 
     def test_no_trajectories_rejected(self):
         with pytest.raises(ValueError, match="^no trajectories to augment$"):
-            augment([])
+            augment([], columns=["s1"])
 
     def test_negative_horizon_rejected(self):
         trajs, _ = synth_generate(SynthSpec(n_engines=1, seed=3))
         with pytest.raises(ValueError, match="^horizon must be >= 0$"):
-            augment(trajs, horizon=-1)
+            augment(trajs, horizon=-1, columns=trajs[0].columns)
 
     def test_sample_count_beyond_int32_rejected_before_allocating(self):
         # one engine of 70,000 cycles at horizon 10**6 has 70,000 * 70,001 / 2 samples, past int32's 2**31 - 1
@@ -266,7 +266,7 @@ class TestAugment:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="^2450035000 augmented samples exceed the int32 sample index range$"):
-                augment([traj], horizon=10**6)
+                augment([traj], horizon=10**6, columns=["s1"])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -274,7 +274,7 @@ class TestAugment:
 
     def test_take_gathers_new_arrays_and_refuses_a_slice(self):
         # a batch that shared the set's t would see a later edit of it; a slice would return such views
-        samples = augment([make_traj(2, 6), make_traj(1, 5)], horizon=4)
+        samples = augment([make_traj(2, 6), make_traj(1, 5)], horizon=4, columns=["s1", "s2"])
         got = samples.take(np.arange(3, 11))
         for name in ("t", "rul", "oc"):
             for source in (samples.row, samples.t, samples.rows):
@@ -310,9 +310,9 @@ class TestTake:
         # map --which test augments at horizon 0 and adds each engine's true RUL to its rows' RUL0
         trajs = reference_fleet()
         truth = np.array([4.5, 0.0, 17.0])  # units 1, 2, 3
-        samples = augment(trajs, horizon=0)
+        samples = augment(trajs, horizon=0, columns=trajs[0].columns)
         samples.rul0 += np.repeat(truth, [tr.length for tr in sorted(trajs, key=lambda tr: tr.unit_id)])
-        want = repeated_reference(trajs, 0)
+        want = repeated_reference(trajs, 0, trajs[0].columns)
         want_rul = want["rul"] + truth[want["unit"] - 1]
         assert np.array_equal(samples.rul, want_rul)
         for idx in (np.arange(len(samples)), np.arange(len(samples))[::-1], np.arange(30, 50)):
@@ -323,14 +323,14 @@ class TestTake:
 
     def test_rows_stored_once(self):
         trajs = reference_fleet()
-        samples = augment(trajs, horizon=30)
+        samples = augment(trajs, horizon=30, columns=trajs[0].columns)
         assert samples.rows.shape == (sum(tr.length for tr in trajs), 3)
         assert all(samples.__dict__[name].ndim == 1 for name in ("rul0", "row_unit", "row_cycle", "row", "t"))
         assert samples.row.dtype == np.int32 and samples.t.dtype == np.int32
 
     @pytest.mark.parametrize("name", ["oc", "rul", "unit", "cycle"])
     def test_whole_set_columns_are_read_only(self, name):
-        samples = augment(reference_fleet(), horizon=3)
+        samples = augment(reference_fleet(), horizon=3, columns=["s1", "s2", "s3"])
         with pytest.raises(AttributeError):
             setattr(samples, name, getattr(samples, name))
 
