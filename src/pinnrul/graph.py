@@ -13,26 +13,25 @@ shape and checks nothing, and ``eval`` checks no binding, so well-formed
 nodes, and binding each input to a 2-D array of its rows, the
 width-free ones with one column count, are the caller's contract.
 
-An ``mlp`` node is one whole network and its k forward-tangent chains,
-stacked along the rows as ``net`` describes; ``rows`` reads a block back
-out. It binds the network's (W, b, dW, db) tuples by reference, which
-``_layout`` cuts as 2-D float64 views of shapes that agree. ``eval``
-runs ``net._chain`` and holds every layer's value, ``grad`` runs
-``net._chain_grad``, which overwrites dW and db. Neither checks
-finiteness; the owner of the buffers does.
+There are three op kinds. An ``input`` is bound by ``eval``. An ``mlp``
+node is one whole network and its k forward-tangent chains, stacked along
+the rows as ``net`` describes, on its inputs' rows stacked in order;
+``rows`` reads a block back out. An mlp binds the network's (W, b, dW,
+db) tuples by reference, which ``_layout`` cuts as 2-D float64 views of
+shapes that agree. ``eval`` runs ``net._chain`` and holds every layer's
+value, ``grad`` runs ``net._chain_grad``, which overwrites dW and db.
+Neither checks finiteness; the owner of the buffers does.
 
-There are four op kinds: ``input``, ``mlp``, ``rows`` and ``concat``.
 The graph ends at a model's network outputs; arithmetic that joins them,
 such as a residual or a loss, is the caller's. A model evaluates it only
 for ``cost``, whose gradient reads the held pass; its forward-only
-passes run ``net._chain`` without a graph. ``grad`` takes the
-caller's adjoints at those outputs (seeds, each a float64 array shaped
-like its node's value) and writes the vector-Jacobian product over every
-layer's own dW and db; the caller binds no buffer into two layers. A
-node reaches the weights iff it is an mlp or one of its inputs does;
-adjoints propagate only into such nodes, so inputs (and anything
-computed only from them) get none, and an mlp that no seed reaches gets
-zeros.
+passes run ``net._chain`` without a graph. ``grad`` takes the caller's
+adjoints at those outputs (seeds, each a float64 array shaped like its
+node's value) and writes the vector-Jacobian product over every layer's
+own dW and db; the caller binds no buffer into two layers. A node
+reaches the weights iff it is an mlp or one of its inputs does; adjoints
+propagate only into such nodes, so inputs (and anything computed only
+from them) get none, and an mlp that no seed reaches gets zeros.
 
 A graph instance is single-writer. Distinct instances are independent and
 may be used from different threads.
@@ -50,7 +49,7 @@ __all__ = [
     "OP_KINDS",
 ]
 
-OP_KINDS = ("input", "mlp", "rows", "concat")
+OP_KINDS = ("input", "mlp", "rows")
 
 
 class GraphError(Exception):
@@ -87,7 +86,8 @@ class Graph:
         None), the half-open range (start, stop) for ``rows`` and
         (hidden, layers, k, seeds) for ``mlp``, where layers are the
         network's (W, b, dW, db) tuples and seeds is None or the first
-        layer's k input coordinates. Every other node takes its first
+        layer's k input coordinates; an mlp's inputs are its network's
+        input rows stacked in order. Every other node takes its first
         input's column count.
         """
         shapes = [self.nodes[i].shape for i in inputs]
@@ -95,10 +95,8 @@ class Graph:
             shape, payload = payload, None
         elif kind == "mlp":  # 1 + k blocks of the last layer's rows
             shape = ((1 + payload[2]) * payload[1][-1][0].shape[0], shapes[0][1])
-        elif kind == "rows":
+        else:  # rows
             shape = (payload[1] - payload[0], shapes[0][1])
-        else:  # concat
-            shape = (sum(s[0] for s in shapes), shapes[0][1])
         reaches = kind == "mlp" or any(self.nodes[i].reaches for i in inputs)
         self.nodes.append(_Node(kind, inputs, shape, payload, reaches))
         self._values = None
@@ -111,9 +109,6 @@ class Graph:
     def rows(self, a, start, stop) -> int:
         """Rows start..stop-1 of ``a``, e.g. one block of an ``mlp``."""
         return self.build("rows", (a,), (start, stop))
-
-    def concat(self, parts) -> int:
-        return self.build("concat", tuple(parts))
 
     # -- values -------------------------------------------------------
 
@@ -141,12 +136,11 @@ class Graph:
                 ins = [values[i] for i in node.inputs]
                 if kind == "mlp":
                     hidden, layers, k, seeds = node.payload
-                    chains[nid] = _chain(hidden, layers, ins[0], k, seeds)
+                    s = ins[0] if len(ins) == 1 else np.concatenate(ins, axis=0)
+                    chains[nid] = _chain(hidden, layers, s, k, seeds)
                     v = chains[nid][-1]
-                elif kind == "rows":
+                else:  # rows
                     v = ins[0][node.payload[0] : node.payload[1]]
-                else:  # concat
-                    v = np.concatenate(ins, axis=0)
             values.append(v)
         self._values, self._chains = values, chains
         return values
@@ -185,19 +179,16 @@ class Graph:
             ins = node.inputs
             if kind == "mlp":
                 hidden, layers, k, seeds = node.payload
-                ds = _chain_grad(hidden, layers, self._chains[nid], a, k, seeds, nodes[ins[0]].reaches)
-                if ds is not None:
-                    acc(ins[0], ds)
-            elif a is None:
-                continue
-            elif kind == "rows":
+                ds = _chain_grad(hidden, layers, self._chains[nid], a, k, seeds, any(nodes[i].reaches for i in ins))
+                if ds is None:
+                    continue
+                row = 0
+                for i in ins:  # each input takes its own rows of the stacked input's adjoint
+                    h = nodes[i].shape[0]
+                    if nodes[i].reaches:
+                        acc(i, ds[row : row + h, :])
+                    row += h
+            elif a is not None and kind == "rows":
                 delta = np.zeros(values[ins[0]].shape)
                 delta[node.payload[0] : node.payload[1]] = a
                 acc(ins[0], delta)
-            else:  # concat
-                row = 0
-                for i in ins:
-                    h = nodes[i].shape[0]
-                    if nodes[i].reaches:
-                        acc(i, a[row : row + h, :])
-                    row += h

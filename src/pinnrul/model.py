@@ -24,14 +24,13 @@ names are derived from the tuples on demand. The model's own tuples
 have no gradient views (dW and db are None). A model builds its graph
 once, the first time ``cost`` needs it, for any batch width, and with it
 one gradient vector shaped like ``theta``, which ``_layout`` cuts
-together with ``theta`` into the tuples the graph binds; its 12 nodes
-are 1 input, 3 mlps (one per network), 2 concats and 6 rows. Each mlp
-binds its network's tuples, so the graph sees every change without
-rebinding and its reverse sweep fills the gradient vector, which
-``cost`` checks once and returns as a copy. Nothing else needs a
-gradient, and nothing else builds the graph or makes a gradient: a
-model that is only loaded and read holds none. ``_forward`` and
-``_read`` run each network in
+together with ``theta`` into the tuples the graph binds; its 10 nodes
+are 1 input, 3 mlps (one per network) and 6 rows. Each mlp binds its
+network's tuples, so the graph sees every change without rebinding and
+its reverse sweep fills the gradient vector, which ``cost`` checks once
+and returns as a copy. Nothing else needs a gradient, and nothing else
+builds the graph or makes a gradient: a model that is only loaded and
+read holds none. ``_forward`` and ``_read`` run each network in
 ``_run``, the one chain runner, which runs ``net._chain``, the graph's
 own forward walk, over the tuples, writes the layers into two buffers
 per network and keeps only the output. ``_forward`` runs all three
@@ -172,7 +171,8 @@ class _Wiring:
     """The model's graph: one input, ``_inputs``' [oc; t], and the three bound networks.
 
     Its outputs are the nodes of a ``_Pass``'s rows; a ``rows`` node reads t back out of the
-    input, which leaves its column count open, so one wiring serves every batch width.
+    input, which leaves its column count open, so one wiring serves every batch width. The RUL
+    mlp stacks x and t, and the rate mlp stacks dx/dt and dRUL/dx.
     """
 
     def __init__(self, config: PinnConfig, layers):
@@ -182,12 +182,9 @@ class _Wiring:
         t = g.rows(self.x_in, config.d_oc, config.d_oc + 1)
 
         self.x_mlp, self.rul_mlp, self.dyn_mlp = (GraphMlp(g, HIDDEN[net], layers[net]) for net in config.widths)
-
-        self.x, (self.dx_dt,) = self.x_mlp.forward_tangents(self.x_in, [config.d_oc])
-
-        rul_input = g.concat([self.x, t])
-        self.rul, (self.drul_dx, self.drul_dt_partial) = self.rul_mlp.forward_tangents(rul_input, [0, 1])
-        self.dyn = self.dyn_mlp.forward(g.concat([self.dx_dt, self.drul_dx]))
+        self.x, (self.dx_dt,) = self.x_mlp.forward_tangents(self.x_in, coords=[config.d_oc])
+        self.rul, (self.drul_dx, self.drul_dt_partial) = self.rul_mlp.forward_tangents(self.x, t, coords=[0, 1])
+        self.dyn = self.dyn_mlp.forward(self.dx_dt, self.drul_dx)
 
 
 def _residual(p: _Pass, dyn_oracle: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -286,10 +283,10 @@ class PinnModel:
     def _run(self, net: str, s, k: int, seeds, bufs) -> np.ndarray:
         """The one chain runner of passes without the graph: the output of
         network ``net`` on ``s`` (``_chain``'s k and seeds), its layers
-        written into the two buffers ``bufs[net]``, which are made when
-        missing or too small for the batch."""
-        size = (1 + k) * max(self.config.widths[net][1:]) * s.shape[1]
-        if net not in bufs or bufs[net][0].size < size:
+        written into the two buffers ``bufs[net]``, made on the dict's first
+        pass, which every caller makes its widest."""
+        if net not in bufs:
+            size = (1 + k) * max(self.config.widths[net][1:]) * s.shape[1]
             bufs[net] = (np.empty(size), np.empty(size))
         return _chain(HIDDEN[net], self._layers[net], s, k, seeds, bufs[net])[-1]
 
@@ -299,8 +296,8 @@ class PinnModel:
 
         Runs the x chain with its dx/dt tangent, the RUL chain with its
         tangents along x and t, and the rate chain without tangents, on
-        inputs joined by ``np.concatenate`` as ``_Wiring``'s concats join
-        them. Each chain runs in ``_run``, in ``bufs``, a dict that a
+        inputs joined by ``np.concatenate`` as the graph's mlps stack
+        theirs. Each chain runs in ``_run``, in ``bufs``, a dict that a
         caller may reuse from pass to pass; the rows are views of the
         chains' outputs, valid until the next pass on the same ``bufs``.
         """

@@ -14,9 +14,10 @@ Reverse mode through a tangent block gives exact mixed second derivatives.
 ``_chain`` is the one forward walk over a network's layers and
 ``_chain_grad`` the one backward walk. The model's reads and its
 forward-only cost pass call ``_chain`` into two reused buffers per
-network; ``GraphMlp`` emits a network as one graph ``mlp`` node, which
-the graph runs with the same two walkers, and ``rows`` nodes for its
-output blocks. Nothing here draws weights: ``model.init_model`` does.
+network; ``GraphMlp`` emits a network as one graph ``mlp`` node on its
+inputs' stacked rows, which the graph runs with the same two walkers,
+and ``rows`` nodes for its output blocks. Nothing here draws weights:
+``model.init_model`` does.
 """
 
 from __future__ import annotations
@@ -122,9 +123,9 @@ def _chain_grad(hidden: str, layers, values, a, k: int, seeds, need_input: bool)
 
 class GraphMlp:
     """One network, ``hidden`` (tanh or relu) and its ``layers``, emitted into
-    a graph as one trainable ``mlp`` node. The node binds the arrays
-    themselves, not copies, so each ``eval`` reads the current weights and
-    each ``grad`` writes the gradients in place.
+    a graph as one trainable ``mlp`` node on its inputs' stacked rows. It
+    binds the arrays themselves, not copies, so each ``eval`` reads the
+    current weights and each ``grad`` writes the gradients in place.
     """
 
     def __init__(self, graph, hidden: str, layers):
@@ -132,23 +133,23 @@ class GraphMlp:
         self.hidden = hidden
         self.layers = list(layers)
 
-    def forward(self, input_id: int) -> int:
-        """Emit the network for ``input_id`` of shape (d_in, n); n may be None."""
-        return self._emit(input_id, ())[0]
+    def forward(self, *inputs: int) -> int:
+        """Emit the network for ``inputs``, whose rows stack to (d_in, n); n may be None."""
+        return self._emit(inputs, ())[0]
 
-    def forward_tangents(self, input_id: int, coords) -> tuple[int, list[int]]:
+    def forward_tangents(self, *inputs: int, coords) -> tuple[int, list[int]]:
         """Emit the network plus one directional-derivative chain per coordinate.
 
-        ``coords`` are input coordinate indices. Returns the output node
-        and, in the order of ``coords``, the node of the output's derivative
-        along each coordinate; all of them share one primal chain.
+        ``coords`` are coordinate indices of the stacked input. Returns the
+        output node and, in the order of ``coords``, the node of the output's
+        derivative along each coordinate; all of them share one primal chain.
         Requires a smooth hidden activation: a relu network takes no tangents.
         """
-        return self._emit(input_id, tuple(coords))
+        return self._emit(inputs, tuple(coords))
 
-    def _emit(self, input_id, coords):
+    def _emit(self, inputs, coords):
         g = self.graph
-        h = g.build("mlp", (input_id,), (self.hidden, self.layers, len(coords), coords or None))
+        h = g.build("mlp", inputs, (self.hidden, self.layers, len(coords), coords or None))
         if not coords:
             return h, []
         m = self.layers[-1][0].shape[0]  # d_out, the rows of the last W

@@ -39,11 +39,12 @@ def random_graph(seed):
     at weight columns) or a stacked one (k + 1 blocks of rows). The
     leaves are the width-free input, bound with two columns, and one-layer
     mlps over an identity-bound input, whose values are their weights plus
-    their biases, so ``rows`` and ``concat`` get operands that depend on
-    weights. Every pool node that reaches an mlp's weights gets a random
-    seed shaped like its value, so each of them feeds the gradient of
-    sum_n <seed_n, value_n>. Each layer has its own weight, bias and
-    gradient arrays. Returns (graph, (mlp id, value, grad) per weight and
+    their biases, so ``rows`` and mlps get operands that depend on
+    weights. Some mlps stack two inputs of one width and split their input
+    adjoint back into each input's rows. Every pool node that reaches an
+    mlp's weights gets a random seed shaped like its value, so each of
+    them feeds the gradient of sum_n <seed_n, value_n>. Each layer has its
+    own weight, bias and gradient arrays. Returns (graph, (mlp id, value, grad) per weight and
     bias buffer, input bindings, seeds). Callers skip draws whose relu
     pre-activations come near 0 (``relu_inputs_safe``) so finite
     differences stay valid.
@@ -58,13 +59,13 @@ def random_graph(seed):
     def new_buffer(shape):
         return rng.uniform(0.5, 1.5, shape) * rng.choice([-1.0, 1.0], shape)
 
-    def new_mlp(s, d_in, d_out, hidden="linear", k=0, seeds=None, depth=1):
+    def new_mlp(ins, d_in, d_out, hidden="linear", k=0, seeds=None, depth=1):
         widths = [d_in, *(int(m) for m in rng.integers(1, 4, depth - 1)), d_out]
         layers = []
         for d, m in zip(widths, widths[1:]):
             w, b = new_buffer((m, d)), new_buffer((m, 1))
             layers.append((w, b, np.zeros_like(w), np.zeros_like(b)))
-        nid = g.build("mlp", (s,), (hidden, layers, k, seeds))
+        nid = g.build("mlp", ins, (hidden, layers, k, seeds))
         for w, b, dw, db in layers:
             params.extend([(nid, w, dw), (nid, b, db)])
         return nid
@@ -73,31 +74,32 @@ def random_graph(seed):
         rows, cols = shapes[rng.integers(len(shapes))]
         eye = g.input((cols, cols))
         bindings[eye] = np.eye(cols)
-        pool.append(new_mlp(eye, cols, rows))
+        pool.append(new_mlp((eye,), cols, rows))
     inp = g.input((2, None))
     bindings[inp] = rng.uniform(0.5, 1.5, (2, 2))
     pool.append(inp)
 
     for _ in range(rng.integers(4, 9)):
-        op = rng.choice(["mlp", "mlp", "rows", "concat"])
+        op = rng.choice(["mlp", "mlp", "rows", "stack"])
         a = pool[rng.integers(len(pool))]
-        rows = g.nodes[a].shape[0]
-        if op == "concat":
+        ins = (a,)
+        if op == "stack":  # an mlp on a and a mate of its width, stacked
             mates = [n for n in pool if g.nodes[n].shape[1] == g.nodes[a].shape[1]]
-            pool.append(g.concat([a, mates[rng.integers(len(mates))]]))
-        elif op == "rows":
+            ins = (a, mates[rng.integers(len(mates))])
+        rows = sum(g.nodes[n].shape[0] for n in ins)
+        if op == "rows":
             start = int(rng.integers(rows))
             pool.append(g.rows(a, start, int(rng.integers(start + 1, rows + 1))))
-        else:  # mlp: fresh layers act on a
+        else:  # mlp: fresh layers act on ins
             hidden = str(rng.choice(["tanh", "linear", "relu"]))
             out, depth = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-            if hidden != "relu" and rng.random() < 0.5:  # seeded: a is h, tangents start at weight columns
+            if hidden != "relu" and rng.random() < 0.5:  # seeded: ins hold h, tangents start at weight columns
                 seeds = [int(c) for c in rng.integers(0, rows, int(rng.integers(0, 3)))]
-                pool.append(new_mlp(a, rows, out, hidden, len(seeds), seeds, depth))
-            else:  # stacked: a holds h and k tangent blocks; k = 0 also comes seeded
+                pool.append(new_mlp(ins, rows, out, hidden, len(seeds), seeds, depth))
+            else:  # stacked: ins hold h and k tangent blocks; k = 0 also comes seeded
                 ks = [k for k in (1, 2) if rows % (1 + k) == 0 and hidden != "relu"] or [0]
                 k = ks[rng.integers(len(ks))]
-                pool.append(new_mlp(a, rows // (1 + k), out, hidden, k, depth=depth))
+                pool.append(new_mlp(ins, rows // (1 + k), out, hidden, k, depth=depth))
     seeds = {}
     for n in pool:
         if g.nodes[n].reaches:

@@ -234,6 +234,17 @@ class TestCheckData:
         assert proc.stderr.startswith("error: out of memory: ")
         assert "Traceback" not in proc.stderr
 
+    def test_out_of_memory_is_one_stderr_line(self, tmp_path, capsys, monkeypatch):
+        # the same exit in-process, where a raised MemoryError stands in for the failed allocation
+        def no_memory(spec):
+            raise MemoryError("synthetic fleet")
+
+        monkeypatch.setattr("pinnrul.data.synth_generate", no_memory)
+        assert run_cli(["check-data", "--config", synth_config(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: out of memory:")
+
     def test_synthetic_counts(self, tmp_path, capsys):
         assert run_cli(["check-data", "--config", synth_config(tmp_path)]) == 0
         out = capsys.readouterr().out

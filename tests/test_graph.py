@@ -13,8 +13,9 @@ def scalar(g, nid):
 
 
 def mlp(g, s, *layers, hidden="linear", k=0, seeds=None):
-    """An ``mlp`` node over ``s`` with these (W, b, dW, db) ``layers``; ``seeds``, if given, set k."""
-    return g.build("mlp", (s,), (hidden, list(layers), len(seeds) if seeds else k, seeds))
+    """An ``mlp`` node over ``s``, one node or a tuple of them whose rows it stacks, with
+    these (W, b, dW, db) ``layers``; ``seeds``, if given, set k."""
+    return g.build("mlp", s if isinstance(s, tuple) else (s,), (hidden, list(layers), len(seeds) if seeds else k, seeds))
 
 
 def buffers(w, b=None):
@@ -101,7 +102,7 @@ class TestBuildAndEval:
         g = Graph()
         x = g.input((3, 1))
         target = g.input((3, 1))
-        residual = mlp(g, g.concat([x, target]), buffers(np.hstack([np.eye(3), -np.eye(3)])))  # x - target
+        residual = mlp(g, (x, target), buffers(np.hstack([np.eye(3), -np.eye(3)])))  # x - target
         g.eval({x: [[0.3], [-1.2], [4.0]], target: [[0.3], [-1.2], [4.0]]})
         assert (g.value(residual) ** 2).mean() == 0.0
 
@@ -115,24 +116,23 @@ class TestBuildAndEval:
         # a deeper mlp stacks its blocks at every layer; its value has its last layer's rows
         assert g.nodes[mlp(g, g.input((3, None)), wb, identity(2), buffers(np.zeros((4, 2))), hidden="tanh", seeds=[1])].shape == (8, None)
 
-    def test_concat_and_sum(self):
+    def test_mlp_stacks_its_inputs(self):
         g = Graph()
         a = g.input((2, 1))
         b = g.input((1, 1))
-        cat = g.concat([a, b])
-        total = mlp(g, cat, buffers(np.ones((1, 3))))  # sum of the three entries
+        total = mlp(g, (a, b), buffers(np.ones((1, 3))))  # sum of the three entries
         g.eval({a: [[1.0], [2.0]], b: [[3.0]]})
-        assert g.value(cat).shape == (3, 1)
+        assert np.array_equal(g._chains[total][0], [[1.0], [2.0], [3.0]])  # the chain's input
         assert scalar(g, total) == 6.0
 
     def test_width_free_inputs_share_one_width(self):
         g = Graph()
         a = g.input((2, None))
         b = g.input((1, None))
-        cat = g.concat([a, b])
-        assert g.nodes[cat].shape == (3, None)
+        total = mlp(g, (a, b), buffers(np.ones((1, 3))))
+        assert g.nodes[total].shape == (1, None)
         g.eval({a: np.ones((2, 4)), b: np.ones((1, 4))})
-        assert g.value(cat).shape == (3, 4)
+        assert np.array_equal(g.value(total), np.full((1, 4), 3.0))
 
     def test_deterministic_reeval_bit_identical(self):
         g, params, bindings, seeds = random_graph(7)
@@ -173,7 +173,7 @@ class TestLayer:
         h = g.input((4, None))
         basis = g.input((8, None))
         seeded = mlp(g, h, wb, identity(3), hidden=activation, seeds=[2, 0])
-        stacked = mlp(g, g.concat([h, basis]), wb, identity(3), hidden=activation, k=2)
+        stacked = mlp(g, (h, basis), wb, identity(3), hidden=activation, k=2)
         x = rng.normal(size=(4, 5))
         e = np.zeros((8, 5))
         e[2] = e[4] = 1.0

@@ -21,8 +21,8 @@ from pinnrul import (
     train,
 )
 from pinnrul.graph import OP_KINDS, Graph
-from pinnrul.model import CHUNK, HIDDEN, _residual
-from pinnrul.net import GraphMlp
+from pinnrul.model import CHUNK, HIDDEN, _layout, _Pass, _residual
+from pinnrul.net import GraphMlp, _chain, _chain_grad
 
 from conftest import (
     dyn_preactivations_safe,
@@ -492,13 +492,40 @@ class TestWiring:
         assert np.array_equal(after.grad, before.grad)
 
 
-    def test_model_graph_has_12_nodes_of_4_kinds(self, model):
-        # 1 input, the x network's stacked [oc; t], one mlp per network, 2 concats and 6 rows (t among them)
+    def test_model_graph_has_10_nodes_of_3_kinds(self, model):
+        # 1 input, the x network's stacked [oc; t], one mlp per network and 6 rows (t among them)
         graph = init_model(PinnConfig.default(model.config.d_oc), model.norm)._wiring.graph
-        assert len(OP_KINDS) == 4
-        assert len(graph.nodes) == 12
+        assert len(OP_KINDS) == 3
+        assert len(graph.nodes) == 10
         assert {node.kind for node in graph.nodes} == set(OP_KINDS)
-        assert Counter(node.kind for node in graph.nodes) == {"input": 1, "mlp": 3, "concat": 2, "rows": 6}
+        assert Counter(node.kind for node in graph.nodes) == {"input": 1, "mlp": 3, "rows": 6}
+
+    @pytest.mark.parametrize("dyn_oracle", [False, True])
+    @pytest.mark.parametrize("n", [1, 7, 512])
+    def test_cost_gradient_equals_the_chain_backward(self, n, dyn_oracle):
+        # the graph's reverse sweep against the three chains walked backward by hand from the
+        # cost's adjoints: the rate network's input adjoint joins the dx/dt and dRUL/dx seeds,
+        # then the RUL network's, whose x row and the dx/dt adjoint seed the x network
+        for seed in range(30):
+            model = small_random_model(seed)
+            batch = random_batch(model, 100 + seed, n=n)
+            want = np.zeros_like(model.theta)
+            layers, d_oc = _layout(model.config, model.theta, want), model.config.d_oc
+            s = model._inputs(batch.oc, batch.t)
+            xs = _chain(HIDDEN["x"], layers["x"], s, 1, (d_oc,))
+            ruls = _chain(HIDDEN["rul"], layers["rul"], np.concatenate([xs[-1][:1], s[-1:]]), 2, (0, 1))
+            dyns = _chain(HIDDEN["dyn"], layers["dyn"], np.concatenate([xs[-1][1:], ruls[-1][1:2]]), 0, None)
+            p = _Pass(xs[-1][:1], xs[-1][1:], ruls[-1][:1], ruls[-1][1:2], ruls[-1][2:], dyns[-1])
+            d = batch.rul.reshape(1, -1) / model.norm.rul_max - p.rul
+            a_f = model.config.pde_weight / n * (2.0 * _residual(p, dyn_oracle)[1])
+            a_dyn = _chain_grad(HIDDEN["dyn"], layers["dyn"], dyns, None if dyn_oracle else -a_f, 0, None, True)
+            a_dx_dt, a_drul_dx = a_f * p.drul_dx, a_f * p.dx_dt
+            if a_dyn is not None:
+                a_dx_dt, a_drul_dx = a_dx_dt + a_dyn[:1], a_drul_dx + a_dyn[1:]
+            a_rul = np.concatenate([-(1.0 / n * (2.0 * d)), a_drul_dx, a_f])
+            a_x = _chain_grad(HIDDEN["rul"], layers["rul"], ruls, a_rul, 2, (0, 1), True)[:1]
+            _chain_grad(HIDDEN["x"], layers["x"], xs, np.concatenate([a_x, a_dx_dt]), 1, (d_oc,), False)
+            assert model.cost(batch, dyn_oracle).grad.tobytes() == want.tobytes(), seed
 
     def test_outputs_equal_plain_recurrence_bitwise(self):
         # z = W h + b, y = tanh z, t' = (1 - y^2) (W t); last layer linear

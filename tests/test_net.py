@@ -49,7 +49,7 @@ def eval_tangent(params, x, coord):
     g = Graph()
     mlp = GraphMlp(g, *params)
     xin = g.input((d_in(params), 1))
-    out, (tan,) = mlp.forward_tangents(xin, [coord])
+    out, (tan,) = mlp.forward_tangents(xin, coords=[coord])
     g.eval({xin: np.asarray(x, dtype=np.float64).reshape(-1, 1)})
     return g.value(out), g.value(tan)
 
@@ -180,7 +180,7 @@ class TestForwardTangent:
         g = Graph()
         mlp = GraphMlp(g, *params)
         xin = g.input((2, 1))
-        _, (tan,) = mlp.forward_tangents(xin, [0])
+        _, (tan,) = mlp.forward_tangents(xin, coords=[0])
         g.eval({xin: x.reshape(2, 1)})
         g.grad({tan: np.ones((1, 1))})
 
