@@ -10,6 +10,13 @@ Every bad input takes one path to exit 2: it raises ValueError (or
 OSError, for a file that cannot be opened), and ``main`` prints
 ``error: <message>``. ``_parse`` reads each text input and puts the
 file's path in front of any decode or parse error.
+
+``_parser()`` is the one statement of the flags. ``main`` parses a
+command line once, with the parser of the command its first token names,
+so an unknown flag after a command is reported under that command's usage
+line (``pinnrul predict: error: unrecognized arguments: ...``). The
+top-level parser reads only a line with no command, an unknown one, an
+option before the command, or ``-h``.
 """
 
 from __future__ import annotations
@@ -474,7 +481,8 @@ def cmd_predict(model_path: str, oc_text: str, t_text: str, as_csv: bool) -> int
 # -- entry point ----------------------------------------------------------
 
 
-def _parser() -> argparse.ArgumentParser:
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own, by name; a command's parser sets ``command``."""
     parser = argparse.ArgumentParser(prog="pinnrul", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -500,11 +508,14 @@ def _parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--oc", required=True, help="comma-separated values or @file")
     p_pred.add_argument("--t-list", default="0", help="comma-separated horizons")
     p_pred.add_argument("--csv", action="store_true")
-    return parser
+    for name, p in sub.choices.items():
+        p.set_defaults(command=name)
+    return parser, sub.choices
 
 
-# built once per process: parse_args keeps no state between calls
-_PARSER = _parser()
+# built once per process: parse_args keeps no state between calls. _PARSER, the
+# top-level parser, reads only what _arguments does not hand to a command's parser.
+_PARSER, _COMMANDS = _parser()
 
 
 def _glue_values(argv) -> list[str]:
@@ -525,13 +536,22 @@ def _glue_values(argv) -> list[str]:
     return out
 
 
+def _arguments(argv) -> argparse.Namespace:
+    """The namespace ``_PARSER`` gives ``_glue_values(argv)``, parsed once: a line
+    whose first token is a command goes to that command's parser alone, so the
+    top-level parser never scans it first."""
+    argv = _glue_values(argv)
+    command = _COMMANDS.get(argv[0]) if argv else None
+    return _PARSER.parse_args(argv) if command is None else command.parse_args(argv[1:])
+
+
 def _overrides(args) -> dict:
     """The ``RunConfig`` fields given as flags: each flag's ``dest`` is its field's name."""
     return {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig) if getattr(args, f.name, None) is not None}
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(_glue_values(sys.argv[1:] if argv is None else argv))
+    args = _arguments(sys.argv[1:] if argv is None else argv)
     try:
         # every output is checked for finiteness, so numpy's float warnings would only repeat it
         with np.errstate(all="ignore"):

@@ -271,6 +271,8 @@ class PinnModel:
             oc = np.repeat(oc, n, axis=0)
         if oc.shape[0] != n:
             raise ValueError(f"{oc.shape[0]} oc rows vs {n} time values")
+        # numpy lays this out in Fortran order, each sample's d_oc + 1 inputs side by side, and the
+        # first layer's BLAS products read it so: the same values in C order change cost's gradient bits
         return np.concatenate([((oc - self.norm.means) / self.norm.stds).T, (t / self.config.t_scale)[None]])
 
     def _eval_batch(self, oc, t) -> _Pass:

@@ -181,7 +181,7 @@ class TestConfig:
         argv = ["train", "--config", path]
         for flag, value in zip(flags, ["D", "3", "4", "5", "6"]):
             argv += [flag, value]
-        args = cli._PARSER.parse_args(cli._glue_values(argv))
+        args = cli._arguments(argv)
         cfg = cli.load_config(args.config, cli._overrides(args))
         # each flag sets its key, and the keys no flag names keep the file's values
         assert cfg.to_dict() == {**cli.load_config(path).to_dict(), "output_dir": "D", "init_seed": 3, "split_seed": 4, "epochs": 5, "batch_size": 6}
@@ -189,9 +189,48 @@ class TestConfig:
     @pytest.mark.parametrize("command", ["eval", "map"])
     def test_out_sets_output_dir(self, tmp_path, command):
         argv = [command, "--config", synth_config(tmp_path), "--model", "m.bin", "--out", "D"]
-        args = cli._PARSER.parse_args(cli._glue_values(argv))
+        args = cli._arguments(argv)
         assert cli._overrides(args) == {"output_dir": "D"}
         assert cli.load_config(args.config, cli._overrides(args)).output_dir == "D"
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["check-data"], None),
+            (["check-data", "--config", "c.json"], None),
+            (["train"], None),
+            (["train", "--config", "c.json", "--o", "D", "--seed-i", "3", "--seed-s", "4", "--ep", "5", "--b", "6"], None),
+            (["eval", "--model", "m.bin", "--config", "c.json", "--out", "D"], None),
+            (["map", "--model", "m.bin"], None),
+            (["map", "--config", "c.json", "--model", "m.bin", "--which", "train", "--o", "D"], None),
+            (["predict", "--model", "m.bin", "--oc", "-0.5,0,0", "--t-list", "0,1", "--csv"], None),
+            (["predict", "--o", "-0.5,0,0", "--model", "m.bin", "--t", "0"], None),
+            (["predict", "--oc=1", "--model", "m.bin"], None),
+            ([], 2),
+            (["nope"], 2),
+            (["--config", "c.json", "train"], 2),
+            (["-h"], 0),
+        ],
+    )
+    def test_a_command_line_is_parsed_once_as_the_top_level_parser_would(self, capsys, argv, code):
+        if code is None:
+            # the command's own parser gives the namespace the top-level parser gives
+            args = cli._arguments(argv)
+            assert args == cli._PARSER.parse_args(cli._glue_values(argv))
+            assert args.command == argv[0]
+            return
+        # no command, an unknown one or an option before it: the top-level parser reads the line
+        assert run_cli(argv) == code
+        out = capsys.readouterr().out
+        if code == 0:
+            assert out == cli._PARSER.format_help()
+            assert all(command in out for command in ("check-data", "train", "eval", "map", "predict"))
+
+    def test_unknown_flag_after_a_command_is_that_commands_usage_error(self, capsys):
+        assert run_cli(["predict", "--model", "m.bin", "--oc", "1", "--t", "0", "--bogus", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: pinnrul predict ")
+        assert err.endswith("pinnrul predict: error: unrecognized arguments: --bogus 1\n")
 
     @pytest.mark.parametrize("flag", ["--seed-init", "--seed-split", "--epochs", "--batch"])
     @pytest.mark.parametrize("command", ["check-data", "eval", "map"])

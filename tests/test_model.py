@@ -492,6 +492,20 @@ class TestWiring:
         assert np.array_equal(after.grad, before.grad)
 
 
+    @pytest.mark.parametrize("snapshot", [False, True], ids=["batch", "snapshot"])
+    @pytest.mark.parametrize("n", [1, 7, 512])
+    def test_x_network_input_is_fortran_ordered(self, model, n, snapshot):
+        # each sample's d_oc + 1 inputs lie side by side, the order the first layer's BLAS
+        # products read; a C-ordered array of the same values changes cost's gradient bits
+        d = model.config.d_oc
+        rng = np.random.default_rng(n)
+        oc = rng.normal(size=d if snapshot else (n, d))
+        t = rng.uniform(0.0, 50.0, n)
+        x_in = model._inputs(oc, t, snapshot=snapshot)
+        assert x_in.shape == (d + 1, n)
+        assert x_in.flags.f_contiguous
+        np.testing.assert_array_equal(x_in[d], t / model.config.t_scale)
+
     def test_model_graph_has_10_nodes_of_3_kinds(self, model):
         # 1 input, the x network's stacked [oc; t], one mlp per network and 6 rows (t among them)
         graph = init_model(PinnConfig.default(model.config.d_oc), model.norm)._wiring.graph
