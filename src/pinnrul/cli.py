@@ -16,7 +16,8 @@ command line once, with the parser of the command its first token names,
 so an unknown flag after a command is reported under that command's usage
 line (``pinnrul predict: error: unrecognized arguments: ...``). The
 top-level parser reads only a line with no command, an unknown one, an
-option before the command, or ``-h``.
+option before the command, or ``-h``, whose help is written for users,
+not taken from this docstring.
 """
 
 from __future__ import annotations
@@ -483,7 +484,25 @@ def cmd_predict(model_path: str, oc_text: str, t_text: str, as_csv: bool) -> int
 
 def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser and each command's own, by name; a command's parser sets ``command``."""
-    parser = argparse.ArgumentParser(prog="pinnrul", description=__doc__)
+    # the user's help, not this module's docstring, which is written for the code's readers
+    parser = argparse.ArgumentParser(
+        prog="pinnrul",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        description=(
+            "Train a physics-informed model of engine degradation on run-to-failure sensor logs\n"
+            "(C-MAPSS FD001 files or a synthetic fleet), then read from it each engine's RUL, the\n"
+            "cycles it has left, and a latent health indicator. A JSON config file (--config)\n"
+            "drives check-data, train, eval and map. The five commands are listed below;\n"
+            "'pinnrul COMMAND -h' gives a command's flags."
+        ),
+        epilog=(
+            "exit codes:\n"
+            "  0  success\n"
+            "  1  a count check failed (check-data)\n"
+            "  2  usage, config or data error\n"
+            "  3  numeric failure: a non-finite output or gradient"
+        ),
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, model_flag=False):

@@ -30,8 +30,11 @@ network's tuples, so the graph sees every change without rebinding and
 its reverse sweep fills the gradient vector, which ``cost`` checks once
 and returns as a copy. Nothing else needs a gradient, and nothing else
 builds the graph or makes a gradient: a model that is only loaded and
-read holds none. ``_forward`` and ``_read`` run each network in
-``_run``, the one chain runner, which runs ``net._chain``, the graph's
+read holds none. ``_eval_batch``, ``_forward`` and ``_read`` are stages
+over one stacked input, the x network's (d_oc + 1, n) [oc; t], whose last
+row is the RUL network's t: a raw batch gets it from ``_inputs``, a
+sample set from ``_gather``. ``_forward`` and ``_read`` run each network
+in ``_run``, the one chain runner, which runs ``net._chain``, the graph's
 own forward walk, over the tuples, writes the layers into two buffers
 per network and keeps only the output. ``_forward`` runs all three
 networks; ``_read`` runs the x network, with its dx/dt tangent, and the
@@ -42,16 +45,23 @@ their chunks. The graph holds its last pass between calls and releases
 it before computing the next, so a model never holds two; ``_forward``
 and ``_read`` hold nothing once their rows are dropped. Whole sample
 sets are read a chunk at a time, both readers taking the samples and an
-index array ``rows`` and gathering with ``samples.take``: ``mean_cost``
-sums the cost terms MEAN_CHUNK samples at a time, and ``latent_map``
-fills one C-order (n, 4) float64 table of x, dx/dt, predicted RUL and
-true RUL CHUNK samples at a time; ``map`` hands it one CHUNK-row range
-at a time, so no whole table exists there. ``_inputs`` is the one check
-of a batch's oc shape, row counts and times (``_loss`` adds its label
-count) and stacks the x network's input [oc; t], whose last row is the
-RUL network's t; ``_read`` is the one reader of x, dx/dt and the RUL in
-cycles for ``sweep``, ``latent_map`` and ``rmse_eval``. ``NumericError``,
-defined here, reports a non-finite output.
+index array ``rows`` and gathering with ``_gather``, which normalizes
+only the logged rows a chunk reads, from its smallest row index to its
+largest, and takes them straight into a buffer of the input, so a
+logged row is normalized once per chunk that reads it, not per sample:
+``mean_cost`` sums the cost terms MEAN_CHUNK samples at a time, and
+``latent_map`` fills one C-order (n, 4) float64 table of x, dx/dt,
+predicted RUL and true RUL CHUNK samples at a time; ``map`` hands it one
+CHUNK-row range at a time, so no whole table exists there. Training
+batches still gather with ``samples.take`` and stack with ``_inputs``:
+a shuffled batch reads rows from across the whole table.
+``_normalize`` is the one check of a batch's or sample set's feature
+count and times and the one normalization; ``_inputs`` adds the oc shape
+and row count checks, and ``_labeled`` a batch's label count, before
+``_loss`` computes the cost from labels and a pass. ``_read`` is the one
+reader of x, dx/dt and the RUL in cycles for ``sweep``, ``latent_map``
+and ``rmse_eval``. ``NumericError``, defined here, reports a non-finite
+output.
 """
 
 from __future__ import annotations
@@ -255,31 +265,57 @@ class PinnModel:
         items = self.parameter_items()
         return items[np.searchsorted(np.cumsum([view.size for _, view in items]), offset, side="right")][0]
 
+    def _normalize(self, oc, t) -> np.ndarray:
+        """The one check of a batch's or sample set's feature count and times, and the one
+        normalization: ``oc``'s rows z-scored by the model's norm."""
+        if oc.shape[1] != self.config.d_oc:
+            raise ValueError(f"oc has {oc.shape[1]} features, model expects d_oc={self.config.d_oc}")
+        if not ((0 <= t) & (t < np.inf)).all():
+            raise ValueError("time horizons must be finite and >= 0")
+        return (oc - self.norm.means) / self.norm.stds
+
     def _inputs(self, oc, t, snapshot=False) -> np.ndarray:
         """Check a raw batch; return the x network's (d_oc + 1, n) input, the normalized
         features above the scaled times. With ``snapshot``, each oc row repeats once per time."""
         oc = np.atleast_2d(np.asarray(oc, dtype=np.float64))
         if oc.ndim > 2:
             raise ValueError(f"oc must be one snapshot or a 2-D batch, got shape {oc.shape}")
-        if oc.shape[1] != self.config.d_oc:
-            raise ValueError(f"oc has {oc.shape[1]} features, model expects d_oc={self.config.d_oc}")
         t = np.asarray(t, dtype=np.float64).reshape(-1)
-        if not ((0 <= t) & (t < np.inf)).all():
-            raise ValueError("time horizons must be finite and >= 0")
+        z = self._normalize(oc, t)
         n = t.shape[0]
         if snapshot:
-            oc = np.repeat(oc, n, axis=0)
-        if oc.shape[0] != n:
-            raise ValueError(f"{oc.shape[0]} oc rows vs {n} time values")
+            z = np.repeat(z, n, axis=0)
+        if z.shape[0] != n:
+            raise ValueError(f"{z.shape[0]} oc rows vs {n} time values")
         # numpy lays this out in Fortran order, each sample's d_oc + 1 inputs side by side, and the
         # first layer's BLAS products read it so: the same values in C order change cost's gradient bits
-        return np.concatenate([((oc - self.norm.means) / self.norm.stds).T, (t / self.config.t_scale)[None]])
+        return np.concatenate([z.T, (t / self.config.t_scale)[None]])
 
-    def _eval_batch(self, oc, t) -> _Pass:
-        """Evaluate the graph on a raw batch, ``_inputs``' array bound as its
-        one input; return its output rows, views of the pass it holds."""
+    def _gather(self, samples: AugmentedSamples, idx, bufs) -> tuple[np.ndarray, np.ndarray]:
+        """The samples at index array ``idx`` stacked as ``_inputs`` stacks their batch,
+        bit for bit, after ``_normalize``'s checks, and their labels rul0[row] - t.
+
+        Normalizes only the logged rows from the smallest to the largest that ``idx``
+        reads, far fewer than its samples where ``idx`` is sorted, and takes them into an
+        (n, d_oc + 1) C-order buffer, ``bufs["in"]``, made on the dict's first gather,
+        which every caller makes its widest; its transpose is the Fortran-ordered input.
+        """
+        row, t = samples.row.take(idx), samples.t.take(idx)
+        lo, hi, n, d = row.min(), row.max(), len(t), self.config.d_oc
+        table = np.empty((hi - lo + 1, d + 1))  # the last column, t's, is written after the take
+        table[:, :d] = self._normalize(samples.rows[lo : hi + 1], t)
+        if "in" not in bufs:
+            bufs["in"] = np.empty((n, d + 1))
+        s = bufs["in"][:n]
+        np.take(table, row - lo, axis=0, out=s, mode="clip")  # in range; "raise" would buffer the copy
+        np.divide(t, self.config.t_scale, out=s[:, d])
+        return s.T, samples.rul0.take(row) - t
+
+    def _eval_batch(self, s) -> _Pass:
+        """Evaluate the graph with the stacked input ``s`` bound as its one
+        input; return its output rows, views of the pass it holds."""
         w = self._wiring
-        w.graph.eval({w.x_in: self._inputs(oc, t)})
+        w.graph.eval({w.x_in: s})
         return _Pass(*map(w.graph.value, (w.x, w.dx_dt, w.rul, w.drul_dx, w.drul_dt_partial, w.dyn)))
 
     def _run(self, net: str, s, k: int, seeds, bufs) -> np.ndarray:
@@ -292,9 +328,9 @@ class PinnModel:
             bufs[net] = (np.empty(size), np.empty(size))
         return _chain(HIDDEN[net], self._layers[net], s, k, seeds, bufs[net])[-1]
 
-    def _forward(self, oc, t, bufs=None) -> _Pass:
-        """Evaluate a raw batch, checked, normalized and stacked by ``_inputs``,
-        without the graph; its rows equal the graph's bit for bit.
+    def _forward(self, s, bufs=None) -> _Pass:
+        """Evaluate the stacked input ``s`` of ``_inputs`` or ``_gather`` without
+        the graph; its rows equal the graph's bit for bit.
 
         Runs the x chain with its dx/dt tangent, the RUL chain with its
         tangents along x and t, and the rate chain without tangents, on
@@ -303,16 +339,15 @@ class PinnModel:
         caller may reuse from pass to pass; the rows are views of the
         chains' outputs, valid until the next pass on the same ``bufs``.
         """
-        s = self._inputs(oc, t)
         bufs = {} if bufs is None else bufs
         xs = self._run("x", s, 1, (self.config.d_oc,), bufs)
         ruls = self._run("rul", np.concatenate([xs[:1], s[-1:]]), 2, (0, 1), bufs)
         dyn = self._run("dyn", np.concatenate([xs[1:], ruls[1:2]]), 0, None, bufs)
         return _Pass(xs[:1], xs[1:], ruls[:1], ruls[1:2], ruls[2:], dyn)
 
-    def _read(self, oc, t, snapshot=False, bufs=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Evaluate a batch without the graph; return its x, dx/dt and RUL
-        rows, the RUL in cycles. ``snapshot`` is ``_inputs``'.
+    def _read(self, s, bufs=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Evaluate the stacked input ``s`` of ``_inputs`` or ``_gather``
+        without the graph; return its x, dx/dt and RUL rows, the RUL in cycles.
 
         Runs the x chain with its one tangent, along the time input, and
         the RUL chain without tangents, each in ``_run`` and ``bufs`` as
@@ -320,7 +355,6 @@ class PinnModel:
         views of the x chain's output, valid until the next pass on the
         same ``bufs``. Raises NumericError naming the first non-finite row.
         """
-        s = self._inputs(oc, t, snapshot)
         bufs = {} if bufs is None else bufs
         xs = self._run("x", s, 1, (self.config.d_oc,), bufs)
         ruls = self._run("rul", np.concatenate([xs[:1], s[-1:]]), 0, None, bufs)
@@ -332,25 +366,27 @@ class PinnModel:
 
     # -- batch cost ------------------------------------------------------
 
-    def _loss(self, batch: Batch, forward, dyn_oracle: bool = False):
-        """Check a nonempty batch, evaluate it with ``forward(oc, t)``, which
-        returns its ``_Pass``; return (pass, d, f, mse, pde, total).
-
-        d = y / rul_max - rul and f are the label error and residual rows,
-        mse = mean(d^2), pde = mean(f^2), total = mse + pde_weight * pde.
-        """
+    def _labeled(self, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
+        """Check a nonempty batch; return ``_inputs``' stacked input and its labels."""
         if len(batch) == 0:
             raise ValueError("cost needs a nonempty batch")
-        y_n = np.asarray(batch.rul, dtype=np.float64).reshape(1, -1) / self.norm.rul_max
+        rul = np.asarray(batch.rul, dtype=np.float64).reshape(-1)
         rows = len(np.atleast_2d(batch.oc))
-        if y_n.shape[1] != rows:  # numpy would broadcast one label over every row
-            raise ValueError(f"{rows} oc rows vs {y_n.shape[1]} rul labels")
-        p = forward(batch.oc, batch.t)
-        d = y_n - p.rul
+        if rul.shape[0] != rows:  # numpy would broadcast one label over every row
+            raise ValueError(f"{rows} oc rows vs {rul.shape[0]} rul labels")
+        return self._inputs(batch.oc, batch.t), rul
+
+    def _loss(self, rul, p: _Pass, dyn_oracle: bool = False):
+        """(d, f, mse, pde, total) of pass ``p`` against labels ``rul`` in cycles.
+
+        d = rul / rul_max - p.rul and f are the label error and residual rows,
+        mse = mean(d^2), pde = mean(f^2), total = mse + pde_weight * pde.
+        """
+        d = rul.reshape(1, -1) / self.norm.rul_max - p.rul
         _, f = _residual(p, dyn_oracle)
         mse = float((d * d).mean())
         pde = float((f * f).mean())
-        return p, d, f, mse, pde, mse + self.config.pde_weight * pde
+        return d, f, mse, pde, mse + self.config.pde_weight * pde
 
     def cost(self, batch: Batch, dyn_oracle: bool = False) -> CostBreakdown:
         """Batch cost (label MSE + weighted mean squared residual) and its
@@ -362,7 +398,9 @@ class PinnModel:
         exact time derivative it is meant to learn (a test seam: the
         residual term and the rate network's gradient are then zero).
         """
-        p, d, f, mse, pde, total = self._loss(batch, self._eval_batch, dyn_oracle)
+        s, rul = self._labeled(batch)
+        p = self._eval_batch(s)
+        d, f, mse, pde, total = self._loss(rul, p, dyn_oracle)
         if not math.isfinite(total):
             raise NumericError(f"non-finite total cost (mse={mse}, pde={pde})")
         # d(total)/d(rul) and d(total)/d(f), then f's adjoint through f = drul_dx * dx_dt + partial - dyn;
@@ -386,27 +424,28 @@ class PinnModel:
     def cost_values(self, batch: Batch) -> tuple[float, float, float]:
         """(mse, pde, total) of ``_forward``'s pass: no graph, no gradient,
         and nothing held once it returns."""
-        return self._loss(batch, self._forward)[3:]
+        s, rul = self._labeled(batch)
+        return self._loss(rul, self._forward(s))[2:]
 
     def mean_cost(self, samples: AugmentedSamples, rows) -> tuple[float, float, float]:
         """Exact cost means over the samples at index array ``rows``.
 
-        Reads MEAN_CHUNK rows at a time with ``samples.take(rows[a:b])``,
-        so no copy of the whole subset exists, and evaluates each chunk as
-        ``cost_values`` does, with one set of ``_forward`` buffers for all
+        Gathers MEAN_CHUNK rows at a time with ``_gather``, so no copy of
+        the whole subset exists, and evaluates each chunk as ``cost_values``
+        does, with one set of ``_gather`` and ``_forward`` buffers for all
         of them. The sums run in the order of ``rows``, grouped by chunk;
-        sorted rows make each chunk's gather nearly sequential.
+        sorted rows keep each chunk's range of logged rows small.
         """
         n = len(rows)
         if n == 0:
             raise ValueError("mean_cost needs samples")
-        forward = functools.partial(self._forward, bufs={})
         mse_sum = pde_sum = 0.0
+        bufs = {}
         for start in range(0, n, MEAN_CHUNK):
-            part = samples.take(rows[start : start + MEAN_CHUNK])
-            mse, pde = self._loss(part, forward)[3:5]
-            mse_sum += mse * len(part)
-            pde_sum += pde * len(part)
+            s, rul = self._gather(samples, rows[start : start + MEAN_CHUNK], bufs)
+            mse, pde = self._loss(rul, self._forward(s, bufs))[2:4]
+            mse_sum += mse * len(rul)
+            pde_sum += pde * len(rul)
         mse = mse_sum / n
         pde = pde_sum / n
         total = mse + self.config.pde_weight * pde
@@ -418,13 +457,13 @@ class PinnModel:
 
     def latent_map(self, samples: AugmentedSamples, rows) -> np.ndarray:
         """(n, 4) C-order table of x, dx/dt, predicted RUL and true RUL of the samples at
-        index array ``rows``, in its order, read CHUNK at a time with ``samples.take``."""
+        index array ``rows``, in its order, gathered CHUNK at a time with ``_gather``."""
         table, bufs = np.empty((len(rows), 4)), {}
         for start in range(0, len(rows), CHUNK):
-            part = samples.take(rows[start : start + CHUNK])
+            s, rul = self._gather(samples, rows[start : start + CHUNK], bufs)
             block = table[start : start + CHUNK]
-            block[:, 0], block[:, 1], block[:, 2] = self._read(part.oc, part.t, bufs=bufs)
-            block[:, 3] = part.rul
+            block[:, 0], block[:, 1], block[:, 2] = self._read(s, bufs)
+            block[:, 3] = rul
         return table
 
     def sweep(self, oc, t_list) -> list[tuple[float, float, float, float]]:
@@ -432,7 +471,7 @@ class PinnModel:
         t_list = list(t_list)
         if not t_list:
             raise ValueError("need at least one horizon")
-        xs, dxs, ruls = self._read(oc, t_list, snapshot=True)
+        xs, dxs, ruls = self._read(self._inputs(oc, t_list, snapshot=True))
         return list(zip(map(float, t_list), xs.tolist(), dxs.tolist(), ruls.tolist()))
 
     def rmse_eval(self, trajectories, truth) -> tuple[float, list[tuple[int, float, float]]]:
@@ -445,7 +484,7 @@ class PinnModel:
         if len(trajectories) != len(truth):
             raise ValueError(f"{len(trajectories)} trajectories vs {len(truth)} truth values")
         ocs = np.vstack([feature_matrix(traj, self.norm.columns)[-1] for traj in trajectories])
-        _, _, preds = self._read(ocs, np.zeros(len(trajectories)))
+        _, _, preds = self._read(self._inputs(ocs, np.zeros(len(trajectories))))
         pairs = [
             (traj.unit_id, tv, float(pv)) for traj, tv, pv in zip(trajectories, truth, preds)
         ]

@@ -32,7 +32,9 @@ both splits after every epoch, so identical seeds give bit-identical
 reports and final parameters. The splits are index arrays into the one
 dataset, never copies of it: a batch gathers its own rows, and the
 epoch-end means read each split in dataset order (its sorted indices),
-so their chunk gathers run nearly sequentially through memory. Every
+so each chunk reads a short range of logged rows, the only ones its
+gather normalizes: at horizon 30, about 90 rows for a 2,048-sample chunk
+of the training split and 280 of the validation split. Every
 index array (the split permutation, both splits, their sorted copies and
 each epoch's shuffled rows) is int32, half the size of int64 with the same
 values, since ``augment`` keeps a dataset's sample count within int32.

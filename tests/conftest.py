@@ -207,7 +207,7 @@ def dyn_preactivations_safe(model, batch, margin=1e-3):
     Evaluates the model's graph on the batch and checks the pre-activation
     entries of each relu layer: the rate network's five hidden layers.
     """
-    model._eval_batch(batch.oc, batch.t)
+    model._eval_batch(model._inputs(batch.oc, batch.t))
     safe, checked = relu_inputs_safe(model._wiring.graph, margin)
     assert checked == 5
     return safe

@@ -353,7 +353,7 @@ def test_criterion_10_discovered_law(synthetic_run):
     # the rate network, trained only through the residual, must have learned it
     trained, _, samples, _, _ = synthetic_run
     part = samples.take(np.arange(0, len(samples), 7))
-    p = trained._forward(part.oc, part.t)
+    p = trained._forward(trained._inputs(part.oc, part.t))
     drul_dt, f = _residual(p)
     cycles = trained.norm.rul_max / trained.config.t_scale  # normalized rate -> cycles per cycle
     mean_rate = float(drul_dt.mean()) * cycles

@@ -225,6 +225,10 @@ class TestConfig:
         if code == 0:
             assert out == cli._PARSER.format_help()
             assert all(command in out for command in ("check-data", "train", "eval", "map", "predict"))
+            # written for users: no private name or reST markup of the module docstring, and the exit codes
+            assert not any(word in out for word in ("_parse", "``", "main"))
+            assert "exit codes:" in out
+            assert all(f"  {code}  " in out for code in range(4))
 
     def test_unknown_flag_after_a_command_is_that_commands_usage_error(self, capsys):
         assert run_cli(["predict", "--model", "m.bin", "--oc", "1", "--t", "0", "--bogus", "1"]) == 2

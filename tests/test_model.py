@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from pinnrul import (
+    AugmentedSamples,
     EngineTrajectory,
     NormStats,
     NumericError,
@@ -37,14 +38,14 @@ from conftest import (
 
 def residual_inputs(model, oc, t):
     """(dx/dt, dRUL/dx, dRUL/dt) at one point, read from the model's forward-only pass and ``_residual``."""
-    p = model._forward(oc, [t])
+    p = model._forward(model._inputs(oc, [t]))
     drul_dt, _ = _residual(p)
     return [float(row[0, 0]) for row in (p.dx_dt, p.drul_dx, drul_dt)]
 
 
 def residual_at(model, oc, t):
     """The rate-law residual f at one point, in normalized units, from ``_residual``."""
-    return float(_residual(model._forward(oc, [t]))[1][0, 0])
+    return float(_residual(model._forward(model._inputs(oc, [t])))[1][0, 0])
 
 
 def readers(model, samples):
@@ -55,6 +56,14 @@ def readers(model, samples):
         lambda: model.latent_map(samples, np.arange(len(samples))),
         lambda: model.rmse_eval([engine], [1.0]),
     )
+
+
+def fleet_samples(model, seed=0, engines=6):
+    """The augmented samples of a few engines of 40-60 logged rows in the model's columns."""
+    rng, columns = np.random.default_rng(seed), model.norm.columns
+    lives = rng.integers(40, 61, engines)
+    trajs = [EngineTrajectory(u, rng.normal(size=(life, len(columns))), columns) for u, life in enumerate(lives, start=1)]
+    return augment(trajs, horizon=30, columns=columns)
 
 
 def zeroed(model, net):
@@ -151,6 +160,31 @@ class TestPointOps:
         batch = dataclasses.replace(batch, rul=batch.rul[:labels])
         with pytest.raises(ValueError, match=f"^8 oc rows vs {labels} rul labels$"):
             getattr(model, method)(batch)
+
+    @pytest.mark.parametrize("delta", [-1, 1], ids=["fewer", "more"])
+    @pytest.mark.parametrize("method", ["sweep", "cost", "cost_values", "latent_map", "mean_cost"])
+    def test_feature_count_must_match_d_oc(self, model, method, delta):
+        # checked before any gather, normalization or product, so it never fails inside numpy
+        d = model.config.d_oc + delta
+        samples = random_samples(model, 4, n=6)
+        samples = dataclasses.replace(samples, rows=np.random.default_rng(4).normal(size=(6, d)))
+        rows = np.arange(6)
+        calls = {
+            "sweep": lambda: model.sweep(samples.rows[0], [0.0, 1.0]),
+            "cost": lambda: model.cost(samples.take(rows)),
+            "cost_values": lambda: model.cost_values(samples.take(rows)),
+            "latent_map": lambda: model.latent_map(samples, rows),
+            "mean_cost": lambda: model.mean_cost(samples, rows),
+        }
+        with pytest.raises(ValueError, match=f"^oc has {d} features, model expects d_oc={model.config.d_oc}$"):
+            calls[method]()
+
+    @pytest.mark.parametrize("method", ["latent_map", "mean_cost"])
+    def test_sample_set_times_must_be_nonnegative(self, model, method):
+        samples = random_samples(model, 5, n=6)
+        samples.t[3] = -1
+        with pytest.raises(ValueError, match="^time horizons must be finite and >= 0$"):
+            getattr(model, method)(samples, np.arange(6))
 
     def test_negative_horizon_rejected(self, model):
         with pytest.raises(ValueError):
@@ -492,19 +526,55 @@ class TestWiring:
         assert np.array_equal(after.grad, before.grad)
 
 
-    @pytest.mark.parametrize("snapshot", [False, True], ids=["batch", "snapshot"])
+    @pytest.mark.parametrize("source", ["batch", "snapshot", "range", "split", "permutation"])
     @pytest.mark.parametrize("n", [1, 7, 512])
-    def test_x_network_input_is_fortran_ordered(self, model, n, snapshot):
+    def test_x_network_input_is_fortran_ordered(self, model, n, source):
         # each sample's d_oc + 1 inputs lie side by side, the order the first layer's BLAS
         # products read; a C-ordered array of the same values changes cost's gradient bits
         d = model.config.d_oc
         rng = np.random.default_rng(n)
-        oc = rng.normal(size=d if snapshot else (n, d))
-        t = rng.uniform(0.0, 50.0, n)
-        x_in = model._inputs(oc, t, snapshot=snapshot)
+        if source in ("batch", "snapshot"):
+            oc = rng.normal(size=d if source == "snapshot" else (n, d))
+            t = rng.uniform(0.0, 50.0, n)
+            x_in = model._inputs(oc, t, snapshot=source == "snapshot")
+        else:
+            # _gather stacks a sample set's rows as _inputs stacks the batch take gathers, bit for bit:
+            # a canonical range, a sorted split chunk across engines, a permutation whose rows span the
+            # table, each a single sample at n = 1; the buffer is made wider, as by an earlier chunk
+            samples = fleet_samples(model)
+            idx = {
+                "range": np.arange(len(samples) // 3, len(samples) // 3 + n),
+                "split": np.sort(rng.choice(len(samples), n, replace=False)).astype(np.int32),
+                "permutation": rng.permutation(len(samples))[:n],
+            }[source]
+            bufs = {}
+            model._gather(samples, np.arange(n + 5), bufs)
+            x_in, rul = model._gather(samples, idx, bufs)
+            batch = samples.take(idx)
+            assert np.array_equal(x_in, model._inputs(batch.oc, batch.t))
+            assert np.array_equal(rul, batch.rul)
+            t = batch.t
+            if source != "range" and n > 1:
+                assert len(np.unique(samples.row_unit[samples.row.take(idx)])) > 1
         assert x_in.shape == (d + 1, n)
         assert x_in.flags.f_contiguous
         np.testing.assert_array_equal(x_in[d], t / model.config.t_scale)
+
+    def test_whole_set_readers_make_no_take_call(self, model, monkeypatch):
+        # latent_map and mean_cost gather each chunk into the x network's input themselves;
+        # several chunks each, the last one narrower
+        monkeypatch.setattr("pinnrul.model.CHUNK", 500)
+        monkeypatch.setattr("pinnrul.model.MEAN_CHUNK", 300)
+        samples = fleet_samples(model)
+        rows = np.arange(len(samples), dtype=np.int32)
+        want = model.latent_map(samples, rows), model.mean_cost(samples, rows)
+
+        def no_take(self, idx):
+            raise AssertionError("AugmentedSamples.take called")
+
+        monkeypatch.setattr(AugmentedSamples, "take", no_take)
+        got = model.latent_map(samples, rows), model.mean_cost(samples, rows)
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
 
     def test_model_graph_has_10_nodes_of_3_kinds(self, model):
         # 1 input, the x network's stacked [oc; t], one mlp per network and 6 rows (t among them)
@@ -572,7 +642,7 @@ class TestWiring:
         t_n = (t / config.t_scale).reshape(1, n)
         x, (dx_dt,) = chain("x", np.vstack([((oc - norm.means) / norm.stds).T, t_n]), [d_oc])
         rul, _ = chain("rul", np.vstack([x, t_n]), [0, 1])
-        p = model._eval_batch(oc, t)
+        p = model._eval_batch(model._inputs(oc, t))
         for got, want in ((p.x, x), (p.dx_dt, dx_dt), (p.rul, rul)):
             assert np.array_equal(got, want)
 
@@ -581,8 +651,9 @@ class TestWiring:
         trained, _ = train(model, random_samples(model, 50, n=64), 1, 2, epochs=3, batch_size=16)
         for n in (1, 31, 4096):
             batch = random_batch(trained, 50 + n, n=n)
-            rows = trained._read(batch.oc, batch.t)
-            p = trained._eval_batch(batch.oc, batch.t)
+            s = trained._inputs(batch.oc, batch.t)
+            rows = trained._read(s)
+            p = trained._eval_batch(s)
             want = p.x[0], p.dx_dt[0], p.rul[0] * trained.norm.rul_max
             for got, row in zip(rows, want):
                 assert np.array_equal(got, row), n
@@ -593,7 +664,8 @@ class TestWiring:
         trained, _ = train(model, random_samples(model, 53, n=64), 1, 2, epochs=3, batch_size=16)
         for n in (1, 31, 4096):
             batch = random_batch(trained, 53 + n, n=n)
-            for got, want in zip(trained._forward(batch.oc, batch.t), trained._eval_batch(batch.oc, batch.t)):
+            s = trained._inputs(batch.oc, batch.t)
+            for got, want in zip(trained._forward(s), trained._eval_batch(s)):
                 assert np.array_equal(got, want), n
             graph = trained.cost(batch)
             assert trained.cost_values(batch) == (graph.mse, graph.pde, graph.total), n
@@ -663,9 +735,9 @@ class TestHeldPass:
         # would double it. A read or a forward-only cost holds nothing once its result is dropped.
         batch = random_batch(model, 52, n=CHUNK)
         runs = {
-            "_eval_batch": lambda: model._eval_batch(batch.oc, batch.t),
+            "_eval_batch": lambda: model._eval_batch(model._inputs(batch.oc, batch.t)),
             "cost_values": lambda: model.cost_values(batch),
-            "_read": lambda: model._read(batch.oc, batch.t),
+            "_read": lambda: model._read(model._inputs(batch.oc, batch.t)),
         }
         held, first, peak = traced_calls(runs[method])
         if method == "_eval_batch":
@@ -682,7 +754,7 @@ class TestHeldPass:
         # each chain's layers alternate between two buffers: about 1.3 MB above entry at CHUNK wide,
         # where a new array per layer took about 3.0 MB
         batch = random_batch(model, 58, n=CHUNK)
-        _, first, peak = traced_calls(lambda: model._read(batch.oc, batch.t))
+        _, first, peak = traced_calls(lambda: model._read(model._inputs(batch.oc, batch.t)))
         assert max(first, peak) < 2.5e6, f"_read peaked at {max(first, peak)} bytes above its entry"
 
     def test_mean_cost_peaks_near_one_chunk(self, model):
