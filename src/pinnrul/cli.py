@@ -517,16 +517,16 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
     p_train = common(sub.add_parser("train", help="run the training pipeline"))
     p_train.add_argument("--seed-init", dest="init_seed", type=int, help="weight init seed")
     p_train.add_argument("--seed-split", dest="split_seed", type=int, help="train/validation split seed")
-    p_train.add_argument("--epochs", type=int)
-    p_train.add_argument("--batch", dest="batch_size", type=int)
+    p_train.add_argument("--epochs", type=int, help="training epochs (overrides config)")
+    p_train.add_argument("--batch", dest="batch_size", type=int, help="samples per training batch (overrides config)")
     common(sub.add_parser("eval", help="score the test set"), model_flag=True)
     p_map = common(sub.add_parser("map", help="export the latent map CSV"), model_flag=True)
-    p_map.add_argument("--which", choices=("train", "test"), default="test")
+    p_map.add_argument("--which", choices=("train", "test"), default="test", help="map the training or the test engines (default test)")
     p_pred = sub.add_parser("predict", help="sweep RUL over future horizons")
-    p_pred.add_argument("--model", required=True)
+    p_pred.add_argument("--model", required=True, help="path to model.bin")
     p_pred.add_argument("--oc", required=True, help="comma-separated values or @file")
-    p_pred.add_argument("--t-list", default="0", help="comma-separated horizons")
-    p_pred.add_argument("--csv", action="store_true")
+    p_pred.add_argument("--t-list", default="0", help="comma-separated horizons in cycles (default 0)")
+    p_pred.add_argument("--csv", action="store_true", help="print full-precision CSV rows under a header, not a table")
     for name, p in sub.choices.items():
         p.set_defaults(command=name)
     return parser, sub.choices

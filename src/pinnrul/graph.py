@@ -5,19 +5,20 @@ topological order: every node's inputs have smaller indices. The value
 store is populated by ``eval``; ``grad`` sweeps the nodes in fixed
 reverse index order so repeated runs are bit-identical.
 
-All buffers are 2-D float64 arrays; scalars have shape (1, 1). An input
-may leave its column count open (``None``): the graph is then built once
-for any batch width and every op acts column by column. The graph
-trusts ``model._Wiring``, its one client: ``build`` records each node's
-shape and checks nothing, and ``eval`` checks no binding, so well-formed
-nodes, and binding each input to a 2-D array of its rows, the
-width-free ones with one column count, are the caller's contract.
+All buffers are 2-D float64 arrays. The graph has no shapes: an input
+takes whatever 2-D array ``eval`` binds to it, so one graph serves every
+batch width, and every op acts column by column. The graph trusts
+``model._Wiring``, its one client: ``build`` checks nothing and ``eval``
+checks no binding, so well-formed nodes, each stacking ranges of one
+column count, and bindings with the rows those ranges read, are the
+caller's contract.
 
-There are three op kinds. An ``input`` is bound by ``eval``. An ``mlp``
+There are two op kinds. An ``input`` is bound by ``eval``. An ``mlp``
 node is one whole network and its k forward-tangent chains, stacked along
-the rows as ``net`` describes, on its inputs' rows stacked in order;
-``rows`` reads a block back out. An mlp binds the network's (W, b, dW,
-db) tuples by reference, which ``_layout`` cuts as 2-D float64 views of
+the rows as ``net`` describes; its inputs are row ranges of earlier
+nodes, stacked in order, and its one value stacks its output and tangent
+blocks, which the caller cuts. An mlp binds the network's (W, b, dW, db)
+tuples by reference, which ``_layout`` cuts as 2-D float64 views of
 shapes that agree. ``eval`` runs ``net._chain`` and holds every layer's
 value, ``grad`` runs ``net._chain_grad``, which overwrites dW and db.
 Neither checks finiteness; the owner of the buffers does.
@@ -26,12 +27,12 @@ The graph ends at a model's network outputs; arithmetic that joins them,
 such as a residual or a loss, is the caller's. A model evaluates it only
 for ``cost``, whose gradient reads the held pass; its forward-only
 passes run ``net._chain`` without a graph. ``grad`` takes the caller's
-adjoints at those outputs (seeds, each a float64 array shaped like its
-node's value) and writes the vector-Jacobian product over every layer's
-own dW and db; the caller binds no buffer into two layers. A node
-reaches the weights iff it is an mlp or one of its inputs does; adjoints
-propagate only into such nodes, so inputs (and anything computed only
-from them) get none, and an mlp that no seed reaches gets zeros.
+adjoints at mlp nodes (seeds, each a float64 array shaped like its
+node's stacked value) and writes the vector-Jacobian product over every
+layer's own dW and db; the caller binds no buffer into two layers. Only
+an mlp's value depends on weights, so an mlp passes each input range's
+rows of its input adjoint back to the range's node only if that node is
+an mlp, and an mlp that no seed reaches gets zeros.
 
 A graph instance is single-writer. Distinct instances are independent and
 may be used from different threads.
@@ -49,7 +50,7 @@ __all__ = [
     "OP_KINDS",
 ]
 
-OP_KINDS = ("input", "mlp", "rows")
+OP_KINDS = ("input", "mlp")
 
 
 class GraphError(Exception):
@@ -58,14 +59,12 @@ class GraphError(Exception):
 
 
 class _Node:
-    __slots__ = ("kind", "inputs", "shape", "payload", "reaches")
+    __slots__ = ("kind", "inputs", "payload")
 
-    def __init__(self, kind, inputs, shape, payload, reaches):
+    def __init__(self, kind, inputs, payload):
         self.kind = kind
-        self.inputs = inputs
-        self.shape = shape  # (rows, cols); cols is None for a width-free node
-        self.payload = payload  # rows range or mlp (hidden, layers, k, seeds)
-        self.reaches = reaches  # its value depends on an mlp's weights
+        self.inputs = inputs  # an mlp's (node, start, stop) row ranges
+        self.payload = payload  # an mlp's (hidden, layers, k, seeds)
 
 
 class Graph:
@@ -82,33 +81,20 @@ class Graph:
         """Append a node and return its id. It trusts ``model._Wiring``,
         its one client, and checks nothing.
 
-        ``payload`` is the shape for ``input`` (its column count may be
-        None), the half-open range (start, stop) for ``rows`` and
-        (hidden, layers, k, seeds) for ``mlp``, where layers are the
+        An ``input`` takes neither inputs nor payload. An ``mlp``'s inputs
+        are (node, start, stop) ranges, rows start..stop-1 of an earlier
+        node's value, which stack in order to its network's input, and
+        its payload is (hidden, layers, k, seeds), where layers are the
         network's (W, b, dW, db) tuples and seeds is None or the first
-        layer's k input coordinates; an mlp's inputs are its network's
-        input rows stacked in order. Every other node takes its first
-        input's column count.
+        layer's k input coordinates.
         """
-        shapes = [self.nodes[i].shape for i in inputs]
-        if kind == "input":
-            shape, payload = payload, None
-        elif kind == "mlp":  # 1 + k blocks of the last layer's rows
-            shape = ((1 + payload[2]) * payload[1][-1][0].shape[0], shapes[0][1])
-        else:  # rows
-            shape = (payload[1] - payload[0], shapes[0][1])
-        reaches = kind == "mlp" or any(self.nodes[i].reaches for i in inputs)
-        self.nodes.append(_Node(kind, inputs, shape, payload, reaches))
+        self.nodes.append(_Node(kind, tuple(inputs), payload))
         self._values = None
         return len(self.nodes) - 1
 
-    def input(self, shape) -> int:
-        """Input of shape (rows, cols); cols None leaves the width to ``eval``."""
-        return self.build("input", payload=shape)
-
-    def rows(self, a, start, stop) -> int:
-        """Rows start..stop-1 of ``a``, e.g. one block of an ``mlp``."""
-        return self.build("rows", (a,), (start, stop))
+    def input(self) -> int:
+        """An input; ``eval`` binds its value, of any width."""
+        return self.build("input")
 
     # -- values -------------------------------------------------------
 
@@ -116,8 +102,8 @@ class Graph:
         """Compute every node value in index (= topological) order.
 
         ``bindings`` maps every input node to its value, a 2-D array with
-        the node's rows and, if it is width-free, the one column count of
-        all width-free inputs; the caller ensures this, eval checks none
+        the rows its readers' ranges take and the column count of the
+        ranges they stack with; the caller ensures this, eval checks none
         of it. An mlp reads its bound weight and bias buffers and holds
         its layer values for ``grad``.
 
@@ -129,18 +115,14 @@ class Graph:
         values: list[np.ndarray] = []
         chains = {}
         for nid, node in enumerate(self.nodes):
-            kind = node.kind
-            if kind == "input":
+            if node.kind == "input":
                 v = np.asarray(bindings[nid], dtype=np.float64)
-            else:
-                ins = [values[i] for i in node.inputs]
-                if kind == "mlp":
-                    hidden, layers, k, seeds = node.payload
-                    s = ins[0] if len(ins) == 1 else np.concatenate(ins, axis=0)
-                    chains[nid] = _chain(hidden, layers, s, k, seeds)
-                    v = chains[nid][-1]
-                else:  # rows
-                    v = ins[0][node.payload[0] : node.payload[1]]
+            else:  # mlp
+                hidden, layers, k, seeds = node.payload
+                ins = [values[i][start:stop] for i, start, stop in node.inputs]
+                s = ins[0] if len(ins) == 1 else np.concatenate(ins, axis=0)
+                chains[nid] = _chain(hidden, layers, s, k, seeds)
+                v = chains[nid][-1]
             values.append(v)
         self._values, self._chains = values, chains
         return values
@@ -156,39 +138,34 @@ class Graph:
         """Write sum_n <seeds[n], d(value n)/d(p)> into the gradient buffer of
         every layer weight and bias p.
 
-        ``seeds`` maps node ids to float64 adjoints, each shaped like the
-        node's value from the last ``eval``; grad trusts its caller for
-        this and checks only that ``eval`` has run. Each layer's gradient
-        overwrites its own dW and db, zeros if no seed reaches its mlp.
+        ``seeds`` maps mlp node ids to float64 adjoints, each shaped like
+        the node's stacked value from the last ``eval``; grad trusts its
+        caller for this, reads the seeds without changing them and checks
+        only that ``eval`` has run. Each layer's gradient overwrites its
+        own dW and db, zeros if no seed reaches its mlp.
         """
         nodes = self.nodes
         values = self._values
         if values is None:
             raise GraphError("call eval before grad")
-        # adjoints are never updated in place, so pass-through ops and seeds may share buffers
-        adjoint = {nid: seed for nid, seed in seeds.items() if nodes[nid].reaches}
-
-        def acc(nid, delta):
-            cur = adjoint.get(nid)
-            adjoint[nid] = delta if cur is None else cur + delta
+        adjoint = dict(seeds)
+        owned = set()  # adjoints made here, which input adjoints are added into in place
 
         for nid in range(len(nodes) - 1, -1, -1):
-            a = adjoint.get(nid)
             node = nodes[nid]
-            kind = node.kind
-            ins = node.inputs
-            if kind == "mlp":
-                hidden, layers, k, seeds = node.payload
-                ds = _chain_grad(hidden, layers, self._chains[nid], a, k, seeds, any(nodes[i].reaches for i in ins))
-                if ds is None:
-                    continue
-                row = 0
-                for i in ins:  # each input takes its own rows of the stacked input's adjoint
-                    h = nodes[i].shape[0]
-                    if nodes[i].reaches:
-                        acc(i, ds[row : row + h, :])
-                    row += h
-            elif a is not None and kind == "rows":
-                delta = np.zeros(values[ins[0]].shape)
-                delta[node.payload[0] : node.payload[1]] = a
-                acc(ins[0], delta)
+            if node.kind != "mlp":
+                continue
+            hidden, layers, k, chain_seeds = node.payload
+            need_input = any(nodes[i].kind == "mlp" for i, _, _ in node.inputs)
+            ds = _chain_grad(hidden, layers, self._chains[nid], adjoint.get(nid), k, chain_seeds, need_input)
+            if ds is None:
+                continue
+            row = 0
+            for i, start, stop in node.inputs:  # each range takes its own rows of the stacked input's adjoint
+                if nodes[i].kind == "mlp":
+                    if i not in owned:
+                        cur = adjoint.get(i)
+                        adjoint[i] = np.zeros(values[i].shape) if cur is None else cur.copy()
+                        owned.add(i)
+                    adjoint[i][start:stop] += ds[row : row + stop - start]
+                row += stop - start

@@ -6,15 +6,16 @@ normalized remaining life. The third learns the rate law: it receives
 (dx/dt, dRUL/dx) and its output is pinned to the total time derivative
 of the predicted RUL by a squared-residual penalty, so it trains without
 labels. Both derivatives are forward-tangent blocks of the networks'
-chains. A pass ends at the networks' outputs, a ``_Pass`` of rows: x,
-dx/dt, the RUL, dRUL/dx, the explicit partial dRUL/dt and the rate
-output dyn. In numpy, ``_residual`` joins them into the residual
-f = dRUL/dx * dx/dt + partial dRUL/dt - dyn and ``_loss`` computes the
-cost, label MSE plus the weighted mean squared residual. ``cost`` takes
-its pass from the graph and hands its adjoints at the graph's outputs to
-one reverse sweep, which differentiates the penalty w.r.t. all weights;
-``cost_values`` and ``mean_cost`` take theirs from ``_forward``, which
-runs the three chains without the graph and gives the same bits.
+chains. A pass ends at the networks' outputs, which ``_Pass.cut`` cuts
+into a ``_Pass`` of rows: x, dx/dt, the RUL, dRUL/dx, the explicit
+partial dRUL/dt and the rate output dyn. In numpy, ``_residual`` joins
+them into the residual f = dRUL/dx * dx/dt + partial dRUL/dt - dyn and
+``_loss`` computes the cost, label MSE plus the weighted mean squared
+residual. ``cost`` takes its pass from the graph and hands its
+adjoints, stacked like each network's output, to one reverse sweep,
+which differentiates the penalty w.r.t. all weights; ``cost_values``
+and ``mean_cost`` take theirs from ``_forward``, which runs the three
+chains without the graph and gives the same bits.
 
 A model owns one float64 vector ``theta`` holding every weight and bias;
 ``_layout`` is the only code that knows its order, which is also the
@@ -24,11 +25,11 @@ names are derived from the tuples on demand. The model's own tuples
 have no gradient views (dW and db are None). A model builds its graph
 once, the first time ``cost`` needs it, for any batch width, and with it
 one gradient vector shaped like ``theta``, which ``_layout`` cuts
-together with ``theta`` into the tuples the graph binds; its 10 nodes
-are 1 input, 3 mlps (one per network) and 6 rows. Each mlp binds its
-network's tuples, so the graph sees every change without rebinding and
-its reverse sweep fills the gradient vector, which ``cost`` checks once
-and returns as a copy. Nothing else needs a gradient, and nothing else
+together with ``theta`` into the tuples the graph binds; its 4 nodes
+are 1 input and 3 mlps, one per network, which read row ranges of the
+input and of each other. Each mlp binds its network's tuples, so the
+graph sees every change without rebinding and its reverse sweep fills
+the gradient vector, which ``cost`` checks once and returns as a copy. Nothing else needs a gradient, and nothing else
 builds the graph or makes a gradient: a model that is only loaded and
 read holds none. ``_eval_batch``, ``_forward`` and ``_read`` are stages
 over one stacked input, the x network's (d_oc + 1, n) [oc; t], whose last
@@ -176,25 +177,28 @@ class _Pass(NamedTuple):
     drul_dt_partial: np.ndarray  # the explicit partial dRUL/dt
     dyn: np.ndarray
 
+    @classmethod
+    def cut(cls, xs, ruls, dyn) -> "_Pass":
+        """The rows of the networks' stacked outputs [x; dx/dt], [rul; dRUL/dx; partial dRUL/dt] and dyn."""
+        return cls(xs[:1], xs[1:], ruls[:1], ruls[1:2], ruls[2:], dyn)
+
 
 class _Wiring:
-    """The model's graph: one input, ``_inputs``' [oc; t], and the three bound networks.
+    """The model's graph: one input, ``_inputs``' [oc; t], and one mlp per bound network.
 
-    Its outputs are the nodes of a ``_Pass``'s rows; a ``rows`` node reads t back out of the
-    input, which leaves its column count open, so one wiring serves every batch width. The RUL
-    mlp stacks x and t, and the rate mlp stacks dx/dt and dRUL/dx.
+    ``x`` is the stack [x; dx/dt], ``rul`` the stack [rul; dRUL/dx; partial dRUL/dt] on the
+    rows x and t, and ``dyn`` the rate output on the rows dx/dt and dRUL/dx; ``_Pass.cut``
+    cuts their values into a pass. The graph has no widths, so one wiring serves every batch.
     """
 
     def __init__(self, config: PinnConfig, layers):
-        g = Graph()
+        g, d = Graph(), config.d_oc
         self.graph = g
-        self.x_in = g.input((config.d_oc + 1, None))
-        t = g.rows(self.x_in, config.d_oc, config.d_oc + 1)
-
-        self.x_mlp, self.rul_mlp, self.dyn_mlp = (GraphMlp(g, HIDDEN[net], layers[net]) for net in config.widths)
-        self.x, (self.dx_dt,) = self.x_mlp.forward_tangents(self.x_in, coords=[config.d_oc])
-        self.rul, (self.drul_dx, self.drul_dt_partial) = self.rul_mlp.forward_tangents(self.x, t, coords=[0, 1])
-        self.dyn = self.dyn_mlp.forward(self.dx_dt, self.drul_dx)
+        self.x_in = g.input()
+        x_mlp, rul_mlp, dyn_mlp = (GraphMlp(g, HIDDEN[net], layers[net]) for net in config.widths)
+        self.x = x_mlp.forward_tangents((self.x_in, 0, d + 1), coords=[d])
+        self.rul = rul_mlp.forward_tangents((self.x, 0, 1), (self.x_in, d, d + 1), coords=[0, 1])
+        self.dyn = dyn_mlp.forward((self.x, 1, 2), (self.rul, 1, 2))
 
 
 def _residual(p: _Pass, dyn_oracle: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -316,7 +320,7 @@ class PinnModel:
         input; return its output rows, views of the pass it holds."""
         w = self._wiring
         w.graph.eval({w.x_in: s})
-        return _Pass(*map(w.graph.value, (w.x, w.dx_dt, w.rul, w.drul_dx, w.drul_dt_partial, w.dyn)))
+        return _Pass.cut(*map(w.graph.value, (w.x, w.rul, w.dyn)))
 
     def _run(self, net: str, s, k: int, seeds, bufs) -> np.ndarray:
         """The one chain runner of passes without the graph: the output of
@@ -343,7 +347,7 @@ class PinnModel:
         xs = self._run("x", s, 1, (self.config.d_oc,), bufs)
         ruls = self._run("rul", np.concatenate([xs[:1], s[-1:]]), 2, (0, 1), bufs)
         dyn = self._run("dyn", np.concatenate([xs[1:], ruls[1:2]]), 0, None, bufs)
-        return _Pass(xs[:1], xs[1:], ruls[:1], ruls[1:2], ruls[2:], dyn)
+        return _Pass.cut(xs, ruls, dyn)
 
     def _read(self, s, bufs=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Evaluate the stacked input ``s`` of ``_inputs`` or ``_gather``
@@ -403,15 +407,13 @@ class PinnModel:
         d, f, mse, pde, total = self._loss(rul, p, dyn_oracle)
         if not math.isfinite(total):
             raise NumericError(f"non-finite total cost (mse={mse}, pde={pde})")
-        # d(total)/d(rul) and d(total)/d(f), then f's adjoint through f = drul_dx * dx_dt + partial - dyn;
-        # the factors multiply in this order, which fixes model.bin's bits
+        # d(total)/d(rul) and d(total)/d(f), then f's adjoint through f = drul_dx * dx_dt + partial - dyn,
+        # stacked like each mlp's value; the factors multiply in this order, which fixes model.bin's bits
         n, w = d.shape[1], self._wiring
         a_f = self.config.pde_weight / n * (2.0 * f)
         seeds = {
-            w.rul: -(1.0 / n * (2.0 * d)),
-            w.drul_dt_partial: a_f,
-            w.drul_dx: a_f * p.dx_dt,
-            w.dx_dt: a_f * p.drul_dx,
+            w.x: np.concatenate([np.zeros_like(a_f), a_f * p.drul_dx]),
+            w.rul: np.concatenate([-(1.0 / n * (2.0 * d)), a_f * p.dx_dt, a_f]),
         }
         if not dyn_oracle:
             seeds[w.dyn] = -a_f

@@ -14,10 +14,10 @@ Reverse mode through a tangent block gives exact mixed second derivatives.
 ``_chain`` is the one forward walk over a network's layers and
 ``_chain_grad`` the one backward walk. The model's reads and its
 forward-only cost pass call ``_chain`` into two reused buffers per
-network; ``GraphMlp`` emits a network as one graph ``mlp`` node on its
-inputs' stacked rows, which the graph runs with the same two walkers,
-and ``rows`` nodes for its output blocks. Nothing here draws weights:
-``model.init_model`` does.
+network; ``GraphMlp`` emits a network as one graph ``mlp`` node on row
+ranges of earlier nodes, whose value stacks the output and tangent
+blocks and which the graph runs with the same two walkers. Nothing here
+draws weights: ``model.init_model`` does.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ def _chain_grad(hidden: str, layers, values, a, k: int, seeds, need_input: bool)
 
 class GraphMlp:
     """One network, ``hidden`` (tanh or relu) and its ``layers``, emitted into
-    a graph as one trainable ``mlp`` node on its inputs' stacked rows. It
+    a graph as one trainable ``mlp`` node on row ranges of earlier nodes. It
     binds the arrays themselves, not copies, so each ``eval`` reads the
     current weights and each ``grad`` writes the gradients in place.
     """
@@ -133,25 +133,19 @@ class GraphMlp:
         self.hidden = hidden
         self.layers = list(layers)
 
-    def forward(self, *inputs: int) -> int:
-        """Emit the network for ``inputs``, whose rows stack to (d_in, n); n may be None."""
-        return self._emit(inputs, ())[0]
+    def forward(self, *inputs) -> int:
+        """Emit the network on ``inputs``, (node, start, stop) row ranges that
+        stack to its (d_in, n) input; the node's value is the output."""
+        return self.graph.build("mlp", inputs, (self.hidden, self.layers, 0, None))
 
-    def forward_tangents(self, *inputs: int, coords) -> tuple[int, list[int]]:
+    def forward_tangents(self, *inputs, coords) -> int:
         """Emit the network plus one directional-derivative chain per coordinate.
 
-        ``coords`` are coordinate indices of the stacked input. Returns the
-        output node and, in the order of ``coords``, the node of the output's
+        ``inputs`` are row ranges as for ``forward`` and ``coords`` coordinate
+        indices of their stack. The node's value stacks 1 + len(coords) blocks
+        of d_out rows: the output, then, in the order of ``coords``, its
         derivative along each coordinate; all of them share one primal chain.
         Requires a smooth hidden activation: a relu network takes no tangents.
         """
-        return self._emit(inputs, tuple(coords))
-
-    def _emit(self, inputs, coords):
-        g = self.graph
-        h = g.build("mlp", inputs, (self.hidden, self.layers, len(coords), coords or None))
-        if not coords:
-            return h, []
-        m = self.layers[-1][0].shape[0]  # d_out, the rows of the last W
-        blocks = [g.rows(h, j * m, (j + 1) * m) for j in range(1 + len(coords))]
-        return blocks[0], blocks[1:]
+        coords = tuple(coords)
+        return self.graph.build("mlp", inputs, (self.hidden, self.layers, len(coords), coords or None))

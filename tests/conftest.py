@@ -37,14 +37,15 @@ def random_graph(seed):
     layer is always linear), carry k in {0, 1, 2} tangent blocks (relu
     only k = 0) and take either a seeded input (h alone, tangents started
     at weight columns) or a stacked one (k + 1 blocks of rows). The
-    leaves are the width-free input, bound with two columns, and one-layer
-    mlps over an identity-bound input, whose values are their weights plus
-    their biases, so ``rows`` and mlps get operands that depend on
-    weights. Some mlps stack two inputs of one width and split their input
-    adjoint back into each input's rows. Every pool node that reaches an
-    mlp's weights gets a random seed shaped like its value, so each of
-    them feeds the gradient of sum_n <seed_n, value_n>. Each layer has its
-    own weight, bias and gradient arrays. Returns (graph, (mlp id, value, grad) per weight and
+    leaves are the input, bound with two columns, and one-layer mlps over
+    an identity-bound input, whose values are their weights plus their
+    biases, so mlps get operands that depend on weights. Each mlp reads
+    one or two row ranges of pool nodes of one width, each range a whole
+    value or a part of one, the same node possibly twice, and splits its
+    input adjoint back into each range's rows. Every pool mlp gets a
+    random seed shaped like its value, so each of them feeds the gradient
+    of sum_n <seed_n, value_n>. Each layer has its own weight, bias and
+    gradient arrays. Returns (graph, (mlp id, value, grad) per weight and
     bias buffer, input bindings, seeds). Callers skip draws whose relu
     pre-activations come near 0 (``relu_inputs_safe``) so finite
     differences stay valid.
@@ -53,6 +54,7 @@ def random_graph(seed):
     g = Graph()
     shapes = [(1, 1), (2, 1), (2, 2), (3, 2)]
     pool = []
+    shape = {}  # (rows, cols) of each pool node's value
     params = []
     bindings = {}
 
@@ -68,43 +70,45 @@ def random_graph(seed):
         nid = g.build("mlp", ins, (hidden, layers, k, seeds))
         for w, b, dw, db in layers:
             params.extend([(nid, w, dw), (nid, b, db)])
+        pool.append(nid)
+        shape[nid] = ((1 + k) * d_out, shape[ins[0][0]][1])
         return nid
 
     for _ in range(rng.integers(2, 4)):
         rows, cols = shapes[rng.integers(len(shapes))]
-        eye = g.input((cols, cols))
+        eye = g.input()
         bindings[eye] = np.eye(cols)
-        pool.append(new_mlp((eye,), cols, rows))
-    inp = g.input((2, None))
+        shape[eye] = (cols, cols)
+        new_mlp(((eye, 0, cols),), cols, rows)
+    inp = g.input()
     bindings[inp] = rng.uniform(0.5, 1.5, (2, 2))
+    shape[inp] = (2, 2)
     pool.append(inp)
 
     for _ in range(rng.integers(4, 9)):
-        op = rng.choice(["mlp", "mlp", "rows", "stack"])
         a = pool[rng.integers(len(pool))]
-        ins = (a,)
-        if op == "stack":  # an mlp on a and a mate of its width, stacked
-            mates = [n for n in pool if g.nodes[n].shape[1] == g.nodes[a].shape[1]]
-            ins = (a, mates[rng.integers(len(mates))])
-        rows = sum(g.nodes[n].shape[0] for n in ins)
-        if op == "rows":
-            start = int(rng.integers(rows))
-            pool.append(g.rows(a, start, int(rng.integers(start + 1, rows + 1))))
-        else:  # mlp: fresh layers act on ins
-            hidden = str(rng.choice(["tanh", "linear", "relu"]))
-            out, depth = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-            if hidden != "relu" and rng.random() < 0.5:  # seeded: ins hold h, tangents start at weight columns
-                seeds = [int(c) for c in rng.integers(0, rows, int(rng.integers(0, 3)))]
-                pool.append(new_mlp(ins, rows, out, hidden, len(seeds), seeds, depth))
-            else:  # stacked: ins hold h and k tangent blocks; k = 0 also comes seeded
-                ks = [k for k in (1, 2) if rows % (1 + k) == 0 and hidden != "relu"] or [0]
-                k = ks[rng.integers(len(ks))]
-                pool.append(new_mlp(ins, rows // (1 + k), out, hidden, k, depth=depth))
-    seeds = {}
-    for n in pool:
-        if g.nodes[n].reaches:
-            rows, cols = g.nodes[n].shape
-            seeds[n] = rng.uniform(-1.0, 1.0, (rows, cols or 2))
+        picks = [a]
+        if rng.random() < 0.5:  # a second range, of a mate of a's width (a itself among them)
+            mates = [n for n in pool if shape[n][1] == shape[a][1]]
+            picks.append(mates[rng.integers(len(mates))])
+        ins = []
+        for n in picks:
+            start, stop = 0, shape[n][0]
+            if rng.random() < 0.5:  # a part of the value
+                start = int(rng.integers(stop))
+                stop = int(rng.integers(start + 1, stop + 1))
+            ins.append((n, start, stop))
+        rows = sum(stop - start for _, start, stop in ins)
+        hidden = str(rng.choice(["tanh", "linear", "relu"]))
+        out, depth = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        if hidden != "relu" and rng.random() < 0.5:  # seeded: ins hold h, tangents start at weight columns
+            seeds = [int(c) for c in rng.integers(0, rows, int(rng.integers(0, 3)))]
+            new_mlp(ins, rows, out, hidden, len(seeds), seeds, depth)
+        else:  # stacked: ins hold h and k tangent blocks; k = 0 also comes seeded
+            ks = [k for k in (1, 2) if rows % (1 + k) == 0 and hidden != "relu"] or [0]
+            k = ks[rng.integers(len(ks))]
+            new_mlp(ins, rows // (1 + k), out, hidden, k, depth=depth)
+    seeds = {n: rng.uniform(-1.0, 1.0, shape[n]) for n in pool if g.nodes[n].kind == "mlp"}
     return g, params, bindings, seeds
 
 

@@ -230,6 +230,12 @@ class TestConfig:
             assert "exit codes:" in out
             assert all(f"  {code}  " in out for code in range(4))
 
+    def test_every_flag_has_help(self):
+        for name, parser in cli._COMMANDS.items():
+            for action in parser._actions:
+                if action.option_strings != ["-h", "--help"]:
+                    assert action.help, f"{name} {action.option_strings[0]} has no help"
+
     def test_unknown_flag_after_a_command_is_that_commands_usage_error(self, capsys):
         assert run_cli(["predict", "--model", "m.bin", "--oc", "1", "--t", "0", "--bogus", "1"]) == 2
         err = capsys.readouterr().err

@@ -13,9 +13,9 @@ def scalar(g, nid):
 
 
 def mlp(g, s, *layers, hidden="linear", k=0, seeds=None):
-    """An ``mlp`` node over ``s``, one node or a tuple of them whose rows it stacks, with
-    these (W, b, dW, db) ``layers``; ``seeds``, if given, set k."""
-    return g.build("mlp", s if isinstance(s, tuple) else (s,), (hidden, list(layers), len(seeds) if seeds else k, seeds))
+    """An ``mlp`` node over ``s``, one (node, start, stop) row range or a list of them whose
+    rows it stacks, with these (W, b, dW, db) ``layers``; ``seeds``, if given, set k."""
+    return g.build("mlp", s if isinstance(s, list) else [s], (hidden, list(layers), len(seeds) if seeds else k, seeds))
 
 
 def buffers(w, b=None):
@@ -31,9 +31,9 @@ def bind(g, value, bindings):
     Adds the identity to ``bindings``; returns (id, weight gradient).
     """
     w, b, dw, db = buffers(value)
-    eye = g.input((w.shape[1], w.shape[1]))
+    eye = g.input()
     bindings[eye] = np.eye(w.shape[1])
-    return mlp(g, eye, (w, b, dw, db)), dw
+    return mlp(g, (eye, 0, w.shape[1]), (w, b, dw, db)), dw
 
 
 def seeded_sum(g, seeds):
@@ -69,70 +69,77 @@ def identity(rows):
     return buffers(np.eye(rows))
 
 
-def act(g, x, activation):
-    """``activation`` applied entrywise to ``x``: a 2-layer mlp of identity
-    weights and zero biases, whose hidden layer applies ``activation``."""
-    rows = g.nodes[x].shape[0]
-    return mlp(g, x, identity(rows), identity(rows), hidden=activation)
+def act(g, x, activation, rows=1):
+    """``activation`` applied entrywise to the first ``rows`` rows of ``x``: a 2-layer
+    mlp of identity weights and zero biases, whose hidden layer applies ``activation``."""
+    return mlp(g, (x, 0, rows), identity(rows), identity(rows), hidden=activation)
 
 
 class TestBuildAndEval:
     def test_tanh_of_half(self):
         g = Graph()
-        x = g.input((1, 1))
+        x = g.input()
         y = act(g, x, "tanh")
         g.eval({x: [[0.5]]})
         assert scalar(g, y) == pytest.approx(TANH_HALF, abs=1e-12)
 
     def test_tanh_of_zero(self):
         g = Graph()
-        x = g.input((1, 1))
+        x = g.input()
         y = act(g, x, "tanh")
         g.eval({x: [[0.0]]})
         assert scalar(g, y) == 0.0
 
     def test_relu_negative(self):
         g = Graph()
-        x = g.input((1, 1))
+        x = g.input()
         y = act(g, x, "relu")
         g.eval({x: [[-1.0]]})
         assert scalar(g, y) == 0.0
 
     def test_mse_at_perfect_fit(self):
         g = Graph()
-        x = g.input((3, 1))
-        target = g.input((3, 1))
-        residual = mlp(g, (x, target), buffers(np.hstack([np.eye(3), -np.eye(3)])))  # x - target
+        x = g.input()
+        target = g.input()
+        residual = mlp(g, [(x, 0, 3), (target, 0, 3)], buffers(np.hstack([np.eye(3), -np.eye(3)])))  # x - target
         g.eval({x: [[0.3], [-1.2], [4.0]], target: [[0.3], [-1.2], [4.0]]})
         assert (g.value(residual) ** 2).mean() == 0.0
 
     def test_layer_shapes(self):
         g = Graph()
         wb = buffers(np.zeros((2, 3)))
-        assert g.nodes[mlp(g, g.input((3, 1)), wb)].shape == (2, 1)
+        h, stacked = g.input(), g.input()
+        plain = mlp(g, (h, 0, 3), wb)
         # two tangents: stacked input of 3 blocks, or seeded from h alone
-        assert g.nodes[mlp(g, g.input((9, None)), wb, hidden="tanh", k=2)].shape == (6, None)
-        assert g.nodes[mlp(g, g.input((3, None)), wb, hidden="tanh", seeds=[0, 2])].shape == (6, None)
+        two_stacked = mlp(g, (stacked, 0, 9), wb, hidden="tanh", k=2)
+        two_seeded = mlp(g, (h, 0, 3), wb, hidden="tanh", seeds=[0, 2])
         # a deeper mlp stacks its blocks at every layer; its value has its last layer's rows
-        assert g.nodes[mlp(g, g.input((3, None)), wb, identity(2), buffers(np.zeros((4, 2))), hidden="tanh", seeds=[1])].shape == (8, None)
+        deep = mlp(g, (h, 0, 3), wb, identity(2), buffers(np.zeros((4, 2))), hidden="tanh", seeds=[1])
+        for n in (1, 5):  # one graph for every width
+            g.eval({h: np.ones((3, n)), stacked: np.ones((9, n))})
+            assert g.value(plain).shape == (2, n)
+            assert g.value(two_stacked).shape == (6, n)
+            assert g.value(two_seeded).shape == (6, n)
+            assert g.value(deep).shape == (8, n)
 
     def test_mlp_stacks_its_inputs(self):
         g = Graph()
-        a = g.input((2, 1))
-        b = g.input((1, 1))
-        total = mlp(g, (a, b), buffers(np.ones((1, 3))))  # sum of the three entries
+        a = g.input()
+        b = g.input()
+        total = mlp(g, [(a, 0, 2), (b, 0, 1)], buffers(np.ones((1, 3))))  # sum of the three entries
         g.eval({a: [[1.0], [2.0]], b: [[3.0]]})
         assert np.array_equal(g._chains[total][0], [[1.0], [2.0], [3.0]])  # the chain's input
         assert scalar(g, total) == 6.0
 
     def test_width_free_inputs_share_one_width(self):
         g = Graph()
-        a = g.input((2, None))
-        b = g.input((1, None))
-        total = mlp(g, (a, b), buffers(np.ones((1, 3))))
-        assert g.nodes[total].shape == (1, None)
-        g.eval({a: np.ones((2, 4)), b: np.ones((1, 4))})
-        assert np.array_equal(g.value(total), np.full((1, 4), 3.0))
+        a = g.input()
+        b = g.input()
+        total = mlp(g, [(a, 0, 2), (b, 0, 1)], buffers(np.ones((1, 3))))
+        for n in (4, 1):
+            g.eval({a: np.ones((2, n)), b: np.ones((1, n))})
+            assert g.value(total).shape == (1, n)
+            assert np.array_equal(g.value(total), np.full((1, n), 3.0))
 
     def test_deterministic_reeval_bit_identical(self):
         g, params, bindings, seeds = random_graph(7)
@@ -148,9 +155,9 @@ class TestBuildAndEval:
 
     def test_layer_binds_caller_buffers(self):
         g = Graph()
-        x = g.input((1, 1))
+        x = g.input()
         value, grad = np.array([[3.0]]), np.zeros((1, 1))
-        p = mlp(g, x, (value, np.zeros((1, 1)), grad, np.zeros((1, 1))))
+        p = mlp(g, (x, 0, 1), (value, np.zeros((1, 1)), grad, np.zeros((1, 1))))
         g.eval({x: ONE})
         (layer,) = g.nodes[p].payload[1]
         assert layer[0] is value and layer[2] is grad
@@ -170,10 +177,10 @@ class TestLayer:
         rng = np.random.default_rng(5)
         g = Graph()
         wb = buffers(rng.normal(size=(3, 4)), rng.normal(size=(3, 1)))
-        h = g.input((4, None))
-        basis = g.input((8, None))
-        seeded = mlp(g, h, wb, identity(3), hidden=activation, seeds=[2, 0])
-        stacked = mlp(g, (h, basis), wb, identity(3), hidden=activation, k=2)
+        h = g.input()
+        basis = g.input()
+        seeded = mlp(g, (h, 0, 4), wb, identity(3), hidden=activation, seeds=[2, 0])
+        stacked = mlp(g, [(h, 0, 4), (basis, 0, 8)], wb, identity(3), hidden=activation, k=2)
         x = rng.normal(size=(4, 5))
         e = np.zeros((8, 5))
         e[2] = e[4] = 1.0
@@ -182,12 +189,13 @@ class TestLayer:
         z = wb[0] @ x + wb[1]
         assert np.array_equal(g.value(seeded)[:3], np.tanh(z) if activation == "tanh" else z)
 
-    def test_rows_reads_one_block(self):
+    def test_range_reads_one_block(self):
+        # an mlp reads rows start..stop-1 of its input; an identity layer passes them through
         g = Graph()
-        x = g.input((6, None))
-        mid = g.rows(x, 2, 4)
-        assert g.nodes[mid].shape == (2, None)
+        x = g.input()
+        mid = mlp(g, (x, 2, 4), identity(2))
         g.eval({x: np.arange(18.0).reshape(6, 3)})
+        assert g.value(mid).shape == (2, 3)
         assert np.array_equal(g.value(mid), np.arange(6.0, 12.0).reshape(2, 3))
 
 
@@ -217,11 +225,11 @@ class TestGrad:
 
     def test_failed_eval_leaves_no_stale_pass(self):
         g = Graph()
-        x = g.input((1, None))
+        x = g.input()
         root = act(g, x, "tanh")
         g.eval({x: ONE})
         with pytest.raises(ValueError):
-            g.eval({x: np.ones((2, 1))})  # a binding with the wrong row count fails in the mlp
+            g.eval({x: np.ones((0, 1))})  # a binding with too few rows for its range fails in the mlp
         with pytest.raises(GraphError, match="not been evaluated"):
             g.value(root)
         with pytest.raises(GraphError, match="eval before grad"):
@@ -231,10 +239,10 @@ class TestGrad:
         g, bound = Graph(), {}
         p, dp = bind(g, [[1.0], [1.0]], bound)
         q, dq = bind(g, [[2.0]], bound)
-        x = g.input((1, 1))
+        x = g.input()
         dp.fill(np.nan)  # a stale gradient is overwritten, not kept
         g.eval({**bound, x: [[5.0]]})
-        g.grad({q: 2.0 * g.value(q), x: ONE})  # q's seed is the adjoint of q^2; an input's reaches no parameter
+        g.grad({q: 2.0 * g.value(q), x: ONE})  # q's seed is the adjoint of q^2; an input's seed reaches no parameter
         assert np.array_equal(dp, np.zeros((2, 1)))
         assert float(dq[0, 0]) == 4.0
         g.grad({})
@@ -263,8 +271,8 @@ class TestGrad:
     def test_linearity_of_gradients(self):
         g, bound = Graph(), {}
         p, dp = bind(g, [[0.3, -1.1], [0.7, 0.2]], bound)
-        r2 = act(g, p, "tanh")
-        r1 = act(g, r2, "tanh")  # tanh(tanh(p)), through r2
+        r2 = act(g, p, "tanh", rows=2)
+        r1 = act(g, r2, "tanh", rows=2)  # tanh(tanh(p)), through r2
         rng = np.random.default_rng(3)
         s1, s2 = rng.normal(size=(2, 2, 2))
         a, b = 1.7, -0.4

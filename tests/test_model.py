@@ -75,8 +75,7 @@ def zeroed(model, net):
 
 def rate_network(model, g):
     """The model's rate network emitted into graph ``g``, on the same buffers."""
-    dyn = model._wiring.dyn_mlp
-    return GraphMlp(g, dyn.hidden, dyn.layers)
+    return GraphMlp(g, HIDDEN["dyn"], model._layers["dyn"])
 
 
 @pytest.fixture
@@ -204,8 +203,8 @@ class TestResidual:
 
         g = Graph()
         dyn = rate_network(model, g)
-        xin = g.input((2, 1))
-        out = dyn.forward(xin)
+        xin = g.input()
+        out = dyn.forward((xin, 0, 2))
         g.eval({xin: np.array([[dx_dt], [0.0]])})
         assert residual_at(model, oc, t) == pytest.approx(-float(g.value(out)[0, 0]), abs=1e-12)
 
@@ -217,8 +216,8 @@ class TestResidual:
 
         g = Graph()
         dyn = rate_network(model, g)
-        xin = g.input((2, 1))
-        out = dyn.forward(xin)
+        xin = g.input()
+        out = dyn.forward((xin, 0, 2))
         g.eval({xin: np.array([[dx_dt], [drul_dx]])})
         dyn_value = float(g.value(out)[0, 0])
 
@@ -333,8 +332,9 @@ class TestCost:
     def test_non_finite_gradient_names_its_buffer(self, model, monkeypatch):
         # poison two gradient buffers inside Graph.grad; cost's one check names the first
         batch = random_batch(model, 26, n=4)
-        wiring = model._wiring
-        bad = (wiring.rul_mlp.layers[0][3], wiring.dyn_mlp.layers[-1][2])  # gradients of rul.b1, the last dyn.W
+        model._wiring  # builds the graph and its gradient vector
+        layers = _layout(model.config, model.theta, model._grad)
+        bad = (layers["rul"][0][3], layers["dyn"][-1][2])  # gradients of rul.b1, the last dyn.W
         grad = Graph.grad
 
         def poisoned(graph, seeds):
@@ -576,13 +576,13 @@ class TestWiring:
         got = model.latent_map(samples, rows), model.mean_cost(samples, rows)
         assert np.array_equal(got[0], want[0]) and got[1] == want[1]
 
-    def test_model_graph_has_10_nodes_of_3_kinds(self, model):
-        # 1 input, the x network's stacked [oc; t], one mlp per network and 6 rows (t among them)
+    def test_model_graph_has_4_nodes_of_2_kinds(self, model):
+        # 1 input, the x network's stacked [oc; t], and one mlp per network, which reads row ranges
         graph = init_model(PinnConfig.default(model.config.d_oc), model.norm)._wiring.graph
-        assert len(OP_KINDS) == 3
-        assert len(graph.nodes) == 10
+        assert len(OP_KINDS) == 2
+        assert len(graph.nodes) == 4
         assert {node.kind for node in graph.nodes} == set(OP_KINDS)
-        assert Counter(node.kind for node in graph.nodes) == {"input": 1, "mlp": 3, "rows": 6}
+        assert Counter(node.kind for node in graph.nodes) == {"input": 1, "mlp": 3}
 
     @pytest.mark.parametrize("dyn_oracle", [False, True])
     @pytest.mark.parametrize("n", [1, 7, 512])

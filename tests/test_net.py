@@ -39,19 +39,23 @@ def d_in(params):
 def eval_forward(params, x):
     g = Graph()
     mlp = GraphMlp(g, *params)
-    xin = g.input((d_in(params), 1))
-    out = mlp.forward(xin)
+    xin = g.input()
+    out = mlp.forward((xin, 0, d_in(params)))
     g.eval({xin: np.asarray(x, dtype=np.float64).reshape(-1, 1)})
     return g.value(out)
 
 
 def eval_tangent(params, x, coord):
+    """(output, tangent) blocks of a one-tangent mlp node's stacked value at ``x``."""
     g = Graph()
     mlp = GraphMlp(g, *params)
-    xin = g.input((d_in(params), 1))
-    out, (tan,) = mlp.forward_tangents(xin, coords=[coord])
+    xin = g.input()
+    node = mlp.forward_tangents((xin, 0, d_in(params)), coords=[coord])
     g.eval({xin: np.asarray(x, dtype=np.float64).reshape(-1, 1)})
-    return g.value(out), g.value(tan)
+    value = g.value(node)
+    m = params[1][-1][0].shape[0]  # d_out, the rows of the last W
+    assert value.shape == (2 * m, 1)
+    return value[:m], value[m:]
 
 
 class TestSpecAndInit:
@@ -114,8 +118,8 @@ class TestForward:
         xs = np.random.default_rng(0).normal(size=(3, 4))
         g = Graph()
         mlp = GraphMlp(g, *params)
-        xin = g.input((3, 4))
-        out = mlp.forward(xin)
+        xin = g.input()
+        out = mlp.forward((xin, 0, 3))
         g.eval({xin: xs})
         batch = g.value(out)
         for j in range(4):
@@ -128,9 +132,10 @@ class TestForward:
         for params, n in ((x_params, 15), (rul_params, 2)):
             g = Graph()
             mlp = GraphMlp(g, *params)
-            xin = g.input((n, 7))
-            out = mlp.forward(xin)
-            assert g.nodes[out].shape == (1, 7)
+            xin = g.input()
+            out = mlp.forward((xin, 0, n))
+            g.eval({xin: np.zeros((n, 7))})
+            assert g.value(out).shape == (1, 7)
             assert len(params[1]) == 6
 
 
@@ -179,10 +184,10 @@ class TestForwardTangent:
 
         g = Graph()
         mlp = GraphMlp(g, *params)
-        xin = g.input((2, 1))
-        _, (tan,) = mlp.forward_tangents(xin, coords=[0])
+        xin = g.input()
+        node = mlp.forward_tangents((xin, 0, 2), coords=[0])
         g.eval({xin: x.reshape(2, 1)})
-        g.grad({tan: np.ones((1, 1))})
+        g.grad({node: np.array([[0.0], [1.0]])})  # the adjoint of the tangent block alone
 
         h = 1e-6
         for buf, _, dw, _ in layers:
