@@ -26,6 +26,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import reprlib
 import sys
@@ -451,25 +452,36 @@ def cmd_map(cfg: RunConfig, model_path: str, which: str) -> int:
     return 0
 
 
-def _parse_oc(arg: str) -> np.ndarray:
-    """Comma- or space-separated values, inline or in the file named by ``@path``."""
-    text = _parse(Path(arg[1:]), str) if arg.startswith("@") else arg
+def _numbers(flag: str, arg: str, text: str | None = None) -> list[float]:
+    """The finite numbers that ``arg``, the value of ``--oc`` or ``--t-list`` (``flag``), lists,
+    or that ``text`` lists where ``arg`` names the file it was read from; -0 reads as 0, so a
+    horizon of -0 prints as 0.
+
+    Commas and/or whitespace separate the items, and each item is ASCII text that ``float``
+    reads, such as ``-0.5`` or ``1e-05``. An empty item (before, after or between commas), a
+    ``_`` or a non-ASCII character, all of which ``float`` or a plain split would let through,
+    and an item that is not a number or not finite are errors naming the flag and ``arg``.
+    """
+    text = arg if text is None else text
+    # without its whitespace, a list with an empty item has a comma at an end or two commas together
+    empty = ",," in f",{''.join(text.split())},"
+    problem = "a non-ASCII character" if not text.isascii() else "a '_'" if "_" in text else "an empty item" if empty else None
+    if problem:
+        raise ValueError(f"{flag} has {problem}, got {arg!r}")
+    name = "oc values" if flag == "--oc" else "t-list"
     try:
-        oc = np.asarray([float(tok) for tok in text.replace(",", " ").split()])
+        values = [float(tok) + 0.0 for tok in text.replace(",", " ").split()]
     except ValueError:
-        raise ValueError(f"oc values must be numeric, got {arg!r}") from None
-    if not np.isfinite(oc).all():
-        raise ValueError(f"oc values must be finite, got {arg!r}")
-    return oc
+        raise ValueError(f"{name} must be numeric, got {arg!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{name} must be finite, got {arg!r}")
+    return values
 
 
 def cmd_predict(model_path: str, oc_text: str, t_text: str, as_csv: bool) -> int:
     model = load_model(model_path)
-    oc = _parse_oc(oc_text)
-    try:
-        t_list = [float(tok) for tok in t_text.replace(",", " ").split()]
-    except ValueError:
-        raise ValueError(f"t-list must be numeric, got {t_text!r}") from None
+    oc = _numbers("--oc", oc_text, _parse(Path(oc_text[1:]), str) if oc_text.startswith("@") else None)
+    t_list = _numbers("--t-list", t_text)
     rows = model.sweep(oc, t_list)  # checks the oc width and the horizons
     if as_csv:
         head, row = "t,x,dx_dt,rul_pred\n", "%.9g,%.9g,%.9g,%.9g\n"

@@ -25,9 +25,9 @@ names are derived from the tuples on demand. The model's own tuples
 have no gradient views (dW and db are None). A model builds its graph
 once, the first time ``cost`` needs it, for any batch width, and with it
 one gradient vector shaped like ``theta``, which ``_layout`` cuts
-together with ``theta`` into the tuples the graph binds; its 4 nodes
-are 1 input and 3 mlps, one per network, which read row ranges of the
-input and of each other. Each mlp binds its network's tuples, so the
+together with ``theta`` into the tuples the graph binds: one bound
+input, node 0, and 3 mlps, one per network, which read row ranges of
+the input and of each other. Each mlp binds its network's tuples, so the
 graph sees every change without rebinding and its reverse sweep fills
 the gradient vector, which ``cost`` checks once and returns as a copy. Nothing else needs a gradient, and nothing else
 builds the graph or makes a gradient: a model that is only loaded and
@@ -183,24 +183,6 @@ class _Pass(NamedTuple):
         return cls(xs[:1], xs[1:], ruls[:1], ruls[1:2], ruls[2:], dyn)
 
 
-class _Wiring:
-    """The model's graph: one input, ``_inputs``' [oc; t], and one mlp per bound network.
-
-    ``x`` is the stack [x; dx/dt], ``rul`` the stack [rul; dRUL/dx; partial dRUL/dt] on the
-    rows x and t, and ``dyn`` the rate output on the rows dx/dt and dRUL/dx; ``_Pass.cut``
-    cuts their values into a pass. The graph has no widths, so one wiring serves every batch.
-    """
-
-    def __init__(self, config: PinnConfig, layers):
-        g, d = Graph(), config.d_oc
-        self.graph = g
-        self.x_in = g.input()
-        x_mlp, rul_mlp, dyn_mlp = (GraphMlp(g, HIDDEN[net], layers[net]) for net in config.widths)
-        self.x = x_mlp.forward_tangents((self.x_in, 0, d + 1), coords=[d])
-        self.rul = rul_mlp.forward_tangents((self.x, 0, 1), (self.x_in, d, d + 1), coords=[0, 1])
-        self.dyn = dyn_mlp.forward((self.x, 1, 2), (self.rul, 1, 2))
-
-
 def _residual(p: _Pass, dyn_oracle: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """(dRUL/dt, f) rows of a pass, in numpy.
 
@@ -251,11 +233,23 @@ class PinnModel:
         super().__setattr__(name, value)
 
     @functools.cached_property
-    def _wiring(self) -> _Wiring:
+    def _graph(self) -> Graph:
         """The model's graph, built the first time ``cost`` needs it, with the
-        gradient vector ``_grad`` that its reverse sweep fills."""
+        gradient vector ``_grad`` that its reverse sweep fills.
+
+        Node 0 is the input ``eval`` binds, ``_inputs``' [oc; t]; then one mlp
+        per network: x, the stack [x; dx/dt], rul, the stack [rul; dRUL/dx;
+        partial dRUL/dt] on the rows x and t, and dyn, the rate output on the
+        rows dx/dt and dRUL/dx. ``_Pass.cut`` cuts their values into a pass.
+        The graph has no widths, so it serves every batch.
+        """
         self._grad = np.zeros_like(self.theta)
-        return _Wiring(self.config, _layout(self.config, self.theta, self._grad))
+        layers, g, d = _layout(self.config, self.theta, self._grad), Graph(), self.config.d_oc
+        x_mlp, rul_mlp, dyn_mlp = (GraphMlp(g, HIDDEN[net], layers[net]) for net in self.config.widths)
+        x = x_mlp.forward_tangents((0, 0, d + 1), coords=[d])
+        rul = rul_mlp.forward_tangents((x, 0, 1), (0, d, d + 1), coords=[0, 1])
+        dyn_mlp.forward((x, 1, 2), (rul, 1, 2))
+        return g
 
     # -- plumbing -----------------------------------------------------
 
@@ -318,9 +312,7 @@ class PinnModel:
     def _eval_batch(self, s) -> _Pass:
         """Evaluate the graph with the stacked input ``s`` bound as its one
         input; return its output rows, views of the pass it holds."""
-        w = self._wiring
-        w.graph.eval({w.x_in: s})
-        return _Pass.cut(*map(w.graph.value, (w.x, w.rul, w.dyn)))
+        return _Pass.cut(*self._graph.eval(s))
 
     def _run(self, net: str, s, k: int, seeds, bufs) -> np.ndarray:
         """The one chain runner of passes without the graph: the output of
@@ -408,16 +400,12 @@ class PinnModel:
         if not math.isfinite(total):
             raise NumericError(f"non-finite total cost (mse={mse}, pde={pde})")
         # d(total)/d(rul) and d(total)/d(f), then f's adjoint through f = drul_dx * dx_dt + partial - dyn,
-        # stacked like each mlp's value; the factors multiply in this order, which fixes model.bin's bits
-        n, w = d.shape[1], self._wiring
+        # stacked like each mlp's value, one per mlp; the factors multiply in this order, which fixes model.bin's bits
+        n = d.shape[1]
         a_f = self.config.pde_weight / n * (2.0 * f)
-        seeds = {
-            w.x: np.concatenate([np.zeros_like(a_f), a_f * p.drul_dx]),
-            w.rul: np.concatenate([-(1.0 / n * (2.0 * d)), a_f * p.dx_dt, a_f]),
-        }
-        if not dyn_oracle:
-            seeds[w.dyn] = -a_f
-        w.graph.grad(seeds)
+        x_seed = np.concatenate([np.zeros_like(a_f), a_f * p.drul_dx])
+        rul_seed = np.concatenate([-(1.0 / n * (2.0 * d)), a_f * p.dx_dt, a_f])
+        self._graph.grad((x_seed, rul_seed, None if dyn_oracle else -a_f))
         finite = np.isfinite(self._grad)
         if not finite.all():
             raise NumericError(f"non-finite gradient of {self._buffer_at(np.argmin(finite))}")

@@ -15,9 +15,9 @@ Reverse mode through a tangent block gives exact mixed second derivatives.
 ``_chain_grad`` the one backward walk. The model's reads and its
 forward-only cost pass call ``_chain`` into two reused buffers per
 network; ``GraphMlp`` emits a network as one graph ``mlp`` node on row
-ranges of earlier nodes, whose value stacks the output and tangent
-blocks and which the graph runs with the same two walkers. Nothing here
-draws weights: ``model.init_model`` does.
+ranges of the graph's input and of earlier mlps, whose value stacks the
+output and tangent blocks and which the graph runs with the same two
+walkers. Nothing here draws weights: ``model.init_model`` does.
 """
 
 from __future__ import annotations
@@ -123,9 +123,10 @@ def _chain_grad(hidden: str, layers, values, a, k: int, seeds, need_input: bool)
 
 class GraphMlp:
     """One network, ``hidden`` (tanh or relu) and its ``layers``, emitted into
-    a graph as one trainable ``mlp`` node on row ranges of earlier nodes. It
-    binds the arrays themselves, not copies, so each ``eval`` reads the
-    current weights and each ``grad`` writes the gradients in place.
+    a graph as one trainable ``mlp`` node on row ranges of node 0, the
+    graph's bound input, and of earlier mlps. It binds the arrays
+    themselves, not copies, so each ``eval`` reads the current weights and
+    each ``grad`` writes the gradients in place.
     """
 
     def __init__(self, graph, hidden: str, layers):
@@ -136,7 +137,7 @@ class GraphMlp:
     def forward(self, *inputs) -> int:
         """Emit the network on ``inputs``, (node, start, stop) row ranges that
         stack to its (d_in, n) input; the node's value is the output."""
-        return self.graph.build("mlp", inputs, (self.hidden, self.layers, 0, None))
+        return self.graph.build(inputs, (self.hidden, self.layers, 0, None))
 
     def forward_tangents(self, *inputs, coords) -> int:
         """Emit the network plus one directional-derivative chain per coordinate.
@@ -148,4 +149,4 @@ class GraphMlp:
         Requires a smooth hidden activation: a relu network takes no tangents.
         """
         coords = tuple(coords)
-        return self.graph.build("mlp", inputs, (self.hidden, self.layers, len(coords), coords or None))
+        return self.graph.build(inputs, (self.hidden, self.layers, len(coords), coords or None))

@@ -31,32 +31,30 @@ def fd_tolerance_ok(analytic, numeric, rel=1e-4, abs_tol=1e-8):
 
 
 def random_graph(seed):
-    """Small random DAG over every op kind with random output adjoints.
+    """Small random graph of mlps over one bound input, with random output adjoints.
 
     ``mlp`` nodes of depth 1 to 3, hidden tanh, relu or linear (the last
     layer is always linear), carry k in {0, 1, 2} tangent blocks (relu
     only k = 0) and take either a seeded input (h alone, tangents started
     at weight columns) or a stacked one (k + 1 blocks of rows). The
-    leaves are the input, bound with two columns, and one-layer mlps over
-    an identity-bound input, whose values are their weights plus their
-    biases, so mlps get operands that depend on weights. Each mlp reads
-    one or two row ranges of pool nodes of one width, each range a whole
-    value or a part of one, the same node possibly twice, and splits its
-    input adjoint back into each range's rows. Every pool mlp gets a
-    random seed shaped like its value, so each of them feeds the gradient
-    of sum_n <seed_n, value_n>. Each layer has its own weight, bias and
-    gradient arrays. Returns (graph, (mlp id, value, grad) per weight and
-    bias buffer, input bindings, seeds). Callers skip draws whose relu
-    pre-activations come near 0 (``relu_inputs_safe``) so finite
-    differences stay valid.
+    leaves are the input, node 0, a random r x c array, and one-layer
+    linear mlps over a range of its rows, so mlps get operands that
+    depend on weights. Each mlp reads one or two row ranges of pool
+    nodes, each range a whole value or a part of one, the same node
+    possibly twice, and splits its input adjoint back into each range's
+    rows. Every mlp gets a random seed shaped like its value, so each of
+    them feeds the gradient of sum_n <seed_n, value_n>. Each layer has its
+    own weight, bias and gradient arrays. Returns (graph, (mlp id, value,
+    grad) per weight and bias buffer, the input, seeds in node order).
+    Callers skip draws whose relu pre-activations come near 0
+    (``relu_inputs_safe``) so finite differences stay valid.
     """
     rng = np.random.default_rng(seed)
     g = Graph()
-    shapes = [(1, 1), (2, 1), (2, 2), (3, 2)]
-    pool = []
-    shape = {}  # (rows, cols) of each pool node's value
+    s = rng.uniform(0.5, 1.5, (int(rng.integers(2, 5)), int(rng.integers(1, 3))))
+    pool = [0]
+    rows_of = [s.shape[0]]  # rows of each node's value, by id
     params = []
-    bindings = {}
 
     def new_buffer(shape):
         return rng.uniform(0.5, 1.5, shape) * rng.choice([-1.0, 1.0], shape)
@@ -67,37 +65,29 @@ def random_graph(seed):
         for d, m in zip(widths, widths[1:]):
             w, b = new_buffer((m, d)), new_buffer((m, 1))
             layers.append((w, b, np.zeros_like(w), np.zeros_like(b)))
-        nid = g.build("mlp", ins, (hidden, layers, k, seeds))
+        nid = g.build(ins, (hidden, layers, k, seeds))
         for w, b, dw, db in layers:
             params.extend([(nid, w, dw), (nid, b, db)])
         pool.append(nid)
-        shape[nid] = ((1 + k) * d_out, shape[ins[0][0]][1])
+        rows_of.append((1 + k) * d_out)
         return nid
 
+    def new_range(n):
+        start, stop = 0, rows_of[n]
+        if rng.random() < 0.5:  # a part of the value
+            start = int(rng.integers(stop))
+            stop = int(rng.integers(start + 1, stop + 1))
+        return n, start, stop
+
     for _ in range(rng.integers(2, 4)):
-        rows, cols = shapes[rng.integers(len(shapes))]
-        eye = g.input()
-        bindings[eye] = np.eye(cols)
-        shape[eye] = (cols, cols)
-        new_mlp(((eye, 0, cols),), cols, rows)
-    inp = g.input()
-    bindings[inp] = rng.uniform(0.5, 1.5, (2, 2))
-    shape[inp] = (2, 2)
-    pool.append(inp)
+        _, start, stop = ins = new_range(0)
+        new_mlp((ins,), stop - start, int(rng.integers(1, 4)))
 
     for _ in range(rng.integers(4, 9)):
-        a = pool[rng.integers(len(pool))]
-        picks = [a]
-        if rng.random() < 0.5:  # a second range, of a mate of a's width (a itself among them)
-            mates = [n for n in pool if shape[n][1] == shape[a][1]]
-            picks.append(mates[rng.integers(len(mates))])
-        ins = []
-        for n in picks:
-            start, stop = 0, shape[n][0]
-            if rng.random() < 0.5:  # a part of the value
-                start = int(rng.integers(stop))
-                stop = int(rng.integers(start + 1, stop + 1))
-            ins.append((n, start, stop))
+        picks = [pool[rng.integers(len(pool))]]
+        if rng.random() < 0.5:  # a second range, of any pool node (the first among them)
+            picks.append(pool[rng.integers(len(pool))])
+        ins = [new_range(n) for n in picks]
         rows = sum(stop - start for _, start, stop in ins)
         hidden = str(rng.choice(["tanh", "linear", "relu"]))
         out, depth = int(rng.integers(1, 4)), int(rng.integers(1, 4))
@@ -108,8 +98,8 @@ def random_graph(seed):
             ks = [k for k in (1, 2) if rows % (1 + k) == 0 and hidden != "relu"] or [0]
             k = ks[rng.integers(len(ks))]
             new_mlp(ins, rows // (1 + k), out, hidden, k, depth=depth)
-    seeds = {n: rng.uniform(-1.0, 1.0, shape[n]) for n in pool if g.nodes[n].kind == "mlp"}
-    return g, params, bindings, seeds
+    seeds = [rng.uniform(-1.0, 1.0, (rows, s.shape[1])) for rows in rows_of[1:]]
+    return g, params, s, seeds
 
 
 def relu_inputs_safe(g, margin=1e-3):
@@ -118,10 +108,9 @@ def relu_inputs_safe(g, margin=1e-3):
     has an entry within ``margin`` of 0, and how many such layers there are.
     """
     safe, checked = True, 0
-    for nid, node in enumerate(g.nodes):
-        if node.kind == "mlp" and node.payload[0] == "relu":
-            layers = node.payload[1]
-            for (w, b, _, _), h in zip(layers[:-1], g._chains[nid]):
+    for (_, (hidden, layers, _, _)), chain in zip(g.nodes, g._chains):
+        if hidden == "relu":
+            for (w, b, _, _), h in zip(layers[:-1], chain):
                 safe = safe and np.abs(w @ h + b).min() >= margin
                 checked += 1
     return safe, checked
@@ -212,7 +201,7 @@ def dyn_preactivations_safe(model, batch, margin=1e-3):
     entries of each relu layer: the rate network's five hidden layers.
     """
     model._eval_batch(model._inputs(batch.oc, batch.t))
-    safe, checked = relu_inputs_safe(model._wiring.graph, margin)
+    safe, checked = relu_inputs_safe(model._graph, margin)
     assert checked == 5
     return safe
 

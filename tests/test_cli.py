@@ -695,6 +695,31 @@ class TestTrainEvalMapPredict:
         assert run_cli(["predict", "--model", str(out / "model.bin"), "--oc", oc, "--t-list", "inf"]) == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("oc_sep, t_text", [(",", "0,1e-05,2"), (", ", "0, 1e-05, 2"), (" ", "0 1e-05 2"), (" ,\t", " 0\t,1e-05 ,\n2 ")])
+    def test_predict_lists_take_commas_and_whitespace(self, trained, capsys, oc_sep, t_text):
+        # commas and/or whitespace separate the items of --oc and --t-list, each repr(float) text
+        _, _, out = trained
+        model = load_model(out / "model.bin")
+        oc = [repr(v) for v in np.linspace(-0.5, 1.5, model.config.d_oc).tolist()]
+        printed = []
+        for oc_text, t in ((",".join(oc), "0,1e-05,2"), (oc_sep.join(oc), t_text)):
+            assert run_cli(["predict", "--model", str(out / "model.bin"), f"--oc={oc_text}", "--t-list", t, "--csv"]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1] and len(printed[0].splitlines()) == 4
+
+    def test_predict_negative_zero_horizon_prints_zero(self, trained, capsys):
+        # a horizon of -0 cycles is the horizon 0: it prints, and predicts, as "0" does
+        _, _, out = trained
+        model = load_model(out / "model.bin")
+        oc = ",".join("0" for _ in range(model.config.d_oc))
+        for csv in (["--csv"], []):
+            printed = []
+            for t in ("-0", "0"):
+                assert run_cli(["predict", "--model", str(out / "model.bin"), f"--oc={oc}", "--t-list", t, *csv]) == 0
+                printed.append(capsys.readouterr().out)
+            assert printed[0] == printed[1]
+            assert printed[0].splitlines()[1].replace(",", " ").split()[0] in ("0", "0.00")
+
     def test_predict_negative_values_after_a_space(self, trained, capsys):
         _, _, out = trained
         model = load_model(out / "model.bin")
@@ -996,12 +1021,42 @@ def test_os_error_is_exit_2_naming_the_path(trained, tmp_path, capsys, argv, nam
         ("dataset", ["check-data", "--config", "{config}"], "config: dataset must be 'fd001' or 'synthetic', got 'fd002'"),
         ("", ["predict", "--model", "{model}", "--oc", "0,x"], "oc values must be numeric, got '0,x'"),
         ("", ["predict", "--model", "{model}", "--oc={zeros}", "--t-list", "0,x"], "t-list must be numeric, got '0,x'"),
+        ("", ["predict", "--model", "{model}", "--oc={gap}"], "--oc has an empty item, got '{gap}'"),
+        ("", ["predict", "--model", "{model}", "--oc={zeros},"], "--oc has an empty item, got '{zeros},'"),
+        ("", ["predict", "--model", "{model}", "--oc=,{zeros}"], "--oc has an empty item, got ',{zeros}'"),
+        ("", ["predict", "--model", "{model}", "--oc=0_0{rest}"], "--oc has a '_', got '0_0{rest}'"),
+        ("", ["predict", "--model", "{model}", "--oc=\u0663{rest}"], "--oc has a non-ASCII character, got '\u0663{rest}'"),
+        ("", ["predict", "--model", "{model}", "--oc={zeros}", "--t-list", "1_0"], "--t-list has a '_', got '1_0'"),
+        ("", ["predict", "--model", "{model}", "--oc={zeros}", "--t-list", "\u0663"], "--t-list has a non-ASCII character, got '\u0663'"),
+        ("", ["predict", "--model", "{model}", "--oc={zeros}", "--t-list", "0,1,"], "--t-list has an empty item, got '0,1,'"),
+        ("", ["predict", "--model", "{model}", "--oc={zeros}", "--t-list", "0,,1"], "--t-list has an empty item, got '0,,1'"),
+        ("", ["predict", "--model", "{model}", "--oc={zeros}", "--t-list", "0, ,1"], "--t-list has an empty item, got '0, ,1'"),
+        ("", ["predict", "--model", "{model}", "--oc={zeros}", "--t-list", ""], "--t-list has an empty item, got ''"),
         ("header-array", ["predict", "--model", "{broken}", "--oc={zeros}"], "{broken}: header is not a JSON object"),
         ("norm-means", ["predict", "--model", "{broken}", "--oc={zeros}"], "{broken}: bad header (norm has {short} means, {d} stds and {d} columns, model has d_oc={d})"),
         ("norm-stds", ["predict", "--model", "{broken}", "--oc={zeros}"], "{broken}: bad header (norm has {d} means, {short} stds and {d} columns, model has d_oc={d})"),
         ("trailing-bytes", ["predict", "--model", "{broken}", "--oc={zeros}"], "{broken}: 3 trailing bytes"),
     ],
-    ids=["config-dataset-fd002", "predict-oc-not-numeric", "predict-t-list-not-numeric", "model-header-is-an-array", "model-norm-means-short", "model-norm-stds-short", "model-trailing-bytes"],
+    ids=[
+        "config-dataset-fd002",
+        "predict-oc-not-numeric",
+        "predict-t-list-not-numeric",
+        "predict-oc-empty-item",
+        "predict-oc-trailing-comma",
+        "predict-oc-leading-comma",
+        "predict-oc-underscore",
+        "predict-oc-non-ascii-digit",
+        "predict-t-list-underscore",
+        "predict-t-list-non-ascii-digit",
+        "predict-t-list-trailing-comma",
+        "predict-t-list-double-comma",
+        "predict-t-list-blank-item",
+        "predict-t-list-empty",
+        "model-header-is-an-array",
+        "model-norm-means-short",
+        "model-norm-stds-short",
+        "model-trailing-bytes",
+    ],
 )
 def test_bad_value_is_one_error_line_naming_its_key_or_file(trained, tmp_path, capsys, case, argv, message):
     _, cfg, out = trained
@@ -1017,7 +1072,9 @@ def test_bad_value_is_one_error_line_naming_its_key_or_file(trained, tmp_path, c
         rewrite_header(model, broken, lambda header: header["norm"][case[5:]].pop())
     elif case == "trailing-bytes":
         broken.write_bytes(model.read_bytes() + b"\0\0\0")
-    fields = {"config": cfg, "model": str(model), "broken": str(broken), "zeros": ",".join("0" * d), "d": d, "short": d - 1}
+    zeros, rest = ",".join("0" * d), ",0" * (d - 1)  # d values; the values after the first
+    gap = "-0.5,0,," + ",".join("0" * (d - 2))  # d values and an empty item, which a plain split would drop
+    fields = {"config": cfg, "model": str(model), "broken": str(broken), "zeros": zeros, "rest": rest, "gap": gap, "d": d, "short": d - 1}
     assert run_cli([arg.format(**fields) for arg in argv]) == 2
     assert capsys.readouterr().err == f"error: {message.format(**fields)}\n"
 

@@ -27,7 +27,7 @@ def imported_names(path):
 
 
 def test_only_model_imports_the_graph():
-    # model._Wiring is the one client of the graph and of GraphMlp, so Graph.build trusts what it is given
+    # PinnModel._graph is the one client of the graph and of GraphMlp, so Graph.build trusts what it is given
     importers = {path.stem for path in PACKAGE.glob("*.py") if "graph" in package_imports(path)}
     assert importers == {"model"}
     assert {path.stem for path in PACKAGE.glob("*.py") if "GraphMlp" in imported_names(path)} == {"model"}

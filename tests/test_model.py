@@ -3,7 +3,6 @@ import hashlib
 import json
 import math
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,7 +20,9 @@ from pinnrul import (
     save_model,
     train,
 )
-from pinnrul.graph import OP_KINDS, Graph
+import pinnrul.graph
+import pinnrul.model
+from pinnrul.graph import Graph
 from pinnrul.model import CHUNK, HIDDEN, _layout, _Pass, _residual
 from pinnrul.net import GraphMlp, _chain, _chain_grad
 
@@ -202,11 +203,9 @@ class TestResidual:
         assert drul_dt == 0.0 and drul_dx == 0.0
 
         g = Graph()
-        dyn = rate_network(model, g)
-        xin = g.input()
-        out = dyn.forward((xin, 0, 2))
-        g.eval({xin: np.array([[dx_dt], [0.0]])})
-        assert residual_at(model, oc, t) == pytest.approx(-float(g.value(out)[0, 0]), abs=1e-12)
+        rate_network(model, g).forward((0, 0, 2))
+        (out,) = g.eval(np.array([[dx_dt], [0.0]]))
+        assert residual_at(model, oc, t) == pytest.approx(-float(out[0, 0]), abs=1e-12)
 
     def test_finite_difference_reconstruction(self, model):
         oc, t = [0.35, -0.6], 9.0
@@ -215,11 +214,9 @@ class TestResidual:
         f = residual_at(model, oc, t)
 
         g = Graph()
-        dyn = rate_network(model, g)
-        xin = g.input()
-        out = dyn.forward((xin, 0, 2))
-        g.eval({xin: np.array([[dx_dt], [drul_dx]])})
-        dyn_value = float(g.value(out)[0, 0])
+        rate_network(model, g).forward((0, 0, 2))
+        (out,) = g.eval(np.array([[dx_dt], [drul_dx]]))
+        dyn_value = float(out[0, 0])
 
         fd_drul_dt = (
             (model.sweep(oc, [t + h])[0][3] - model.sweep(oc, [t - h])[0][3])
@@ -332,7 +329,7 @@ class TestCost:
     def test_non_finite_gradient_names_its_buffer(self, model, monkeypatch):
         # poison two gradient buffers inside Graph.grad; cost's one check names the first
         batch = random_batch(model, 26, n=4)
-        model._wiring  # builds the graph and its gradient vector
+        model._graph  # builds the graph and its gradient vector
         layers = _layout(model.config, model.theta, model._grad)
         bad = (layers["rul"][0][3], layers["dyn"][-1][2])  # gradients of rul.b1, the last dyn.W
         grad = Graph.grad
@@ -399,7 +396,7 @@ class TestParameterVector:
 
     def test_each_layer_binds_theta_and_gradient_views_at_one_offset(self, model):
         address = lambda a: a.__array_interface__["data"][0]
-        layers = [bufs for node in model._wiring.graph.nodes if node.kind == "mlp" for bufs in node.payload[1]]
+        layers = [bufs for _, payload in model._graph.nodes for bufs in payload[1]]
         theta, grad = model.theta, model._grad  # made with the graph, just above
         assert 2 * len(layers) == len(model.parameter_items())
         offsets = []
@@ -576,13 +573,16 @@ class TestWiring:
         got = model.latent_map(samples, rows), model.mean_cost(samples, rows)
         assert np.array_equal(got[0], want[0]) and got[1] == want[1]
 
-    def test_model_graph_has_4_nodes_of_2_kinds(self, model):
-        # 1 input, the x network's stacked [oc; t], and one mlp per network, which reads row ranges
-        graph = init_model(PinnConfig.default(model.config.d_oc), model.norm)._wiring.graph
-        assert len(OP_KINDS) == 2
-        assert len(graph.nodes) == 4
-        assert {node.kind for node in graph.nodes} == set(OP_KINDS)
-        assert Counter(node.kind for node in graph.nodes) == {"input": 1, "mlp": 3}
+    def test_model_graph_is_3_mlps_over_one_input(self, model):
+        # node 0 is the input eval binds, the x network's stacked [oc; t], and then one mlp per
+        # network, which reads row ranges of it and of earlier mlps; the graph has no other node kind
+        graph, d = init_model(PinnConfig.default(model.config.d_oc), model.norm)._graph, model.config.d_oc
+        assert len(graph.nodes) == 3
+        assert [inputs for inputs, _ in graph.nodes] == [((0, 0, d + 1),), ((1, 0, 1), (0, d, d + 1)), ((1, 1, 2), (2, 1, 2))]
+        assert [payload[0] for _, payload in graph.nodes] == [HIDDEN[net] for net in ("x", "rul", "dyn")]
+        for name in ("OP_KINDS", "_Node"):
+            assert not hasattr(pinnrul.graph, name)
+        assert not hasattr(Graph, "input") and not hasattr(Graph, "value") and not hasattr(pinnrul.model, "_Wiring")
 
     @pytest.mark.parametrize("dyn_oracle", [False, True])
     @pytest.mark.parametrize("n", [1, 7, 512])
@@ -699,15 +699,15 @@ class TestWiring:
         loaded.latent_map(samples, rows)
         loaded.cost_values(batch)
         loaded.mean_cost(samples, rows)
-        assert "_wiring" not in loaded.__dict__ and not built
+        assert "_graph" not in loaded.__dict__ and not built
         # nor a gradient: no layer holds a gradient view, and the first cost makes the vector
         assert "_grad" not in loaded.__dict__
         assert all(dw is None and db is None for layers in loaded._layers.values() for *_, dw, db in layers)
         grad = loaded.cost(batch).grad
         assert loaded.__dict__["_grad"].shape == loaded.theta.shape
-        wiring = loaded.__dict__["_wiring"]
+        graph = loaded.__dict__["_graph"]
         loaded.cost(batch)
-        assert loaded._wiring is wiring and len(built) == 1
+        assert loaded._graph is graph and len(built) == 1
         # the same bits as a model whose graph is built before any read
         want = PinnModel(loaded.config, loaded.theta.copy(), loaded.norm).cost(batch).grad
         assert grad.tobytes() == want.tobytes()

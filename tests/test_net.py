@@ -38,21 +38,16 @@ def d_in(params):
 
 def eval_forward(params, x):
     g = Graph()
-    mlp = GraphMlp(g, *params)
-    xin = g.input()
-    out = mlp.forward((xin, 0, d_in(params)))
-    g.eval({xin: np.asarray(x, dtype=np.float64).reshape(-1, 1)})
-    return g.value(out)
+    GraphMlp(g, *params).forward((0, 0, d_in(params)))
+    (out,) = g.eval(np.asarray(x, dtype=np.float64).reshape(-1, 1))
+    return out
 
 
 def eval_tangent(params, x, coord):
     """(output, tangent) blocks of a one-tangent mlp node's stacked value at ``x``."""
     g = Graph()
-    mlp = GraphMlp(g, *params)
-    xin = g.input()
-    node = mlp.forward_tangents((xin, 0, d_in(params)), coords=[coord])
-    g.eval({xin: np.asarray(x, dtype=np.float64).reshape(-1, 1)})
-    value = g.value(node)
+    GraphMlp(g, *params).forward_tangents((0, 0, d_in(params)), coords=[coord])
+    (value,) = g.eval(np.asarray(x, dtype=np.float64).reshape(-1, 1))
     m = params[1][-1][0].shape[0]  # d_out, the rows of the last W
     assert value.shape == (2 * m, 1)
     return value[:m], value[m:]
@@ -117,11 +112,8 @@ class TestForward:
         params = drawn_mlp((3, 5, 2), 3)
         xs = np.random.default_rng(0).normal(size=(3, 4))
         g = Graph()
-        mlp = GraphMlp(g, *params)
-        xin = g.input()
-        out = mlp.forward((xin, 0, 3))
-        g.eval({xin: xs})
-        batch = g.value(out)
+        GraphMlp(g, *params).forward((0, 0, 3))
+        (batch,) = g.eval(xs)
         for j in range(4):
             assert np.abs(batch[:, j : j + 1] - plain_forward(params, xs[:, j])).max() <= 1e-12
 
@@ -131,11 +123,9 @@ class TestForward:
         rul_params = drawn_mlp((2, 10, 10, 10, 10, 10, 1), 1)
         for params, n in ((x_params, 15), (rul_params, 2)):
             g = Graph()
-            mlp = GraphMlp(g, *params)
-            xin = g.input()
-            out = mlp.forward((xin, 0, n))
-            g.eval({xin: np.zeros((n, 7))})
-            assert g.value(out).shape == (1, 7)
+            GraphMlp(g, *params).forward((0, 0, n))
+            (out,) = g.eval(np.zeros((n, 7)))
+            assert out.shape == (1, 7)
             assert len(params[1]) == 6
 
 
@@ -183,11 +173,9 @@ class TestForwardTangent:
             return float(tan[0, 0])
 
         g = Graph()
-        mlp = GraphMlp(g, *params)
-        xin = g.input()
-        node = mlp.forward_tangents((xin, 0, 2), coords=[0])
-        g.eval({xin: x.reshape(2, 1)})
-        g.grad({node: np.array([[0.0], [1.0]])})  # the adjoint of the tangent block alone
+        GraphMlp(g, *params).forward_tangents((0, 0, 2), coords=[0])
+        g.eval(x.reshape(2, 1))
+        g.grad([np.array([[0.0], [1.0]])])  # the adjoint of the tangent block alone
 
         h = 1e-6
         for buf, _, dw, _ in layers:

@@ -229,9 +229,9 @@ class TestTrain:
         grad = Graph.grad
         rul_1 = len(model.config.widths["x"]) - 1  # the first rul layer, after x's layers
 
-        def poisoned(graph, root):
-            grad(graph, root)
-            layers = [bufs for node in graph.nodes if node.kind == "mlp" for bufs in node.payload[1]]
+        def poisoned(graph, seeds):
+            grad(graph, seeds)
+            layers = [bufs for _, payload in graph.nodes for bufs in payload[1]]
             layers[rul_1][3][0, 0] = np.nan  # its db
 
         monkeypatch.setattr(Graph, "grad", poisoned)
