@@ -7,10 +7,12 @@ with label (L - c) - t. Labels run down to 0 at the failure cycle.
 An ``AugmentedSamples`` stores each logged row once, in a per-row
 table, and per sample only the row's index and t, so memory grows with
 the rows logged, not with the up to horizon + 1 samples of each.
-``take`` gathers a ``Batch`` of features, look-aheads and labels for an
-index array, always into new arrays; ``fit_norm`` reduces
-the row table, each row weighted by its sample count, never gathering
-the features per sample.
+The model reads samples by index array and gathers them itself
+(``PinnModel._gather``), so ``take``, which gathers a ``Batch`` of
+features, look-aheads and labels into new arrays, has no caller in the
+package: the benchmark's tracer wraps it and the tests call it.
+``fit_norm`` reduces the row table, each row weighted by its sample
+count, never gathering the features per sample.
 
 The parsers reject any token that is not a finite number, unit ids and
 cycles that are not integers and a negative true RUL, with a ValueError

@@ -33,8 +33,9 @@ the gradient vector, which ``cost`` checks once and returns as a copy. Nothing e
 builds the graph or makes a gradient: a model that is only loaded and
 read holds none. ``_eval_batch``, ``_forward`` and ``_read`` are stages
 over one stacked input, the x network's (d_oc + 1, n) [oc; t], whose last
-row is the RUL network's t: a raw batch gets it from ``_inputs``, a
-sample set from ``_gather``. ``_forward`` and ``_read`` run each network
+row is the RUL network's t: ``sweep`` and ``rmse_eval`` get it from
+``_inputs``, and every sample set, a training batch included, from
+``_gather``. ``_forward`` and ``_read`` run each network
 in ``_run``, the one chain runner, which runs ``net._chain``, the graph's
 own forward walk, over the tuples, writes the layers into two buffers
 per network and keeps only the output. ``_forward`` runs all three
@@ -44,22 +45,23 @@ are views of those buffers, valid until the next pass on the same
 buffers; ``mean_cost`` and ``latent_map`` each reuse one set for all
 their chunks. The graph holds its last pass between calls and releases
 it before computing the next, so a model never holds two; ``_forward``
-and ``_read`` hold nothing once their rows are dropped. Whole sample
-sets are read a chunk at a time, both readers taking the samples and an
-index array ``rows`` and gathering with ``_gather``, which normalizes
-only the logged rows a chunk reads, from its smallest row index to its
-largest, and takes them straight into a buffer of the input, so a
-logged row is normalized once per chunk that reads it, not per sample:
-``mean_cost`` sums the cost terms MEAN_CHUNK samples at a time, and
-``latent_map`` fills one C-order (n, 4) float64 table of x, dx/dt,
-predicted RUL and true RUL CHUNK samples at a time; ``map`` hands it one
-CHUNK-row range at a time, so no whole table exists there. Training
-batches still gather with ``samples.take`` and stack with ``_inputs``:
-a shuffled batch reads rows from across the whole table.
-``_normalize`` is the one check of a batch's or sample set's feature
+and ``_read`` hold nothing once their rows are dropped. ``cost``,
+``cost_values``, ``mean_cost`` and ``latent_map`` all take the samples
+and an index array and gather with ``_gather``, which normalizes by
+work: where the logged rows from the smallest to the largest that the
+index array reads are no more than its samples, as in a sorted chunk of
+a whole-set read, it normalizes that span and takes from it, so a logged
+row is normalized once per chunk that reads it, not per sample; a
+shuffled training batch, which reads rows from across the whole table,
+gathers and normalizes only its own rows. Whole sample sets are read a
+chunk at a time: ``mean_cost`` sums the cost terms MEAN_CHUNK samples at
+a time, and ``latent_map`` fills one C-order (n, 4) float64 table of x,
+dx/dt, predicted RUL and true RUL CHUNK samples at a time; ``map`` hands
+it one CHUNK-row range at a time, so no whole table exists there.
+``_normalize`` is the one check of a sample set's or raw batch's feature
 count and times and the one normalization; ``_inputs`` adds the oc shape
-and row count checks, and ``_labeled`` a batch's label count, before
-``_loss`` computes the cost from labels and a pass. ``_read`` is the one
+and row count checks of a raw batch, and ``_loss`` computes the cost from
+labels and a pass. ``_read`` is the one
 reader of x, dx/dt and the RUL in cycles for ``sweep``, ``latent_map``
 and ``rmse_eval``. ``NumericError``, defined here, reports a non-finite
 output.
@@ -74,7 +76,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import AugmentedSamples, Batch, NormStats, feature_matrix
+from .data import AugmentedSamples, NormStats, feature_matrix
 from .graph import Graph
 from .net import GraphMlp, _chain
 
@@ -285,27 +287,37 @@ class PinnModel:
             z = np.repeat(z, n, axis=0)
         if z.shape[0] != n:
             raise ValueError(f"{z.shape[0]} oc rows vs {n} time values")
-        # numpy lays this out in Fortran order, each sample's d_oc + 1 inputs side by side, and the
-        # first layer's BLAS products read it so: the same values in C order change cost's gradient bits
+        # numpy lays this out in Fortran order, each sample's d_oc + 1 inputs side by side, as _gather
+        # does; the first layer's BLAS products read it so, and the same values in C order can change their bits
         return np.concatenate([z.T, (t / self.config.t_scale)[None]])
 
     def _gather(self, samples: AugmentedSamples, idx, bufs) -> tuple[np.ndarray, np.ndarray]:
-        """The samples at index array ``idx`` stacked as ``_inputs`` stacks their batch,
-        bit for bit, after ``_normalize``'s checks, and their labels rul0[row] - t.
+        """The samples at nonempty index array ``idx`` stacked as ``_inputs`` stacks their
+        features and times, bit for bit, after ``_normalize``'s checks, and their labels
+        rul0[row] - t: the one code that turns samples into the x network's input.
 
-        Normalizes only the logged rows from the smallest to the largest that ``idx``
-        reads, far fewer than its samples where ``idx`` is sorted, and takes them into an
+        Normalizes by work. Where the logged rows from the smallest to the largest that
+        ``idx`` reads are no more than its samples, as in a sorted chunk, it normalizes
+        that span once and takes from it; otherwise, as in a shuffled batch, it gathers
+        and normalizes only the rows ``idx`` reads. Either way the rows land in an
         (n, d_oc + 1) C-order buffer, ``bufs["in"]``, made on the dict's first gather,
-        which every caller makes its widest; its transpose is the Fortran-ordered input.
+        which every caller makes its widest. Its transpose is the Fortran-ordered input,
+        the layout on which cost's gradient bits, and so model.bin's, rest.
         """
+        if len(idx) == 0:
+            raise ValueError("no samples to gather")
         row, t = samples.row.take(idx), samples.t.take(idx)
         lo, hi, n, d = row.min(), row.max(), len(t), self.config.d_oc
-        table = np.empty((hi - lo + 1, d + 1))  # the last column, t's, is written after the take
-        table[:, :d] = self._normalize(samples.rows[lo : hi + 1], t)
         if "in" not in bufs:
             bufs["in"] = np.empty((n, d + 1))
         s = bufs["in"][:n]
-        np.take(table, row - lo, axis=0, out=s, mode="clip")  # in range; "raise" would buffer the copy
+        if hi - lo + 1 <= n:
+            table = np.empty((hi - lo + 1, d + 1))  # the last column, t's, is written after the take
+            table[:, :d] = self._normalize(samples.rows[lo : hi + 1], t)
+            np.take(table, row - lo, axis=0, out=s, mode="clip")  # in range; "raise" would buffer the copy
+        else:
+            # fancy indexing, not rows.take(row, axis=0), which first copies the Fortran-ordered table to C order
+            s[:, :d] = self._normalize(samples.rows[row], t)
         np.divide(t, self.config.t_scale, out=s[:, d])
         return s.T, samples.rul0.take(row) - t
 
@@ -362,16 +374,6 @@ class PinnModel:
 
     # -- batch cost ------------------------------------------------------
 
-    def _labeled(self, batch: Batch) -> tuple[np.ndarray, np.ndarray]:
-        """Check a nonempty batch; return ``_inputs``' stacked input and its labels."""
-        if len(batch) == 0:
-            raise ValueError("cost needs a nonempty batch")
-        rul = np.asarray(batch.rul, dtype=np.float64).reshape(-1)
-        rows = len(np.atleast_2d(batch.oc))
-        if rul.shape[0] != rows:  # numpy would broadcast one label over every row
-            raise ValueError(f"{rows} oc rows vs {rul.shape[0]} rul labels")
-        return self._inputs(batch.oc, batch.t), rul
-
     def _loss(self, rul, p: _Pass, dyn_oracle: bool = False):
         """(d, f, mse, pde, total) of pass ``p`` against labels ``rul`` in cycles.
 
@@ -384,8 +386,9 @@ class PinnModel:
         pde = float((f * f).mean())
         return d, f, mse, pde, mse + self.config.pde_weight * pde
 
-    def cost(self, batch: Batch, dyn_oracle: bool = False) -> CostBreakdown:
-        """Batch cost (label MSE + weighted mean squared residual) and its
+    def cost(self, samples: AugmentedSamples, idx, dyn_oracle: bool = False) -> CostBreakdown:
+        """Cost (label MSE + weighted mean squared residual) of the samples at
+        nonempty index array ``idx``, gathered with ``_gather``, and its
         gradient, one vector laid out like ``theta``.
 
         The gradient is a fresh copy, so no breakdown aliases another.
@@ -394,7 +397,7 @@ class PinnModel:
         exact time derivative it is meant to learn (a test seam: the
         residual term and the rate network's gradient are then zero).
         """
-        s, rul = self._labeled(batch)
+        s, rul = self._gather(samples, idx, {})
         p = self._eval_batch(s)
         d, f, mse, pde, total = self._loss(rul, p, dyn_oracle)
         if not math.isfinite(total):
@@ -411,10 +414,10 @@ class PinnModel:
             raise NumericError(f"non-finite gradient of {self._buffer_at(np.argmin(finite))}")
         return CostBreakdown(mse=mse, pde=pde, total=total, grad=self._grad.copy())
 
-    def cost_values(self, batch: Batch) -> tuple[float, float, float]:
-        """(mse, pde, total) of ``_forward``'s pass: no graph, no gradient,
-        and nothing held once it returns."""
-        s, rul = self._labeled(batch)
+    def cost_values(self, samples: AugmentedSamples, idx) -> tuple[float, float, float]:
+        """``cost``'s (mse, pde, total) from ``_forward``'s pass: no graph, no
+        gradient, and nothing held once it returns."""
+        s, rul = self._gather(samples, idx, {})
         return self._loss(rul, self._forward(s))[2:]
 
     def mean_cost(self, samples: AugmentedSamples, rows) -> tuple[float, float, float]:

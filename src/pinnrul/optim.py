@@ -23,21 +23,25 @@ whether it runs per buffer or over one vector holding all of them.
 (W, b, dW, db) tuple of views per layer, which ``model._layout`` cuts
 from the parameter vector ``theta`` and from the one gradient vector
 laid out like it that the first ``cost`` makes, and each step passes
-``cost(batch).grad`` to one ``nadam_step`` call, with one m and one v
+``cost(dataset, idx).grad``, idx the batch's slice of the epoch's
+shuffled indices, to one ``nadam_step`` call, with one m and one v
 vector as its state.
 
 Training splits the dataset 75/25 (validation gets ceil(N/4) samples),
 reshuffles the training part with a fixed per-epoch seed, and evaluates
 both splits after every epoch, so identical seeds give bit-identical
 reports and final parameters. The splits are index arrays into the one
-dataset, never copies of it: a batch gathers its own rows, and the
-epoch-end means read each split in dataset order (its sorted indices),
-so each chunk reads a short range of logged rows, the only ones its
-gather normalizes: at horizon 30, about 90 rows for a 2,048-sample chunk
-of the training split and 280 of the validation split. Every
-index array (the split permutation, both splits, their sorted copies and
-each epoch's shuffled rows) is int32, half the size of int64 with the same
-values, since ``augment`` keeps a dataset's sample count within int32.
+dataset, never copies of it, and ``model._gather`` is the one code that
+turns either into the x network's input: a shuffled batch reads rows
+from across the whole table, so its gather normalizes only its own rows,
+and the epoch-end means read each split in dataset order (its sorted
+indices), so each chunk reads a short range of logged rows, the only
+ones its gather normalizes: at horizon 30, about 90 rows for a
+2,048-sample chunk of the training split and 280 of the validation
+split. Every index array (the split permutation, both splits, their
+sorted copies and each epoch's shuffled rows) is int32, half the size of
+int64 with the same values, since ``augment`` keeps a dataset's sample
+count within int32.
 """
 
 from __future__ import annotations
@@ -183,9 +187,8 @@ def train(
         # equal to train_idx[permutation(n_train)], the batch order model.bin's bits rest on
         shuffled = np.random.default_rng([split_seed, 1 + epoch]).permutation(train_idx)
         for batch_no, start in enumerate(range(0, n_train, batch_size)):
-            batch = dataset.take(shuffled[start : start + batch_size])
             try:
-                nadam_step(state, model.theta, model.cost(batch).grad, config)
+                nadam_step(state, model.theta, model.cost(dataset, shuffled[start : start + batch_size]).grad, config)
             except NumericError as exc:
                 raise NumericError(f"epoch {epoch} batch {batch_no}: {exc}") from exc
 

@@ -182,25 +182,27 @@ def random_samples(model, seed, n=4):
     )
 
 
-def fd_gradient(model, batch, name, index, h=FD_H):
-    """Central finite difference of the total cost w.r.t. one entry."""
+def fd_gradient(model, samples, name, index, h=FD_H):
+    """Central finite difference of the total cost over all of ``samples`` w.r.t. one entry."""
     buf = dict(model.parameter_items())[name]
+    idx = np.arange(len(samples))
     old = buf[index]
     buf[index] = old + h
-    up = model.cost_values(batch)[2]
+    up = model.cost_values(samples, idx)[2]
     buf[index] = old - h
-    down = model.cost_values(batch)[2]
+    down = model.cost_values(samples, idx)[2]
     buf[index] = old
     return (up - down) / (2 * h)
 
 
-def dyn_preactivations_safe(model, batch, margin=1e-3):
+def dyn_preactivations_safe(model, samples, margin=1e-3):
     """Keep finite differences honest: no relu pre-activation near 0.
 
-    Evaluates the model's graph on the batch and checks the pre-activation
-    entries of each relu layer: the rate network's five hidden layers.
+    Evaluates the model's graph on all of ``samples`` and checks the
+    pre-activation entries of each relu layer: the rate network's five
+    hidden layers.
     """
-    model._eval_batch(model._inputs(batch.oc, batch.t))
+    model._eval_batch(model._gather(samples, np.arange(len(samples)), {})[0])
     safe, checked = relu_inputs_safe(model._graph, margin)
     assert checked == 5
     return safe

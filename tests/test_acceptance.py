@@ -42,7 +42,7 @@ from conftest import (
     fd_gradient,
     fd_tolerance_ok,
     grad_views,
-    random_batch,
+    random_samples,
     small_random_model,
 )
 from test_net import eval_tangent, plain_forward
@@ -108,15 +108,15 @@ def test_criterion_3_gradient_correctness():
         d_oc = 2 + (seed % 2)
         lam = (0.5, 1.0, 2.0)[seed % 3]
         model = small_random_model(seed, d_oc=d_oc, pde_weight=lam)
-        batch = random_batch(model, 10_000 + seed, n=4)
-        if not dyn_preactivations_safe(model, batch):
+        samples = random_samples(model, 10_000 + seed, n=4)
+        if not dyn_preactivations_safe(model, samples):
             continue
-        grads = grad_views(model, model.cost(batch).grad)
+        grads = grad_views(model, model.cost(samples, np.arange(4)).grad)
         for name, buf in model.parameter_items():
             it = np.nditer(buf, flags=["multi_index"])
             for _ in it:
                 idx = it.multi_index
-                fd = fd_gradient(model, batch, name, idx, h=1e-5)
+                fd = fd_gradient(model, samples, name, idx, h=1e-5)
                 analytic = grads[name][idx]
                 assert fd_tolerance_ok(analytic, fd, rel=1e-4, abs_tol=1e-8), (
                     f"config seed {seed}, {name}{idx}: analytic {analytic} vs fd {fd}"
@@ -333,10 +333,10 @@ def test_criterion_8_training_determinism(tmp_path):
 
 def test_criterion_9_residual_identity():
     model = small_random_model(424242, d_oc=3, pde_weight=1.0)
-    batch = random_batch(model, 515151, n=16)
-    oracle = model.cost(batch, dyn_oracle=True)
+    samples, idx = random_samples(model, 515151, n=16), np.arange(16)
+    oracle = model.cost(samples, idx, dyn_oracle=True)
     lam_zero = small_random_model(424242, d_oc=3, pde_weight=0.0)
-    plain = lam_zero.cost(batch)
+    plain = lam_zero.cost(samples, idx)
     ok = abs(oracle.pde) <= 1e-12 and abs(plain.total - plain.mse) <= 1e-12
     report(9, ok, f"oracle pde {oracle.pde:.2e}, lambda=0 |total-mse| {abs(plain.total - plain.mse):.2e}")
     assert abs(oracle.pde) <= 1e-12

@@ -18,6 +18,7 @@ from pinnrul import (
     init_model,
     load_model,
     save_model,
+    split_indices,
     train,
 )
 import pinnrul.graph
@@ -148,18 +149,24 @@ class TestPointOps:
             model.sweep(np.zeros((rows, 2, 1)), t_list)
 
     def test_oc_rows_must_match_time_values(self, model):
-        batch = dataclasses.replace(random_batch(model, 3, n=5), t=np.zeros(4))
-        with pytest.raises(ValueError, match="5 oc rows vs 4 time values"):
-            model.cost(batch)
+        # sweep repeats each oc row once per horizon: 2 rows and 3 horizons make 6 rows
+        with pytest.raises(ValueError, match="6 oc rows vs 3 time values"):
+            model.sweep(np.zeros((2, 2)), [0.0, 1.0, 2.0])
 
-    @pytest.mark.parametrize("labels", [1, 3])
+    @pytest.mark.parametrize("order", ["sorted", "shuffled"])
     @pytest.mark.parametrize("method", ["cost", "cost_values"])
-    def test_labels_must_match_oc_rows(self, model, method, labels):
-        # one label would broadcast over all 8 rows; three would fail inside numpy
-        batch = random_batch(model, 3, n=8)
-        batch = dataclasses.replace(batch, rul=batch.rul[:labels])
-        with pytest.raises(ValueError, match=f"^8 oc rows vs {labels} rul labels$"):
-            getattr(model, method)(batch)
+    def test_labels_are_rul0_minus_t(self, model, method, order):
+        # each sample is fitted to its logged row's RUL less its horizon, on either gather path
+        samples = fleet_samples(model, engines=20)
+        idx = np.arange(300, 364)
+        if order == "shuffled":
+            idx = np.random.default_rng(2).permutation(len(samples))[:64]
+        row = samples.row[idx]
+        assert (row.max() - row.min() + 1 <= len(idx)) == (order == "sorted")
+        s = model._inputs(samples.rows[row], samples.t[idx])
+        want = model._loss(samples.rul0[row] - samples.t[idx], model._forward(s))[2:]
+        got = getattr(model, method)(samples, idx)
+        assert (tuple(got) if method == "cost_values" else (got.mse, got.pde, got.total)) == want
 
     @pytest.mark.parametrize("delta", [-1, 1], ids=["fewer", "more"])
     @pytest.mark.parametrize("method", ["sweep", "cost", "cost_values", "latent_map", "mean_cost"])
@@ -171,8 +178,8 @@ class TestPointOps:
         rows = np.arange(6)
         calls = {
             "sweep": lambda: model.sweep(samples.rows[0], [0.0, 1.0]),
-            "cost": lambda: model.cost(samples.take(rows)),
-            "cost_values": lambda: model.cost_values(samples.take(rows)),
+            "cost": lambda: model.cost(samples, rows),
+            "cost_values": lambda: model.cost_values(samples, rows),
             "latent_map": lambda: model.latent_map(samples, rows),
             "mean_cost": lambda: model.mean_cost(samples, rows),
         }
@@ -227,15 +234,14 @@ class TestResidual:
         assert drul_dt == pytest.approx(fd_drul_dt, rel=1e-4)
 
     def test_dyn_oracle_zeroes_residual_term(self, model):
-        batch = random_batch(model, 5, n=6)
-        breakdown = model.cost(batch, dyn_oracle=True)
+        breakdown = model.cost(random_samples(model, 5, n=6), np.arange(6), dyn_oracle=True)
         assert abs(breakdown.pde) <= 1e-12
 
     def test_dyn_oracle_gradient_of_the_rate_network_is_zero(self, model):
         # the oracle cost does not depend on the rate network, even right after a cost that does
-        batch = random_batch(model, 5, n=6)
-        assert grad_views(model, model.cost(batch).grad)["dyn.W1"].any()
-        grads = grad_views(model, model.cost(batch, dyn_oracle=True).grad)
+        samples, idx = random_samples(model, 5, n=6), np.arange(6)
+        assert grad_views(model, model.cost(samples, idx).grad)["dyn.W1"].any()
+        grads = grad_views(model, model.cost(samples, idx, dyn_oracle=True).grad)
         assert not any(view.any() for name, view in grads.items() if name.startswith("dyn."))
         assert grads["x.W1"].any() and grads["rul.W1"].any()
 
@@ -247,36 +253,37 @@ class TestResidual:
 class TestCost:
     def test_perfect_fit_is_zero(self, model):
         zeroed(model, "rul")
-        batch = random_batch(model, 3, n=5)
-        batch.rul = np.zeros(5)
-        breakdown = model.cost(batch, dyn_oracle=True)
+        samples = random_samples(model, 3, n=5)
+        samples.rul0[...] = samples.t  # every label rul0 - t is 0
+        breakdown = model.cost(samples, np.arange(5), dyn_oracle=True)
         assert breakdown.mse == 0.0 and breakdown.pde == 0.0 and breakdown.total == 0.0
 
     def test_lambda_zero_total_is_mse(self):
         model = small_random_model(77, d_oc=3, pde_weight=0.0)
-        batch = random_batch(model, 8, n=4)
-        breakdown = model.cost(batch)
+        breakdown = model.cost(random_samples(model, 8, n=4), np.arange(4))
         assert abs(breakdown.total - breakdown.mse) <= 1e-12
 
     def test_lambda_scaling(self):
         base = small_random_model(31, d_oc=2, pde_weight=1.0)
-        batch = random_batch(base, 9, n=4)
-        b1 = base.cost(batch)
+        samples, idx = random_samples(base, 9, n=4), np.arange(4)
+        b1 = base.cost(samples, idx)
         c = 3.5
         scaled = small_random_model(31, d_oc=2, pde_weight=c)
-        s1 = scaled.cost(batch)
+        s1 = scaled.cost(samples, idx)
         assert (s1.total - s1.mse) == pytest.approx(c * (b1.total - b1.mse), rel=1e-12)
 
     def test_total_is_mse_plus_weighted_pde(self, model):
-        batch = random_batch(model, 11, n=4)
-        breakdown = model.cost(batch)
+        breakdown = model.cost(random_samples(model, 11, n=4), np.arange(4))
         assert breakdown.total == pytest.approx(
             breakdown.mse + model.config.pde_weight * breakdown.pde, abs=1e-12
         )
 
     def test_empty_batch_rejected(self, model):
-        with pytest.raises(ValueError):
-            model.cost(random_samples(model, 0, n=4).take(np.array([], dtype=int)))
+        # before the gather's row.min(), whose numpy message names nothing
+        samples = random_samples(model, 0, n=4)
+        for cost in (model.cost, model.cost_values):
+            with pytest.raises(ValueError, match="^no samples to gather$"):
+                cost(samples, np.arange(0))
 
     def test_mean_cost_over_no_rows_rejected(self, model):
         samples = augment([EngineTrajectory(1, np.arange(8.0).reshape(4, 2), ["s1", "s2"])], horizon=0, columns=["s1", "s2"])
@@ -284,8 +291,7 @@ class TestCost:
             model.mean_cost(samples, np.array([], dtype=np.intp))
 
     def test_gradients_cover_all_parameters(self, model):
-        batch = random_batch(model, 13, n=4)
-        breakdown = model.cost(batch)
+        breakdown = model.cost(random_samples(model, 13, n=4), np.arange(4))
         names = [name for name, _ in model.parameter_items()]
         assert breakdown.grad.shape == model.theta.shape
         assert sorted(grad_views(model, breakdown.grad)) == sorted(names)
@@ -297,38 +303,38 @@ class TestCost:
         while checked < 3:
             seed += 1
             model = small_random_model(seed, d_oc=2)
-            batch = random_batch(model, seed + 1000, n=4)
-            if not dyn_preactivations_safe(model, batch):
+            samples = random_samples(model, seed + 1000, n=4)
+            if not dyn_preactivations_safe(model, samples):
                 continue
-            grads = grad_views(model, model.cost(batch).grad)
+            grads = grad_views(model, model.cost(samples, np.arange(4)).grad)
             for name, buf in model.parameter_items():
                 it = np.nditer(buf, flags=["multi_index"])
                 for _ in it:
                     idx = it.multi_index
-                    fd = fd_gradient(model, batch, name, idx)
+                    fd = fd_gradient(model, samples, name, idx)
                     assert fd_tolerance_ok(grads[name][idx], fd), (
                         f"seed {seed} {name}{idx}: {grads[name][idx]} vs {fd}"
                     )
             checked += 1
 
     def test_cost_bitwise_identical(self, model):
-        batch = random_batch(model, 21, n=5)
-        a = model.cost(batch)
-        b = model.cost(batch)
+        samples, idx = random_samples(model, 21, n=5), np.arange(5)
+        a = model.cost(samples, idx)
+        b = model.cost(samples, idx)
         assert a.total == b.total
         assert np.array_equal(a.grad, b.grad)
 
     def test_breakdowns_do_not_share_a_gradient(self, model):
-        a = model.cost(random_batch(model, 24, n=5))
+        a = model.cost(random_samples(model, 24, n=5), np.arange(5))
         kept = a.grad.copy()
-        b = model.cost(random_batch(model, 25, n=5))
+        b = model.cost(random_samples(model, 25, n=5), np.arange(5))
         assert not np.shares_memory(a.grad, b.grad)
         assert np.array_equal(a.grad, kept)
         assert not np.array_equal(a.grad, b.grad)
 
     def test_non_finite_gradient_names_its_buffer(self, model, monkeypatch):
         # poison two gradient buffers inside Graph.grad; cost's one check names the first
-        batch = random_batch(model, 26, n=4)
+        samples = random_samples(model, 26, n=4)
         model._graph  # builds the graph and its gradient vector
         layers = _layout(model.config, model.theta, model._grad)
         bad = (layers["rul"][0][3], layers["dyn"][-1][2])  # gradients of rul.b1, the last dyn.W
@@ -341,14 +347,14 @@ class TestCost:
 
         monkeypatch.setattr(Graph, "grad", poisoned)
         with pytest.raises(NumericError, match=r"^non-finite gradient of rul\.b1$"):
-            model.cost(batch)
+            model.cost(samples, np.arange(4))
 
     def test_mean_cost_matches_single_batch(self, model, monkeypatch):
         monkeypatch.setattr("pinnrul.model.MEAN_CHUNK", 3)
         samples = random_samples(model, 22, n=10)
         rows = np.arange(len(samples))
         mse, pde, total = model.mean_cost(samples, rows)
-        one = model.cost_values(samples.take(rows))
+        one = model.cost_values(samples, rows)
         assert mse == pytest.approx(one[0], rel=1e-12)
         assert pde == pytest.approx(one[1], rel=1e-12)
         assert total == pytest.approx(one[2], rel=1e-12)
@@ -437,7 +443,7 @@ class TestParameterVector:
 
         monkeypatch.setattr(Graph, "grad", poisoned)
         with pytest.raises(NumericError) as exc:
-            model.cost(random_batch(model, 27, n=4))
+            model.cost(random_samples(model, 27, n=4), np.arange(4))
         assert str(exc.value) == f"non-finite gradient of {name}"
 
     @pytest.mark.parametrize("scheme, digest", [("xavier", "443d7b5bb72a86cd")])
@@ -462,24 +468,24 @@ class TestParameterVector:
         assert rest[int(length) + 1 :] == model.theta.astype("<f8").tobytes()
 
     def test_in_place_edit_reaches_built_graph(self, model):
-        batch = random_batch(model, 41, n=5)
-        oc = batch.oc[0]
-        before = (model.sweep(oc, [3.0])[0][3], model.cost(batch).total)
+        samples, idx = random_samples(model, 41, n=5), np.arange(5)
+        oc = samples.rows[0]
+        before = (model.sweep(oc, [3.0])[0][3], model.cost(samples, idx).total)
         model.theta *= 0.5  # the graph exists now and holds views, not copies
         fresh = PinnModel(model.config, model.theta.copy(), model.norm)
-        after = (model.sweep(oc, [3.0])[0][3], model.cost(batch))
+        after = (model.sweep(oc, [3.0])[0][3], model.cost(samples, idx))
         assert after[0] != before[0] and after[1].total != before[1]
         assert after[0] == fresh.sweep(oc, [3.0])[0][3]
-        want = fresh.cost(batch)
+        want = fresh.cost(samples, idx)
         assert after[1].total == want.total
         assert np.array_equal(after[1].grad, want.grad)
 
     def test_replace_binds_the_new_vectors(self, model):
-        batch = random_batch(model, 42, n=5)
-        model.cost(batch)  # builds the original's graph
+        samples, idx = random_samples(model, 42, n=5), np.arange(5)
+        model.cost(samples, idx)  # builds the original's graph
         half = dataclasses.replace(model, theta=model.theta * 0.5)
-        want = PinnModel(model.config, model.theta * 0.5, model.norm).cost(batch)
-        got = half.cost(batch)
+        want = PinnModel(model.config, model.theta * 0.5, model.norm).cost(samples, idx)
+        got = half.cost(samples, idx)
         assert got.total == want.total
         assert np.array_equal(got.grad, want.grad)
 
@@ -508,17 +514,16 @@ class TestWiring:
 
         monkeypatch.setattr(Graph, "__init__", counting_init)
         model = PinnModel(model.config, model.theta.copy(), model.norm)  # builds its graph at its first cost, and only then
-        first = random_batch(model, 30, n=7)
-        before = model.cost(first)
+        first = random_samples(model, 30, n=7)
+        before = model.cost(first, np.arange(7))
         for n in (1, 7, 512, 4096):
             samples, rows = random_samples(model, 30 + n, n=n), np.arange(n)
-            batch = samples.take(rows)
-            model.cost(batch)
-            model.cost(batch, dyn_oracle=True)
+            model.cost(samples, rows)
+            model.cost(samples, rows, dyn_oracle=True)
             assert len(model.latent_map(samples, rows)) == n
-            assert len(model.sweep(batch.oc[0], batch.t.astype(float))) == n
+            assert len(model.sweep(samples.rows[0], samples.t.astype(float))) == n
         assert len(built) == 1
-        after = model.cost(first)
+        after = model.cost(first, np.arange(7))
         assert after.total == before.total
         assert np.array_equal(after.grad, before.grad)
 
@@ -557,21 +562,61 @@ class TestWiring:
         assert x_in.flags.f_contiguous
         np.testing.assert_array_equal(x_in[d], t / model.config.t_scale)
 
-    def test_whole_set_readers_make_no_take_call(self, model, monkeypatch):
-        # latent_map and mean_cost gather each chunk into the x network's input themselves;
-        # several chunks each, the last one narrower
+    def test_readers_and_training_make_no_take_call(self, model, monkeypatch):
+        # latent_map, mean_cost and each training batch's cost gather into the x network's input
+        # themselves; the readers take several chunks each, the last one narrower, and the 64-sample
+        # batches read rows from across the table
         monkeypatch.setattr("pinnrul.model.CHUNK", 500)
         monkeypatch.setattr("pinnrul.model.MEAN_CHUNK", 300)
         samples = fleet_samples(model)
         rows = np.arange(len(samples), dtype=np.int32)
-        want = model.latent_map(samples, rows), model.mean_cost(samples, rows)
+        runs = (
+            lambda: model.latent_map(samples, rows),
+            lambda: model.mean_cost(samples, rows),
+            lambda: train(model, samples, 3, 4, epochs=1, batch_size=64)[0].theta.tobytes(),
+        )
+        want = [run() for run in runs]
 
         def no_take(self, idx):
             raise AssertionError("AugmentedSamples.take called")
 
         monkeypatch.setattr(AugmentedSamples, "take", no_take)
-        got = model.latent_map(samples, rows), model.mean_cost(samples, rows)
-        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+        got = [run() for run in runs]
+        assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+
+    def test_gather_normalizes_by_work(self, model, monkeypatch):
+        # a set whose logged rows, smallest to largest, are no more than its samples normalizes that
+        # span once, a view of the row table; any other set, such as a shuffled batch, only its own rows
+        samples = fleet_samples(model, engines=20)
+        normalized = []
+        normalize = PinnModel._normalize
+
+        def spy(self, oc, t):
+            normalized.append((len(oc), np.shares_memory(oc, samples.rows)))
+            return normalize(self, oc, t)
+
+        def gather(idx):
+            normalized.clear()
+            model._gather(samples, idx, {})
+            return normalized
+
+        monkeypatch.setattr(PinnModel, "_normalize", spy)
+        shuffled = np.random.default_rng(0).permutation(len(samples))[:512].astype(np.int32)
+        assert gather(shuffled) == [(512, False)]
+        chunk = np.sort(split_indices(len(samples), 3)[0])[1000:1512]
+        span = int(samples.row[chunk[-1]] - samples.row[chunk[0]]) + 1
+        assert span < 512 and gather(chunk) == [(span, True)]
+        # the t = 0 samples of consecutive logged rows: a span of exactly n takes the span path, n + 1 does not
+        firsts = np.flatnonzero(samples.t == 0)
+        assert gather(firsts[10:50]) == [(40, True)]
+        assert gather(np.delete(firsts[10:51], 20)) == [(40, False)]
+
+    def test_shuffled_gather_makes_no_copy_of_the_row_table(self, model):
+        # samples.rows is Fortran-ordered, and rows.take(row, axis=0) would first copy all of it to C order
+        samples = fleet_samples(model, engines=300)
+        idx = np.random.default_rng(1).permutation(len(samples))[:512]
+        _, first, peak = traced_calls(lambda: model._gather(samples, idx, {}))
+        assert max(first, peak) < samples.rows.nbytes / 2, f"a 512-sample gather peaked at {max(first, peak)} bytes"
 
     def test_model_graph_is_3_mlps_over_one_input(self, model):
         # node 0 is the input eval binds, the x network's stacked [oc; t], and then one mlp per
@@ -592,15 +637,15 @@ class TestWiring:
         # then the RUL network's, whose x row and the dx/dt adjoint seed the x network
         for seed in range(30):
             model = small_random_model(seed)
-            batch = random_batch(model, 100 + seed, n=n)
+            samples = random_samples(model, 100 + seed, n=n)
             want = np.zeros_like(model.theta)
             layers, d_oc = _layout(model.config, model.theta, want), model.config.d_oc
-            s = model._inputs(batch.oc, batch.t)
+            s = model._inputs(samples.rows, samples.t)  # one logged row per sample
             xs = _chain(HIDDEN["x"], layers["x"], s, 1, (d_oc,))
             ruls = _chain(HIDDEN["rul"], layers["rul"], np.concatenate([xs[-1][:1], s[-1:]]), 2, (0, 1))
             dyns = _chain(HIDDEN["dyn"], layers["dyn"], np.concatenate([xs[-1][1:], ruls[-1][1:2]]), 0, None)
             p = _Pass(xs[-1][:1], xs[-1][1:], ruls[-1][:1], ruls[-1][1:2], ruls[-1][2:], dyns[-1])
-            d = batch.rul.reshape(1, -1) / model.norm.rul_max - p.rul
+            d = (samples.rul0 - samples.t).reshape(1, -1) / model.norm.rul_max - p.rul
             a_f = model.config.pde_weight / n * (2.0 * _residual(p, dyn_oracle)[1])
             a_dyn = _chain_grad(HIDDEN["dyn"], layers["dyn"], dyns, None if dyn_oracle else -a_f, 0, None, True)
             a_dx_dt, a_drul_dx = a_f * p.drul_dx, a_f * p.dx_dt
@@ -609,7 +654,7 @@ class TestWiring:
             a_rul = np.concatenate([-(1.0 / n * (2.0 * d)), a_drul_dx, a_f])
             a_x = _chain_grad(HIDDEN["rul"], layers["rul"], ruls, a_rul, 2, (0, 1), True)[:1]
             _chain_grad(HIDDEN["x"], layers["x"], xs, np.concatenate([a_x, a_dx_dt]), 1, (d_oc,), False)
-            assert model.cost(batch, dyn_oracle).grad.tobytes() == want.tobytes(), seed
+            assert model.cost(samples, np.arange(n), dyn_oracle).grad.tobytes() == want.tobytes(), seed
 
     def test_outputs_equal_plain_recurrence_bitwise(self):
         # z = W h + b, y = tanh z, t' = (1 - y^2) (W t); last layer linear
@@ -663,20 +708,20 @@ class TestWiring:
         # graph the same (mse, pde, total)
         trained, _ = train(model, random_samples(model, 53, n=64), 1, 2, epochs=3, batch_size=16)
         for n in (1, 31, 4096):
-            batch = random_batch(trained, 53 + n, n=n)
-            s = trained._inputs(batch.oc, batch.t)
+            samples, idx = random_samples(trained, 53 + n, n=n), np.arange(n)
+            s = trained._inputs(samples.rows, samples.t)
             for got, want in zip(trained._forward(s), trained._eval_batch(s)):
                 assert np.array_equal(got, want), n
-            graph = trained.cost(batch)
-            assert trained.cost_values(batch) == (graph.mse, graph.pde, graph.total), n
+            graph = trained.cost(samples, idx)
+            assert trained.cost_values(samples, idx) == (graph.mse, graph.pde, graph.total), n
         # chunks of 13, 13, 13 and 1 rows, in a shuffled order: the last reuses the buffers of a wider one
         monkeypatch.setattr("pinnrul.model.MEAN_CHUNK", 13)
         samples = random_samples(trained, 54, n=40)
         rows = np.random.default_rng(54).permutation(40).astype(np.int32)
         mse_sum = pde_sum = 0.0
         for start in range(0, 40, 13):
-            part = samples.take(rows[start : start + 13])
-            graph = trained.cost(part)
+            part = rows[start : start + 13]
+            graph = trained.cost(samples, part)
             mse_sum += graph.mse * len(part)
             pde_sum += graph.pde * len(part)
         mse, pde = mse_sum / 40, pde_sum / 40
@@ -694,22 +739,21 @@ class TestWiring:
         save_model(model, tmp_path / "m.bin")
         loaded = load_model(tmp_path / "m.bin")
         samples, rows = random_samples(loaded, 51, n=9), np.arange(9)
-        batch = samples.take(rows)
-        loaded.sweep(batch.oc[0], [0.0, 1.0, 2.0])
+        loaded.sweep(samples.rows[0], [0.0, 1.0, 2.0])
         loaded.latent_map(samples, rows)
-        loaded.cost_values(batch)
+        loaded.cost_values(samples, rows)
         loaded.mean_cost(samples, rows)
         assert "_graph" not in loaded.__dict__ and not built
         # nor a gradient: no layer holds a gradient view, and the first cost makes the vector
         assert "_grad" not in loaded.__dict__
         assert all(dw is None and db is None for layers in loaded._layers.values() for *_, dw, db in layers)
-        grad = loaded.cost(batch).grad
+        grad = loaded.cost(samples, rows).grad
         assert loaded.__dict__["_grad"].shape == loaded.theta.shape
         graph = loaded.__dict__["_graph"]
-        loaded.cost(batch)
+        loaded.cost(samples, rows)
         assert loaded._graph is graph and len(built) == 1
         # the same bits as a model whose graph is built before any read
-        want = PinnModel(loaded.config, loaded.theta.copy(), loaded.norm).cost(batch).grad
+        want = PinnModel(loaded.config, loaded.theta.copy(), loaded.norm).cost(samples, rows).grad
         assert grad.tobytes() == want.tobytes()
 
 
@@ -733,11 +777,11 @@ class TestHeldPass:
     def test_next_pass_releases_the_held_one_first(self, model, method):
         # the graph holds one width-CHUNK pass between calls, which grad reads; building the next beside it
         # would double it. A read or a forward-only cost holds nothing once its result is dropped.
-        batch = random_batch(model, 52, n=CHUNK)
+        samples = random_samples(model, 52, n=CHUNK)
         runs = {
-            "_eval_batch": lambda: model._eval_batch(model._inputs(batch.oc, batch.t)),
-            "cost_values": lambda: model.cost_values(batch),
-            "_read": lambda: model._read(model._inputs(batch.oc, batch.t)),
+            "_eval_batch": lambda: model._eval_batch(model._inputs(samples.rows, samples.t)),
+            "cost_values": lambda: model.cost_values(samples, np.arange(CHUNK)),
+            "_read": lambda: model._read(model._inputs(samples.rows, samples.t)),
         }
         held, first, peak = traced_calls(runs[method])
         if method == "_eval_batch":

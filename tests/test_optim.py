@@ -209,7 +209,7 @@ class TestTrain:
         for epoch in range(epochs):
             order = np.random.default_rng([split_seed, 1 + epoch]).permutation(len(train_idx))
             for start in range(0, len(train_idx), batch_size):
-                grads = grad_views(ref, ref.cost(samples.take(train_idx[order[start : start + batch_size]])).grad)
+                grads = grad_views(ref, ref.cost(samples, train_idx[order[start : start + batch_size]]).grad)
                 for name, buf, state in zip(names, params, states):
                     nadam_step(state, buf, grads[name], config)
                 n_batches += 1
